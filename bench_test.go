@@ -65,7 +65,7 @@ func BenchmarkFigure5Select(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := range descs {
 					for _, outd := range descs {
-						if _, err := ops.Select(inputs[j], bitutil.CmpEq, needle, outd, vector.Vec512); err != nil {
+						if _, err := ops.FixedRT(1).SelectAuto(inputs[j], bitutil.CmpEq, needle, outd, vector.Vec512, false); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -400,7 +400,7 @@ func BenchmarkParallelSelectDynBP(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParSelect(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -420,7 +420,7 @@ func BenchmarkParallelSum(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.ParSum(col, vector.Vec512, par); err != nil {
+				if _, _, err := ops.FixedRT(par).SumAuto(col, vector.Vec512, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -450,7 +450,7 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.ParJoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, par); err != nil {
+				if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -473,7 +473,7 @@ func BenchmarkParallelCalc(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParCalcBinary(ops.CalcMul, a, c, columns.DynBPDesc, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).CalcBinary(ops.CalcMul, a, c, columns.DynBPDesc, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -501,7 +501,7 @@ func BenchmarkParallelSumGrouped(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParSumGrouped(gids, vals, nGroups, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).SumGrouped(gids, vals, nGroups, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -745,7 +745,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("select_swar_direct", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := ops.SelectStaticBPDirect(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc); err != nil {
+			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, vector.Vec512, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -753,7 +753,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("select_otf", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := ops.Select(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, vector.Vec512); err != nil {
+			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, vector.Vec512, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -761,7 +761,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("sum_dynbp_direct", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := ops.SumDynBPDirect(dbp); err != nil {
+			if _, _, err := ops.FixedRT(1).SumAuto(dbp, vector.Vec512, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -769,7 +769,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("sum_otf", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ops.SumWhole(dbp, vector.Vec512); err != nil {
+			if _, _, err := ops.FixedRT(1).SumAuto(dbp, vector.Vec512, false); err != nil {
 				b.Fatal(err)
 			}
 		}

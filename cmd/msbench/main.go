@@ -212,14 +212,14 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 		return err
 	}
 	td, err := minTime(repeats, func() error {
-		_, err := ops.SumStaticBPDirect(col)
+		_, _, err := ops.FixedRT(1).SumAuto(col, vector.Vec512, true)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	tg, err := minTime(repeats, func() error {
-		_, _, err := ops.SumWhole(col, vector.Vec512)
+		_, _, err := ops.FixedRT(1).SumAuto(col, vector.Vec512, false)
 		return err
 	})
 	if err != nil {
@@ -231,14 +231,14 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	b.record("swar", "sum_otf", "gbps", gbps(n, tg))
 
 	ts, err := minTime(repeats, func() error {
-		_, err := ops.SelectStaticBPDirect(col, bitutil.CmpLt, 16, columns.DeltaBPDesc)
+		_, err := ops.FixedRT(1).SelectAuto(col, bitutil.CmpLt, 16, columns.DeltaBPDesc, vector.Vec512, true)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	to, err := minTime(repeats, func() error {
-		_, err := ops.Select(col, bitutil.CmpLt, 16, columns.DeltaBPDesc, vector.Vec512)
+		_, err := ops.FixedRT(1).SelectAuto(col, bitutil.CmpLt, 16, columns.DeltaBPDesc, vector.Vec512, false)
 		return err
 	})
 	if err != nil {
@@ -317,35 +317,35 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	levels = append(levels, par) // always measure the requested maximum
 	for _, p := range levels {
 		tp, err := minTime(repeats, func() error {
-			_, err := ops.ParSelect(dynCol, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, p)
+			_, err := ops.FixedRT(p).SelectAuto(dynCol, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, false)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tsum, err := minTime(repeats, func() error {
-			_, _, err := ops.ParSum(dynCol, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).SumAuto(dynCol, vector.Vec512, false)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tjoin, err := minTime(repeats, func() error {
-			_, _, err := ops.ParJoinN1(probeCol, buildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).JoinN1(probeCol, buildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tcalc, err := minTime(repeats, func() error {
-			_, err := ops.ParCalcBinary(ops.CalcMul, dynCol, calcCol, columns.DynBPDesc, vector.Vec512, p)
+			_, err := ops.FixedRT(p).CalcBinary(ops.CalcMul, dynCol, calcCol, columns.DynBPDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tgsum, err := minTime(repeats, func() error {
-			_, err := ops.ParSumGrouped(gidCol, dynCol, nGroups, vector.Vec512, p)
+			_, err := ops.FixedRT(p).SumGrouped(gidCol, dynCol, nGroups, vector.Vec512)
 			return err
 		})
 		if err != nil {
@@ -365,20 +365,20 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	// per-worker-table / deterministic-merge / remap drivers at increasing
 	// parallelism (1 = the sequential hash grouping).
 	b.printf("\n-- parallel grouping (per-worker tables + deterministic merge) --\n")
-	gids1, _, err := ops.GroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
+	gids1, _, err := ops.FixedRT(1).GroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 	if err != nil {
 		return err
 	}
 	for _, p := range levels {
 		tgf, err := minTime(repeats, func() error {
-			_, _, err := ops.ParGroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).GroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tgn, err := minTime(repeats, func() error {
-			_, _, err := ops.ParGroupNext(gids1, probeCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).GroupNext(gids1, probeCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
@@ -413,14 +413,14 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	nSet := len(setA) + len(setB) // elements touched per run
 	for _, p := range levels {
 		ti, err := minTime(repeats, func() error {
-			_, err := ops.ParIntersect(setACol, setBCol, columns.DeltaBPDesc, p)
+			_, err := ops.FixedRT(p).Intersect(setACol, setBCol, columns.DeltaBPDesc)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tu, err := minTime(repeats, func() error {
-			_, err := ops.ParMerge(setACol, setBCol, columns.DeltaBPDesc, p)
+			_, err := ops.FixedRT(p).Merge(setACol, setBCol, columns.DeltaBPDesc)
 			return err
 		})
 		if err != nil {

@@ -79,7 +79,7 @@ func runFig5(opt options) error {
 			fmt.Printf("%-14v", ind)
 			for _, outd := range descs {
 				t, err := timeIt(opt.repeats, func() error {
-					_, err := ops.Select(inputs[i], bitutil.CmpEq, needle, outd, vector.Vec512)
+					_, err := ops.FixedRT(1).SelectAuto(inputs[i], bitutil.CmpEq, needle, outd, vector.Vec512, false)
 					return err
 				})
 				if err != nil {

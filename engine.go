@@ -20,14 +20,13 @@
 // and the running morsel loops within one morsel.
 //
 // The engine also offers every operator as a one-off call under the same
-// budget, replacing the positional (out, style, par) parameter tails with
-// functional options:
+// budget, configured with the same functional options:
 //
 //	pos, err := eng.Select(ctx, col, morphstore.CmpGt, 3,
 //		morphstore.WithOutput(morphstore.DeltaBP))
 //
-// The free functions of the original facade (Select, Project, Execute, …)
-// remain as deprecated thin wrappers over the same kernels.
+// Of the original facade's free functions only Execute remains, as a
+// deprecated thin wrapper over Prepare + Execute.
 package morphstore
 
 import (

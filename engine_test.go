@@ -9,8 +9,8 @@ import (
 	ms "morphstore"
 )
 
-// TestFacadeEngineOneOff: the engine's option-based operator calls agree
-// with the deprecated positional free functions.
+// TestFacadeEngineOneOff: the engine's option-based operator calls produce
+// the same bytes at parallelism 2 as on a single-worker engine.
 func TestFacadeEngineOneOff(t *testing.T) {
 	n := 8 * 512
 	vals := make([]uint64, n)
@@ -24,7 +24,8 @@ func TestFacadeEngineOneOff(t *testing.T) {
 	eng := ms.NewEngine(nil, ms.WithStyle(ms.Vec512), ms.WithParallelism(2))
 	ctx := context.Background()
 
-	want, err := ms.Select(col, ms.CmpLt, 100, ms.DeltaBP, ms.Vec512)
+	seq := ms.NewEngine(nil, ms.WithStyle(ms.Vec512), ms.WithParallelism(1))
+	want, err := seq.Select(ctx, col, ms.CmpLt, 100, ms.WithOutput(ms.DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestFacadeEngineOneOff(t *testing.T) {
 		}
 	}
 
-	wantSum, err := ms.Sum(col, ms.Vec512)
+	wantSum, err := seq.Sum(ctx, col)
 	if err != nil {
 		t.Fatal(err)
 	}

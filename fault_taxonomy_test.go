@@ -73,7 +73,9 @@ func TestCorruptColumnsMatchSentinel(t *testing.T) {
 	// Positions covering every element: the sorted-set operators must then
 	// consume a corrupt operand to its end instead of early-exiting before
 	// they reach the damage.
-	pos, err := Select(valid, CmpLt, ^uint64(0), Uncompressed, Scalar)
+	ctx := context.Background()
+	seq, par := NewEngine(nil, WithParallelism(1)), NewEngine(nil, WithParallelism(4))
+	pos, err := seq.Select(ctx, valid, CmpLt, ^uint64(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,27 +87,27 @@ func TestCorruptColumnsMatchSentinel(t *testing.T) {
 		{"decompress", func(c *Column) error { _, err := Decompress(c); return err }},
 		{"concat", func(c *Column) error { _, err := ConcatCompressed(c.Desc(), []*Column{c, c}); return err }},
 		{"morph", func(c *Column) error { _, err := Morph(c, ForBP); return err }},
-		{"select", func(c *Column) error { _, err := Select(c, CmpLt, 50, Uncompressed, Scalar); return err }},
-		{"par select", func(c *Column) error { _, err := ParSelect(c, CmpLt, 50, DeltaBP, Scalar, 4); return err }},
-		{"between", func(c *Column) error { _, err := SelectBetween(c, 10, 90, Uncompressed, Scalar); return err }},
-		{"project data", func(c *Column) error { _, err := ParProject(c, pos, Uncompressed, Scalar, 4); return err }},
-		{"project pos", func(c *Column) error { _, err := ParProject(valid, c, Uncompressed, Scalar, 4); return err }},
-		{"sum", func(c *Column) error { _, err := Sum(c, Scalar); return err }},
-		{"par sum", func(c *Column) error { _, err := ParSum(c, Scalar, 4); return err }},
-		{"calc", func(c *Column) error { _, err := ParCalc(CalcAdd, c, valid, Uncompressed, Scalar, 4); return err }},
-		{"semijoin probe", func(c *Column) error { _, err := ParSemiJoin(c, valid, Uncompressed, Scalar, 4); return err }},
-		{"semijoin build", func(c *Column) error { _, err := ParSemiJoin(valid, c, Uncompressed, Scalar, 4); return err }},
+		{"select", func(c *Column) error { _, err := seq.Select(ctx, c, CmpLt, 50); return err }},
+		{"par select", func(c *Column) error { _, err := par.Select(ctx, c, CmpLt, 50, WithOutput(DeltaBP)); return err }},
+		{"between", func(c *Column) error { _, err := seq.SelectBetween(ctx, c, 10, 90); return err }},
+		{"project data", func(c *Column) error { _, err := par.Project(ctx, c, pos); return err }},
+		{"project pos", func(c *Column) error { _, err := par.Project(ctx, valid, c); return err }},
+		{"sum", func(c *Column) error { _, err := seq.Sum(ctx, c); return err }},
+		{"par sum", func(c *Column) error { _, err := par.Sum(ctx, c); return err }},
+		{"calc", func(c *Column) error { _, err := par.Calc(ctx, CalcAdd, c, valid); return err }},
+		{"semijoin probe", func(c *Column) error { _, err := par.SemiJoin(ctx, c, valid); return err }},
+		{"semijoin build", func(c *Column) error { _, err := par.SemiJoin(ctx, valid, c); return err }},
 		{"join probe", func(c *Column) error {
-			_, _, err := ParJoinN1(c, valid, Uncompressed, Uncompressed, Scalar, 4)
+			_, _, err := par.JoinN1(ctx, c, valid)
 			return err
 		}},
-		{"intersect", func(c *Column) error { _, err := ParIntersect(c, pos, Uncompressed, 4); return err }},
-		{"union", func(c *Column) error { _, err := ParUnion(c, pos, Uncompressed, 4); return err }},
+		{"intersect", func(c *Column) error { _, err := par.Intersect(ctx, c, pos); return err }},
+		{"union", func(c *Column) error { _, err := par.Union(ctx, c, pos); return err }},
 		{"group", func(c *Column) error {
-			_, _, err := ParGroupFirst(c, Uncompressed, Uncompressed, Scalar, 4)
+			_, _, err := par.GroupFirst(ctx, c)
 			return err
 		}},
-		{"sum grouped", func(c *Column) error { _, err := ParSumGrouped(c, valid, 1024, Scalar, 4); return err }},
+		{"sum grouped", func(c *Column) error { _, err := par.SumGrouped(ctx, c, valid, 1024); return err }},
 	}
 	for name, corrupt := range corruptVariants(t) {
 		for _, op := range ops {

@@ -469,7 +469,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	e := NewEngine(nil, WithParallelism(3), WithStyle(vector.Vec512))
 	ctx := context.Background()
 
-	wantSel, err := ops.ParSelect(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, 3)
+	wantSel, err := ops.FixedRT(3).SelectAuto(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "select", wantSel, gotSel)
 
-	wantBet, err := ops.ParSelectBetween(dynA, 10, 90, columns.DeltaBPDesc, vector.Vec512, 3)
+	wantBet, err := ops.FixedRT(3).SelectBetweenAuto(dynA, 10, 90, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "between", wantBet, gotBet)
 
-	wantProj, err := ops.ParProject(colA, wantSel, columns.DynBPDesc, vector.Vec512, 3)
+	wantProj, err := ops.FixedRT(3).Project(colA, wantSel, columns.DynBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "project", wantProj, gotProj)
 
-	wantSum, _, err := ops.ParSum(dynA, vector.Vec512, 3)
+	wantSum, _, err := ops.FixedRT(3).SumAuto(dynA, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestEngineOneOffOps(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", gotSum, wantSum)
 	}
 
-	wantSemi, err := ops.ParSemiJoin(colA, colBuild, columns.DeltaBPDesc, vector.Vec512, 3)
+	wantSemi, err := ops.FixedRT(3).SemiJoin(colA, colBuild, columns.DeltaBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "semijoin", wantSemi, gotSemi)
 
-	wantJP, wantJB, err := ops.ParJoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, 3)
+	wantJP, wantJB, err := ops.FixedRT(3).JoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	sameColumns(t, "join probe", wantJP, gotJP)
 	sameColumns(t, "join build", wantJB, gotJB)
 
-	wantCalc, err := ops.ParCalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc, vector.Vec512, 3)
+	wantCalc, err := ops.FixedRT(3).CalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestEngineOneOffOps(t *testing.T) {
 		gids[i] = uint64(i % 16)
 	}
 	colG := columns.FromValues(gids)
-	wantGS, err := ops.ParSumGrouped(colG, colA, 16, vector.Vec512, 3)
+	wantGS, err := ops.FixedRT(3).SumGrouped(colG, colA, 16, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "sum grouped", wantGS, gotGS)
 
-	wantI, err := ops.IntersectSorted(wantSel, wantBet, columns.DeltaBPDesc)
+	wantI, err := ops.FixedRT(1).Intersect(wantSel, wantBet, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "intersect", wantI, gotI)
 
-	wantU, err := ops.MergeSorted(wantSel, wantBet, columns.DeltaBPDesc)
+	wantU, err := ops.FixedRT(1).Merge(wantSel, wantBet, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "union", wantU, gotU)
 
-	wantGF, wantGFE, err := ops.GroupFirst(colG, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
+	wantGF, wantGFE, err := ops.FixedRT(1).GroupFirst(colG, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	sameColumns(t, "group first gids", wantGF, gotGF)
 	sameColumns(t, "group first extents", wantGFE, gotGFE)
 
-	wantGN, wantGNE, err := ops.GroupNext(wantGF, colB, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
+	wantGN, wantGNE, err := ops.FixedRT(1).GroupNext(wantGF, colB, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}

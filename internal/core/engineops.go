@@ -10,10 +10,8 @@ import (
 	"morphstore/internal/qerr"
 )
 
-// This file implements the engine's one-off operator calls: the
-// option-based replacement for the facade's positional free functions
-// (Select(in, op, val, out, style) and friends). Each call runs under the
-// engine's shared worker budget — a lease is opened for the duration, so
+// This file implements the engine's one-off operator calls. Each call runs
+// under the engine's shared worker budget — a lease is opened for the duration, so
 // ad-hoc operators and prepared queries divide the same allowance — and
 // honours the context like a prepared execution.
 

@@ -225,7 +225,7 @@ type EngineStats struct {
 
 // Stats returns a snapshot of the engine's lifetime query counters, current
 // budget utilization, and admission/governor state. Counters cover
-// Prepared.Execute calls (the deprecated one-off operator methods lease
+// Prepared.Execute calls (the one-off operator methods lease
 // budget — visible in the lease counters — but are not counted as queries).
 // Safe for concurrent use; the counter groups are snapshotted individually,
 // so a snapshot taken while queries run is approximate across groups but

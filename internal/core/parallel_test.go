@@ -7,6 +7,7 @@ import (
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
+	"morphstore/internal/formats"
 	"morphstore/internal/ops"
 	"morphstore/internal/vector"
 )
@@ -198,6 +199,55 @@ func TestExecuteParallelErrorPropagation(t *testing.T) {
 		res, err := Execute(plan, db, cfg)
 		if err == nil {
 			t.Fatalf("p=%d: expected random-access error, got result %v", par, res)
+		}
+	}
+}
+
+// TestBetweenPlanRanges runs a one-node range select as a plan over every
+// base format, with specialized operators on and off, sequentially and
+// morsel-parallel: an ordinary range and an inverted one (lo > hi, which
+// matches nothing) must both equal the plain-Go reference on every path.
+func TestBetweenPlanRanges(t *testing.T) {
+	db := buildParTestDB(t)
+	qty, _ := db.Tables["fact"].Cols["qty"].Values()
+	for _, bounds := range [][2]uint64{{10, 40}, {40, 10}} {
+		lo, hi := bounds[0], bounds[1]
+		var want []uint64
+		for i, v := range qty {
+			if v >= lo && v <= hi {
+				want = append(want, uint64(i))
+			}
+		}
+		b := NewBuilder()
+		b.Result(b.Between("sel", b.Scan("fact", "qty"), lo, hi))
+		plan, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, desc := range append(formats.AllDescs(), columns.StaticBPDesc(8)) {
+			enc, err := db.Encode(map[string]columns.FormatDesc{"fact.qty": desc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, specialized := range []bool{false, true} {
+				for _, par := range []int{1, 4} {
+					res, err := Execute(plan, enc, &Config{Style: vector.Vec512, Specialized: specialized, Parallelism: par})
+					if err != nil {
+						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %v", lo, hi, desc, specialized, par, err)
+					}
+					got, _ := res.Cols["sel"].Values()
+					if len(got) != len(want) {
+						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %d positions, want %d",
+							lo, hi, desc, specialized, par, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("[%d,%d] %v specialized=%v par=%d: position %d = %d, want %d",
+								lo, hi, desc, specialized, par, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

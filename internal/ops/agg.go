@@ -8,32 +8,46 @@ import (
 	"morphstore/internal/vector"
 )
 
-// SumWhole computes the sum of all elements (modulo 2^64) and returns it
-// both as a scalar and as a single-element column. Query result columns are
-// always uncompressed (§3.3), so no output format is taken.
-func SumWhole(in *columns.Column, style vector.Style) (uint64, *columns.Column, error) {
+// SumAuto computes the sum of all elements (modulo 2^64) and returns it both
+// as a scalar and as a single-element column. Query result columns are always
+// uncompressed (§3.3), so no output format is taken. With specialized set,
+// the formats that have a direct kernel are summed on their compressed
+// representation (SWAR over static BP words, per-block accumulation over
+// DynBP, the run dot product over RLE); everything else streams through the
+// generic de/re-compression kernel.
+func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bool) (uint64, *columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return 0, nil, err
 	}
-	r, err := formats.NewReader(in)
+	kernel := func(acc []uint64, pt formats.Partition) error {
+		return streamCols(in, nil, pt, func(vals, _ []uint64, _ uint64) error {
+			var t uint64
+			if style == vector.Vec512 {
+				t = sumKernelVec(vals)
+			} else {
+				for _, v := range vals {
+					t += v
+				}
+			}
+			acc[0] += t
+			return nil
+		})
+	}
+	if specialized {
+		switch in.Desc().Kind {
+		case columns.StaticBP:
+			kernel = sumStaticBP(in)
+		case columns.DynBP:
+			kernel = sumDynBP(in)
+		case columns.RLE:
+			kernel = sumRLE(in)
+		}
+	}
+	total, err := rt.reduce("sum", in, nil, 1, kernel)
 	if err != nil {
 		return 0, nil, err
 	}
-	var total uint64
-	process := func(vals []uint64, _ uint64) error {
-		if style == vector.Vec512 {
-			total += sumKernelVec(vals)
-		} else {
-			for _, v := range vals {
-				total += v
-			}
-		}
-		return nil
-	}
-	if err := streamBlocks(r, process); err != nil {
-		return 0, nil, fmt.Errorf("ops: sum: %w", err)
-	}
-	return total, columns.FromValues([]uint64{total}), nil
+	return total[0], columns.FromValues(total), nil
 }
 
 // sumKernelVec accumulates eight lanes at a time.
@@ -55,7 +69,7 @@ func sumKernelVec(vals []uint64) uint64 {
 // the result involves random writes and is therefore an uncompressed column
 // (§4.2: random write access targets the query's result columns, which stay
 // uncompressed anyway).
-func SumGrouped(gids, vals *columns.Column, nGroups int, style vector.Style) (*columns.Column, error) {
+func (rt Runtime) SumGrouped(gids, vals *columns.Column, nGroups int, _ vector.Style) (*columns.Column, error) {
 	if err := checkCols(gids, vals); err != nil {
 		return nil, err
 	}
@@ -65,27 +79,19 @@ func SumGrouped(gids, vals *columns.Column, nGroups int, style vector.Style) (*c
 	if nGroups < 0 {
 		return nil, fmt.Errorf("ops: grouped sum: negative group count %d", nGroups)
 	}
-	rg, err := formats.NewReader(gids)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := formats.NewReader(vals)
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]uint64, nGroups)
-	err = streamPaired(rg, rv, 0, func(gs, vs []uint64, _ uint64) error {
-		return sumGroupedChunk(sums, gs, vs, nGroups)
+	sums, err := rt.reduce("grouped sum", gids, vals, nGroups, func(acc []uint64, pt formats.Partition) error {
+		return streamCols(gids, vals, pt, func(gs, vs []uint64, _ uint64) error {
+			return sumGroupedChunk(acc, gs, vs, nGroups)
+		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("ops: grouped sum: %w", err)
+		return nil, err
 	}
 	return columns.FromValues(sums), nil
 }
 
 // sumGroupedChunk accumulates one aligned chunk pair into sums, range
-// checking every group id; shared by the sequential operator and the
-// parallel per-worker accumulation.
+// checking every group id.
 func sumGroupedChunk(sums, gs, vs []uint64, nGroups int) error {
 	for i, g := range gs {
 		if g >= uint64(nGroups) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"morphstore/internal/columns"
-	"morphstore/internal/formats"
 	"morphstore/internal/vector"
 )
 
@@ -51,38 +50,21 @@ func (c CalcKind) Eval(x, y uint64) uint64 {
 // columns (e.g. lo_extendedprice * lo_discount for SSB Q1.x, or
 // lo_revenue - lo_supplycost for Q4.x), streaming both inputs in lockstep
 // through the de/re-compression wrapper.
-func CalcBinary(op CalcKind, a, b *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+func (rt Runtime) CalcBinary(op CalcKind, a, b *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err
 	}
 	if a.N() != b.N() {
 		return nil, fmt.Errorf("ops: calc: inputs have %d and %d elements", a.N(), b.N())
 	}
-	ra, err := formats.NewReader(a)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := formats.NewReader(b)
-	if err != nil {
-		return nil, err
-	}
-	w, err := formats.NewWriter(out, a.N())
-	if err != nil {
-		return nil, err
-	}
-	stage := make([]uint64, blockBuf)
-	err = streamPaired(ra, rb, 0, func(va, vb []uint64, _ uint64) error {
+	return rt.mapCols("calc", a, b, out, func(_ int, va, vb, dst []uint64) error {
 		if style == vector.Vec512 {
-			calcKernelVec(op, va, vb, stage)
+			calcKernelVec(op, va, vb, dst)
 		} else {
-			calcKernelScalar(op, va, vb, stage)
+			calcKernelScalar(op, va, vb, dst)
 		}
-		return w.Write(stage[:len(va)])
+		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("ops: calc: %w", err)
-	}
-	return w.Close()
 }
 
 func calcKernelScalar(op CalcKind, a, b, stage []uint64) {

@@ -12,6 +12,7 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
+	"morphstore/internal/metrics"
 	"morphstore/internal/qerr"
 	"morphstore/internal/vector"
 )
@@ -42,114 +43,169 @@ func assertBudgetIdle(t *testing.T, b *Budget, mode string) {
 	}
 }
 
+// driverShapes is one operator per morsel-driver shape; the failure-mode
+// tests below run every mode once per shape, so each driver's cancellation,
+// recover and fault-point plumbing is pinned without repeating the table per
+// operator.
+var driverShapes = []struct {
+	name     string
+	stitches bool // the driver finishes through the compressed stitch
+	run      func(rt Runtime, col *columns.Column) error
+}{
+	{"emit", true, func(rt Runtime, col *columns.Column) error {
+		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, vector.Scalar, false)
+		return err
+	}},
+	{"emit2", true, func(rt Runtime, col *columns.Column) error {
+		build := make([]uint64, 1000) // every probe value joins
+		for i := range build {
+			build[i] = uint64(i)
+		}
+		_, _, err := rt.JoinN1(col, columns.FromValues(build), columns.DeltaBPDesc, columns.DynBPDesc, vector.Scalar)
+		return err
+	}},
+	{"map", true, func(rt Runtime, col *columns.Column) error {
+		_, err := rt.CalcBinary(CalcAdd, col, col, columns.DynBPDesc, vector.Scalar)
+		return err
+	}},
+	{"reduce", false, func(rt Runtime, col *columns.Column) error {
+		_, _, err := rt.SumAuto(col, vector.Scalar, false)
+		return err
+	}},
+}
+
+// runLeased runs one driver shape under a budget lease of par workers.
+func runLeased(ctx context.Context, b *Budget, par int, run func(Runtime, *columns.Column) error, col *columns.Column) error {
+	lease := b.Lease(par)
+	defer lease.Close()
+	return run(RT(ctx, lease, par), col)
+}
+
 // runSelect runs one budget-leased parallel select and returns its error.
 func runSelect(ctx context.Context, b *Budget, col *columns.Column) error {
-	lease := b.Lease(4)
-	defer lease.Close()
-	rt := RT(ctx, lease, 4)
-	_, err := rt.Select(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, vector.Scalar)
-	return err
+	return runLeased(ctx, b, 4, driverShapes[0].run, col)
 }
 
-// TestRunPartsPanicIsolation injects a panic into the kernel body and checks
-// it surfaces as a typed *qerr.QueryError with the morsel index, the budget
-// returns to idle, and the same runtime produces correct results afterwards.
-func TestRunPartsPanicIsolation(t *testing.T) {
-	defer faultpoint.DisarmAll()
-	col := faultTestColumn(t)
-	b := NewBudget(4)
-
-	faultpoint.KernelBody.Arm(func() error { panic("injected kernel panic") })
-	err := runSelect(context.Background(), b, col)
-	var qe *qerr.QueryError
-	if !errors.As(err, &qe) {
-		t.Fatalf("panic did not surface as QueryError: %v", err)
-	}
-	if qe.Morsel < 0 {
-		t.Fatalf("QueryError lost its morsel index: %+v", qe)
-	}
-	if qe.Panic != "injected kernel panic" {
-		t.Fatalf("QueryError lost the panic value: %+v", qe)
-	}
-	if len(qe.Stack) == 0 {
-		t.Fatal("QueryError lost the stack")
-	}
-	assertBudgetIdle(t, b, "kernel panic")
-
-	// The runtime and budget must be fully usable after the failure.
-	faultpoint.DisarmAll()
-	if err := runSelect(context.Background(), b, col); err != nil {
-		t.Fatalf("select after recovered panic: %v", err)
-	}
-	assertBudgetIdle(t, b, "after recovery")
-}
-
-// TestBudgetIdleAfterFailureModes drives a budget-leased parallel driver
-// through every failure mode and asserts the budget is idle after each one.
+// TestBudgetIdleAfterFailureModes drives every driver shape through every
+// failure mode and asserts the error is typed and the budget idle after each
+// one. A panicking kernel must surface as a *qerr.QueryError carrying the
+// panic value, the morsel index and the stack, and leave runtime and budget
+// fully usable.
 func TestBudgetIdleAfterFailureModes(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	col := faultTestColumn(t)
 	injected := fmt.Errorf("injected: %w", formats.ErrCorrupt)
+	type shapeRun func(ctx context.Context, b *Budget, par int) error
 
 	modes := []struct {
 		name string
-		run  func(t *testing.T, b *Budget)
+		run  func(t *testing.T, b *Budget, run shapeRun)
 	}{
-		{"success", func(t *testing.T, b *Budget) {
-			if err := runSelect(context.Background(), b, col); err != nil {
+		{"success", func(t *testing.T, b *Budget, run shapeRun) {
+			if err := run(context.Background(), b, 4); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"cancellation", func(t *testing.T, b *Budget) {
+		{"cancellation", func(t *testing.T, b *Budget, run shapeRun) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if err := runSelect(ctx, b, col); !errors.Is(err, context.Canceled) {
+			if err := run(ctx, b, 4); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: %v", err)
 			}
 		}},
-		{"morsel claim error", func(t *testing.T, b *Budget) {
+		{"morsel claim error", func(t *testing.T, b *Budget, run shapeRun) {
 			faultpoint.MorselClaim.Arm(func() error { return injected })
 			defer faultpoint.MorselClaim.Disarm()
-			if err := runSelect(context.Background(), b, col); !errors.Is(err, qerr.ErrCorruptData) {
+			if err := run(context.Background(), b, 4); !errors.Is(err, qerr.ErrCorruptData) {
 				t.Fatalf("morsel-claim error not typed: %v", err)
 			}
 		}},
-		{"kernel error", func(t *testing.T, b *Budget) {
+		{"kernel error", func(t *testing.T, b *Budget, run shapeRun) {
 			faultpoint.KernelBody.Arm(func() error { return injected })
 			defer faultpoint.KernelBody.Disarm()
-			if err := runSelect(context.Background(), b, col); !errors.Is(err, qerr.ErrCorruptData) {
+			if err := run(context.Background(), b, 4); !errors.Is(err, qerr.ErrCorruptData) {
 				t.Fatalf("kernel error not typed: %v", err)
 			}
 		}},
-		{"kernel panic", func(t *testing.T, b *Budget) {
+		{"kernel panic", func(t *testing.T, b *Budget, run shapeRun) {
 			faultpoint.KernelBody.Arm(func() error { panic(injected) })
 			defer faultpoint.KernelBody.Disarm()
-			err := runSelect(context.Background(), b, col)
+			err := run(context.Background(), b, 4)
 			if !errors.Is(err, qerr.ErrCorruptData) {
 				t.Fatalf("panic with corrupt error must match the sentinel: %v", err)
 			}
-		}},
-		{"stitch seam error", func(t *testing.T, b *Budget) {
-			faultpoint.StitchSeam.Arm(func() error { return injected })
-			defer faultpoint.StitchSeam.Disarm()
-			if err := runSelect(context.Background(), b, col); !errors.Is(err, qerr.ErrCorruptData) {
-				t.Fatalf("stitch-seam error not typed: %v", err)
+			var qe *qerr.QueryError
+			if !errors.As(err, &qe) {
+				t.Fatalf("panic did not surface as QueryError: %v", err)
+			}
+			if qe.Morsel < 0 || qe.Panic == "" || len(qe.Stack) == 0 {
+				t.Fatalf("QueryError lost its morsel index, panic value or stack: %+v", qe)
+			}
+			assertBudgetIdle(t, b, "kernel panic")
+			faultpoint.KernelBody.Disarm()
+			if err := run(context.Background(), b, 4); err != nil {
+				t.Fatalf("run after recovered panic: %v", err)
 			}
 		}},
-		{"concat fixup error", func(t *testing.T, b *Budget) {
-			faultpoint.ConcatFixup.Arm(func() error { return injected })
-			defer faultpoint.ConcatFixup.Disarm()
-			if err := runSelect(context.Background(), b, col); !errors.Is(err, qerr.ErrCorruptData) {
-				t.Fatalf("concat-fixup error not typed: %v", err)
+		{"unsplit input", func(t *testing.T, b *Budget, run shapeRun) {
+			// One worker runs the kernel as a single morsel on the calling
+			// goroutine: no morsel is claimed, so neither work-queue fault
+			// point can fire.
+			faultpoint.MorselClaim.Arm(func() error { return injected })
+			defer faultpoint.MorselClaim.Disarm()
+			faultpoint.KernelBody.Arm(func() error { return injected })
+			defer faultpoint.KernelBody.Disarm()
+			if err := run(context.Background(), b, 1); err != nil {
+				t.Fatalf("single-morsel run hit a work-queue fault point: %v", err)
 			}
 		}},
 	}
-	for _, m := range modes {
-		b := NewBudget(4)
-		t.Run(m.name, func(t *testing.T) {
-			m.run(t, b)
-			assertBudgetIdle(t, b, m.name)
-		})
+	for _, shape := range driverShapes {
+		for _, m := range modes {
+			b := NewBudget(4)
+			t.Run(shape.name+"/"+m.name, func(t *testing.T) {
+				m.run(t, b, func(ctx context.Context, b *Budget, par int) error {
+					return runLeased(ctx, b, par, shape.run, col)
+				})
+				assertBudgetIdle(t, b, m.name)
+			})
+		}
+	}
+	// The stitch seams are shared by the emit and map drivers.
+	for _, fp := range []*faultpoint.Point{faultpoint.StitchSeam, faultpoint.ConcatFixup} {
+		for _, shape := range driverShapes {
+			if !shape.stitches {
+				continue
+			}
+			b := NewBudget(4)
+			fp.Arm(func() error { return injected })
+			err := runLeased(context.Background(), b, 4, shape.run, col)
+			fp.Disarm()
+			if !errors.Is(err, qerr.ErrCorruptData) {
+				t.Fatalf("%s: stitch fault not typed: %v", shape.name, err)
+			}
+			assertBudgetIdle(t, b, shape.name+" stitch fault")
+		}
+	}
+}
+
+// TestUnsplitRunRecorded: every driver shape, run with one worker, reports
+// the sequential fallback through the attached collector, records no morsels
+// and shrinks nothing it does not hold.
+func TestUnsplitRunRecorded(t *testing.T) {
+	col := faultTestColumn(t)
+	for _, shape := range driverShapes {
+		c := metrics.NewCollector(1, nil)
+		c.Define(0, "v", shape.name, nil)
+		nc := c.Node(0)
+		nc.Begin(int64(col.N()))
+		if err := shape.run(RT(context.Background(), nil, 1).WithCollector(nc), col); err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		nc.Finish(0, nil, nil)
+		if ns := c.Finish(nil).Nodes[0]; !ns.SeqFallback || ns.Morsels != 0 {
+			t.Fatalf("%s: SeqFallback=%v Morsels=%d, want true and 0", shape.name, ns.SeqFallback, ns.Morsels)
+		}
 	}
 }
 
@@ -187,7 +243,7 @@ func TestGroupMergeFaultPanics(t *testing.T) {
 			t.Fatal("group merge did not escalate the injected error")
 		}
 	}()
-	_, _, _ = ParGroupFirst(col, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar, 4)
+	_, _, _ = FixedRT(4).GroupFirst(col, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
 }
 
 // TestRunPartsNoGoroutineLeak runs many failing executions and checks the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"morphstore/internal/columns"
-	"morphstore/internal/formats"
 	"morphstore/internal/vector"
 )
 
@@ -14,34 +13,27 @@ import (
 // equal length: the matching probe positions and, aligned with them, the
 // build position each probe row joined with. The probe side streams through
 // the usual de/re-compression wrapper; the build side is decompressed once
-// into the hash table — matching the encoded hash-join of Lee et al. [39]:
-// compressed (dictionary-key) values are inserted and probed directly.
-func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, style vector.Style) (probePos, buildPos *columns.Column, err error) {
+// into the hash table, which all workers probe read-only — matching the
+// encoded hash-join of Lee et al. [39]: compressed (dictionary-key) values
+// are inserted and probed directly.
+func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, _ vector.Style) (probePos, buildPos *columns.Column, err error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err
 	}
-	ht, err := buildJoinTable(buildKeys)
+	build, err := readAll(buildKeys)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("ops: join build side: %w", err)
 	}
-
-	wp, err := formats.NewWriter(positionDesc(outProbe, probeKeys.N()), probeKeys.N())
-	if err != nil {
-		return nil, nil, err
+	ht := newU64Map(len(build))
+	for i, k := range build {
+		ht.put(k, uint64(i))
 	}
-	wb, err := formats.NewWriter(positionDesc(outBuild, buildKeys.N()), probeKeys.N())
-	if err != nil {
-		return nil, nil, err
+	outs := []emitOut{
+		{positionDesc(outProbe, probeKeys.N()), probeKeys.N()},
+		{positionDesc(outBuild, buildKeys.N()), probeKeys.N()},
 	}
-	r, err := formats.NewReader(probeKeys)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	stageP := make([]uint64, blockBuf)
-	stageB := make([]uint64, blockBuf)
-	emit := func(vals []uint64, base uint64) error {
-		k := 0
+	cols, err := rt.emit("join", probeKeys, outs, scan(probeKeys, func(vals []uint64, base uint64, stage [][]uint64) int {
+		stageP, stageB, k := stage[0], stage[1], 0
 		for i, v := range vals {
 			if b, ok := ht.get(v); ok {
 				stageP[k] = base + uint64(i)
@@ -49,73 +41,26 @@ func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.For
 				k++
 			}
 		}
-		if err := wp.Write(stageP[:k]); err != nil {
-			return err
-		}
-		return wb.Write(stageB[:k])
-	}
-
-	if vv, ok := r.(formats.ValueViewer); ok {
-		if vals, viewable := vv.View(); viewable {
-			for off := 0; off < len(vals); off += blockBuf {
-				end := off + blockBuf
-				if end > len(vals) {
-					end = len(vals)
-				}
-				if err := emit(vals[off:end], uint64(off)); err != nil {
-					return nil, nil, err
-				}
-			}
-			probePos, err = wp.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-			buildPos, err = wb.Close()
-			return probePos, buildPos, err
-		}
-	}
-
-	buf := make([]uint64, blockBuf)
-	base := uint64(0)
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ops: join probe: %w", err)
-		}
-		if k == 0 {
-			break
-		}
-		if err := emit(buf[:k], base); err != nil {
-			return nil, nil, err
-		}
-		base += uint64(k)
-	}
-	probePos, err = wp.Close()
+		return k
+	}))
 	if err != nil {
 		return nil, nil, err
 	}
-	buildPos, err = wb.Close()
-	return probePos, buildPos, err
+	return cols[0], cols[1], nil
 }
 
-// buildJoinTable decompresses the unique build-side keys into a hash table
-// mapping key -> build position; shared by the sequential and parallel N:1
-// joins.
-func buildJoinTable(buildKeys *columns.Column) (*u64Map, error) {
-	build, err := readAll(buildKeys)
-	if err != nil {
-		return nil, fmt.Errorf("ops: join build side: %w", err)
-	}
-	ht := newU64Map(len(build))
-	for i, k := range build {
-		ht.put(k, uint64(i))
-	}
-	return ht, nil
+// JoinN1 is the single-worker form of Runtime.JoinN1.
+func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, style vector.Style) (probePos, buildPos *columns.Column, err error) {
+	return FixedRT(1).JoinN1(probeKeys, buildKeys, outProbe, outBuild, style)
 }
 
-// buildMembershipTable decompresses the build-side keys into a hash table
-// for existence probes; shared by the sequential and parallel semijoins.
-func buildMembershipTable(buildKeys *columns.Column) (*u64Map, error) {
+// SemiJoin returns the probe positions whose key occurs in the build-side
+// key column (used when only the existence of a dimension match matters,
+// e.g. the date-filter joins of SSB Q1.x).
+func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc, _ vector.Style) (*columns.Column, error) {
+	if err := checkCols(probeKeys, buildKeys); err != nil {
+		return nil, err
+	}
 	build, err := readAll(buildKeys)
 	if err != nil {
 		return nil, fmt.Errorf("ops: semijoin build side: %w", err)
@@ -124,70 +69,14 @@ func buildMembershipTable(buildKeys *columns.Column) (*u64Map, error) {
 	for _, k := range build {
 		ht.put(k, 1)
 	}
-	return ht, nil
-}
-
-// SemiJoin returns the probe positions whose key occurs in the build-side
-// key column (used when only the existence of a dimension match matters,
-// e.g. the date-filter joins of SSB Q1.x).
-func SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
-	if err := checkCols(probeKeys, buildKeys); err != nil {
-		return nil, err
-	}
-	ht, err := buildMembershipTable(buildKeys)
-	if err != nil {
-		return nil, err
-	}
-
-	w, err := formats.NewWriter(positionDesc(out, probeKeys.N()), probeKeys.N())
-	if err != nil {
-		return nil, err
-	}
-	r, err := formats.NewReader(probeKeys)
-	if err != nil {
-		return nil, err
-	}
-	stage := make([]uint64, blockBuf)
-	emit := func(vals []uint64, base uint64) error {
-		k := 0
+	return rt.emitPositions("semijoin", probeKeys, out, scan(probeKeys, func(vals []uint64, base uint64, stage [][]uint64) int {
+		out, k := stage[0], 0
 		for i, v := range vals {
 			if _, ok := ht.get(v); ok {
-				stage[k] = base + uint64(i)
+				out[k] = base + uint64(i)
 				k++
 			}
 		}
-		return w.Write(stage[:k])
-	}
-
-	if vv, ok := r.(formats.ValueViewer); ok {
-		if vals, viewable := vv.View(); viewable {
-			for off := 0; off < len(vals); off += blockBuf {
-				end := off + blockBuf
-				if end > len(vals) {
-					end = len(vals)
-				}
-				if err := emit(vals[off:end], uint64(off)); err != nil {
-					return nil, err
-				}
-			}
-			return w.Close()
-		}
-	}
-
-	buf := make([]uint64, blockBuf)
-	base := uint64(0)
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return nil, fmt.Errorf("ops: semijoin probe: %w", err)
-		}
-		if k == 0 {
-			break
-		}
-		if err := emit(buf[:k], base); err != nil {
-			return nil, err
-		}
-		base += uint64(k)
-	}
-	return w.Close()
+		return k
+	}))
 }

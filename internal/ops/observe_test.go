@@ -126,35 +126,6 @@ func TestRunPartsRecordsShards(t *testing.T) {
 	}
 }
 
-// TestSeqFallbackRecorded: a driver forced onto its sequential path (par=1)
-// reports the fallback through the attached collector.
-func TestSeqFallbackRecorded(t *testing.T) {
-	vals := make([]uint64, 4*512)
-	for i := range vals {
-		vals[i] = uint64(i % 53)
-	}
-	col, err := formats.Compress(vals, columns.DynBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := metrics.NewCollector(1, nil)
-	c.Define(0, "v", "select", nil)
-	nc := c.Node(0)
-	nc.Begin(int64(col.N()))
-	if _, err := RT(context.Background(), nil, 1).WithCollector(nc).
-		Select(col, bitutil.CmpLt, 13, columns.DynBPDesc, vector.Scalar); err != nil {
-		t.Fatal(err)
-	}
-	nc.Finish(0, nil, nil)
-	ns := c.Finish(nil).Nodes[0]
-	if !ns.SeqFallback {
-		t.Fatal("sequential driver path did not record SeqFallback")
-	}
-	if ns.Morsels != 0 {
-		t.Fatalf("sequential path recorded %d morsels, want 0", ns.Morsels)
-	}
-}
-
 // TestCollectedSelectByteIdentical: an operator run with a collector attached
 // produces a column byte-identical to the same run detached — collection is
 // observation only.
@@ -169,7 +140,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := RT(context.Background(), nil, 4).
-		Select(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +149,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
 	collected, err := RT(context.Background(), nil, 4).WithCollector(nc).
-		Select(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}

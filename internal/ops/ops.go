@@ -4,13 +4,14 @@
 //   - purely uncompressed: kernels run directly over uncompressed columns
 //     (the zero-copy ValueViewer fast path),
 //   - on-the-fly de/re-compression: the default; the paper's three-layer
-//     architecture (Fig. 4) with a column layer (the exported operator
-//     functions), a buffer layer (format Readers/Writers working at
-//     Lx-cache-resident-block granularity), and a vector-register layer
+//     architecture (Fig. 4) with a column layer (the Runtime operator
+//     methods and the morsel drivers behind them, drivers.go), a buffer
+//     layer (format Readers/Writers working at Lx-cache-resident-block
+//     granularity, streamCols), and a vector-register layer
 //     (format-oblivious kernels, specialized per processing Style),
 //   - specialized operators: direct processing of compressed data
 //     (SWAR select/sum on static BP, per-block sums on DynBP, run-level
-//     select/sum on RLE), in specialized.go,
+//     select/sum on RLE), kernels in specialized.go,
 //   - on-the-fly morphing: adapting a column's format before/after an
 //     operator via internal/morph (driven by the engine in internal/core).
 //
@@ -18,6 +19,11 @@
 // consumes and produces plain columns of unsigned 64-bit integers; selection
 // results are sorted position lists, which are themselves ordinary columns
 // and therefore compressible like any other intermediate (DP1).
+//
+// Every operator has exactly one implementation: a method on Runtime, which
+// carries the worker count, the cancellation context and the engine budget
+// lease. Sequential execution is that method on a runtime of width 1
+// (FixedRT(1) outside an engine).
 package ops
 
 import (
@@ -44,7 +50,7 @@ func positionDesc(out columns.FormatDesc, n int) columns.FormatDesc {
 	return out
 }
 
-// errNilColumn guards the exported operators against nil inputs.
+// checkCols guards the exported operators against nil inputs.
 func checkCols(cs ...*columns.Column) error {
 	for _, c := range cs {
 		if c == nil {
@@ -54,52 +60,59 @@ func checkCols(cs ...*columns.Column) error {
 	return nil
 }
 
-// pullReader adapts a block Reader for streaming consumers that need
-// element-at-a-time access with lookahead (merge-style operators).
-type pullReader struct {
-	r   formats.Reader
-	buf []uint64
-	pos int
-	n   int
-	err error
+// sectionReader opens a sequential reader over one partition of col. A
+// partition covering the whole column reads through the format's ordinary
+// reader, so formats that cannot be sliced (RLE) still stream when an
+// operator runs as a single morsel.
+func sectionReader(col *columns.Column, pt formats.Partition) (formats.Reader, error) {
+	if pt.Start == 0 && pt.Count == col.N() {
+		return formats.NewReader(col)
+	}
+	return formats.NewSectionReader(col, pt.Start, pt.Count)
 }
 
-func newPullReader(col *columns.Column) (*pullReader, error) {
-	r, err := formats.NewReader(col)
+// streamCols is the input side of the buffer layer (Fig. 4), shared by every
+// morsel driver: it feeds the elements of partition pt of column a — or of
+// the two equally long columns a and b in lockstep when b is non-nil —
+// through process in cache-resident chunks of at most blockBuf elements. base
+// carries the global element offset of each chunk, so selective kernels emit
+// globally correct positions. A single uncompressed input is handed out as
+// zero-copy sub-slices of the column (the purely-uncompressed degree).
+func streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb []uint64, base uint64) error) error {
+	ra, err := sectionReader(a, pt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &pullReader{r: r, buf: make([]uint64, blockBuf)}, nil
-}
-
-// fill loads the next block; it reports whether data is available.
-func (p *pullReader) fill() bool {
-	if p.err != nil {
-		return false
+	base := uint64(pt.Start)
+	if b == nil {
+		if vv, ok := ra.(formats.ValueViewer); ok {
+			if vals, viewable := vv.View(); viewable {
+				for len(vals) > 0 {
+					k := min(len(vals), blockBuf)
+					if err := process(vals[:k], nil, base); err != nil {
+						return err
+					}
+					vals, base = vals[k:], base+uint64(k)
+				}
+				return nil
+			}
+		}
+		buf := make([]uint64, blockBuf)
+		for {
+			k, err := ra.Read(buf)
+			if err != nil || k == 0 {
+				return err
+			}
+			if err := process(buf[:k], nil, base); err != nil {
+				return err
+			}
+			base += uint64(k)
+		}
 	}
-	p.n, p.err = p.r.Read(p.buf)
-	p.pos = 0
-	return p.n > 0 && p.err == nil
-}
-
-// peek returns the current element; ok is false at end of input or error.
-func (p *pullReader) peek() (uint64, bool) {
-	if p.pos >= p.n && !p.fill() {
-		return 0, false
+	rb, err := sectionReader(b, pt)
+	if err != nil {
+		return err
 	}
-	return p.buf[p.pos], true
-}
-
-// advance moves past the current element.
-func (p *pullReader) advance() { p.pos++ }
-
-// streamPaired drains two equal-length element streams in lockstep chunks
-// and hands each aligned chunk pair to process; base carries the global
-// element offset of the first chunk. It is shared by the sequential
-// dual-input operators (calc, grouped sum) and the parallel section drivers,
-// so the chunk pairing and its divergence check cannot drift between paths
-// that must stay byte-identical.
-func streamPaired(ra, rb formats.Reader, base uint64, process func(va, vb []uint64, base uint64) error) error {
 	bufA := make([]uint64, blockBuf)
 	bufB := make([]uint64, blockBuf)
 	for {
@@ -107,7 +120,7 @@ func streamPaired(ra, rb formats.Reader, base uint64, process func(va, vb []uint
 		if err != nil {
 			return err
 		}
-		nb, err := readFull(rb, bufB[:min(len(bufB), max(na, 1))])
+		nb, err := readFull(rb, bufB[:max(na, 1)])
 		if err != nil {
 			return err
 		}
@@ -122,6 +135,22 @@ func streamPaired(ra, rb formats.Reader, base uint64, process func(va, vb []uint
 		}
 		base += uint64(na)
 	}
+}
+
+// readFull reads from r until dst is full or the column is exhausted.
+func readFull(r formats.Reader, dst []uint64) (int, error) {
+	n := 0
+	for n < len(dst) {
+		k, err := r.Read(dst[n:])
+		if err != nil {
+			return n, err
+		}
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	return n, nil
 }
 
 // readAll fully decompresses a column (used for small build sides).

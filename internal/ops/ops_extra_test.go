@@ -17,7 +17,7 @@ import (
 func TestPositionWidthHint(t *testing.T) {
 	vals := genVals(100000, 10, 41)
 	in := mkCol(t, vals, columns.UncomprDesc)
-	got, err := Select(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0), vector.Vec512)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0), vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 		}
 		want := refSelect(vals, op, pred)
 		for _, style := range vector.Styles {
-			got, err := Select(in, op, pred, columns.DeltaBPDesc, style)
+			got, err := FixedRT(1).SelectAuto(in, op, pred, columns.DeltaBPDesc, style, false)
 			if err != nil {
 				return false
 			}
@@ -99,11 +99,11 @@ func TestIntersectProperty(t *testing.T) {
 		b := sortedUnique(rawB)
 		ca := mkColQuick(a)
 		cb := mkColQuick(b)
-		ab, err := IntersectSorted(ca, cb, columns.DeltaBPDesc)
+		ab, err := FixedRT(1).Intersect(ca, cb, columns.DeltaBPDesc)
 		if err != nil {
 			return false
 		}
-		ba, err := IntersectSorted(cb, ca, columns.DynBPDesc)
+		ba, err := FixedRT(1).Intersect(cb, ca, columns.DynBPDesc)
 		if err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestMergeProperty(t *testing.T) {
 	f := func(rawA, rawB []uint16) bool {
 		a := sortedUnique(rawA)
 		b := sortedUnique(rawB)
-		m, err := MergeSorted(mkColQuick(a), mkColQuick(b), columns.UncomprDesc)
+		m, err := FixedRT(1).Merge(mkColQuick(a), mkColQuick(b), columns.UncomprDesc)
 		if err != nil {
 			return false
 		}
@@ -183,11 +183,11 @@ func TestGroupSumProperty(t *testing.T) {
 			vals[i] = uint64(rawVals[i])
 			total += vals[i]
 		}
-		gids, extents, err := GroupFirst(mkColQuick(keys), columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
+		gids, extents, err := FixedRT(1).GroupFirst(mkColQuick(keys), columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
 		if err != nil {
 			return false
 		}
-		sums, err := SumGrouped(gids, mkColQuick(vals), extents.N(), vector.Scalar)
+		sums, err := FixedRT(1).SumGrouped(gids, mkColQuick(vals), extents.N(), vector.Scalar)
 		if err != nil {
 			return false
 		}
@@ -228,7 +228,7 @@ func TestProjectIdentityProperty(t *testing.T) {
 			pos[i] = uint64(i)
 		}
 		data := mkColQuick(raw)
-		out, err := Project(data, mkColQuick(pos), columns.UncomprDesc, vector.Vec512)
+		out, err := FixedRT(1).Project(data, mkColQuick(pos), columns.UncomprDesc, vector.Vec512)
 		if err != nil {
 			return false
 		}
@@ -251,14 +251,14 @@ func TestRemainderBoundaryOps(t *testing.T) {
 		}
 		for _, desc := range []columns.FormatDesc{columns.DynBPDesc, columns.DeltaBPDesc, columns.ForBPDesc} {
 			in := mkCol(t, vals, desc)
-			got, err := Select(in, bitutil.CmpLt, 50, columns.DynBPDesc, vector.Vec512)
+			got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DynBPDesc, vector.Vec512, false)
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, desc, err)
 			}
 			if !equalU64(decode(t, got), refSelect(vals, bitutil.CmpLt, 50)) {
 				t.Fatalf("n=%d %v: wrong result at remainder boundary", n, desc)
 			}
-			s, _, err := SumWhole(in, vector.Vec512)
+			s, _, err := FixedRT(1).SumAuto(in, vector.Vec512, false)
 			if err != nil {
 				t.Fatal(err)
 			}

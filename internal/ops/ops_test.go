@@ -72,7 +72,7 @@ func TestSelectAllFormatsStyles(t *testing.T) {
 		for _, outDesc := range descs {
 			for _, style := range vector.Styles {
 				for _, op := range allOps {
-					got, err := Select(in, op, 25, outDesc, style)
+					got, err := FixedRT(1).SelectAuto(in, op, 25, outDesc, style, false)
 					if err != nil {
 						t.Fatalf("%v->%v %v %v: %v", inDesc, outDesc, style, op, err)
 					}
@@ -91,21 +91,29 @@ func TestSelectAllFormatsStyles(t *testing.T) {
 
 func TestSelectBetween(t *testing.T) {
 	vals := genVals(5000, 100, 2)
-	for _, inDesc := range formats.AllDescs() {
-		in := mkCol(t, vals, inDesc)
-		for _, style := range vector.Styles {
-			got, err := SelectBetween(in, 10, 30, columns.DeltaBPDesc, style)
-			if err != nil {
-				t.Fatalf("%v %v: %v", inDesc, style, err)
+	// {10, 5} is an inverted range: it matches nothing, for every kernel
+	// (the generic ones test v-lo <= hi-lo, which would wrap) and format.
+	for _, bounds := range [][2]uint64{{10, 30}, {10, 5}} {
+		lo, hi := bounds[0], bounds[1]
+		var want []uint64
+		for i, v := range vals {
+			if v >= lo && v <= hi {
+				want = append(want, uint64(i))
 			}
-			var want []uint64
-			for i, v := range vals {
-				if v >= 10 && v <= 30 {
-					want = append(want, uint64(i))
+		}
+		for _, inDesc := range append(formats.AllDescs(), columns.StaticBPDesc(8)) {
+			in := mkCol(t, vals, inDesc)
+			for _, style := range vector.Styles {
+				for _, specialized := range []bool{false, true} {
+					got, err := FixedRT(1).SelectBetweenAuto(in, lo, hi, columns.DeltaBPDesc, style, specialized)
+					if err != nil {
+						t.Fatalf("[%d,%d] %v %v specialized=%v: %v", lo, hi, inDesc, style, specialized, err)
+					}
+					if !equalU64(decode(t, got), want) {
+						t.Fatalf("[%d,%d] %v %v specialized=%v: %d positions, want %d",
+							lo, hi, inDesc, style, specialized, got.N(), len(want))
+					}
 				}
-			}
-			if !equalU64(decode(t, got), want) {
-				t.Fatalf("%v %v: wrong positions", inDesc, style)
 			}
 		}
 	}
@@ -114,7 +122,7 @@ func TestSelectBetween(t *testing.T) {
 func TestSelectBetweenFullRange(t *testing.T) {
 	vals := genVals(1000, 1<<63, 3)
 	in := mkCol(t, vals, columns.UncomprDesc)
-	got, err := SelectBetween(in, 0, ^uint64(0), columns.UncomprDesc, vector.Vec512)
+	got, err := FixedRT(1).SelectBetweenAuto(in, 0, ^uint64(0), columns.UncomprDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestProject(t *testing.T) {
 		for _, posDesc := range formats.AllDescs() {
 			p := mkCol(t, posVals, posDesc)
 			for _, style := range vector.Styles {
-				got, err := Project(d, p, columns.UncomprDesc, style)
+				got, err := FixedRT(1).Project(d, p, columns.UncomprDesc, style)
 				if err != nil {
 					t.Fatalf("%v/%v %v: %v", dataDesc, posDesc, style, err)
 				}
@@ -150,7 +158,7 @@ func TestProject(t *testing.T) {
 func TestProjectRejectsNonRandomAccessData(t *testing.T) {
 	data := mkCol(t, genVals(2000, 100, 5), columns.DynBPDesc)
 	pos := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
 		t.Error("project on DynBP data must fail (random access unsupported)")
 	}
 }
@@ -158,7 +166,7 @@ func TestProjectRejectsNonRandomAccessData(t *testing.T) {
 func TestProjectRejectsOutOfRangePositions(t *testing.T) {
 	data := mkCol(t, genVals(100, 100, 6), columns.UncomprDesc)
 	pos := mkCol(t, []uint64{5, 200}, columns.UncomprDesc)
-	if _, err := Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
 		t.Error("out-of-range position must fail")
 	}
 }
@@ -202,7 +210,7 @@ func TestSemiJoin(t *testing.T) {
 	for _, probeDesc := range formats.PaperDescs() {
 		pc := mkCol(t, probe, probeDesc)
 		bc := mkCol(t, build, columns.StaticBPDesc(0))
-		got, err := SemiJoin(pc, bc, columns.DeltaBPDesc, vector.Vec512)
+		got, err := FixedRT(1).SemiJoin(pc, bc, columns.DeltaBPDesc, vector.Vec512)
 		if err != nil {
 			t.Fatalf("%v: %v", probeDesc, err)
 		}
@@ -222,7 +230,7 @@ func TestGroupFirst(t *testing.T) {
 	keys := []uint64{7, 3, 7, 7, 9, 3}
 	for _, desc := range formats.PaperDescs() {
 		kc := mkCol(t, keys, desc)
-		gids, extents, err := GroupFirst(kc, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+		gids, extents, err := FixedRT(1).GroupFirst(kc, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
 		if err != nil {
 			t.Fatalf("%v: %v", desc, err)
 		}
@@ -240,12 +248,12 @@ func TestGroupNext(t *testing.T) {
 	a := []uint64{1, 1, 2, 1, 2}
 	b := []uint64{1, 2, 1, 1, 1}
 	ac := mkCol(t, a, columns.UncomprDesc)
-	gids1, _, err := GroupFirst(ac, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+	gids1, _, err := FixedRT(1).GroupFirst(ac, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc := mkCol(t, b, columns.StaticBPDesc(0))
-	gids2, ext2, err := GroupNext(gids1, bc, columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
+	gids2, ext2, err := FixedRT(1).GroupNext(gids1, bc, columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +268,7 @@ func TestGroupNext(t *testing.T) {
 func TestGroupNextLengthMismatch(t *testing.T) {
 	a := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
 	b := mkCol(t, []uint64{1, 2, 3}, columns.UncomprDesc)
-	if _, _, err := GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, _, err := FixedRT(1).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
@@ -274,7 +282,7 @@ func TestSumWhole(t *testing.T) {
 	for _, desc := range formats.AllDescs() {
 		c := mkCol(t, vals, desc)
 		for _, style := range vector.Styles {
-			got, col, err := SumWhole(c, style)
+			got, col, err := FixedRT(1).SumAuto(c, style, false)
 			if err != nil {
 				t.Fatalf("%v %v: %v", desc, style, err)
 			}
@@ -295,7 +303,7 @@ func TestSumGrouped(t *testing.T) {
 		for _, vDesc := range formats.PaperDescs() {
 			gc := mkCol(t, gids, gDesc)
 			vc := mkCol(t, vals, vDesc)
-			got, err := SumGrouped(gc, vc, 3, vector.Scalar)
+			got, err := FixedRT(1).SumGrouped(gc, vc, 3, vector.Scalar)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", gDesc, vDesc, err)
 			}
@@ -309,7 +317,7 @@ func TestSumGrouped(t *testing.T) {
 func TestSumGroupedBadGid(t *testing.T) {
 	gc := mkCol(t, []uint64{0, 5}, columns.UncomprDesc)
 	vc := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := SumGrouped(gc, vc, 2, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).SumGrouped(gc, vc, 2, vector.Scalar); err == nil {
 		t.Error("out-of-range gid must fail")
 	}
 }
@@ -330,7 +338,7 @@ func TestCalcBinary(t *testing.T) {
 		bc := mkCol(t, b, columns.DynBPDesc)
 		for _, cse := range cases {
 			for _, style := range vector.Styles {
-				got, err := CalcBinary(cse.op, ac, bc, columns.DynBPDesc, style)
+				got, err := FixedRT(1).CalcBinary(cse.op, ac, bc, columns.DynBPDesc, style)
 				if err != nil {
 					t.Fatalf("%v %v %v: %v", aDesc, cse.op, style, err)
 				}
@@ -348,7 +356,7 @@ func TestCalcBinary(t *testing.T) {
 func TestCalcLengthMismatch(t *testing.T) {
 	a := mkCol(t, []uint64{1}, columns.UncomprDesc)
 	b := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := CalcBinary(CalcAdd, a, b, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).CalcBinary(CalcAdd, a, b, columns.UncomprDesc, vector.Scalar); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
@@ -361,7 +369,7 @@ func TestIntersectSorted(t *testing.T) {
 		for _, bDesc := range formats.PaperDescs() {
 			ac := mkCol(t, a, aDesc)
 			bc := mkCol(t, b, bDesc)
-			got, err := IntersectSorted(ac, bc, columns.DeltaBPDesc)
+			got, err := FixedRT(1).Intersect(ac, bc, columns.DeltaBPDesc)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", aDesc, bDesc, err)
 			}
@@ -387,7 +395,7 @@ func TestIntersectLarge(t *testing.T) {
 	}
 	ac := mkCol(t, a, columns.DeltaBPDesc)
 	bc := mkCol(t, bvals, columns.DeltaBPDesc)
-	got, err := IntersectSorted(ac, bc, columns.DeltaBPDesc)
+	got, err := FixedRT(1).Intersect(ac, bc, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +415,7 @@ func TestMergeSorted(t *testing.T) {
 	for _, desc := range formats.PaperDescs() {
 		ac := mkCol(t, a, desc)
 		bc := mkCol(t, b, columns.UncomprDesc)
-		got, err := MergeSorted(ac, bc, columns.DeltaBPDesc)
+		got, err := FixedRT(1).Merge(ac, bc, columns.DeltaBPDesc)
 		if err != nil {
 			t.Fatalf("%v: %v", desc, err)
 		}
@@ -419,28 +427,28 @@ func TestMergeSorted(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	empty := mkCol(t, nil, columns.UncomprDesc)
-	if got, err := Select(empty, bitutil.CmpEq, 1, columns.DynBPDesc, vector.Vec512); err != nil || got.N() != 0 {
+	if got, err := FixedRT(1).SelectAuto(empty, bitutil.CmpEq, 1, columns.DynBPDesc, vector.Vec512, false); err != nil || got.N() != 0 {
 		t.Errorf("select on empty: %v, n=%v", err, got.N())
 	}
-	s, _, err := SumWhole(empty, vector.Scalar)
+	s, _, err := FixedRT(1).SumAuto(empty, vector.Scalar, false)
 	if err != nil || s != 0 {
 		t.Errorf("sum on empty: %v %d", err, s)
 	}
-	i2, err := IntersectSorted(empty, empty, columns.UncomprDesc)
+	i2, err := FixedRT(1).Intersect(empty, empty, columns.UncomprDesc)
 	if err != nil || i2.N() != 0 {
 		t.Errorf("intersect on empty: %v", err)
 	}
-	g, e, err := GroupFirst(empty, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+	g, e, err := FixedRT(1).GroupFirst(empty, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
 	if err != nil || g.N() != 0 || e.N() != 0 {
 		t.Errorf("group on empty: %v", err)
 	}
 }
 
 func TestNilColumn(t *testing.T) {
-	if _, err := Select(nil, bitutil.CmpEq, 1, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).SelectAuto(nil, bitutil.CmpEq, 1, columns.UncomprDesc, vector.Scalar, false); err == nil {
 		t.Error("nil input must fail")
 	}
-	if _, err := IntersectSorted(nil, nil, columns.UncomprDesc); err == nil {
+	if _, err := FixedRT(1).Intersect(nil, nil, columns.UncomprDesc); err == nil {
 		t.Error("nil input must fail")
 	}
 }

@@ -45,12 +45,12 @@ func TestParallelGroupFirstEquivalence(t *testing.T) {
 		for _, outDesc := range formats.AllDescs() {
 			for _, style := range vector.Styles {
 				ctx := keyDesc.String() + "->" + outDesc.String() + "/" + style.String()
-				wantG, wantE, err := GroupFirst(keys, outDesc, columns.UncomprDesc, style)
+				wantG, wantE, err := FixedRT(1).GroupFirst(keys, outDesc, columns.UncomprDesc, style)
 				if err != nil {
 					t.Fatalf("group %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					gotG, gotE, err := ParGroupFirst(keys, outDesc, columns.UncomprDesc, style, par)
+					gotG, gotE, err := FixedRT(par).GroupFirst(keys, outDesc, columns.UncomprDesc, style)
 					if err != nil {
 						t.Fatalf("par group %s p=%d: %v", ctx, par, err)
 					}
@@ -77,19 +77,19 @@ func TestParallelGroupNextEquivalence(t *testing.T) {
 		for _, prevDesc := range formats.AllDescs() {
 			// The previous gids come from a real first grouping so the
 			// refinement sees the dense id distribution it gets in plans.
-			gids1Ref, _, err := GroupFirst(keys1, prevDesc, columns.UncomprDesc, vector.Scalar)
+			gids1Ref, _, err := FixedRT(1).GroupFirst(keys1, prevDesc, columns.UncomprDesc, vector.Scalar)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.StaticBPDesc(0), columns.DynBPDesc, columns.RLEDesc} {
 				for _, style := range vector.Styles {
 					ctx := prevDesc.String() + "+" + keyDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					wantG, wantE, err := GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
+					wantG, wantE, err := FixedRT(1).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
 					if err != nil {
 						t.Fatalf("group next %s: %v", ctx, err)
 					}
 					for _, par := range parLevels {
-						gotG, gotE, err := ParGroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style, par)
+						gotG, gotE, err := FixedRT(par).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
 						if err != nil {
 							t.Fatalf("par group next %s p=%d: %v", ctx, par, err)
 						}
@@ -119,12 +119,12 @@ func TestParallelGroupFirstSkewed(t *testing.T) {
 	cases["quartile_blocks"] = split
 	for name, vals := range cases {
 		in := columns.FromValues(vals)
-		wantG, wantE, err := GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
+		wantG, wantE, err := FixedRT(1).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, par := range parLevels {
-			gotG, gotE, err := ParGroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512, par)
+			gotG, gotE, err := FixedRT(par).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, par, err)
 			}
@@ -140,7 +140,7 @@ func TestParallelGroupNextLengthMismatch(t *testing.T) {
 	a := columns.FromValues(make([]uint64, parTestN))
 	b := columns.FromValues(make([]uint64, parTestN-1))
 	for _, par := range parLevels {
-		if _, _, err := ParGroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar, par); err == nil {
+		if _, _, err := FixedRT(par).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
 			t.Fatalf("p=%d: diverging inputs must fail", par)
 		}
 	}

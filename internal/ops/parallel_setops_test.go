@@ -42,21 +42,21 @@ func TestParallelSetOpsEquivalence(t *testing.T) {
 			}
 			for _, outDesc := range formats.AllDescs() {
 				ctx := aDesc.String() + "x" + bDesc.String() + "->" + outDesc.String()
-				wantI, err := IntersectSorted(ac, bc, outDesc)
+				wantI, err := FixedRT(1).Intersect(ac, bc, outDesc)
 				if err != nil {
 					t.Fatalf("intersect %s: %v", ctx, err)
 				}
-				wantM, err := MergeSorted(ac, bc, outDesc)
+				wantM, err := FixedRT(1).Merge(ac, bc, outDesc)
 				if err != nil {
 					t.Fatalf("merge %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					gotI, err := ParIntersect(ac, bc, outDesc, par)
+					gotI, err := FixedRT(par).Intersect(ac, bc, outDesc)
 					if err != nil {
 						t.Fatalf("par intersect %s p=%d: %v", ctx, par, err)
 					}
 					assertSameColumn(t, "intersect "+ctx, wantI, gotI)
-					gotM, err := ParMerge(ac, bc, outDesc, par)
+					gotM, err := FixedRT(par).Merge(ac, bc, outDesc)
 					if err != nil {
 						t.Fatalf("par merge %s p=%d: %v", ctx, par, err)
 					}
@@ -111,21 +111,21 @@ func TestParallelSetOpsEdgeShapes(t *testing.T) {
 		ac := columns.FromValues(tc.a)
 		bc := columns.FromValues(tc.b)
 		for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.DeltaBPDesc, columns.RLEDesc} {
-			wantI, err := IntersectSorted(ac, bc, outDesc)
+			wantI, err := FixedRT(1).Intersect(ac, bc, outDesc)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			wantM, err := MergeSorted(ac, bc, outDesc)
+			wantM, err := FixedRT(1).Merge(ac, bc, outDesc)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			for _, par := range parLevels {
-				gotI, err := ParIntersect(ac, bc, outDesc, par)
+				gotI, err := FixedRT(par).Intersect(ac, bc, outDesc)
 				if err != nil {
 					t.Fatalf("%s p=%d: %v", tc.name, par, err)
 				}
 				assertSameColumn(t, tc.name+" intersect", wantI, gotI)
-				gotM, err := ParMerge(ac, bc, outDesc, par)
+				gotM, err := FixedRT(par).Merge(ac, bc, outDesc)
 				if err != nil {
 					t.Fatalf("%s p=%d: %v", tc.name, par, err)
 				}
@@ -138,10 +138,10 @@ func TestParallelSetOpsEdgeShapes(t *testing.T) {
 // TestParallelSetOpsNilInput checks the nil-column guard on the parallel
 // paths.
 func TestParallelSetOpsNilInput(t *testing.T) {
-	if _, err := ParIntersect(nil, nil, columns.UncomprDesc, 4); err == nil {
+	if _, err := FixedRT(4).Intersect(nil, nil, columns.UncomprDesc); err == nil {
 		t.Error("nil inputs must fail")
 	}
-	if _, err := ParMerge(nil, nil, columns.UncomprDesc, 4); err == nil {
+	if _, err := FixedRT(4).Merge(nil, nil, columns.UncomprDesc); err == nil {
 		t.Error("nil inputs must fail")
 	}
 }

@@ -80,21 +80,21 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 			for _, style := range vector.Styles {
 				ctx := inDesc.String() + "->" + outDesc.String() + "/" + style.String()
 
-				seqSel, err := Select(in, bitutil.CmpLt, 250, outDesc, style)
+				seqSel, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 250, outDesc, style, false)
 				if err != nil {
 					t.Fatalf("select %s: %v", ctx, err)
 				}
-				seqBet, err := SelectBetween(in, 100, 400, outDesc, style)
+				seqBet, err := FixedRT(1).SelectBetweenAuto(in, 100, 400, outDesc, style, false)
 				if err != nil {
 					t.Fatalf("between %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					got, err := ParSelect(in, bitutil.CmpLt, 250, outDesc, style, par)
+					got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc, style, false)
 					if err != nil {
 						t.Fatalf("par select %s p=%d: %v", ctx, par, err)
 					}
 					assertSameColumn(t, "select "+ctx, seqSel, got)
-					got, err = ParSelectBetween(in, 100, 400, outDesc, style, par)
+					got, err = FixedRT(par).SelectBetweenAuto(in, 100, 400, outDesc, style, false)
 					if err != nil {
 						t.Fatalf("par between %s p=%d: %v", ctx, par, err)
 					}
@@ -113,12 +113,12 @@ func TestParallelSumEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, style := range vector.Styles {
-			want, wantCol, err := SumWhole(in, style)
+			want, wantCol, err := FixedRT(1).SumAuto(in, style, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range parLevels {
-				got, gotCol, err := ParSum(in, style, par)
+				got, gotCol, err := FixedRT(par).SumAuto(in, style, false)
 				if err != nil {
 					t.Fatalf("par sum %v/%v p=%d: %v", inDesc, style, par, err)
 				}
@@ -150,12 +150,12 @@ func TestParallelProjectEquivalence(t *testing.T) {
 			}
 			for _, outDesc := range formats.AllDescs() {
 				for _, style := range vector.Styles {
-					want, err := Project(data, pos, outDesc, style)
+					want, err := FixedRT(1).Project(data, pos, outDesc, style)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, par := range parLevels {
-						got, err := ParProject(data, pos, outDesc, style, par)
+						got, err := FixedRT(par).Project(data, pos, outDesc, style)
 						if err != nil {
 							t.Fatalf("par project %v/%v/%v/%v p=%d: %v",
 								dataDesc, posDesc, outDesc, style, par, err)
@@ -183,12 +183,12 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 			}
 			for _, outDesc := range formats.AllDescs() {
 				for _, style := range vector.Styles {
-					want, err := SemiJoin(probe, build, outDesc, style)
+					want, err := FixedRT(1).SemiJoin(probe, build, outDesc, style)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, par := range parLevels {
-						got, err := ParSemiJoin(probe, build, outDesc, style, par)
+						got, err := FixedRT(par).SemiJoin(probe, build, outDesc, style)
 						if err != nil {
 							t.Fatalf("par semijoin %v/%v/%v p=%d: %v",
 								probeDesc, outDesc, style, par, err)
@@ -229,7 +229,7 @@ func TestParallelJoinN1Equivalence(t *testing.T) {
 						t.Fatalf("join %s: %v", ctx, err)
 					}
 					for _, par := range parLevels {
-						gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, style, par)
+						gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, style)
 						if err != nil {
 							t.Fatalf("par join %s p=%d: %v", ctx, par, err)
 						}
@@ -281,7 +281,7 @@ func TestParallelJoinN1Skewed(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, vector.Vec512, par)
+					gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
 					if err != nil {
 						t.Fatalf("%s p=%d: %v", ctx, par, err)
 					}
@@ -316,12 +316,12 @@ func TestParallelCalcEquivalence(t *testing.T) {
 				for _, style := range vector.Styles {
 					for _, op := range []CalcKind{CalcAdd, CalcSub, CalcMul} {
 						ctx := aDesc.String() + op.String() + bDesc.String() + "->" + outDesc.String() + "/" + style.String()
-						want, err := CalcBinary(op, a, bcol, outDesc, style)
+						want, err := FixedRT(1).CalcBinary(op, a, bcol, outDesc, style)
 						if err != nil {
 							t.Fatalf("calc %s: %v", ctx, err)
 						}
 						for _, par := range parLevels {
-							got, err := ParCalcBinary(op, a, bcol, outDesc, style, par)
+							got, err := FixedRT(par).CalcBinary(op, a, bcol, outDesc, style)
 							if err != nil {
 								t.Fatalf("par calc %s p=%d: %v", ctx, par, err)
 							}
@@ -357,12 +357,12 @@ func TestParallelSumGroupedEquivalence(t *testing.T) {
 			}
 			for _, style := range vector.Styles {
 				ctx := gDesc.String() + "+" + vDesc.String() + "/" + style.String()
-				want, err := SumGrouped(gids, vals, nGroups, style)
+				want, err := FixedRT(1).SumGrouped(gids, vals, nGroups, style)
 				if err != nil {
 					t.Fatalf("grouped sum %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					got, err := ParSumGrouped(gids, vals, nGroups, style, par)
+					got, err := FixedRT(par).SumGrouped(gids, vals, nGroups, style)
 					if err != nil {
 						t.Fatalf("par grouped sum %s p=%d: %v", ctx, par, err)
 					}
@@ -381,7 +381,7 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 	gids := columns.FromValues(gidVals)
 	vals := columns.FromValues(parTestValues(parTestN))
 	for _, par := range parLevels {
-		if _, err := ParSumGrouped(gids, vals, 10, vector.Scalar, par); err == nil {
+		if _, err := FixedRT(par).SumGrouped(gids, vals, 10, vector.Scalar); err == nil {
 			t.Fatalf("p=%d: out-of-range group id must fail", par)
 		}
 	}
@@ -402,7 +402,7 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
+		want, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,23 +411,23 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			got, err := ParSelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true, par)
+			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
 			assertSameColumn(t, "auto select "+inDesc.String(), want, got)
-			got, err = ParSelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true, par)
+			got, err = FixedRT(par).SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
 			assertSameColumn(t, "auto between "+inDesc.String(), wantBet, got)
 		}
-		wantSum, _, err := SumAuto(in, vector.Vec512, true)
+		wantSum, _, err := FixedRT(1).SumAuto(in, vector.Vec512, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			gotSum, _, err := ParSumAuto(in, vector.Vec512, true, par)
+			gotSum, _, err := FixedRT(par).SumAuto(in, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
@@ -438,52 +438,57 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 	}
 }
 
-// TestParallelAutoSpecializedEdgeCases pins the dispatch edges of the
-// per-partition SWAR kernels: predicate constants beyond the packed field
-// range and range predicates straddling it must match the sequential auto
-// operator (which rewrites or clamps them) bit for bit.
+// TestParallelAutoSpecializedEdgeCases pins the dispatch edges of the SWAR
+// kernels: predicate constants beyond the packed field range, range
+// predicates straddling it, and a width-0 input must produce the generic
+// kernels' column — same positions, same output descriptor — bit for bit, at
+// every parallelism degree.
 func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 	vals := make([]uint64, parTestN)
 	for i := range vals {
 		vals[i] = uint64(i % 200)
 	}
-	in, err := formats.Compress(vals, columns.StaticBPDesc(8))
+	packed, err := formats.Compress(vals, columns.StaticBPDesc(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros, err := formats.Compress(make([]uint64, parTestN), columns.StaticBPDesc(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name   string
+		in     *columns.Column
+		out    columns.FormatDesc
 		op     bitutil.CmpKind
 		val    uint64
 		lo, hi uint64
 		rng    bool
 	}{
-		{name: "eq_beyond_width", op: bitutil.CmpEq, val: 1 << 30},
-		{name: "lt_beyond_width", op: bitutil.CmpLt, val: 1 << 30},
-		{name: "between_hi_beyond_width", lo: 100, hi: 1 << 30, rng: true},
-		{name: "between_lo_beyond_width", lo: 1 << 30, hi: 1 << 31, rng: true},
+		{name: "eq_beyond_width", in: packed, out: columns.DynBPDesc, op: bitutil.CmpEq, val: 1 << 30},
+		{name: "lt_beyond_width", in: packed, out: columns.DynBPDesc, op: bitutil.CmpLt, val: 1 << 30},
+		{name: "between_hi_beyond_width", in: packed, out: columns.DynBPDesc, lo: 100, hi: 1 << 30, rng: true},
+		{name: "between_lo_beyond_width", in: packed, out: columns.DynBPDesc, lo: 1 << 30, hi: 1 << 31, rng: true},
+		// An auto-width static BP output is refined to the position width
+		// even when the width-0 input decides the predicate up front.
+		{name: "between_width0_lo_nonzero", in: zeros, out: columns.StaticBPDesc(0), lo: 3, hi: 9, rng: true},
 	}
 	for _, tc := range cases {
-		var want *columns.Column
-		if tc.rng {
-			want, err = SelectBetweenAuto(in, tc.lo, tc.hi, columns.DynBPDesc, vector.Scalar, true)
-		} else {
-			want, err = SelectAuto(in, tc.op, tc.val, columns.DynBPDesc, vector.Scalar, true)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for _, par := range parLevels {
+		run := func(par int, specialized bool) *columns.Column {
 			var got *columns.Column
 			if tc.rng {
-				got, err = ParSelectBetweenAuto(in, tc.lo, tc.hi, columns.DynBPDesc, vector.Scalar, true, par)
+				got, err = FixedRT(par).SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, vector.Scalar, specialized)
 			} else {
-				got, err = ParSelectAuto(in, tc.op, tc.val, columns.DynBPDesc, vector.Scalar, true, par)
+				got, err = FixedRT(par).SelectAuto(tc.in, tc.op, tc.val, tc.out, vector.Scalar, specialized)
 			}
 			if err != nil {
-				t.Fatalf("%s p=%d: %v", tc.name, par, err)
+				t.Fatalf("%s p=%d specialized=%v: %v", tc.name, par, specialized, err)
 			}
-			assertSameColumn(t, tc.name, want, got)
+			return got
+		}
+		want := run(1, false)
+		for _, par := range parLevels {
+			assertSameColumn(t, tc.name, want, run(par, true))
 		}
 	}
 }

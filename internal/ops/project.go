@@ -13,51 +13,40 @@ import (
 // are read sequentially (they are a selection result); the data column is
 // read with random access and must therefore be uncompressed or static BP
 // (§4.2) — the engine inserts an on-the-fly morph otherwise.
-func Project(data, pos *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(data, pos); err != nil {
 		return nil, err
 	}
+	// Each worker gets its own accessor, reused across the morsels it
+	// claims: the static BP accessor caches the most recently decoded group
+	// and must not be shared between goroutines.
+	ras := make([]formats.RandomAccessor, rt.Par())
 	ra, err := formats.RandomAccess(data)
 	if err != nil {
 		return nil, fmt.Errorf("ops: project: %w", err)
 	}
-	r, err := formats.NewReader(pos)
-	if err != nil {
-		return nil, err
-	}
-	w, err := formats.NewWriter(out, pos.N())
-	if err != nil {
-		return nil, err
-	}
-
-	stage := make([]uint64, blockBuf)
-
+	ras[0] = ra
 	// Vec512 gather fast path over an uncompressed data column.
 	vals, direct := data.Values()
 	useVecGather := direct && style == vector.Vec512
-
-	buf := make([]uint64, blockBuf)
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return nil, fmt.Errorf("ops: project: %w", err)
-		}
-		if k == 0 {
-			break
-		}
-		if err := checkPositions(buf[:k], data.N()); err != nil {
-			return nil, err
+	return rt.mapCols("project", pos, nil, out, func(w int, ps, _, dst []uint64) error {
+		if err := checkPositions(ps, data.N()); err != nil {
+			return err
 		}
 		if useVecGather {
-			gatherKernelVec(vals, buf[:k], stage)
-		} else {
-			ra.Gather(stage[:k], buf[:k])
+			gatherKernelVec(vals, ps, dst)
+			return nil
 		}
-		if err := w.Write(stage[:k]); err != nil {
-			return nil, err
+		if ras[w] == nil {
+			ra, err := formats.RandomAccess(data)
+			if err != nil {
+				return err
+			}
+			ras[w] = ra
 		}
-	}
-	return w.Close()
+		ras[w].Gather(dst, ps)
+		return nil
+	})
 }
 
 // checkPositions validates that all positions address the data column.
@@ -69,7 +58,7 @@ func checkPositions(pos []uint64, n int) error {
 	if acc >= uint64(n) {
 		for _, p := range pos {
 			if p >= uint64(n) {
-				return fmt.Errorf("ops: project: position %d out of range [0,%d)", p, n)
+				return fmt.Errorf("position %d out of range [0,%d)", p, n)
 			}
 		}
 	}

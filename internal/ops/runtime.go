@@ -14,8 +14,8 @@ import (
 	"morphstore/internal/qerr"
 )
 
-// This file implements the execution runtime threaded through the
-// morsel-parallel drivers: a cancellation context checked between morsels
+// This file implements the execution runtime threaded through the morsel
+// drivers: a cancellation context checked between morsels
 // and a shared worker Budget that divides one engine-wide goroutine
 // allowance among every operator running at any moment — across concurrent
 // operators of one plan and across concurrently executing queries alike.
@@ -294,8 +294,8 @@ func (b *Budget) InUse() int {
 // the cancellation context, the operator's budget lease (nil outside an
 // engine), the morsel-parallelism cap, the operator's stats collector (nil
 // when detached), and the query's memory reservation (nil without a memory
-// budget). The zero value behaves like the legacy fixed par=1 sequential
-// execution.
+// budget). The zero value is single-worker execution: every operator runs
+// as one morsel on the calling goroutine.
 type Runtime struct {
 	ctx   context.Context
 	lease *Lease
@@ -305,7 +305,8 @@ type Runtime struct {
 }
 
 // FixedRT returns a runtime with a fixed worker count and no budget sharing
-// or cancellation — the behavior of the legacy positional operator API.
+// or cancellation: the way to call an operator outside an engine (benchmarks,
+// tests); FixedRT(1) is the sequential operator.
 func FixedRT(par int) Runtime { return Runtime{par: par} }
 
 // RT returns a runtime for one operator run: ctx is checked between morsels,
@@ -355,12 +356,12 @@ func (rt Runtime) Err() error {
 }
 
 // workers bounds the worker-goroutine count for a task list.
-func (rt Runtime) workers(tasks int) int { return workerCount(rt.Par(), tasks) }
+func (rt Runtime) workers(tasks int) int { return max(1, min(rt.Par(), tasks)) }
 
-// seqFallback records that the operator runs sequentially from here on
+// seqFallback records that the operator runs as one morsel from here on
 // (unsplittable input): the budget lease, if any, shrinks to one worker so
-// the surplus flows to sibling operators. The drivers call it on every
-// sequential-fallback path.
+// the surplus flows to sibling operators. The drivers call it wherever an
+// input does not split.
 func (rt Runtime) seqFallback() {
 	if rt.lease != nil {
 		rt.lease.Shrink(1)
@@ -464,10 +465,8 @@ func (rt Runtime) runParts(parts []formats.Partition, fn func(worker, i int, pt 
 // budget and cancellation rules. Because claims are monotonically increasing,
 // one worker always processes its tasks in ascending index order — the
 // parallel grouping relies on this to record per-worker first occurrences.
-// It wraps runParts over placeholder partitions (task lists are small, a few
-// entries per worker) rather than the other way around: runParts is on the
-// hot path of every morsel driver, and keeping its frame exactly as the
-// callers compiled against measurably matters to the sequential fallbacks.
+// It wraps runParts over placeholder partitions: task lists are small, a few
+// entries per worker.
 func (rt Runtime) runTasks(n int, fn func(worker, i int) error) error {
 	return rt.runParts(make([]formats.Partition, n), func(w, i int, _ formats.Partition) error {
 		return fn(w, i)

@@ -206,7 +206,7 @@ func TestRunPartsComplete(t *testing.T) {
 }
 
 // TestRuntimeOpsUnderBudget: the runtime operator methods produce columns
-// byte-identical to the legacy positional drivers while gated by a shared
+// byte-identical to a fixed-width runtime's while gated by a shared
 // budget lease.
 func TestRuntimeOpsUnderBudget(t *testing.T) {
 	n := 6 * 512
@@ -218,14 +218,14 @@ func TestRuntimeOpsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ParSelect(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, 3)
+	want, err := FixedRT(3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := NewBudget(3)
 	lease := b.Lease(3)
 	defer lease.Close()
-	got, err := RT(context.Background(), lease, 3).Select(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512)
+	got, err := RT(context.Background(), lease, 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestRuntimeCancelledSelect(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RT(ctx, nil, 2).Select(col, bitutil.CmpEq, 0, columns.DeltaBPDesc, vector.Scalar)
+	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc, vector.Scalar, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,81 +1,45 @@
 package ops
 
 import (
-	"fmt"
-
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/vector"
 )
 
-// Select evaluates the predicate `element <op> val` over the input column and
-// returns the sorted list of matching positions as a column in the requested
-// output format. It is the on-the-fly de/re-compression operator of Fig. 4:
-// the input is decompressed block-wise into a cache-resident buffer, the
-// vector-register-layer kernel emits qualifying positions, and the output
-// writer recompresses them block-wise.
-func Select(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+// SelectAuto evaluates the predicate `element <op> val` over the input column
+// and returns the sorted list of matching positions as a column in the
+// requested output format. By default it is the on-the-fly de/re-compression
+// operator of Fig. 4: every morsel of the input is decompressed block-wise
+// into a cache-resident buffer, the vector-register-layer kernel emits
+// qualifying positions, and the output is recompressed block-wise. With
+// specialized set, inputs that have a direct kernel are processed without
+// decompression instead — the SWAR select on the packed words of a static BP
+// column, the run-level select on RLE — the selective-employment policy of
+// §3.3; the positions, and therefore the output bytes, are the same.
+func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
-	r, err := formats.NewReader(in)
-	if err != nil {
-		return nil, err
-	}
-	stage := make([]uint64, blockBuf)
-
-	// Purely-uncompressed fast path: direct access to the whole column.
-	if vv, ok := r.(formats.ValueViewer); ok {
-		if vals, viewable := vv.View(); viewable {
-			if err := selectOver(vals, 0, op, val, style, stage, w); err != nil {
-				return nil, err
-			}
-			return w.Close()
-		}
-	}
-
-	buf := make([]uint64, blockBuf)
-	base := uint64(0)
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return nil, fmt.Errorf("ops: select: %w", err)
-		}
-		if k == 0 {
-			break
-		}
-		if err := selectOver(buf[:k], base, op, val, style, stage, w); err != nil {
-			return nil, err
-		}
-		base += uint64(k)
-	}
-	return w.Close()
-}
-
-// selectOver runs the select kernel over one uncompressed block, staging
-// matching positions and writing them out in blockBuf-sized batches.
-func selectOver(vals []uint64, base uint64, op bitutil.CmpKind, val uint64, style vector.Style, stage []uint64, w formats.Writer) error {
-	for off := 0; off < len(vals); off += blockBuf {
-		end := off + blockBuf
-		if end > len(vals) {
-			end = len(vals)
-		}
-		var k int
+	kernel := scan(in, func(vals []uint64, base uint64, stage [][]uint64) int {
 		if style == vector.Vec512 {
-			k = selectKernelVec(vals[off:end], base+uint64(off), op, val, stage)
-		} else {
-			k = selectKernelScalar(vals[off:end], base+uint64(off), op, val, stage)
+			return selectKernelVec(vals, base, op, val, stage[0])
 		}
-		if err := w.Write(stage[:k]); err != nil {
-			return err
-		}
+		return selectKernelScalar(vals, base, op, val, stage[0])
+	})
+	switch {
+	case specialized && swarOK(in, val):
+		b := uint(in.Desc().Bits)
+		yb := bitutil.Broadcast(val, b)
+		kernel = swarSelect(in, func(words, dst []uint64) {
+			for i, word := range words {
+				dst[i] = bitutil.CmpPackedWord(word, yb, b, op)
+			}
+		})
+	case specialized && in.Desc().Kind == columns.RLE:
+		kernel = rleSelect(in, op, val)
 	}
-	return nil
+	return rt.emitPositions("select", in, out, kernel)
 }
 
 // selectKernelScalar is the scalar specialization of the select core.
@@ -170,66 +134,45 @@ func selectKernelVec(vals []uint64, base uint64, op bitutil.CmpKind, val uint64,
 	return k
 }
 
-// SelectBetween evaluates the conjunctive range predicate
-// lo <= element <= hi, returning matching positions like Select.
-func SelectBetween(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+// SelectBetweenAuto evaluates the conjunctive range predicate
+// lo <= element <= hi, returning matching positions like SelectAuto; the
+// specialized form combines two SWAR comparison masks per packed word of a
+// static BP column. An inverted range (lo > hi) matches nothing.
+func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
-	r, err := formats.NewReader(in)
-	if err != nil {
-		return nil, err
-	}
-	stage := make([]uint64, blockBuf)
-
-	if vv, ok := r.(formats.ValueViewer); ok {
-		if vals, viewable := vv.View(); viewable {
-			if err := betweenOver(vals, 0, lo, hi, style, stage, w); err != nil {
-				return nil, err
-			}
-			return w.Close()
-		}
-	}
-
-	buf := make([]uint64, blockBuf)
-	base := uint64(0)
-	for {
-		k, err := r.Read(buf)
+	if lo > hi {
+		// The kernels test v-lo <= hi-lo, which wraps for an inverted range;
+		// answer it here, once, for every kernel and input format.
+		w, err := formats.NewWriter(positionDesc(out, in.N()), 0)
 		if err != nil {
-			return nil, fmt.Errorf("ops: select between: %w", err)
-		}
-		if k == 0 {
-			break
-		}
-		if err := betweenOver(buf[:k], base, lo, hi, style, stage, w); err != nil {
 			return nil, err
 		}
-		base += uint64(k)
+		return w.Close()
 	}
-	return w.Close()
+	kernel := scan(in, func(vals []uint64, base uint64, stage [][]uint64) int {
+		if style == vector.Vec512 {
+			return betweenKernelVec(vals, base, lo, hi, stage[0])
+		}
+		return betweenKernelScalar(vals, base, lo, hi, stage[0])
+	})
+	if specialized && swarOK(in, lo) {
+		b := uint(in.Desc().Bits)
+		// Values above the packable range can never match a width-b field.
+		ylo, yhi := bitutil.Broadcast(lo, b), bitutil.Broadcast(min(hi, bitutil.Mask(b)), b)
+		kernel = swarSelect(in, func(words, dst []uint64) {
+			for i, word := range words {
+				dst[i] = bitutil.CmpPackedWord(word, ylo, b, bitutil.CmpGe) & bitutil.CmpPackedWord(word, yhi, b, bitutil.CmpLe)
+			}
+		})
+	}
+	return rt.emitPositions("select between", in, out, kernel)
 }
 
-func betweenOver(vals []uint64, base uint64, lo, hi uint64, style vector.Style, stage []uint64, w formats.Writer) error {
-	for off := 0; off < len(vals); off += blockBuf {
-		end := off + blockBuf
-		if end > len(vals) {
-			end = len(vals)
-		}
-		var k int
-		if style == vector.Vec512 {
-			k = betweenKernelVec(vals[off:end], base+uint64(off), lo, hi, stage)
-		} else {
-			k = betweenKernelScalar(vals[off:end], base+uint64(off), lo, hi, stage)
-		}
-		if err := w.Write(stage[:k]); err != nil {
-			return err
-		}
-	}
-	return nil
+// SelectBetweenAuto is the single-worker form of Runtime.SelectBetweenAuto.
+func SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
+	return FixedRT(1).SelectBetweenAuto(in, lo, hi, out, style, specialized)
 }
 
 func betweenKernelScalar(vals []uint64, base uint64, lo, hi uint64, stage []uint64) int {

@@ -53,7 +53,7 @@ func TestSelectInEquivalence(t *testing.T) {
 			for _, style := range vector.Styles {
 				for si, set := range sets {
 					ctx := inDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					seq, err := SelectIn(in, set, outDesc, style)
+					seq, err := FixedRT(1).SelectIn(in, set, outDesc, style)
 					if err != nil {
 						t.Fatalf("select in %s set=%d: %v", ctx, si, err)
 					}
@@ -71,7 +71,7 @@ func TestSelectInEquivalence(t *testing.T) {
 						}
 					}
 					for _, par := range parLevels {
-						got, err := ParSelectIn(in, set, outDesc, style, par)
+						got, err := FixedRT(par).SelectIn(in, set, outDesc, style)
 						if err != nil {
 							t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
 						}
@@ -90,17 +90,17 @@ func TestSelectInMatchesSelect(t *testing.T) {
 	vals := parTestValues(parTestN)
 	in := columns.FromValues(vals)
 	for _, outDesc := range formats.PaperDescs() {
-		eq, err := Select(in, bitutil.CmpEq, 131, outDesc, vector.Scalar)
+		eq, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 131, outDesc, vector.Scalar, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SelectIn(in, []uint64{131}, outDesc, vector.Scalar)
+		got, err := FixedRT(1).SelectIn(in, []uint64{131}, outDesc, vector.Scalar)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameColumn(t, "eq "+outDesc.String(), eq, got)
 
-		bet, err := SelectBetween(in, 100, 120, outDesc, vector.Scalar)
+		bet, err := FixedRT(1).SelectBetweenAuto(in, 100, 120, outDesc, vector.Scalar, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestSelectInMatchesSelect(t *testing.T) {
 		for v := uint64(100); v <= 120; v++ {
 			contig = append(contig, v)
 		}
-		got, err = SelectIn(in, contig, outDesc, vector.Scalar)
+		got, err = FixedRT(1).SelectIn(in, contig, outDesc, vector.Scalar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,10 +119,10 @@ func TestSelectInMatchesSelect(t *testing.T) {
 func TestSelectInRejectsUnsortedSet(t *testing.T) {
 	in := columns.FromValues([]uint64{1, 2, 3})
 	for _, set := range [][]uint64{{5, 3}, {3, 3}} {
-		if _, err := SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if _, err := FixedRT(1).SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
-		if _, err := ParSelectIn(in, set, columns.UncomprDesc, vector.Scalar, 2); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if _, err := FixedRT(2).SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("par set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
 	}

@@ -7,319 +7,155 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
-// This file implements the "specialized operator" integration degree
-// (Fig. 2c): operators that process compressed data directly, without
+// This file implements the kernels of the "specialized operator" integration
+// degree (Fig. 2c): kernels that process compressed data directly, without
 // decompressing into any buffer. They are format-specific by design and the
-// engine employs them selectively (§3.2), falling back to the on-the-fly
-// de/re-compression operators everywhere else.
+// auto operators employ them selectively (§3.2), falling back to the
+// on-the-fly de/re-compression kernels everywhere else. They plug into the
+// same morsel drivers as the generic kernels: the static BP SWAR kernels
+// partition at the 64-value packing-group granularity (any SWAR width divides
+// 64, so a morsel boundary is always a packed-word boundary), the per-block
+// DynBP sum partitions at block granularity, and RLE never splits, so its
+// run-level kernels always see the whole column.
 
-// CanSelectDirect reports whether SelectStaticBPDirect supports the column:
-// a static BP column whose width admits the word-parallel SWAR kernels.
-func CanSelectDirect(in *columns.Column) bool {
-	return in.Desc().Kind == columns.StaticBP &&
-		(bitutil.SwarWidthOK(uint(in.Desc().Bits)) || in.Desc().Bits == 0)
+// swarOK reports whether the SWAR select kernels cover the input column and
+// predicate constant: a static BP column with a preset word-parallel width
+// whose constant fits the packed fields. In the degenerate cases — width 0,
+// or a constant beyond the field range, which decides the predicate for
+// every field alike — the generic kernels produce the position stream.
+func swarOK(in *columns.Column, val uint64) bool {
+	b := uint(in.Desc().Bits)
+	return in.Desc().Kind == columns.StaticBP && b > 0 &&
+		bitutil.SwarWidthOK(b) && val <= bitutil.Mask(b)
 }
 
-// SelectStaticBPDirect evaluates a comparison predicate directly on the
-// packed words of a static BP column using the SWAR kernels: 64/b fields
-// are tested per word-level instruction sequence, in the spirit of
-// BitWeaving/SIMD-Scan. The output positions are recompressed as usual.
-func SelectStaticBPDirect(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc) (*columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return nil, err
-	}
-	if !CanSelectDirect(in) {
-		return nil, fmt.Errorf("ops: direct select unsupported for %v", in.Desc())
-	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
-	b := uint(in.Desc().Bits)
-	n := in.N()
-	stage := make([]uint64, blockBuf+64)
-
-	if b == 0 { // all-zero column: every element is 0
-		if op.Eval(0, val) {
-			k := 0
-			for i := 0; i < n; i++ {
-				stage[k] = uint64(i)
-				k++
-				if k == blockBuf {
-					if err := w.Write(stage[:k]); err != nil {
-						return nil, err
+// swarSelect evaluates a predicate directly on the packed words of a static
+// BP column, in the spirit of BitWeaving/SIMD-Scan: masks tests the 64/b
+// fields of each given word per word-level instruction sequence and stores
+// one result bit per field. Morsel starts are multiples of 64 elements, so
+// they always coincide with a packed-word boundary.
+func swarSelect(in *columns.Column, masks func(words, dst []uint64)) emitKernel {
+	per := int(64 / uint(in.Desc().Bits))
+	words := in.MainWords()
+	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+		out, k := stage[0], 0
+		end := pt.Start + pt.Count
+		endW := (end + per - 1) / per
+		var buf [64]uint64 // masks are computed a batch at a time to amortize the call
+		for wi := pt.Start / per; wi < endW; wi += len(buf) {
+			batch := words[wi:min(wi+len(buf), endW)]
+			masks(batch, buf[:])
+			for j, m := range buf[:len(batch)] {
+				base := (wi + j) * per
+				if valid := end - base; valid < per {
+					m &= (uint64(1) << uint(valid)) - 1
+				}
+				if k+per > len(out) {
+					if err := flush(stage, k, sinks); err != nil {
+						return err
 					}
 					k = 0
 				}
+				for ; m != 0; m &= m - 1 {
+					out[k] = uint64(base + bits.TrailingZeros64(m))
+					k++
+				}
 			}
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
-			}
 		}
-		return w.Close()
+		return flush(stage, k, sinks)
 	}
-
-	// A predicate constant wider than the packed width decides the result
-	// for every field: fields are < 2^b <= val.
-	if val > bitutil.Mask(b) {
-		switch op {
-		case bitutil.CmpLt, bitutil.CmpLe, bitutil.CmpNe:
-			return Select(in, bitutil.CmpLe, bitutil.Mask(b), out, vector.Scalar) // all match
-		default: // Eq, Gt, Ge: nothing matches
-			return w.Close()
-		}
-	}
-
-	per := int(64 / b)
-	yb := bitutil.Broadcast(val, b)
-	words := in.MainWords()
-	k := 0
-	for wi, word := range words {
-		base := wi * per
-		valid := n - base
-		if valid <= 0 {
-			break
-		}
-		m := bitutil.CmpPackedWord(word, yb, b, op)
-		if valid < per {
-			m &= (uint64(1) << uint(valid)) - 1
-		}
-		for ; m != 0; m &= m - 1 {
-			stage[k] = uint64(base + bits.TrailingZeros64(m))
-			k++
-		}
-		if k >= blockBuf {
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
-			}
-			k = 0
-		}
-	}
-	if err := w.Write(stage[:k]); err != nil {
-		return nil, err
-	}
-	return w.Close()
 }
 
-// SelectBetweenStaticBPDirect evaluates lo <= element <= hi directly on the
-// packed words by combining two SWAR comparison masks.
-func SelectBetweenStaticBPDirect(in *columns.Column, lo, hi uint64, out columns.FormatDesc) (*columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return nil, err
+// rleSelect evaluates a comparison predicate run by run: a matching run of
+// length l contributes l consecutive positions at once.
+func rleSelect(in *columns.Column, op bitutil.CmpKind, val uint64) emitKernel {
+	return func(_ formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+		runs, err := formats.RLERuns(in)
+		if err != nil {
+			return err
+		}
+		out, k := stage[0], 0
+		pos := uint64(0)
+		for _, r := range runs {
+			if op.Eval(r.Value, val) {
+				for i := uint64(0); i < r.Length; i++ {
+					out[k] = pos + i
+					k++
+					if k == len(out) {
+						if err := flush(stage, k, sinks); err != nil {
+							return err
+						}
+						k = 0
+					}
+				}
+			}
+			pos += r.Length
+		}
+		return flush(stage, k, sinks)
 	}
-	if !CanSelectDirect(in) {
-		return nil, fmt.Errorf("ops: direct select unsupported for %v", in.Desc())
-	}
+}
+
+// sumStaticBP sums a morsel of a static BP column directly on its packed
+// words via window-parallel SWAR accumulation (the bit-parallel aggregation
+// of Feng & Lo [25]). pt.Start is a multiple of 64 elements, so the morsel's
+// packed words begin word-aligned at Start*b/64 and span exactly the words
+// holding its Count fields.
+func sumStaticBP(in *columns.Column) reduceKernel {
 	b := uint(in.Desc().Bits)
-	if b == 0 {
-		if lo == 0 { // all-zero column within [lo, hi] iff lo == 0
-			return SelectBetween(in, lo, hi, out, vector.Scalar)
-		}
-		w, err := formats.NewWriter(out, 0)
-		if err != nil {
-			return nil, err
-		}
-		return w.Close()
-	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
-	n := in.N()
-	per := int(64 / b)
-	// Values above the packable range can never match a width-b field.
-	maxv := bitutil.Mask(b)
-	if lo > maxv {
-		return w.Close()
-	}
-	if hi > maxv {
-		hi = maxv
-	}
-	ylo := bitutil.Broadcast(lo, b)
-	yhi := bitutil.Broadcast(hi, b)
 	words := in.MainWords()
-	stage := make([]uint64, blockBuf+64)
-	k := 0
-	for wi, word := range words {
-		base := wi * per
-		valid := n - base
-		if valid <= 0 {
-			break
-		}
-		m := bitutil.CmpPackedWord(word, ylo, b, bitutil.CmpGe) &
-			bitutil.CmpPackedWord(word, yhi, b, bitutil.CmpLe)
-		if valid < per {
-			m &= (uint64(1) << uint(valid)) - 1
-		}
-		for ; m != 0; m &= m - 1 {
-			stage[k] = uint64(base + bits.TrailingZeros64(m))
-			k++
-		}
-		if k >= blockBuf {
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
+	return func(acc []uint64, pt formats.Partition) error {
+		startW := pt.Start * int(b) / 64
+		acc[0] += bitutil.SumPackedWords(words[startW:startW+bitutil.PackedWords(pt.Count, b)], pt.Count, b)
+		return nil
+	}
+}
+
+// sumDynBP sums a morsel of a DynBP column block by block directly on the
+// packed payload words, plus the uncompressed remainder for the tail morsel.
+// Morsels are block-aligned; a header walk (no payload is touched) positions
+// the word cursor at the morsel's first block.
+func sumDynBP(in *columns.Column) reduceKernel {
+	words := in.MainWords()
+	return func(acc []uint64, pt formats.Partition) error {
+		w := 0
+		end := min(pt.Start+pt.Count, in.MainElems())
+		for e := 0; e < end; e += formats.BlockLen {
+			if w >= len(words) || words[w] > 64 {
+				return fmt.Errorf("%w: dyn BP block header at word %d", formats.ErrCorrupt, w)
 			}
-			k = 0
+			b := uint(words[w])
+			w++
+			pw := int(b) * (formats.BlockLen / 64)
+			if w+pw > len(words) {
+				return fmt.Errorf("%w: dyn BP payload beyond buffer", formats.ErrCorrupt)
+			}
+			if e >= pt.Start {
+				acc[0] += bitutil.SumPackedWords(words[w:w+pw], formats.BlockLen, b)
+			}
+			w += pw
 		}
+		if pt.Start+pt.Count > in.MainElems() {
+			for _, v := range in.Remainder() {
+				acc[0] += v
+			}
+		}
+		return nil
 	}
-	if err := w.Write(stage[:k]); err != nil {
-		return nil, err
-	}
-	return w.Close()
 }
 
-// SumStaticBPDirect sums a static BP column directly on the packed words via
-// window-parallel SWAR accumulation (the bit-parallel aggregation of Feng &
-// Lo [25]).
-func SumStaticBPDirect(in *columns.Column) (uint64, error) {
-	if err := checkCols(in); err != nil {
-		return 0, err
-	}
-	if in.Desc().Kind != columns.StaticBP {
-		return 0, fmt.Errorf("ops: direct sum unsupported for %v", in.Desc())
-	}
-	return bitutil.SumPackedWords(in.MainWords(), in.N(), uint(in.Desc().Bits)), nil
-}
-
-// SumDynBPDirect sums a DynBP column block by block directly on the packed
-// payload words, plus the uncompressed remainder.
-func SumDynBPDirect(in *columns.Column) (uint64, error) {
-	if err := checkCols(in); err != nil {
-		return 0, err
-	}
-	if in.Desc().Kind != columns.DynBP {
-		return 0, fmt.Errorf("ops: direct sum unsupported for %v", in.Desc())
-	}
-	words := in.MainWords()
-	var total uint64
-	w := 0
-	for e := 0; e < in.MainElems(); e += formats.BlockLen {
-		b, err := dynBPHeaderWidth(words, w)
-		if err != nil {
-			return 0, err
-		}
-		w++
-		pw := int(b) * (formats.BlockLen / 64)
-		if w+pw > len(words) {
-			return 0, fmt.Errorf("ops: %w: dyn BP payload beyond buffer", formats.ErrCorrupt)
-		}
-		total += bitutil.SumPackedWords(words[w:w+pw], formats.BlockLen, b)
-		w += pw
-	}
-	for _, v := range in.Remainder() {
-		total += v
-	}
-	return total, nil
-}
-
-// SumRLEDirect sums an RLE column as the dot product of run values and run
+// sumRLE sums an RLE column as the dot product of run values and run
 // lengths, never touching individual elements (Abadi et al. [2]).
-func SumRLEDirect(in *columns.Column) (uint64, error) {
-	if err := checkCols(in); err != nil {
-		return 0, err
-	}
-	runs, err := formats.RLERuns(in)
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for _, r := range runs {
-		total += r.Value * r.Length
-	}
-	return total, nil
-}
-
-// SelectRLEDirect evaluates a comparison predicate run by run: a matching
-// run of length l contributes l consecutive positions at once.
-func SelectRLEDirect(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc) (*columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return nil, err
-	}
-	runs, err := formats.RLERuns(in)
-	if err != nil {
-		return nil, err
-	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
-	stage := make([]uint64, blockBuf)
-	k := 0
-	pos := uint64(0)
-	for _, r := range runs {
-		if op.Eval(r.Value, val) {
-			for i := uint64(0); i < r.Length; i++ {
-				stage[k] = pos + i
-				k++
-				if k == blockBuf {
-					if err := w.Write(stage[:k]); err != nil {
-						return nil, err
-					}
-					k = 0
-				}
-			}
+func sumRLE(in *columns.Column) reduceKernel {
+	return func(acc []uint64, _ formats.Partition) error {
+		runs, err := formats.RLERuns(in)
+		if err != nil {
+			return err
 		}
-		pos += r.Length
-	}
-	if err := w.Write(stage[:k]); err != nil {
-		return nil, err
-	}
-	return w.Close()
-}
-
-// SumAuto dispatches a whole-column sum to the best available integration
-// degree: a specialized direct operator when the input format has one (and
-// specialized operators are enabled), the generic de/re-compression operator
-// otherwise. This is the selective-employment policy of §3.3.
-func SumAuto(in *columns.Column, style vector.Style, specialized bool) (uint64, *columns.Column, error) {
-	if specialized {
-		switch in.Desc().Kind {
-		case columns.StaticBP:
-			s, err := SumStaticBPDirect(in)
-			if err != nil {
-				return 0, nil, err
-			}
-			return s, columns.FromValues([]uint64{s}), nil
-		case columns.DynBP:
-			s, err := SumDynBPDirect(in)
-			if err != nil {
-				return 0, nil, err
-			}
-			return s, columns.FromValues([]uint64{s}), nil
-		case columns.RLE:
-			s, err := SumRLEDirect(in)
-			if err != nil {
-				return 0, nil, err
-			}
-			return s, columns.FromValues([]uint64{s}), nil
+		for _, r := range runs {
+			acc[0] += r.Value * r.Length
 		}
+		return nil
 	}
-	return SumWhole(in, style)
-}
-
-// SelectAuto dispatches a comparison select like SumAuto: the SWAR direct
-// operator for suitable static BP columns, run-level select for RLE, and the
-// generic operator otherwise.
-func SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
-	if specialized {
-		switch {
-		case CanSelectDirect(in):
-			return SelectStaticBPDirect(in, op, val, out)
-		case in.Desc().Kind == columns.RLE:
-			return SelectRLEDirect(in, op, val, out)
-		}
-	}
-	return Select(in, op, val, out, style)
-}
-
-// SelectBetweenAuto dispatches a range select to the SWAR direct operator
-// when available.
-func SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
-	if specialized && CanSelectDirect(in) {
-		return SelectBetweenStaticBPDirect(in, lo, hi, out)
-	}
-	return SelectBetween(in, lo, hi, out, style)
 }

@@ -22,16 +22,16 @@ func TestSelectDirectMatchesGeneric(t *testing.T) {
 			vals[i] = rng.Uint64() & bitutil.Mask(bits)
 		}
 		in := mkCol(t, vals, columns.StaticBPDesc(bits))
-		if !CanSelectDirect(in) {
+		if !swarOK(in, 0) {
 			t.Fatalf("bits=%d should support direct select", bits)
 		}
 		for _, op := range allOps {
 			for _, val := range []uint64{0, 1, bitutil.Mask(bits) / 2, bitutil.Mask(bits), bitutil.Mask(bits) + 1, ^uint64(0)} {
-				got, err := SelectStaticBPDirect(in, op, val, columns.DeltaBPDesc)
+				got, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, vector.Scalar, true)
 				if err != nil {
 					t.Fatalf("bits=%d %v val=%d: %v", bits, op, val, err)
 				}
-				want, err := Select(in, op, val, columns.DeltaBPDesc, vector.Scalar)
+				want, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, vector.Scalar, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,14 +49,14 @@ func TestSelectDirectAllZeroColumn(t *testing.T) {
 	if in.Desc().Bits != 0 {
 		t.Fatalf("all-zero column should pack at width 0, got %d", in.Desc().Bits)
 	}
-	got, err := SelectStaticBPDirect(in, bitutil.CmpEq, 0, columns.UncomprDesc)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc, vector.Scalar, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 100 {
 		t.Fatalf("all positions should match, got %d", got.N())
 	}
-	none, err := SelectStaticBPDirect(in, bitutil.CmpGt, 0, columns.UncomprDesc)
+	none, err := FixedRT(1).SelectAuto(in, bitutil.CmpGt, 0, columns.UncomprDesc, vector.Scalar, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestSelectBetweenDirectMatchesGeneric(t *testing.T) {
 			{bitutil.Mask(bits), ^uint64(0)}, {bitutil.Mask(bits) + 1, ^uint64(0)},
 		}
 		for _, b := range bounds {
-			got, err := SelectBetweenStaticBPDirect(in, b[0], b[1], columns.DeltaBPDesc)
+			got, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, vector.Scalar, true)
 			if err != nil {
 				t.Fatalf("bits=%d [%d,%d]: %v", bits, b[0], b[1], err)
 			}
-			want, err := SelectBetween(in, b[0], b[1], columns.DeltaBPDesc, vector.Scalar)
+			want, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, vector.Scalar, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,37 +100,17 @@ func TestSumDirectVariants(t *testing.T) {
 		want += v
 	}
 
-	sbp := mkCol(t, vals, columns.StaticBPDesc(0))
-	if got, err := SumStaticBPDirect(sbp); err != nil || got != want {
-		t.Errorf("static BP direct sum = %d (%v), want %d", got, err, want)
-	}
-
-	dbp := mkCol(t, vals, columns.DynBPDesc)
-	if got, err := SumDynBPDirect(dbp); err != nil || got != want {
-		t.Errorf("dyn BP direct sum = %d (%v), want %d", got, err, want)
-	}
-
-	rle := mkCol(t, vals, columns.RLEDesc)
-	if got, err := SumRLEDirect(rle); err != nil || got != want {
-		t.Errorf("RLE direct sum = %d (%v), want %d", got, err, want)
-	}
-
-	// Wrong-format dispatch must fail.
-	if _, err := SumStaticBPDirect(dbp); err == nil {
-		t.Error("static BP direct sum on DynBP must fail")
-	}
-	if _, err := SumDynBPDirect(sbp); err == nil {
-		t.Error("dyn BP direct sum on static BP must fail")
-	}
-	if _, err := SumRLEDirect(sbp); err == nil {
-		t.Error("RLE direct sum on static BP must fail")
+	for _, desc := range []columns.FormatDesc{columns.StaticBPDesc(0), columns.DynBPDesc, columns.RLEDesc} {
+		if got, _, err := FixedRT(1).SumAuto(mkCol(t, vals, desc), vector.Scalar, true); err != nil || got != want {
+			t.Errorf("%v direct sum = %d (%v), want %d", desc, got, err, want)
+		}
 	}
 }
 
 func TestSelectRLEDirect(t *testing.T) {
 	vals := []uint64{5, 5, 5, 2, 2, 9, 5, 5}
 	in := mkCol(t, vals, columns.RLEDesc)
-	got, err := SelectRLEDirect(in, bitutil.CmpEq, 5, columns.UncomprDesc)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 5, columns.UncomprDesc, vector.Scalar, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +128,14 @@ func TestAutoDispatch(t *testing.T) {
 	for _, desc := range formats.AllDescs() {
 		c := mkCol(t, vals, desc)
 		for _, specialized := range []bool{false, true} {
-			got, _, err := SumAuto(c, vector.Vec512, specialized)
+			got, _, err := FixedRT(1).SumAuto(c, vector.Vec512, specialized)
 			if err != nil {
 				t.Fatalf("%v specialized=%v: %v", desc, specialized, err)
 			}
 			if got != want {
 				t.Fatalf("%v specialized=%v: sum = %d, want %d", desc, specialized, got, want)
 			}
-			sel, err := SelectAuto(c, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, specialized)
+			sel, err := FixedRT(1).SelectAuto(c, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, specialized)
 			if err != nil {
 				t.Fatalf("%v specialized=%v: %v", desc, specialized, err)
 			}
@@ -195,7 +175,7 @@ func TestSelectDirectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SelectStaticBPDirect(in, op, pred, columns.UncomprDesc)
+		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.UncomprDesc, vector.Scalar, true)
 		if err != nil {
 			return false
 		}

@@ -117,8 +117,8 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 
 // maxBitsChunks returns the effective bit width of the widest element across
 // all chunks, scanning concurrently. Large chunks are subdivided so the scan
-// parallelizes even for the single-chunk streams ParProject and
-// ParCalcBinary hand to the stitch. The scan runs under the runtime's guarded
+// parallelizes even for the single-chunk streams the map driver hands to the
+// stitch. The scan runs under the runtime's guarded
 // task loop: a cancelled or fault-injected scan reports its error instead of
 // handing the section writers a silently underestimated width.
 func (rt Runtime) maxBitsChunks(chunks [][]uint64) (uint, error) {

@@ -154,191 +154,6 @@ const (
 	CalcMul = ops.CalcMul
 )
 
-// Select returns the sorted positions of elements matching `element op val`,
-// recompressed in the requested output format.
-//
-// Deprecated: Use Engine.Select(ctx, in, op, val, WithOutput(out), WithStyle(style)).
-func Select(in *Column, op CmpKind, val uint64, out FormatDesc, style Style) (*Column, error) {
-	return ops.Select(in, op, val, out, style)
-}
-
-// SelectBetween returns the sorted positions of elements in [lo, hi].
-//
-// Deprecated: Use Engine.SelectBetween(ctx, in, lo, hi, WithOutput(out), WithStyle(style)).
-func SelectBetween(in *Column, lo, hi uint64, out FormatDesc, style Style) (*Column, error) {
-	return ops.SelectBetween(in, lo, hi, out, style)
-}
-
-// Project gathers data values at the given positions; the data column must
-// support random access (Uncompressed or StaticBP).
-//
-// Deprecated: Use Engine.Project(ctx, data, pos, WithOutput(out), WithStyle(style)).
-func Project(data, pos *Column, out FormatDesc, style Style) (*Column, error) {
-	return ops.Project(data, pos, out, style)
-}
-
-// Sum aggregates all elements of a column.
-//
-// Deprecated: Use Engine.Sum(ctx, in, WithStyle(style)).
-func Sum(in *Column, style Style) (uint64, error) {
-	s, _, err := ops.SumWhole(in, style)
-	return s, err
-}
-
-// ParSelect is the morsel-parallel form of Select: the input is split into
-// at most par contiguous block-aligned partitions processed on worker
-// goroutines. The result is byte-identical to Select at every par.
-//
-// Deprecated: Use Engine.Select with WithParallelism(par).
-func ParSelect(in *Column, op CmpKind, val uint64, out FormatDesc, style Style, par int) (*Column, error) {
-	return ops.ParSelect(in, op, val, out, style, par)
-}
-
-// ParSelectBetween is the morsel-parallel form of SelectBetween.
-//
-// Deprecated: Use Engine.SelectBetween with WithParallelism(par).
-func ParSelectBetween(in *Column, lo, hi uint64, out FormatDesc, style Style, par int) (*Column, error) {
-	return ops.ParSelectBetween(in, lo, hi, out, style, par)
-}
-
-// ParProject is the morsel-parallel form of Project.
-//
-// Deprecated: Use Engine.Project with WithParallelism(par).
-func ParProject(data, pos *Column, out FormatDesc, style Style, par int) (*Column, error) {
-	return ops.ParProject(data, pos, out, style, par)
-}
-
-// ParSemiJoin emits probe positions whose key occurs in build, probing the
-// shared build-side hash table from par workers.
-//
-// Deprecated: Use Engine.SemiJoin with WithParallelism(par).
-func ParSemiJoin(probe, build *Column, out FormatDesc, style Style, par int) (*Column, error) {
-	return ops.ParSemiJoin(probe, build, out, style, par)
-}
-
-// ParSum is the morsel-parallel form of Sum.
-//
-// Deprecated: Use Engine.Sum with WithParallelism(par).
-func ParSum(in *Column, style Style, par int) (uint64, error) {
-	s, _, err := ops.ParSum(in, style, par)
-	return s, err
-}
-
-// JoinN1 equi-joins a probe-side key column against a build-side key column
-// with unique values, returning the matching probe positions and, aligned
-// with them, the joined build positions.
-//
-// Deprecated: Use Engine.JoinN1(ctx, probe, build, WithOutputs(outProbe, outBuild), WithStyle(style)).
-func JoinN1(probe, build *Column, outProbe, outBuild FormatDesc, style Style) (probePos, buildPos *Column, err error) {
-	return ops.JoinN1(probe, build, outProbe, outBuild, style)
-}
-
-// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side hash table
-// is built once and probed from par workers; both position outputs are
-// byte-identical to JoinN1 at every par.
-//
-// Deprecated: Use Engine.JoinN1 with WithParallelism(par).
-func ParJoinN1(probe, build *Column, outProbe, outBuild FormatDesc, style Style, par int) (probePos, buildPos *Column, err error) {
-	return ops.ParJoinN1(probe, build, outProbe, outBuild, style, par)
-}
-
-// SumGrouped sums vals per group id, for group ids in [0, nGroups).
-//
-// Deprecated: Use Engine.SumGrouped(ctx, gids, vals, nGroups, WithStyle(style)).
-func SumGrouped(gids, vals *Column, nGroups int, style Style) (*Column, error) {
-	return ops.SumGrouped(gids, vals, nGroups, style)
-}
-
-// ParSumGrouped is the morsel-parallel form of SumGrouped: workers merge
-// per-partition partial group-sum arrays.
-//
-// Deprecated: Use Engine.SumGrouped with WithParallelism(par).
-func ParSumGrouped(gids, vals *Column, nGroups int, style Style, par int) (*Column, error) {
-	return ops.ParSumGrouped(gids, vals, nGroups, style, par)
-}
-
-// Intersect intersects two sorted position lists.
-//
-// Deprecated: Use Engine.Intersect(ctx, a, b, WithOutput(out)).
-func Intersect(a, b *Column, out FormatDesc) (*Column, error) {
-	return ops.IntersectSorted(a, b, out)
-}
-
-// ParIntersect is the value-range-parallel form of Intersect: both sorted
-// inputs are split at shared value boundaries and the per-range
-// intersections are concatenated in range order, byte-identical to
-// Intersect at every par.
-//
-// Deprecated: Use Engine.Intersect with WithParallelism(par).
-func ParIntersect(a, b *Column, out FormatDesc, par int) (*Column, error) {
-	return ops.ParIntersect(a, b, out, par)
-}
-
-// Union merges two sorted position lists without duplicates.
-//
-// Deprecated: Use Engine.Union(ctx, a, b, WithOutput(out)).
-func Union(a, b *Column, out FormatDesc) (*Column, error) {
-	return ops.MergeSorted(a, b, out)
-}
-
-// ParUnion is the value-range-parallel form of Union.
-//
-// Deprecated: Use Engine.Union with WithParallelism(par).
-func ParUnion(a, b *Column, out FormatDesc, par int) (*Column, error) {
-	return ops.ParMerge(a, b, out, par)
-}
-
-// GroupFirst assigns a dense group id (in order of first occurrence) to
-// every element of keys. It returns the per-row group ids and, per group,
-// the position of its first occurrence (the extents column; projecting the
-// key column with it yields the per-group key values).
-//
-// Deprecated: Use Engine.GroupFirst(ctx, keys, WithOutputs(outGids, outExtents), WithStyle(style)).
-func GroupFirst(keys *Column, outGids, outExtents FormatDesc, style Style) (gids, extents *Column, err error) {
-	return ops.GroupFirst(keys, outGids, outExtents, style)
-}
-
-// ParGroupFirst is the morsel-parallel form of GroupFirst: per-worker hash
-// group tables merged deterministically into canonical first-occurrence
-// group ids, byte-identical to GroupFirst at every par.
-//
-// Deprecated: Use Engine.GroupFirst with WithParallelism(par).
-func ParGroupFirst(keys *Column, outGids, outExtents FormatDesc, style Style, par int) (gids, extents *Column, err error) {
-	return ops.ParGroupFirst(keys, outGids, outExtents, style, par)
-}
-
-// GroupNext refines an existing grouping with an additional key column: rows
-// fall into the same output group iff they had the same previous group id
-// and the same new key (iterative multi-column grouping). Outputs follow the
-// GroupFirst conventions.
-//
-// Deprecated: Use Engine.GroupNext(ctx, prevGids, keys, WithOutputs(outGids, outExtents), WithStyle(style)).
-func GroupNext(prevGids, keys *Column, outGids, outExtents FormatDesc, style Style) (gids, extents *Column, err error) {
-	return ops.GroupNext(prevGids, keys, outGids, outExtents, style)
-}
-
-// ParGroupNext is the morsel-parallel form of GroupNext.
-//
-// Deprecated: Use Engine.GroupNext with WithParallelism(par).
-func ParGroupNext(prevGids, keys *Column, outGids, outExtents FormatDesc, style Style, par int) (gids, extents *Column, err error) {
-	return ops.ParGroupNext(prevGids, keys, outGids, outExtents, style, par)
-}
-
-// Calc combines two equal-length columns element-wise.
-//
-// Deprecated: Use Engine.Calc(ctx, op, a, b, WithOutput(out), WithStyle(style)).
-func Calc(op CalcKind, a, b *Column, out FormatDesc, style Style) (*Column, error) {
-	return ops.CalcBinary(op, a, b, out, style)
-}
-
-// ParCalc is the morsel-parallel form of Calc: both inputs are split at
-// shared block-aligned boundaries and combined in lockstep by par workers.
-//
-// Deprecated: Use Engine.Calc with WithParallelism(par).
-func ParCalc(op CalcKind, a, b *Column, out FormatDesc, style Style, par int) (*Column, error) {
-	return ops.ParCalcBinary(op, a, b, out, style, par)
-}
-
 // Profile holds the data characteristics driving format selection.
 type Profile = stats.Profile
 

@@ -1,6 +1,7 @@
 package morphstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -38,15 +39,17 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := Select(static, CmpLt, 10, DeltaBP, Vec512)
+	eng := NewEngine(nil, WithStyle(Vec512))
+	ctx := context.Background()
+	pos, err := eng.Select(ctx, static, CmpLt, 10, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcol, err := Project(static, pos, DynBP, Vec512)
+	vcol, err := eng.Project(ctx, static, pos, WithOutput(DynBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Sum(vcol, Vec512)
+	got, err := eng.Sum(ctx, vcol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +175,8 @@ func TestFacadeSSBParallel(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelOps checks the morsel-parallel facade wrappers against
-// their sequential counterparts.
+// TestFacadeParallelOps checks the engine's one-off operators at parallelism
+// 4 against the same calls at parallelism 1.
 func TestFacadeParallelOps(t *testing.T) {
 	// Large enough to clear the 2*MinMorsel split threshold, so the
 	// morsel-parallel drivers genuinely run rather than falling back.
@@ -185,98 +188,101 @@ func TestFacadeParallelOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Select(col, CmpLt, 100, DeltaBP, Vec512)
+	ctx := context.Background()
+	seq := NewEngine(nil, WithStyle(Vec512), WithParallelism(1))
+	par := NewEngine(nil, WithStyle(Vec512), WithParallelism(4))
+	want, err := seq.Select(ctx, col, CmpLt, 100, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParSelect(col, CmpLt, 100, DeltaBP, Vec512, 4)
+	got, err := par.Select(ctx, col, CmpLt, 100, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.String() != got.String() {
-		t.Fatalf("ParSelect: %v, want %v", got, want)
+		t.Fatalf("parallel select: %v, want %v", got, want)
 	}
-	if _, err := ParSelectBetween(col, 10, 20, Uncompressed, Scalar, 4); err != nil {
+	if _, err := par.SelectBetween(ctx, col, 10, 20, WithStyle(Scalar)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParSemiJoin(col, FromValues([]uint64{5, 6}), Uncompressed, Scalar, 4); err != nil {
+	if _, err := par.SemiJoin(ctx, col, FromValues([]uint64{5, 6}), WithStyle(Scalar)); err != nil {
 		t.Fatal(err)
 	}
 	data := FromValues(vals)
-	if _, err := ParProject(data, want, Uncompressed, Scalar, 4); err != nil {
+	if _, err := par.Project(ctx, data, want, WithStyle(Scalar)); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := Sum(col, Vec512)
+	ws, err := seq.Sum(ctx, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := ParSum(col, Vec512, 4)
+	gs, err := par.Sum(ctx, col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ws != gs {
-		t.Fatalf("ParSum = %d, want %d", gs, ws)
+		t.Fatalf("parallel sum = %d, want %d", gs, ws)
 	}
 
 	build := FromValues([]uint64{3, 50, 200, 600})
-	wp, wb, err := JoinN1(col, build, Uncompressed, Uncompressed, Vec512)
+	wp, wb, err := seq.JoinN1(ctx, col, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, gb, err := ParJoinN1(col, build, Uncompressed, Uncompressed, Vec512, 4)
+	gp, gb, err := par.JoinN1(ctx, col, build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wp.String() != gp.String() || wb.String() != gb.String() {
-		t.Fatal("ParJoinN1 outputs diverge from JoinN1")
+		t.Fatal("parallel join outputs diverge from the sequential join")
 	}
-	wc, err := Calc(CalcAdd, col, col, DynBP, Vec512)
+	wc, err := seq.Calc(ctx, CalcAdd, col, col, WithOutput(DynBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc, err := ParCalc(CalcAdd, col, col, DynBP, Vec512, 4)
+	gc, err := par.Calc(ctx, CalcAdd, col, col, WithOutput(DynBP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wc.String() != gc.String() {
-		t.Fatalf("ParCalc: %v, want %v", gc, wc)
+		t.Fatalf("parallel calc: %v, want %v", gc, wc)
 	}
 	gids := make([]uint64, len(vals))
 	for i := range gids {
 		gids[i] = uint64(i % 5)
 	}
-	wg, err := SumGrouped(FromValues(gids), col, 5, Vec512)
+	wg, err := seq.SumGrouped(ctx, FromValues(gids), col, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gg, err := ParSumGrouped(FromValues(gids), col, 5, Vec512, 4)
+	gg, err := par.SumGrouped(ctx, FromValues(gids), col, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wg.String() != gg.String() {
-		t.Fatalf("ParSumGrouped: %v, want %v", gg, wg)
+		t.Fatalf("parallel grouped sum: %v, want %v", gg, wg)
 	}
-	wgf, wge, err := GroupFirst(FromValues(gids), DynBP, Uncompressed, Vec512)
+	wgf, wge, err := seq.GroupFirst(ctx, FromValues(gids), WithOutputs(DynBP, Uncompressed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ggf, gge, err := ParGroupFirst(FromValues(gids), DynBP, Uncompressed, Vec512, 4)
+	ggf, gge, err := par.GroupFirst(ctx, FromValues(gids), WithOutputs(DynBP, Uncompressed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wgf.String() != ggf.String() || wge.String() != gge.String() {
-		t.Fatal("ParGroupFirst outputs diverge from GroupFirst")
+		t.Fatal("parallel GroupFirst outputs diverge from the sequential ones")
 	}
-	wgn, _, err := GroupNext(wgf, col, DynBP, Uncompressed, Vec512)
+	wgn, _, err := seq.GroupNext(ctx, wgf, col, WithOutputs(DynBP, Uncompressed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ggn, _, err := ParGroupNext(ggf, col, DynBP, Uncompressed, Vec512, 4)
+	ggn, _, err := par.GroupNext(ctx, ggf, col, WithOutputs(DynBP, Uncompressed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wgn.String() != ggn.String() {
-		t.Fatal("ParGroupNext diverges from GroupNext")
+		t.Fatal("parallel GroupNext diverges from the sequential one")
 	}
 	posA := make([]uint64, 0, len(vals))
 	posB := make([]uint64, 0, len(vals))
@@ -288,27 +294,27 @@ func TestFacadeParallelOps(t *testing.T) {
 			posB = append(posB, uint64(i))
 		}
 	}
-	wi, err := Intersect(FromValues(posA), FromValues(posB), DeltaBP)
+	wi, err := seq.Intersect(ctx, FromValues(posA), FromValues(posB), WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := ParIntersect(FromValues(posA), FromValues(posB), DeltaBP, 4)
+	gi, err := par.Intersect(ctx, FromValues(posA), FromValues(posB), WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wi.String() != gi.String() {
-		t.Fatal("ParIntersect diverges from Intersect")
+		t.Fatal("parallel Intersect diverges from the sequential one")
 	}
-	wu, err := Union(FromValues(posA), FromValues(posB), DeltaBP)
+	wu, err := seq.Union(ctx, FromValues(posA), FromValues(posB), WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gu, err := ParUnion(FromValues(posA), FromValues(posB), DeltaBP, 4)
+	gu, err := par.Union(ctx, FromValues(posA), FromValues(posB), WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wu.String() != gu.String() {
-		t.Fatal("ParUnion diverges from Union")
+		t.Fatal("parallel Union diverges from the sequential one")
 	}
 }
 
@@ -327,16 +333,17 @@ func TestFacadeFormats(t *testing.T) {
 	if c.N() != 2 {
 		t.Error("FromValues")
 	}
-	if _, err := Calc(CalcMul, c, c, Uncompressed, Scalar); err != nil {
+	eng, ctx := NewEngine(nil), context.Background()
+	if _, err := eng.Calc(ctx, CalcMul, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := Intersect(c, c, Uncompressed); err != nil {
+	if _, err := eng.Intersect(ctx, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := Union(c, c, Uncompressed); err != nil {
+	if _, err := eng.Union(ctx, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := SelectBetween(c, 1, 2, Uncompressed, Scalar); err != nil {
+	if _, err := eng.SelectBetween(ctx, c, 1, 2); err != nil {
 		t.Error(err)
 	}
 	p := Analyze([]uint64{5, 5, 5})
