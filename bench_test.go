@@ -630,16 +630,20 @@ func BenchmarkCodecs(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			codec, err := formats.Get(desc.Kind)
-			if err != nil {
-				b.Fatal(err)
-			}
 			dst := make([]uint64, len(vals))
 			b.Run(fmt.Sprintf("%v/%v/decompress", id, desc), func(b *testing.B) {
 				b.SetBytes(int64(len(vals) * 8))
 				for i := 0; i < b.N; i++ {
-					if err := codec.Decompress(dst, col); err != nil {
+					r, err := formats.NewReader(col)
+					if err != nil {
 						b.Fatal(err)
+					}
+					for k := 0; k < len(dst); {
+						c, err := r.Read(dst[k:])
+						if err != nil || c == 0 {
+							b.Fatalf("read stopped at %d of %d: %v", k, len(dst), err)
+						}
+						k += c
 					}
 				}
 			})

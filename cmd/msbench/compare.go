@@ -80,7 +80,7 @@ func classifyMetric(section, metric string) gatedKind {
 // denominator (block-granular concat) is a tens-of-microseconds timing whose
 // process-to-process noise can halve the ratio spuriously — because a real
 // regression (per-block or per-element work back in the concat path)
-// collapses the hundreds-fold ratio by well over an order of magnitude.
+// collapses the tens-fold ratio to about one.
 const ratioFloorFrac = 0.2
 
 // overheadCeilingPct is the gateCeiling failure line: the observability

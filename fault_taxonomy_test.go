@@ -13,11 +13,16 @@ import (
 // an engine execution — must surface an error matching ErrCorruptData, never
 // a panic or a silent wrong answer.
 
+// corruptLen is the element count of every corrupt column and its valid
+// companions: ~9.5 blocks, enough for the parallel engine to cut morsels, so
+// the section readers and per-morsel kernels see the damage too.
+const corruptLen = 9*512 + 300
+
 // corruptVariants builds one corrupted column per corruption class, each
-// derived from a valid compressed column of ~4.5 blocks.
+// derived from a valid compressed column of corruptLen elements.
 func corruptVariants(t *testing.T) map[string]*Column {
 	t.Helper()
-	vals := make([]uint64, 4*512+300)
+	vals := make([]uint64, corruptLen)
 	for i := range vals {
 		vals[i] = uint64(i / 3) // gently increasing: every codec accepts it
 	}
@@ -47,6 +52,10 @@ func corruptVariants(t *testing.T) map[string]*Column {
 	out["oversized staticbp width"] = rebuild(StaticBPWidth(70), stat.N(), stat.MainElems(),
 		len(stat.MainWords()), append([]uint64{}, stat.Words()...))
 
+	// Static BP packed words that end long before the elements do, at a width
+	// the word-parallel (SWAR) kernels cover.
+	out["truncated staticbp words"] = rebuild(StaticBPWidth(16), len(vals), len(vals), 10, make([]uint64, 10))
+
 	// An RLE run length that overflows the column.
 	rle, err := Compress(vals, RLE)
 	if err != nil {
@@ -64,8 +73,7 @@ func corruptVariants(t *testing.T) map[string]*Column {
 
 func TestCorruptColumnsMatchSentinel(t *testing.T) {
 	// Valid companions for the binary operators.
-	n := 4*512 + 300
-	vals := make([]uint64, n)
+	vals := make([]uint64, corruptLen)
 	for i := range vals {
 		vals[i] = uint64(i / 3)
 	}
@@ -107,7 +115,7 @@ func TestCorruptColumnsMatchSentinel(t *testing.T) {
 			_, _, err := par.GroupFirst(ctx, c)
 			return err
 		}},
-		{"sum grouped", func(c *Column) error { _, err := par.SumGrouped(ctx, c, valid, 1024); return err }},
+		{"sum grouped", func(c *Column) error { _, err := par.SumGrouped(ctx, c, valid, corruptLen); return err }},
 	}
 	for name, corrupt := range corruptVariants(t) {
 		for _, op := range ops {

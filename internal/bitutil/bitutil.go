@@ -45,10 +45,6 @@ func PackedWords(n int, width uint) int {
 	return int((uint64(n)*uint64(width) + 63) / 64)
 }
 
-// PackedBytes returns the number of bytes required to store n values at the
-// given width, rounded up to whole 64-bit words.
-func PackedBytes(n int, width uint) int { return PackedWords(n, width) * 8 }
-
 // Pack packs all values of src at the given width into dst, LSB-first.
 // dst must have at least PackedWords(len(src), width) entries and is not
 // zeroed beyond the words written. Values wider than width are truncated to
@@ -225,10 +221,3 @@ func Set(words []uint64, i int, width uint, v uint64) {
 		words[w+1] |= v >> rem
 	}
 }
-
-// ZigZag encodes a signed delta as an unsigned integer with small magnitude
-// for small absolute deltas: 0,-1,1,-2,2 ... -> 0,1,2,3,4 ...
-func ZigZag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
-
-// UnZigZag reverses ZigZag.
-func UnZigZag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

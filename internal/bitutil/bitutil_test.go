@@ -128,30 +128,6 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
-func TestZigZag(t *testing.T) {
-	cases := []struct {
-		d int64
-		u uint64
-	}{
-		{0, 0}, {-1, 1}, {1, 2}, {-2, 3}, {2, 4}, {1 << 40, 1 << 41},
-	}
-	for _, c := range cases {
-		if got := ZigZag(c.d); got != c.u {
-			t.Errorf("ZigZag(%d) = %d, want %d", c.d, got, c.u)
-		}
-		if got := UnZigZag(c.u); got != c.d {
-			t.Errorf("UnZigZag(%d) = %d, want %d", c.u, got, c.d)
-		}
-	}
-}
-
-func TestZigZagProperty(t *testing.T) {
-	f := func(d int64) bool { return UnZigZag(ZigZag(d)) == d }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: packing then unpacking preserves values at any width.
 func TestPackRoundTripProperty(t *testing.T) {
 	f := func(raw []uint64, w8 uint8) bool {

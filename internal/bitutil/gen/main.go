@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"go/format"
 	"log"
 	"os"
 )
@@ -42,7 +43,13 @@ func main() {
 		emitPack(&b, w)
 	}
 
-	if err := os.WriteFile("packed_gen.go", b.Bytes(), 0o644); err != nil {
+	// gofmt the output, so regenerating reproduces the checked-in file byte
+	// for byte (CI diffs the two).
+	src, err := format.Source(b.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile("packed_gen.go", src, 0o644); err != nil {
 		log.Fatal(err)
 	}
 }

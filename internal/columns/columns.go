@@ -126,6 +126,10 @@ func New(desc FormatDesc, n, mainElems, mainWords int, words []uint64) (*Column,
 		return nil, fmt.Errorf("columns: buffer has %d words, want %d (main %d + remainder %d)",
 			len(words), want, mainWords, rem)
 	}
+	if desc.Kind == Uncompressed && mainWords != mainElems {
+		// One word per element: readers slice the buffer by element position.
+		return nil, fmt.Errorf("columns: uncompressed main part has %d words for %d elements", mainWords, mainElems)
+	}
 	return &Column{desc: desc, n: n, mainElems: mainElems, mainWords: mainWords, words: words}, nil
 }
 

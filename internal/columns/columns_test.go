@@ -32,6 +32,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(UncomprDesc, -1, 0, 0, nil); err == nil {
 		t.Error("negative n must fail")
 	}
+	if _, err := New(UncomprDesc, 100, 100, 10, make([]uint64, 10)); err == nil {
+		t.Error("uncompressed main part with fewer words than elements must fail")
+	}
 	c, err := New(DynBPDesc, 600, 512, 10, make([]uint64, 98))
 	if err != nil {
 		t.Fatal(err)

@@ -657,9 +657,6 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	obs.memDegraded = degraded && !pr.degraded
 	obs.admitted(opt, e.gov)
 
-	if err := ctx.Err(); err != nil {
-		return nil, qerr.Classify(err)
-	}
 	if degraded {
 		par = 1
 	}
@@ -683,9 +680,15 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	if opt.keep {
 		res.Inter = make(map[string]*columns.Column)
 	}
-	if par <= 1 {
+	// A context that expired during admission runs no node, but leaves through
+	// the same tail as every other outcome so the (all-unstarted) stats tree is
+	// still published.
+	err = ctx.Err()
+	switch {
+	case err != nil:
+	case par <= 1:
 		err = pr.runSequential(ctx, es, res, opt.keep)
-	} else {
+	default:
 		err = pr.runConcurrent(ctx, es, res, opt.keep, par)
 	}
 	err = qerr.Classify(err)

@@ -20,13 +20,6 @@ import (
 	"morphstore/internal/stats"
 )
 
-// blockHeaderBytes is the per-block header size of DynBP (bits word).
-const blockHeaderBytes = 8
-
-// cascadeHeaderBytes is the per-block header size of DeltaBP/ForBP
-// (base/ref word + bits word).
-const cascadeHeaderBytes = 16
-
 // EstimateBytes returns the estimated physical size of a column with the
 // given data characteristics when stored in the given format.
 func EstimateBytes(p *stats.Profile, desc columns.FormatDesc) (int, error) {
@@ -50,24 +43,14 @@ func EstimateBytes(p *stats.Profile, desc columns.FormatDesc) (int, error) {
 		return meta + packedBytes(n, float64(b)), nil
 
 	case columns.DynBP:
-		nb := n / formats.BlockLen
-		rem := n % formats.BlockLen
-		e := stats.ExpectedBlockMaxBits(&p.BitHist, n, formats.BlockLen)
-		perBlock := blockHeaderBytes + packedBytes(formats.BlockLen, e)
-		return meta + nb*perBlock + 8*rem, nil
+		return meta + blockedBytes(n, desc.Kind, stats.ExpectedBlockMaxBits(&p.BitHist, n, formats.BlockLen)), nil
 
 	case columns.DeltaBP:
-		nb := n / formats.BlockLen
-		rem := n % formats.BlockLen
 		// The first element has no predecessor; its "delta" is the value
 		// itself, a negligible contribution the histogram model ignores.
-		e := stats.ExpectedBlockMaxBits(&p.DeltaBitHist, n-1, formats.BlockLen)
-		perBlock := cascadeHeaderBytes + packedBytes(formats.BlockLen, e)
-		return meta + nb*perBlock + 8*rem, nil
+		return meta + blockedBytes(n, desc.Kind, stats.ExpectedBlockMaxBits(&p.DeltaBitHist, n-1, formats.BlockLen)), nil
 
 	case columns.ForBP:
-		nb := n / formats.BlockLen
-		rem := n % formats.BlockLen
 		var e float64
 		if p.Sorted && n > formats.BlockLen {
 			// Sorted data: a block spans ~1/nb of the value range, so the
@@ -79,8 +62,7 @@ func EstimateBytes(p *stats.Profile, desc columns.FormatDesc) (int, error) {
 			// reference and model the block maximum of the shifted widths.
 			e = stats.ExpectedBlockMaxBits(&p.ForBitHist, n, formats.BlockLen)
 		}
-		perBlock := cascadeHeaderBytes + packedBytes(formats.BlockLen, e)
-		return meta + nb*perBlock + 8*rem, nil
+		return meta + blockedBytes(n, desc.Kind, e), nil
 
 	case columns.RLE:
 		return meta + 16*p.Runs, nil
@@ -88,6 +70,16 @@ func EstimateBytes(p *stats.Profile, desc columns.FormatDesc) (int, error) {
 	default:
 		return 0, fmt.Errorf("costmodel: no size model for %v", desc)
 	}
+}
+
+// blockedBytes is the data size of n elements in a blocked format whose
+// blocks pack their transformed values at an expected width of e bits: whole
+// blocks of header plus payload, and the trailing elements as the column's
+// uncompressed remainder. Adding a cascade means one more case above that
+// supplies its e.
+func blockedBytes(n int, kind columns.Kind, e float64) int {
+	perBlock := formats.BlockHeaderBytes(kind) + packedBytes(formats.BlockLen, e)
+	return n/formats.BlockLen*perBlock + 8*(n%formats.BlockLen)
 }
 
 // packedBytes is the expected packed payload size of n values at a
@@ -169,13 +161,20 @@ func Calibrate(n int) (*Calibration, error) {
 			return nil, err
 		}
 		cal.CompressNs[desc.Kind] = float64(time.Since(start).Nanoseconds()) / float64(n)
-		codec, err := formats.Get(desc.Kind)
+		r, err := formats.NewReader(col)
 		if err != nil {
 			return nil, err
 		}
 		start = time.Now()
-		if err := codec.Decompress(dst, col); err != nil {
-			return nil, err
+		for k := 0; k < n; {
+			c, err := r.Read(dst[k:])
+			if err != nil {
+				return nil, err
+			}
+			if c == 0 {
+				return nil, fmt.Errorf("costmodel: calibrate: %v column decodes to %d of %d elements", desc, k, n)
+			}
+			k += c
 		}
 		cal.DecompressNs[desc.Kind] = float64(time.Since(start).Nanoseconds()) / float64(n)
 	}

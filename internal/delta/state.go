@@ -131,27 +131,14 @@ type mergeCache struct {
 }
 
 // merge builds the merged main+delta view of one column. With no deletions,
-// formats whose readers accept an arbitrary-length uncompressed remainder
-// (uncompressed itself and the 512-block formats) reuse the compressed main
-// words and extend the remainder with the tail; whole-column formats
+// formats that can carry the tail as raw words behind the unchanged main part
+// (formats.AppendTail) reuse the compressed main words; whole-column formats
 // (StaticBP packs every element, RLE has no remainder) and any state with
 // deletions compact into a fresh uncompressed column.
 func (s *State) merge(name string, main *columns.Column) (*columns.Column, error) {
 	if len(s.deleted) == 0 {
-		tail := s.tail[name]
-		switch main.Desc().Kind {
-		case columns.Uncompressed:
-			buf := make([]uint64, 0, main.N()+len(tail))
-			buf = append(append(buf, main.Words()...), tail...)
-			return columns.FromValues(buf), nil
-		case columns.DynBP, columns.DeltaBP, columns.ForBP:
-			// The blocked readers treat everything past the main part as raw
-			// words (DeltaBP/ForBP remainders store absolute values), so the
-			// tail rides as an extended remainder on the unchanged main.
-			w := main.Words()
-			buf := make([]uint64, 0, len(w)+len(tail))
-			buf = append(append(buf, w...), tail...)
-			return columns.New(main.Desc(), main.N()+len(tail), main.MainElems(), len(main.MainWords()), buf)
+		if c, ok := formats.AppendTail(main, s.tail[name]); ok {
+			return c, nil
 		}
 	}
 	vals, err := s.liveValues(name, main)

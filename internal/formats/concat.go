@@ -17,49 +17,30 @@ import (
 // goroutines and then stitch the partial columns by block-granular copies
 // instead of re-encoding the whole output through one sequential writer.
 //
-// All block-structured formats concatenate by whole-block copies as long as
-// every seam falls on a block boundary of the logical stream; the remaining
-// fixups are format-specific:
+// Every format concatenates by plain copies as long as each seam falls on its
+// concat alignment in the logical stream; the remaining fixups are:
 //
 //	Uncompressed  plain word copy, any seam.
 //	StaticBP      packed bit-stream append; word-copy at 64-element seams,
 //	              shift-merge otherwise, width-repack when parts disagree.
-//	DynBP         whole blocks copied verbatim (headers untouched); a
-//	              misaligned seam re-blocks the following part.
-//	DeltaBP       whole blocks copied; the first block of each part is
-//	              rebased onto the preceding stream element when its stored
-//	              base disagrees (parts compressed independently start at
-//	              base 0); a misaligned seam re-blocks the following part.
-//	ForBP         whole blocks copied (references are per-block minima and
-//	              self-contained); a misaligned seam re-blocks.
+//	blocked       (DynBP, DeltaBP, ForBP) whole blocks copied verbatim,
+//	              headers untouched; a misaligned seam re-blocks the following
+//	              part. A chained transform (DELTA) additionally rebases the
+//	              first block of each part onto the preceding stream element
+//	              when its stored base disagrees (parts compressed
+//	              independently start at base 0); FOR references are per-block
+//	              minima and self-contained.
 //	RLE           run lists appended with an adjacent-run merge at each seam,
 //	              which restores the canonical maximal-run encoding.
 
 // ConcatAlign returns the element alignment at which a seam between two
 // concatenated parts of this format is a pure block copy (no re-encoding),
-// or 0 if the format does not support compressed concatenation. RLE
-// concatenates at any seam (runs merge, they never re-encode), so its
-// alignment is 1 like the uncompressed format's.
-func ConcatAlign(kind columns.Kind) int {
-	switch kind {
-	case columns.Uncompressed, columns.RLE:
-		return 1
-	case columns.StaticBP:
-		return 64
-	case columns.DynBP, columns.DeltaBP, columns.ForBP:
-		return BlockLen
-	default:
-		return 0
-	}
-}
+// or 0 for an unknown kind. RLE concatenates at any seam (runs merge, they
+// never re-encode), so its alignment is 1 like the uncompressed format's.
+func ConcatAlign(kind columns.Kind) int { return lookup(kind).concatAlign }
 
-// CanConcat reports whether ConcatCompressed supports the format natively
-// (without the decompress-and-recompress fallback).
+// CanConcat reports whether ConcatCompressed supports the format.
 func CanConcat(kind columns.Kind) bool { return ConcatAlign(kind) > 0 }
-
-// prevSeeder is implemented by writers whose encoding depends on the element
-// preceding the written stream (delta coding).
-type prevSeeder interface{ seedPrev(prev uint64) }
 
 // NewSectionWriter returns a Writer producing a compressed column for one
 // section of a larger logical stream: prev is the element at the position
@@ -72,10 +53,8 @@ func NewSectionWriter(desc columns.FormatDesc, sizeHint int, prev uint64, hasPre
 	if err != nil {
 		return nil, err
 	}
-	if hasPrev {
-		if s, ok := w.(prevSeeder); ok {
-			s.seedPrev(prev)
-		}
+	if bw, ok := w.(*blockedWriter); ok && hasPrev {
+		bw.prev = prev // read by chained transforms only
 	}
 	return w, nil
 }
@@ -104,43 +83,14 @@ func ConcatCompressed(desc columns.FormatDesc, parts []*columns.Column) (*column
 			return nil, fmt.Errorf("formats: concat: part is %v, want %v", p.Desc(), desc)
 		}
 	}
-	switch desc.Kind {
-	case columns.Uncompressed:
-		return concatUncompr(parts)
-	case columns.StaticBP:
-		return concatStaticBP(desc, parts)
-	case columns.DynBP:
-		return concatDynBP(parts)
-	case columns.DeltaBP:
-		return concatDeltaBP(parts)
-	case columns.ForBP:
-		return concatForBP(parts)
-	case columns.RLE:
-		return concatRLE(parts)
-	default:
-		return concatGeneric(desc, parts)
+	concat := lookup(desc.Kind).concat
+	if concat == nil {
+		return nil, fmt.Errorf("formats: no codec for kind %v", desc.Kind)
 	}
+	return concat(desc, parts)
 }
 
-// concatGeneric is the correctness fallback for formats without a native
-// concatenation: decompress everything and recompress monolithically.
-func concatGeneric(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
-	total := 0
-	for _, p := range parts {
-		total += p.N()
-	}
-	vals := make([]uint64, 0, total)
-	for _, p := range parts {
-		v, err := Decompress(p)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v...)
-	}
-	return Compress(vals, desc)
-}
-
-func concatUncompr(parts []*columns.Column) (*columns.Column, error) {
+func concatUncompr(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total := 0
 	for _, p := range parts {
 		total += p.N()
@@ -182,7 +132,7 @@ func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.
 	bits := uint(desc.Bits)
 	total := 0
 	for _, p := range parts {
-		if err := validateStaticBP(p); err != nil {
+		if _, _, err := StaticBPWords(p); err != nil {
 			return nil, err
 		}
 		total += p.N()
@@ -237,205 +187,7 @@ func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.
 		total, total, len(words), words)
 }
 
-// reblock appends vals to pending, emitting every filled BlockLen-element
-// block through emit; it returns the remaining pending tail.
-func reblock(pending, vals []uint64, emit func(blk []uint64)) []uint64 {
-	for len(vals) > 0 {
-		if len(pending) == 0 {
-			for len(vals) >= BlockLen {
-				emit(vals[:BlockLen])
-				vals = vals[BlockLen:]
-			}
-			if len(vals) == 0 {
-				break
-			}
-		}
-		c := min(BlockLen-len(pending), len(vals))
-		pending = append(pending, vals[:c]...)
-		vals = vals[c:]
-		if len(pending) == BlockLen {
-			emit(pending)
-			pending = pending[:0]
-		}
-	}
-	return pending
-}
-
-// drainReader feeds every element of r through reblock.
-func drainReader(r Reader, buf, pending []uint64, emit func(blk []uint64)) ([]uint64, error) {
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return pending, err
-		}
-		if k == 0 {
-			return pending, nil
-		}
-		pending = reblock(pending, buf[:k], emit)
-	}
-}
-
-func concatDynBP(parts []*columns.Column) (*columns.Column, error) {
-	total, capWords := 0, 0
-	for _, p := range parts {
-		total += p.N()
-		capWords += len(p.Words())
-	}
-	words := make([]uint64, 0, capWords)
-	pending := make([]uint64, 0, BlockLen)
-	var buf []uint64 // decode scratch, misaligned-seam path only
-	emit := func(blk []uint64) { words = appendDynBPBlock(words, blk) }
-	for _, p := range parts {
-		if p.N() == 0 {
-			continue
-		}
-		if len(pending) == 0 {
-			// Block-aligned seam: every whole block passes through verbatim,
-			// headers untouched.
-			words = append(words, p.MainWords()...)
-			pending = reblock(pending, p.Remainder(), emit)
-			continue
-		}
-		// Misaligned seam: the carried tail shifts every block boundary of
-		// this part, so its elements re-block through the decoder.
-		if buf == nil {
-			buf = make([]uint64, BufferLen)
-		}
-		var err error
-		pending, err = drainReader(dynBPCodec{}.NewReader(p), buf, pending, emit)
-		if err != nil {
-			return nil, err
-		}
-	}
-	mainWords := len(words)
-	words = append(words, pending...)
-	return columns.New(columns.DynBPDesc, total, total-len(pending), mainWords, words)
-}
-
-func concatForBP(parts []*columns.Column) (*columns.Column, error) {
-	total, capWords := 0, 0
-	for _, p := range parts {
-		total += p.N()
-		capWords += len(p.Words())
-	}
-	words := make([]uint64, 0, capWords)
-	pending := make([]uint64, 0, BlockLen)
-	scratch := make([]uint64, BlockLen)
-	var buf []uint64
-	emit := func(blk []uint64) { words = appendForBPBlock(words, blk, scratch) }
-	for _, p := range parts {
-		if p.N() == 0 {
-			continue
-		}
-		if len(pending) == 0 {
-			// FOR references are per-block minima, so aligned blocks carry
-			// over without any rebase.
-			words = append(words, p.MainWords()...)
-			pending = reblock(pending, p.Remainder(), emit)
-			continue
-		}
-		if buf == nil {
-			buf = make([]uint64, BufferLen)
-		}
-		var err error
-		pending, err = drainReader(forBPCodec{}.NewReader(p), buf, pending, emit)
-		if err != nil {
-			return nil, err
-		}
-	}
-	mainWords := len(words)
-	words = append(words, pending...)
-	return columns.New(columns.ForBPDesc, total, total-len(pending), mainWords, words)
-}
-
-// lastBlockWordOffset walks the block headers of a compressed main part and
-// returns the word offset of the final block. mainElems must be positive.
-func lastBlockWordOffset(pw []uint64, mainElems int, blockWords func([]uint64, int) (int, error)) (int, error) {
-	w, last := 0, 0
-	for e := 0; e < mainElems; e += BlockLen {
-		last = w
-		bw, err := blockWords(pw, w)
-		if err != nil {
-			return 0, err
-		}
-		w += bw
-	}
-	return last, nil
-}
-
-func concatDeltaBP(parts []*columns.Column) (*columns.Column, error) {
-	total, capWords := 0, 0
-	for _, p := range parts {
-		total += p.N()
-		capWords += len(p.Words())
-	}
-	words := make([]uint64, 0, capWords)
-	pending := make([]uint64, 0, BlockLen)
-	scratch := make([]uint64, BlockLen)
-	blk := make([]uint64, BlockLen)
-	var buf []uint64
-	// prev is the stream element just before the first pending element (the
-	// base of the next block to be encoded), maintained across parts.
-	prev := uint64(0)
-	emit := func(b []uint64) {
-		words = appendDeltaBPBlock(words, b, prev, scratch)
-		prev = b[BlockLen-1]
-	}
-	for _, p := range parts {
-		if p.N() == 0 {
-			continue
-		}
-		if len(pending) == 0 && p.MainElems() > 0 {
-			pw := p.MainWords()
-			if len(pw) == 0 {
-				return nil, fmt.Errorf("%w: delta BP main part of %d elements without words", ErrCorrupt, p.MainElems())
-			}
-			w := 0
-			if pw[0] != prev {
-				// The part was compressed against a different preceding
-				// element (independent parts start at base 0): rebase its
-				// first block; deeper blocks reference intra-part elements
-				// and pass through untouched.
-				var err error
-				w, err = decodeDeltaBPBlock(pw, 0, blk, scratch)
-				if err != nil {
-					return nil, err
-				}
-				words = appendDeltaBPBlock(words, blk[:BlockLen], prev, scratch)
-			}
-			words = append(words, pw[w:]...)
-			// The next block's base is the part's last main element.
-			lw, err := lastBlockWordOffset(pw, p.MainElems(), deltaForBPBlockWords)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := decodeDeltaBPBlock(pw, lw, blk, scratch); err != nil {
-				return nil, err
-			}
-			prev = blk[BlockLen-1]
-			pending = reblock(pending, p.Remainder(), emit)
-			continue
-		}
-		if len(pending) == 0 {
-			// Remainder-only part at an aligned seam.
-			pending = reblock(pending, p.Remainder(), emit)
-			continue
-		}
-		if buf == nil {
-			buf = make([]uint64, BufferLen)
-		}
-		var err error
-		pending, err = drainReader(deltaBPCodec{}.NewReader(p), buf, pending, emit)
-		if err != nil {
-			return nil, err
-		}
-	}
-	mainWords := len(words)
-	words = append(words, pending...)
-	return columns.New(columns.DeltaBPDesc, total, total-len(pending), mainWords, words)
-}
-
-func concatRLE(parts []*columns.Column) (*columns.Column, error) {
+func concatRLE(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total, capWords := 0, 0
 	for _, p := range parts {
 		total += p.N()
@@ -444,23 +196,11 @@ func concatRLE(parts []*columns.Column) (*columns.Column, error) {
 	words := make([]uint64, 0, capWords)
 	for _, p := range parts {
 		pw := p.MainWords()
-		if len(pw)%2 != 0 {
-			return nil, fmt.Errorf("%w: RLE buffer has odd word count", ErrCorrupt)
-		}
 		// The concatenation reuses the parts' run words verbatim, so their
 		// lengths must be validated here: a corrupt run total would become an
 		// undetectable lie about the combined column's element count.
-		var sum uint64
-		for i := 1; i < len(pw); i += 2 {
-			l := pw[i]
-			if l == 0 || l > uint64(p.N())-sum {
-				return nil, fmt.Errorf("%w: RLE run of length %d at element %d of part of %d elements",
-					ErrCorrupt, l, sum, p.N())
-			}
-			sum += l
-		}
-		if sum != uint64(p.N()) {
-			return nil, fmt.Errorf("%w: RLE runs cover %d of %d elements", ErrCorrupt, sum, p.N())
+		if err := rleCheck(pw, p.N()); err != nil {
+			return nil, err
 		}
 		// Seam fixup: a run continuing across the part boundary merges into
 		// the preceding run, restoring maximal (canonical) runs. One merge

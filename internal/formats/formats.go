@@ -1,20 +1,32 @@
 // Package formats implements MorphStore-Go's corpus of lightweight integer
-// compression formats on unsigned 64-bit data elements (paper §4.1):
+// compression formats on unsigned 64-bit data elements (paper §4.1).
+//
+// The paper's formats are cascades — a logical-level transform whose output a
+// physical-level null-suppression packer stores — and the package is built
+// the same way:
 //
 //   - Uncompressed: one word per element,
-//   - StaticBP: bit packing with one fixed bit width for the whole column,
-//   - DynBP: block-wise binary packing with a per-block width over
-//     512-element blocks (the 64-bit port of SIMD-BP128/512),
-//   - DeltaBP: DELTA cascaded with DynBP ("DELTA + SIMD-BP512"),
-//   - ForBP: frame-of-reference cascaded with DynBP ("FOR + SIMD-BP512"),
+//   - StaticBP: the packer alone at one fixed bit width for the whole column,
+//   - DynBP, DeltaBP, ForBP: the blocked codec of blocked.go — the packer at a
+//     per-block width over 512-element blocks (the 64-bit port of
+//     SIMD-BP128/512), behind the identity, DELTA or FOR transform. The three
+//     differ only in their transform value; a new cascade is one more value
+//     and one more registry row,
 //   - RLE: run-length encoding (extension beyond the paper's five formats).
 //
-// Besides whole-column compression and decompression, every format provides
-// the two halves of the paper's buffer layer (Fig. 4): a sequential Reader
-// that decompresses into a caller-supplied cache-resident block, and a Writer
-// that accepts uncompressed elements and compresses them block-wise. These
-// are what the on-the-fly de/re-compression operators in internal/ops wrap
+// Streaming is the only way in and out of a format: the two halves of the
+// paper's buffer layer (Fig. 4) are a sequential Reader that decompresses
+// into a caller-supplied cache-resident block, and a Writer that accepts
+// uncompressed elements and compresses them block-wise. Compress and
+// Decompress are those two run over a whole slice. Readers and writers are
+// what the on-the-fly de/re-compression operators in internal/ops wrap
 // around their format-oblivious kernels.
+//
+// The physical layouts are private to this package. Code elsewhere that works
+// on compressed data directly goes through the layout accessors: WalkBlocks
+// (block headers and payloads of a blocked column), StaticBPWords (validated
+// packed words), RLERuns, BlockHeaderBytes (size model) and AppendTail
+// (extending a column's uncompressed remainder).
 package formats
 
 import (
@@ -42,24 +54,6 @@ var ErrSmallBuffer = errors.New("formats: read buffer smaller than one block")
 // anywhere in the codec layer — all of them wrap ErrCorrupt with %w —
 // matches both sentinels under errors.Is.
 var ErrCorrupt = fmt.Errorf("formats: %w", qerr.ErrCorruptData)
-
-// validateBlocked checks the main-part extent of a block-based column
-// (DynBP, DeltaBP, ForBP): the compressed main part always covers a whole
-// number of blocks, so a misaligned extent means the metadata is corrupt and
-// block decoding would write past the destination.
-func validateBlocked(col *columns.Column, format string) error {
-	if col.MainElems()%BlockLen != 0 {
-		return fmt.Errorf("%w: %s main part of %d elements is not block-aligned (column of %d elements)",
-			ErrCorrupt, format, col.MainElems(), col.N())
-	}
-	return nil
-}
-
-// blockContext annotates a block-decode error with the element offset of the
-// failing block and the column length, so corruption reports are actionable.
-func blockContext(err error, elem, n int) error {
-	return fmt.Errorf("%w (block at element %d of column of %d)", err, elem, n)
-}
 
 // Reader sequentially decompresses a column into caller-supplied buffers,
 // materializing uncompressed data only at cache-resident-block granularity.
@@ -90,58 +84,113 @@ type Writer interface {
 	Close() (*columns.Column, error)
 }
 
-// Codec bundles the operations of one compressed format.
+// Codec is the streaming pair of one compressed format.
 type Codec interface {
 	// Kind returns the format kind the codec implements.
 	Kind() columns.Kind
-	// BlockLenHint returns the block granularity in elements (1 if the
-	// format can represent any number of elements).
-	BlockLenHint() int
-	// Compress materializes all of src as a new column. For formats with a
-	// derivable parameter (StaticBP width) the descriptor may leave it 0.
-	Compress(src []uint64, desc columns.FormatDesc) (*columns.Column, error)
-	// Decompress expands the whole column into dst, which must have
-	// col.N() elements.
-	Decompress(dst []uint64, col *columns.Column) error
 	// NewReader returns a sequential reader over col.
 	NewReader(col *columns.Column) Reader
-	// NewWriter returns a writer producing a column in this format.
-	// sizeHint is the expected number of elements (0 if unknown).
+	// NewWriter returns a writer producing a column in this format. For
+	// formats with a derivable parameter (StaticBP width) the descriptor may
+	// leave it 0. sizeHint is the expected number of elements (0 if unknown).
 	NewWriter(desc columns.FormatDesc, sizeHint int) Writer
 }
 
-var registry [columns.NumKinds]Codec
+// format is the registry row of one format kind: its codec plus every
+// per-format property the rest of the package dispatches on.
+type format struct {
+	Codec
+	// partitionAlign is the element alignment of independently decodable
+	// sections (0: the format cannot be sliced); section opens a reader over
+	// one such section.
+	partitionAlign int
+	section        func(col *columns.Column, start, count int) Reader
+	// concatAlign is the element alignment at which a seam between two
+	// concatenated parts is a pure copy; concat stitches parts at any seam.
+	concatAlign int
+	concat      func(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
+	// access opens random read access (nil: the format has none, §4.2).
+	access func(col *columns.Column) (RandomAccessor, error)
+	// blocked is the transform of a blocked-codec format, nil otherwise.
+	blocked *transform
+}
 
-func register(c Codec) { registry[c.Kind()] = c }
+var registry [columns.NumKinds]format
+
+// The table is filled at init time because its function values reach back
+// into the registry (concatenation reads parts through NewReader).
+func init() {
+	registry = [columns.NumKinds]format{
+		columns.Uncompressed: {Codec: uncomprCodec{}, partitionAlign: 1, section: uncomprSection,
+			concatAlign: 1, concat: concatUncompr, access: uncomprAccess},
+		columns.StaticBP: {Codec: staticBPCodec{}, partitionAlign: 64, section: staticBPSection,
+			concatAlign: 64, concat: concatStaticBP, access: staticBPAccess},
+		columns.DynBP:   blockedFormat(dynBP),
+		columns.DeltaBP: blockedFormat(deltaBP),
+		columns.ForBP:   blockedFormat(forBP),
+		// A run boundary is only discoverable by scanning every preceding run,
+		// so RLE cannot be sliced; runs merge at any seam without re-encoding.
+		columns.RLE: {Codec: rleCodec{}, concatAlign: 1, concat: concatRLE},
+	}
+}
+
+// lookup returns the registry row of a kind; an unknown kind gets the zero
+// row: no codec, no alignment, no capability.
+func lookup(kind columns.Kind) *format {
+	if int(kind) >= len(registry) {
+		return &format{}
+	}
+	return &registry[kind]
+}
 
 // Get returns the codec for the given kind.
 func Get(kind columns.Kind) (Codec, error) {
-	if int(kind) >= len(registry) || registry[kind] == nil {
-		return nil, fmt.Errorf("formats: no codec for kind %v", kind)
+	if c := lookup(kind).Codec; c != nil {
+		return c, nil
 	}
-	return registry[kind], nil
+	return nil, fmt.Errorf("formats: no codec for kind %v", kind)
 }
 
-// Compress materializes src as a new column in the requested format.
+// Compress materializes src as a new column in the requested format: the
+// format's writer fed all of src at once.
 func Compress(src []uint64, desc columns.FormatDesc) (*columns.Column, error) {
-	c, err := Get(desc.Kind)
+	if desc.Kind == columns.StaticBP && desc.Bits == 0 {
+		// The whole input is at hand: skip the auto-width writer's buffered
+		// copy of src and go where its Close goes.
+		return packStaticBP(src)
+	}
+	w, err := NewWriter(desc, len(src))
 	if err != nil {
 		return nil, err
 	}
-	return c.Compress(src, desc)
+	if err := w.Write(src); err != nil {
+		return nil, err
+	}
+	return w.Close()
 }
 
-// Decompress expands col into a freshly allocated slice.
+// Decompress expands col into a freshly allocated slice: the format's reader
+// filling the destination in one pass.
 func Decompress(col *columns.Column) ([]uint64, error) {
-	c, err := Get(col.Desc().Kind)
+	r, err := NewReader(col)
 	if err != nil {
 		return nil, err
 	}
 	dst := make([]uint64, col.N())
-	if err := c.Decompress(dst, col); err != nil {
-		return nil, err
+	// Even an empty column is read once, so a reader's latched validation
+	// error surfaces.
+	for n := 0; ; {
+		k, err := r.Read(dst[n:])
+		if err != nil {
+			return nil, err
+		}
+		if n += k; n == len(dst) {
+			return dst, nil
+		}
+		if k == 0 {
+			return nil, fmt.Errorf("%w: %v column decodes to %d of %d elements", ErrCorrupt, col.Desc(), n, len(dst))
+		}
 	}
-	return dst, nil
 }
 
 // NewReader returns a sequential reader over col in its own format.
@@ -160,6 +209,26 @@ func NewWriter(desc columns.FormatDesc, sizeHint int) (Writer, error) {
 		return nil, err
 	}
 	return c.NewWriter(desc, sizeHint), nil
+}
+
+// AppendTail returns col extended by tail without touching its compressed
+// main part: the tail elements ride as raw words behind it, which the
+// uncompressed format and the blocked formats (whose remainder stores
+// absolute values at any length) can represent. For every other format it
+// reports false.
+func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, bool) {
+	f := lookup(col.Desc().Kind)
+	if f.blocked == nil && col.Desc().Kind != columns.Uncompressed {
+		return nil, false
+	}
+	w := col.Words()
+	buf := make([]uint64, 0, len(w)+len(tail))
+	buf = append(append(buf, w...), tail...)
+	if f.blocked == nil {
+		return columns.FromValues(buf), true
+	}
+	out, err := columns.New(col.Desc(), col.N()+len(tail), col.MainElems(), len(col.MainWords()), buf)
+	return out, err == nil
 }
 
 // PaperDescs returns the five formats implemented by the paper's MorphStore

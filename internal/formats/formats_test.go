@@ -378,6 +378,17 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Errorf("%v reader: want ErrCorrupt, got %v", desc, err)
 		}
 	}
+	// Static BP whose packed words end long before its elements do.
+	trunc := truncatedStaticBP(t)
+	if _, err := Decompress(trunc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated static BP: want ErrCorrupt, got %v", err)
+	}
+	if _, _, err := StaticBPWords(trunc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated static BP words: want ErrCorrupt, got %v", err)
+	}
+	if _, err := RandomAccess(trunc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated static BP random access: want ErrCorrupt, got %v", err)
+	}
 	// RLE with a zero-length run.
 	col, err := Compress(vals[:4], columns.RLEDesc)
 	if err != nil {
@@ -387,6 +398,17 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := Decompress(col); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("rle: want ErrCorrupt, got %v", err)
 	}
+}
+
+// truncatedStaticBP is a static BP column claiming 100000 16-bit elements on
+// ten packed words.
+func truncatedStaticBP(t *testing.T) *columns.Column {
+	t.Helper()
+	col, err := columns.New(columns.StaticBPDesc(16), 100000, 100000, 10, make([]uint64, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
 }
 
 func headerBitsOffset(desc columns.FormatDesc) int {

@@ -17,10 +17,6 @@ import (
 // preceding run, so RLE columns report themselves non-partitionable and the
 // parallel operator drivers fall back to sequential execution.
 
-// ErrNoPartition reports a partitioned-read request on a format that cannot
-// be sliced into independently decodable sections.
-var ErrNoPartition = fmt.Errorf("formats: format cannot be partitioned")
-
 // Partition is one contiguous element range of a column: the half-open
 // logical range [Start, Start+Count).
 type Partition struct {
@@ -32,22 +28,7 @@ type Partition struct {
 // must respect for the format, or 0 if the format cannot be partitioned.
 // Block-based formats align to their 512-element block; static BP aligns to
 // the 64-value packing group so section readers keep word-aligned cursors.
-func PartitionAlign(kind columns.Kind) int {
-	switch kind {
-	case columns.Uncompressed:
-		return 1
-	case columns.StaticBP:
-		return 64
-	case columns.DynBP, columns.DeltaBP, columns.ForBP:
-		return BlockLen
-	default:
-		return 0
-	}
-}
-
-// CanPartition reports whether columns of this format can be split into
-// independently decodable contiguous sections.
-func CanPartition(kind columns.Kind) bool { return PartitionAlign(kind) > 0 }
+func PartitionAlign(kind columns.Kind) int { return lookup(kind).partitionAlign }
 
 // MinMorsel is the smallest partition worth a worker goroutine: one
 // cache-resident buffer of elements. Columns shorter than two morsels are
@@ -62,7 +43,7 @@ const MinMorsel = BufferLen
 // to yield more than one aligned morsel — callers treat nil as "process
 // sequentially".
 func SplitColumn(col *columns.Column, p int) []Partition {
-	return splitAligned(col.N(), p, PartitionAlign(col.Desc().Kind))
+	return SplitRange(col.N(), p, PartitionAlign(col.Desc().Kind))
 }
 
 // SplitColumnsAligned splits two equally long columns at one set of shared
@@ -81,11 +62,7 @@ func SplitColumnsAligned(a, b *columns.Column, p int) []Partition {
 	if alignA == 0 || alignB == 0 {
 		return nil
 	}
-	align := alignA
-	if alignB > align {
-		align = alignB
-	}
-	return splitAligned(a.N(), p, align)
+	return SplitRange(a.N(), p, max(alignA, alignB))
 }
 
 // morselsPerWorker is the work-queue over-decomposition factor: the morsel
@@ -124,12 +101,7 @@ func SplitColumnsAlignedMorsels(a, b *columns.Column, p int) []Partition {
 // split or p <= 1. It is the partitioning primitive behind SplitColumn,
 // exported for callers partitioning a logical stream that is not (yet) a
 // column — notably the parallel compressed stitch over operator output.
-func SplitRange(n, p, align int) []Partition { return splitAligned(n, p, align) }
-
-// splitAligned cuts the element range [0, n) into at most p contiguous
-// partitions on boundaries that are multiples of align, each at least
-// MinMorsel elements except the tail.
-func splitAligned(n, p, align int) []Partition {
+func SplitRange(n, p, align int) []Partition {
 	if align == 0 || p <= 1 || n < 2*MinMorsel {
 		return nil
 	}
@@ -157,117 +129,18 @@ func splitAligned(n, p, align int) []Partition {
 // NewSectionReader returns a sequential Reader over the logical element
 // range [start, start+count) of col. start must be a multiple of
 // PartitionAlign for the column's format, and for the block-based formats
-// start+count must either be block-aligned too or reach the end of the
-// column — exactly the boundaries SplitColumn produces.
+// start+count must either be block-aligned too or reach past the compressed
+// main part — exactly the boundaries SplitColumn produces.
 func NewSectionReader(col *columns.Column, start, count int) (Reader, error) {
-	kind := col.Desc().Kind
-	align := PartitionAlign(kind)
-	if align == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrNoPartition, col.Desc())
+	f := lookup(col.Desc().Kind)
+	if f.partitionAlign == 0 {
+		return nil, fmt.Errorf("formats: %v columns cannot be partitioned", col.Desc())
 	}
 	if start < 0 || count < 0 || start+count > col.N() {
 		return nil, fmt.Errorf("formats: section [%d,%d) out of range [0,%d)", start, start+count, col.N())
 	}
-	if start%align != 0 {
-		return nil, fmt.Errorf("formats: section start %d not aligned to %d", start, align)
+	if start%f.partitionAlign != 0 {
+		return nil, fmt.Errorf("formats: section start %d not aligned to %d", start, f.partitionAlign)
 	}
-	switch kind {
-	case columns.Uncompressed:
-		return &uncomprReader{vals: col.Words()[start : start+count]}, nil
-	case columns.StaticBP:
-		return &staticBPReader{
-			words: col.MainWords(),
-			n:     start + count,
-			bits:  uint(col.Desc().Bits),
-			pos:   start,
-		}, nil
-	case columns.DynBP:
-		w, err := skipBlocks(col, start, dynBPBlockWords)
-		if err != nil {
-			return nil, err
-		}
-		return &limitReader{r: &dynBPReader{col: col, w: w, elem: start}, remaining: count}, nil
-	case columns.DeltaBP:
-		w, err := skipBlocks(col, start, deltaForBPBlockWords)
-		if err != nil {
-			return nil, err
-		}
-		return &limitReader{r: &deltaBPReader{col: col, scratch: make([]uint64, BlockLen), w: w, elem: start}, remaining: count}, nil
-	case columns.ForBP:
-		w, err := skipBlocks(col, start, deltaForBPBlockWords)
-		if err != nil {
-			return nil, err
-		}
-		return &limitReader{r: &forBPReader{col: col, w: w, elem: start}, remaining: count}, nil
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrNoPartition, col.Desc())
-	}
-}
-
-// dynBPBlockWords returns the total word count of the DynBP block starting
-// at words[w]: a one-word width header plus the packed payload.
-func dynBPBlockWords(words []uint64, w int) (int, error) {
-	if w >= len(words) {
-		return 0, fmt.Errorf("%w: block header beyond buffer", ErrCorrupt)
-	}
-	bits := uint(words[w])
-	if bits > 64 {
-		return 0, fmt.Errorf("%w: block width %d", ErrCorrupt, bits)
-	}
-	return 1 + payloadWords(bits), nil
-}
-
-// deltaForBPBlockWords returns the total word count of a DeltaBP/ForBP block
-// starting at words[w]: a two-word header (base/ref + width) plus payload.
-func deltaForBPBlockWords(words []uint64, w int) (int, error) {
-	if w+2 > len(words) {
-		return 0, fmt.Errorf("%w: block header beyond buffer", ErrCorrupt)
-	}
-	bits := uint(words[w+1])
-	if bits > 64 {
-		return 0, fmt.Errorf("%w: block width %d", ErrCorrupt, bits)
-	}
-	return 2 + payloadWords(bits), nil
-}
-
-// skipBlocks walks the block headers of the compressed main part up to the
-// block containing element start and returns its word offset. Only headers
-// are touched — no payload is decompressed — so positioning a section reader
-// costs O(start/BlockLen) word reads.
-func skipBlocks(col *columns.Column, start int, blockWords func([]uint64, int) (int, error)) (int, error) {
-	words := col.MainWords()
-	w := 0
-	limit := start
-	if limit > col.MainElems() {
-		limit = col.MainElems()
-	}
-	for e := 0; e < limit; e += BlockLen {
-		bw, err := blockWords(words, w)
-		if err != nil {
-			return 0, err
-		}
-		w += bw
-	}
-	return w, nil
-}
-
-// limitReader caps an underlying reader at a fixed number of elements. For
-// the block-based formats the cap stays a multiple of BlockLen while the
-// compressed main part is being consumed (section boundaries are
-// block-aligned), so clamping the destination never starves a block decode.
-type limitReader struct {
-	r         Reader
-	remaining int
-}
-
-func (l *limitReader) Read(dst []uint64) (int, error) {
-	if l.remaining <= 0 {
-		return 0, nil
-	}
-	if len(dst) > l.remaining {
-		dst = dst[:l.remaining]
-	}
-	k, err := l.r.Read(dst)
-	l.remaining -= k
-	return k, err
+	return f.section(col, start, count), nil
 }

@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestSplitColumnsAligned(t *testing.T) {
 			}
 			for _, p := range []int{2, 3, 8, n/BlockLen + 2} {
 				parts := SplitColumnsAligned(a, b, p)
-				if !CanPartition(descA.Kind) || !CanPartition(descB.Kind) {
+				if PartitionAlign(descA.Kind) == 0 || PartitionAlign(descB.Kind) == 0 {
 					if parts != nil {
 						t.Fatalf("%v+%v: non-partitionable pair split into %v", descA, descB, parts)
 					}
@@ -143,7 +144,7 @@ func TestSectionReaderMatchesFullDecode(t *testing.T) {
 	n := 15*BlockLen + 301
 	vals := sectionTestValues(n)
 	for _, desc := range AllDescs() {
-		if !CanPartition(desc.Kind) {
+		if PartitionAlign(desc.Kind) == 0 {
 			continue
 		}
 		col, err := Compress(vals, desc)
@@ -201,5 +202,22 @@ func TestSectionReaderRejectsMisuse(t *testing.T) {
 	}
 	if _, err := NewSectionReader(rle, 0, len(vals)); err == nil {
 		t.Fatal("RLE section read must be rejected")
+	}
+	// A section ending inside a block of the compressed main part.
+	r, err := NewSectionReader(dyn, 0, BlockLen+100)
+	if err == nil {
+		_, err = r.Read(make([]uint64, BufferLen))
+	}
+	if err == nil {
+		t.Fatal("section end inside a block must be rejected")
+	}
+	// A truncated static BP column: typed corruption from the constructor or
+	// the first Read, never an out-of-range slice access.
+	r, err = NewSectionReader(truncatedStaticBP(t), 4096, 4096)
+	if err == nil {
+		_, err = r.Read(make([]uint64, BufferLen))
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated static BP section: want ErrCorrupt, got %v", err)
 	}
 }

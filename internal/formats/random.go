@@ -26,27 +26,26 @@ var ErrNoRandomAccess = fmt.Errorf("formats: format supports no random access")
 // RandomAccess returns a random accessor for col, or ErrNoRandomAccess for
 // formats other than Uncompressed and StaticBP.
 func RandomAccess(col *columns.Column) (RandomAccessor, error) {
-	switch col.Desc().Kind {
-	case columns.Uncompressed:
-		return uncomprAccessor(col.Words()), nil
-	case columns.StaticBP:
-		if err := validateStaticBP(col); err != nil {
-			return nil, err
-		}
-		return &staticBPAccessor{
-			words: col.MainWords(),
-			bits:  uint(col.Desc().Bits),
-			n:     col.N(),
-			gid:   -1,
-		}, nil
-	default:
+	access := lookup(col.Desc().Kind).access
+	if access == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoRandomAccess, col.Desc())
 	}
+	return access(col)
 }
 
 // HasRandomAccess reports whether the format kind supports random access.
-func HasRandomAccess(kind columns.Kind) bool {
-	return kind == columns.Uncompressed || kind == columns.StaticBP
+func HasRandomAccess(kind columns.Kind) bool { return lookup(kind).access != nil }
+
+func uncomprAccess(col *columns.Column) (RandomAccessor, error) {
+	return uncomprAccessor(col.Words()), nil
+}
+
+func staticBPAccess(col *columns.Column) (RandomAccessor, error) {
+	words, bits, err := StaticBPWords(col)
+	if err != nil {
+		return nil, err
+	}
+	return &staticBPAccessor{words: words, bits: bits, n: col.N(), gid: -1}, nil
 }
 
 type uncomprAccessor []uint64

@@ -17,52 +17,7 @@ import (
 // are never zero.
 type rleCodec struct{}
 
-func init() { register(rleCodec{}) }
-
 func (rleCodec) Kind() columns.Kind { return columns.RLE }
-func (rleCodec) BlockLenHint() int  { return 1 }
-
-func (rleCodec) Compress(src []uint64, _ columns.FormatDesc) (*columns.Column, error) {
-	words := make([]uint64, 0, 64)
-	i := 0
-	for i < len(src) {
-		v := src[i]
-		j := i + 1
-		for j < len(src) && src[j] == v {
-			j++
-		}
-		words = append(words, v, uint64(j-i))
-		i = j
-	}
-	return columns.New(columns.RLEDesc, len(src), len(src), len(words), words)
-}
-
-func (rleCodec) Decompress(dst []uint64, col *columns.Column) error {
-	if len(dst) != col.N() {
-		return fmt.Errorf("formats: decompress destination has %d elements, want %d", len(dst), col.N())
-	}
-	words := col.MainWords()
-	if len(words)%2 != 0 {
-		return fmt.Errorf("%w: RLE buffer has odd word count", ErrCorrupt)
-	}
-	k := 0
-	for w := 0; w < len(words); w += 2 {
-		// Compare against the remaining space rather than k+l, which a run
-		// length near the int range would overflow past the bounds check.
-		v, l := words[w], int(words[w+1])
-		if l <= 0 || l > len(dst)-k {
-			return fmt.Errorf("%w: RLE run length %d at element %d of %d", ErrCorrupt, l, k, len(dst))
-		}
-		for i := 0; i < l; i++ {
-			dst[k+i] = v
-		}
-		k += l
-	}
-	if k != len(dst) {
-		return fmt.Errorf("%w: RLE runs cover %d of %d elements", ErrCorrupt, k, len(dst))
-	}
-	return nil
-}
 
 func (rleCodec) NewReader(col *columns.Column) Reader {
 	return &rleReader{words: col.MainWords(), n: col.N()}
@@ -85,65 +40,80 @@ func RLERuns(col *columns.Column) ([]Run, error) {
 		return nil, fmt.Errorf("formats: RLERuns on %v column", col.Desc())
 	}
 	words := col.MainWords()
-	if len(words)%2 != 0 {
-		return nil, fmt.Errorf("%w: RLE buffer has odd word count", ErrCorrupt)
+	if err := rleCheck(words, col.N()); err != nil {
+		return nil, err
 	}
 	runs := make([]Run, len(words)/2)
-	var total uint64
 	for i := range runs {
 		runs[i] = Run{Value: words[2*i], Length: words[2*i+1]}
-		l := runs[i].Length
-		if l == 0 || l > uint64(col.N())-total {
-			// Zero-length and overflowing runs alike make the runs
-			// inconsistent with the column's element count.
-			return nil, fmt.Errorf("%w: RLE run of length %d at element %d of column of %d",
-				ErrCorrupt, l, total, col.N())
-		}
-		total += l
-	}
-	if total != uint64(col.N()) {
-		return nil, fmt.Errorf("%w: RLE runs cover %d of %d elements", ErrCorrupt, total, col.N())
 	}
 	return runs, nil
 }
 
+// rleCheck validates the run words of an RLE column of n elements: whole
+// (value, length) pairs whose lengths are positive and sum to exactly n.
+// Zero-length and overflowing runs alike would make the runs inconsistent
+// with the column's element count.
+func rleCheck(words []uint64, n int) error {
+	if len(words)%2 != 0 {
+		return fmt.Errorf("%w: RLE buffer has odd word count", ErrCorrupt)
+	}
+	var total uint64
+	for i := 1; i < len(words); i += 2 {
+		l := words[i]
+		if l == 0 || l > uint64(n)-total {
+			return fmt.Errorf("%w: RLE run of length %d at element %d of column of %d", ErrCorrupt, l, total, n)
+		}
+		total += l
+	}
+	if total != uint64(n) {
+		return fmt.Errorf("%w: RLE runs cover %d of %d elements", ErrCorrupt, total, n)
+	}
+	return nil
+}
+
+// rleReader expands runs into the destination, validating each run as it
+// reaches it (a pass of its own over the run words would double the cost of
+// run-poor columns) and the run words as a whole once the column is complete.
 type rleReader struct {
 	words  []uint64
 	n      int
 	w      int // current run pair offset
-	within int // elements of current run already emitted
+	within int // elements of the current run already emitted
 	emit   int // total elements emitted
 }
 
 func (r *rleReader) Read(dst []uint64) (int, error) {
+	// The cursor lives in locals for the duration of the loop: run-poor
+	// columns spend their time here, one iteration per run.
+	words, w, within, left := r.words, r.w, r.within, r.n-r.emit
 	k := 0
-	for k < len(dst) && r.emit < r.n {
-		if r.w+2 > len(r.words) {
-			return k, fmt.Errorf("%w: RLE runs exhausted at element %d of %d", ErrCorrupt, r.emit, r.n)
+	for k < len(dst) && left > 0 {
+		if w+2 > len(words) {
+			return k, fmt.Errorf("%w: RLE runs exhausted at element %d of %d", ErrCorrupt, r.n-left, r.n)
 		}
-		v, l := r.words[r.w], int(r.words[r.w+1])
-		if l <= 0 || l-r.within > r.n-r.emit {
-			// Zero-length runs, lengths past the int range (stored as a raw
-			// word) and runs overflowing the column's element count are all
-			// corrupt; clamping the overflow instead would silently decode a
-			// different column than Decompress rejects.
+		v, l := words[w], words[w+1]
+		if l == 0 || l-uint64(within) > uint64(left) {
+			// Zero-length runs and runs overflowing the column's element
+			// count (any length past the int range among them) are corrupt;
+			// clamping the overflow instead would silently decode a different
+			// column than the run validation rejects.
 			return k, fmt.Errorf("%w: RLE run of length %d at element %d of column of %d",
-				ErrCorrupt, r.words[r.w+1], r.emit, r.n)
+				ErrCorrupt, l, r.n-left, r.n)
 		}
-		take := l - r.within
-		if rem := len(dst) - k; take > rem {
-			take = rem
+		take := min(int(l)-within, len(dst)-k)
+		for _, end := k, k+take; k < end; k++ {
+			dst[k] = v
 		}
-		for i := 0; i < take; i++ {
-			dst[k+i] = v
+		left -= take
+		if within += take; within == int(l) {
+			w, within = w+2, 0
 		}
-		k += take
-		r.within += take
-		r.emit += take
-		if r.within >= l {
-			r.w += 2
-			r.within = 0
-		}
+	}
+	r.w, r.within, r.emit = w, within, r.n-left
+	if left == 0 && w != len(words) {
+		return k, fmt.Errorf("%w: RLE column of %d elements has %d words beyond its last run",
+			ErrCorrupt, r.n, len(words)-w)
 	}
 	return k, nil
 }
@@ -158,15 +128,18 @@ type rleWriter struct {
 
 func (w *rleWriter) Write(vals []uint64) error {
 	w.n += len(vals)
-	for _, v := range vals {
-		if w.curLen > 0 && v == w.cur {
-			w.curLen++
-			continue
+	for i := 0; i < len(vals); {
+		// Scan one run of the input, then extend the open run or start anew.
+		v, j := vals[i], i+1
+		for j < len(vals) && vals[j] == v {
+			j++
 		}
-		if w.curLen > 0 {
+		if w.curLen > 0 && v != w.cur {
 			w.words = append(w.words, w.cur, w.curLen)
+			w.curLen = 0
 		}
-		w.cur, w.curLen = v, 1
+		w.cur, w.curLen = v, w.curLen+uint64(j-i)
+		i = j
 	}
 	return nil
 }

@@ -17,65 +17,45 @@ import (
 // column is the main part; there is never a remainder.
 type staticBPCodec struct{}
 
-func init() { register(staticBPCodec{}) }
-
 func (staticBPCodec) Kind() columns.Kind { return columns.StaticBP }
-func (staticBPCodec) BlockLenHint() int  { return 1 }
 
-func (staticBPCodec) Compress(src []uint64, desc columns.FormatDesc) (*columns.Column, error) {
-	bits := uint(desc.Bits)
-	if bits == 0 {
-		bits = bitutil.MaxBits(src)
-	} else if b := bitutil.MaxBits(src); b > bits {
-		return nil, fmt.Errorf("formats: static BP width %d cannot hold %d-bit values", bits, b)
+// StaticBPWords hands out the packed words and bit width of a static BP
+// column after bounds-checking them — the width must be a representable bit
+// count and the words must cover every packed element — so a truncated or
+// mislabeled column surfaces as ErrCorrupt instead of an out-of-bounds slice
+// access. Every packed read, inside this package and in the specialized
+// operators, starts here.
+func StaticBPWords(col *columns.Column) (words []uint64, bits uint, err error) {
+	if col.Desc().Kind != columns.StaticBP {
+		return nil, 0, fmt.Errorf("formats: StaticBPWords on %v column", col.Desc())
 	}
-	words := make([]uint64, bitutil.PackedWords(len(src), bits))
-	bitutil.Pack(words, src, bits)
-	return columns.New(columns.FormatDesc{Kind: columns.StaticBP, Bits: uint8(bits)},
-		len(src), len(src), len(words), words)
-}
-
-// validateStaticBP bounds-checks a static BP column before any packed read:
-// the width must be a representable bit count and the word buffer must cover
-// every packed element, so a truncated or mislabeled column surfaces as
-// ErrCorrupt instead of an out-of-bounds slice access.
-func validateStaticBP(col *columns.Column) error {
-	bits := uint(col.Desc().Bits)
+	bits = uint(col.Desc().Bits)
 	if bits > 64 {
-		return fmt.Errorf("%w: static BP width %d (column of %d elements)", ErrCorrupt, bits, col.N())
+		return nil, 0, fmt.Errorf("%w: static BP width %d (column of %d elements)", ErrCorrupt, bits, col.N())
 	}
-	if want := bitutil.PackedWords(col.N(), bits); len(col.MainWords()) < want {
-		return fmt.Errorf("%w: static BP column of %d elements at width %d has %d words, want %d",
-			ErrCorrupt, col.N(), bits, len(col.MainWords()), want)
+	words = col.MainWords()
+	if want := bitutil.PackedWords(col.N(), bits); len(words) < want {
+		return nil, 0, fmt.Errorf("%w: static BP column of %d elements at width %d has %d words, want %d",
+			ErrCorrupt, col.N(), bits, len(words), want)
 	}
-	return nil
-}
-
-func (staticBPCodec) Decompress(dst []uint64, col *columns.Column) error {
-	if len(dst) != col.N() {
-		return fmt.Errorf("formats: decompress destination has %d elements, want %d", len(dst), col.N())
-	}
-	if err := validateStaticBP(col); err != nil {
-		return err
-	}
-	bitutil.Unpack(dst, col.MainWords(), uint(col.Desc().Bits))
-	return nil
+	return words, bits, nil
 }
 
 func (staticBPCodec) NewReader(col *columns.Column) Reader {
-	return &staticBPReader{
-		words: col.MainWords(),
-		n:     col.N(),
-		bits:  uint(col.Desc().Bits),
-		err:   validateStaticBP(col),
-	}
+	return staticBPSection(col, 0, col.N())
+}
+
+func staticBPSection(col *columns.Column, start, count int) Reader {
+	r := &staticBPReader{n: start + count, pos: start}
+	r.words, r.bits, r.err = StaticBPWords(col)
+	return r
 }
 
 func (staticBPCodec) NewWriter(desc columns.FormatDesc, sizeHint int) Writer {
-	w := &staticBPWriter{bits: uint(desc.Bits)}
-	if w.bits == 0 {
-		// Auto width: static BP needs the global maximum before packing, so
-		// the writer recompresses at column granularity (buffers all input).
+	w := &staticBPWriter{bits: uint(desc.Bits), auto: desc.Bits == 0}
+	if w.auto {
+		// Static BP needs the global maximum before packing, so the writer
+		// buffers all input and packs on Close.
 		w.pending = make([]uint64, 0, sizeHint)
 	} else {
 		w.words = make([]uint64, 0, bitutil.PackedWords(sizeHint, w.bits))
@@ -91,7 +71,7 @@ type staticBPReader struct {
 	n     int
 	bits  uint
 	pos   int   // elements consumed
-	err   error // validation failure, reported on first Read
+	err   error // validation failure, reported by every Read
 }
 
 func (r *staticBPReader) Read(dst []uint64) (int, error) {
@@ -102,17 +82,12 @@ func (r *staticBPReader) Read(dst []uint64) (int, error) {
 	if remain <= 0 {
 		return 0, nil
 	}
-	k := len(dst)
-	if k > remain {
-		k = remain
-	}
+	k := min(len(dst), remain)
 	if k >= 64 && k < remain {
 		k &^= 63 // stay word-aligned while more full groups follow
 	}
 	if r.bits == 0 {
-		for i := 0; i < k; i++ {
-			dst[i] = 0
-		}
+		clear(dst[:k])
 		r.pos += k
 		return k, nil
 	}
@@ -128,45 +103,69 @@ func (r *staticBPReader) Read(dst []uint64) (int, error) {
 	return k, nil
 }
 
-// staticBPWriter packs incrementally when the width is preset (group-wise
-// through the unrolled kernels, staging 64 values at a time), or buffers the
-// whole column and packs on Close when the width must be derived.
+// staticBPWriter packs incrementally at a preset width — whole 64-value
+// groups straight from the input through the unrolled kernels, staging only
+// what does not fill a group — or, in auto mode, buffers the whole column and
+// runs the preset-width path at the derived width on Close.
 type staticBPWriter struct {
 	bits    uint
-	pending []uint64 // auto-width mode: all values so far
-	words   []uint64 // preset-width mode: packed output
+	auto    bool
+	pending []uint64 // auto mode: all values so far
+	words   []uint64 // preset mode: packed output
 	group   [64]uint64
 	inGroup int
 	n       int
 	closed  bool
 }
 
+// pack appends vals, a whole number of 64-value groups (or the final partial
+// group), to the packed output.
+func (w *staticBPWriter) pack(vals []uint64) {
+	off := len(w.words)
+	w.words = append(w.words, make([]uint64, bitutil.PackedWords(len(vals), w.bits))...)
+	bitutil.Pack(w.words[off:], vals, w.bits)
+}
+
 func (w *staticBPWriter) Write(vals []uint64) error {
-	if w.bits == 0 {
+	if w.auto {
 		w.pending = append(w.pending, vals...)
-		w.n += len(vals)
 		return nil
 	}
+	if bitutil.MaxBits(vals) > w.bits {
+		return fmt.Errorf("formats: value exceeds static BP width %d", w.bits)
+	}
+	w.add(vals)
+	return nil
+}
+
+// add appends values known to fit the width: whole groups pack straight from
+// the input, only what does not fill a group is staged.
+func (w *staticBPWriter) add(vals []uint64) {
 	w.n += len(vals)
-	var acc uint64
 	for len(vals) > 0 {
-		c := copy(w.group[w.inGroup:], vals)
-		for _, v := range vals[:c] {
-			acc |= v
+		if w.inGroup == 0 && len(vals) >= 64 {
+			whole := len(vals) &^ 63
+			w.pack(vals[:whole])
+			vals = vals[whole:]
+			continue
 		}
-		w.inGroup += c
+		c := copy(w.group[w.inGroup:], vals)
 		vals = vals[c:]
-		if w.inGroup == 64 {
-			off := len(w.words)
-			w.words = append(w.words, make([]uint64, w.bits)...)
-			bitutil.Pack(w.words[off:], w.group[:], w.bits)
+		if w.inGroup += c; w.inGroup == 64 {
+			w.pack(w.group[:])
 			w.inGroup = 0
 		}
 	}
-	if acc&^bitutil.Mask(w.bits) != 0 {
-		return fmt.Errorf("formats: value exceeds static BP width %d", w.bits)
-	}
-	return nil
+}
+
+// packStaticBP is auto-width static BP over a whole slice: MaxBits, then the
+// preset-width writer, which need not re-check values against a width derived
+// from them.
+func packStaticBP(src []uint64) (*columns.Column, error) {
+	bits := bitutil.MaxBits(src)
+	w := &staticBPWriter{bits: bits, words: make([]uint64, 0, bitutil.PackedWords(len(src), bits))}
+	w.add(src)
+	return w.Close()
 }
 
 func (w *staticBPWriter) Close() (*columns.Column, error) {
@@ -174,27 +173,14 @@ func (w *staticBPWriter) Close() (*columns.Column, error) {
 		return nil, fmt.Errorf("formats: writer already closed")
 	}
 	w.closed = true
-	if w.bits == 0 {
-		c, err := staticBPCodec{}.Compress(w.pending, columns.StaticBPDesc(0))
-		w.pending = nil
-		return c, err
+	if w.auto {
+		return packStaticBP(w.pending)
 	}
-	if w.inGroup > 0 {
-		// Pack the final partial group at the exact tail length.
-		off := len(w.words)
-		w.words = append(w.words, make([]uint64, bitutil.PackedWords(w.inGroup, w.bits))...)
-		bitutil.Pack(w.words[off:], w.group[:w.inGroup], w.bits)
-	}
+	// The final partial group packs at its exact length.
+	w.pack(w.group[:w.inGroup])
 	if want := bitutil.PackedWords(w.n, w.bits); len(w.words) != want {
 		return nil, fmt.Errorf("formats: static BP writer produced %d words, want %d", len(w.words), want)
 	}
 	return columns.New(columns.FormatDesc{Kind: columns.StaticBP, Bits: uint8(w.bits)},
 		w.n, w.n, len(w.words), w.words)
-}
-
-// StaticBPRandomGet returns element i of a static-BP column. It is the
-// random-read-access primitive of §4.2 and panics only on out-of-range i
-// (like slice indexing).
-func StaticBPRandomGet(col *columns.Column, i int) uint64 {
-	return bitutil.Get(col.MainWords(), i, uint(col.Desc().Bits))
 }

@@ -10,31 +10,18 @@ import (
 // per data element, main part only, no remainder.
 type uncomprCodec struct{}
 
-func init() { register(uncomprCodec{}) }
-
 func (uncomprCodec) Kind() columns.Kind { return columns.Uncompressed }
-func (uncomprCodec) BlockLenHint() int  { return 1 }
-
-func (uncomprCodec) Compress(src []uint64, _ columns.FormatDesc) (*columns.Column, error) {
-	buf := make([]uint64, len(src))
-	copy(buf, src)
-	return columns.FromValues(buf), nil
-}
-
-func (uncomprCodec) Decompress(dst []uint64, col *columns.Column) error {
-	if len(dst) != col.N() {
-		return fmt.Errorf("formats: decompress destination has %d elements, want %d", len(dst), col.N())
-	}
-	copy(dst, col.Words())
-	return nil
-}
 
 func (uncomprCodec) NewReader(col *columns.Column) Reader {
 	return &uncomprReader{vals: col.Words()}
 }
 
 func (uncomprCodec) NewWriter(_ columns.FormatDesc, sizeHint int) Writer {
-	return &uncomprWriter{vals: make([]uint64, 0, sizeHint)}
+	return &uncomprWriter{hint: sizeHint}
+}
+
+func uncomprSection(col *columns.Column, start, count int) Reader {
+	return &uncomprReader{vals: col.Words()[start : start+count]}
 }
 
 type uncomprReader struct {
@@ -58,10 +45,16 @@ func (r *uncomprReader) View() ([]uint64, bool) {
 
 type uncomprWriter struct {
 	vals   []uint64
+	hint   int // capacity to reserve, unless the first Write already covers it
 	closed bool
 }
 
 func (w *uncomprWriter) Write(vals []uint64) error {
+	if w.vals == nil && len(vals) < w.hint {
+		w.vals = make([]uint64, 0, w.hint)
+	}
+	// A first Write covering the hint (Compress) appends to nil instead: one
+	// allocation that is copied into without being zeroed first.
 	w.vals = append(w.vals, vals...)
 	return nil
 }

@@ -34,7 +34,6 @@ func registerDirect(src, dst columns.Kind, f directMorph) {
 func init() {
 	registerDirect(columns.DynBP, columns.StaticBP, morphDynBPToStaticBP)
 	registerDirect(columns.RLE, columns.Uncompressed, morphRLEToUncompressed)
-	registerDirect(columns.StaticBP, columns.DynBP, morphStaticBPToDynBP)
 }
 
 // Morph returns a column with the same logical content as col represented in
@@ -95,46 +94,17 @@ func HasDirect(src, dst columns.Kind) bool {
 
 // morphDynBPToStaticBP derives the global bit width from the DynBP block
 // headers and the remainder without unpacking any payload, then repacks
-// block by block.
+// block by block through the preset-width writer.
 func morphDynBPToStaticBP(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error) {
-	bits := uint(dst.Bits)
-	if bits == 0 {
-		words := col.MainWords()
-		w := 0
-		for e := 0; e < col.MainElems(); e += formats.BlockLen {
-			if w >= len(words) {
-				return nil, fmt.Errorf("morph: %w: dyn BP header beyond buffer", formats.ErrCorrupt)
-			}
-			b := uint(words[w])
-			if b > 64 {
-				return nil, fmt.Errorf("morph: %w: dyn BP width %d", formats.ErrCorrupt, b)
-			}
-			if b > bits {
-				bits = b
-			}
-			w += 1 + int(b)*(formats.BlockLen/64)
+	if dst.Bits == 0 {
+		var bits uint
+		tail, err := formats.WalkBlocks(col, 0, col.N(), func(b uint, _ []uint64) { bits = max(bits, b) })
+		if err != nil {
+			return nil, fmt.Errorf("morph %v -> %v: %w", col.Desc(), dst, err)
 		}
-		if b := bitutil.MaxBits(col.Remainder()); b > bits {
-			bits = b
-		}
+		dst = columns.StaticBPDesc(max(bits, bitutil.MaxBits(tail)))
 	}
-	w, err := formats.NewWriter(columns.StaticBPDesc(bits), col.N())
-	if err != nil {
-		return nil, err
-	}
-	return pump(col, w)
-}
-
-// morphStaticBPToDynBP repacks 512-element groups; the source width bounds
-// every block width, so the writer path is used directly (the gain over
-// Generic is the absence of the remainder/alignment bookkeeping only;
-// registered mainly to exercise the direct-morph machinery symmetrically).
-func morphStaticBPToDynBP(col *columns.Column, _ columns.FormatDesc) (*columns.Column, error) {
-	w, err := formats.NewWriter(columns.DynBPDesc, col.N())
-	if err != nil {
-		return nil, err
-	}
-	return pump(col, w)
+	return Generic(col, dst)
 }
 
 // morphRLEToUncompressed expands runs straight into the output buffer.
@@ -153,26 +123,4 @@ func morphRLEToUncompressed(col *columns.Column, _ columns.FormatDesc) (*columns
 		return nil, fmt.Errorf("morph: %w: RLE runs cover %d of %d elements", formats.ErrCorrupt, len(out), col.N())
 	}
 	return columns.FromValues(out), nil
-}
-
-// pump streams col through a prepared writer at block granularity.
-func pump(col *columns.Column, w formats.Writer) (*columns.Column, error) {
-	r, err := formats.NewReader(col)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]uint64, formats.BufferLen)
-	for {
-		k, err := r.Read(buf)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			break
-		}
-		if err := w.Write(buf[:k]); err != nil {
-			return nil, err
-		}
-	}
-	return w.Close()
 }

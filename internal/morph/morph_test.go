@@ -127,7 +127,6 @@ func TestDirectEqualsGeneric(t *testing.T) {
 	}{
 		{columns.DynBPDesc, columns.StaticBPDesc(0), "small"},
 		{columns.DynBPDesc, columns.StaticBPDesc(0), "wide"},
-		{columns.StaticBPDesc(0), columns.DynBPDesc, "small"},
 		{columns.RLEDesc, columns.UncomprDesc, "runs"},
 	}
 	for _, p := range pairs {

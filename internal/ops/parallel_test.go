@@ -1,12 +1,15 @@
 package ops
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
+	"morphstore/internal/qerr"
 	"morphstore/internal/vector"
 )
 
@@ -489,6 +492,33 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		want := run(1, false)
 		for _, par := range parLevels {
 			assertSameColumn(t, tc.name, want, run(par, true))
+		}
+	}
+
+	// A truncated static BP column — far fewer packed words than its element
+	// count needs — is typed corruption on every path: generic and
+	// specialized, one morsel and many, never an out-of-range slice access
+	// (which at par > 1 would surface as a recovered ErrPanic).
+	trunc, err := columns.New(columns.StaticBPDesc(16), 100000, 100000, 10, make([]uint64, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		for _, specialized := range []bool{false, true} {
+			ctx := fmt.Sprintf("truncated static BP p=%d specialized=%v", par, specialized)
+			rt := FixedRT(par)
+			_, err := rt.SelectAuto(trunc, bitutil.CmpLt, 50, columns.DynBPDesc, vector.Scalar, specialized)
+			if !errors.Is(err, qerr.ErrCorruptData) {
+				t.Errorf("%s select: want ErrCorruptData, got %v", ctx, err)
+			}
+			_, err = rt.SelectBetweenAuto(trunc, 10, 90, columns.DynBPDesc, vector.Scalar, specialized)
+			if !errors.Is(err, qerr.ErrCorruptData) {
+				t.Errorf("%s between: want ErrCorruptData, got %v", ctx, err)
+			}
+			_, _, err = rt.SumAuto(trunc, vector.Scalar, specialized)
+			if !errors.Is(err, qerr.ErrCorruptData) {
+				t.Errorf("%s sum: want ErrCorruptData, got %v", ctx, err)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"fmt"
 	"math/bits"
 
 	"morphstore/internal/bitutil"
@@ -38,8 +37,11 @@ func swarOK(in *columns.Column, val uint64) bool {
 // they always coincide with a packed-word boundary.
 func swarSelect(in *columns.Column, masks func(words, dst []uint64)) emitKernel {
 	per := int(64 / uint(in.Desc().Bits))
-	words := in.MainWords()
 	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+		words, _, err := formats.StaticBPWords(in)
+		if err != nil {
+			return err
+		}
 		out, k := stage[0], 0
 		end := pt.Start + pt.Count
 		endW := (end + per - 1) / per
@@ -103,9 +105,11 @@ func rleSelect(in *columns.Column, op bitutil.CmpKind, val uint64) emitKernel {
 // packed words begin word-aligned at Start*b/64 and span exactly the words
 // holding its Count fields.
 func sumStaticBP(in *columns.Column) reduceKernel {
-	b := uint(in.Desc().Bits)
-	words := in.MainWords()
 	return func(acc []uint64, pt formats.Partition) error {
+		words, b, err := formats.StaticBPWords(in)
+		if err != nil {
+			return err
+		}
 		startW := pt.Start * int(b) / 64
 		acc[0] += bitutil.SumPackedWords(words[startW:startW+bitutil.PackedWords(pt.Count, b)], pt.Count, b)
 		return nil
@@ -113,33 +117,19 @@ func sumStaticBP(in *columns.Column) reduceKernel {
 }
 
 // sumDynBP sums a morsel of a DynBP column block by block directly on the
-// packed payload words, plus the uncompressed remainder for the tail morsel.
-// Morsels are block-aligned; a header walk (no payload is touched) positions
-// the word cursor at the morsel's first block.
+// packed payload words, plus the part of the uncompressed remainder the
+// morsel covers. Morsels are block-aligned; a header walk (no payload is
+// touched) positions the cursor at the morsel's first block.
 func sumDynBP(in *columns.Column) reduceKernel {
-	words := in.MainWords()
 	return func(acc []uint64, pt formats.Partition) error {
-		w := 0
-		end := min(pt.Start+pt.Count, in.MainElems())
-		for e := 0; e < end; e += formats.BlockLen {
-			if w >= len(words) || words[w] > 64 {
-				return fmt.Errorf("%w: dyn BP block header at word %d", formats.ErrCorrupt, w)
-			}
-			b := uint(words[w])
-			w++
-			pw := int(b) * (formats.BlockLen / 64)
-			if w+pw > len(words) {
-				return fmt.Errorf("%w: dyn BP payload beyond buffer", formats.ErrCorrupt)
-			}
-			if e >= pt.Start {
-				acc[0] += bitutil.SumPackedWords(words[w:w+pw], formats.BlockLen, b)
-			}
-			w += pw
+		tail, err := formats.WalkBlocks(in, pt.Start, pt.Count, func(b uint, payload []uint64) {
+			acc[0] += bitutil.SumPackedWords(payload, formats.BlockLen, b)
+		})
+		if err != nil {
+			return err
 		}
-		if pt.Start+pt.Count > in.MainElems() {
-			for _, v := range in.Remainder() {
-				acc[0] += v
-			}
+		for _, v := range tail {
+			acc[0] += v
 		}
 		return nil
 	}
