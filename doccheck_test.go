@@ -21,7 +21,7 @@ import (
 func TestExportedSymbolsDocumented(t *testing.T) {
 	// The gated packages: the public root plus the internals the
 	// observability and execution layers span.
-	dirs := []string{".", "internal/metrics", "internal/ops", "internal/core", "internal/qerr", "internal/delta", "internal/dict", "internal/ingest"}
+	dirs := []string{".", "internal/metrics", "internal/ops", "internal/core", "internal/qerr", "internal/delta", "internal/dict", "internal/ingest", "internal/wal"}
 	var missing []string
 	for _, dir := range dirs {
 		missing = append(missing, undocumentedIn(t, dir)...)

@@ -15,47 +15,67 @@ import (
 // ad-hoc operators and prepared queries divide the same allowance — and
 // honours the context like a prepared execution.
 
-// opRuntime opens a budget lease for one ad-hoc operator call, sized by the
-// call's parallelism option (default: the whole engine budget). Every
-// operator — including the grouping and sorted-set calls, whose drivers are
-// parallel now — leases its full share; there are no cap-1 leases left. The
-// call also registers with the engine's admission layer (not slot-bounded,
-// but visible to the Engine.Close drain): a closed engine fails the call
-// fast with ErrEngineClosed, and a Close that gave up on graceful draining
-// cancels it through the derived context.
-func (e *Engine) opRuntime(ctx context.Context, o []Option) (options, ops.Runtime, func(), error) {
+// begin is the entry guard of every engine call that is not
+// Prepared.Execute — the one-off operators, Append, AppendStrings, Delete,
+// Remorph and the remorph worker's sweeps. It fails fast on a misconfigured
+// or closed engine (ErrEngineClosed), registers the call with the admission
+// layer (not slot-bounded, but visible to the Engine.Close drain), rejects a
+// context that is already done before any work happens, and derives the
+// call's context so that a Close which gave up on graceful draining cancels
+// it. A nil ctx means context.Background(). The returned done must be
+// deferred; opGuard classifies the errors.
+func (e *Engine) begin(ctx context.Context) (context.Context, func(), error) {
 	if e.err != nil {
-		return options{}, ops.Runtime{}, nil, e.err
-	}
-	opt, err := e.defs.merged(scopeOp, o)
-	if err != nil {
-		return options{}, ops.Runtime{}, nil, err
+		return nil, nil, e.err
 	}
 	exit, err := e.adm.enter()
 	if err != nil {
-		return options{}, ops.Runtime{}, nil, err
+		return nil, nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		exit()
+		return nil, nil, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	stopKill := context.AfterFunc(e.killCtx, cancel)
+	return ctx, func() {
+		stopKill()
+		cancel()
+		exit()
+	}, nil
+}
+
+// opRuntime opens a budget lease for one ad-hoc operator call behind the
+// begin guard, sized by the call's parallelism option (default: the whole
+// engine budget). Every operator — including the grouping and sorted-set
+// calls, whose drivers are parallel now — leases its full share; there are
+// no cap-1 leases left.
+func (e *Engine) opRuntime(ctx context.Context, o []Option) (options, ops.Runtime, func(), error) {
+	ctx, done, err := e.begin(ctx)
+	if err != nil {
+		return options{}, ops.Runtime{}, nil, err
+	}
+	opt, err := e.defs.merged(scopeOp, o)
+	if err != nil {
+		done()
+		return options{}, ops.Runtime{}, nil, err
+	}
 	par := opt.par
 	if par <= 0 {
 		par = e.budget.Total()
 	}
 	lease := e.budget.Lease(par)
-	done := func() {
+	return opt, ops.RT(ctx, lease, par), func() {
 		lease.Close()
-		stopKill()
-		cancel()
-		exit()
-	}
-	return opt, ops.RT(ctx, lease, par), done, nil
+		done()
+	}, nil
 }
 
-// opGuard is the deferred failure boundary of every one-off operator call:
-// it converts a panic — in the operator's own phase; the morsel workers carry
+// opGuard is the deferred failure boundary of every call begin guards: it
+// converts a panic — in the operator's own phase; the morsel workers carry
 // their own guards — into a *QueryError tagged with the operator name, and
 // classifies context errors onto the taxonomy, mirroring what a prepared
 // execution reports for the same failure. A cancellation caused by

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"strconv"
+	"testing"
+	"time"
+
+	"morphstore/internal/bitutil"
+	"morphstore/internal/columns"
+	"morphstore/internal/faultpoint"
+	"morphstore/internal/qerr"
+)
+
+// TestEntryGuard holds the contract of Engine.begin — the entry guard of
+// every engine call that is not Prepared.Execute — once, over one call of
+// each kind: a closed engine fails fast, a nil context works, a context that
+// is already cancelled fails before anything changes, and a call still
+// running when Close abandons its graceful drain comes back tagged
+// ErrEngineClosed with nothing left in flight.
+func TestEntryGuard(t *testing.T) {
+	const (
+		nRows      = 8 * 1024 // several morsels at par 2: the operator call has claims to stall
+		batchBytes = 2 * 8    // one appended row of the two-column table
+	)
+	newEngine := func(t *testing.T) (*Engine, *columns.Column) {
+		t.Helper()
+		v, s := make([]uint64, nRows), make([]string, nRows)
+		for i := range v {
+			v[i], s[i] = uint64(i%97), "k"+strconv.Itoa(i%13)
+		}
+		db := NewDB()
+		if err := db.AddTable("t", map[string][]uint64{"v": v}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddStringColumn("t", "s", s); err != nil {
+			t.Fatal(err)
+		}
+		in, err := db.Column("t", "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The budget admits exactly one appended row at a time, so a second
+		// append blocks in the governor (fillBudget below).
+		e := NewEngine(db, WithParallelism(2), WithMemoryBudget(batchBytes))
+		// A pending deletion reserves nothing and gives Remorph work to do.
+		if err := e.Delete(context.Background(), "t", []uint64{nRows - 1}); err != nil {
+			t.Fatal(err)
+		}
+		return e, in
+	}
+	// Two ways to hold a call mid-flight until Close fires the kill context:
+	// real memory pressure for the appends (they wait in the governor on the
+	// guard's derived context), and, for calls without a wait of their own,
+	// a fault point that behaves like one.
+	fillBudget := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if err := e.Append(context.Background(), "t", map[string][]uint64{"v": {1}, "s": {0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blockAt := func(p *faultpoint.Point) func(*testing.T, *Engine) {
+		return func(_ *testing.T, e *Engine) {
+			p.Arm(func() error { <-e.killCtx.Done(); return e.killCtx.Err() })
+		}
+	}
+	calls := []struct {
+		name  string
+		call  func(ctx context.Context, e *Engine, in *columns.Column) error
+		stall func(*testing.T, *Engine)
+	}{
+		{"append", func(ctx context.Context, e *Engine, _ *columns.Column) error {
+			return e.Append(ctx, "t", map[string][]uint64{"v": {7}, "s": {0}})
+		}, fillBudget},
+		{"append_strings", func(ctx context.Context, e *Engine, _ *columns.Column) error {
+			return e.AppendStrings(ctx, "t", map[string][]uint64{"v": {7}}, map[string][]string{"s": {"fresh"}})
+		}, fillBudget},
+		{"delete", func(ctx context.Context, e *Engine, _ *columns.Column) error {
+			return e.Delete(ctx, "t", []uint64{0})
+		}, blockAt(faultpoint.AppendLog)},
+		{"remorph", func(ctx context.Context, e *Engine, _ *columns.Column) error {
+			return e.Remorph(ctx, "t")
+		}, blockAt(faultpoint.RemorphSwap)},
+		{"select", func(ctx context.Context, e *Engine, in *columns.Column) error {
+			_, err := e.Select(ctx, in, bitutil.CmpLt, 50)
+			return err
+		}, blockAt(faultpoint.MorselClaim)},
+	}
+	for _, c := range calls {
+		t.Run(c.name+"/closed", func(t *testing.T) {
+			e, in := newEngine(t)
+			if err := e.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.call(context.Background(), e, in); !errors.Is(err, qerr.ErrEngineClosed) {
+				t.Fatalf("on a closed engine: %v, want ErrEngineClosed", err)
+			}
+		})
+		t.Run(c.name+"/nil_ctx", func(t *testing.T) {
+			e, in := newEngine(t)
+			defer e.Close(context.Background())
+			var none context.Context
+			if err := c.call(none, e, in); err != nil {
+				t.Fatalf("with a nil context: %v", err)
+			}
+		})
+		t.Run(c.name+"/cancelled_ctx", func(t *testing.T) {
+			e, in := newEngine(t)
+			defer e.Close(context.Background())
+			before, statsBefore := e.Snapshot(), e.Stats()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err := c.call(ctx, e, in)
+			if !errors.Is(err, qerr.ErrQueryCanceled) || errors.Is(err, qerr.ErrEngineClosed) {
+				t.Fatalf("with a cancelled context: %v, want ErrQueryCanceled only", err)
+			}
+			after, statsAfter := e.Snapshot(), e.Stats()
+			rowsAfter, _ := after.Rows("t")
+			if before.Epoch("t") != after.Epoch("t") {
+				t.Fatalf("epoch moved %d -> %d under a cancelled context", before.Epoch("t"), after.Epoch("t"))
+			}
+			if b, _ := before.Rows("t"); b != rowsAfter {
+				t.Fatalf("rows changed %d -> %d under a cancelled context", b, rowsAfter)
+			}
+			if statsBefore.Appends != statsAfter.Appends || statsBefore.Deletes != statsAfter.Deletes ||
+				statsBefore.Remorphs != statsAfter.Remorphs {
+				t.Fatalf("mutation counters moved under a cancelled context: %+v -> %+v", statsBefore, statsAfter)
+			}
+		})
+		t.Run(c.name+"/close_abandons_drain", func(t *testing.T) {
+			defer faultpoint.DisarmAll()
+			e, in := newEngine(t)
+			c.stall(t, e)
+			errCh := make(chan error, 1)
+			go func() { errCh <- c.call(context.Background(), e, in) }()
+			waitFor(t, "the call to pass the guard", func() bool { return e.adm.counters().inflight == 1 })
+			expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancel()
+			if err := e.Close(expired); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("close over a stalled call: %v, want DeadlineExceeded (drain abandoned)", err)
+			}
+			if err := <-errCh; !errors.Is(err, qerr.ErrEngineClosed) {
+				t.Fatalf("call cancelled by Close: %v, want ErrEngineClosed", err)
+			}
+			if n := e.adm.counters().inflight; n != 0 {
+				t.Fatalf("%d calls still in flight after close", n)
+			}
+			if n := e.budget.Leases(); n != 0 {
+				t.Fatalf("%d budget leases leaked through close", n)
+			}
+			if n := e.gov.Reserved(); n != 0 {
+				t.Fatalf("%d bytes still reserved after close", n)
+			}
+		})
+	}
+
+	// One append path means one empty-batch rule: maps that do not cover the
+	// table's columns are a schema error even when they are nil, and covering
+	// maps with zero rows are a no-op.
+	t.Run("empty_batches", func(t *testing.T) {
+		e, _ := newEngine(t)
+		defer e.Close(context.Background())
+		ctx := context.Background()
+		if err := e.Append(ctx, "t", nil); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Fatalf("Append(nil): %v, want ErrInvalidSchema", err)
+		}
+		if err := e.AppendStrings(ctx, "t", nil, nil); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Fatalf("AppendStrings(nil, nil): %v, want ErrInvalidSchema", err)
+		}
+		epoch := e.Snapshot().Epoch("t")
+		if err := e.Append(ctx, "t", map[string][]uint64{"v": {}, "s": {}}); err != nil {
+			t.Fatalf("zero-row Append: %v", err)
+		}
+		if err := e.AppendStrings(ctx, "t", map[string][]uint64{"v": {}}, map[string][]string{"s": {}}); err != nil {
+			t.Fatalf("zero-row AppendStrings: %v", err)
+		}
+		if got := e.Snapshot().Epoch("t"); got != epoch || e.Stats().Appends != 0 {
+			t.Fatalf("zero-row batches published epoch %d -> %d, %d appends", epoch, got, e.Stats().Appends)
+		}
+	})
+}

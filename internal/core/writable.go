@@ -201,64 +201,26 @@ func (e *Engine) Snapshot() *Snapshot {
 
 // Append appends rows to a table's delta store: rows maps every column of
 // the table to equally long value slices (an error matching ErrInvalidSchema
-// otherwise; the table is unchanged). The rows are visible to every
-// execution admitted after Append returns; running executions keep their
-// pinned snapshots. Appends are serialized per table, cheap (no
-// re-compression — the remorph worker folds the delta in the background),
-// and their bytes are reserved from the engine's memory governor
-// (WithMemoryBudget): an append blocks under memory pressure until running
-// queries release or a remorph folds earlier batches, honouring ctx. After
-// Engine.Close, Append fails fast with ErrEngineClosed.
-func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uint64) (err error) {
-	defer e.opGuard("append", &err)
-	if e.err != nil {
-		return e.err
-	}
-	exit, err := e.adm.enter()
-	if err != nil {
-		return err
-	}
-	defer exit()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopKill := context.AfterFunc(e.killCtx, cancel)
-	defer stopKill()
-	wt, err := e.writable(table)
-	if err != nil {
-		return err
-	}
-	var nrows int
-	for _, vals := range rows {
-		nrows = len(vals)
-		break
-	}
-	mres, err := e.gov.Reserve(ctx, int64(nrows)*8*int64(len(rows)), nil)
-	if err != nil {
-		return err
-	}
-	st, n, err := wt.dt.Append(rows)
-	if err != nil || n == 0 {
-		mres.Release()
-		return err
-	}
-	wt.mu.Lock()
-	wt.resv = append(wt.resv, tailResv{tailEnd: st.TailRows(), r: mres})
-	wt.mu.Unlock()
-	e.counters.appends.Add(1)
-	e.counters.appendedRows.Add(int64(n))
-	return nil
+// otherwise — a nil or empty map included; the table is unchanged), and a
+// batch of zero rows is a no-op. The rows are visible to every execution
+// admitted after Append returns; running executions keep their pinned
+// snapshots. Appends are serialized per table, cheap (no re-compression —
+// the remorph worker folds the delta in the background), and their bytes are
+// reserved from the engine's memory governor (WithMemoryBudget): an append
+// blocks under memory pressure until running queries release or a remorph
+// folds earlier batches, honouring ctx. After Engine.Close, Append fails
+// fast with ErrEngineClosed. It is AppendStrings without string columns.
+func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uint64) error {
+	return e.AppendStrings(ctx, table, rows, nil)
 }
 
 // AppendStrings appends rows that mix plain uint64 columns (nums) and
 // string columns (strs): every string column must be dictionary-encoded
 // (AddStringColumn), its values are translated through the table's
 // dictionary — new strings get fresh IDs in first-occurrence order — and the
-// resulting ID rows append through the same delta path as Append, under the
-// same admission, memory-governor, and Close semantics. nums and strs
-// together must cover exactly the table's columns with equally long slices
+// resulting ID rows append to the delta store under Append's visibility,
+// admission, memory-governor, and Close semantics. nums and strs together
+// must cover exactly the table's columns with equally long slices
 // (ErrInvalidSchema otherwise; the rows are not appended, though novel
 // strings of a failed batch may remain in the dictionary — harmless, they
 // simply match no row). This is the supported append path for tables with
@@ -266,22 +228,12 @@ func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uin
 // concurrent remorph sorted-rebuild can never renumber IDs out from under a
 // batch.
 func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[string][]uint64, strs map[string][]string) (err error) {
-	defer e.opGuard("append_strings", &err)
-	if e.err != nil {
-		return e.err
-	}
-	exit, err := e.adm.enter()
+	defer e.opGuard("append", &err)
+	ctx, done, err := e.begin(ctx)
 	if err != nil {
 		return err
 	}
-	defer exit()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopKill := context.AfterFunc(e.killCtx, cancel)
-	defer stopKill()
+	defer done()
 	wt, err := e.writable(table)
 	if err != nil {
 		return err
@@ -299,9 +251,6 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 	for _, vals := range strs {
 		nrows = len(vals)
 		break
-	}
-	if nrows == 0 && len(nums) == 0 && len(strs) == 0 {
-		return nil
 	}
 	// Reserve before taking ingestMu: the reservation may block under memory
 	// pressure and must not hold up a remorph swap while it waits.
@@ -349,24 +298,11 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 // fails fast with ErrEngineClosed.
 func (e *Engine) Delete(ctx context.Context, table string, positions []uint64) (err error) {
 	defer e.opGuard("delete", &err)
-	if e.err != nil {
-		return e.err
-	}
-	exit, err := e.adm.enter()
+	_, done, err := e.begin(ctx)
 	if err != nil {
 		return err
 	}
-	defer exit()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopKill := context.AfterFunc(e.killCtx, cancel)
-	defer stopKill()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	defer done()
 	wt, err := e.writable(table)
 	if err != nil {
 		return err
@@ -391,21 +327,11 @@ func (e *Engine) Delete(ctx context.Context, table string, positions []uint64) (
 // fast with ErrEngineClosed.
 func (e *Engine) Remorph(ctx context.Context, table string) (err error) {
 	defer e.opGuard("remorph", &err)
-	if e.err != nil {
-		return e.err
-	}
-	exit, err := e.adm.enter()
+	ctx, done, err := e.begin(ctx)
 	if err != nil {
 		return err
 	}
-	defer exit()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopKill := context.AfterFunc(e.killCtx, cancel)
-	defer stopKill()
+	defer done()
 	wt, err := e.writable(table)
 	if err != nil {
 		return err
@@ -591,16 +517,12 @@ func (e *Engine) remorphSweep() {
 		if !remorphDue(wt.dt.State(), e.remorphRatio) {
 			continue
 		}
-		exit, err := e.adm.enter()
+		ctx, done, err := e.begin(context.Background())
 		if err != nil {
 			return // engine closed
 		}
 		func() {
-			defer exit()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			stopKill := context.AfterFunc(e.killCtx, cancel)
-			defer stopKill()
+			defer done()
 			var rerr error
 			defer e.opGuard("remorph", &rerr)
 			rerr = e.remorphTable(ctx, wt)

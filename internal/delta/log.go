@@ -6,6 +6,7 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/qerr"
+	"morphstore/internal/wal"
 )
 
 // This file implements the delta append-log wire codec: the journal a Table
@@ -16,50 +17,19 @@ import (
 // contract). Replay applies a journal onto a table's main columns,
 // reproducing the delta it recorded.
 //
-// Record layout (little-endian):
-//
-//	u8  kind        recAppend | recDelete
-//	u32 payloadLen  bytes of payload
-//	[]  payload
-//	u64 checksum    FNV-1a over kind, payloadLen, payload
-//
-// Append payload: u32 ncols, u32 nrows, then per column (sorted by name):
-// u16 name length, name bytes, nrows u64 values. Delete payload: u32 count,
-// then count u64 absolute positions (strictly ascending).
+// The record framing (kind, length, payload, FNV-1a checksum) is
+// internal/wal's; this file owns the two payloads. Append payload: u32 ncols,
+// u32 nrows, then per column (sorted by name): u16 name length, name bytes,
+// nrows u64 values. Delete payload: u32 count, then count u64 absolute
+// positions (strictly ascending).
 const (
 	recAppend = 1
 	recDelete = 2
-
-	recHeaderLen   = 5 // kind + payload length
-	recChecksumLen = 8
 )
 
 // corrupt wraps a journal decoding defect with the corruption sentinel.
 func corrupt(format string, args ...any) error {
 	return qerr.Tag(fmt.Errorf("delta: journal: "+format, args...), qerr.ErrCorruptData)
-}
-
-// fnv1a is the 64-bit FNV-1a hash the record checksums use.
-func fnv1a(seed uint64, b []byte) uint64 {
-	h := seed
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-// appendRecord frames one record: header, payload, checksum.
-func appendRecord(dst []byte, kind byte, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	sum := fnv1a(fnv1a(fnvOffset, hdr[:]), payload)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint64(dst, sum)
 }
 
 // encodeAppend appends an append record for n rows of the given columns.
@@ -73,7 +43,7 @@ func encodeAppend(dst []byte, cols []string, rows map[string][]uint64, n int) []
 			payload = binary.LittleEndian.AppendUint64(payload, v)
 		}
 	}
-	return appendRecord(dst, recAppend, payload)
+	return wal.Append(dst, recAppend, payload)
 }
 
 // encodeDelete appends a delete record for the sorted absolute positions.
@@ -82,7 +52,7 @@ func encodeDelete(dst []byte, abs []uint64) []byte {
 	for _, p := range abs {
 		payload = binary.LittleEndian.AppendUint64(payload, p)
 	}
-	return appendRecord(dst, recDelete, payload)
+	return wal.Append(dst, recDelete, payload)
 }
 
 // record is one decoded journal record: an append batch (Rows) or a delete
@@ -99,20 +69,10 @@ type record struct {
 // counts — is an error matching qerr.ErrCorruptData; readRecord never
 // panics and never allocates proportionally to an unvalidated length field.
 func readRecord(b []byte) (record, []byte, error) {
-	if len(b) < recHeaderLen+recChecksumLen {
-		return record{}, nil, corrupt("truncated record header (%d bytes)", len(b))
+	kind, payload, rest, err := wal.Next(b)
+	if err != nil {
+		return record{}, nil, err
 	}
-	kind := b[0]
-	plen := int(binary.LittleEndian.Uint32(b[1:recHeaderLen]))
-	if plen > len(b)-recHeaderLen-recChecksumLen {
-		return record{}, nil, corrupt("truncated record payload (%d of %d bytes)", len(b)-recHeaderLen-recChecksumLen, plen)
-	}
-	payload := b[recHeaderLen : recHeaderLen+plen]
-	sum := binary.LittleEndian.Uint64(b[recHeaderLen+plen:])
-	if want := fnv1a(fnv1a(fnvOffset, b[:recHeaderLen]), payload); sum != want {
-		return record{}, nil, corrupt("checksum mismatch")
-	}
-	rest := b[recHeaderLen+plen+recChecksumLen:]
 	switch kind {
 	case recAppend:
 		rec, err := decodeAppend(payload)

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -72,6 +73,44 @@ func TestReplayRejectsCorruption(t *testing.T) {
 		} else if !errors.Is(err, qerr.ErrCorruptData) {
 			t.Fatalf("bit flip at %d: err = %v, want ErrCorruptData", i, err)
 		}
+	}
+}
+
+// TestJournalGoldenRecords pins the journal wire format across commits: one
+// append and one delete record, recorded at the commit before the framing
+// moved to internal/wal, must come out byte-for-byte the same and replay.
+func TestJournalGoldenRecords(t *testing.T) {
+	const (
+		goldenAppend = "012f000000020000000200000001006107000000000000000000000000010000020062620000000000000000ffffffffffffffffdbe9b6fcf0bd8ff5"
+		goldenDelete = "02140000000200000000000000000000000400000000000000d71d457910e52316"
+	)
+	main := map[string]*columns.Column{
+		"a":  columns.FromValues([]uint64{1, 2, 3}),
+		"bb": columns.FromValues([]uint64{4, 5, 6}),
+	}
+	tab, err := NewTable("t", main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tab.Append(map[string][]uint64{"a": {7, 1 << 40}, "bb": {0, ^uint64(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(tab.Journal()); got != goldenAppend {
+		t.Fatalf("append record\n got %s\nwant %s", got, goldenAppend)
+	}
+	if _, _, err := tab.Delete([]uint64{4, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(tab.Journal()); got != goldenAppend+goldenDelete {
+		t.Fatalf("delete record\n got %s\nwant %s", got[len(goldenAppend):], goldenDelete)
+	}
+	rt, err := Replay("t", main, tab.Journal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.State().Rows() != 3 || rt.State().TailRows() != 2 || rt.State().DeletedRows() != 2 {
+		t.Fatalf("golden journal replayed to %d rows (%d tail, %d deleted)",
+			rt.State().Rows(), rt.State().TailRows(), rt.State().DeletedRows())
 	}
 }
 

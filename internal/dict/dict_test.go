@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -225,6 +226,27 @@ func TestDictJournalRoundTrip(t *testing.T) {
 	// Replayed journal bytes are identical.
 	if !reflect.DeepEqual(rd.Journal(), d.Journal()) {
 		t.Fatal("replayed journal differs")
+	}
+}
+
+// TestDictJournalGoldenRecord pins the journal wire format across commits:
+// the add record recorded at the commit before the framing moved to
+// internal/wal must come out byte-for-byte the same and replay.
+func TestDictJournalGoldenRecord(t *testing.T) {
+	const golden = "011500000004000000050064656c74610000020062700200cf834e07316d204652a4"
+	d := New()
+	if _, err := d.Add([]string{"delta", "", "bp", "delta", "σ"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(d.Journal()); got != golden {
+		t.Fatalf("add record\n got %s\nwant %s", got, golden)
+	}
+	rd, err := Replay(d.Journal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := rd.Snap().ID("σ"); !ok || id != 3 {
+		t.Fatalf("golden journal replayed ID(σ) = %d,%v, want 3", id, ok)
 	}
 }
 

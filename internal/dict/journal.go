@@ -5,21 +5,15 @@ import (
 	"fmt"
 
 	"morphstore/internal/qerr"
+	"morphstore/internal/wal"
 )
 
-// This file implements the dictionary journal wire codec, sharing the delta
-// journal's record framing (internal/delta/log.go) so a dictionary persists
+// This file implements the dictionary journal wire codec on the record
+// framing the delta journal uses too (internal/wal), so a dictionary persists
 // alongside its table's journal under one corruption taxonomy: every record
 // is length-prefixed and FNV-1a checksummed, the decoder never panics, never
 // allocates proportionally to an unvalidated length, and classifies every
 // structural defect as qerr.ErrCorruptData (FuzzDictJournal drives this).
-//
-// Record layout (little-endian):
-//
-//	u8  kind        recAdd
-//	u32 payloadLen  bytes of payload
-//	[]  payload
-//	u64 checksum    FNV-1a over kind, payloadLen, payload
 //
 // Add payload: u32 count, then count strings as u16 length + bytes. IDs are
 // implicit: the i-th string of the journal (across records) has ID i, the
@@ -29,38 +23,12 @@ import (
 const (
 	recAdd = 1
 
-	recHeaderLen   = 5 // kind + payload length
-	recChecksumLen = 8
-	maxStrLen      = 1<<16 - 1
+	maxStrLen = 1<<16 - 1
 )
 
 // corrupt wraps a journal decoding defect with the corruption sentinel.
 func corrupt(format string, args ...any) error {
 	return qerr.Tag(fmt.Errorf("dict: journal: "+format, args...), qerr.ErrCorruptData)
-}
-
-// fnv1a is the 64-bit FNV-1a hash the record checksums use (identical to the
-// delta journal's).
-func fnv1a(seed uint64, b []byte) uint64 {
-	h := seed
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-// appendRecord frames one record: header, payload, checksum.
-func appendRecord(dst []byte, kind byte, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	sum := fnv1a(fnv1a(fnvOffset, hdr[:]), payload)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint64(dst, sum)
 }
 
 // encodeAdd appends an add record for the fresh strings, in ID order.
@@ -70,7 +38,7 @@ func encodeAdd(dst []byte, strs []string) []byte {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(s)))
 		payload = append(payload, s...)
 	}
-	return appendRecord(dst, recAdd, payload)
+	return wal.Append(dst, recAdd, payload)
 }
 
 // readRecord decodes the first record of b into strs (in ID order) and
@@ -78,20 +46,10 @@ func encodeAdd(dst []byte, strs []string) []byte {
 // unknown kind, an oversized string, trailing bytes — is an error matching
 // qerr.ErrCorruptData.
 func readRecord(b []byte) ([]string, []byte, error) {
-	if len(b) < recHeaderLen+recChecksumLen {
-		return nil, nil, corrupt("truncated record header (%d bytes)", len(b))
+	kind, payload, rest, err := wal.Next(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	kind := b[0]
-	plen := int(binary.LittleEndian.Uint32(b[1:recHeaderLen]))
-	if plen > len(b)-recHeaderLen-recChecksumLen {
-		return nil, nil, corrupt("truncated record payload (%d of %d bytes)", len(b)-recHeaderLen-recChecksumLen, plen)
-	}
-	payload := b[recHeaderLen : recHeaderLen+plen]
-	sum := binary.LittleEndian.Uint64(b[recHeaderLen+plen:])
-	if want := fnv1a(fnv1a(fnvOffset, b[:recHeaderLen]), payload); sum != want {
-		return nil, nil, corrupt("checksum mismatch")
-	}
-	rest := b[recHeaderLen+plen+recChecksumLen:]
 	if kind != recAdd {
 		return nil, nil, corrupt("unknown record kind %d", kind)
 	}

@@ -3,8 +3,8 @@
 // can inject panics, errors, or delays without touching production logic.
 //
 // A disarmed point costs one atomic pointer load and a predictable branch —
-// cheap enough to sit on the morsel hot path (msbench records the measured
-// cost as the informational faultpoint/overhead metric). Arming installs a
+// cheap enough to sit on the morsel hot path (cmd/msbench prints the measured
+// cost as its informational faultpoint line). Arming installs a
 // handler that runs at every hit; the handler may return an error (taken by
 // paths with error plumbing), panic (exercising the panic-isolation layer),
 // or sleep (widening race windows). Sites without an error path convert an

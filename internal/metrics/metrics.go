@@ -20,8 +20,8 @@
 // immediately, so the execution layers call them unconditionally: a
 // collector-detached execution pays only nil checks (the overhead budget is
 // the same as a disarmed internal/faultpoint site, low single-digit
-// nanoseconds; msbench records it in the "metrics" section and the
-// regression gate bounds the attached cost as metrics_overhead).
+// nanoseconds; cmd/msbench holds the detached cost of a whole query, its
+// metrics_overhead, under a 2% ceiling).
 //
 // The package sits below internal/ops and internal/core, imports only the
 // standard library, and is also imported by internal/qerr so a failed

@@ -76,8 +76,8 @@ type Tracer interface {
 }
 
 // JSONLTracer is a Tracer that appends one JSON object per callback to a
-// writer — the format cmd/msbench -trace writes and docs/OBSERVABILITY.md
-// documents. Lines carry a monotonic at_ns offset from tracer creation, so
+// writer — the format docs/OBSERVABILITY.md documents and examples/observe
+// prints. Lines carry a monotonic at_ns offset from tracer creation, so
 // spans from concurrent queries in one file order and diff cleanly. A mutex
 // serializes writes; it is safe for concurrent use.
 type JSONLTracer struct {

@@ -14,8 +14,8 @@
 //
 // Attach a Tracer (WithTracer, at NewEngine, Prepare, or Execute) to stream
 // span begin/end and budget re-division events live; NewJSONLTracer writes
-// the JSON-lines format cmd/msbench -trace produces. Engine.Stats returns
-// the engine-wide counters: queries by outcome class and budget
+// them as JSON lines (examples/observe prints one such trace). Engine.Stats
+// returns the engine-wide counters: queries by outcome class and budget
 // utilization. See docs/OBSERVABILITY.md for the full model.
 package morphstore
 
@@ -56,7 +56,7 @@ type Span = metrics.Span
 type TraceEvent = metrics.Event
 
 // JSONLTracer is a Tracer writing one JSON object per span/event callback —
-// the format cmd/msbench -trace emits and docs/OBSERVABILITY.md documents.
+// the format docs/OBSERVABILITY.md documents and examples/observe prints.
 type JSONLTracer = metrics.JSONLTracer
 
 // NewJSONLTracer returns a JSONL tracer writing to w. The caller owns w and
