@@ -105,32 +105,39 @@ func BenchmarkParallelSum(b *testing.B) {
 }
 
 // BenchmarkParallelJoinN1 measures the morsel-parallel N:1 join probe over a
-// DynBP probe column against a shared read-only hash table (~50% match rate).
+// DynBP probe column against the shared read-only build table (~50% match
+// rate), once per build path: dense keys 0..4095 take the direct-address
+// table, the same keys shifted left by 40 bits the hash map.
 func BenchmarkParallelJoinN1(b *testing.B) {
 	vals := datagen.Generate(datagen.C1, benchMicroN, 42)
-	probeVals := make([]uint64, len(vals))
 	const nBuild = 4096
-	for i, v := range vals {
-		probeVals[i] = v % (2 * nBuild)
-	}
-	probe, err := formats.Compress(probeVals, columns.DynBPDesc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buildVals := make([]uint64, nBuild)
-	for i := range buildVals {
-		buildVals[i] = uint64(i)
-	}
-	build := columns.FromValues(buildVals)
-	for _, par := range benchParLevels {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.SetBytes(int64(len(vals) * 8))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512); err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		name  string
+		shift uint
+	}{{"dense", 0}, {"sparse", 40}} {
+		probeVals := make([]uint64, len(vals))
+		for i, v := range vals {
+			probeVals[i] = v % (2 * nBuild) << shape.shift
+		}
+		probe, err := formats.Compress(probeVals, columns.DynBPDesc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buildVals := make([]uint64, nBuild)
+		for i := range buildVals {
+			buildVals[i] = uint64(i) << shape.shift
+		}
+		build := columns.FromValues(buildVals)
+		for _, par := range benchParLevels {
+			b.Run(fmt.Sprintf("%s/par%d", shape.name, par), func(b *testing.B) {
+				b.SetBytes(int64(len(vals) * 8))
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -202,3 +202,40 @@ func TestEngineCorruptColumnTyped(t *testing.T) {
 		t.Fatal("result after corruption repaired differs")
 	}
 }
+
+// TestNilColumnMatchesSentinel: a nil column handed to any one-off operator,
+// in any operand slot, is malformed input — ErrInvalidSchema — not an
+// untyped error and not a panic.
+func TestNilColumnMatchesSentinel(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(nil, WithParallelism(2))
+	valid := FromValues([]uint64{0, 1, 2})
+	ops := []struct {
+		name string
+		run  func(a, b *Column) error
+	}{
+		{"select", func(a, _ *Column) error { _, err := e.Select(ctx, a, CmpLt, 2); return err }},
+		{"between", func(a, _ *Column) error { _, err := e.SelectBetween(ctx, a, 0, 1); return err }},
+		{"project", func(a, b *Column) error { _, err := e.Project(ctx, a, b); return err }},
+		{"sum", func(a, _ *Column) error { _, err := e.Sum(ctx, a); return err }},
+		{"sum grouped", func(a, b *Column) error { _, err := e.SumGrouped(ctx, a, b, 3); return err }},
+		{"semijoin", func(a, b *Column) error { _, err := e.SemiJoin(ctx, a, b); return err }},
+		{"join", func(a, b *Column) error { _, _, err := e.JoinN1(ctx, a, b); return err }},
+		{"calc", func(a, b *Column) error { _, err := e.Calc(ctx, CalcAdd, a, b); return err }},
+		{"intersect", func(a, b *Column) error { _, err := e.Intersect(ctx, a, b); return err }},
+		{"union", func(a, b *Column) error { _, err := e.Union(ctx, a, b); return err }},
+		{"group first", func(a, _ *Column) error { _, _, err := e.GroupFirst(ctx, a); return err }},
+		{"group next", func(a, b *Column) error { _, _, err := e.GroupNext(ctx, a, b); return err }},
+	}
+	for _, op := range ops {
+		for _, args := range [][2]*Column{{nil, valid}, {valid, nil}, {nil, nil}} {
+			err := op.run(args[0], args[1])
+			if args[0] != nil && err == nil {
+				continue // a unary operator: its only operand is valid
+			}
+			if !errors.Is(err, ErrInvalidSchema) {
+				t.Errorf("%s(%v, %v): err = %v, want ErrInvalidSchema", op.name, args[0] != nil, args[1] != nil, err)
+			}
+		}
+	}
+}

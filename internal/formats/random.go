@@ -60,9 +60,12 @@ func (a uncomprAccessor) Gather(dst []uint64, idx []uint64) {
 
 // staticBPAccessor provides random access into packed words. Gather caches
 // the most recently decoded 64-value group: position lists produced by
-// selections are sorted, so consecutive accesses overwhelmingly hit the
-// cached group and gathering approaches sequential decode speed, while
-// arbitrary access orders remain correct (each miss decodes one group).
+// selections are sorted, so on a dense list consecutive accesses
+// overwhelmingly hit the cached group and gathering approaches sequential
+// decode speed. A group is decoded only when gatherDense upcoming positions
+// share it; sparser positions are extracted one by one, so a selective list
+// does not pay 64 decoded values per hit. Arbitrary access orders remain
+// correct.
 type staticBPAccessor struct {
 	words []uint64
 	bits  uint
@@ -75,6 +78,11 @@ func (a *staticBPAccessor) Get(i int) uint64 {
 	return bitutil.Get(a.words, i, a.bits)
 }
 
+// gatherDense is how many of the upcoming positions must fall into one group
+// for Gather to decode the whole group: about where one 64-value unpack
+// becomes cheaper than that many single-field extractions.
+const gatherDense = 8
+
 func (a *staticBPAccessor) Gather(dst []uint64, idx []uint64) {
 	if a.bits == 0 {
 		for j := range idx {
@@ -86,8 +94,10 @@ func (a *staticBPAccessor) Gather(dst []uint64, idx []uint64) {
 	for j, ix := range idx {
 		g := int(ix >> 6)
 		if g != a.gid {
-			if g >= fullGroups {
-				// Partial tail group: decode element-wise.
+			// Element-wise for the partial tail group and for a group too few
+			// upcoming positions share (on a sorted list, the gatherDense-th
+			// position from here tells).
+			if g >= fullGroups || j+gatherDense > len(idx) || int(idx[j+gatherDense-1]>>6) != g {
 				dst[j] = bitutil.Get(a.words, int(ix), a.bits)
 				continue
 			}

@@ -58,6 +58,81 @@ func TestStaticBPGatherOrders(t *testing.T) {
 	}
 }
 
+// TestStaticBPGatherDensities pins the gather's two extraction routes against
+// each other at every width: position lists dense enough to decode whole
+// groups, sparse enough to extract single fields, and mixtures that switch
+// between the two mid-list, in sorted, unsorted and duplicated order, with
+// and without the partial tail group. One accessor serves all patterns of a
+// width in turn, so a group cached by one call is live in the next.
+func TestStaticBPGatherDensities(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 9*64 + 37 // nine full groups and a partial tail
+	every := func(step int) []uint64 {
+		var idx []uint64
+		for i := 0; i < n; i += step {
+			idx = append(idx, uint64(i))
+		}
+		return idx
+	}
+	shuffled := func(idx []uint64) []uint64 {
+		out := append([]uint64(nil), idx...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	// Groups 1, 4 and 7 fully listed, one position in each of the others.
+	var mixed []uint64
+	for g := 0; g < 9; g++ {
+		if g%3 == 1 {
+			for i := 0; i < 64; i++ {
+				mixed = append(mixed, uint64(g*64+i))
+			}
+		} else {
+			mixed = append(mixed, uint64(g*64+rng.Intn(64)))
+		}
+	}
+	patterns := []struct {
+		name string
+		idx  []uint64
+	}{
+		{"all", every(1)},
+		{"exactly gatherDense per group", every(64 / gatherDense)},
+		{"fewer than gatherDense per group", every(64/gatherDense + 2)},
+		{"one per group", every(64)},
+		{"mixed dense and sparse groups", mixed},
+		{"unsorted dense", shuffled(every(1))},
+		{"unsorted sparse", shuffled(every(23))},
+		{"duplicates", []uint64{70, 70, 70, 70, 70, 70, 70, 70, 70, 3, 3, 70, 200, 200}},
+		{"tail group only", []uint64{576, 577, 580, 590, 600, 601, 605, 610, 611, 612, 612, 576}},
+		{"dense run into the tail", every(1)[500:]},
+		{"shorter than the lookahead", []uint64{64, 65, 66}},
+		{"empty", nil},
+	}
+	for width := uint(1); width <= 64; width++ {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & bitutil.Mask(width)
+		}
+		vals[rng.Intn(n)] = bitutil.Mask(width) // pin the width
+		col, err := Compress(vals, columns.StaticBPDesc(width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := RandomAccess(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range patterns {
+			dst := make([]uint64, len(p.idx))
+			ra.Gather(dst, p.idx)
+			for j, ix := range p.idx {
+				if dst[j] != vals[ix] {
+					t.Fatalf("width %d, %s: Gather[%d] (pos %d) = %#x, want %#x", width, p.name, j, ix, dst[j], vals[ix])
+				}
+			}
+		}
+	}
+}
+
 // TestStaticBPGatherZeroWidth covers the all-zero column accessor.
 func TestStaticBPGatherZeroWidth(t *testing.T) {
 	col, err := Compress(make([]uint64, 200), columns.StaticBPDesc(0))

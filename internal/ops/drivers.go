@@ -77,11 +77,13 @@ type emitOut struct {
 // stage — one blockBuf-element buffer per output — as its scratch.
 type emitKernel func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error
 
+// chunkKernel fills stage with the output rows of vals (at most blockBuf
+// elements whose first has global position base) and returns their count.
+type chunkKernel func(vals []uint64, base uint64, stage [][]uint64) int
+
 // scan adapts a chunk kernel to an emitKernel streaming the morsel's values
-// through the de/re-compression wrapper: chunk fills stage with the output
-// rows of vals (at most blockBuf elements whose first has global position
-// base) and returns their count.
-func scan(in *columns.Column, chunk func(vals []uint64, base uint64, stage [][]uint64) int) emitKernel {
+// through the de/re-compression wrapper.
+func scan(in *columns.Column, chunk chunkKernel) emitKernel {
 	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
 		return streamCols(in, nil, pt, func(vals, _ []uint64, base uint64) error {
 			return flush(stage, chunk(vals, base, stage), sinks)

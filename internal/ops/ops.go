@@ -32,6 +32,7 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
+	"morphstore/internal/qerr"
 )
 
 // blockBuf is the element capacity of the cache-resident working buffers:
@@ -54,7 +55,7 @@ func positionDesc(out columns.FormatDesc, n int) columns.FormatDesc {
 func checkCols(cs ...*columns.Column) error {
 	for _, c := range cs {
 		if c == nil {
-			return fmt.Errorf("ops: nil input column")
+			return qerr.Tag(fmt.Errorf("ops: nil input column"), qerr.ErrInvalidSchema)
 		}
 	}
 	return nil
