@@ -193,7 +193,7 @@ func BenchmarkParallelSumGrouped(b *testing.B) {
 }
 
 // BenchmarkParallelSSBQ11 runs the select-heavy SSB Q1.1 over
-// DynBP-compressed base columns at increasing Config.Parallelism. This is
+// DynBP-compressed base columns at increasing WithParallelism. This is
 // the headline morsel-parallelism measurement: on a >=4-core host, par4
 // should run >= 2x faster than par1 while producing byte-identical results
 // (TestExecuteParallelismEquivalence proves the identity).
@@ -208,10 +208,12 @@ func benchParallelSSB(b *testing.B, q ssb.Query) {
 	plan, enc := benchSSB(b, q)
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			cfg := core.UncompressedConfig(vector.Vec512)
-			cfg.Parallelism = par
+			pq, err := core.NewEngine(enc, core.WithParallelism(par), core.WithStyle(vector.Vec512)).Prepare(plan)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Execute(plan, enc, cfg); err != nil {
+				if _, err := pq.Execute(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -72,9 +72,9 @@ func getSSB(opt options) (*ssbCache, error) {
 // paper's figures measure the sequential operator-at-a-time model, so the
 // reproduction pins the budget to 1 (per-operator timings would otherwise
 // include scheduler contention on multi-core hosts).
-func (c *ssbCache) prepare(q ssb.Query, db *core.DB, cfg *core.Config) (*core.Prepared, error) {
+func (c *ssbCache) prepare(q ssb.Query, db *core.DB, o ...core.Option) (*core.Prepared, error) {
 	eng := core.NewEngine(db, core.WithParallelism(1))
-	return eng.Prepare(c.plans[q], core.WithConfig(cfg))
+	return eng.Prepare(c.plans[q], o...)
 }
 
 // verified executes the prepared query and checks the result against the
@@ -97,8 +97,8 @@ func (c *ssbCache) verified(q ssb.Query, pq *core.Prepared) (*core.Result, error
 // timedRun reports the minimum runtime (engine-measured operator time) of
 // the configuration over opt.repeats runs, verifying the first. The plan is
 // prepared once and executed repeatedly — the prepared-query pattern.
-func (c *ssbCache) timedRun(opt options, q ssb.Query, db *core.DB, cfg *core.Config) (*core.Result, time.Duration, error) {
-	pq, err := c.prepare(q, db, cfg)
+func (c *ssbCache) timedRun(opt options, q ssb.Query, db *core.DB, o ...core.Option) (*core.Result, time.Duration, error) {
+	pq, err := c.prepare(q, db, o...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -163,7 +163,7 @@ func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment, style
 	if err != nil {
 		return nil, 0, err
 	}
-	return c.timedRun(opt, q, enc, a.Config(style, specialized))
+	return c.timedRun(opt, q, enc, core.WithFormats(a.Inter), core.WithStyle(style), core.WithSpecialized(specialized))
 }
 
 // runFig9 regenerates Figure 9: per-query runtimes of the five systems.
@@ -187,14 +187,14 @@ func runFig9(opt options) error {
 		row[0] = ms(t)
 
 		// MorphStore scalar, uncompressed.
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Scalar))
+		_, ts, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Scalar))
 		if err != nil {
 			return err
 		}
 		row[1] = ms(ts)
 
 		// MorphStore vectorized, uncompressed.
-		_, tv, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Vec512))
+		_, tv, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Vec512))
 		if err != nil {
 			return err
 		}
@@ -283,12 +283,12 @@ func runFig1(opt options) error {
 			return err
 		}
 		tMonet += t
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Scalar))
+		_, ts, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Scalar))
 		if err != nil {
 			return err
 		}
 		tScalar += ts
-		resV, tv, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Vec512))
+		resV, tv, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Vec512))
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -90,4 +91,30 @@ func undocumentedIn(t *testing.T, dir string) []string {
 		}
 	}
 	return missing
+}
+
+// TestNoDeprecatedMarkers keeps the public root and internal/core at one way
+// to do each thing: a name that would earn a "// Deprecated:" marker there is
+// deleted together with its in-repo callers instead of kept as a second path.
+func TestNoDeprecatedMarkers(t *testing.T) {
+	for _, dir := range []string{".", "internal/core"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if strings.Contains(line, "// Deprecated:") {
+					t.Errorf("%s:%d: deprecated name kept in non-test code: %s", file, i+1, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
 }

@@ -24,9 +24,6 @@
 //
 //	pos, err := eng.Select(ctx, col, morphstore.CmpGt, 3,
 //		morphstore.WithOutput(morphstore.DeltaBP))
-//
-// Of the original facade's free functions only Execute remains, as a
-// deprecated thin wrapper over Prepare + Execute.
 package morphstore
 
 import (
@@ -165,11 +162,6 @@ func WithUniformFormat(d FormatDesc) Option { return core.WithUniformFormat(d) }
 // gray-box cost model (footprint objective, §5) at prepare time. Applies to
 // Prepare.
 func WithCostBasedFormats() Option { return core.WithCostBasedFormats() }
-
-// WithConfig adopts a legacy Config (formats, style, specialized,
-// AutoMorph, Keep). Applies to Prepare; it is the migration bridge from the
-// deprecated Execute.
-func WithConfig(cfg *Config) Option { return core.WithConfig(cfg) }
 
 // WithOutput sets the output format of a one-off operator call (every
 // output of dual-output operators). Defaults to Uncompressed. Applies to

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"morphstore/internal/bitutil"
@@ -51,20 +51,32 @@ func simpleDB(n int, seed int64) (*DB, uint64) {
 	return db, want
 }
 
+// execPlan is the one way the equivalence suites of this package run a plan:
+// a fresh engine over db with a par-worker budget (0 = GOMAXPROCS), one
+// Prepare with the case's options, one Execute.
+func execPlan(p *Plan, db *DB, par int, o ...Option) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(p, o...)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
+
 func TestSimpleQueryAllConfigs(t *testing.T) {
 	db, want := simpleDB(10000, 1)
 	p := simpleQueryPlan(t, 7)
 
-	configs := map[string]*Config{
-		"uncompressed-scalar": UncompressedConfig(vector.Scalar),
-		"uncompressed-vec":    UncompressedConfig(vector.Vec512),
-		"staticbp":            UniformConfig(p, columns.StaticBPDesc(0), vector.Vec512),
-		"dynbp":               UniformConfig(p, columns.DynBPDesc, vector.Vec512),
-		"delta":               UniformConfig(p, columns.DeltaBPDesc, vector.Vec512),
-		"forbp":               UniformConfig(p, columns.ForBPDesc, vector.Vec512),
+	vec := WithStyle(vector.Vec512)
+	configs := map[string][]Option{
+		"uncompressed-scalar": {WithStyle(vector.Scalar)},
+		"uncompressed-vec":    {vec},
+		"staticbp":            {vec, WithUniformFormat(columns.StaticBPDesc(0))},
+		"dynbp":               {vec, WithUniformFormat(columns.DynBPDesc)},
+		"delta":               {vec, WithUniformFormat(columns.DeltaBPDesc)},
+		"forbp":               {vec, WithUniformFormat(columns.ForBPDesc)},
 	}
-	for name, cfg := range configs {
-		res, err := Execute(p, db, cfg)
+	for name, opts := range configs {
+		res, err := execPlan(p, db, 0, opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,9 +107,8 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, specialized := range []bool{false, true} {
-		cfg := UniformConfig(p, columns.DeltaBPDesc, vector.Vec512)
-		cfg.Specialized = specialized
-		res, err := Execute(p, encoded, cfg)
+		res, err := execPlan(p, encoded, 0, WithStyle(vector.Vec512),
+			WithUniformFormat(columns.DeltaBPDesc), WithSpecialized(specialized))
 		if err != nil {
 			t.Fatalf("specialized=%v: %v", specialized, err)
 		}
@@ -112,7 +123,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	db, _ := simpleDB(50000, 3)
 	p := simpleQueryPlan(t, 7)
 
-	resU, err := Execute(p, db, UncompressedConfig(vector.Vec512))
+	resU, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := Execute(p, encoded, UniformConfig(p, columns.DynBPDesc, vector.Vec512))
+	resC, err := execPlan(p, encoded, 0, WithStyle(vector.Vec512), WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +160,11 @@ func TestRandomAccessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := UncompressedConfig(vector.Scalar)
-	if _, err := Execute(p, encoded, cfg); err == nil {
+	if _, err := execPlan(p, encoded, 0); err == nil {
 		t.Fatal("project on DynBP data must fail without AutoMorph")
 	}
 	// With AutoMorph the executor inserts an on-the-fly morph.
-	cfg.AutoMorph = true
-	res, err := Execute(p, encoded, cfg)
+	res, err := execPlan(p, encoded, 0, WithAutoMorph(true))
 	if err != nil {
 		t.Fatalf("AutoMorph execution failed: %v", err)
 	}
@@ -164,29 +173,28 @@ func TestRandomAccessRestriction(t *testing.T) {
 	}
 	// An intermediate consumed via random access must also be rejected when
 	// configured with a non-random-access format.
-	cfg2 := UncompressedConfig(vector.Scalar)
-	cfg2.Inter["r.y"] = columns.DynBPDesc // r.y is a scan, ignored via Inter
 	b := NewBuilder()
 	x := b.Scan("r", "x")
-	sel := b.Select("s", x, bitutil.CmpEq, 7)
-	pr := b.Project("p", x, sel) // x randomly accessed as intermediate input
-	b.Result(b.SumWhole("t", pr))
+	d := b.Project("d", x, b.Select("s", x, bitutil.CmpEq, 7))
+	b.Result(b.SumWhole("t", b.Project("p", d, b.Select("s2", d, bitutil.CmpEq, 7))))
 	p2, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = p2
-	_ = cfg2
+	if _, err := execPlan(p2, db, 0, WithFormat("d", columns.DynBPDesc)); err == nil {
+		t.Fatal("project on a DynBP intermediate must fail without AutoMorph")
+	}
+	if _, err := execPlan(p2, db, 0, WithFormat("d", columns.DynBPDesc), WithAutoMorph(true)); err != nil {
+		t.Fatalf("AutoMorph execution on a DynBP intermediate failed: %v", err)
+	}
 }
 
 func TestResultMustStayUncompressed(t *testing.T) {
 	db, _ := simpleDB(1000, 5)
 	p := simpleQueryPlan(t, 7)
-	cfg := UncompressedConfig(vector.Scalar)
-	cfg.Inter["total"] = columns.DynBPDesc
-	if _, err := Execute(p, db, cfg); err == nil ||
-		!strings.Contains(err.Error(), "uncompressed") {
-		t.Fatalf("compressed result column must be rejected, got %v", err)
+	_, err := execPlan(p, db, 0, WithFormat("total", columns.DynBPDesc))
+	if want := `core: result column "total" must stay uncompressed, configured ` + columns.DynBPDesc.String(); err == nil || err.Error() != want {
+		t.Fatalf("compressed result column: got error %v, want %q", err, want)
 	}
 }
 
@@ -231,7 +239,7 @@ func TestUnknownTableColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(p, db, nil); err == nil {
+	if _, err := execPlan(p, db, 0); err == nil {
 		t.Error("unknown table must fail")
 	}
 }
@@ -267,11 +275,11 @@ func TestGroupedQueryPlan(t *testing.T) {
 	}
 
 	for _, cfgName := range []string{"uncompressed", "compressed"} {
-		cfg := UncompressedConfig(vector.Vec512)
+		opts := []Option{WithStyle(vector.Vec512)}
 		if cfgName == "compressed" {
-			cfg = UniformConfig(p, columns.DynBPDesc, vector.Vec512)
+			opts = append(opts, WithUniformFormat(columns.DynBPDesc))
 		}
-		res, err := Execute(p, db, cfg)
+		res, err := execPlan(p, db, 0, opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", cfgName, err)
 		}
@@ -304,7 +312,7 @@ func TestFootprintSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(p, enc, a.Config(vector.Vec512, false))
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +355,7 @@ func TestCostBasedAssignmentNearOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(p, enc, a.Config(vector.Scalar, false))
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +379,7 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(p, enc, a.Config(vector.Vec512, false))
+	res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +389,16 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	}
 }
 
-func TestUniformConfigRespectsRandomAccess(t *testing.T) {
+func TestUniformFormatRespectsRandomAccess(t *testing.T) {
+	db, _ := simpleDB(100, 1)
 	p := simpleQueryPlan(t, 7)
-	cfg := UniformConfig(p, columns.DeltaBPDesc, vector.Scalar)
-	for name, d := range cfg.Inter {
+	pr, err := NewEngine(db).Prepare(p, WithUniformFormat(columns.DeltaBPDesc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range pr.Formats() {
 		if p.RandomAccessed(name) && !formats.HasRandomAccess(d.Kind) {
-			t.Errorf("uniform config assigned %v to randomly accessed %q", d, name)
+			t.Errorf("uniform format assigned %v to randomly accessed %q", d, name)
 		}
 	}
 }
@@ -394,7 +406,7 @@ func TestUniformConfigRespectsRandomAccess(t *testing.T) {
 func TestPerOpRuntimes(t *testing.T) {
 	db, _ := simpleDB(20000, 9)
 	p := simpleQueryPlan(t, 7)
-	res, err := Execute(p, db, UncompressedConfig(vector.Scalar))
+	res, err := execPlan(p, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +434,7 @@ func TestCalcThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(p, db, UncompressedConfig(vector.Vec512))
+	res, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,28 +277,6 @@ func WithCostBasedFormats() Option {
 	}}
 }
 
-// WithConfig adopts a legacy Config (formats, style, specialized, AutoMorph,
-// Keep; Parallelism is ignored here — set it at NewEngine or Execute).
-// Applies to Prepare; it is the bridge the deprecated free functions use.
-func WithConfig(cfg *Config) Option {
-	return Option{name: "WithConfig", scope: scopePrepare, apply: func(o *options) {
-		if cfg == nil {
-			return
-		}
-		m := make(map[string]columns.FormatDesc, len(cfg.Inter))
-		for k, v := range cfg.Inter {
-			m[k] = v
-		}
-		o.explicit = m
-		o.uniform = nil
-		o.costBased = false
-		o.style = cfg.Style
-		o.specialized = cfg.Specialized
-		o.autoMorph = cfg.AutoMorph
-		o.keep = cfg.Keep
-	}}
-}
-
 // WithOutput sets the output format of a one-off operator call (every
 // output of dual-output operators). Applies to operator calls.
 func WithOutput(d columns.FormatDesc) Option {
@@ -683,13 +661,8 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	// A context that expired during admission runs no node, but leaves through
 	// the same tail as every other outcome so the (all-unstarted) stats tree is
 	// still published.
-	err = ctx.Err()
-	switch {
-	case err != nil:
-	case par <= 1:
-		err = pr.runSequential(ctx, es, res, opt.keep)
-	default:
-		err = pr.runConcurrent(ctx, es, res, opt.keep, par)
+	if err = ctx.Err(); err == nil {
+		err = pr.runPlan(ctx, es, res, opt.keep, par)
 	}
 	err = qerr.Classify(err)
 	if err != nil && e.killCtx.Err() != nil && errors.Is(err, qerr.ErrQueryCanceled) {
@@ -786,28 +759,8 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 	return produced, nil
 }
 
-// runSequential executes the nodes one at a time in topological order — the
-// original operator-at-a-time execution — checking the context between
-// operators.
-func (pr *Prepared) runSequential(ctx context.Context, es *execState, res *Result, keep bool) error {
-	for i := range pr.bound {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bn := &pr.bound[i]
-		start := time.Now()
-		produced, err := pr.runNode(ctx, es, bn, 1)
-		if err != nil {
-			return err
-		}
-		es.outs[bn.n.id] = produced
-		pr.account(res, bn.n, produced, time.Since(start), keep)
-	}
-	return nil
-}
-
 // account books the footprint and runtime of one completed node into the
-// result. In the concurrent execution the scheduler serializes calls.
+// result. The scheduler serializes calls.
 func (pr *Prepared) account(res *Result, n *Node, produced []*columns.Column, elapsed time.Duration, keep bool) {
 	if n.op != OpScan {
 		res.Meas.Runtime += elapsed

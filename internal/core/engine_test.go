@@ -17,10 +17,10 @@ import (
 	"morphstore/internal/vector"
 )
 
-// TestEnginePreparedMatchesLegacy: engine.Prepare + Execute(ctx) must
-// produce columns byte-identical to the legacy core.Execute path at every
-// parallelism level, for uncompressed and compressed configurations.
-func TestEnginePreparedMatchesLegacy(t *testing.T) {
+// TestEnginePreparedMatchesWidth1: on an engine of any budget, Prepare +
+// Execute(ctx) must produce columns byte-identical to a fresh width-1 engine,
+// for uncompressed and compressed configurations.
+func TestEnginePreparedMatchesWidth1(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
 	base := map[string]columns.FormatDesc{
@@ -34,9 +34,7 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc} {
-		cfg := UniformConfig(plan, desc, vector.Vec512)
-		cfg.Parallelism = 1
-		want, err := Execute(plan, enc, cfg)
+		want, err := execPlan(plan, enc, 1, WithStyle(vector.Vec512), WithUniformFormat(desc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +69,7 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 func TestEngineConcurrentExecutes(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	seqRef, err := Execute(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Style: vector.Vec512, Parallelism: 1})
+	seqRef, err := execPlan(plan, db, 1, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +430,7 @@ func TestEngineFormatResolution(t *testing.T) {
 	if len(prc.Formats()) == 0 {
 		t.Fatal("cost-based preparation bound no formats")
 	}
-	want, err := Execute(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Parallelism: 1})
+	want, err := execPlan(plan, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

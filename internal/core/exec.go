@@ -1,16 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"morphstore/internal/columns"
 	"morphstore/internal/dict"
-	"morphstore/internal/formats"
 	"morphstore/internal/morph"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // Table is a named collection of equally long columns.
@@ -145,61 +142,6 @@ func (db *DB) Encode(base map[string]columns.FormatDesc) (*DB, error) {
 	return out, nil
 }
 
-// Config assigns a compressed format to every column of a query execution
-// plan (DP2: each intermediate chosen independently). Missing entries mean
-// uncompressed. Result columns are always uncompressed.
-//
-// Config is the legacy configuration carrier of the deprecated Execute
-// wrapper; the engine API expresses the same choices as functional options
-// (WithFormats, WithStyle, WithSpecialized, WithAutoMorph, WithKeep,
-// WithParallelism).
-type Config struct {
-	// Inter maps intermediate column names to formats.
-	Inter map[string]columns.FormatDesc
-	// Style selects the processing-style specialization of all kernels.
-	Style vector.Style
-	// Specialized enables the specialized-operator integration degree for
-	// formats that have one (§3.3: employ them selectively).
-	Specialized bool
-	// AutoMorph permits the executor to insert on-the-fly morphs when an
-	// operator needs random access to a column whose format does not
-	// support it. When false such plans fail (strict consistency, §3.3).
-	AutoMorph bool
-	// Keep retains all intermediate columns in the result (used by the
-	// format-search and cost-model tooling).
-	Keep bool
-	// Parallelism is the worker-goroutine budget: independent plan
-	// operators run concurrently on a dependency-counting scheduler, and
-	// the partitionable operator kernels (select, between, project,
-	// semijoin probe, N:1 join probe, binary calc, whole-column and grouped
-	// sum) run morsel-parallel over block-aligned sections of their input.
-	// The budget is divided among the operators running at any moment and
-	// re-divided whenever one of them finishes, so a finishing branch's
-	// workers immediately flow to the survivors. 0 means GOMAXPROCS; 1
-	// reproduces the sequential operator-at-a-time execution exactly.
-	// Results are byte-identical at every parallelism level.
-	Parallelism int
-}
-
-// UncompressedConfig returns a config processing everything uncompressed.
-func UncompressedConfig(style vector.Style) *Config {
-	return &Config{Inter: map[string]columns.FormatDesc{}, Style: style}
-}
-
-// UniformConfig returns a config assigning desc to every intermediate of p
-// (respecting the random-access restriction, for which static BP is used).
-func UniformConfig(p *Plan, desc columns.FormatDesc, style vector.Style) *Config {
-	cfg := &Config{Inter: map[string]columns.FormatDesc{}, Style: style}
-	for _, name := range p.IntermediateNames() {
-		d := desc
-		if p.RandomAccessed(name) && !formats.HasRandomAccess(d.Kind) {
-			d = columns.StaticBPDesc(0)
-		}
-		cfg.Inter[name] = d
-	}
-	return cfg
-}
-
 // Measure aggregates the physical footprint and runtime of one execution,
 // mirroring the paper's two evaluation metrics.
 type Measure struct {
@@ -226,30 +168,8 @@ type Result struct {
 	// Cols holds the result columns by name.
 	Cols map[string]*columns.Column
 	// Inter holds every materialized column by name when keeping
-	// intermediates (Config.Keep / WithKeep).
+	// intermediates (WithKeep).
 	Inter map[string]*columns.Column
 	// Meas carries the footprint/runtime accounting.
 	Meas Measure
-}
-
-// Execute runs the plan operator-at-a-time against db under cfg by
-// preparing it on a throwaway engine. With cfg.Parallelism <= 1 the nodes
-// run sequentially in topological order; otherwise independent nodes run
-// concurrently and partitionable kernels run morsel-parallel, producing
-// byte-identical columns either way.
-//
-// Deprecated: Use NewEngine(db, ...), Engine.Prepare, and Prepared.Execute:
-// they compile the plan once, accept a context for cancellation, and share
-// one worker budget across concurrent queries. Execute remains as a thin
-// wrapper for existing call sites.
-func Execute(p *Plan, db *DB, cfg *Config) (*Result, error) {
-	if cfg == nil {
-		cfg = UncompressedConfig(vector.Scalar)
-	}
-	e := NewEngine(db, WithParallelism(cfg.Parallelism))
-	pr, err := e.Prepare(p, WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return pr.Execute(context.Background())
 }

@@ -126,19 +126,14 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 		for _, interDesc := range interDescs {
 			for _, style := range vector.Styles {
 				name := fmt.Sprintf("%s/%v/%v", dbCase.name, interDesc, style)
-				mkCfg := func(par int) *Config {
-					cfg := UniformConfig(plan, interDesc, style)
-					cfg.Keep = true
-					cfg.Parallelism = par
-					return cfg
-				}
-				want, err := Execute(plan, dbCase.db, mkCfg(1))
+				opts := []Option{WithUniformFormat(interDesc), WithStyle(style), WithKeep(true)}
+				want, err := execPlan(plan, dbCase.db, 1, opts...)
 				if err != nil {
 					t.Fatalf("%s: sequential: %v", name, err)
 				}
 				// 10*512+300 fact elements span 11 blocks; 12 over-subscribes.
 				for _, par := range []int{2, 3, 8, 12} {
-					got, err := Execute(plan, dbCase.db, mkCfg(par))
+					got, err := execPlan(plan, dbCase.db, par, opts...)
 					if err != nil {
 						t.Fatalf("%s p=%d: %v", name, par, err)
 					}
@@ -175,9 +170,9 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelErrorPropagation checks that a failing operator aborts
-// a concurrent execution with the same error the sequential executor
-// reports, and that no result is returned.
+// TestExecuteParallelErrorPropagation checks that a plan binding a
+// non-random-access format to a randomly accessed intermediate is rejected at
+// every width, and that no result is returned.
 func TestExecuteParallelErrorPropagation(t *testing.T) {
 	db := buildParTestDB(t)
 	b := NewBuilder()
@@ -191,12 +186,8 @@ func TestExecuteParallelErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		cfg := &Config{
-			Inter:       map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc},
-			Style:       vector.Scalar,
-			Parallelism: par,
-		}
-		res, err := Execute(plan, db, cfg)
+		res, err := execPlan(plan, db, par, WithFormats(
+			map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc}))
 		if err == nil {
 			t.Fatalf("p=%d: expected random-access error, got result %v", par, res)
 		}
@@ -231,7 +222,7 @@ func TestBetweenPlanRanges(t *testing.T) {
 			}
 			for _, specialized := range []bool{false, true} {
 				for _, par := range []int{1, 4} {
-					res, err := Execute(plan, enc, &Config{Style: vector.Vec512, Specialized: specialized, Parallelism: par})
+					res, err := execPlan(plan, enc, par, WithStyle(vector.Vec512), WithSpecialized(specialized))
 					if err != nil {
 						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %v", lo, hi, desc, specialized, par, err)
 					}

@@ -68,13 +68,11 @@ type compiler struct {
 }
 
 // outDesc resolves the format a node output materializes in, honouring the
-// result-column rule (sinks stay uncompressed) and the random-access
-// restriction (§4.2).
+// result-column rule (sinks stay uncompressed; Prepare has already rejected
+// a compressed format configured for one) and the random-access restriction
+// (§4.2).
 func (c *compiler) outDesc(name string) (columns.FormatDesc, error) {
 	if c.sinks[name] {
-		if d, ok := c.opt.inter[name]; ok && d.Kind != columns.Uncompressed {
-			return columns.FormatDesc{}, fmt.Errorf("core: result column %q must stay uncompressed, configured %v", name, d)
-		}
 		return columns.UncomprDesc, nil
 	}
 	d, ok := c.opt.inter[name]

@@ -10,14 +10,11 @@
 // admission gate. Engine.Prepare compiles a plan once — per-column formats
 // resolved explicitly, uniformly, or cost-based; morph insertions and
 // kernel dispatch bound into one physical operator per node (physop.go) —
-// and Prepared.Execute runs it under a context.Context, sequentially or on
-// the concurrent DAG scheduler (sched.go), accounting the memory footprint
-// and runtime that the paper's experiments report. Results are
-// byte-identical at every parallelism level and under any mix of
-// concurrent queries.
-//
-// The pre-engine entry points remain as deprecated wrappers: Execute runs
-// a plan under a legacy Config by preparing it on a throwaway engine.
+// and Prepared.Execute runs it under a context.Context on the DAG scheduler
+// (sched.go; sequential execution is that scheduler with one worker),
+// accounting the memory footprint and runtime that the paper's experiments
+// report. Results are byte-identical at every parallelism level and under
+// any mix of concurrent queries.
 package core
 
 import (
@@ -123,7 +120,7 @@ type ColRef struct {
 }
 
 // Name returns the unique column name of the referenced output, which is the
-// key used by Config to assign formats.
+// key WithFormat and WithFormats assign formats by.
 func (r ColRef) Name() string { return r.node.outNames[r.out] }
 
 // valid reports whether the reference points at an actual node output.

@@ -6,12 +6,19 @@ import (
 	"time"
 )
 
-// This file implements the concurrent plan execution: a dependency-counting
-// DAG scheduler that runs independent plan operators on a small pool of
-// worker goroutines. Independent branches — e.g. the dimension-table selects
-// of the SSB Q4.x plans — proceed concurrently, while every node still sees
-// fully materialized inputs (operator-at-a-time semantics are preserved, so
-// the produced columns are byte-identical to the sequential execution).
+// This file implements the plan execution, the one executor for every
+// parallelism: a dependency-counting DAG scheduler that runs ready plan
+// operators on a small pool of workers. Independent branches — e.g. the
+// dimension-table selects of the SSB Q4.x plans — proceed concurrently, while
+// every node still sees fully materialized inputs (operator-at-a-time
+// semantics are preserved, so the produced columns are byte-identical at
+// every width).
+//
+// A worker always takes the ready node with the lowest id. Node ids are a
+// topological order (the builder only references already-built nodes), so a
+// single worker — WithParallelism(1) or a degraded plan — finds node k ready
+// the moment nodes 0..k-1 are done: the sequential operator-at-a-time
+// execution is this scheduler at width 1, nodes in plan order, one at a time.
 //
 // Worker-budget sharing is no longer the scheduler's job: every running
 // operator holds a lease on the engine-wide ops.Budget (see runNode), which
@@ -47,12 +54,12 @@ type sched struct {
 	cancel     context.CancelFunc // cancels the plan-internal context
 }
 
-// runConcurrent executes the plan DAG on min(par, nodes) workers. The plan
-// runs under its own cancellable context derived from ctx: the first failing
-// node cancels it, so the morsel loops of concurrently running sibling
-// operators stop within one morsel instead of completing work whose result
-// the failed execution can never use.
-func (pr *Prepared) runConcurrent(ctx context.Context, es *execState, res *Result, keep bool, par int) error {
+// runPlan executes the plan DAG on min(par, nodes) workers, the calling
+// goroutine being one of them. The plan runs under its own cancellable
+// context derived from ctx: the first failing node cancels it, so the morsel
+// loops of concurrently running sibling operators stop within one morsel
+// instead of completing work whose result the failed execution can never use.
+func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, keep bool, par int) error {
 	ctx, cancelPlan := context.WithCancel(ctx)
 	defer cancelPlan()
 	total := len(pr.p.nodes)
@@ -99,17 +106,33 @@ func (pr *Prepared) runConcurrent(ctx context.Context, es *execState, res *Resul
 		}
 	}()
 
-	workers := min(par, total)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(par, total); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pr.schedWorker(ctx, s, es, res, keep, par)
 		}()
 	}
+	pr.schedWorker(ctx, s, es, res, keep, par)
 	wg.Wait()
 	return s.err
+}
+
+// popLowest removes and returns the lowest ready node id (mu held, queue
+// non-empty). The queue holds at most the plan's widest antichain — tens of
+// ids — so a scan beats keeping it ordered.
+func (s *sched) popLowest() int {
+	m := 0
+	for i, id := range s.queue {
+		if id < s.queue[m] {
+			m = i
+		}
+	}
+	id, last := s.queue[m], len(s.queue)-1
+	s.queue[m] = s.queue[last]
+	s.queue = s.queue[:last]
+	return id
 }
 
 // schedWorker pulls ready nodes until the plan completes or fails.
@@ -123,8 +146,7 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 			s.mu.Unlock()
 			return
 		}
-		id := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
+		id := s.popLowest()
 		s.mu.Unlock()
 
 		bn := &pr.bound[id]

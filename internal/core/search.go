@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -36,11 +37,6 @@ func (a *Assignment) Clone() *Assignment {
 	return c
 }
 
-// Config converts the assignment into an executor config.
-func (a *Assignment) Config(style vector.Style, specialized bool) *Config {
-	return &Config{Inter: a.Inter, Style: style, Specialized: specialized}
-}
-
 // Candidates returns the admissible formats for the named plan column:
 // the paper's five formats, or only the random-access formats for columns
 // consumed by project (§4.2, footnote 3).
@@ -54,9 +50,11 @@ func Candidates(p *Plan, name string) []columns.FormatDesc {
 // materializedColumns runs the plan once fully uncompressed, returning the
 // uncompressed values of every base column and intermediate by name.
 func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
-	cfg := UncompressedConfig(vector.Scalar)
-	cfg.Keep = true
-	res, err := Execute(p, db, cfg)
+	pr, err := NewEngine(db).Prepare(p, WithKeep(true))
+	if err != nil {
+		return nil, err
+	}
+	res, err := pr.Execute(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -122,72 +120,17 @@ func FootprintSearch(p *Plan, db *DB) (best, worst *Assignment, err error) {
 	return best, worst, nil
 }
 
-// encCache pre-encodes base columns in every candidate format so the greedy
-// runtime search can swap base formats without repeated morphing.
-type encCache struct {
-	db   *DB
-	cols map[string]map[columns.FormatDesc]*columns.Column
-}
-
-func newEncCache(db *DB) *encCache {
-	return &encCache{db: db, cols: make(map[string]map[columns.FormatDesc]*columns.Column)}
-}
-
-// dbFor assembles a database view with the given base formats.
-func (e *encCache) dbFor(base map[string]columns.FormatDesc) (*DB, error) {
-	out := NewDB()
-	for tn, t := range e.db.Tables {
-		nt := &Table{Name: tn, Cols: make(map[string]*columns.Column, len(t.Cols))}
-		for cn, col := range t.Cols {
-			name := tn + "." + cn
-			desc, ok := base[name]
-			if !ok || desc.Kind == columns.Uncompressed {
-				nt.Cols[cn] = col
-				continue
-			}
-			byDesc, ok := e.cols[name]
-			if !ok {
-				byDesc = make(map[columns.FormatDesc]*columns.Column)
-				e.cols[name] = byDesc
-			}
-			enc, ok := byDesc[desc]
-			if !ok {
-				vals, vok := col.Values()
-				if !vok {
-					var err error
-					vals, err = formats.Decompress(col)
-					if err != nil {
-						return nil, err
-					}
-				}
-				var err error
-				enc, err = formats.Compress(vals, desc)
-				if err != nil {
-					return nil, err
-				}
-				byDesc[desc] = enc
-			}
-			nt.Cols[cn] = enc
-		}
-		out.Tables[tn] = nt
-	}
-	return out, nil
-}
-
-// measureRuntime executes the plan under the assignment, returning the
+// measureRuntime prepares the plan on e — the engine over one encoded view
+// of the base data — with the given intermediate formats and returns the
 // minimum runtime over `repeats` runs (minimum denoises scheduler jitter).
-func measureRuntime(p *Plan, cache *encCache, a *Assignment, style vector.Style, specialized bool, repeats int) (time.Duration, error) {
-	dbv, err := cache.dbFor(a.Base)
+func measureRuntime(e *Engine, p *Plan, inter map[string]columns.FormatDesc, repeats int) (time.Duration, error) {
+	pr, err := e.Prepare(p, WithFormats(inter))
 	if err != nil {
 		return 0, err
 	}
 	bestT := time.Duration(0)
 	for i := 0; i < repeats; i++ {
-		cfg := a.Config(style, specialized)
-		// Runtime-driven format choices compare sequential operator times;
-		// concurrent execution would fold scheduler contention into them.
-		cfg.Parallelism = 1
-		res, err := Execute(p, dbv, cfg)
+		res, err := pr.Execute(context.Background())
 		if err != nil {
 			return 0, err
 		}
@@ -206,7 +149,16 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 	if repeats < 1 {
 		repeats = 1
 	}
-	cache := newEncCache(db)
+	// One engine per encoded view of the base data. Runtime-driven format
+	// choices compare sequential operator times; concurrent execution would
+	// fold scheduler contention into them.
+	engineOver := func(view *DB) *Engine {
+		return NewEngine(view, WithParallelism(1), WithStyle(style), WithSpecialized(specialized))
+	}
+	// cur runs on the view holding every base format fixed so far; a base
+	// candidate's view differs from it in that one column, so each
+	// (column, format) pair is encoded exactly once.
+	cur := engineOver(db)
 	a := NewAssignment()
 	baseSet := make(map[string]bool)
 	for _, name := range p.BaseColumns() {
@@ -216,14 +168,20 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 	for _, name := range names {
 		var bestDesc columns.FormatDesc
 		var bestT time.Duration
-		first := true
+		var bestEng *Engine
 		for _, d := range Candidates(p, name) {
+			eng := cur
 			if baseSet[name] {
 				a.Base[name] = d
+				view, err := cur.db.Encode(map[string]columns.FormatDesc{name: d})
+				if err != nil {
+					return nil, err
+				}
+				eng = engineOver(view)
 			} else {
 				a.Inter[name] = d
 			}
-			t, err := measureRuntime(p, cache, a, style, specialized, repeats)
+			t, err := measureRuntime(eng, p, a.Inter, repeats)
 			if err != nil {
 				return nil, err
 			}
@@ -231,8 +189,8 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 			if maximize {
 				better = t > bestT
 			}
-			if first || better {
-				bestT, bestDesc, first = t, d, false
+			if bestEng == nil || better {
+				bestT, bestDesc, bestEng = t, d, eng
 			}
 		}
 		if baseSet[name] {
@@ -240,6 +198,7 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 		} else {
 			a.Inter[name] = bestDesc
 		}
+		cur = bestEng
 	}
 	return a, nil
 }

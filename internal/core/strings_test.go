@@ -9,6 +9,7 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
+	"morphstore/internal/vector"
 )
 
 // TestAddStringColumnValidation checks the typed schema errors of
@@ -425,5 +426,60 @@ func TestStringPlanIntrospection(t *testing.T) {
 	}
 	if fmt.Sprint(OpSelectStr) != "select_str" {
 		t.Fatalf("OpSelectStr name = %q", fmt.Sprint(OpSelectStr))
+	}
+}
+
+// TestFormatSearchOnStringPredicatePlan: the format searches run a plan with
+// string predicates on encoded views of the base data, so those views must
+// keep the tables' dictionaries (the greedy search used to rebuild its views
+// without them and failed at prepare).
+func TestFormatSearchOnStringPredicatePlan(t *testing.T) {
+	const n = 3000
+	names := make([]string, n)
+	vals := make([]uint64, n)
+	var want uint64
+	for i := range names {
+		names[i] = []string{"apple", "apricot", "banana", "cherry"}[i*7%4]
+		vals[i] = uint64(i % 97)
+		if names[i] != "cherry" {
+			want += vals[i]
+		}
+	}
+	db := NewDB()
+	if err := db.AddStringColumn("t", "s", names); err != nil {
+		t.Fatal(err)
+	}
+	db.Tables["t"].Cols["v"] = columns.FromValues(vals)
+
+	b := NewBuilder()
+	s, v := b.Scan("t", "s"), b.Scan("t", "v")
+	pos := b.Merge("pos", b.SelectStrPrefix("ap", s, "ap"),
+		b.Merge("eq_in", b.SelectStrEq("eq", s, "banana"), b.SelectStrIn("in", s, "banana", "nope")))
+	b.Result(b.SumWhole("total", b.Project("vals", v, pos)))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	greedy, err := RuntimeGreedySearch(p, db, vector.Scalar, true, false, 1)
+	if err != nil {
+		t.Fatalf("RuntimeGreedySearch: %v", err)
+	}
+	best, worst, err := FootprintSearch(p, db)
+	if err != nil {
+		t.Fatalf("FootprintSearch: %v", err)
+	}
+	for name, a := range map[string]*Assignment{"greedy": greedy, "best": best, "worst": worst} {
+		enc, err := db.Encode(a.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithSpecialized(true))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, _ := res.Cols["total"].Values(); len(got) != 1 || got[0] != want {
+			t.Fatalf("%s: total = %v, want %d", name, got, want)
+		}
 	}
 }

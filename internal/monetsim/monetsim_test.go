@@ -1,6 +1,7 @@
 package monetsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -108,7 +109,11 @@ func TestMatchesMorphStoreEngine(t *testing.T) {
 	p := buildTestPlan(t)
 	db := buildTestDB(t, 20000, 3)
 
-	want, err := core.Execute(p, db, core.UncompressedConfig(vector.Vec512))
+	pr, err := core.NewEngine(db, core.WithStyle(vector.Vec512)).Prepare(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pr.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,15 @@
 package ssb
 
 import (
+	"context"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
+	"morphstore/internal/metrics"
 	"morphstore/internal/monetsim"
 	"morphstore/internal/vector"
 )
@@ -187,6 +192,16 @@ func TestHierarchyConsistency(t *testing.T) {
 	}
 }
 
+// execPlan prepares the plan on a fresh engine over db (GOMAXPROCS budget)
+// with the case's options and executes it once.
+func execPlan(p *core.Plan, db *core.DB, o ...core.Option) (*core.Result, error) {
+	pr, err := core.NewEngine(db).Prepare(p, o...)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
+
 // TestAllQueriesAllEnginesAgree is the central SSB correctness test: every
 // query must produce identical results in the row-wise reference, the
 // MorphStore engine (scalar, vectorized, and two compressed configurations),
@@ -208,15 +223,16 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfgs := map[string]*core.Config{
-				"scalar-uncompr": core.UncompressedConfig(vector.Scalar),
-				"vec-uncompr":    core.UncompressedConfig(vector.Vec512),
-				"vec-staticbp":   core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512),
-				"vec-dynbp":      core.UniformConfig(plan, columns.DynBPDesc, vector.Vec512),
-				"vec-delta":      core.UniformConfig(plan, columns.DeltaBPDesc, vector.Vec512),
+			vec := core.WithStyle(vector.Vec512)
+			cfgs := map[string][]core.Option{
+				"scalar-uncompr": {core.WithStyle(vector.Scalar)},
+				"vec-uncompr":    {vec},
+				"vec-staticbp":   {vec, core.WithUniformFormat(columns.StaticBPDesc(0))},
+				"vec-dynbp":      {vec, core.WithUniformFormat(columns.DynBPDesc)},
+				"vec-delta":      {vec, core.WithUniformFormat(columns.DeltaBPDesc)},
 			}
-			for name, cfg := range cfgs {
-				res, err := core.Execute(plan, d.DB, cfg)
+			for name, opts := range cfgs {
+				res, err := execPlan(plan, d.DB, opts...)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -235,9 +251,7 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.UniformConfig(plan, columns.DynBPDesc, vector.Vec512)
-			cfg.Specialized = true
-			res, err := core.Execute(plan, enc, cfg)
+			res, err := execPlan(plan, enc, vec, core.WithUniformFormat(columns.DynBPDesc), core.WithSpecialized(true))
 			if err != nil {
 				t.Fatalf("specialized: %v", err)
 			}
@@ -308,7 +322,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := core.Execute(plan, d.DB, core.UncompressedConfig(vector.Vec512))
+	resU, err := execPlan(plan, d.DB, core.WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +330,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := core.Execute(plan, enc, core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512))
+	resC, err := execPlan(plan, enc, core.WithStyle(vector.Vec512), core.WithUniformFormat(columns.StaticBPDesc(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +359,105 @@ func TestExtractRowsErrors(t *testing.T) {
 		"res_sum": {1, 2}, "res_d_year": {1992}, "res_p_brand1": {1, 2},
 	}); err == nil {
 		t.Error("ragged result must fail")
+	}
+}
+
+// orderTracer records the order in which operator spans open and the
+// largest number of spans open at once.
+type orderTracer struct {
+	mu                sync.Mutex
+	begun             []int
+	inFlight, maxOpen int
+}
+
+func (o *orderTracer) Begin(s metrics.Span, _ time.Time) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.begun = append(o.begun, s.Node)
+	o.inFlight++
+	o.maxOpen = max(o.maxOpen, o.inFlight)
+}
+
+func (o *orderTracer) End(metrics.Span, time.Time, metrics.NodeStats) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.inFlight--
+}
+
+func (o *orderTracer) Event(metrics.Span, time.Time, metrics.Event) {}
+
+// TestWidth1RunsPlanOrder pins "sequential is the scheduler at width 1": on
+// every SSB plan a width-1 execution — asked for with WithParallelism(1), or
+// forced by WithMemoryLimitDegrade — starts the nodes in node-id order with
+// one operator in flight, and width 1 and width 4 materialize byte-identical
+// columns with identical per-column sizes.
+func TestWidth1RunsPlanOrder(t *testing.T) {
+	d := getData(t)
+	enc, err := d.DB.Encode(allStaticBase(d.DB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(enc, core.WithParallelism(4))
+	for _, q := range Queries {
+		plan, err := BuildPlan(q, d.Dicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepare := func(o ...core.Option) *core.Prepared {
+			pr, err := eng.Prepare(plan, append(o, core.WithUniformFormat(columns.DynBPDesc), core.WithKeep(true))...)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return pr
+		}
+		plain := prepare()
+		degraded := prepare(core.WithMemoryEstimateLimit(1), core.WithMemoryLimitDegrade(true))
+		if !degraded.Degraded() {
+			t.Fatalf("%s: a 1-byte estimate limit must degrade the plan", q)
+		}
+		wide, err := plain.Execute(context.Background())
+		if err != nil {
+			t.Fatalf("%s width 4: %v", q, err)
+		}
+		for _, c := range []struct {
+			name string
+			pr   *core.Prepared
+			o    []core.Option
+		}{
+			{"width 1", plain, []core.Option{core.WithParallelism(1)}},
+			{"degraded", degraded, nil},
+		} {
+			name := c.name
+			var ot orderTracer
+			res, err := c.pr.Execute(context.Background(), append(c.o, core.WithTracer(&ot))...)
+			if err != nil {
+				t.Fatalf("%s %s: %v", q, name, err)
+			}
+			if ot.maxOpen != 1 {
+				t.Errorf("%s %s: %d operators in flight at once, want 1", q, name, ot.maxOpen)
+			}
+			if len(ot.begun) != len(plan.Nodes()) {
+				t.Fatalf("%s %s: %d nodes started, plan has %d", q, name, len(ot.begun), len(plan.Nodes()))
+			}
+			for i, id := range ot.begun {
+				if id != i {
+					t.Fatalf("%s %s: start order %v is not node-id order", q, name, ot.begun)
+				}
+			}
+			if len(res.Inter) != len(wide.Inter) || len(res.Meas.ColBytes) != len(wide.Meas.ColBytes) {
+				t.Fatalf("%s %s: %d columns / %d sizes, width 4 has %d / %d", q, name,
+					len(res.Inter), len(res.Meas.ColBytes), len(wide.Inter), len(wide.Meas.ColBytes))
+			}
+			for cn, w := range wide.Inter {
+				g := res.Inter[cn]
+				if g == nil || g.Desc() != w.Desc() || g.N() != w.N() || !slices.Equal(g.Words(), w.Words()) {
+					t.Fatalf("%s %s: column %q differs from width 4", q, name, cn)
+				}
+				if res.Meas.ColBytes[cn] != wide.Meas.ColBytes[cn] {
+					t.Fatalf("%s %s: ColBytes[%s] = %d, width 4 has %d", q, name, cn,
+						res.Meas.ColBytes[cn], wide.Meas.ColBytes[cn])
+				}
+			}
+		}
 	}
 }

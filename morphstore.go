@@ -190,28 +190,8 @@ type DB = core.DB
 // NewDB returns an empty database.
 func NewDB() *DB { return core.NewDB() }
 
-// Config assigns formats to a plan's intermediates and selects the
-// processing style and the parallelism degree (Config.Parallelism: 0 =
-// GOMAXPROCS, 1 = sequential; results are byte-identical at every level).
-type Config = core.Config
-
 // Result is a plan execution outcome with footprint/runtime accounting.
 type Result = core.Result
-
-// Execute runs a plan against a database under the given configuration.
-//
-// Deprecated: Use NewEngine(db), Engine.Prepare(p, WithConfig(cfg)), and Prepared.Execute(ctx): the plan compiles once, executions accept a context, and concurrent queries share one worker budget.
-func Execute(p *Plan, db *DB, cfg *Config) (*Result, error) {
-	return core.Execute(p, db, cfg)
-}
-
-// UncompressedConfig processes everything uncompressed.
-func UncompressedConfig(style Style) *Config { return core.UncompressedConfig(style) }
-
-// UniformConfig assigns one format to every intermediate of the plan.
-func UniformConfig(p *Plan, desc FormatDesc, style Style) *Config {
-	return core.UniformConfig(p, desc, style)
-}
 
 // Assignment is a complete format combination (base columns and
 // intermediates) for one plan.

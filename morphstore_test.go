@@ -67,6 +67,16 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// execPlan prepares the plan on a fresh engine over db with a par-worker
+// budget (0 = GOMAXPROCS) and the case's options, and executes it once.
+func execPlan(p *Plan, db *DB, par int, o ...Option) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(p, o...)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
+
 // TestFacadePlanAPI exercises plan building and execution via the facade.
 func TestFacadePlanAPI(t *testing.T) {
 	db := NewDB()
@@ -84,11 +94,11 @@ func TestFacadePlanAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []*Config{
-		UncompressedConfig(Scalar),
-		UniformConfig(plan, DynBP, Vec512),
+	for _, opts := range [][]Option{
+		{WithStyle(Scalar)},
+		{WithStyle(Vec512), WithUniformFormat(DynBP)},
 	} {
-		res, err := Execute(plan, db, cfg)
+		res, err := execPlan(plan, db, 0, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +130,7 @@ func TestFacadeSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, data.DB, UncompressedConfig(Vec512))
+	res, err := execPlan(plan, data.DB, 0, WithStyle(Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +160,7 @@ func TestFacadeSSBParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := UncompressedConfig(Vec512)
-		cfg.Parallelism = 8
-		res, err := Execute(plan, data.DB, cfg)
+		res, err := execPlan(plan, data.DB, 8, WithStyle(Vec512))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
