@@ -1,38 +1,42 @@
-// SWAR (SIMD within a register) primitives: exact field-parallel comparison
-// and summation over bit-packed 64-bit words, for field widths that divide 64.
+// SWAR (SIMD within a register) primitives: an exact field-parallel range
+// test and summation over bit-packed 64-bit words, for field widths that
+// divide 64.
 //
 // These kernels are the pure-Go substitute for the AVX-512 bit-parallel scan
 // instructions the original C++ MorphStore uses (cf. BitWeaving, SIMD-Scan):
-// several packed fields are compared against a predicate constant with a
-// handful of word-level instructions instead of one comparison per field.
+// several packed fields are tested against a predicate with a handful of
+// word-level instructions instead of one comparison per field.
 //
-// Exactness is obtained with the even/odd split: fields are isolated into
-// windows of width 2*b (the neighbour field zeroed), so carries and borrows
-// of the window-local arithmetic can never cross into the next field:
+// One predicate shape covers every comparison. CmpKind.Range normalises
+// `f op val` (and a between) to the wrapped unsigned range test
 //
-//   - non-zero test: f + (2^(2b-1)-1) sets the window's top bit iff f != 0,
-//     because f < 2^b <= 2^(2b-1).
-//   - x >= y test: (x | 2^(2b-1)) - y keeps the window's top bit iff x >= y.
+//	(f - lo) mod 2^b  <=  span
+//
+// so a scan has a single kernel per input shape and the comparison kind is
+// decided once per operator, never per element.
+//
+// Exactness on packed words comes from the even/odd split: fields are
+// isolated into windows of width 2b (the neighbour field zeroed), so the
+// borrows of window-local subtractions can never cross into the next field.
+// With H the top bit of a window, (x|H) - y never borrows out of the window
+// for x, y < 2^b; its low b bits are (x - y) mod 2^b, and for the second
+// subtraction (span|H) - d keeps H iff span >= d.
+//
+// Result layout: PackedRange.Match answers with one bit per field, at the
+// field's own top bit. The even-field results sit at window top bits
+// (position 2b·i + 2b-1); shifted right by b they land on the even fields'
+// top bits (2b·i + b-1), which the odd-field results (already at 2b·i + 2b-1,
+// the odd fields' top bits) never occupy, so one OR combines the two halves.
+// A consumer gets field indices as TrailingZeros64(m) >> log2(b) — b is a
+// power of two — so there is no compaction step that moves the result bits
+// to consecutive positions: that step cost a loop with a division per match
+// and bought nothing a shift does not.
 package bitutil
-
-import "math/bits"
 
 // SwarWidthOK reports whether the SWAR kernels support field width b.
 // Supported widths divide 64 and leave at least two fields per word.
 func SwarWidthOK(b uint) bool {
 	return b > 0 && b <= 32 && 64%b == 0
-}
-
-// swarMasks returns (evenMask, testMask) for width b: evenMask selects
-// fields 0,2,4,... (each field viewed in a 2b-wide window), testMask has the
-// top bit of every 2b window set.
-func swarMasks(b uint) (even uint64, test uint64) {
-	w := 2 * b
-	for off := uint(0); off < 64; off += w {
-		even |= Mask(b) << off
-		test |= uint64(1) << (off + w - 1)
-	}
-	return even, test
 }
 
 // Broadcast replicates the low b bits of v into every b-wide field of a word.
@@ -99,65 +103,54 @@ func (c CmpKind) Eval(x, y uint64) bool {
 	}
 }
 
-// nonZeroHalf returns, for fields isolated in 2b windows (top half of each
-// window zero), the window-top bits set iff the window's field is non-zero.
-func nonZeroHalf(x, test uint64, w uint) uint64 {
-	addend := test - (test >> (w - 1)) // 2^(w-1)-1 in every window
-	return (x + addend) & test
-}
-
-// geHalf returns, for x and y fields isolated in 2b windows, window-top bits
-// set iff x >= y in that window.
-func geHalf(x, y, test uint64) uint64 {
-	return ((x | test) - y) & test
-}
-
-// compactTestBits maps window-top bits (positions w-1, 2w-1, ...) to even
-// field indices: window i becomes bit 2i of the result.
-func compactTestBits(t uint64, w uint) uint64 {
-	var out uint64
-	for ; t != 0; t &= t - 1 {
-		win := uint(bits.TrailingZeros64(t)) / w
-		out |= uint64(1) << (2 * win)
-	}
-	return out
-}
-
-// CmpPackedWord compares every b-wide field of word x against the broadcast
-// predicate pattern yb (built with Broadcast(v, b)) and returns a bitmask
-// with bit i set iff field i satisfies the comparison. b must satisfy
-// SwarWidthOK. The result has 64/b meaningful bits.
-func CmpPackedWord(x uint64, yb uint64, b uint, op CmpKind) uint64 {
-	even, test := swarMasks(b)
-	odd := even << b
-	w := 2 * b
-
-	xe, ye := x&even, yb&even
-	xo, yo := (x&odd)>>b, (yb&odd)>>b
-
-	var te, to uint64
-	switch op {
+// Range normalises the predicate `x c val` over the domain [0, max] — max is
+// 2^b-1 for b-bit fields, the full word for unpacked values — to the wrapped
+// range test (x-lo)&max <= span. val must not exceed max. empty reports a
+// predicate no value satisfies (x < 0, x > max), for which lo and span are
+// meaningless; ok is false for an undefined comparison kind.
+func (c CmpKind) Range(val, max uint64) (lo, span uint64, empty, ok bool) {
+	switch c {
 	case CmpEq:
-		te = ^nonZeroHalf(xe^ye, test, w) & test
-		to = ^nonZeroHalf(xo^yo, test, w) & test
-	case CmpNe:
-		te = nonZeroHalf(xe^ye, test, w)
-		to = nonZeroHalf(xo^yo, test, w)
-	case CmpGe:
-		te = geHalf(xe, ye, test)
-		to = geHalf(xo, yo, test)
+		return val, 0, false, true
+	case CmpNe: // everything but val: the range that starts behind it and wraps
+		return (val + 1) & max, max - 1, false, true
 	case CmpLt:
-		te = ^geHalf(xe, ye, test) & test
-		to = ^geHalf(xo, yo, test) & test
-	case CmpGt: // x > y  <=>  !(y >= x)
-		te = ^geHalf(ye, xe, test) & test
-		to = ^geHalf(yo, xo, test) & test
-	case CmpLe: // x <= y  <=>  y >= x
-		te = geHalf(ye, xe, test)
-		to = geHalf(yo, xo, test)
+		return 0, val - 1, val == 0, true
+	case CmpLe:
+		return 0, val, false, true
+	case CmpGt:
+		return val + 1, max - val - 1, val == max, true
+	case CmpGe:
+		return val, max - val, false, true
 	}
+	return 0, 0, false, false
+}
 
-	return compactTestBits(te, w) | compactTestBits(to, w)<<1
+// PackedRange is the range test (f-lo) mod 2^b <= span prepared for the
+// b-wide fields of packed words: the window masks and the broadcast
+// constants are built once, outside the word loop.
+type PackedRange struct {
+	even, top uint64 // low half (one field) and top bit of every 2b window
+	lo, span  uint64 // lo and span|top in every window
+	b         uint
+}
+
+// NewPackedRange prepares the test for field width b, which must satisfy
+// SwarWidthOK; lo and span must fit b bits.
+func NewPackedRange(lo, span uint64, b uint) PackedRange {
+	w := 2 * b
+	top := Broadcast(1<<(w-1), w)
+	return PackedRange{even: Broadcast(Mask(b), w), top: top, lo: Broadcast(lo, w), span: Broadcast(span, w) | top, b: b}
+}
+
+// Match tests every field of the packed word x and returns the top bit of
+// each field that satisfies the range test, all other bits zero (see the
+// package comment for the layout). Fields a column does not use hold zero and
+// are tested like any other; the caller masks them off.
+func (p PackedRange) Match(x uint64) uint64 {
+	de := ((x&p.even | p.top) - p.lo) & p.even
+	do := ((x>>p.b&p.even | p.top) - p.lo) & p.even
+	return (p.span-de)&p.top>>p.b | (p.span-do)&p.top
 }
 
 // SumPackedWords sums every b-wide field across the packed words using
@@ -175,9 +168,9 @@ func SumPackedWords(words []uint64, n int, b uint) uint64 {
 		}
 		return s
 	}
-	even, _ := swarMasks(b)
-	odd := even << b
 	w := 2 * b
+	even := Broadcast(Mask(b), w)
+	odd := even << b
 
 	// Each 2b window accumulates values < 2^b; capacity 2^(2b)-1 allows at
 	// least 2^b safe additions before a fold is required.

@@ -10,7 +10,10 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
+	"morphstore/internal/formats"
+	"morphstore/internal/ops"
 	"morphstore/internal/qerr"
+	"morphstore/internal/vector"
 )
 
 // TestEntryGuard holds the contract of Engine.begin — the entry guard of
@@ -179,4 +182,41 @@ func TestEntryGuard(t *testing.T) {
 			t.Fatalf("zero-row batches published epoch %d -> %d, %d appends", epoch, got, e.Stats().Appends)
 		}
 	})
+}
+
+// TestUndefinedCmpKind: a comparison kind outside the six defined ones used
+// to select nothing, silently, on every kernel path. It is now an
+// ErrInvalidSchema error from all three entry points, for both styles and
+// with the specialized kernels on and off.
+func TestUndefinedCmpKind(t *testing.T) {
+	const bad = bitutil.CmpKind(9)
+	vals := make([]uint64, 300)
+	for i := range vals {
+		vals[i] = uint64(i % 8)
+	}
+	in, err := formats.Compress(vals, columns.StaticBPDesc(4)) // a SWAR width: the specialized path applies
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	if err := db.AddTable("t", map[string][]uint64{"v": vals}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, WithParallelism(1))
+	defer e.Close(context.Background())
+	for _, style := range vector.Styles {
+		for _, specialized := range []bool{false, true} {
+			if col, err := ops.FixedRT(1).SelectAuto(in, bad, 3, columns.UncomprDesc, style, specialized); !errors.Is(err, qerr.ErrInvalidSchema) {
+				t.Errorf("Runtime.SelectAuto(%v, specialized=%v) = %v, %v; want ErrInvalidSchema", style, specialized, col, err)
+			}
+			if col, err := e.Select(context.Background(), in, bad, 3, WithStyle(style), WithSpecialized(specialized)); !errors.Is(err, qerr.ErrInvalidSchema) {
+				t.Errorf("Engine.Select(%v, specialized=%v) = %v, %v; want ErrInvalidSchema", style, specialized, col, err)
+			}
+		}
+	}
+	b := NewBuilder()
+	b.Result(b.Select("sel", b.Scan("t", "v"), bad, 3))
+	if p, err := b.Build(); !errors.Is(err, qerr.ErrInvalidSchema) {
+		t.Errorf("Builder.Build = %v, %v; want ErrInvalidSchema", p, err)
+	}
 }

@@ -19,9 +19,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/ops"
+	"morphstore/internal/qerr"
 )
 
 // OpKind identifies a physical query operator of the plan DAG.
@@ -200,8 +202,12 @@ func (b *Builder) Scan(table, column string) ColRef {
 	return b.add(&Node{op: OpScan, table: table, column: column}, name)[0]
 }
 
-// Select emits the positions of in matching `element cmp val`.
+// Select emits the positions of in matching `element cmp val`. An undefined
+// cmp fails the build with an ErrInvalidSchema error.
 func (b *Builder) Select(name string, in ColRef, cmp bitutil.CmpKind, val uint64) ColRef {
+	if _, _, _, ok := cmp.Range(val, math.MaxUint64); !ok {
+		return b.fail("core: select %q: undefined comparison kind %d: %w", name, cmp, qerr.ErrInvalidSchema)
+	}
 	return b.add(&Node{op: OpSelect, cmp: cmp, val: val, inputs: []ColRef{in}}, name)[0]
 }
 

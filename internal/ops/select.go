@@ -1,173 +1,60 @@
 package ops
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
+	"morphstore/internal/qerr"
 	"morphstore/internal/vector"
 )
 
+// The selection family has one predicate shape. Every comparison kind and the
+// between normalise, once per operator, to the wrapped unsigned range test
+// v-lo <= span (bitutil.CmpKind.Range), and there is one kernel per input
+// shape: blockKernel for unpacked blocks of any format, swarSelect for the
+// packed words of a static BP column, rleSelect for runs.
+
 // SelectAuto evaluates the predicate `element <op> val` over the input column
 // and returns the sorted list of matching positions as a column in the
-// requested output format. By default it is the on-the-fly de/re-compression
-// operator of Fig. 4: every morsel of the input is decompressed block-wise
-// into a cache-resident buffer, the vector-register-layer kernel emits
-// qualifying positions, and the output is recompressed block-wise. With
-// specialized set, inputs that have a direct kernel are processed without
-// decompression instead — the SWAR select on the packed words of a static BP
-// column, the run-level select on RLE — the selective-employment policy of
-// §3.3; the positions, and therefore the output bytes, are the same.
+// requested output format. The comparison is normalised to the range test
+// once, up front: a predicate no value can satisfy (< 0, > max) returns the
+// empty position list without a scan, and an undefined op is an
+// ErrInvalidSchema error rather than a silent empty result. By default the
+// operator is the on-the-fly de/re-compression operator of Fig. 4: every
+// morsel of the input is decompressed block-wise into a cache-resident
+// buffer, the range kernel of the processing style emits qualifying
+// positions, and the output is recompressed block-wise. With specialized set,
+// inputs that have a direct kernel are processed without decompression
+// instead — the SWAR range test on the packed words of a static BP column,
+// the run-level select on RLE — the selective-employment policy of §3.3; the
+// positions, and therefore the output bytes, are the same.
 func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	kernel := scan(in, func(vals []uint64, base uint64, stage [][]uint64) int {
-		if style == vector.Vec512 {
-			return selectKernelVec(vals, base, op, val, stage[0])
-		}
-		return selectKernelScalar(vals, base, op, val, stage[0])
-	})
-	switch {
-	case specialized && swarOK(in, val):
-		b := uint(in.Desc().Bits)
-		yb := bitutil.Broadcast(val, b)
-		kernel = swarSelect(in, func(words, dst []uint64) {
-			for i, word := range words {
-				dst[i] = bitutil.CmpPackedWord(word, yb, b, op)
-			}
-		})
-	case specialized && in.Desc().Kind == columns.RLE:
-		kernel = rleSelect(in, op, val)
+	max, swar := selectDomain(in, val, specialized)
+	lo, span, empty, ok := op.Range(val, max)
+	if !ok {
+		return nil, qerr.Tag(fmt.Errorf("ops: select: undefined comparison kind %d", op), qerr.ErrInvalidSchema)
 	}
-	return rt.emitPositions("select", in, out, kernel)
-}
-
-// selectKernelScalar is the scalar specialization of the select core.
-func selectKernelScalar(vals []uint64, base uint64, op bitutil.CmpKind, val uint64, stage []uint64) int {
-	k := 0
-	switch op {
-	case bitutil.CmpEq:
-		for i, v := range vals {
-			if v == val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	case bitutil.CmpNe:
-		for i, v := range vals {
-			if v != val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	case bitutil.CmpLt:
-		for i, v := range vals {
-			if v < val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	case bitutil.CmpLe:
-		for i, v := range vals {
-			if v <= val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	case bitutil.CmpGt:
-		for i, v := range vals {
-			if v > val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	case bitutil.CmpGe:
-		for i, v := range vals {
-			if v >= val {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-	}
-	return k
-}
-
-// vecCmp applies the comparison to two registers, producing a lane mask.
-func vecCmp(a, b vector.Vec, op bitutil.CmpKind) vector.Mask {
-	switch op {
-	case bitutil.CmpEq:
-		return vector.CmpEq(a, b)
-	case bitutil.CmpNe:
-		return vector.CmpNe(a, b)
-	case bitutil.CmpLt:
-		return vector.CmpLt(a, b)
-	case bitutil.CmpLe:
-		return vector.CmpLe(a, b)
-	case bitutil.CmpGt:
-		return vector.CmpGt(a, b)
-	case bitutil.CmpGe:
-		return vector.CmpGe(a, b)
-	default:
-		return 0
-	}
-}
-
-// selectKernelVec is the Vec512 specialization: compare eight lanes at a
-// time and compress-store the qualifying positions.
-func selectKernelVec(vals []uint64, base uint64, op bitutil.CmpKind, val uint64, stage []uint64) int {
-	bcast := vector.Set1(val)
-	k := 0
-	i := 0
-	for ; i+vector.Lanes <= len(vals); i += vector.Lanes {
-		v := vector.Load(vals[i:])
-		m := vecCmp(v, bcast, op)
-		if m != 0 {
-			k += vector.CompressStore(stage[k:], m, vector.SeqFrom(base+uint64(i)))
-		}
-	}
-	for ; i < len(vals); i++ {
-		if op.Eval(vals[i], val) {
-			stage[k] = base + uint64(i)
-			k++
-		}
-	}
-	return k
+	return rt.selectRange("select", in, out, empty, rangeKernel(in, lo, span, style, specialized, swar))
 }
 
 // SelectBetweenAuto evaluates the conjunctive range predicate
-// lo <= element <= hi, returning matching positions like SelectAuto; the
-// specialized form combines two SWAR comparison masks per packed word of a
-// static BP column. An inverted range (lo > hi) matches nothing.
+// lo <= element <= hi, returning matching positions like SelectAuto: the same
+// range test, kernels and specialized forms, with the bounds given directly.
+// An inverted range (lo > hi) matches nothing.
 func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	if lo > hi {
-		// The kernels test v-lo <= hi-lo, which wraps for an inverted range;
-		// answer it here, once, for every kernel and input format.
-		w, err := formats.NewWriter(positionDesc(out, in.N()), 0)
-		if err != nil {
-			return nil, err
-		}
-		return w.Close()
-	}
-	kernel := scan(in, func(vals []uint64, base uint64, stage [][]uint64) int {
-		if style == vector.Vec512 {
-			return betweenKernelVec(vals, base, lo, hi, stage[0])
-		}
-		return betweenKernelScalar(vals, base, lo, hi, stage[0])
-	})
-	if specialized && swarOK(in, lo) {
-		b := uint(in.Desc().Bits)
-		// Values above the packable range can never match a width-b field.
-		ylo, yhi := bitutil.Broadcast(lo, b), bitutil.Broadcast(min(hi, bitutil.Mask(b)), b)
-		kernel = swarSelect(in, func(words, dst []uint64) {
-			for i, word := range words {
-				dst[i] = bitutil.CmpPackedWord(word, ylo, b, bitutil.CmpGe) & bitutil.CmpPackedWord(word, yhi, b, bitutil.CmpLe)
-			}
-		})
-	}
-	return rt.emitPositions("select between", in, out, kernel)
+	// Values above the domain can never match, so the upper bound clamps.
+	max, swar := selectDomain(in, lo, specialized)
+	return rt.selectRange("select between", in, out, lo > hi, rangeKernel(in, lo, min(hi, max)-lo, style, specialized, swar))
 }
 
 // SelectBetweenAuto is the single-worker form of Runtime.SelectBetweenAuto.
@@ -175,37 +62,68 @@ func SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc
 	return FixedRT(1).SelectBetweenAuto(in, lo, hi, out, style, specialized)
 }
 
-func betweenKernelScalar(vals []uint64, base uint64, lo, hi uint64, stage []uint64) int {
-	k := 0
-	// v-lo <= hi-lo is a single unsigned comparison for lo <= v <= hi.
-	span := hi - lo
-	for i, v := range vals {
-		if v-lo <= span {
-			stage[k] = base + uint64(i)
-			k++
-		}
+// selectDomain returns the largest value of the domain a predicate with the
+// constant c (a between's lower bound) is normalised over: the field range of
+// the column when the SWAR kernel will run (swar), all of uint64 otherwise.
+func selectDomain(in *columns.Column, c uint64, specialized bool) (max uint64, swar bool) {
+	if specialized && swarOK(in, c) {
+		return bitutil.Mask(uint(in.Desc().Bits)), true
 	}
-	return k
+	return math.MaxUint64, false
 }
 
-func betweenKernelVec(vals []uint64, base uint64, lo, hi uint64, stage []uint64) int {
-	vlo := vector.Set1(lo)
-	vspan := vector.Set1(hi - lo)
-	k := 0
-	i := 0
-	for ; i+vector.Lanes <= len(vals); i += vector.Lanes {
-		v := vector.Load(vals[i:])
-		m := vector.CmpLe(vector.Sub(v, vlo), vspan)
-		if m != 0 {
-			k += vector.CompressStore(stage[k:], m, vector.SeqFrom(base+uint64(i)))
+// rangeKernel picks the kernel of the range test v-lo <= span for the input:
+// a direct kernel where the specialized degree has one, the block kernel
+// behind the de/re-compression wrapper everywhere else.
+func rangeKernel(in *columns.Column, lo, span uint64, style vector.Style, specialized, swar bool) emitKernel {
+	switch {
+	case swar:
+		return swarSelect(in, lo, span)
+	case specialized && in.Desc().Kind == columns.RLE:
+		return rleSelect(in, lo, span)
+	}
+	return scan(in, blockKernel(lo, span, style))
+}
+
+// selectRange runs a range kernel through the emit driver. The kernels test
+// v-lo <= span, which has no encoding for "nothing matches"; an empty
+// predicate is answered here, once, for every kernel and input format.
+func (rt Runtime) selectRange(name string, in *columns.Column, out columns.FormatDesc, empty bool, kernel emitKernel) (*columns.Column, error) {
+	if empty {
+		w, err := formats.NewWriter(positionDesc(out, in.N()), 0)
+		if err != nil {
+			return nil, err
+		}
+		return w.Close()
+	}
+	return rt.emitPositions(name, in, out, kernel)
+}
+
+// blockKernel is the range test over one unpacked block, one loop per
+// processing style. Scalar tests and stores one element at a time. Vec512 is
+// predicated like a masked compress-store: every position is staged
+// unconditionally and the cursor advances by the match bit — the complement
+// of the borrow of span - (v-lo) — so the loop has no data-dependent branch.
+func blockKernel(lo, span uint64, style vector.Style) chunkKernel {
+	if style == vector.Vec512 {
+		return func(vals []uint64, base uint64, stage [][]uint64) int {
+			out, k := stage[0], 0
+			for i, v := range vals {
+				out[k] = base + uint64(i)
+				_, miss := bits.Sub64(span, v-lo, 0)
+				k += int(1 - miss)
+			}
+			return k
 		}
 	}
-	span := hi - lo
-	for ; i < len(vals); i++ {
-		if vals[i]-lo <= span {
-			stage[k] = base + uint64(i)
-			k++
+	return func(vals []uint64, base uint64, stage [][]uint64) int {
+		out, k := stage[0], 0
+		for i, v := range vals {
+			if v-lo <= span {
+				out[k] = base + uint64(i)
+				k++
+			}
 		}
+		return k
 	}
-	return k
 }

@@ -26,14 +26,15 @@ import (
 // parallel path total over formats — RLE inputs, which cannot be
 // morsel-split, still partition by value range.
 
-// pullReader adapts a block Reader for the streamed merge kernels, which
-// need element-at-a-time access with lookahead.
+// pullReader exposes a sorted input to the set kernels as a sequence of block
+// windows: the unread part of the block most recently decompressed, or, for
+// an uncompressed input, of the next blockBuf values of the column itself.
 type pullReader struct {
-	r   formats.Reader
-	buf []uint64
-	pos int
-	n   int
-	err error
+	r    formats.Reader
+	buf  []uint64 // decompression buffer; nil when the values are viewed in place
+	rest []uint64 // viewed values not yet handed out
+	win  []uint64 // unread elements of the current block
+	err  error
 }
 
 func newPullReader(col *columns.Column) (*pullReader, error) {
@@ -41,29 +42,31 @@ func newPullReader(col *columns.Column) (*pullReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	if vv, ok := r.(formats.ValueViewer); ok {
+		if vals, viewable := vv.View(); viewable {
+			return &pullReader{rest: vals}, nil
+		}
+	}
 	return &pullReader{r: r, buf: make([]uint64, blockBuf)}, nil
 }
 
-// fill loads the next block; it reports whether data is available.
-func (p *pullReader) fill() bool {
-	if p.err != nil {
-		return false
+// window returns the unread elements of the current block, moving on to the
+// next block when the last one is used up; it is empty once the input has
+// ended (or failed: err is set).
+func (p *pullReader) window() []uint64 {
+	if len(p.win) > 0 || p.err != nil {
+		return p.win
 	}
-	p.n, p.err = p.r.Read(p.buf)
-	p.pos = 0
-	return p.n > 0 && p.err == nil
-}
-
-// peek returns the current element; ok is false at end of input or error.
-func (p *pullReader) peek() (uint64, bool) {
-	if p.pos >= p.n && !p.fill() {
-		return 0, false
+	if p.buf == nil {
+		k := min(len(p.rest), blockBuf)
+		p.win, p.rest = p.rest[:k], p.rest[k:]
+	} else {
+		var n int
+		n, p.err = p.r.Read(p.buf)
+		p.win = p.buf[:n]
 	}
-	return p.buf[p.pos], true
+	return p.win
 }
-
-// advance moves past the current element.
-func (p *pullReader) advance() { p.pos++ }
 
 // splitSortedInputs materializes both sorted inputs and cuts them at shared
 // value boundaries; a nil pair list means the operator runs as one range
@@ -90,11 +93,65 @@ func (rt Runtime) splitSortedInputs(a, b *columns.Column) ([]formats.RangePair, 
 	return formats.SplitSortedAligned(vals[0], vals[1], rt.Par()), vals[0], vals[1], nil
 }
 
-// sortedSet is the value-range driver of both sorted-set operators: ranges
-// runs the operator's slice kernel over one value range pair, stream its
-// streamed form over two whole inputs; hint sizes the output writer.
-func (rt Runtime) sortedSet(name string, a, b *columns.Column, out columns.FormatDesc, hint int,
-	ranges func(a, b []uint64) []uint64, stream func(pa, pb *pullReader, w formats.Writer) error) (*columns.Column, error) {
+// setKernel is the slice kernel of a sorted-set operator. It consumes the
+// sorted windows a and b until one of them is used up, writes its output to
+// dst and returns how far it advanced in a, b and dst. An empty window means
+// that input has ended, so the other one is all that is left. dst must hold
+// len(a)+len(b) elements.
+type setKernel func(dst, a, b []uint64) (i, j, k int)
+
+// streamSet runs a set kernel over two whole inputs: over their current block
+// windows, again and again, until it makes no more progress. The merge state
+// is the two cursors and nothing else, so cutting the inputs into windows —
+// like cutting them into value ranges — changes nothing about the output.
+// stage is the kernel's output buffer of 2*blockBuf elements.
+func streamSet(kernel setKernel, stage []uint64, a, b *columns.Column, w formats.Writer) error {
+	pa, err := newPullReader(a)
+	if err != nil {
+		return err
+	}
+	pb, err := newPullReader(b)
+	if err != nil {
+		return err
+	}
+	for pa.err == nil && pb.err == nil {
+		i, j, k := kernel(stage, pa.window(), pb.window())
+		if i+j == 0 {
+			break
+		}
+		pa.win, pb.win = pa.win[i:], pb.win[j:]
+		if err := w.Write(stage[:k]); err != nil {
+			return err
+		}
+	}
+	return errors.Join(pa.err, pb.err)
+}
+
+// setOp is what distinguishes one sorted-set operator from the other.
+type setOp struct {
+	name   string
+	kernel setKernel
+	// bound is the largest output inputs of na and nb elements can produce;
+	// it sizes the output writer. reserve is the capacity a value range's
+	// output buffer starts with (it grows by append): the bound for the
+	// union, which fills at least half of it, a quarter of it for the
+	// intersection, which may leave it empty.
+	bound, reserve func(na, nb int) int
+}
+
+var (
+	intersectOp = setOp{"intersect", intersectKernel,
+		func(na, nb int) int { return min(na, nb) },
+		func(na, nb int) int { return min(na, nb)/4 + 16 }}
+	mergeOp = setOp{"merge", mergeKernel,
+		func(na, nb int) int { return na + nb },
+		func(na, nb int) int { return na + nb }}
+)
+
+// sortedSet is the value-range driver of both sorted-set operators: the
+// operator's kernel streams over the whole inputs when they do not split and
+// over each value range pair when they do.
+func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
@@ -104,185 +161,127 @@ func (rt Runtime) sortedSet(name string, a, b *columns.Column, out columns.Forma
 	if a.N() < b.N() {
 		a, b = b, a
 	}
+	hint := op.bound(a.N(), b.N())
 	pairs, avals, bvals, err := rt.splitSortedInputs(a, b)
 	if err != nil {
 		return nil, err
 	}
-	if pairs == nil {
-		// One serial pass, so the lease shrinks like every other unsplit
-		// operator.
+	if avals == nil {
+		// One serial pass straight into the output writer, so the lease
+		// shrinks like every other unsplit operator.
 		rt.seqFallback()
-		if avals != nil {
-			// The inputs are already materialized but admit no value boundary
-			// (e.g. one giant duplicate run); run the slice kernel whole
-			// rather than decompressing a second time.
-			return rt.stitchCompressed(out, hint, [][]uint64{ranges(avals, bvals)})
-		}
-		pa, err := newPullReader(a)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := newPullReader(b)
-		if err != nil {
-			return nil, err
-		}
 		w, err := formats.NewWriter(out, hint)
 		if err != nil {
 			return nil, err
 		}
-		if err := errors.Join(stream(pa, pb, w), pa.err, pb.err); err != nil {
-			return nil, fmt.Errorf("ops: %s: %w", name, err)
+		if err := streamSet(op.kernel, make([]uint64, 2*blockBuf), a, b, w); err != nil {
+			return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 		}
 		return w.Close()
 	}
+	if pairs == nil {
+		// The inputs are already materialized but admit no value boundary
+		// (e.g. one giant duplicate run): one range, still one serial pass.
+		rt.seqFallback()
+		pairs = []formats.RangePair{{A: formats.Partition{Count: len(avals)}, B: formats.Partition{Count: len(bvals)}}}
+	}
 	results := make([][]uint64, len(pairs))
-	err = rt.runTasks(len(pairs), func(_, i int) error {
-		p := pairs[i]
-		results[i] = ranges(avals[p.A.Start:p.A.Start+p.A.Count], bvals[p.B.Start:p.B.Start+p.B.Count])
-		return nil
+	stages := make([][]uint64, rt.workers(len(pairs)))
+	err = rt.runTasks(len(pairs), func(w, i int) error {
+		if stages[w] == nil {
+			stages[w] = make([]uint64, 2*blockBuf)
+		}
+		pa, pb := pairs[i].A, pairs[i].B
+		sink := appendSink{vals: make([]uint64, 0, op.reserve(pa.Count, pb.Count))}
+		err := streamSet(op.kernel, stages[w], columns.FromValues(avals[pa.Start:pa.Start+pa.Count]), columns.FromValues(bvals[pb.Start:pb.Start+pb.Count]), &sink)
+		results[i] = sink.vals
+		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("ops: %s: %w", name, err)
+		return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 	}
 	return rt.stitchCompressed(out, hint, results)
 }
 
 // Intersect merges two sorted position lists into their intersection (the
 // conjunction of two selections on the same table, e.g. the discount and
-// quantity predicates of SSB Q1.x).
+// quantity predicates of SSB Q1.x). The merge is one branch-free slice kernel
+// (intersectKernel) run over the inputs' block windows, or over value ranges
+// of the materialized inputs when the runtime has more than one worker.
 func (rt Runtime) Intersect(a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err
 	}
-	return rt.sortedSet("intersect", a, b, out, min(a.N(), b.N()), intersectValues, intersectStream)
+	return rt.sortedSet(intersectOp, a, b, out)
 }
 
 // Merge merges two sorted position lists into their union without duplicates
 // (the disjunction of two selections, e.g. the two-city IN predicates of SSB
-// Q3.3/Q3.4).
+// Q3.3/Q3.4), driven like Intersect with mergeKernel.
 func (rt Runtime) Merge(a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err
 	}
-	return rt.sortedSet("merge", a, b, out, a.N()+b.N(), mergeValues, mergeStream)
+	return rt.sortedSet(mergeOp, a, b, out)
 }
 
-// intersectStream is the two-pointer intersection over two streamed inputs:
-// the kernel of an Intersect whose inputs did not split, written straight
-// into the output writer.
-func intersectStream(pa, pb *pullReader, w formats.Writer) error {
-	stage := make([]uint64, blockBuf)
-	k := 0
-	va, oka := pa.peek()
-	vb, okb := pb.peek()
-	for oka && okb {
-		switch {
-		case va < vb:
-			pa.advance()
-			va, oka = pa.peek()
-		case vb < va:
-			pb.advance()
-			vb, okb = pb.peek()
-		default:
-			stage[k] = va
-			k++
-			if k == len(stage) {
-				if err := w.Write(stage); err != nil {
-					return err
-				}
-				k = 0
-			}
-			pa.advance()
-			pb.advance()
-			va, oka = pa.peek()
-			vb, okb = pb.peek()
-		}
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag-set
+// instruction, not a branch.
+func b2i(c bool) int {
+	if c {
+		return 1
 	}
-	return w.Write(stage[:k])
+	return 0
 }
 
-// mergeStream is the streamed form of the sorted union (an element present
-// in both inputs is emitted once).
-func mergeStream(pa, pb *pullReader, w formats.Writer) error {
-	stage := make([]uint64, blockBuf)
-	k := 0
-	emit := func(v uint64) error {
-		stage[k] = v
-		k++
-		if k == len(stage) {
-			k = 0
-			return w.Write(stage)
-		}
-		return nil
+// intersectKernel is the two-pointer intersection with the three-way branch
+// replaced by arithmetic: the current element of a is staged unconditionally
+// and the cursors advance by comparison results — i by x<=y, j by y<=x, k by
+// x==y. The current elements live in registers and their successors are
+// loaded before the comparison is known (clamped at the window end, where the
+// value is never used), so the next comparison waits for a conditional move,
+// not for a load whose address depends on this one.
+func intersectKernel(dst, a, b []uint64) (i, j, k int) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, 0, 0
 	}
-	va, oka := pa.peek()
-	vb, okb := pb.peek()
-	for oka || okb {
-		switch {
-		case oka && (!okb || va < vb):
-			if err := emit(va); err != nil {
-				return err
-			}
-			pa.advance()
-			va, oka = pa.peek()
-		case okb && (!oka || vb < va):
-			if err := emit(vb); err != nil {
-				return err
-			}
-			pb.advance()
-			vb, okb = pb.peek()
-		default: // equal
-			if err := emit(va); err != nil {
-				return err
-			}
-			pa.advance()
-			pb.advance()
-			va, oka = pa.peek()
-			vb, okb = pb.peek()
-		}
-	}
-	return w.Write(stage[:k])
-}
-
-// intersectValues is the slice form of intersectStream, the kernel of one
-// value range; it must mirror the streamed kernel element for element
-// (including duplicate handling) so the concatenated ranges stay
-// byte-identical.
-func intersectValues(a, b []uint64) []uint64 {
-	dst := make([]uint64, 0, min(len(a), len(b))/4+16)
-	i, j := 0, 0
+	x, y := a[0], b[0]
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
+		xn, yn := a[min(i+1, len(a)-1)], b[min(j+1, len(b)-1)]
+		le, ge, eq := x <= y, y <= x, x == y
+		dst[k] = x
+		if le {
+			x = xn
 		}
+		if ge {
+			y = yn
+		}
+		i, j, k = i+b2i(le), j+b2i(ge), k+b2i(eq)
 	}
-	return dst
+	return i, j, k
 }
 
-// mergeValues is the slice form of mergeStream.
-func mergeValues(a, b []uint64) []uint64 {
-	dst := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case i < len(a) && (j >= len(b) || a[i] < b[j]):
-			dst = append(dst, a[i])
-			i++
-		case j < len(b) && (i >= len(a) || b[j] < a[i]):
-			dst = append(dst, b[j])
-			j++
-		default: // equal
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
+// mergeKernel is the sorted union (an element present in both inputs is
+// emitted once) in the same form: the smaller current element is staged and
+// the cursors advance by x<=y and y<=x. Once an input has ended the other one
+// passes through unchanged.
+func mergeKernel(dst, a, b []uint64) (i, j, k int) {
+	if len(a) == 0 || len(b) == 0 {
+		i, j = copy(dst, a), copy(dst, b)
+		return i, j, i + j
 	}
-	return dst
+	x, y := a[0], b[0]
+	for i < len(a) && j < len(b) {
+		xn, yn := a[min(i+1, len(a)-1)], b[min(j+1, len(b)-1)]
+		le, ge := x <= y, y <= x
+		dst[k] = y
+		if le {
+			dst[k], x = x, xn
+		}
+		if ge {
+			y = yn
+		}
+		i, j, k = i+b2i(le), j+b2i(ge), k+1
+	}
+	return i, j, k
 }

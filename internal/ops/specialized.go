@@ -30,13 +30,17 @@ func swarOK(in *columns.Column, val uint64) bool {
 		bitutil.SwarWidthOK(b) && val <= bitutil.Mask(b)
 }
 
-// swarSelect evaluates a predicate directly on the packed words of a static
-// BP column, in the spirit of BitWeaving/SIMD-Scan: masks tests the 64/b
-// fields of each given word per word-level instruction sequence and stores
-// one result bit per field. Morsel starts are multiples of 64 elements, so
-// they always coincide with a packed-word boundary.
-func swarSelect(in *columns.Column, masks func(words, dst []uint64)) emitKernel {
-	per := int(64 / uint(in.Desc().Bits))
+// swarSelect evaluates the range test f-lo <= span (modulo the field range)
+// directly on the packed words of a static BP column, in the spirit of
+// BitWeaving/SIMD-Scan: one word-level instruction sequence tests the 64/b
+// fields of a word and leaves one result bit at the top of each matching
+// field, from which the positions fall out by a shift. Morsel starts are
+// multiples of 64 elements, so they always coincide with a packed-word
+// boundary.
+func swarSelect(in *columns.Column, lo, span uint64) emitKernel {
+	b := uint(in.Desc().Bits)
+	per, shift := int(64/b), uint(bits.TrailingZeros(b))
+	test := bitutil.NewPackedRange(lo, span, b)
 	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
 		words, _, err := formats.StaticBPWords(in)
 		if err != nil {
@@ -44,35 +48,30 @@ func swarSelect(in *columns.Column, masks func(words, dst []uint64)) emitKernel 
 		}
 		out, k := stage[0], 0
 		end := pt.Start + pt.Count
-		endW := (end + per - 1) / per
-		var buf [64]uint64 // masks are computed a batch at a time to amortize the call
-		for wi := pt.Start / per; wi < endW; wi += len(buf) {
-			batch := words[wi:min(wi+len(buf), endW)]
-			masks(batch, buf[:])
-			for j, m := range buf[:len(batch)] {
-				base := (wi + j) * per
-				if valid := end - base; valid < per {
-					m &= (uint64(1) << uint(valid)) - 1
+		for wi := pt.Start / per; wi*per < end; wi++ {
+			if k+per > len(out) {
+				if err := flush(stage, k, sinks); err != nil {
+					return err
 				}
-				if k+per > len(out) {
-					if err := flush(stage, k, sinks); err != nil {
-						return err
-					}
-					k = 0
-				}
-				for ; m != 0; m &= m - 1 {
-					out[k] = uint64(base + bits.TrailingZeros64(m))
-					k++
-				}
+				k = 0
+			}
+			m, base := test.Match(words[wi]), wi*per
+			if valid := end - base; valid < per {
+				// The unused fields of the last word hold zero and may pass the test.
+				m &= uint64(1)<<(uint(valid)*b) - 1
+			}
+			for ; m != 0; m &= m - 1 {
+				out[k] = uint64(base + bits.TrailingZeros64(m)>>shift)
+				k++
 			}
 		}
 		return flush(stage, k, sinks)
 	}
 }
 
-// rleSelect evaluates a comparison predicate run by run: a matching run of
-// length l contributes l consecutive positions at once.
-func rleSelect(in *columns.Column, op bitutil.CmpKind, val uint64) emitKernel {
+// rleSelect evaluates the range test run by run: a matching run of length l
+// contributes l consecutive positions at once.
+func rleSelect(in *columns.Column, lo, span uint64) emitKernel {
 	return func(_ formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
 		runs, err := formats.RLERuns(in)
 		if err != nil {
@@ -81,7 +80,7 @@ func rleSelect(in *columns.Column, op bitutil.CmpKind, val uint64) emitKernel {
 		out, k := stage[0], 0
 		pos := uint64(0)
 		for _, r := range runs {
-			if op.Eval(r.Value, val) {
+			if r.Value-lo <= span {
 				for i := uint64(0); i < r.Length; i++ {
 					out[k] = pos + i
 					k++

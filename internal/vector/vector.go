@@ -7,27 +7,20 @@
 // Go has no SIMD intrinsics, so the Vec512 primitives compile to straight-line
 // unrolled word operations. What the abstraction preserves from the paper is
 // the processing model: kernels consume and produce whole vector registers,
-// selective kernels communicate validity through lane bitmasks, and the
-// choice of Style is a template-like parameter threaded through every
-// operator and codec.
+// and the choice of Style is a template-like parameter threaded through every
+// operator and codec. Selective kernels (select, join) have no lane-mask
+// primitives here: their Vec512 form is a predicated scalar loop — stage
+// unconditionally, advance the cursor by the match bit — which is what a
+// masked compress-store amounts to without the instruction.
 package vector
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Lanes is the number of 64-bit lanes in a Vec512 register.
 const Lanes = 8
 
 // Vec is a 512-bit vector register of eight 64-bit unsigned lanes.
 type Vec [Lanes]uint64
-
-// Mask is a per-lane validity bitmask; bit i corresponds to lane i.
-type Mask uint8
-
-// FullMask has all eight lane bits set.
-const FullMask Mask = (1 << Lanes) - 1
 
 // Style selects the processing-style specialization of kernels, mirroring the
 // TVL template parameter that picks a SIMD extension.
@@ -65,17 +58,6 @@ func (v Vec) Store(s []uint64) {
 	_ = s[Lanes-1]
 	s[0], s[1], s[2], s[3] = v[0], v[1], v[2], v[3]
 	s[4], s[5], s[6], s[7] = v[4], v[5], v[6], v[7]
-}
-
-// Set1 broadcasts x into all lanes (the _mm512_set1_epi64 analog).
-func Set1(x uint64) Vec {
-	return Vec{x, x, x, x, x, x, x, x}
-}
-
-// SeqFrom returns {x, x+1, ..., x+7}: the index vector used by selective
-// kernels to materialize positions.
-func SeqFrom(x uint64) Vec {
-	return Vec{x, x + 1, x + 2, x + 3, x + 4, x + 5, x + 6, x + 7}
 }
 
 // Add returns the lane-wise sum a+b.
@@ -126,69 +108,6 @@ func Shl(a Vec, k uint) Vec {
 		a[4] << k, a[5] << k, a[6] << k, a[7] << k}
 }
 
-// CmpEq returns the lane mask of a == b (the _mm512_cmpeq_epu64_mask
-// analog). All comparison kernels are branchless, like their hardware
-// counterparts: lane predicates become carries/borrows, never branches.
-func CmpEq(a, b Vec) Mask {
-	var m Mask
-	for i := 0; i < Lanes; i++ {
-		v := a[i] ^ b[i]
-		m |= Mask(1^((v|-v)>>63)) << i
-	}
-	return m
-}
-
-// CmpNe returns the lane mask of a != b.
-func CmpNe(a, b Vec) Mask { return ^CmpEq(a, b) & FullMask }
-
-// CmpLt returns the lane mask of a < b (unsigned).
-func CmpLt(a, b Vec) Mask {
-	var m Mask
-	for i := 0; i < Lanes; i++ {
-		_, borrow := bits.Sub64(a[i], b[i], 0)
-		m |= Mask(borrow) << i
-	}
-	return m
-}
-
-// CmpLe returns the lane mask of a <= b (unsigned).
-func CmpLe(a, b Vec) Mask {
-	var m Mask
-	for i := 0; i < Lanes; i++ {
-		_, borrow := bits.Sub64(b[i], a[i], 0) // borrow <=> b < a <=> !(a <= b)
-		m |= Mask(1-borrow) << i
-	}
-	return m
-}
-
-// CmpGt returns the lane mask of a > b (unsigned).
-func CmpGt(a, b Vec) Mask { return CmpLt(b, a) }
-
-// CmpGe returns the lane mask of a >= b (unsigned).
-func CmpGe(a, b Vec) Mask { return CmpLe(b, a) }
-
-// CompressStore writes the lanes of v selected by m compactly to dst and
-// returns the number of lanes written (the _mm512_mask_compressstoreu
-// analog). dst must have room for up to Lanes elements regardless of the
-// mask. Dense masks take a branchless store-all path; sparse masks iterate
-// only the set lane bits.
-func CompressStore(dst []uint64, m Mask, v Vec) int {
-	switch m {
-	case 0:
-		return 0
-	case FullMask:
-		v.Store(dst)
-		return Lanes
-	}
-	_ = dst[Lanes-1]
-	n := 0
-	for x := uint(m); x != 0; x &= x - 1 {
-		dst[n] = v[bits.TrailingZeros(x)]
-		n++
-	}
-	return n
-}
-
 // Gather loads dst lanes from base at the eight indices of idx
 // (the _mm512_i64gather analog).
 func Gather(base []uint64, idx Vec) Vec {
@@ -200,6 +119,3 @@ func Gather(base []uint64, idx Vec) Vec {
 func (v Vec) HSum() uint64 {
 	return v[0] + v[1] + v[2] + v[3] + v[4] + v[5] + v[6] + v[7]
 }
-
-// Count returns the number of set lane bits in the mask.
-func (m Mask) Count() int { return bits.OnesCount8(uint8(m)) }

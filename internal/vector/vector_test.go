@@ -26,21 +26,6 @@ func TestLoadStore(t *testing.T) {
 	}
 }
 
-func TestSet1AndSeq(t *testing.T) {
-	v := Set1(42)
-	for i, x := range v {
-		if x != 42 {
-			t.Errorf("Set1 lane %d = %d", i, x)
-		}
-	}
-	s := SeqFrom(10)
-	for i, x := range s {
-		if x != uint64(10+i) {
-			t.Errorf("SeqFrom lane %d = %d", i, x)
-		}
-	}
-}
-
 func TestArithmeticAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
@@ -68,11 +53,12 @@ func TestArithmeticAgainstScalar(t *testing.T) {
 }
 
 func TestShifts(t *testing.T) {
-	v := Set1(0xF0)
-	if got := Shr(v, 4); got != Set1(0xF) {
+	splat := func(x uint64) Vec { return Vec{x, x, x, x, x, x, x, x} }
+	v := splat(0xF0)
+	if got := Shr(v, 4); got != splat(0xF) {
 		t.Errorf("Shr = %v", got)
 	}
-	if got := Shl(v, 4); got != Set1(0xF00) {
+	if got := Shl(v, 4); got != splat(0xF00) {
 		t.Errorf("Shl = %v", got)
 	}
 	if got := Shr(v, 64); got != (Vec{}) {
@@ -80,58 +66,6 @@ func TestShifts(t *testing.T) {
 	}
 	if got := Shl(v, 64); got != (Vec{}) {
 		t.Errorf("Shl 64 = %v", got)
-	}
-}
-
-func TestComparisons(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		a, b := randVec(rng), randVec(rng)
-		if trial%3 == 0 { // force some equal lanes
-			b[trial%Lanes] = a[trial%Lanes]
-		}
-		checks := []struct {
-			name string
-			m    Mask
-			f    func(x, y uint64) bool
-		}{
-			{"eq", CmpEq(a, b), func(x, y uint64) bool { return x == y }},
-			{"ne", CmpNe(a, b), func(x, y uint64) bool { return x != y }},
-			{"lt", CmpLt(a, b), func(x, y uint64) bool { return x < y }},
-			{"le", CmpLe(a, b), func(x, y uint64) bool { return x <= y }},
-			{"gt", CmpGt(a, b), func(x, y uint64) bool { return x > y }},
-			{"ge", CmpGe(a, b), func(x, y uint64) bool { return x >= y }},
-		}
-		for _, c := range checks {
-			for i := 0; i < Lanes; i++ {
-				want := c.f(a[i], b[i])
-				got := c.m&(1<<i) != 0
-				if got != want {
-					t.Fatalf("%s lane %d: got %v want %v (a=%d b=%d)", c.name, i, got, want, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCompressStore(t *testing.T) {
-	v := SeqFrom(100)
-	dst := make([]uint64, Lanes)
-	n := CompressStore(dst, 0b10100101, v)
-	if n != 4 {
-		t.Fatalf("n = %d, want 4", n)
-	}
-	want := []uint64{100, 102, 105, 107}
-	for i, w := range want {
-		if dst[i] != w {
-			t.Errorf("dst[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-	if CompressStore(dst, 0, v) != 0 {
-		t.Error("empty mask should store nothing")
-	}
-	if CompressStore(dst, FullMask, v) != Lanes {
-		t.Error("full mask should store all lanes")
 	}
 }
 
@@ -156,18 +90,6 @@ func TestHSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMaskCount(t *testing.T) {
-	if FullMask.Count() != Lanes {
-		t.Error("FullMask count")
-	}
-	if Mask(0).Count() != 0 {
-		t.Error("zero mask count")
-	}
-	if Mask(0b1010).Count() != 2 {
-		t.Error("0b1010 count")
 	}
 }
 
