@@ -246,8 +246,8 @@ func (w *workload) metricsOverhead(samples int) (pct float64, detail string, err
 		return 0, "", err
 	}
 	// One shard check per morsel claim plus a small constant of per-node
-	// calls (Node, Begin, Finish, lease observer check).
-	events := int64(5 * len(qs.Nodes))
+	// calls (Node, Begin, Finish, and the morsel loop's Shards).
+	events := int64(4 * len(qs.Nodes))
 	for _, ns := range qs.Nodes {
 		events += ns.Morsels
 	}

@@ -13,11 +13,11 @@
 //	q, err := eng.Prepare(plan, morphstore.WithCostBasedFormats())
 //	res, err := q.Execute(ctx)
 //
-// Concurrent Execute calls share the engine's worker budget: the allowance
-// is re-divided deterministically whenever an operator of any running query
-// starts or finishes, results are byte-identical to a sequential run at
-// every parallelism level, and a cancelled context stops the DAG scheduler
-// and the running morsel loops within one morsel.
+// Concurrent Execute calls share the engine's worker budget: every morsel
+// worker of every running query holds one of its tokens while it claims
+// morsels, results are byte-identical to a sequential run at every
+// parallelism level, and a cancelled context stops the DAG scheduler and the
+// running morsel loops within one morsel.
 //
 // The engine also offers every operator as a one-off call under the same
 // budget, configured with the same functional options:
@@ -32,16 +32,16 @@ import (
 	"morphstore/internal/core"
 )
 
-// Engine owns a database, an engine-wide worker budget shared
-// deterministically by every concurrently executing query and one-off
-// operator call, a bounded admission queue, and an optional runtime memory
-// governor. It is safe for concurrent use, and shuts down gracefully with
-// Close: admission stops (later calls match ErrEngineClosed), in-flight
-// work drains, and stragglers are cancelled at the context's deadline. See
-// core.Engine for the full method set: Prepare, Close, Stats, plus the
-// one-off operators Select, SelectBetween, Project, Sum, SumGrouped,
-// SemiJoin, JoinN1, Calc, Intersect, Union, GroupFirst, and GroupNext, all
-// taking a context and options.
+// Engine owns a database, an engine-wide worker budget shared by the morsel
+// workers of every concurrently executing query and one-off operator call, a
+// bounded admission queue, and an optional runtime memory governor. It is
+// safe for concurrent use, and shuts down gracefully with Close: admission
+// stops (later calls match ErrEngineClosed), in-flight work drains, and
+// stragglers are cancelled at the context's deadline. See core.Engine for
+// the full method set: Prepare, Close, Stats, plus the one-off operators
+// Select, SelectBetween, Project, Sum, SumGrouped, SemiJoin, JoinN1, Calc,
+// Intersect, Union, GroupFirst, and GroupNext, all taking a context and
+// options.
 type Engine = core.Engine
 
 // Prepared is a plan compiled against one engine: formats resolved, every

@@ -64,14 +64,13 @@ func main() {
 		if n.SeqFallback {
 			mode = "seq"
 		}
-		fmt.Printf("%-4d %-8s %-16s %-7s %8d %12v %7d→%-7d %8s  %v  leases %v\n",
+		fmt.Printf("%-4d %-8s %-16s %-7s %8d %12v %7d→%-7d %8s  %v\n",
 			n.Node, n.Op, n.Name, fmt.Sprint(n.Inputs), n.Morsels, n.Kernel,
-			n.InValues, n.OutValues, mode, n.Formats, n.LeaseLimits)
+			n.InValues, n.OutValues, mode, n.Formats)
 	}
 
 	// Engine-wide counters: queries by outcome class, budget utilization.
 	st := eng.Stats()
-	fmt.Printf("\nengine: %d started, %d succeeded; %d lease grants, %d releases, budget %d/%d in use\n",
-		st.QueriesStarted, st.QueriesSucceeded,
-		st.LeaseGrants, st.LeaseReleases, st.BudgetInUse, st.BudgetTotal)
+	fmt.Printf("\nengine: %d started, %d succeeded; budget %d/%d tokens in use\n",
+		st.QueriesStarted, st.QueriesSucceeded, st.BudgetInUse, st.BudgetTotal)
 }

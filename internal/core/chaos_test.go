@@ -22,7 +22,7 @@ import (
 // background goroutine keeps re-arming the engine's fault points with random
 // behaviours — typed errors, panics, delays. The contract under test is the
 // full fault-tolerance story at once: no deadlock, no goroutine leak, no
-// leaked budget lease, every failure a taxonomy error, every success (and
+// leaked worker token, every failure a taxonomy error, every success (and
 // every post-chaos execution) byte-identical to the pre-chaos reference.
 
 // chaosTyped reports whether err is accounted for by the error taxonomy: a
@@ -192,14 +192,10 @@ func TestChaosConcurrentExecution(t *testing.T) {
 		t.Fatal("no execution succeeded under chaos")
 	}
 
-	// Invariants after the storm: no leaked lease or worker slot, worker
-	// goroutines gone, and the same prepared plans produce byte-identical
-	// columns again.
-	if n := e.budget.Leases(); n != 0 {
-		t.Fatalf("%d budget leases leaked", n)
-	}
+	// Invariants after the storm: no leaked worker token, worker goroutines
+	// gone, and the same prepared plans produce byte-identical columns again.
 	if n := e.budget.InUse(); n != 0 {
-		t.Fatalf("%d budget worker slots leaked", n)
+		t.Fatalf("%d budget worker tokens leaked", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {

@@ -21,8 +21,8 @@ import (
 // points — including the admission-enqueue and close-drain sites — with
 // errors, panics and delays. The contract: every failure is a taxonomy
 // error, every success is byte-identical to the reference, Close leaves
-// nothing in flight, no goroutine, budget lease, worker slot, or memory
-// reservation leaks, and the engine fails fast afterwards.
+// nothing in flight, no goroutine, worker token, or memory reservation
+// leaks, and the engine fails fast afterwards.
 func TestChaosClose(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	db := buildParTestDB(t)
@@ -142,16 +142,13 @@ func TestChaosClose(t *testing.T) {
 		t.Fatalf("execute after close: %v, want ErrEngineClosed", err)
 	}
 
-	// Leak invariants: admission empty, no budget lease or worker slot held,
+	// Leak invariants: admission empty, no worker token held,
 	// every memory reservation returned, goroutines back to baseline.
 	if c := e.adm.counters(); c.inflight != 0 || c.queued != 0 {
 		t.Fatalf("admission not drained: inflight=%d queued=%d", c.inflight, c.queued)
 	}
-	if n := e.budget.Leases(); n != 0 {
-		t.Fatalf("%d budget leases leaked", n)
-	}
 	if n := e.budget.InUse(); n != 0 {
-		t.Fatalf("%d budget worker slots leaked", n)
+		t.Fatalf("%d budget worker tokens leaked", n)
 	}
 	if n := e.gov.Reserved(); n != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked", n)

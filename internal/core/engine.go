@@ -22,8 +22,8 @@ import (
 // resolved explicitly, uniformly, or cost-based, morphs inserted,
 // specialized-kernel dispatch fixed (physop.go) — into a Prepared query; and
 // Prepared.Execute runs it under a context, with cancellation threaded
-// through the DAG scheduler and the morsel loops, and with concurrent
-// Execute calls sharing the engine's parallelism budget deterministically.
+// through the DAG scheduler and the morsel loops, and with the morsel workers
+// of concurrent Execute calls drawing on one engine-wide token budget.
 
 // scope classifies where a functional option applies.
 type scope uint8
@@ -305,12 +305,12 @@ func (o *options) outputDesc(i int) columns.FormatDesc {
 	}
 }
 
-// Engine owns a database, an engine-wide worker budget shared
-// deterministically by every concurrently executing query and one-off
-// operator call, a bounded admission queue, and an optional runtime memory
-// governor. It is safe for concurrent use; all its state is fixed at
-// construction except the observability counters behind Stats (atomic) and
-// the admission/governor state (internally locked).
+// Engine owns a database, an engine-wide worker budget whose tokens the
+// morsel workers of every concurrently executing query and one-off operator
+// call hold while they claim morsels, a bounded admission queue, and an
+// optional runtime memory governor. It is safe for concurrent use; all its
+// state is fixed at construction except the observability counters behind
+// Stats (atomic) and the admission/governor state (internally locked).
 type Engine struct {
 	db       *DB
 	budget   *ops.Budget
@@ -345,7 +345,6 @@ func NewEngine(db *DB, o ...Option) *Engine {
 	}
 	defs, err := options{style: vector.Scalar}.merged(scopeEngine, o)
 	e := &Engine{db: db, budget: ops.NewBudget(defs.par), defs: defs, err: err}
-	e.budget.SetTelemetry(e.counters.budget)
 	e.adm = newAdmission(defs.maxQueries, defs.admitDepth, defs.admitWait)
 	e.gov = ops.NewMemGovernor(defs.memBudget)
 	e.killCtx, e.kill = context.WithCancel(context.Background())
@@ -370,8 +369,8 @@ func NewEngine(db *DB, o ...Option) *Engine {
 // return errors matching ErrEngineClosed), the drain finishes, and Close
 // returns the context's error; a nil ctx or one without a deadline waits
 // indefinitely for the graceful drain. Close is idempotent and safe to call
-// concurrently with executions; after it returns, the engine holds no worker
-// leases and no memory reservations.
+// concurrently with executions; after it returns, no worker token is held and
+// the engine holds no memory reservations.
 func (e *Engine) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -534,12 +533,12 @@ func (pr *Prepared) Formats() map[string]columns.FormatDesc {
 // it did no work and is safe to retry (see IsRetryable and WithRetry).
 // After Engine.Close, Execute fails fast with ErrEngineClosed.
 // Concurrent Execute calls from any number of goroutines share the engine's
-// worker budget deterministically and produce columns byte-identical to a
-// sequential run. A failing execution — cancelled, corrupt data, or a
-// recovered operator panic — is isolated to this call: the engine, the
-// prepared plan and concurrent queries stay fully usable, and re-executing
-// the same Prepared afterwards yields the same columns a fresh execution
-// would. Execute options: WithParallelism (this query's cap), WithKeep,
+// worker budget and produce columns byte-identical to a sequential run. A
+// failing execution — cancelled, corrupt data, or a recovered operator
+// panic — is isolated to this call: the engine, the prepared plan and
+// concurrent queries stay fully usable, and re-executing the same Prepared
+// afterwards yields the same columns a fresh execution would. Execute
+// options: WithParallelism (this query's cap), WithKeep,
 // WithQueryTimeout, WithRetry, WithExecStats, WithTracer.
 func (pr *Prepared) Execute(ctx context.Context, o ...Option) (*Result, error) {
 	if ctx == nil {
@@ -694,33 +693,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// nodeRuntime leases the node's worker share from the engine budget; the
-// returned release must be called when the node completes so the budget
-// re-divides among the operators still running. Every operator leases up to
-// the full per-query parallelism — with the grouping and sorted-set drivers
-// parallelized there are no cap-1 leases left, so the budget re-division
-// covers the whole plan. The node's collector (nil when detached) observes
-// every re-division of the lease and the morsel loops run through it.
-func (e *Engine) nodeRuntime(ctx context.Context, par int, nc *metrics.NodeCollector) (ops.Runtime, func()) {
-	var obs func(int)
-	if nc != nil {
-		obs = nc.LeaseLimit
-	}
-	lease := e.budget.LeaseObserved(par, obs)
-	return ops.RT(ctx, lease, par).WithCollector(nc), lease.Close
-}
-
-// runNode executes one bound operator under its budget lease. Scans do no
-// kernel work (they hand out the stored column), so they skip the budget
-// entirely instead of opening and closing a lease — a lease open/close pair
-// would transiently re-divide the allowance of every running operator.
+// runNode executes one bound operator; its morsel workers draw tokens from
+// the engine budget. Scans do no kernel work (they hand out the stored
+// column), so they run at width 1 and charge nothing.
 //
 // The node runs under a recover guard: a panic on the operator's own
 // goroutine — the morsel workers have their own guards — is converted into a
 // *QueryError instead of crashing the process, and every QueryError
-// surfacing here is tagged with the operator it escaped from. The guard sits
-// after the lease's deferred release, so a panicking node cannot leak its
-// budget share.
+// surfacing here is tagged with the operator it escaped from.
 func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, par int) (produced []*columns.Column, err error) {
 	// The collector's Finish defer is registered before the recover guard so
 	// it runs after it and records the final, panic-converted outcome — a
@@ -744,9 +724,7 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 		// Scans hand out stored columns — no intermediate bytes to charge.
 		return bn.run(es, ops.RT(ctx, nil, 1).WithCollector(nc))
 	}
-	rt, release := pr.e.nodeRuntime(ctx, par, nc)
-	defer release()
-	produced, err = bn.run(es, rt.WithMemReservation(es.mres))
+	produced, err = bn.run(es, ops.RT(ctx, pr.e.budget, par).WithCollector(nc).WithMemReservation(es.mres))
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)
 	}

@@ -208,7 +208,7 @@ func TestPreparedExecuteAfterFailure(t *testing.T) {
 			t.Fatalf("execution %d after failures diverged: %v", i, err)
 		}
 	}
-	if n := e.budget.Leases(); n != 0 {
-		t.Fatalf("%d budget leases leaked", n)
+	if n := e.budget.InUse(); n != 0 {
+		t.Fatalf("%d budget worker tokens leaked", n)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -149,8 +150,8 @@ func TestEntryGuard(t *testing.T) {
 			if n := e.adm.counters().inflight; n != 0 {
 				t.Fatalf("%d calls still in flight after close", n)
 			}
-			if n := e.budget.Leases(); n != 0 {
-				t.Fatalf("%d budget leases leaked through close", n)
+			if n := e.budget.InUse(); n != 0 {
+				t.Fatalf("%d budget worker tokens leaked through close", n)
 			}
 			if n := e.gov.Reserved(); n != 0 {
 				t.Fatalf("%d bytes still reserved after close", n)
@@ -182,6 +183,108 @@ func TestEntryGuard(t *testing.T) {
 			t.Fatalf("zero-row batches published epoch %d -> %d, %d appends", epoch, got, e.Stats().Appends)
 		}
 	})
+}
+
+// TestOneOffFaultsReleaseAdmission arms every fault point in turn and runs
+// each of the twelve one-off operator calls under it, on inputs large enough
+// to split at par 2: whatever fires — an error, or one escalated to a panic
+// on the caller's goroutine — the call comes back typed and leaves no
+// admission registration and no worker token behind, so Close drains at
+// once. A panic between the entry guard and the deferred release used to
+// leave the call registered, and Close then hung forever.
+func TestOneOffFaultsReleaseAdmission(t *testing.T) {
+	n := 4*formats.MinMorsel + 71
+	a, b, gids, evens, thirds := make([]uint64, n), make([]uint64, n), make([]uint64, n), []uint64{}, []uint64{}
+	for i := range a {
+		a[i], b[i], gids[i] = uint64(i%251), uint64((i*7)%509), uint64(i%16)
+		if i%2 == 0 {
+			evens = append(evens, uint64(i))
+		}
+		if i%3 == 0 {
+			thirds = append(thirds, uint64(i))
+		}
+	}
+	build := make([]uint64, 128)
+	for i := range build {
+		build[i] = uint64(i)
+	}
+	colA, colB, colG := columns.FromValues(a), columns.FromValues(b), columns.FromValues(gids)
+	posE, posT, colBuild := columns.FromValues(evens), columns.FromValues(thirds), columns.FromValues(build)
+	calls := []func(ctx context.Context, e *Engine) error{
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Select(ctx, colA, bitutil.CmpLt, 100, WithOutput(columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.SelectBetween(ctx, colA, 10, 90, WithOutput(columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Project(ctx, colA, posE, WithOutput(columns.DynBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Sum(ctx, colA)
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.SumGrouped(ctx, colG, colA, 16)
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.SemiJoin(ctx, colA, colBuild, WithOutput(columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, _, err := e.JoinN1(ctx, colA, colBuild, WithOutputs(columns.DeltaBPDesc, columns.DynBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Calc(ctx, ops.CalcMul, colA, colB, WithOutput(columns.DynBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Intersect(ctx, posE, posT, WithOutput(columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, err := e.Union(ctx, posE, posT, WithOutput(columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, _, err := e.GroupFirst(ctx, colG, WithOutputs(columns.DynBPDesc, columns.DeltaBPDesc))
+			return err
+		},
+		func(ctx context.Context, e *Engine) error {
+			_, _, err := e.GroupNext(ctx, colG, colB, WithOutputs(columns.DynBPDesc, columns.UncomprDesc))
+			return err
+		},
+	}
+	injected := fmt.Errorf("injected: %w", formats.ErrCorrupt)
+	for _, p := range faultpoint.Points() {
+		t.Run(p.Name(), func(t *testing.T) {
+			defer faultpoint.DisarmAll()
+			e := NewEngine(nil, WithParallelism(2))
+			p.Arm(func() error { return injected })
+			for i, call := range calls {
+				if err := call(context.Background(), e); err != nil && !chaosTyped(err) {
+					t.Fatalf("call %d: untyped error %v", i, err)
+				}
+			}
+			p.Disarm()
+			if n := e.adm.counters().inflight; n != 0 {
+				t.Fatalf("%d one-off calls still registered after the fault", n)
+			}
+			if n := e.budget.InUse(); n != 0 {
+				t.Fatalf("%d worker tokens leaked", n)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := e.Close(ctx); err != nil {
+				t.Fatalf("close after the fault: %v", err)
+			}
+		})
+	}
 }
 
 // TestUndefinedCmpKind: a comparison kind outside the six defined ones used

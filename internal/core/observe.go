@@ -19,16 +19,16 @@ import (
 
 // WithExecStats attaches a stats collector to one execution: when Execute
 // returns, *dst holds the execution's QueryStats tree (per-operator morsel
-// timings, cardinalities, formats, budget lease history), on success and
-// failure alike. The collected columns are byte-identical to an uncollected
-// run. Applies to Execute.
+// timings, cardinalities, formats), on success and failure alike. The
+// collected columns are byte-identical to an uncollected run. Applies to
+// Execute.
 func WithExecStats(dst *metrics.QueryStats) Option {
 	return Option{name: "WithExecStats", scope: scopeExec,
 		apply: func(o *options) { o.stats = dst }}
 }
 
-// WithTracer streams live span begin/end and re-division events of every
-// execution it applies to into t (see metrics.Tracer). At NewEngine or
+// WithTracer streams live span begin/end and sequential-fallback events of
+// every execution it applies to into t (see metrics.Tracer). At NewEngine or
 // Prepare it covers every execution of the engine or plan; at Execute just
 // that call. Attaching a tracer implies collection, so WithExecStats is not
 // required to trace. Applies to NewEngine, Prepare, and Execute.
@@ -39,22 +39,19 @@ func WithTracer(t metrics.Tracer) Option {
 
 // engineCounters is the engine-wide observability state: monotonically
 // increasing atomic counters, updated on every Execute outcome and every
-// budget telemetry event. It is the only mutable state an Engine carries.
+// write-path call. It is the only mutable state an Engine carries.
 type engineCounters struct {
-	started       atomic.Int64
-	succeeded     atomic.Int64
-	rejected      atomic.Int64
-	closed        atomic.Int64
-	canceled      atomic.Int64
-	timedOut      atomic.Int64
-	corrupt       atomic.Int64
-	panicked      atomic.Int64
-	failedOther   atomic.Int64
-	retried       atomic.Int64
-	memShed       atomic.Int64
-	leaseGrants   atomic.Int64
-	leaseShrinks  atomic.Int64
-	leaseReleases atomic.Int64
+	started     atomic.Int64
+	succeeded   atomic.Int64
+	rejected    atomic.Int64
+	closed      atomic.Int64
+	canceled    atomic.Int64
+	timedOut    atomic.Int64
+	corrupt     atomic.Int64
+	panicked    atomic.Int64
+	failedOther atomic.Int64
+	retried     atomic.Int64
+	memShed     atomic.Int64
 
 	// Write-path counters (Engine.Append/Delete and the remorph worker).
 	appends       atomic.Int64
@@ -88,19 +85,6 @@ func (c *engineCounters) query(err error) {
 		c.panicked.Add(1)
 	default:
 		c.failedOther.Add(1)
-	}
-}
-
-// budget books one budget telemetry event. It runs under the budget mutex
-// (see ops.Budget.SetTelemetry), hence plain atomic adds only.
-func (c *engineCounters) budget(ev ops.BudgetEvent) {
-	switch ev.Kind {
-	case ops.BudgetGrant:
-		c.leaseGrants.Add(1)
-	case ops.BudgetShrink:
-		c.leaseShrinks.Add(1)
-	case ops.BudgetRelease:
-		c.leaseReleases.Add(1)
 	}
 }
 
@@ -179,18 +163,9 @@ type EngineStats struct {
 	MemOverBudget int64
 	// BudgetTotal is the engine's worker allowance.
 	BudgetTotal int
-	// BudgetLeases is the number of operators currently holding a lease.
-	BudgetLeases int
-	// BudgetInUse is the number of worker slots currently acquired.
+	// BudgetInUse is the number of worker tokens currently held by morsel
+	// workers; zero whenever the engine is idle.
 	BudgetInUse int
-	// LeaseGrants counts budget lease registrations (one per non-scan
-	// operator run, engine-lifetime).
-	LeaseGrants int64
-	// LeaseShrinks counts sequential-fallback cap reductions.
-	LeaseShrinks int64
-	// LeaseReleases counts lease closes; it catches up with LeaseGrants
-	// whenever the engine is idle.
-	LeaseReleases int64
 	// Appends counts successful Engine.Append calls (including zero-row
 	// no-ops).
 	Appends int64
@@ -225,8 +200,8 @@ type EngineStats struct {
 
 // Stats returns a snapshot of the engine's lifetime query counters, current
 // budget utilization, and admission/governor state. Counters cover
-// Prepared.Execute calls (the one-off operator methods lease
-// budget — visible in the lease counters — but are not counted as queries).
+// Prepared.Execute calls (the one-off operator methods draw on the worker
+// budget — visible in BudgetInUse — but are not counted as queries).
 // Safe for concurrent use; the counter groups are snapshotted individually,
 // so a snapshot taken while queries run is approximate across groups but
 // each field is exact.
@@ -270,11 +245,7 @@ func (e *Engine) Stats() EngineStats {
 		MemSheds:              mem.Rejected,
 		MemOverBudget:         e.counters.memShed.Load(),
 		BudgetTotal:           e.budget.Total(),
-		BudgetLeases:          e.budget.Leases(),
 		BudgetInUse:           e.budget.InUse(),
-		LeaseGrants:           e.counters.leaseGrants.Load(),
-		LeaseShrinks:          e.counters.leaseShrinks.Load(),
-		LeaseReleases:         e.counters.leaseReleases.Load(),
 		Appends:               e.counters.appends.Load(),
 		AppendedRows:          e.counters.appendedRows.Load(),
 		Deletes:               e.counters.deletes.Load(),

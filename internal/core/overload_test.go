@@ -432,8 +432,8 @@ func TestEngineCloseCancelsStragglers(t *testing.T) {
 	if c := e.adm.counters(); c.inflight != 0 {
 		t.Fatalf("%d executions still in flight after close", c.inflight)
 	}
-	if n := e.budget.Leases(); n != 0 {
-		t.Fatalf("%d budget leases leaked through close", n)
+	if n := e.budget.InUse(); n != 0 {
+		t.Fatalf("%d budget worker tokens leaked through close", n)
 	}
 }
 

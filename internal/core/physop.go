@@ -35,8 +35,8 @@ type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 // boundNode pairs a plan node with its compiled physical operator. Every
 // operator participates in morsel/range parallelism (since the grouping and
 // sorted-set operators gained parallel drivers there are no capped,
-// inherently sequential nodes left), so each node leases the full per-query
-// share of the engine budget while it runs.
+// inherently sequential nodes left), so each node splits up to the full
+// per-query width and its morsel workers draw on the engine budget.
 type boundNode struct {
 	n   *Node
 	run physOp

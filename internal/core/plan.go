@@ -365,14 +365,3 @@ func (p *Plan) IntermediateNames() []string {
 // RandomAccessed reports whether the named column is consumed via random
 // access (as a project data input).
 func (p *Plan) RandomAccessed(name string) bool { return p.randomAccessed[name] }
-
-// NumOperators returns the number of non-scan operators.
-func (p *Plan) NumOperators() int {
-	k := 0
-	for _, n := range p.nodes {
-		if n.op != OpScan {
-			k++
-		}
-	}
-	return k
-}

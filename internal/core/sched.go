@@ -20,12 +20,11 @@ import (
 // the moment nodes 0..k-1 are done: the sequential operator-at-a-time
 // execution is this scheduler at width 1, nodes in plan order, one at a time.
 //
-// Worker-budget sharing is no longer the scheduler's job: every running
-// operator holds a lease on the engine-wide ops.Budget (see runNode), which
-// re-divides the allowance whenever an operator — of this query or of any
-// concurrently executing query — starts or finishes. A lone operator ramps
-// up to the whole budget the moment its siblings complete instead of
-// keeping its initial share.
+// Worker-budget sharing is not the scheduler's job: the scheduler's own
+// goroutines hold nothing, and each morsel worker an operator spawns holds
+// one token of the engine-wide ops.Budget while it claims morsels, so the
+// budget bounds the morsel workers of this query and of every concurrently
+// executing query alike.
 //
 // Synchronization model: a node's outputs (execState.outs) are written by
 // the worker that ran it and published under the scheduler mutex when its

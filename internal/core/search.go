@@ -25,18 +25,6 @@ func NewAssignment() *Assignment {
 	}
 }
 
-// Clone deep-copies the assignment.
-func (a *Assignment) Clone() *Assignment {
-	c := NewAssignment()
-	for k, v := range a.Base {
-		c.Base[k] = v
-	}
-	for k, v := range a.Inter {
-		c.Inter[k] = v
-	}
-	return c
-}
-
 // Candidates returns the admissible formats for the named plan column:
 // the paper's five formats, or only the random-access formats for columns
 // consumed by project (§4.2, footnote 3).

@@ -291,7 +291,7 @@ func TestSnapshotPinnedAcrossSwap(t *testing.T) {
 // queries while random fault points — including the write-path points
 // append-log, delta-merge, and remorph-swap — inject errors, panics, and
 // delays. Every failure must be a taxonomy error and Close must leak no
-// goroutine, budget lease, or memory reservation.
+// goroutine, worker token, or memory reservation.
 func TestChaosWritableClose(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	db := buildParTestDB(t)
@@ -410,8 +410,8 @@ func TestChaosWritableClose(t *testing.T) {
 	if c := e.adm.counters(); c.inflight != 0 || c.queued != 0 {
 		t.Fatalf("admission not drained: inflight=%d queued=%d", c.inflight, c.queued)
 	}
-	if n := e.budget.Leases(); n != 0 {
-		t.Fatalf("%d budget leases leaked", n)
+	if n := e.budget.InUse(); n != 0 {
+		t.Fatalf("%d budget worker tokens leaked", n)
 	}
 	if n := e.gov.Reserved(); n != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked (delta reservations must be released by Close)", n)

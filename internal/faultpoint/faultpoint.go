@@ -39,9 +39,6 @@ var (
 	// ConcatFixup fires at the head of ConcatCompressed, before the
 	// per-format seam fixups splice the parts.
 	ConcatFixup = newPoint("concat-fixup")
-	// BudgetRedivide fires when an operator registers with the worker
-	// budget, triggering a re-division of the allowance.
-	BudgetRedivide = newPoint("budget-redivide")
 	// GroupMerge fires in the sequential merge phase of the parallel
 	// grouping operators, between the worker builds and the remap pass.
 	GroupMerge = newPoint("group-merge")
@@ -75,7 +72,7 @@ var (
 	IngestBatch = newPoint("ingest-batch")
 )
 
-var points = []*Point{MorselClaim, KernelBody, StitchSeam, ConcatFixup, BudgetRedivide, GroupMerge, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
+var points = []*Point{MorselClaim, KernelBody, StitchSeam, ConcatFixup, GroupMerge, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
 
 func newPoint(name string) *Point { return &Point{name: name} }
 

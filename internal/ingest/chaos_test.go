@@ -38,8 +38,8 @@ func chaosIngestTyped(err error) bool {
 // contract: every failure is a taxonomy error, the engine's appended-row
 // counter agrees exactly with the row totals the Load calls reported, the
 // dictionaries stay internally consistent (their journals replay to the
-// same mapping), and Close leaves no memory reservation, budget lease,
-// worker slot, or goroutine behind.
+// same mapping), and Close leaves no memory reservation, worker token, or
+// goroutine behind.
 func TestChaosIngestClose(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	const rows = 96
@@ -193,8 +193,8 @@ func TestChaosIngestClose(t *testing.T) {
 	if st.MemReserved != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked", st.MemReserved)
 	}
-	if st.BudgetLeases != 0 || st.BudgetInUse != 0 {
-		t.Fatalf("budget leaked: leases=%d inuse=%d", st.BudgetLeases, st.BudgetInUse)
+	if st.BudgetInUse != 0 {
+		t.Fatalf("budget leaked: %d worker tokens in use", st.BudgetInUse)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {

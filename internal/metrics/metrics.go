@@ -1,8 +1,7 @@
 // Package metrics implements the query observability layer: a low-overhead
 // per-execution stats collector (per-operator morsel timings, cardinalities,
-// formats, budget lease history, assembled into a QueryStats tree mirroring
-// the plan DAG) and the pluggable Tracer interface with a ready-made
-// JSON-lines implementation.
+// formats, assembled into a QueryStats tree mirroring the plan DAG) and the
+// pluggable Tracer interface with a ready-made JSON-lines implementation.
 //
 // The design splits responsibilities by write frequency so the morsel hot
 // path stays allocation- and lock-free:
@@ -12,9 +11,7 @@
 //     padded slot indexed by worker id, no locks or atomics;
 //   - per operator: the execution layer Begins/Finishes one NodeCollector
 //     per plan node on the node's own goroutine, merging the shards exactly
-//     once at finish;
-//   - per budget re-division: the lease observer appends the new limit under
-//     the budget mutex, which already serializes re-divisions.
+//     once at finish.
 //
 // Every NodeCollector method is safe on a nil receiver and returns
 // immediately, so the execution layers call them unconditionally: a
@@ -108,12 +105,8 @@ type NodeStats struct {
 	// Formats names the format each output column materialized in.
 	Formats []string `json:"formats,omitempty"`
 	// SeqFallback reports that the operator fell back to sequential
-	// execution (unsplittable input) and shrank its budget lease to one.
+	// execution (unsplittable input) on its own goroutine.
 	SeqFallback bool `json:"seq_fallback,omitempty"`
-	// LeaseLimits is the operator's budget lease history: the worker limit
-	// after each re-division while the lease was open, in event order. The
-	// first entry is the initial grant.
-	LeaseLimits []int `json:"lease_limits,omitempty"`
 }
 
 // Shard is one worker's private morsel accounting slot. Shards are handed
@@ -206,9 +199,7 @@ func (c *Collector) Finish(err error) *QueryStats {
 
 // NodeCollector gathers one operator's NodeStats within one execution. The
 // execution layer calls Begin/Finish on the node's goroutine; the morsel
-// runtime records into per-worker Shards between them; the budget calls
-// LeaseLimit under its own mutex, which also orders those appends before
-// Finish (the lease closes, under the same mutex, first). All methods are
+// runtime records into per-worker Shards between them. All methods are
 // nil-receiver-safe no-ops so detached execution needs no branches at the
 // call sites beyond the receiver nil check they compile to.
 type NodeCollector struct {
@@ -262,22 +253,10 @@ func (nc *NodeCollector) SeqFallback() {
 	nc.event(Event{Kind: EvSeqFallback, Value: 1})
 }
 
-// LeaseLimit appends one budget re-division outcome to the node's lease
-// history and emits a tracer event. The budget calls it with its mutex
-// held, so implementations attached as tracers must not call back into the
-// budget.
-func (nc *NodeCollector) LeaseLimit(limit int) {
-	if nc == nil {
-		return
-	}
-	nc.ns.LeaseLimits = append(nc.ns.LeaseLimits, limit)
-	nc.event(Event{Kind: EvLease, Value: int64(limit)})
-}
-
 // Finish merges the per-worker shards, stamps the outputs and outcome, and
 // emits the tracer span end. It runs on the node's goroutine after the
-// morsel loops returned and the lease closed, on success and failure alike
-// — a panicking node still leaves a coherent partial entry.
+// morsel loops returned, on success and failure alike — a panicking node
+// still leaves a coherent partial entry.
 func (nc *NodeCollector) Finish(outValues int64, formats []string, err error) {
 	if nc == nil {
 		return

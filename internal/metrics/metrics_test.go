@@ -25,7 +25,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil NodeCollector Shards returned %v, want nil", s)
 	}
 	nc.SeqFallback()
-	nc.LeaseLimit(3)
 	nc.Finish(10, []string{"uncompr"}, errors.New("ignored"))
 }
 
@@ -50,7 +49,6 @@ func TestCollectorLifecycle(t *testing.T) {
 
 	n1 := c.Node(1)
 	n1.Begin(1000)
-	n1.LeaseLimit(4)
 	sh := n1.Shards(2)
 	if len(sh) != 2 {
 		t.Fatalf("Shards(2) returned %d slots", len(sh))
@@ -58,7 +56,6 @@ func TestCollectorLifecycle(t *testing.T) {
 	sh[0].Record(3 * time.Millisecond)
 	sh[0].Record(2 * time.Millisecond)
 	sh[1].Record(5 * time.Millisecond)
-	n1.LeaseLimit(2)
 	n1.Finish(1, []string{"uncompr"}, nil)
 
 	qs := c.Finish(nil)
@@ -93,9 +90,6 @@ func TestCollectorLifecycle(t *testing.T) {
 	}
 	if len(agg.Inputs) != 1 || agg.Inputs[0] != 0 {
 		t.Fatalf("agg inputs wrong: %v", agg.Inputs)
-	}
-	if want := []int{4, 2}; len(agg.LeaseLimits) != 2 || agg.LeaseLimits[0] != want[0] || agg.LeaseLimits[1] != want[1] {
-		t.Fatalf("agg lease history = %v, want %v", agg.LeaseLimits, want)
 	}
 }
 
@@ -188,7 +182,6 @@ func TestJSONLTracer(t *testing.T) {
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(10)
-	nc.LeaseLimit(2)
 	nc.SeqFallback()
 	nc.Finish(4, []string{"rle"}, nil)
 	c.Finish(nil)
@@ -212,7 +205,7 @@ func TestJSONLTracer(t *testing.T) {
 		}
 		lines = append(lines, l)
 	}
-	wantT := []string{"begin", "event", "event", "end"}
+	wantT := []string{"begin", "event", "end"}
 	if len(lines) != len(wantT) {
 		t.Fatalf("got %d lines, want %d", len(lines), len(wantT))
 	}
@@ -229,18 +222,15 @@ func TestJSONLTracer(t *testing.T) {
 		}
 		prev = l.AtNS
 	}
-	if ev := lines[1].Event; ev == nil || ev.Kind != EvLease || ev.Value != 2 {
-		t.Fatalf("lease event wrong: %+v", lines[1].Event)
+	if ev := lines[1].Event; ev == nil || ev.Kind != EvSeqFallback || ev.Value != 1 {
+		t.Fatalf("fallback event wrong: %+v", lines[1].Event)
 	}
-	if ev := lines[2].Event; ev == nil || ev.Kind != EvSeqFallback {
-		t.Fatalf("fallback event wrong: %+v", lines[2].Event)
-	}
-	st := lines[3].Stats
+	st := lines[2].Stats
 	if st == nil || !st.Done || st.OutValues != 4 || len(st.Formats) != 1 || st.Formats[0] != "rle" {
 		t.Fatalf("end stats wrong: %+v", st)
 	}
-	if !st.SeqFallback || len(st.LeaseLimits) != 1 || st.LeaseLimits[0] != 2 {
-		t.Fatalf("end stats lost fallback/lease history: %+v", st)
+	if !st.SeqFallback {
+		t.Fatalf("end stats lost the fallback flag: %+v", st)
 	}
 }
 
@@ -248,7 +238,7 @@ func TestJSONLTracer(t *testing.T) {
 func TestJSONLTracerErrRetained(t *testing.T) {
 	tr := NewJSONLTracer(failWriter{})
 	tr.Begin(Span{Query: 1}, time.Now())
-	tr.Event(Span{Query: 1}, time.Now(), Event{Kind: EvLease, Value: 1})
+	tr.Event(Span{Query: 1}, time.Now(), Event{Kind: EvSeqFallback, Value: 1})
 	if err := tr.Err(); err == nil || err.Error() != "sink full" {
 		t.Fatalf("Err() = %v, want the first write failure", err)
 	}
@@ -272,7 +262,7 @@ func TestJSONLTracerConcurrent(t *testing.T) {
 			s := Span{Query: uint64(g), Node: g, Name: "n", Op: "select"}
 			for i := 0; i < 50; i++ {
 				tr.Begin(s, time.Now())
-				tr.Event(s, time.Now(), Event{Kind: EvLease, Value: int64(i)})
+				tr.Event(s, time.Now(), Event{Kind: EvSeqFallback, Value: int64(i)})
 				tr.End(s, time.Now(), NodeStats{Node: g, Done: true})
 			}
 		}(g)

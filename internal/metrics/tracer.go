@@ -9,9 +9,6 @@ import (
 
 // Event kinds emitted through Tracer.Event.
 const (
-	// EvLease is a budget re-division outcome; Value is the node's new
-	// worker limit.
-	EvLease = "lease"
 	// EvSeqFallback marks a fallback to sequential execution; Value is 1.
 	EvSeqFallback = "seq_fallback"
 	// EvAdmissionWait reports a query that parked at the engine's admission
@@ -53,10 +50,10 @@ type Span struct {
 
 // Event is a point-in-time occurrence within a span (see the Ev* kinds).
 type Event struct {
-	// Kind names the event (EvLease, EvSeqFallback, EvAdmissionWait,
+	// Kind names the event (EvSeqFallback, EvAdmissionWait,
 	// EvAdmissionShed, EvMemReserve, EvRemorphSwap).
 	Kind string `json:"kind"`
-	// Value is the event's payload (e.g. the new lease limit).
+	// Value is the event's payload (e.g. the admission wait in nanoseconds).
 	Value int64 `json:"value"`
 }
 
@@ -64,8 +61,7 @@ type Event struct {
 // Implementations must be safe for concurrent use: operators of one query
 // run in parallel, and one tracer may serve many queries at once. Callbacks
 // sit on the per-operator (not per-morsel) path, but a slow tracer still
-// slows queries down; Event may be called with the budget mutex held, so
-// tracers must never call back into the engine or budget.
+// slows queries down, and tracers must never call back into the engine.
 type Tracer interface {
 	// Begin opens a span: the operator started at time at.
 	Begin(s Span, at time.Time)

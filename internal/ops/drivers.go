@@ -33,8 +33,8 @@ import (
 
 // split cuts the streamed input — two lockstep inputs at shared boundaries
 // when b is non-nil — into work-queue morsels. A nil result means the
-// operator runs as one morsel on the calling goroutine; the lease shrinks to
-// one worker so the surplus flows to sibling operators.
+// operator runs as one morsel on the calling goroutine, recorded as a
+// sequential fallback.
 func (rt Runtime) split(a, b *columns.Column) []formats.Partition {
 	var parts []formats.Partition
 	if b == nil {
@@ -43,7 +43,7 @@ func (rt Runtime) split(a, b *columns.Column) []formats.Partition {
 		parts = formats.SplitColumnsAlignedMorsels(a, b, rt.Par())
 	}
 	if parts == nil {
-		rt.seqFallback()
+		rt.coll.SeqFallback()
 	}
 	return parts
 }
@@ -245,7 +245,7 @@ func (rt Runtime) reduce(name string, a, b *columns.Column, width int, kernel re
 	}
 	parts := rt.split(a, b)
 	if parts != nil && width > a.N()/rt.workers(len(parts)) {
-		rt.seqFallback()
+		rt.coll.SeqFallback()
 		parts = nil
 	}
 	total := make([]uint64, width)

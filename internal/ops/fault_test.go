@@ -31,15 +31,12 @@ func faultTestColumn(t testing.TB) *columns.Column {
 	return col
 }
 
-// assertBudgetIdle asserts every lease was closed and every worker slot
-// released — the invariant each failure mode must restore.
+// assertBudgetIdle asserts every worker token was returned — the invariant
+// each failure mode must restore.
 func assertBudgetIdle(t *testing.T, b *Budget, mode string) {
 	t.Helper()
-	if n := b.Leases(); n != 0 {
-		t.Fatalf("%s: %d leases leaked", mode, n)
-	}
 	if n := b.InUse(); n != 0 {
-		t.Fatalf("%s: %d worker slots leaked", mode, n)
+		t.Fatalf("%s: %d worker tokens leaked", mode, n)
 	}
 }
 
@@ -74,16 +71,14 @@ var driverShapes = []struct {
 	}},
 }
 
-// runLeased runs one driver shape under a budget lease of par workers.
-func runLeased(ctx context.Context, b *Budget, par int, run func(Runtime, *columns.Column) error, col *columns.Column) error {
-	lease := b.Lease(par)
-	defer lease.Close()
-	return run(RT(ctx, lease, par), col)
+// runOnBudget runs one driver shape at par workers drawing tokens from b.
+func runOnBudget(ctx context.Context, b *Budget, par int, run func(Runtime, *columns.Column) error, col *columns.Column) error {
+	return run(RT(ctx, b, par), col)
 }
 
-// runSelect runs one budget-leased parallel select and returns its error.
+// runSelect runs one parallel select on budget b and returns its error.
 func runSelect(ctx context.Context, b *Budget, col *columns.Column) error {
-	return runLeased(ctx, b, 4, driverShapes[0].run, col)
+	return runOnBudget(ctx, b, 4, driverShapes[0].run, col)
 }
 
 // TestBudgetIdleAfterFailureModes drives every driver shape through every
@@ -165,7 +160,7 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 			b := NewBudget(4)
 			t.Run(shape.name+"/"+m.name, func(t *testing.T) {
 				m.run(t, b, func(ctx context.Context, b *Budget, par int) error {
-					return runLeased(ctx, b, par, shape.run, col)
+					return runOnBudget(ctx, b, par, shape.run, col)
 				})
 				assertBudgetIdle(t, b, m.name)
 			})
@@ -179,7 +174,7 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 			}
 			b := NewBudget(4)
 			fp.Arm(func() error { return injected })
-			err := runLeased(context.Background(), b, 4, shape.run, col)
+			err := runOnBudget(context.Background(), b, 4, shape.run, col)
 			fp.Disarm()
 			if !errors.Is(err, qerr.ErrCorruptData) {
 				t.Fatalf("%s: stitch fault not typed: %v", shape.name, err)
@@ -190,8 +185,8 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 }
 
 // TestUnsplitRunRecorded: every driver shape, run with one worker, reports
-// the sequential fallback through the attached collector, records no morsels
-// and shrinks nothing it does not hold.
+// the sequential fallback through the attached collector and records no
+// morsels.
 func TestUnsplitRunRecorded(t *testing.T) {
 	col := faultTestColumn(t)
 	for _, shape := range driverShapes {
@@ -207,28 +202,6 @@ func TestUnsplitRunRecorded(t *testing.T) {
 			t.Fatalf("%s: SeqFallback=%v Morsels=%d, want true and 0", shape.name, ns.SeqFallback, ns.Morsels)
 		}
 	}
-}
-
-// TestBudgetRedivideFaultLeaksNoLease checks the fault point at the budget
-// seam fires before the lease registers: a panicking Lease call must leave
-// the budget empty, not holding a lease nobody can close.
-func TestBudgetRedivideFaultLeaksNoLease(t *testing.T) {
-	defer faultpoint.DisarmAll()
-	b := NewBudget(4)
-	faultpoint.BudgetRedivide.Arm(func() error { return errors.New("injected") })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Lease did not escalate the injected error")
-			}
-		}()
-		b.Lease(2)
-	}()
-	assertBudgetIdle(t, b, "budget-redivide panic")
-	faultpoint.DisarmAll()
-	l := b.Lease(2)
-	l.Close()
-	assertBudgetIdle(t, b, "after redivide recovery")
 }
 
 // TestGroupMergeFaultPanics checks the merge-phase fault point escalates to a

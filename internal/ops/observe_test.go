@@ -11,91 +11,6 @@ import (
 	"morphstore/internal/vector"
 )
 
-// TestLeaseObserved: the per-lease observer fires on the initial grant and on
-// every re-division that changes the limit — and only on changes.
-func TestLeaseObserved(t *testing.T) {
-	b := NewBudget(8)
-	var history []int
-	l1 := b.LeaseObserved(8, func(limit int) { history = append(history, limit) })
-	if len(history) != 1 || history[0] != 8 {
-		t.Fatalf("after grant, history = %v, want [8]", history)
-	}
-	l2 := b.Lease(8) // halves l1's share: observer fires with 4
-	if len(history) != 2 || history[1] != 4 {
-		t.Fatalf("after sibling grant, history = %v, want [8 4]", history)
-	}
-	l2.Shrink(1) // frees the surplus: observer fires with 7
-	if len(history) != 3 || history[2] != 7 {
-		t.Fatalf("after sibling shrink, history = %v, want [8 4 7]", history)
-	}
-	l2.Close() // lone lease again: observer fires with 8
-	if len(history) != 4 || history[3] != 8 {
-		t.Fatalf("after sibling close, history = %v, want [8 4 7 8]", history)
-	}
-	l1.Close() // closing the observed lease itself does not fire the observer
-	if len(history) != 4 {
-		t.Fatalf("close of the observed lease fired its observer: %v", history)
-	}
-}
-
-// TestBudgetTelemetry: the telemetry sink receives one typed event per lease
-// grant, effective shrink, and release; a no-op Shrink emits nothing; nil
-// detaches the sink.
-func TestBudgetTelemetry(t *testing.T) {
-	b := NewBudget(4)
-	var events []BudgetEvent
-	b.SetTelemetry(func(ev BudgetEvent) { events = append(events, ev) })
-
-	l := b.Lease(4)
-	l.Shrink(2)
-	l.Shrink(3) // not a shrink (3 > current cap 2): no event
-	l.Close()
-
-	want := []struct {
-		kind   BudgetEventKind
-		cap    int
-		limit  int
-		leases int
-	}{
-		{BudgetGrant, 4, 4, 1},
-		{BudgetShrink, 2, 2, 1},
-		{BudgetRelease, 0, 0, 0},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events %+v, want %d", len(events), events, len(want))
-	}
-	for i, w := range want {
-		ev := events[i]
-		if ev.Kind != w.kind || ev.Cap != w.cap || ev.Limit != w.limit || ev.Leases != w.leases {
-			t.Fatalf("event %d = %+v, want kind=%v cap=%d limit=%d leases=%d",
-				i, ev, w.kind, w.cap, w.limit, w.leases)
-		}
-		if ev.Lease != events[0].Lease {
-			t.Fatalf("event %d carries lease id %d, want %d", i, ev.Lease, events[0].Lease)
-		}
-	}
-
-	b.SetTelemetry(nil)
-	b.Lease(2).Close()
-	if len(events) != len(want) {
-		t.Fatalf("detached sink still received events: %+v", events[len(want):])
-	}
-}
-
-// TestBudgetEventKindString covers the telemetry kind names.
-func TestBudgetEventKindString(t *testing.T) {
-	for kind, want := range map[BudgetEventKind]string{
-		BudgetGrant:         "grant",
-		BudgetShrink:        "shrink",
-		BudgetRelease:       "release",
-		BudgetEventKind(99): "unknown",
-	} {
-		if got := kind.String(); got != want {
-			t.Fatalf("BudgetEventKind(%d).String() = %q, want %q", kind, got, want)
-		}
-	}
-}
-
 // TestRunPartsRecordsShards: with a collector attached, runParts books every
 // claimed morsel with a positive kernel timing into the worker's shard.
 func TestRunPartsRecordsShards(t *testing.T) {

@@ -21,8 +21,8 @@
 // and therefore compressible like any other intermediate (DP1).
 //
 // Every operator has exactly one implementation: a method on Runtime, which
-// carries the worker count, the cancellation context and the engine budget
-// lease. Sequential execution is that method on a runtime of width 1
+// carries the worker count, the cancellation context and the engine's worker
+// budget. Sequential execution is that method on a runtime of width 1
 // (FixedRT(1) outside an engine).
 package ops
 

@@ -14,153 +14,71 @@ import (
 	"morphstore/internal/vector"
 )
 
-func limits(ls ...*Lease) []int {
-	out := make([]int, len(ls))
-	for i, l := range ls {
-		out[i] = l.Limit()
-	}
-	return out
-}
-
-func TestBudgetDivisionDeterministic(t *testing.T) {
-	b := NewBudget(8)
-	if b.Total() != 8 {
-		t.Fatalf("total = %d, want 8", b.Total())
-	}
-	l1 := b.Lease(8)
-	if got := limits(l1); got[0] != 8 {
-		t.Fatalf("lone lease limit = %v, want [8]", got)
-	}
-	l2 := b.Lease(8)
-	if got := limits(l1, l2); got[0] != 4 || got[1] != 4 {
-		t.Fatalf("two leases = %v, want [4 4]", got)
-	}
-	l3 := b.Lease(8)
-	// Ceil division serves the earliest lease first: 3+3+2.
-	if got := limits(l1, l2, l3); got[0]+got[1]+got[2] != 8 || got[0] < got[2] {
-		t.Fatalf("three leases = %v, want a deterministic 3/3/2 split", got)
-	}
-	l2.Close()
-	if got := limits(l1, l3); got[0] != 4 || got[1] != 4 {
-		t.Fatalf("after close = %v, want [4 4]", got)
-	}
-	l1.Close()
-	if got := limits(l3); got[0] != 8 {
-		t.Fatalf("survivor = %v, want [8]", got)
-	}
-	l3.Close()
-}
-
-// TestBudgetCappedLeases: a sequential operator (cap 1) must not strand its
-// unusable share — the surplus flows to the parallel siblings.
-func TestBudgetCappedLeases(t *testing.T) {
-	b := NewBudget(8)
-	seq := b.Lease(1)
-	par := b.Lease(8)
-	if got := limits(seq, par); got[0] != 1 || got[1] != 7 {
-		t.Fatalf("capped division = %v, want [1 7]", got)
-	}
-	seq.Close()
-	par.Close()
-}
-
-// TestBudgetShrink: an operator that falls back to sequential execution
-// shrinks its lease to one worker and the freed share flows to siblings
-// immediately (the seqFallback path of the parallel drivers).
-func TestBudgetShrink(t *testing.T) {
-	b := NewBudget(8)
-	fallback := b.Lease(8)
-	par := b.Lease(8)
-	if got := limits(fallback, par); got[0] != 4 || got[1] != 4 {
-		t.Fatalf("pre-shrink = %v, want [4 4]", got)
-	}
-	fallback.Shrink(1)
-	if got := limits(fallback, par); got[0] != 1 || got[1] != 7 {
-		t.Fatalf("post-shrink = %v, want [1 7]", got)
-	}
-	fallback.Shrink(5) // shrink never raises the cap
-	if got := limits(fallback, par); got[0] != 1 || got[1] != 7 {
-		t.Fatalf("raise attempt = %v, want [1 7]", got)
-	}
-	fallback.Close()
-	par.Close()
-}
-
-// TestBudgetMinimumOne: more operators than slots still make progress.
-func TestBudgetMinimumOne(t *testing.T) {
+// TestBudgetBound: three morsel loops of par 4 running at once on a budget
+// of 2 never have more than two tasks in flight, every task completes, and
+// every token comes back.
+func TestBudgetBound(t *testing.T) {
 	b := NewBudget(2)
-	var ls []*Lease
-	for i := 0; i < 5; i++ {
-		ls = append(ls, b.Lease(4))
+	var inFlight, high, ran atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- RT(context.Background(), b, 4).runTasks(64, func(_, _ int) error {
+				n := inFlight.Add(1)
+				for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
+				}
+				time.Sleep(50 * time.Microsecond)
+				inFlight.Add(-1)
+				ran.Add(1)
+				return nil
+			})
+		}()
 	}
-	for i, l := range ls {
-		if l.Limit() < 1 {
-			t.Fatalf("lease %d limit %d, want >= 1", i, l.Limit())
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, l := range ls {
-		l.Close()
+	if h := high.Load(); h > 2 {
+		t.Fatalf("%d tasks in flight on a budget of 2", h)
+	}
+	if n := ran.Load(); n != 3*64 {
+		t.Fatalf("%d of %d tasks ran", n, 3*64)
+	}
+	if n := b.InUse(); n != 0 {
+		t.Fatalf("%d tokens still held", n)
 	}
 }
 
-// TestBudgetRedividesOnClose is the regression test for the documented
-// overshoot wart: a worker blocked on its operator's exhausted share must be
-// released the moment a sibling operator finishes, instead of the survivor
-// keeping its initial share.
-func TestBudgetRedividesOnClose(t *testing.T) {
-	b := NewBudget(2)
-	survivor := b.Lease(2)
-	sibling := b.Lease(2)
-	if survivor.Limit() != 1 {
-		t.Fatalf("survivor limit = %d, want 1 while sibling runs", survivor.Limit())
-	}
-	if !survivor.acquire(context.Background()) {
-		t.Fatal("first acquire should not block")
-	}
-	second := make(chan struct{})
-	go func() {
-		survivor.acquire(context.Background()) // blocks: limit 1, inUse 1
-		close(second)
-	}()
-	select {
-	case <-second:
-		t.Fatal("second acquire succeeded before the sibling finished")
-	case <-time.After(20 * time.Millisecond):
-	}
-	sibling.Close() // survivor's share grows to 2 and wakes the waiter
-	select {
-	case <-second:
-	case <-time.After(2 * time.Second):
-		t.Fatal("second acquire not woken by the sibling's release")
-	}
-	survivor.release()
-	survivor.release()
-	survivor.Close()
-}
-
-// TestBudgetAcquireCancelled: a waiter blocked on an exhausted lease returns
-// false once the context is cancelled and a slot release wakes it.
-func TestBudgetAcquireCancelled(t *testing.T) {
+// TestBudgetWaiterCancelled: a waiter on an exhausted budget returns false as
+// soon as its context is cancelled, without any token being released.
+func TestBudgetWaiterCancelled(t *testing.T) {
 	b := NewBudget(1)
-	l := b.Lease(2)
-	if !l.acquire(context.Background()) {
+	if !b.acquire(context.Background(), nil) {
 		t.Fatal("first acquire should succeed")
 	}
+	defer b.release()
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan bool, 1)
-	go func() { got <- l.acquire(ctx) }()
+	go func() { got <- b.acquire(ctx, nil) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
-	l.release() // wakes the waiter, which must observe the cancellation
 	select {
 	case ok := <-got:
 		if ok {
 			t.Fatal("acquire returned true after cancellation")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled acquire did not return")
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("cancelled waiter did not return within 50 ms")
 	}
-	l.Close()
+	if n := b.InUse(); n != 1 {
+		t.Fatalf("%d tokens held, want the first acquire's 1", n)
+	}
 }
 
 // TestRunPartsCancellation: cancelling mid-run stops workers within one
@@ -206,8 +124,8 @@ func TestRunPartsComplete(t *testing.T) {
 }
 
 // TestRuntimeOpsUnderBudget: the runtime operator methods produce columns
-// byte-identical to a fixed-width runtime's while gated by a shared
-// budget lease.
+// byte-identical to a fixed-width runtime's while their workers hold tokens
+// of a shared budget.
 func TestRuntimeOpsUnderBudget(t *testing.T) {
 	n := 6 * 512
 	vals := make([]uint64, n)
@@ -222,10 +140,7 @@ func TestRuntimeOpsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBudget(3)
-	lease := b.Lease(3)
-	defer lease.Close()
-	got, err := RT(context.Background(), lease, 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
+	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,8 @@ func (p *pullReader) window() []uint64 {
 // value boundaries; a nil pair list means the operator runs as one range
 // (par <= 1, the larger input too small to be worth splitting — the inputs
 // are then not materialized — or no value boundary exists). The two
-// decompressions run as concurrent budget-slot tasks (they are real work, so
-// they count against the engine allowance, and decompressing them in parallel
+// decompressions run as two tasks of one morsel loop (they are real work, so
+// their workers hold budget tokens, and decompressing them in parallel
 // halves the serial tail ahead of the range kernels); the coarsest
 // cancellation window of the sorted-set driver is therefore one full-column
 // decompress rather than one morsel.
@@ -167,9 +167,9 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 		return nil, err
 	}
 	if avals == nil {
-		// One serial pass straight into the output writer, so the lease
-		// shrinks like every other unsplit operator.
-		rt.seqFallback()
+		// One serial pass straight into the output writer, recorded like
+		// every other unsplit operator.
+		rt.coll.SeqFallback()
 		w, err := formats.NewWriter(out, hint)
 		if err != nil {
 			return nil, err
@@ -182,7 +182,7 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 	if pairs == nil {
 		// The inputs are already materialized but admit no value boundary
 		// (e.g. one giant duplicate run): one range, still one serial pass.
-		rt.seqFallback()
+		rt.coll.SeqFallback()
 		pairs = []formats.RangePair{{A: formats.Partition{Count: len(avals)}, B: formats.Partition{Count: len(bvals)}}}
 	}
 	results := make([][]uint64, len(pairs))

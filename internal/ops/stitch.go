@@ -31,7 +31,8 @@ func StitchCompressed(desc columns.FormatDesc, sizeHint int, chunks [][]uint64, 
 }
 
 // stitchCompressed is the runtime form of StitchCompressed, sharing the
-// operator's budget lease and cancellation context with the section workers.
+// engine's worker budget and the operator's cancellation context with the
+// section workers.
 func (rt Runtime) stitchCompressed(desc columns.FormatDesc, sizeHint int, chunks [][]uint64) (*columns.Column, error) {
 	total := 0
 	for _, c := range chunks {

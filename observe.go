@@ -3,8 +3,8 @@
 //
 // Attach a collector to one execution with WithExecStats and read the
 // returned QueryStats tree — one NodeStats per plan operator, carrying
-// morsel counts, kernel timings, cardinalities, output formats, and the
-// operator's budget lease history:
+// morsel counts, worker counts, kernel timings, cardinalities, and output
+// formats:
 //
 //	var qs morphstore.QueryStats
 //	res, err := q.Execute(ctx, morphstore.WithExecStats(&qs))
@@ -13,7 +13,7 @@
 //	}
 //
 // Attach a Tracer (WithTracer, at NewEngine, Prepare, or Execute) to stream
-// span begin/end and budget re-division events live; NewJSONLTracer writes
+// span begin/end, sequential-fallback and admission events live; NewJSONLTracer writes
 // them as JSON lines (examples/observe prints one such trace). Engine.Stats
 // returns the engine-wide counters: queries by outcome class and budget
 // utilization. See docs/OBSERVABILITY.md for the full model.
@@ -33,9 +33,8 @@ import (
 type QueryStats = metrics.QueryStats
 
 // NodeStats is the observed behavior of one plan operator within one
-// execution: morsel counts, kernel and wall timings, input/output
-// cardinalities, output formats, sequential-fallback flag, and budget lease
-// history.
+// execution: morsel and worker counts, kernel and wall timings,
+// input/output cardinalities, output formats, and sequential-fallback flag.
 type NodeStats = metrics.NodeStats
 
 // EngineStats is a snapshot of an engine's lifetime query counters (by
@@ -50,9 +49,9 @@ type Tracer = metrics.Tracer
 // Span identifies one operator of one execution in a trace stream.
 type Span = metrics.Span
 
-// TraceEvent is a point-in-time occurrence within a span: a budget
-// re-division ("lease", value = new worker limit) or a sequential fallback
-// ("seq_fallback").
+// TraceEvent is a point-in-time occurrence within a span: a sequential
+// fallback ("seq_fallback") on an operator span, or an admission wait, shed
+// or memory reservation on the query's admission span.
 type TraceEvent = metrics.Event
 
 // JSONLTracer is a Tracer writing one JSON object per span/event callback —
@@ -69,7 +68,7 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer { return metrics.NewJSONLTracer(w)
 // are byte-identical to an uncollected run. Applies to Execute.
 func WithExecStats(dst *QueryStats) Option { return core.WithExecStats(dst) }
 
-// WithTracer streams live span begin/end and budget re-division events into
-// t: at NewEngine or Prepare for every execution of the engine or plan, at
-// Execute for that one call. Applies to NewEngine, Prepare, and Execute.
+// WithTracer streams live span begin/end and point events into t: at
+// NewEngine or Prepare for every execution of the engine or plan, at Execute
+// for that one call. Applies to NewEngine, Prepare, and Execute.
 func WithTracer(t Tracer) Option { return core.WithTracer(t) }

@@ -2,8 +2,7 @@ package morphstore
 
 // Acceptance tests of the observability layer: a stats collector attached to
 // Prepared.Execute returns a per-node QueryStats tree whose morsel timings,
-// cardinalities, formats and budget lease history are populated for every
-// SSB query; collection never changes the produced columns; failed
+// cardinalities and formats are populated for every SSB query; collection never changes the produced columns; failed
 // executions carry a coherent partial tree on the *QueryError; and the
 // detached bookkeeping stays within the overhead budget.
 
@@ -110,11 +109,6 @@ func checkStatsTree(t *testing.T, label string, qs *QueryStats) {
 		if len(ns.Inputs) == 0 {
 			t.Fatalf("%s: non-scan node %d (%s %q) has no inputs", label, i, ns.Op, ns.Name)
 		}
-		// Every non-scan operator leased budget: the observer records at
-		// least the initial grant.
-		if len(ns.LeaseLimits) == 0 {
-			t.Fatalf("%s: node %d (%s %q) has no lease history", label, i, ns.Op, ns.Name)
-		}
 		// Every non-scan operator either ran morsels/tasks through the
 		// drivers or took a recorded sequential fallback.
 		if ns.Morsels == 0 && !ns.SeqFallback {
@@ -173,11 +167,8 @@ func TestQueryStatsSSB(t *testing.T) {
 	if st.QueriesStarted != int64(execs) || st.QueriesSucceeded != int64(execs) {
 		t.Fatalf("engine counters: started=%d succeeded=%d, want %d", st.QueriesStarted, st.QueriesSucceeded, execs)
 	}
-	if st.LeaseGrants == 0 || st.LeaseGrants != st.LeaseReleases {
-		t.Fatalf("lease counters unbalanced on idle engine: grants=%d releases=%d", st.LeaseGrants, st.LeaseReleases)
-	}
-	if st.BudgetLeases != 0 || st.BudgetInUse != 0 {
-		t.Fatalf("idle engine reports leases=%d inUse=%d", st.BudgetLeases, st.BudgetInUse)
+	if st.BudgetInUse != 0 {
+		t.Fatalf("idle engine reports %d worker tokens in use", st.BudgetInUse)
 	}
 }
 
@@ -195,15 +186,14 @@ func TestQueryStatsTracer(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// One begin and one end line per node, plus at least one lease event per
-	// non-scan node.
-	scans := 0
+	// One begin and one end line per node, plus one event per sequential
+	// fallback.
+	minLines := 2 * len(qs.Nodes)
 	for _, ns := range qs.Nodes {
-		if ns.Op == "scan" {
-			scans++
+		if ns.SeqFallback {
+			minLines++
 		}
 	}
-	minLines := 2*len(qs.Nodes) + (len(qs.Nodes) - scans)
 	if buf.lines < minLines {
 		t.Fatalf("trace has %d lines, want at least %d for %d nodes", buf.lines, minLines, len(qs.Nodes))
 	}
@@ -262,7 +252,7 @@ func TestQueryStatsOnFailure(t *testing.T) {
 	if st := eng.Stats(); st.QueriesPanicked == 0 {
 		t.Fatalf("engine counters did not classify the panic: %+v", st)
 	}
-	if st := eng.Stats(); st.BudgetLeases != 0 || st.BudgetInUse != 0 {
+	if st := eng.Stats(); st.BudgetInUse != 0 {
 		t.Fatalf("failed execution leaked budget: %+v", st)
 	}
 	// The engine and plan stay usable, and a fresh collected run matches an
