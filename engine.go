@@ -33,9 +33,10 @@ import (
 )
 
 // Engine owns a database, an engine-wide worker budget shared by the morsel
-// workers of every concurrently executing query and one-off operator call, a
-// bounded admission queue, and an optional runtime memory governor. It is
-// safe for concurrent use, and shuts down gracefully with Close: admission
+// workers of every concurrently executing query and one-off operator call,
+// and an admission gate that bounds concurrent queries and, optionally, the
+// bytes they reserve. It is safe for concurrent use, and shuts down
+// gracefully with Close: admission
 // stops (later calls match ErrEngineClosed), in-flight work drains, and
 // stragglers are cancelled at the context's deadline. See core.Engine for
 // the full method set: Prepare, Close, Stats, plus the one-off operators
@@ -62,9 +63,8 @@ type Option = core.Option
 // NewEngine returns an engine over db (nil means an empty database, for
 // one-off operator use). Options set engine-wide defaults (WithStyle,
 // WithSpecialized, WithAutoMorph), the worker budget (WithParallelism:
-// 0 = GOMAXPROCS), the admission layer (WithMaxConcurrentQueries,
-// WithAdmissionQueue), the runtime memory governor (WithMemoryBudget), and
-// the retry policy (WithRetry).
+// 0 = GOMAXPROCS), the admission gate (WithMaxConcurrentQueries,
+// WithMemoryBudget, WithAdmissionQueue), and the retry policy (WithRetry).
 func NewEngine(db *DB, opts ...Option) *Engine { return core.NewEngine(db, opts...) }
 
 // WithStyle selects the processing-style specialization of all kernels.
@@ -99,25 +99,30 @@ func WithParallelism(n int) Option { return core.WithParallelism(n) }
 // Applies to NewEngine.
 func WithMaxConcurrentQueries(n int) Option { return core.WithMaxConcurrentQueries(n) }
 
-// WithAdmissionQueue bounds the engine's admission queue behind
-// WithMaxConcurrentQueries: at most depth queries park at once and none
-// parks longer than maxWait. A query arriving at a full queue, or parked
-// past maxWait or its own context's expiry, is shed with an error matching
-// ErrAdmissionRejected (retryable — it never started). depth 0 means an
-// unbounded queue, maxWait 0 no wait bound. Applies to NewEngine.
+// WithAdmissionQueue bounds the engine's admission queue — the one queue in
+// which executions wait for a WithMaxConcurrentQueries slot and their
+// WithMemoryBudget bytes, and appends for their bytes: at most depth
+// requests park at once and none parks longer than maxWait in total. A
+// request arriving at a full queue, or parked past maxWait or its own
+// context's expiry, is shed with an error matching ErrAdmissionRejected
+// (retryable — it never started). depth 0 means an unbounded queue, maxWait
+// 0 no wait bound; without a slot limit or a budget nothing waits. Applies
+// to NewEngine.
 func WithAdmissionQueue(depth int, maxWait time.Duration) Option {
 	return core.WithAdmissionQueue(depth, maxWait)
 }
 
-// WithMemoryBudget gives the engine a runtime memory governor: an
-// engine-wide byte budget for the intermediates of all concurrently
-// executing queries. Each execution reserves its plan's estimate
-// (Prepared.MemoryEstimate) at admission; queries that do not fit wait,
-// shed with ErrAdmissionRejected when their wait expires, or fail with
-// ErrMemoryLimit when the estimate exceeds the whole budget (degrading to
-// sequential execution instead under WithMemoryLimitDegrade). Actual peak
-// usage is reported in QueryStats.MemPeak and Engine.Stats. 0 means no
-// governor. Applies to NewEngine.
+// WithMemoryBudget gives the engine's admission gate a byte budget for the
+// intermediates of all concurrently executing queries and the delta tails of
+// unfolded appends. Each execution reserves its plan's estimate for the
+// tables' current rows (Prepared.MemoryEstimate) at admission, together
+// with its slot; a request that does not fit waits in the admission queue
+// without holding a slot and sheds with ErrAdmissionRejected when its wait
+// expires. A query whose estimate exceeds the whole budget fails with
+// ErrMemoryLimit (degrading to sequential execution instead under
+// WithMemoryLimitDegrade). Actual peak usage is reported in
+// QueryStats.MemPeak and Engine.Stats. 0 means no budget. Applies to
+// NewEngine.
 func WithMemoryBudget(bytes int64) Option { return core.WithMemoryBudget(bytes) }
 
 // RetryPolicy configures WithRetry: the attempt bound and the jittered

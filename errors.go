@@ -49,16 +49,18 @@ var (
 	// ErrQueryTimeout reports an execution stopped by a context deadline,
 	// including one set with WithQueryTimeout.
 	ErrQueryTimeout = qerr.ErrQueryTimeout
-	// ErrMemoryLimit reports a plan whose prepare-time memory estimate
-	// exceeds the configured WithMemoryEstimateLimit.
+	// ErrMemoryLimit reports an execution whose memory estimate exceeds the
+	// whole WithMemoryBudget (without WithMemoryLimitDegrade), or an append
+	// batch larger than the budget. Never retryable: the request can never
+	// be granted.
 	ErrMemoryLimit = qerr.ErrMemoryLimit
-	// ErrAdmissionRejected reports a query the engine shed before it started:
-	// the admission queue overflowed its WithAdmissionQueue depth, the
-	// query's context or the queue's maxWait fired while it was parked, or
-	// its memory reservation could not be granted in time under
-	// WithMemoryBudget. The query did no work, so the rejection is retryable
-	// (IsRetryable reports true) and is never classified as ErrQueryCanceled
-	// or ErrQueryTimeout — those are reserved for mid-flight stops.
+	// ErrAdmissionRejected reports a request the engine shed before it
+	// started: the admission queue overflowed its WithAdmissionQueue depth,
+	// or the caller's context or the queue's maxWait fired while it waited
+	// for a slot or its WithMemoryBudget bytes. The request did no work, so
+	// the rejection is retryable (IsRetryable reports true) and is never
+	// classified as ErrQueryCanceled or ErrQueryTimeout — those are reserved
+	// for mid-flight stops.
 	ErrAdmissionRejected = qerr.ErrAdmissionRejected
 	// ErrEngineClosed reports a call against an engine shut down with
 	// Engine.Close: an Execute or operator call after Close, a query shed
@@ -93,16 +95,10 @@ type QueryError = qerr.QueryError
 // every execution), Prepare, and Execute.
 func WithQueryTimeout(d time.Duration) Option { return core.WithQueryTimeout(d) }
 
-// WithMemoryEstimateLimit bounds the conservative prepare-time estimate of
-// the intermediate bytes one execution can materialize (see
-// Prepared.MemoryEstimate). An over-limit plan fails Prepare with an error
-// matching ErrMemoryLimit — or, with WithMemoryLimitDegrade, prepares
-// degraded instead. 0 means unlimited. Applies to NewEngine and Prepare.
-func WithMemoryEstimateLimit(bytes int) Option { return core.WithMemoryEstimateLimit(bytes) }
-
-// WithMemoryLimitDegrade selects graceful degradation for plans over the
-// memory-estimate limit: instead of rejecting the plan, Prepare pins its
-// executions to sequential operator-at-a-time processing — the mode with the
-// smallest transient footprint. Prepared.Degraded reports the decision.
-// Applies to NewEngine and Prepare.
+// WithMemoryLimitDegrade selects graceful degradation for executions whose
+// memory estimate exceeds the whole WithMemoryBudget: instead of failing
+// with ErrMemoryLimit, the execution reserves the whole budget and runs
+// sequentially, operator at a time — the mode with the smallest transient
+// footprint. QueryStats.MemDegraded reports the decision. Applies to
+// NewEngine and Prepare.
 func WithMemoryLimitDegrade(on bool) Option { return core.WithMemoryLimitDegrade(on) }

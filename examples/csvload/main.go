@@ -1,6 +1,6 @@
 // Csvload: string columns end to end — a CSV document with a string column
 // is ingested through the per-column dictionary (types sniffed, strings
-// translated to uint64 IDs, batches reserved from the memory governor), a
+// translated to uint64 IDs, batches reserved at the admission gate), a
 // JSON-lines tail is appended to the same table, and string predicates
 // (equality, IN, prefix) run as ordinary compressed integer selects. A
 // remorph fold then rebuilds the dictionary in sorted order — renumbering

@@ -150,7 +150,7 @@ func TestChaosClose(t *testing.T) {
 	if n := e.budget.InUse(); n != 0 {
 		t.Fatalf("%d budget worker tokens leaked", n)
 	}
-	if n := e.gov.Reserved(); n != 0 {
+	if n := e.adm.counters().reserved; n != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)

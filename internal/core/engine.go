@@ -62,9 +62,8 @@ type options struct {
 	admitDepth  int           // admission queue bound; 0 = unbounded
 	admitWait   time.Duration // admission queue wait bound; 0 = none
 	timeout     time.Duration // 0 = no per-execution deadline
-	memLimit    int           // 0 = no prepare-time memory-estimate limit
-	memBudget   int64         // engine-wide runtime memory budget; 0 = none
-	memDegrade  bool          // over-limit plans degrade to par=1 instead of failing
+	memBudget   int64         // engine-wide byte budget of the admission gate; 0 = none
+	memDegrade  bool          // over-budget plans degrade to par=1 instead of failing
 	retry       RetryPolicy   // zero value = no retries
 	// Background remorph (WithRemorph): delta-to-main ratio that triggers a
 	// rebuild (<= 0 = any non-empty delta) and the worker's sweep interval
@@ -164,32 +163,35 @@ func WithMaxConcurrentQueries(n int) Option {
 		apply: func(o *options) { o.maxQueries = n }}
 }
 
-// WithAdmissionQueue bounds the engine's admission queue (the FIFO of
-// Execute calls waiting behind WithMaxConcurrentQueries): at most depth
-// queries park at once, and no query parks longer than maxWait. A query
-// arriving at a full queue, or parked past maxWait or its own context's
-// expiry, is shed with an error matching ErrAdmissionRejected — it never
-// started, so the rejection is retryable (IsRetryable) and is never
+// WithAdmissionQueue bounds the engine's admission queue — the one FIFO in
+// which Execute calls wait for a WithMaxConcurrentQueries slot and their
+// WithMemoryBudget bytes, and appends wait for their bytes: at most depth
+// requests park at once, and none parks longer than maxWait in total. A
+// request arriving at a full queue, or parked past maxWait or its own
+// context's expiry, is shed with an error matching ErrAdmissionRejected — it
+// never started, so the rejection is retryable (IsRetryable) and is never
 // classified as ErrQueryCanceled or ErrQueryTimeout. depth 0 means an
 // unbounded queue, maxWait 0 no wait bound; the option has no effect
-// without WithMaxConcurrentQueries. Applies to NewEngine.
+// without a slot limit or a memory budget. Applies to NewEngine.
 func WithAdmissionQueue(depth int, maxWait time.Duration) Option {
 	return Option{name: "WithAdmissionQueue", scope: scopeEngine,
 		apply: func(o *options) { o.admitDepth, o.admitWait = depth, maxWait }}
 }
 
-// WithMemoryBudget gives the engine a runtime memory governor: an
-// engine-wide budget, in bytes, for the intermediate columns of all
-// concurrently executing queries. Each execution reserves its plan's
-// conservative estimate (Prepared.MemoryEstimate) at admission and returns
-// it when it finishes; a query that does not fit waits for running queries
-// to release, sheds with ErrAdmissionRejected when its wait expires (the
-// query's ctx or the WithAdmissionQueue maxWait), and fails with
-// ErrMemoryLimit when its estimate exceeds the whole budget — unless
-// WithMemoryLimitDegrade is set, in which case it degrades to sequential
-// execution under a clamped reservation instead. The bytes actually
+// WithMemoryBudget gives the engine's admission gate a byte budget for the
+// intermediate columns of all concurrently executing queries and the delta
+// tails of all appended batches. Each execution reserves its plan's
+// conservative estimate for the tables' current rows
+// (Prepared.MemoryEstimate) at admission, together with its slot, and
+// returns it when it finishes; each append reserves its batch until a
+// remorph folds it into the main. A request that does not fit waits in the
+// admission queue without holding a slot, and sheds with
+// ErrAdmissionRejected under the WithAdmissionQueue bounds or its own ctx.
+// A query whose estimate exceeds the whole budget fails with ErrMemoryLimit
+// — unless WithMemoryLimitDegrade is set, in which case it runs sequentially
+// under a reservation clamped to the budget instead. The bytes actually
 // materialized are charged at the allocation sites and reported as
-// QueryStats.MemPeak. 0 means no governor. Applies to NewEngine.
+// QueryStats.MemPeak. 0 means no budget. Applies to NewEngine.
 func WithMemoryBudget(bytes int64) Option {
 	return Option{name: "WithMemoryBudget", scope: scopeEngine,
 		apply: func(o *options) { o.memBudget = bytes }}
@@ -205,22 +207,13 @@ func WithQueryTimeout(d time.Duration) Option {
 		apply: func(o *options) { o.timeout = d }}
 }
 
-// WithMemoryEstimateLimit bounds the conservative prepare-time estimate of
-// the intermediate bytes one execution can materialize (see
-// Prepared.MemoryEstimate). An over-limit plan fails Prepare with an error
-// matching ErrMemoryLimit — or, with WithMemoryLimitDegrade, prepares
-// degraded instead. 0 means unlimited. Applies to NewEngine and Prepare.
-func WithMemoryEstimateLimit(bytes int) Option {
-	return Option{name: "WithMemoryEstimateLimit", scope: scopeEngine | scopePrepare,
-		apply: func(o *options) { o.memLimit = bytes }}
-}
-
-// WithMemoryLimitDegrade selects graceful degradation for plans over the
-// memory-estimate limit: instead of rejecting the plan, Prepare pins its
-// executions to sequential operator-at-a-time processing (par=1), the mode
-// with the smallest transient footprint — one operator's scratch at a time
-// and no concurrent per-worker buffers. Prepared.Degraded reports the
-// decision. Applies to NewEngine and Prepare.
+// WithMemoryLimitDegrade selects graceful degradation for executions whose
+// memory estimate exceeds the whole WithMemoryBudget: instead of failing
+// with ErrMemoryLimit, the execution reserves the whole budget and runs
+// sequentially, operator at a time (par=1) — the mode with the smallest
+// transient footprint, one operator's scratch at a time and no concurrent
+// per-worker buffers. QueryStats.MemDegraded reports the decision. Applies
+// to NewEngine and Prepare.
 func WithMemoryLimitDegrade(on bool) Option {
 	return Option{name: "WithMemoryLimitDegrade", scope: scopeEngine | scopePrepare,
 		apply: func(o *options) { o.memDegrade = on }}
@@ -307,15 +300,15 @@ func (o *options) outputDesc(i int) columns.FormatDesc {
 
 // Engine owns a database, an engine-wide worker budget whose tokens the
 // morsel workers of every concurrently executing query and one-off operator
-// call hold while they claim morsels, a bounded admission queue, and an
-// optional runtime memory governor. It is safe for concurrent use; all its
-// state is fixed at construction except the observability counters behind
-// Stats (atomic) and the admission/governor state (internally locked).
+// call hold while they claim morsels, and an admission gate that bounds
+// concurrent queries and, optionally, the bytes they and the delta tails
+// reserve. It is safe for concurrent use; all its state is fixed at
+// construction except the observability counters behind Stats (atomic) and
+// the admission state (internally locked).
 type Engine struct {
 	db       *DB
 	budget   *ops.Budget
 	adm      *admission
-	gov      *ops.MemGovernor
 	killCtx  context.Context    // done when Close gave up on graceful drain
 	kill     context.CancelFunc // fires killCtx, cancelling in-flight work
 	defs     options
@@ -335,18 +328,16 @@ type Engine struct {
 
 // NewEngine returns an engine over db. Options set engine-wide defaults
 // (WithStyle, WithSpecialized, WithAutoMorph), the worker budget
-// (WithParallelism: 0 = GOMAXPROCS), the admission layer
-// (WithMaxConcurrentQueries, WithAdmissionQueue), and the runtime memory
-// governor (WithMemoryBudget). A misplaced option is reported by the first
-// Prepare/operator call.
+// (WithParallelism: 0 = GOMAXPROCS), and the admission gate
+// (WithMaxConcurrentQueries, WithMemoryBudget, WithAdmissionQueue). A
+// misplaced option is reported by the first Prepare/operator call.
 func NewEngine(db *DB, o ...Option) *Engine {
 	if db == nil {
 		db = NewDB()
 	}
 	defs, err := options{style: vector.Scalar}.merged(scopeEngine, o)
 	e := &Engine{db: db, budget: ops.NewBudget(defs.par), defs: defs, err: err}
-	e.adm = newAdmission(defs.maxQueries, defs.admitDepth, defs.admitWait)
-	e.gov = ops.NewMemGovernor(defs.memBudget)
+	e.adm = newAdmission(defs.maxQueries, defs.memBudget, defs.admitDepth, defs.admitWait)
 	e.killCtx, e.kill = context.WithCancel(context.Background())
 	e.wtabs = make(map[string]*writableTable)
 	e.remorphRatio, e.remorphEvery = defs.remorphRatio, defs.remorphEvery
@@ -370,7 +361,7 @@ func NewEngine(db *DB, o ...Option) *Engine {
 // returns the context's error; a nil ctx or one without a deadline waits
 // indefinitely for the graceful drain. Close is idempotent and safe to call
 // concurrently with executions; after it returns, no worker token is held and
-// the engine holds no memory reservations.
+// the admission gate holds no reserved bytes.
 func (e *Engine) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -414,13 +405,11 @@ func (e *Engine) Budget() int { return e.budget.Total() }
 // node bound to a physical operator. It is immutable and safe for
 // concurrent Execute calls from many goroutines.
 type Prepared struct {
-	e        *Engine
-	p        *Plan
-	opt      options
-	bound    []boundNode
-	sinks    map[string]bool
-	estimate int
-	degraded bool
+	e     *Engine
+	p     *Plan
+	opt   options
+	bound []boundNode
+	sinks map[string]bool
 }
 
 // Prepare compiles the plan once against the engine's database: per-column
@@ -455,32 +444,24 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	est, err := memoryEstimate(p, e.db)
-	if err != nil {
+	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, sinks: sinks}
+	if _, err := pr.memoryEstimate(); err != nil {
 		return nil, err
-	}
-	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, sinks: sinks, estimate: est}
-	if opt.memLimit > 0 && est > opt.memLimit {
-		if !opt.memDegrade {
-			return nil, qerr.Tag(fmt.Errorf("core: plan memory estimate %d bytes over limit %d", est, opt.memLimit),
-				qerr.ErrMemoryLimit)
-		}
-		pr.degraded = true
 	}
 	return pr, nil
 }
 
 // MemoryEstimate returns the conservative upper bound, in bytes, on the
-// intermediate columns one execution of the prepared plan can materialize —
-// the quantity WithMemoryEstimateLimit bounds. Base columns are excluded
-// (scans hand out the stored columns), and every intermediate element is
-// costed at an uncompressed 8-byte word, so compressed plans stay well under
-// the estimate.
-func (pr *Prepared) MemoryEstimate() int { return pr.estimate }
-
-// Degraded reports whether the plan exceeded the memory-estimate limit and
-// was pinned to sequential execution by WithMemoryLimitDegrade.
-func (pr *Prepared) Degraded() bool { return pr.degraded }
+// intermediate columns one execution of the prepared plan can materialize
+// for the tables' current rows (main plus delta, minus pending deletions) —
+// the bytes an execution reserves at admission under WithMemoryBudget. Base
+// columns are excluded (scans hand out the stored columns), and every
+// intermediate element is costed at an uncompressed 8-byte word, so
+// compressed plans stay well under the estimate.
+func (pr *Prepared) MemoryEstimate() int {
+	est, _ := pr.memoryEstimate()
+	return int(est)
+}
 
 // resolveFormats materializes the per-column format map of one preparation.
 func (e *Engine) resolveFormats(p *Plan, opt *options) (map[string]columns.FormatDesc, error) {
@@ -525,12 +506,13 @@ func (pr *Prepared) Formats() map[string]columns.FormatDesc {
 // DAG scheduler stops dispatching operators and running morsel loops stop
 // within one morsel, returning an error matching ErrQueryCanceled (or
 // ErrQueryTimeout when a deadline — including WithQueryTimeout — fired).
-// Before it starts, the execution passes the engine's admission layer: the
-// concurrency gate and queue (WithMaxConcurrentQueries, WithAdmissionQueue)
-// and the memory governor (WithMemoryBudget). A query shed there — queue
-// overflow, wait expiry, or memory pressure — returns an error matching
-// ErrAdmissionRejected and never one of the mid-flight context sentinels:
-// it did no work and is safe to retry (see IsRetryable and WithRetry).
+// Before it starts, the execution passes the engine's admission gate once:
+// it waits, in one queue, until both a slot (WithMaxConcurrentQueries) and
+// its memory estimate (WithMemoryBudget) are free, for at most the
+// WithAdmissionQueue maxWait in total. A query shed there — queue overflow
+// or wait expiry — returns an error matching ErrAdmissionRejected and never
+// one of the mid-flight context sentinels: it did no work and is safe to
+// retry (see IsRetryable and WithRetry).
 // After Engine.Close, Execute fails fast with ErrEngineClosed.
 // Concurrent Execute calls from any number of goroutines share the engine's
 // worker budget and produce columns byte-identical to a sequential run. A
@@ -585,58 +567,45 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		obs.query = metrics.ReserveQueryID()
 	}
 
-	release, wait, err := e.adm.admit(ctx)
+	// Under a byte budget the execution reserves its plan's estimate for the
+	// tables' current rows. An estimate over the whole budget can never be
+	// granted: it fails, or with WithMemoryLimitDegrade runs sequentially —
+	// the smallest transient footprint — under a reservation clamped to the
+	// budget.
+	var est int64
+	degraded := false
+	if budget := e.adm.budget; budget > 0 {
+		var err error
+		if est, err = pr.memoryEstimate(); err != nil {
+			return nil, err
+		}
+		if est > budget && opt.memDegrade {
+			degraded, est = true, budget
+		}
+	}
+	wait, err := e.adm.admit(ctx, est, true)
 	if err != nil {
-		obs.shed(opt, wait)
+		if errors.Is(err, qerr.ErrMemoryLimit) {
+			e.counters.memShed.Add(1)
+		} else {
+			obs.shed(opt, wait)
+		}
 		return nil, err
 	}
-	defer release()
+	defer e.adm.release(est, true)
 	obs.admissionWait = wait
+	obs.memEstimate = est
+	obs.memDegraded = degraded
+	obs.admitted(opt, e.adm.budget > 0)
 
 	par := opt.par
 	if par <= 0 {
 		par = e.budget.Total()
 	}
-	degraded := pr.degraded
-
-	// Reserve the plan's byte estimate from the memory governor. With no
-	// governor this yields a tracking-only reservation: charges still
-	// accumulate so QueryStats.MemPeak is reported either way.
-	est := int64(pr.estimate)
-	if total := e.gov.Total(); total > 0 && est > total {
-		if !opt.memDegrade {
-			e.counters.memShed.Add(1)
-			return nil, qerr.Tag(
-				fmt.Errorf("core: plan memory estimate %d bytes exceeds engine budget %d", est, total),
-				qerr.ErrMemoryLimit)
-		}
-		// Sequential operator-at-a-time execution has the smallest transient
-		// footprint; run degraded under a reservation clamped to the budget.
-		degraded = true
-		est = total
-	}
-	mctx, mcancel := ctx, context.CancelFunc(nil)
-	if e.adm.maxWait > 0 {
-		mctx, mcancel = context.WithTimeout(ctx, e.adm.maxWait)
-	}
-	var memWaitNS int64
-	mres, err := e.gov.Reserve(mctx, est, &memWaitNS)
-	if mcancel != nil {
-		mcancel()
-	}
-	if err != nil {
-		obs.shed(opt, wait+time.Duration(memWaitNS))
-		return nil, err
-	}
-	defer mres.Release()
-	obs.admissionWait += time.Duration(memWaitNS)
-	obs.memEstimate = mres.Reserved()
-	obs.memDegraded = degraded && !pr.degraded
-	obs.admitted(opt, e.gov)
-
 	if degraded {
 		par = 1
 	}
+	mres := &ops.MemReservation{}
 	es := &execState{
 		outs: make([][]*columns.Column, len(pr.p.nodes)),
 		coll: pr.newCollector(opt, obs.query),
@@ -728,9 +697,9 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)
 	}
-	// Charge the materialized intermediates against the query's memory
-	// reservation; the transient section buffers inside the parallel stitch
-	// charge themselves through the runtime.
+	// Charge the materialized intermediates to the query's counter; the
+	// transient section buffers inside the parallel stitch charge themselves
+	// through the runtime.
 	for _, col := range produced {
 		es.mres.Charge(col.PhysicalBytes())
 	}

@@ -36,66 +36,6 @@ func TestEngineQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestEngineMemoryEstimateLimit: an over-limit plan must fail Prepare with
-// ErrMemoryLimit, and with degradation enabled it must instead prepare
-// pinned to sequential execution with byte-identical results.
-func TestEngineMemoryEstimateLimit(t *testing.T) {
-	db := buildParTestDB(t)
-	plan := buildParTestPlan(t)
-	e := NewEngine(db, WithParallelism(4), WithStyle(vector.Vec512))
-
-	free, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := free.MemoryEstimate()
-	if est <= 0 {
-		t.Fatalf("memory estimate = %d, want > 0", est)
-	}
-	if free.Degraded() {
-		t.Fatal("unlimited prepare marked degraded")
-	}
-	ref, err := free.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Under the limit: accepted unchanged.
-	ok, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc), WithMemoryEstimateLimit(est))
-	if err != nil {
-		t.Fatalf("prepare at exactly the estimate: %v", err)
-	}
-	if ok.Degraded() {
-		t.Fatal("plan at the limit marked degraded")
-	}
-
-	// Over the limit: rejected with the typed sentinel.
-	_, err = e.Prepare(plan, WithUniformFormat(columns.DynBPDesc), WithMemoryEstimateLimit(est-1))
-	if !errors.Is(err, qerr.ErrMemoryLimit) {
-		t.Fatalf("over-limit prepare: %v, want ErrMemoryLimit", err)
-	}
-
-	// Over the limit with degradation: accepted, pinned sequential, same bytes.
-	deg, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc),
-		WithMemoryEstimateLimit(est-1), WithMemoryLimitDegrade(true))
-	if err != nil {
-		t.Fatalf("degraded prepare: %v", err)
-	}
-	if !deg.Degraded() {
-		t.Fatal("over-limit degradable plan not marked degraded")
-	}
-	if deg.MemoryEstimate() != est {
-		t.Fatalf("degraded estimate = %d, want %d", deg.MemoryEstimate(), est)
-	}
-	res, err := deg.Execute(context.Background())
-	if err != nil {
-		t.Fatalf("degraded execution: %v", err)
-	}
-	if err := sameResult(ref, res); err != nil {
-		t.Fatalf("degraded execution diverged: %v", err)
-	}
-}
-
 // TestEngineAdmissionRejectedTyped: a query whose context fires while parked
 // in the admission queue classifies as ErrAdmissionRejected — never as the
 // mid-flight sentinels ErrQueryTimeout/ErrQueryCanceled — for both expiry
@@ -111,10 +51,7 @@ func TestEngineAdmissionRejectedTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, _, err := e.adm.admit(context.Background()) // occupy the slot deterministically
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := holdSlot(t, e.adm) // occupy the slot deterministically
 
 	// Deadline flavour, expiry while parked.
 	_, err = pr.Execute(context.Background(), WithQueryTimeout(time.Millisecond))

@@ -46,7 +46,7 @@ func TestEntryGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The budget admits exactly one appended row at a time, so a second
-		// append blocks in the governor (fillBudget below).
+		// append parks in the admission queue (the byte-waiter subtest).
 		e := NewEngine(db, WithParallelism(2), WithMemoryBudget(batchBytes))
 		// A pending deletion reserves nothing and gives Remorph work to do.
 		if err := e.Delete(context.Background(), "t", []uint64{nRows - 1}); err != nil {
@@ -54,16 +54,9 @@ func TestEntryGuard(t *testing.T) {
 		}
 		return e, in
 	}
-	// Two ways to hold a call mid-flight until Close fires the kill context:
-	// real memory pressure for the appends (they wait in the governor on the
-	// guard's derived context), and, for calls without a wait of their own,
-	// a fault point that behaves like one.
-	fillBudget := func(t *testing.T, e *Engine) {
-		t.Helper()
-		if err := e.Append(context.Background(), "t", map[string][]uint64{"v": {1}, "s": {0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// A call is held mid-flight until Close fires the kill context by a fault
+	// point on its path that waits for it. (An append waiting for bytes is
+	// not mid-flight: it parks in the admission queue, which Close sheds.)
 	blockAt := func(p *faultpoint.Point) func(*testing.T, *Engine) {
 		return func(_ *testing.T, e *Engine) {
 			p.Arm(func() error { <-e.killCtx.Done(); return e.killCtx.Err() })
@@ -76,10 +69,10 @@ func TestEntryGuard(t *testing.T) {
 	}{
 		{"append", func(ctx context.Context, e *Engine, _ *columns.Column) error {
 			return e.Append(ctx, "t", map[string][]uint64{"v": {7}, "s": {0}})
-		}, fillBudget},
+		}, blockAt(faultpoint.AppendLog)},
 		{"append_strings", func(ctx context.Context, e *Engine, _ *columns.Column) error {
 			return e.AppendStrings(ctx, "t", map[string][]uint64{"v": {7}}, map[string][]string{"s": {"fresh"}})
-		}, fillBudget},
+		}, blockAt(faultpoint.AppendLog)},
 		{"delete", func(ctx context.Context, e *Engine, _ *columns.Column) error {
 			return e.Delete(ctx, "t", []uint64{0})
 		}, blockAt(faultpoint.AppendLog)},
@@ -153,11 +146,33 @@ func TestEntryGuard(t *testing.T) {
 			if n := e.budget.InUse(); n != 0 {
 				t.Fatalf("%d budget worker tokens leaked through close", n)
 			}
-			if n := e.gov.Reserved(); n != 0 {
+			if n := e.adm.counters().reserved; n != 0 {
 				t.Fatalf("%d bytes still reserved after close", n)
 			}
 		})
 	}
+
+	// An append starved of bytes parks in the admission queue holding
+	// nothing: Close sheds it at once and still drains gracefully.
+	t.Run("append/close_sheds_byte_waiter", func(t *testing.T) {
+		e, _ := newEngine(t)
+		row := map[string][]uint64{"v": {1}, "s": {0}}
+		if err := e.Append(context.Background(), "t", row); err != nil {
+			t.Fatal(err)
+		}
+		errCh := make(chan error, 1)
+		go func() { errCh <- e.Append(context.Background(), "t", row) }()
+		waitFor(t, "the append to park for bytes", func() bool { return e.adm.counters().queued == 1 })
+		if err := e.Close(context.Background()); err != nil {
+			t.Fatalf("close over a parked append: %v", err)
+		}
+		if err := <-errCh; !errors.Is(err, qerr.ErrEngineClosed) {
+			t.Fatalf("parked append shed by Close: %v, want ErrEngineClosed", err)
+		}
+		if c := e.adm.counters(); c.inflight != 0 || c.queued != 0 || c.reserved != 0 {
+			t.Fatalf("gate not empty after close: %+v", c)
+		}
+	})
 
 	// One append path means one empty-batch rule: maps that do not cover the
 	// table's columns are a schema error even when they are nil, and covering

@@ -4,80 +4,69 @@ import (
 	"fmt"
 )
 
-// This file implements the prepare-time memory estimate behind
-// WithMemoryEstimateLimit. The estimate is a conservative upper bound on the
-// bytes of intermediate columns one execution of the plan can materialize:
-// per-operator output cardinalities are bounded from the base-column sizes
-// (selections and joins emit at most their input's cardinality, a union at
-// most the sum, an aggregate at most one row per input row), and every
-// intermediate element is costed at a full 8-byte word — the uncompressed
-// worst case; every compressed format is at most marginally larger than that
-// bound (per-block headers), which the word-rounding absorbs for any column
-// beyond a few blocks.
+// This file implements the memory estimate a query reserves at the admission
+// gate under WithMemoryBudget. The estimate is a conservative upper bound on
+// the bytes of intermediate columns one execution of the plan can
+// materialize, for the tables' current rows: scans are sized from each
+// table's live row count (main plus delta tail minus pending deletions, read
+// when the query arrives at admission), per-operator output cardinalities
+// are bounded from there (selections and joins emit at most their input's
+// cardinality, a union at most the sum, an aggregate at most one row per
+// input row), and every intermediate element is costed at a full 8-byte word
+// — the uncompressed worst case; every compressed format is at most
+// marginally larger than that bound (per-block headers), which the
+// word-rounding absorbs for any column beyond a few blocks.
 //
 // The bound deliberately sums over all intermediates rather than a live-set
 // peak: the executor keeps every produced column until Execute returns (the
 // DAG scheduler may still have dependents for any of them), so the sum is the
 // honest worst case, not a pessimization.
 
-// planCardinality returns, per node and output, an upper bound on the output
-// column's element count, derived from the base-column sizes in db.
-func planCardinality(p *Plan, db *DB) ([][]int, error) {
-	card := make([][]int, len(p.nodes))
-	for i, n := range p.nodes {
-		in := func(j int) int { return card[n.inputs[j].node.id][n.inputs[j].out] }
+// memoryEstimate returns the conservative upper bound, in bytes, on the
+// intermediate columns one execution of the prepared plan can materialize
+// over the tables' current rows. Base columns are excluded: scans hand out
+// the stored columns without copying.
+func (pr *Prepared) memoryEstimate() (int64, error) {
+	// card bounds each node output's element count, two slots per node (no
+	// operator has more than two outputs).
+	card := make([]int, 2*len(pr.bound))
+	var bytes int64
+	e := pr.e
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	for i, bn := range pr.bound {
+		n := bn.n
+		in := func(j int) int { return card[2*n.inputs[j].node.id+n.inputs[j].out] }
+		var c, outs int
 		switch n.op {
 		case OpScan:
-			col, err := db.Column(n.table, n.column)
-			if err != nil {
-				return nil, err
+			// A written table's rows live in its delta state; the stored
+			// column of a table never written is immutable.
+			card[2*i] = bn.rows
+			if wt := e.wtabs[n.table]; wt != nil {
+				card[2*i] = wt.dt.State().Rows()
 			}
-			card[i] = []int{col.N()}
-		case OpSelect, OpBetween, OpSelectStr:
-			card[i] = []int{in(0)}
-		case OpProject:
-			card[i] = []int{in(1)}
-		case OpIntersect:
-			card[i] = []int{min(in(0), in(1))}
-		case OpMerge:
-			card[i] = []int{in(0) + in(1)}
-		case OpSemiJoin:
-			card[i] = []int{in(0)}
-		case OpJoinN1:
-			card[i] = []int{in(0), in(0)}
-		case OpGroupFirst:
-			card[i] = []int{in(0), in(0)}
-		case OpGroupNext:
-			card[i] = []int{in(1), in(1)}
-		case OpSumWhole:
-			card[i] = []int{1}
-		case OpSumGrouped:
-			card[i] = []int{in(1)}
-		case OpCalc:
-			card[i] = []int{in(0)}
-		default:
-			return nil, fmt.Errorf("core: memory estimate: unhandled operator %v", n.op)
-		}
-	}
-	return card, nil
-}
-
-// memoryEstimate returns the conservative upper bound, in bytes, on the
-// intermediate columns one execution of p can materialize. Base columns are
-// excluded: scans hand out the stored columns without copying.
-func memoryEstimate(p *Plan, db *DB) (int, error) {
-	card, err := planCardinality(p, db)
-	if err != nil {
-		return 0, err
-	}
-	bytes := 0
-	for i, n := range p.nodes {
-		if n.op == OpScan {
 			continue
+		case OpSelect, OpBetween, OpSelectStr, OpSemiJoin, OpCalc:
+			c, outs = in(0), 1
+		case OpProject, OpSumGrouped:
+			c, outs = in(1), 1
+		case OpIntersect:
+			c, outs = min(in(0), in(1)), 1
+		case OpMerge:
+			c, outs = in(0)+in(1), 1
+		case OpJoinN1, OpGroupFirst:
+			c, outs = in(0), 2
+		case OpGroupNext:
+			c, outs = in(1), 2
+		case OpSumWhole:
+			c, outs = 1, 1
+		default:
+			return 0, fmt.Errorf("core: memory estimate: unhandled operator %v", n.op)
 		}
-		for _, c := range card[i] {
-			bytes += c * 8
-		}
+		card[2*i] = c
+		card[2*i+1] = c
+		bytes += int64(c*outs) * 8
 	}
 	return bytes, nil
 }

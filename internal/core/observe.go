@@ -7,7 +7,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/metrics"
-	"morphstore/internal/ops"
 	"morphstore/internal/qerr"
 )
 
@@ -100,9 +99,8 @@ type EngineStats struct {
 	QueriesStarted int64
 	// QueriesSucceeded counts executions that returned a result.
 	QueriesSucceeded int64
-	// QueriesRejected counts executions shed by the admission layer —
-	// queue overflow, wait expiry, or memory pressure — before they
-	// started.
+	// QueriesRejected counts executions shed by the admission gate — queue
+	// overflow or wait expiry — before they started.
 	QueriesRejected int64
 	// QueriesClosed counts executions failed because the engine closed:
 	// fast-failed after Close, shed from the queue by Close, or cancelled
@@ -124,40 +122,33 @@ type EngineStats struct {
 	// QueriesRetried counts the WithRetry re-attempts (each also counts in
 	// QueriesStarted and an outcome counter).
 	QueriesRetried int64
-	// AdmissionQueued is the number of queries currently parked in the
-	// admission queue.
+	// AdmissionQueued is the number of requests (queries, and appends
+	// waiting for bytes) currently parked in the admission queue.
 	AdmissionQueued int
-	// AdmissionWaits counts queries that parked in the admission queue
-	// (engine-lifetime).
+	// AdmissionWaits counts requests that parked in the admission queue —
+	// for a slot, for bytes, or both (engine-lifetime).
 	AdmissionWaits int64
 	// AdmissionWaitTotal is the summed queue wait time of all finished
 	// parks (admitted and shed alike).
 	AdmissionWaitTotal time.Duration
-	// AdmissionShedOverflow counts queries shed on arrival because the
+	// AdmissionShedOverflow counts requests shed on arrival because the
 	// queue was at its WithAdmissionQueue depth.
 	AdmissionShedOverflow int64
-	// AdmissionShedExpired counts parked queries shed because their
-	// context or the WithAdmissionQueue maxWait fired first.
+	// AdmissionShedExpired counts requests shed because their context or
+	// the WithAdmissionQueue maxWait fired first.
 	AdmissionShedExpired int64
-	// AdmissionShedClosed counts queries shed because the engine closed
+	// AdmissionShedClosed counts requests shed because the engine closed
 	// (fast-fails and queue sheds by Close).
 	AdmissionShedClosed int64
 	// EngineClosed reports that Close stopped admission.
 	EngineClosed bool
-	// MemBudget is the WithMemoryBudget governor size (0 = no governor).
+	// MemBudget is the WithMemoryBudget byte budget (0 = none).
 	MemBudget int64
-	// MemReserved is the governor bytes currently reserved by running
-	// queries.
+	// MemReserved is the bytes currently reserved by running queries and
+	// unfolded append batches.
 	MemReserved int64
 	// MemPeakReserved is the high-water mark of MemReserved.
 	MemPeakReserved int64
-	// MemWaits counts queries that waited at the governor for running
-	// queries to release memory.
-	MemWaits int64
-	// MemWaitTotal is the summed governor wait time.
-	MemWaitTotal time.Duration
-	// MemSheds counts queries shed because their governor wait expired.
-	MemSheds int64
 	// MemOverBudget counts executions rejected (ErrMemoryLimit) because
 	// their estimate exceeded the whole budget and degradation was off.
 	MemOverBudget int64
@@ -199,7 +190,7 @@ type EngineStats struct {
 }
 
 // Stats returns a snapshot of the engine's lifetime query counters, current
-// budget utilization, and admission/governor state. Counters cover
+// budget utilization, and admission state. Counters cover
 // Prepared.Execute calls (the one-off operator methods draw on the worker
 // budget — visible in BudgetInUse — but are not counted as queries).
 // Safe for concurrent use; the counter groups are snapshotted individually,
@@ -207,7 +198,6 @@ type EngineStats struct {
 // each field is exact.
 func (e *Engine) Stats() EngineStats {
 	adm := e.adm.counters()
-	mem := e.gov.Counters()
 	var dTables, dRows, dDel int
 	var dBytes int64
 	e.wmu.Lock()
@@ -237,12 +227,9 @@ func (e *Engine) Stats() EngineStats {
 		AdmissionShedExpired:  adm.shedExpired,
 		AdmissionShedClosed:   adm.shedClosed,
 		EngineClosed:          adm.closed,
-		MemBudget:             e.gov.Total(),
-		MemReserved:           e.gov.Reserved(),
-		MemPeakReserved:       mem.PeakReserved,
-		MemWaits:              mem.Waits,
-		MemWaitTotal:          time.Duration(mem.WaitNS),
-		MemSheds:              mem.Rejected,
+		MemBudget:             e.adm.budget,
+		MemReserved:           adm.reserved,
+		MemPeakReserved:       adm.peakReserved,
 		MemOverBudget:         e.counters.memShed.Load(),
 		BudgetTotal:           e.budget.Total(),
 		BudgetInUse:           e.budget.InUse(),
@@ -277,8 +264,8 @@ func (ob *execObs) span() metrics.Span {
 	return metrics.Span{Query: ob.query, Node: -1, Op: "admission"}
 }
 
-// shed traces an admission rejection (queue overflow, wait expiry, memory
-// pressure, or closed engine) after a total wait of wait.
+// shed traces an admission rejection (queue overflow, wait expiry, or closed
+// engine) after a total wait of wait.
 func (ob *execObs) shed(opt *options, wait time.Duration) {
 	if opt.tracer != nil {
 		opt.tracer.Event(ob.span(), time.Now(),
@@ -286,9 +273,9 @@ func (ob *execObs) shed(opt *options, wait time.Duration) {
 	}
 }
 
-// admitted traces a completed admission: the accumulated wait (when any) and
-// the governor reservation (when a governor is configured).
-func (ob *execObs) admitted(opt *options, gov *ops.MemGovernor) {
+// admitted traces a completed admission: the wait (when any) and the byte
+// reservation (when the engine has a memory budget).
+func (ob *execObs) admitted(opt *options, budgeted bool) {
 	if opt.tracer == nil {
 		return
 	}
@@ -296,7 +283,7 @@ func (ob *execObs) admitted(opt *options, gov *ops.MemGovernor) {
 		opt.tracer.Event(ob.span(), time.Now(),
 			metrics.Event{Kind: metrics.EvAdmissionWait, Value: ob.admissionWait.Nanoseconds()})
 	}
-	if gov.Total() > 0 {
+	if budgeted {
 		opt.tracer.Event(ob.span(), time.Now(),
 			metrics.Event{Kind: metrics.EvMemReserve, Value: ob.memEstimate})
 	}

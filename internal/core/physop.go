@@ -38,15 +38,16 @@ type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 // inherently sequential nodes left), so each node splits up to the full
 // per-query width and its morsel workers draw on the engine budget.
 type boundNode struct {
-	n   *Node
-	run physOp
+	n    *Node
+	run  physOp
+	rows int // scans: the prepare-bound stored column's length
 }
 
 // execState is the mutable state of one plan execution: the per-node output
-// slots, the execution's stats collector (nil when detached), its memory
-// reservation (nil-safe; tracking-only without a governor), and the snapshot
-// pinning the writable tables' delta states (nil for a read-only engine —
-// scans then hand out the prepare-bound columns). The scheduler publishes a
+// slots, the execution's stats collector (nil when detached), the counter its
+// materialized intermediates are charged to, and the snapshot pinning the
+// writable tables' delta states (nil for a read-only engine — scans then
+// hand out the prepare-bound columns). The scheduler publishes a
 // node's outputs before any dependent is popped, which establishes the
 // happens-before edge for readers.
 type execState struct {
@@ -170,7 +171,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 				return nil, err
 			}
 			return []*columns.Column{sc}, nil
-		}}, nil
+		}, rows: col.N()}, nil
 	case OpSelect:
 		d, err := c.outDesc(n.outNames[0])
 		if err != nil {

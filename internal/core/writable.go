@@ -13,7 +13,6 @@ import (
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
-	"morphstore/internal/ops"
 	"morphstore/internal/qerr"
 	"morphstore/internal/stats"
 )
@@ -107,10 +106,10 @@ func (s *Snapshot) columnOr(fallback *columns.Column, table, column string) (*co
 	return st.Column(column)
 }
 
-// writableTable pairs a table's delta store with the engine-side governor
-// bookkeeping: one reservation per append batch, tagged with the tail length
-// it ends at, released when a remorph folds the batch into the main. The
-// mutex guards only resv (the delta store locks itself).
+// writableTable pairs a table's delta store with the engine-side admission
+// bookkeeping: one byte reservation per append batch, tagged with the tail
+// length it ends at, released when a remorph folds the batch into the main.
+// The mutex guards only resv (the delta store locks itself).
 type writableTable struct {
 	dt    *delta.Table
 	dicts map[string]*dict.Dict // the table's string-column dictionaries
@@ -125,10 +124,10 @@ type writableTable struct {
 	ingestMu sync.Mutex
 }
 
-// tailResv is one append batch's governor reservation.
+// tailResv is one append batch's byte reservation at the admission gate.
 type tailResv struct {
 	tailEnd int // the table's tail length after the batch
-	r       *ops.MemReservation
+	bytes   int64
 }
 
 // writable returns (creating on first use) the delta store of a table. The
@@ -205,10 +204,12 @@ func (e *Engine) Snapshot() *Snapshot {
 // batch of zero rows is a no-op. The rows are visible to every execution
 // admitted after Append returns; running executions keep their pinned
 // snapshots. Appends are serialized per table, cheap (no re-compression —
-// the remorph worker folds the delta in the background), and their bytes are
-// reserved from the engine's memory governor (WithMemoryBudget): an append
-// blocks under memory pressure until running queries release or a remorph
-// folds earlier batches, honouring ctx. After Engine.Close, Append fails
+// the remorph worker folds the delta in the background), and under
+// WithMemoryBudget each batch's bytes are reserved at the engine's admission
+// gate until a remorph folds it: an append that does not fit waits in the
+// admission queue until running queries release or a remorph folds earlier
+// batches, and is shed with a retryable ErrAdmissionRejected under the
+// WithAdmissionQueue bounds or its ctx. After Engine.Close, Append fails
 // fast with ErrEngineClosed. It is AppendStrings without string columns.
 func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uint64) error {
 	return e.AppendStrings(ctx, table, rows, nil)
@@ -219,7 +220,7 @@ func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uin
 // (AddStringColumn), its values are translated through the table's
 // dictionary — new strings get fresh IDs in first-occurrence order — and the
 // resulting ID rows append to the delta store under Append's visibility,
-// admission, memory-governor, and Close semantics. nums and strs together
+// admission and Close semantics. nums and strs together
 // must cover exactly the table's columns with equally long slices
 // (ErrInvalidSchema otherwise; the rows are not appended, though novel
 // strings of a failed batch may remain in the dictionary — harmless, they
@@ -252,10 +253,10 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 		nrows = len(vals)
 		break
 	}
-	// Reserve before taking ingestMu: the reservation may block under memory
-	// pressure and must not hold up a remorph swap while it waits.
-	mres, err := e.gov.Reserve(ctx, int64(nrows)*8*int64(len(nums)+len(strs)), nil)
-	if err != nil {
+	// Reserve before taking ingestMu: the reservation may wait in the
+	// admission queue and must not hold up a remorph swap while it does.
+	bytes := int64(nrows) * 8 * int64(len(nums)+len(strs))
+	if _, err := e.adm.admit(ctx, bytes, false); err != nil {
 		return err
 	}
 	wt.ingestMu.Lock()
@@ -267,7 +268,7 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 		ids, derr := wt.dicts[cn].Add(vals)
 		if derr != nil {
 			wt.ingestMu.Unlock()
-			mres.Release()
+			e.adm.release(bytes, false)
 			return derr
 		}
 		if ids == nil {
@@ -278,11 +279,11 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 	st, n, err := wt.dt.Append(rows)
 	wt.ingestMu.Unlock()
 	if err != nil || n == 0 {
-		mres.Release()
+		e.adm.release(bytes, false)
 		return err
 	}
 	wt.mu.Lock()
-	wt.resv = append(wt.resv, tailResv{tailEnd: st.TailRows(), r: mres})
+	wt.resv = append(wt.resv, tailResv{tailEnd: st.TailRows(), bytes: bytes})
 	wt.mu.Unlock()
 	e.counters.appends.Add(1)
 	e.counters.appendedRows.Add(int64(n))
@@ -439,7 +440,7 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	if err != nil {
 		return err
 	}
-	wt.releaseFolded(res.FoldedTail)
+	wt.releaseFolded(e.adm, res.FoldedTail)
 	e.counters.remorphs.Add(1)
 	e.counters.remorphRows.Add(int64(res.State.MainRows()))
 	if tr != nil {
@@ -449,17 +450,17 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	return nil
 }
 
-// releaseFolded returns the governor reservations of append batches the swap
-// folded into the main (batch boundaries align with fold boundaries: both
-// are published tail lengths) and rebases the survivors onto the new tail
-// numbering.
-func (wt *writableTable) releaseFolded(folded int) {
+// releaseFolded returns to the admission gate the bytes of append batches the
+// swap folded into the main (batch boundaries align with fold boundaries:
+// both are published tail lengths) and rebases the survivors onto the new
+// tail numbering.
+func (wt *writableTable) releaseFolded(adm *admission, folded int) {
 	wt.mu.Lock()
 	defer wt.mu.Unlock()
 	keep := wt.resv[:0]
 	for _, r := range wt.resv {
 		if r.tailEnd <= folded {
-			r.r.Release()
+			adm.release(r.bytes, false)
 		} else {
 			r.tailEnd -= folded
 			keep = append(keep, r)
@@ -468,16 +469,16 @@ func (wt *writableTable) releaseFolded(folded int) {
 	wt.resv = keep
 }
 
-// releaseDeltaReservations returns every writable table's outstanding
-// governor reservations; Close calls it after the drain so a closed engine
-// holds no reservations.
+// releaseDeltaReservations returns every writable table's outstanding batch
+// bytes to the admission gate; Close calls it after the drain so a closed
+// engine holds no reserved bytes.
 func (e *Engine) releaseDeltaReservations() {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	for _, wt := range e.wtabs {
 		wt.mu.Lock()
 		for _, r := range wt.resv {
-			r.r.Release()
+			e.adm.release(r.bytes, false)
 		}
 		wt.resv = nil
 		wt.mu.Unlock()

@@ -413,7 +413,7 @@ func TestChaosWritableClose(t *testing.T) {
 	if n := e.budget.InUse(); n != 0 {
 		t.Fatalf("%d budget worker tokens leaked", n)
 	}
-	if n := e.gov.Reserved(); n != 0 {
+	if n := e.adm.counters().reserved; n != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked (delta reservations must be released by Close)", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)

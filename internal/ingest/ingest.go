@@ -3,7 +3,7 @@
 // each column as uint64 or string from the first batch — and Load feeds the
 // batches through Engine.AppendStrings, which translates string columns
 // through their per-column dictionaries and appends under the engine's
-// admission, memory-governor, and Close semantics.
+// admission and Close semantics.
 //
 // Malformed input fails with the engine's typed error taxonomy: structural
 // defects of the byte stream (bad CSV quoting, invalid JSON, oversized
@@ -81,7 +81,8 @@ type config struct {
 }
 
 // WithBatchRows sets the row count Load requests per source batch (default
-// 4096). Each batch is one governor reservation and one delta append.
+// 4096). Each batch is one admission-gate byte reservation and one delta
+// append.
 func WithBatchRows(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -92,8 +93,8 @@ func WithBatchRows(n int) Option {
 
 // Load streams src into the named table of e: every batch passes the
 // ingest-batch fault point, then appends through Engine.AppendStrings
-// (dictionary translation for string columns, governor-reserved, admitted
-// and drained like any other engine operation). If the table does not exist
+// (dictionary translation for string columns, bytes reserved at the
+// admission gate, drained like any other engine operation). If the table does not exist
 // in the engine's database yet, it is created empty from the source's
 // sniffed schema before the first batch — callers creating tables this way
 // must not run queries against the table until Load created it. Load

@@ -47,13 +47,13 @@ type QueryStats struct {
 	// Err is the execution's error text ("" on success).
 	Err string
 	// AdmissionWait is the time the execution spent parked in the engine's
-	// admission queue and memory-governor wait before it started (0 on the
-	// uncontended fast path).
+	// admission queue, for a slot and its reserved bytes, before it started
+	// (0 on the uncontended fast path).
 	AdmissionWait time.Duration
 	// MemEstimate is the intermediate-memory byte estimate the execution
-	// reserved from the engine's memory governor (the prepare-time estimate,
-	// clamped to the budget when the execution degraded; 0 without a
-	// governor).
+	// reserved at the engine's admission gate (the plan's estimate for the
+	// tables' rows at admission, clamped to the budget when the execution
+	// degraded; 0 without a memory budget).
 	MemEstimate int64
 	// MemPeak is the peak intermediate bytes the execution actually
 	// materialized, summed from the runtime charges of the operator and

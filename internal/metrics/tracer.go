@@ -12,18 +12,18 @@ const (
 	// EvSeqFallback marks a fallback to sequential execution; Value is 1.
 	EvSeqFallback = "seq_fallback"
 	// EvAdmissionWait reports a query that parked at the engine's admission
-	// layer (bounded queue or memory governor) and was eventually admitted;
-	// Value is the wait in nanoseconds. Emitted on the query-level span
-	// (Node == -1, Op == "admission").
+	// gate (for a slot, its reserved bytes, or both) and was eventually
+	// admitted; Value is the wait in nanoseconds. Emitted on the query-level
+	// span (Node == -1, Op == "admission").
 	EvAdmissionWait = "admission_wait"
-	// EvAdmissionShed reports a query rejected by the admission layer
+	// EvAdmissionShed reports a query rejected by the admission gate
 	// (queue overflow, wait expiry, or closed engine) before it started;
 	// Value is the wait in nanoseconds (0 for immediate sheds). Emitted on
 	// the query-level span.
 	EvAdmissionShed = "admission_shed"
-	// EvMemReserve reports the bytes a query reserved from the engine's
-	// memory governor at admission; Value is the reservation size. Emitted
-	// on the query-level span.
+	// EvMemReserve reports the bytes a query reserved at the engine's
+	// admission gate under a memory budget; Value is the reservation size.
+	// Emitted on the query-level span.
 	EvMemReserve = "mem_reserve"
 	// EvRemorphSwap reports a completed background remorph: a writable
 	// table's delta was folded into a freshly compressed main and atomically

@@ -82,12 +82,35 @@ func (b *Budget) release() {
 	}
 }
 
+// MemReservation counts the bytes of intermediate columns one query
+// materializes — its actual footprint, reported as QueryStats.MemPeak beside
+// the estimate the engine's admission gate reserved for it. Charges never
+// block: a query is admitted on its estimate, and enforcing the budget inside
+// the morsel loops could deadlock siblings. All methods are nil-receiver-safe.
+type MemReservation struct{ charged atomic.Int64 }
+
+// Charge books bytes of intermediate-buffer allocation.
+func (r *MemReservation) Charge(bytes int) {
+	if r == nil || bytes <= 0 {
+		return
+	}
+	r.charged.Add(int64(bytes))
+}
+
+// Charged returns the bytes charged so far.
+func (r *MemReservation) Charged() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.charged.Load()
+}
+
 // Runtime carries the execution environment of one operator invocation:
 // the cancellation context, the engine's worker budget (nil outside an
 // engine), the morsel-parallelism cap, the operator's stats collector (nil
-// when detached), and the query's memory reservation (nil without a memory
-// budget). The zero value is single-worker execution: every operator runs
-// as one morsel on the calling goroutine.
+// when detached), and the query's memory charge counter (nil outside a
+// prepared execution). The zero value is single-worker execution: every
+// operator runs as one morsel on the calling goroutine.
 type Runtime struct {
 	ctx    context.Context
 	budget *Budget
@@ -117,16 +140,15 @@ func (rt Runtime) WithCollector(nc *metrics.NodeCollector) Runtime {
 }
 
 // WithMemReservation returns a copy of the runtime charging intermediate
-// allocations against r (the query's memory-governor reservation). A nil r
-// (or never calling WithMemReservation) is the untracked mode: ChargeMem is
-// one nil check.
+// allocations to r (the query's charge counter). A nil r (or never calling
+// WithMemReservation) is the untracked mode: ChargeMem is one nil check.
 func (rt Runtime) WithMemReservation(r *MemReservation) Runtime {
 	rt.mres = r
 	return rt
 }
 
-// ChargeMem books bytes of intermediate-buffer allocation against the
-// query's memory reservation; a no-op without one. Charge sites are
+// ChargeMem books bytes of intermediate-buffer allocation to the query's
+// charge counter; a no-op without one. Charge sites are
 // per-section/per-column, never per-element, so the accounting stays off the
 // kernel hot path.
 func (rt Runtime) ChargeMem(bytes int) { rt.mres.Charge(bytes) }

@@ -55,6 +55,26 @@ func TestBudgetBound(t *testing.T) {
 	}
 }
 
+// TestMemReservationCharge: runtime charges accumulate on the counter, and
+// the nil-receiver paths are no-ops.
+func TestMemReservationCharge(t *testing.T) {
+	r := &MemReservation{}
+	rt := RT(context.Background(), nil, 2).WithMemReservation(r)
+	rt.ChargeMem(100)
+	rt.ChargeMem(28)
+	rt.ChargeMem(0)
+	rt.ChargeMem(-5)
+	if got := r.Charged(); got != 128 {
+		t.Fatalf("charged = %d, want 128", got)
+	}
+	var nr *MemReservation
+	nr.Charge(10)
+	RT(context.Background(), nil, 2).ChargeMem(10)
+	if nr.Charged() != 0 {
+		t.Fatal("nil reservation must report zero")
+	}
+}
+
 // TestBudgetWaiterCancelled: a waiter on an exhausted budget returns false as
 // soon as its context is cancelled, without any token being released.
 func TestBudgetWaiterCancelled(t *testing.T) {

@@ -103,8 +103,8 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 			return err
 		}
 		// The section's compressed buffer is a transient intermediate beyond
-		// the final column: charge it against the query's memory reservation
-		// so the governor sees the stitch's real peak, not just the concat.
+		// the final column: charge it to the query's memory counter so
+		// MemPeak sees the stitch's real peak, not just the concat.
 		rt.ChargeMem(c.PhysicalBytes())
 		parts[i] = c
 		return nil

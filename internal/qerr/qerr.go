@@ -13,10 +13,10 @@
 //     rows do not match the table's column set,
 //   - ErrQueryCanceled / ErrQueryTimeout: the execution context was
 //     cancelled or hit its deadline,
-//   - ErrMemoryLimit: the prepare-time memory estimate exceeded the
-//     configured limit,
+//   - ErrMemoryLimit: the memory estimate exceeded the whole engine
+//     budget,
 //   - ErrAdmissionRejected: the query never started — shed by the bounded
-//     admission queue, a queue-wait expiry, or memory-governor pressure,
+//     admission queue or a wait for a slot or its bytes that expired,
 //   - ErrEngineClosed: the engine was shut down with Engine.Close,
 //   - ErrTransient: a failure expected to clear on retry (see IsRetryable),
 //   - *QueryError: a panic in an operator kernel or worker goroutine,
@@ -54,13 +54,14 @@ var (
 	// ErrQueryTimeout reports an execution stopped by a context deadline
 	// (including WithQueryTimeout).
 	ErrQueryTimeout = errors.New("query timeout")
-	// ErrMemoryLimit reports a query whose prepare-time memory estimate
-	// exceeds the configured WithMemoryEstimateLimit.
+	// ErrMemoryLimit reports a request whose memory estimate exceeds the
+	// engine's whole WithMemoryBudget, so the admission gate can never grant
+	// it.
 	ErrMemoryLimit = errors.New("memory estimate over limit")
-	// ErrAdmissionRejected reports a query that never started: it was shed at
-	// the engine's admission layer — the bounded queue overflowed, the queue
-	// wait exceeded its deadline, or the memory governor could not reserve the
-	// query's estimate in time. Shed queries did no work and are retryable.
+	// ErrAdmissionRejected reports a request that never started: it was shed
+	// at the engine's admission gate — the bounded queue overflowed, or its
+	// wait for a slot or its reserved bytes exceeded the queue's deadline or
+	// the caller's context. Shed requests did no work and are retryable.
 	ErrAdmissionRejected = errors.New("query rejected at admission gate")
 	// ErrEngineClosed reports a call against an engine that has been shut
 	// down with Engine.Close: later Execute and one-off operator calls fail
@@ -76,8 +77,8 @@ var (
 
 // IsRetryable reports whether retrying the failed call against the same
 // engine can plausibly succeed. Admission sheds (queue overflow, queue-wait
-// expiry, memory-governor pressure) and transient-tagged failures are
-// retryable: the query never ran, or failed for a reason expected to clear.
+// expiry) and transient-tagged failures are retryable: the query never ran,
+// or failed for a reason expected to clear.
 // A closed engine, corrupt data, a caller-cancelled context, and recovered
 // panics are not — retrying replays the same outcome or overrides the
 // caller's intent. WithRetry consults exactly this predicate.

@@ -388,9 +388,10 @@ func (o *orderTracer) Event(metrics.Span, time.Time, metrics.Event) {}
 
 // TestWidth1RunsPlanOrder pins "sequential is the scheduler at width 1": on
 // every SSB plan a width-1 execution — asked for with WithParallelism(1), or
-// forced by WithMemoryLimitDegrade — starts the nodes in node-id order with
-// one operator in flight, and width 1 and width 4 materialize byte-identical
-// columns with identical per-column sizes.
+// forced by WithMemoryLimitDegrade under a budget every estimate exceeds,
+// which QueryStats.MemDegraded then reports — starts the nodes in node-id
+// order with one operator in flight, and width 1 and width 4 materialize
+// byte-identical columns with identical per-column sizes.
 func TestWidth1RunsPlanOrder(t *testing.T) {
 	d := getData(t)
 	enc, err := d.DB.Encode(allStaticBase(d.DB))
@@ -398,23 +399,20 @@ func TestWidth1RunsPlanOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := core.NewEngine(enc, core.WithParallelism(4))
+	tight := core.NewEngine(enc, core.WithParallelism(4), core.WithMemoryBudget(1), core.WithMemoryLimitDegrade(true))
 	for _, q := range Queries {
 		plan, err := BuildPlan(q, d.Dicts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prepare := func(o ...core.Option) *core.Prepared {
-			pr, err := eng.Prepare(plan, append(o, core.WithUniformFormat(columns.DynBPDesc), core.WithKeep(true))...)
+		prepare := func(e *core.Engine) *core.Prepared {
+			pr, err := e.Prepare(plan, core.WithUniformFormat(columns.DynBPDesc), core.WithKeep(true))
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
 			return pr
 		}
-		plain := prepare()
-		degraded := prepare(core.WithMemoryEstimateLimit(1), core.WithMemoryLimitDegrade(true))
-		if !degraded.Degraded() {
-			t.Fatalf("%s: a 1-byte estimate limit must degrade the plan", q)
-		}
+		plain, degraded := prepare(eng), prepare(tight)
 		wide, err := plain.Execute(context.Background())
 		if err != nil {
 			t.Fatalf("%s width 4: %v", q, err)
@@ -429,9 +427,13 @@ func TestWidth1RunsPlanOrder(t *testing.T) {
 		} {
 			name := c.name
 			var ot orderTracer
-			res, err := c.pr.Execute(context.Background(), append(c.o, core.WithTracer(&ot))...)
+			var qs metrics.QueryStats
+			res, err := c.pr.Execute(context.Background(), append(c.o, core.WithTracer(&ot), core.WithExecStats(&qs))...)
 			if err != nil {
 				t.Fatalf("%s %s: %v", q, name, err)
+			}
+			if qs.MemDegraded != (c.pr == degraded) {
+				t.Fatalf("%s %s: MemDegraded = %v", q, name, qs.MemDegraded)
 			}
 			if ot.maxOpen != 1 {
 				t.Errorf("%s %s: %d operators in flight at once, want 1", q, name, ot.maxOpen)

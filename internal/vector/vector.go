@@ -78,36 +78,6 @@ func Mul(a, b Vec) Vec {
 		a[4] * b[4], a[5] * b[5], a[6] * b[6], a[7] * b[7]}
 }
 
-// And returns the lane-wise bitwise conjunction.
-func And(a, b Vec) Vec {
-	return Vec{a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3],
-		a[4] & b[4], a[5] & b[5], a[6] & b[6], a[7] & b[7]}
-}
-
-// Or returns the lane-wise bitwise disjunction.
-func Or(a, b Vec) Vec {
-	return Vec{a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3],
-		a[4] | b[4], a[5] | b[5], a[6] | b[6], a[7] | b[7]}
-}
-
-// Shr returns the lane-wise logical right shift by k bits.
-func Shr(a Vec, k uint) Vec {
-	if k >= 64 {
-		return Vec{}
-	}
-	return Vec{a[0] >> k, a[1] >> k, a[2] >> k, a[3] >> k,
-		a[4] >> k, a[5] >> k, a[6] >> k, a[7] >> k}
-}
-
-// Shl returns the lane-wise logical left shift by k bits.
-func Shl(a Vec, k uint) Vec {
-	if k >= 64 {
-		return Vec{}
-	}
-	return Vec{a[0] << k, a[1] << k, a[2] << k, a[3] << k,
-		a[4] << k, a[5] << k, a[6] << k, a[7] << k}
-}
-
 // Gather loads dst lanes from base at the eight indices of idx
 // (the _mm512_i64gather analog).
 func Gather(base []uint64, idx Vec) Vec {

@@ -31,7 +31,6 @@ func TestArithmeticAgainstScalar(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a, b := randVec(rng), randVec(rng)
 		add, sub, mul := Add(a, b), Sub(a, b), Mul(a, b)
-		and, or := And(a, b), Or(a, b)
 		for i := 0; i < Lanes; i++ {
 			if add[i] != a[i]+b[i] {
 				t.Fatalf("Add lane %d", i)
@@ -42,30 +41,7 @@ func TestArithmeticAgainstScalar(t *testing.T) {
 			if mul[i] != a[i]*b[i] {
 				t.Fatalf("Mul lane %d", i)
 			}
-			if and[i] != a[i]&b[i] {
-				t.Fatalf("And lane %d", i)
-			}
-			if or[i] != a[i]|b[i] {
-				t.Fatalf("Or lane %d", i)
-			}
 		}
-	}
-}
-
-func TestShifts(t *testing.T) {
-	splat := func(x uint64) Vec { return Vec{x, x, x, x, x, x, x, x} }
-	v := splat(0xF0)
-	if got := Shr(v, 4); got != splat(0xF) {
-		t.Errorf("Shr = %v", got)
-	}
-	if got := Shl(v, 4); got != splat(0xF00) {
-		t.Errorf("Shl = %v", got)
-	}
-	if got := Shr(v, 64); got != (Vec{}) {
-		t.Errorf("Shr 64 = %v", got)
-	}
-	if got := Shl(v, 64); got != (Vec{}) {
-		t.Errorf("Shl 64 = %v", got)
 	}
 }
 

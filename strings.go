@@ -50,8 +50,8 @@ type IngestBatch = ingest.Batch
 type IngestOption = ingest.Option
 
 // WithBatchRows sets the row count Ingest requests per source batch
-// (default 4096); each batch is one governor reservation and one delta
-// append.
+// (default 4096); each batch is one admission-gate byte reservation and one
+// delta append.
 func WithBatchRows(n int) IngestOption { return ingest.WithBatchRows(n) }
 
 // NewCSVSource returns a source reading CSV from r: the first record is the
@@ -69,7 +69,7 @@ func NewJSONLinesSource(r io.Reader) IngestSource { return ingest.NewJSONLines(r
 // Ingest streams src into the named table of e, creating the table from the
 // sniffed schema when it does not exist: string columns are translated
 // through their dictionaries and every batch appends under the engine's
-// admission, memory-governor, and Close semantics. It returns the number of
+// admission and Close semantics. It returns the number of
 // rows appended; on error, already appended batches remain.
 func Ingest(ctx context.Context, e *Engine, table string, src IngestSource, opts ...IngestOption) (int, error) {
 	return ingest.Load(ctx, e, table, src, opts...)
