@@ -40,8 +40,8 @@ func main() {
 		}
 		sort.Strings(cols)
 		fmt.Printf("\n%s (%d rows)\n", tn, t.Cols[cols[0]].N())
-		fmt.Printf("  %-18s %8s %7s %7s %10s %-12s %9s\n",
-			"column", "maxbits", "sorted", "runs%", "distinct", "suggested", "rate")
+		fmt.Printf("  %-18s %8s %7s %7s %-12s %9s\n",
+			"column", "maxbits", "sorted", "runs%", "suggested", "rate")
 		for _, cn := range cols {
 			vals, _ := t.Cols[cn].Values()
 			p := stats.Collect(vals)
@@ -53,13 +53,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			distinct := fmt.Sprintf("%d", p.Distinct)
-			if p.DistinctSaturated {
-				distinct = ">=" + distinct
-			}
-			fmt.Printf("  %-18s %8d %7v %6.1f%% %10s %-12v %8.1f%%\n",
+			fmt.Printf("  %-18s %8d %7v %6.1f%% %-12v %8.1f%%\n",
 				cn, p.MaxBits, p.Sorted, 100*float64(p.Runs)/float64(max(p.N, 1)),
-				distinct, rec, 100*col.CompressionRate())
+				rec, 100*col.CompressionRate())
 		}
 	}
 }

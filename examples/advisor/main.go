@@ -88,8 +88,8 @@ func main() {
 		}
 
 		fmt.Printf("== %s ==\n", w.name)
-		fmt.Printf("   n=%d  maxbits=%d  sorted=%v  runs=%d  distinct>=%d\n",
-			prof.N, prof.MaxBits, prof.Sorted, prof.Runs, prof.Distinct)
+		fmt.Printf("   n=%d  maxbits=%d  sorted=%v  runs=%d\n",
+			prof.N, prof.MaxBits, prof.Sorted, prof.Runs)
 
 		var entries []entry
 		for _, d := range ms.AllFormats() {

@@ -1,0 +1,209 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"morphstore/internal/bitutil"
+	"morphstore/internal/columns"
+)
+
+// profileDB holds table r with a sorted column x of wide values (small
+// gaps: DELTA+BP territory) and a random payload y.
+func profileDB(t *testing.T, n int) *DB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	x, y := make([]uint64, n), make([]uint64, n)
+	for i := range x {
+		x[i] = uint64(i) * 37
+		y[i] = uint64(rng.Intn(1000))
+	}
+	db := NewDB()
+	if err := db.AddTable("r", map[string][]uint64{"x": x, "y": y}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// profilePlan sums y over the rows with x below lim.
+func profilePlan(t *testing.T, lim uint64) *Plan {
+	t.Helper()
+	b := NewBuilder()
+	xp := b.Select("x_sel", b.Scan("r", "x"), bitutil.CmpLt, lim)
+	b.Result(b.SumWhole("total", b.Project("y_proj", b.Scan("r", "y"), xp)))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBaseProfileReplacedColumn: replacing a column in Table.Cols with an
+// unsorted permutation of the same values misses the memo, re-profiles the
+// new column and changes the pick.
+func TestBaseProfileReplacedColumn(t *testing.T) {
+	db := profileDB(t, 20000)
+	p := profilePlan(t, 1<<62)
+	a, err := CostBasedAssignment(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := a.Base["r.x"]; d.Kind != columns.DeltaBP {
+		t.Fatalf("sorted r.x picked %v, want delta_bp", d)
+	}
+	tab := db.Tables["r"]
+	sorted := tab.profs["x"].prof
+	vals, _ := tab.Cols["x"].Values()
+	shuffled := append([]uint64(nil), vals...)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	tab.Cols["x"] = columns.FromValues(shuffled)
+	if a, err = CostBasedAssignment(p, db); err != nil {
+		t.Fatal(err)
+	}
+	if d := a.Base["r.x"]; d.Kind != columns.StaticBP {
+		t.Fatalf("shuffled r.x picked %v, want static_bp", d)
+	}
+	e := tab.profs["x"]
+	if e.col != tab.Cols["x"] || e.prof == sorted || e.prof.Sorted {
+		t.Fatalf("memo entry not replaced by the new column's profile: %+v", e)
+	}
+	if len(tab.profs) != 2 {
+		t.Fatalf("memo holds %d entries, want one per column (2)", len(tab.profs))
+	}
+}
+
+// TestBaseProfileEncodedColumn: a column DB.Encode compressed profiles equal,
+// field for field, to its uncompressed original, and the encoded database's
+// tables start with an empty memo.
+func TestBaseProfileEncodedColumn(t *testing.T) {
+	db := profileDB(t, 5000)
+	p := profilePlan(t, 1<<62)
+	if _, err := CostBasedAssignment(p, db); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := db.Encode(map[string]columns.FormatDesc{"r.x": columns.DeltaBPDesc, "r.y": columns.DynBPDesc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(enc.Tables["r"].profs); n != 0 {
+		t.Fatalf("encoded table starts with %d memo entries", n)
+	}
+	for _, cn := range []string{"x", "y"} {
+		if _, ok := enc.Tables["r"].Cols[cn].Values(); ok {
+			t.Fatalf("r.%s is not compressed", cn)
+		}
+		want, err := db.baseProfile("r", cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := enc.baseProfile("r", cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Errorf("r.%s: compressed profile %+v, want %+v", cn, *got, *want)
+		}
+	}
+}
+
+// TestBaseProfileConcurrent: eight goroutines run the cost-based pick on one
+// cold database, half through CostBasedAssignment and half through a
+// cost-based Prepare on one engine; every assignment equals a sequential one.
+func TestBaseProfileConcurrent(t *testing.T) {
+	p := profilePlan(t, 20000*37/2)
+	want, err := CostBasedAssignment(p, profileDB(t, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := profileDB(t, 20000)
+	e := NewEngine(db)
+	defer e.Close(context.Background())
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	got := make([]map[string]columns.FormatDesc, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				a, err := CostBasedAssignment(p, db)
+				if err == nil && !reflect.DeepEqual(a, want) {
+					t.Errorf("goroutine %d: assignment %+v, want %+v", g, a, want)
+				}
+				errs[g] = err
+				return
+			}
+			pr, err := e.Prepare(p, WithCostBasedFormats())
+			if err == nil {
+				got[g] = pr.Formats()
+			}
+			errs[g] = err
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+		if got[g] != nil && !reflect.DeepEqual(got[g], want.Inter) {
+			t.Errorf("goroutine %d: prepared formats %v, want %v", g, got[g], want.Inter)
+		}
+	}
+}
+
+// TestBaseProfileAfterRemorph: Engine.Remorph swaps the table's main inside
+// the engine's delta store and leaves Table.Cols alone, so the memo entry
+// stays the profile of the column the cost-based Prepare reads. After the
+// swap, Prepare picks what a cold memo picks, and its execution reads the
+// new main (the appended rows count in the sum).
+func TestBaseProfileAfterRemorph(t *testing.T) {
+	const n = 8000
+	db := profileDB(t, n)
+	p := profilePlan(t, 1<<62)
+	e := NewEngine(db)
+	defer e.Close(context.Background())
+	before, err := e.Prepare(p, WithCostBasedFormats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := db.Tables["r"]
+	col, entry := tab.Cols["x"], tab.profs["x"]
+	ctx := context.Background()
+	if err := e.Append(ctx, "r", map[string][]uint64{"x": {5, 1 << 40, 3}, "y": {10, 20, 30}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Remorph(ctx, "r"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.Prepare(p, WithCostBasedFormats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Cols["x"] != col || tab.profs["x"] != entry {
+		t.Fatal("remorph replaced the DB column or its memo entry")
+	}
+	cold, err := CostBasedAssignment(p, profileDB(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Formats(), cold.Inter) || !reflect.DeepEqual(after.Formats(), before.Formats()) {
+		t.Fatalf("post-remorph formats %v, cold memo %v, before %v", after.Formats(), cold.Inter, before.Formats())
+	}
+	res, err := after.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yv, _ := tab.Cols["y"].Values()
+	want := uint64(10 + 20 + 30)
+	for _, v := range yv {
+		want += v
+	}
+	if got, _ := res.Cols["total"].Values(); len(got) != 1 || got[0] != want {
+		t.Fatalf("post-remorph sum %v, want [%d]", got, want)
+	}
+}

@@ -1,7 +1,7 @@
 // Package stats collects the basic data characteristics MorphStore-Go's
 // cost-based format selection relies on (paper §5, "Determining a good format
 // combination"): number of data elements, bit-width histogram, delta
-// bit-width histogram, sort order, run structure, and a distinct estimate.
+// bit-width histogram, sort order and run structure.
 //
 // The paper assumes these characteristics are known for all intermediates;
 // here they are gathered in a single pass over the data.
@@ -10,10 +10,6 @@ package stats
 import (
 	"math/bits"
 )
-
-// DistinctCap bounds the exact distinct counting; beyond it the profile
-// reports DistinctCap as a lower bound and sets DistinctSaturated.
-const DistinctCap = 1 << 16
 
 // Profile summarizes the data characteristics of one integer sequence.
 type Profile struct {
@@ -34,53 +30,42 @@ type Profile struct {
 	// ForBitHist[b] counts offsets v-Min with effective bit width b: the
 	// frame-of-reference view of the data under a global reference.
 	ForBitHist [65]int
-
-	Distinct          int  // exact distinct count up to DistinctCap
-	DistinctSaturated bool // true if the distinct counter hit its cap
 }
 
-// Collect computes the profile of vals in one pass.
+// Collect computes the profile of vals in one pass (plus a second one for
+// the offsets from the minimum). Every counter lives in a local until the
+// end. Each histogram has four copies, one per position mod 4: neighbours
+// mostly fall into the same bucket, and spreading them over copies keeps
+// each increment from waiting on the previous one's store. Sorted and Runs
+// come from each delta's borrow and non-zeroness without a branch.
 func Collect(vals []uint64) *Profile {
 	p := &Profile{N: len(vals), Sorted: true}
 	if len(vals) == 0 {
 		return p
 	}
-	distinct := make(map[uint64]struct{}, 1024)
-	p.Min, p.Max = vals[0], vals[0]
-	p.Runs = 1
-	prev := vals[0]
-	p.BitHist[bits.Len64(vals[0])]++
-	distinct[vals[0]] = struct{}{}
-	for _, v := range vals[1:] {
-		p.BitHist[bits.Len64(v)]++
-		d := v - prev // wrap-around delta
-		p.DeltaBitHist[bits.Len64(d)]++
-		if v < prev {
-			p.Sorted = false
-		}
-		if v != prev {
-			p.Runs++
-		}
-		if v < p.Min {
-			p.Min = v
-		}
-		if v > p.Max {
-			p.Max = v
-		}
-		if !p.DistinctSaturated {
-			distinct[v] = struct{}{}
-			if len(distinct) >= DistinctCap {
-				p.DistinctSaturated = true
-			}
-		}
+	var bh, dh, fh [4][65]int
+	lo, hi, prev := vals[0], vals[0], vals[0]
+	var descents, changes uint64
+	for i, v := range vals {
+		d, borrow := bits.Sub64(v, prev, 0) // wrap-around delta
+		bh[i&3][bits.Len64(v)]++
+		dh[i&3][bits.Len64(d)]++
+		descents |= borrow
+		changes += (d | -d) >> 63 // 1 iff d != 0
+		lo, hi = min(lo, v), max(hi, v)
 		prev = v
 	}
-	p.Distinct = len(distinct)
-	p.MaxBits = uint(bits.Len64(p.Max))
-	// Second cheap pass: offsets relative to the global minimum.
-	for _, v := range vals {
-		p.ForBitHist[bits.Len64(v-p.Min)]++
+	for i, v := range vals {
+		fh[i&3][bits.Len64(v-lo)]++
 	}
+	p.Min, p.Max, p.MaxBits = lo, hi, uint(bits.Len64(hi))
+	p.Sorted, p.Runs = descents == 0, 1+int(changes)
+	for b := range p.BitHist {
+		p.BitHist[b] = bh[0][b] + bh[1][b] + bh[2][b] + bh[3][b]
+		p.DeltaBitHist[b] = dh[0][b] + dh[1][b] + dh[2][b] + dh[3][b]
+		p.ForBitHist[b] = fh[0][b] + fh[1][b] + fh[2][b] + fh[3][b]
+	}
+	p.DeltaBitHist[0]-- // the first value's delta to itself
 	return p
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -22,9 +23,6 @@ func TestCollectBasics(t *testing.T) {
 	}
 	if p.Runs != 3 {
 		t.Errorf("Runs = %d, want 3", p.Runs)
-	}
-	if p.Distinct != 3 {
-		t.Errorf("Distinct = %d, want 3", p.Distinct)
 	}
 	if got := p.AvgRunLength(); got != 2 {
 		t.Errorf("AvgRunLength = %f", got)
@@ -56,20 +54,6 @@ func TestBitHist(t *testing.T) {
 	p := Collect([]uint64{0, 1, 2, 3, 255})
 	if p.BitHist[0] != 1 || p.BitHist[1] != 1 || p.BitHist[2] != 2 || p.BitHist[8] != 1 {
 		t.Errorf("bit hist: %v", p.BitHist[:10])
-	}
-}
-
-func TestDistinctSaturation(t *testing.T) {
-	vals := make([]uint64, DistinctCap+100)
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	p := Collect(vals)
-	if !p.DistinctSaturated {
-		t.Error("distinct counter should saturate")
-	}
-	if p.Distinct < DistinctCap {
-		t.Errorf("Distinct = %d, want >= %d", p.Distinct, DistinctCap)
 	}
 }
 
@@ -115,13 +99,6 @@ func TestCollectMatchesBruteForce(t *testing.T) {
 	if p.Runs != runs {
 		t.Errorf("Runs = %d, want %d", p.Runs, runs)
 	}
-	set := map[uint64]struct{}{}
-	for _, v := range vals {
-		set[v] = struct{}{}
-	}
-	if p.Distinct != len(set) {
-		t.Errorf("Distinct = %d, want %d", p.Distinct, len(set))
-	}
 	total := 0
 	for _, c := range p.BitHist {
 		total += c
@@ -135,5 +112,98 @@ func TestCollectMatchesBruteForce(t *testing.T) {
 	}
 	if totalD != len(vals)-1 {
 		t.Errorf("delta hist total = %d", totalD)
+	}
+}
+
+// referenceCollect is the straightforward single-pass profile that Collect
+// must reproduce field for field: one histogram copy each, branches for
+// Sorted and Runs, every counter updated behind the profile pointer.
+func referenceCollect(vals []uint64) *Profile {
+	p := &Profile{N: len(vals), Sorted: true}
+	if len(vals) == 0 {
+		return p
+	}
+	p.Min, p.Max = vals[0], vals[0]
+	p.Runs = 1
+	prev := vals[0]
+	p.BitHist[bits.Len64(vals[0])]++
+	for _, v := range vals[1:] {
+		p.BitHist[bits.Len64(v)]++
+		d := v - prev // wrap-around delta
+		p.DeltaBitHist[bits.Len64(d)]++
+		if v < prev {
+			p.Sorted = false
+		}
+		if v != prev {
+			p.Runs++
+		}
+		if v < p.Min {
+			p.Min = v
+		}
+		if v > p.Max {
+			p.Max = v
+		}
+		prev = v
+	}
+	p.MaxBits = uint(bits.Len64(p.Max))
+	for _, v := range vals {
+		p.ForBitHist[bits.Len64(v-p.Min)]++
+	}
+	return p
+}
+
+func TestCollectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := make([]uint64, 10002)
+	for i := range random {
+		random[i] = rng.Uint64() >> uint(rng.Intn(64))
+	}
+	sorted := make([]uint64, 3003)
+	for i := range sorted {
+		sorted[i] = uint64(i/3) * 7
+	}
+	reverse := make([]uint64, len(sorted))
+	for i := range reverse {
+		reverse[i] = sorted[len(sorted)-1-i]
+	}
+	constant := make([]uint64, 1000)
+	for i := range constant {
+		constant[i] = 42
+	}
+	wrap := make([]uint64, 1001)
+	for i := range wrap {
+		if i%2 == 1 {
+			wrap[i] = math.MaxUint64
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		vals []uint64
+	}{
+		{"empty", nil},
+		{"single", []uint64{math.MaxUint64}},
+		{"constant", constant},
+		{"sorted", sorted},
+		{"reverse", reverse},
+		{"wrap", wrap},
+		{"random", random},
+	} {
+		if got, want := Collect(tc.vals), referenceCollect(tc.vals); *got != *want {
+			t.Errorf("%s: Collect = %+v, want %+v", tc.name, *got, *want)
+		}
+	}
+}
+
+// BenchmarkCollect profiles 1 Mi random values of mixed bit widths.
+func BenchmarkCollect(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]uint64, 1<<20)
+	for i := range vals {
+		vals[i] = uint64(rng.Intn(1 << 24))
+	}
+	b.SetBytes(int64(8 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Collect(vals)
 	}
 }
