@@ -22,7 +22,6 @@ import (
 	"morphstore/internal/morph"
 	"morphstore/internal/ops"
 	"morphstore/internal/ssb"
-	"morphstore/internal/vector"
 )
 
 const (
@@ -77,7 +76,7 @@ func BenchmarkParallelSelectDynBP(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, false); err != nil {
+				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -97,7 +96,7 @@ func BenchmarkParallelSum(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.FixedRT(par).SumAuto(col, vector.Vec512, false); err != nil {
+				if _, _, err := ops.FixedRT(par).SumAuto(col, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -133,7 +132,7 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par%d", shape.name, par), func(b *testing.B) {
 				b.SetBytes(int64(len(vals) * 8))
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512); err != nil {
+					if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -198,7 +197,7 @@ func BenchmarkScan(b *testing.B) {
 	for _, sc := range scans {
 		b.Run(sc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.SelectBetweenAuto(sc.in, sc.lo, sc.hi, columns.DeltaBPDesc, vector.Vec512, sc.specialized); err != nil {
+				if _, err := ops.SelectBetweenAuto(sc.in, sc.lo, sc.hi, columns.DeltaBPDesc, 0, sc.specialized); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -241,6 +240,55 @@ func BenchmarkSortedSet(b *testing.B) {
 	}
 }
 
+// BenchmarkKernels measures the element-wise kernels of one worker on
+// benchScanN-row columns, in ns per element: sum over an uncompressed column,
+// calc_add/calc_mul over two uncompressed columns, and the project gather at
+// the ~27 % sorted positions of Q1.1's discount predicate from an uncompressed
+// (gather_uncompr) and a static BP (gather_staticbp) data column.
+func BenchmarkKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	x, y := make([]uint64, benchScanN), make([]uint64, benchScanN)
+	var pos []uint64
+	for i := range x {
+		x[i], y[i] = rng.Uint64()%(1<<20), rng.Uint64()%11
+		if rng.Uint64()%11 < 3 {
+			pos = append(pos, uint64(i))
+		}
+	}
+	xc, yc, pc := columns.FromValues(x), columns.FromValues(y), columns.FromValues(pos)
+	xbp, err := formats.Compress(x, columns.StaticBPDesc(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := ops.FixedRT(1)
+	calc := func(op ops.CalcKind) func() error {
+		return func() error { _, err := rt.CalcBinary(op, xc, yc, columns.UncomprDesc); return err }
+	}
+	gather := func(data *columns.Column) func() error {
+		return func() error { _, err := rt.Project(data, pc, columns.UncomprDesc); return err }
+	}
+	for _, k := range []struct {
+		name string
+		n    int
+		run  func() error
+	}{
+		{"sum", benchScanN, func() error { _, _, err := rt.SumAuto(xc, false); return err }},
+		{"calc_add", benchScanN, calc(ops.CalcAdd)},
+		{"calc_mul", benchScanN, calc(ops.CalcMul)},
+		{"gather_uncompr", len(pos), gather(xc)},
+		{"gather_staticbp", len(pos), gather(xbp)},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := k.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.n), "ns/elem")
+		})
+	}
+}
+
 // BenchmarkParallelCalc measures the morsel-parallel element-wise multiply
 // over two DynBP columns streamed in lockstep.
 func BenchmarkParallelCalc(b *testing.B) {
@@ -256,7 +304,7 @@ func BenchmarkParallelCalc(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.FixedRT(par).CalcBinary(ops.CalcMul, a, c, columns.DynBPDesc, vector.Vec512); err != nil {
+				if _, err := ops.FixedRT(par).CalcBinary(ops.CalcMul, a, c, columns.DynBPDesc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,7 +332,7 @@ func BenchmarkParallelSumGrouped(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.FixedRT(par).SumGrouped(gids, vals, nGroups, vector.Vec512); err != nil {
+				if _, err := ops.FixedRT(par).SumGrouped(gids, vals, nGroups); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,7 +356,7 @@ func benchParallelSSB(b *testing.B, q ssb.Query) {
 	plan, enc := benchSSB(b, q)
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			pq, err := core.NewEngine(enc, core.WithParallelism(par), core.WithStyle(vector.Vec512)).Prepare(plan)
+			pq, err := core.NewEngine(enc, core.WithParallelism(par)).Prepare(plan)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -328,7 +376,7 @@ func benchParallelSSB(b *testing.B, q ssb.Query) {
 // proves the identity).
 func BenchmarkEngineMultiQuery(b *testing.B) {
 	plan, enc := benchSSB(b, ssb.Q11)
-	eng := core.NewEngine(enc, core.WithStyle(vector.Vec512))
+	eng := core.NewEngine(enc)
 	pq, err := eng.Prepare(plan)
 	if err != nil {
 		b.Fatal(err)
@@ -494,7 +542,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("select_swar_direct", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, vector.Vec512, true); err != nil {
+			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -502,7 +550,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("select_otf", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, vector.Vec512, false); err != nil {
+			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -510,7 +558,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("sum_dynbp_direct", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ops.FixedRT(1).SumAuto(dbp, vector.Vec512, true); err != nil {
+			if _, _, err := ops.FixedRT(1).SumAuto(dbp, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -518,7 +566,7 @@ func BenchmarkAblationSpecialized(b *testing.B) {
 	b.Run("sum_otf", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ops.FixedRT(1).SumAuto(dbp, vector.Vec512, false); err != nil {
+			if _, _, err := ops.FixedRT(1).SumAuto(dbp, false); err != nil {
 				b.Fatal(err)
 			}
 		}

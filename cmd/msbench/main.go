@@ -34,7 +34,6 @@ import (
 	"morphstore/internal/datagen"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/metrics"
-	"morphstore/internal/vector"
 )
 
 const (
@@ -173,7 +172,7 @@ func timed(f func() error) func() (time.Duration, error) {
 // newEngine returns an engine over db. The engines run no background worker
 // and live as long as the process, so nothing closes them.
 func newEngine(db *core.DB) *core.Engine {
-	return core.NewEngine(db, core.WithParallelism(par), core.WithStyle(vector.Vec512))
+	return core.NewEngine(db, core.WithParallelism(par))
 }
 
 // execute prepares plan on eng and adapts its execution to pairedRatio,

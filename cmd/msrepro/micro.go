@@ -12,7 +12,6 @@ import (
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
 	"morphstore/internal/stats"
-	"morphstore/internal/vector"
 )
 
 // runTable1 regenerates Table 1: the synthetic column definitions, verified
@@ -79,7 +78,7 @@ func runFig5(opt options) error {
 			fmt.Printf("%-14v", ind)
 			for _, outd := range descs {
 				t, err := timeIt(opt.repeats, func() error {
-					_, err := ops.FixedRT(1).SelectAuto(inputs[i], bitutil.CmpEq, needle, outd, vector.Vec512, false)
+					_, err := ops.FixedRT(1).SelectAuto(inputs[i], bitutil.CmpEq, needle, outd, false)
 					return err
 				})
 				if err != nil {
@@ -171,7 +170,7 @@ func runFig6(opt options) error {
 			}
 			// Paper reproduction: a single-worker engine yields sequential
 			// operator timings; the plan compiles once per configuration.
-			eng := core.NewEngine(enc, core.WithParallelism(1), core.WithStyle(vector.Vec512))
+			eng := core.NewEngine(enc, core.WithParallelism(1))
 			pq, err := eng.Prepare(plan, core.WithFormats(cfg.inter))
 			if err != nil {
 				return err

@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/core"
 	"morphstore/internal/monetsim"
 	"morphstore/internal/ssb"
-	"morphstore/internal/vector"
 )
 
 // ssbCache shares one generated SSB instance plus derived artifacts across
@@ -158,26 +157,26 @@ func staticAssign(p *core.Plan) *core.Assignment {
 }
 
 // runAssign executes a query under a full assignment.
-func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment, style vector.Style, specialized bool) (*core.Result, time.Duration, error) {
+func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment, specialized bool) (*core.Result, time.Duration, error) {
 	enc, err := c.data.DB.Encode(a.Base)
 	if err != nil {
 		return nil, 0, err
 	}
-	return c.timedRun(opt, q, enc, core.WithFormats(a.Inter), core.WithStyle(style), core.WithSpecialized(specialized))
+	return c.timedRun(opt, q, enc, core.WithFormats(a.Inter), core.WithSpecialized(specialized))
 }
 
-// runFig9 regenerates Figure 9: per-query runtimes of the five systems.
+// runFig9 regenerates Figure 9: per-query runtimes of the four systems.
 func runFig9(opt options) error {
 	c, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
 	header(fmt.Sprintf("Figure 9: MonetDB vs MorphStore, per-query runtimes [ms] (SF %g)", opt.sf))
-	fmt.Printf("%-6s %12s %12s %12s %12s %12s\n", "query",
-		"MonetDB", "MS scalar", "MS vec512", "MS vec+compr", "MonetDB nrw")
-	sums := make([]float64, 5)
+	fmt.Printf("%-6s %12s %12s %12s %12s\n", "query",
+		"MonetDB", "MS uncompr", "MS compr", "MonetDB nrw")
+	sums := make([]float64, 4)
 	for _, q := range ssb.Queries {
-		row := make([]float64, 5)
+		row := make([]float64, 4)
 
 		// MonetDB-style baseline, wide.
 		t, err := timeMonet(opt, c, q, c.mdbWide)
@@ -186,49 +185,43 @@ func runFig9(opt options) error {
 		}
 		row[0] = ms(t)
 
-		// MorphStore scalar, uncompressed.
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Scalar))
+		// MorphStore, uncompressed.
+		_, tu, err := c.timedRun(opt, q, c.data.DB)
 		if err != nil {
 			return err
 		}
-		row[1] = ms(ts)
+		row[1] = ms(tu)
 
-		// MorphStore vectorized, uncompressed.
-		_, tv, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Vec512))
-		if err != nil {
-			return err
-		}
-		row[2] = ms(tv)
-
-		// MorphStore vectorized + continuous compression (cost-based
-		// formats; greedy search with -full).
+		// MorphStore with continuous compression (cost-based formats; greedy
+		// search with -full).
 		assign, err := c.bestRuntimeAssign(opt, q)
 		if err != nil {
 			return err
 		}
-		_, tc, err := c.runAssign(opt, q, assign, vector.Vec512, true)
+		_, tc, err := c.runAssign(opt, q, assign, true)
 		if err != nil {
 			return err
 		}
-		row[3] = ms(tc)
+		row[2] = ms(tc)
 
 		// MonetDB-style baseline, narrow types.
 		tn, err := timeMonet(opt, c, q, c.mdbNarrow)
 		if err != nil {
 			return err
 		}
-		row[4] = ms(tn)
+		row[3] = ms(tn)
 
-		fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f %12.2f\n",
-			q, row[0], row[1], row[2], row[3], row[4])
+		fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f\n", q, row[0], row[1], row[2], row[3])
 		for i, v := range row {
 			sums[i] += v
 		}
 	}
-	fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f %12.2f\n", "avg",
-		sums[0]/13, sums[1]/13, sums[2]/13, sums[3]/13, sums[4]/13)
+	fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f\n", "avg",
+		sums[0]/13, sums[1]/13, sums[2]/13, sums[3]/13)
 	fmt.Println("\npaper shape: scalar MorphStore ~= MonetDB; vectorization ~-19%;")
 	fmt.Println("continuous compression ~-54% vs scalar (2x); narrow types help MonetDB ~-16%.")
+	fmt.Println("Go has no SIMD, so each kernel has one loop: the paper's scalar and vectorized")
+	fmt.Println("MorphStore columns are the one uncompressed column here.")
 	return nil
 }
 
@@ -236,7 +229,7 @@ func runFig9(opt options) error {
 // runtime experiments: greedy search with -full, cost-based otherwise.
 func (c *ssbCache) bestRuntimeAssign(opt options, q ssb.Query) (*core.Assignment, error) {
 	if opt.full {
-		return core.RuntimeGreedySearch(c.plans[q], c.data.DB, vector.Vec512, true, false, opt.repeats)
+		return core.RuntimeGreedySearch(c.plans[q], c.data.DB, true, false, opt.repeats)
 	}
 	return c.costBased(q)
 }
@@ -267,7 +260,7 @@ func timeMonet(opt options, c *ssbCache, q ssb.Query, db *monetsim.DB) (time.Dur
 	return best, nil
 }
 
-// runFig1 regenerates Figure 1: the average over all 13 queries of the four
+// runFig1 regenerates Figure 1: the average over all 13 queries of the
 // headline systems.
 func runFig1(opt options) error {
 	c, err := getSSB(opt)
@@ -275,7 +268,7 @@ func runFig1(opt options) error {
 		return err
 	}
 	header(fmt.Sprintf("Figure 1: average runtime of all 13 SSB queries (SF %g)", opt.sf))
-	var tMonet, tScalar, tVec, tCompr time.Duration
+	var tMonet, tUncompr, tCompr time.Duration
 	var fUncompr, fCompr int
 	for _, q := range ssb.Queries {
 		t, err := timeMonet(opt, c, q, c.mdbWide)
@@ -283,43 +276,40 @@ func runFig1(opt options) error {
 			return err
 		}
 		tMonet += t
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Scalar))
+		resU, tu, err := c.timedRun(opt, q, c.data.DB)
 		if err != nil {
 			return err
 		}
-		tScalar += ts
-		resV, tv, err := c.timedRun(opt, q, c.data.DB, core.WithStyle(vector.Vec512))
-		if err != nil {
-			return err
-		}
-		tVec += tv
+		tUncompr += tu
 		assign, err := c.bestRuntimeAssign(opt, q)
 		if err != nil {
 			return err
 		}
-		resC, tc, err := c.runAssign(opt, q, assign, vector.Vec512, true)
+		resC, tc, err := c.runAssign(opt, q, assign, true)
 		if err != nil {
 			return err
 		}
 		tCompr += tc
-		fUncompr += resV.Meas.Footprint()
+		fUncompr += resU.Meas.Footprint()
 		fCompr += resC.Meas.Footprint()
 	}
 	rows := []struct {
 		name string
 		t    time.Duration
 	}{
-		{"MonetDB (scalar, 64-bit)", tMonet},
-		{"MorphStore (scalar, 64-bit)", tScalar},
-		{"MorphStore (vectorized, 64-bit)", tVec},
-		{"MorphStore (vectorized, compressed)", tCompr},
+		{"MonetDB (64-bit)", tMonet},
+		{"MorphStore (uncompressed, 64-bit)", tUncompr},
+		{"MorphStore (compressed)", tCompr},
 	}
 	for _, r := range rows {
-		fmt.Printf("%-38s %10.2f ms  (%.0f%% of MS scalar)\n",
-			r.name, ms(r.t)/13, 100*float64(r.t)/float64(tScalar))
+		fmt.Printf("%-38s %10.2f ms  (%.0f%% of MS uncompressed)\n",
+			r.name, ms(r.t)/13, 100*float64(r.t)/float64(tUncompr))
 	}
 	fmt.Printf("\nmemory footprint: compressed %.0f%% of uncompressed (paper: -52%%)\n",
 		100*float64(fCompr)/float64(fUncompr))
+	fmt.Println("\npaper shape: MonetDB ~= scalar MorphStore; vectorized ~-19%; vectorized +")
+	fmt.Println("compressed ~2x faster than scalar. Go has no SIMD, so each kernel has one loop:")
+	fmt.Println("the paper's scalar and vectorized MorphStore rows are the one uncompressed row here.")
 	return nil
 }
 
@@ -348,7 +338,7 @@ func runFig7(opt options) error {
 			t    time.Duration
 		}
 		run := func(a *core.Assignment) (cell, error) {
-			res, t, err := c.runAssign(opt, q, a, vector.Vec512, false)
+			res, t, err := c.runAssign(opt, q, a, false)
 			if err != nil {
 				return cell{}, err
 			}
@@ -373,7 +363,7 @@ func runFig7(opt options) error {
 		if err != nil {
 			return err
 		}
-		_, bt, err := c.runAssign(opt, q, rtAssign, vector.Vec512, false)
+		_, bt, err := c.runAssign(opt, q, rtAssign, false)
 		if err != nil {
 			return err
 		}
@@ -423,7 +413,7 @@ func runFig8(opt options) error {
 		uncmp := core.NewAssignment()
 
 		run := func(a *core.Assignment) (int, time.Duration, error) {
-			res, t, err := c.runAssign(opt, q, a, vector.Vec512, false)
+			res, t, err := c.runAssign(opt, q, a, false)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -478,7 +468,7 @@ func runFig10(opt options) error {
 			return err
 		}
 		run := func(a *core.Assignment) (int, error) {
-			res, _, err := c.runAssign(opt, q, a, vector.Vec512, false)
+			res, _, err := c.runAssign(opt, q, a, false)
 			if err != nil {
 				return 0, err
 			}

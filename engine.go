@@ -7,7 +7,6 @@
 // times, from any number of goroutines, under a context.Context:
 //
 //	eng := morphstore.NewEngine(db,
-//		morphstore.WithStyle(morphstore.Vec512),
 //		morphstore.WithParallelism(8),
 //		morphstore.WithMaxConcurrentQueries(64))
 //	q, err := eng.Prepare(plan, morphstore.WithCostBasedFormats())
@@ -61,15 +60,11 @@ type Snapshot = core.Snapshot
 type Option = core.Option
 
 // NewEngine returns an engine over db (nil means an empty database, for
-// one-off operator use). Options set engine-wide defaults (WithStyle,
-// WithSpecialized, WithAutoMorph), the worker budget (WithParallelism:
-// 0 = GOMAXPROCS), the admission gate (WithMaxConcurrentQueries,
-// WithMemoryBudget, WithAdmissionQueue), and the retry policy (WithRetry).
+// one-off operator use). Options set engine-wide defaults (WithSpecialized,
+// WithAutoMorph), the worker budget (WithParallelism: 0 = GOMAXPROCS), the
+// admission gate (WithMaxConcurrentQueries, WithMemoryBudget,
+// WithAdmissionQueue), and the retry policy (WithRetry).
 func NewEngine(db *DB, opts ...Option) *Engine { return core.NewEngine(db, opts...) }
-
-// WithStyle selects the processing-style specialization of all kernels.
-// Applies to NewEngine (default), Prepare, and one-off operator calls.
-func WithStyle(s Style) Option { return core.WithStyle(s) }
 
 // WithSpecialized enables the specialized-operator integration degree for
 // formats that have one (§3.3). Applies to NewEngine, Prepare, and one-off

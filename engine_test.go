@@ -21,10 +21,10 @@ func TestFacadeEngineOneOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ms.NewEngine(nil, ms.WithStyle(ms.Vec512), ms.WithParallelism(2))
+	eng := ms.NewEngine(nil, ms.WithParallelism(2))
 	ctx := context.Background()
 
-	seq := ms.NewEngine(nil, ms.WithStyle(ms.Vec512), ms.WithParallelism(1))
+	seq := ms.NewEngine(nil, ms.WithParallelism(1))
 	want, err := seq.Select(ctx, col, ms.CmpLt, 100, ms.WithOutput(ms.DeltaBP))
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestFacadeEngineSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ms.NewEngine(data.DB, ms.WithStyle(ms.Vec512), ms.WithParallelism(3))
+	eng := ms.NewEngine(data.DB, ms.WithParallelism(3))
 	q, err := eng.Prepare(plan, ms.WithUniformFormat(ms.DeltaBP))
 	if err != nil {
 		t.Fatal(err)

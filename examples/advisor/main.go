@@ -78,7 +78,7 @@ func makeWorkloads() []workload {
 func main() {
 	// One engine runs the verification queries; specialized kernels work
 	// directly on the compressed representation where the format has one.
-	eng := ms.NewEngine(nil, ms.WithStyle(ms.Vec512), ms.WithSpecialized(true))
+	eng := ms.NewEngine(nil, ms.WithSpecialized(true))
 	ctx := context.Background()
 	for _, w := range makeWorkloads() {
 		prof := ms.Analyze(w.vals)

@@ -68,7 +68,7 @@ func main() {
 	// under it. Select directly produces a *compressed* sorted position
 	// list: positions are sorted, so DELTA+BP is the natural choice.
 	ctx := context.Background()
-	eng := ms.NewEngine(nil, ms.WithStyle(ms.Vec512))
+	eng := ms.NewEngine(nil)
 	pos, err := eng.Select(ctx, col, ms.CmpLt, 100, ms.WithOutput(ms.DeltaBP))
 	if err != nil {
 		log.Fatal(err)
@@ -89,15 +89,15 @@ func main() {
 
 	// The same pipeline fully uncompressed gives the same answer.
 	ucol := ms.FromValues(vals)
-	upos, err := eng.Select(ctx, ucol, ms.CmpLt, 100, ms.WithStyle(ms.Scalar))
+	upos, err := eng.Select(ctx, ucol, ms.CmpLt, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
-	uvals, err := eng.Project(ctx, ucol, upos, ms.WithStyle(ms.Scalar))
+	uvals, err := eng.Project(ctx, ucol, upos)
 	if err != nil {
 		log.Fatal(err)
 	}
-	utotal, err := eng.Sum(ctx, uvals, ms.WithStyle(ms.Scalar))
+	utotal, err := eng.Sum(ctx, uvals)
 	if err != nil {
 		log.Fatal(err)
 	}

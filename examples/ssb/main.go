@@ -33,7 +33,7 @@ func main() {
 	// runtime comparison stays the sequential operator-at-a-time
 	// measurement on any host.
 	ctx := context.Background()
-	engU := ms.NewEngine(data.DB, ms.WithStyle(ms.Vec512), ms.WithParallelism(1))
+	engU := ms.NewEngine(data.DB, ms.WithParallelism(1))
 
 	var totU, totC float64
 	for _, q := range ms.SSBQueries {
@@ -42,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// Uncompressed, vectorized.
+		// Uncompressed.
 		qU, err := engU.Prepare(plan)
 		if err != nil {
 			log.Fatal(err)
@@ -62,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		engC := ms.NewEngine(encoded, ms.WithStyle(ms.Vec512), ms.WithParallelism(1))
+		engC := ms.NewEngine(encoded, ms.WithParallelism(1))
 		qC, err := engC.Prepare(plan, ms.WithFormats(assign.Inter), ms.WithSpecialized(true))
 		if err != nil {
 			log.Fatal(err)

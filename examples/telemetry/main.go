@@ -82,7 +82,7 @@ func main() {
 	// pinned to sequential execution (WithParallelism(1)) so the printed
 	// runtime comparison is the per-operator measurement on any host.
 	ctx := context.Background()
-	qU, err := ms.NewEngine(db, ms.WithStyle(ms.Vec512), ms.WithParallelism(1)).Prepare(plan)
+	qU, err := ms.NewEngine(db, ms.WithParallelism(1)).Prepare(plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qC, err := ms.NewEngine(encoded, ms.WithStyle(ms.Vec512), ms.WithParallelism(1)).
+	qC, err := ms.NewEngine(encoded, ms.WithParallelism(1)).
 		Prepare(plan, ms.WithFormats(assign.Inter), ms.WithSpecialized(true))
 	if err != nil {
 		log.Fatal(err)

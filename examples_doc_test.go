@@ -26,7 +26,7 @@ func TestREADMEAPISnippet(t *testing.T) {
 	// One-off operators share the engine budget.
 	vals := []uint64{3, 1, 4, 1, 5, 9, 2, 6}
 	col, _ := morphstore.Compress(vals, morphstore.DynBP)
-	eng := morphstore.NewEngine(nil, morphstore.WithStyle(morphstore.Vec512))
+	eng := morphstore.NewEngine(nil)
 	pos, _ := eng.Select(ctx, col, morphstore.CmpGt, 3, morphstore.WithOutput(morphstore.DeltaBP))
 	sum, _ := eng.Sum(ctx, col)
 

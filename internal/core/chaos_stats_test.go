@@ -16,7 +16,6 @@ import (
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/metrics"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // coherentStatsTree checks the invariants every collected execution must
@@ -78,7 +77,7 @@ func TestChaosStatsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(enc, WithParallelism(4), WithStyle(vector.Vec512))
+	e := NewEngine(enc, WithParallelism(4))
 	pr, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // The chaos test drives many concurrent prepared executions while a
@@ -102,7 +101,7 @@ func TestChaosConcurrentExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(enc, WithParallelism(4), WithStyle(vector.Vec512))
+	e := NewEngine(enc, WithParallelism(4))
 	descs := []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc}
 	prs := make([]*Prepared, len(descs))
 	refs := make([]*Result, len(descs))

@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
-	"morphstore/internal/vector"
 )
 
 // simpleQueryPlan builds SELECT SUM(Y) FROM R WHERE X = c (the paper's §5.1
@@ -66,14 +65,12 @@ func TestSimpleQueryAllConfigs(t *testing.T) {
 	db, want := simpleDB(10000, 1)
 	p := simpleQueryPlan(t, 7)
 
-	vec := WithStyle(vector.Vec512)
 	configs := map[string][]Option{
-		"uncompressed-scalar": {WithStyle(vector.Scalar)},
-		"uncompressed-vec":    {vec},
-		"staticbp":            {vec, WithUniformFormat(columns.StaticBPDesc(0))},
-		"dynbp":               {vec, WithUniformFormat(columns.DynBPDesc)},
-		"delta":               {vec, WithUniformFormat(columns.DeltaBPDesc)},
-		"forbp":               {vec, WithUniformFormat(columns.ForBPDesc)},
+		"uncompressed": nil,
+		"staticbp":     {WithUniformFormat(columns.StaticBPDesc(0))},
+		"dynbp":        {WithUniformFormat(columns.DynBPDesc)},
+		"delta":        {WithUniformFormat(columns.DeltaBPDesc)},
+		"forbp":        {WithUniformFormat(columns.ForBPDesc)},
 	}
 	for name, opts := range configs {
 		res, err := execPlan(p, db, 0, opts...)
@@ -107,7 +104,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, specialized := range []bool{false, true} {
-		res, err := execPlan(p, encoded, 0, WithStyle(vector.Vec512),
+		res, err := execPlan(p, encoded, 0,
 			WithUniformFormat(columns.DeltaBPDesc), WithSpecialized(specialized))
 		if err != nil {
 			t.Fatalf("specialized=%v: %v", specialized, err)
@@ -123,7 +120,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	db, _ := simpleDB(50000, 3)
 	p := simpleQueryPlan(t, 7)
 
-	resU, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
+	resU, err := execPlan(p, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := execPlan(p, encoded, 0, WithStyle(vector.Vec512), WithUniformFormat(columns.DynBPDesc))
+	resC, err := execPlan(p, encoded, 0, WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +272,7 @@ func TestGroupedQueryPlan(t *testing.T) {
 	}
 
 	for _, cfgName := range []string{"uncompressed", "compressed"} {
-		opts := []Option{WithStyle(vector.Vec512)}
+		var opts []Option
 		if cfgName == "compressed" {
 			opts = append(opts, WithUniformFormat(columns.DynBPDesc))
 		}
@@ -312,7 +309,7 @@ func TestFootprintSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +368,7 @@ func TestCostBasedAssignmentNearOptimal(t *testing.T) {
 func TestRuntimeGreedySearchRuns(t *testing.T) {
 	db, want := simpleDB(4000, 8)
 	p := simpleQueryPlan(t, 7)
-	a, err := RuntimeGreedySearch(p, db, vector.Vec512, false, false, 1)
+	a, err := RuntimeGreedySearch(p, db, false, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +376,7 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
+	res, err := execPlan(p, enc, 0, WithFormats(a.Inter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +431,7 @@ func TestCalcThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
+	res, err := execPlan(p, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func (s scope) String() string {
 // or one-off operator call. Layers merge: engine defaults, then Prepare
 // overrides, then Execute overrides.
 type options struct {
-	style       vector.Style
 	specialized bool
 	autoMorph   bool
 	keep        bool
@@ -111,12 +110,11 @@ func (base options) merged(sc scope, opts []Option) (options, error) {
 	return o, nil
 }
 
-// WithStyle selects the processing-style specialization of all kernels
-// (scalar or 8-lane 512-bit vector). Applies to NewEngine (default),
-// Prepare, and one-off operator calls.
-func WithStyle(s vector.Style) Option {
+// WithStyle sets nothing: every kernel has one loop (see package vector).
+// Applies to NewEngine, Prepare, and one-off operator calls.
+func WithStyle(vector.Style) Option {
 	return Option{name: "WithStyle", scope: scopeEngine | scopePrepare | scopeOp,
-		apply: func(o *options) { o.style = s }}
+		apply: func(*options) {}}
 }
 
 // WithSpecialized enables the specialized-operator integration degree for
@@ -327,7 +325,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over db. Options set engine-wide defaults
-// (WithStyle, WithSpecialized, WithAutoMorph), the worker budget
+// (WithSpecialized, WithAutoMorph), the worker budget
 // (WithParallelism: 0 = GOMAXPROCS), and the admission gate
 // (WithMaxConcurrentQueries, WithMemoryBudget, WithAdmissionQueue). A
 // misplaced option is reported by the first Prepare/operator call.
@@ -335,7 +333,7 @@ func NewEngine(db *DB, o ...Option) *Engine {
 	if db == nil {
 		db = NewDB()
 	}
-	defs, err := options{style: vector.Scalar}.merged(scopeEngine, o)
+	defs, err := options{}.merged(scopeEngine, o)
 	e := &Engine{db: db, budget: ops.NewBudget(defs.par), defs: defs, err: err}
 	e.adm = newAdmission(defs.maxQueries, defs.memBudget, defs.admitDepth, defs.admitWait)
 	e.killCtx, e.kill = context.WithCancel(context.Background())

@@ -14,7 +14,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
-	"morphstore/internal/vector"
 )
 
 // TestEnginePreparedMatchesWidth1: on an engine of any budget, Prepare +
@@ -34,12 +33,12 @@ func TestEnginePreparedMatchesWidth1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc} {
-		want, err := execPlan(plan, enc, 1, WithStyle(vector.Vec512), WithUniformFormat(desc))
+		want, err := execPlan(plan, enc, 1, WithUniformFormat(desc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{1, 2, 3, 8} {
-			e := NewEngine(enc, WithParallelism(par), WithStyle(vector.Vec512))
+			e := NewEngine(enc, WithParallelism(par))
 			pr, err := e.Prepare(plan, WithUniformFormat(desc))
 			if err != nil {
 				t.Fatal(err)
@@ -69,11 +68,11 @@ func TestEnginePreparedMatchesWidth1(t *testing.T) {
 func TestEngineConcurrentExecutes(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	seqRef, err := execPlan(plan, db, 1, WithStyle(vector.Vec512))
+	seqRef, err := execPlan(plan, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(db, WithParallelism(3), WithStyle(vector.Vec512))
+	e := NewEngine(db, WithParallelism(3))
 	// M prepared queries (distinct format bindings), N goroutines each.
 	prs := make([]*Prepared, 0, 3)
 	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc} {
@@ -464,10 +463,10 @@ func TestEngineOneOffOps(t *testing.T) {
 		build[i] = uint64(i)
 	}
 	colBuild := columns.FromValues(build)
-	e := NewEngine(nil, WithParallelism(3), WithStyle(vector.Vec512))
+	e := NewEngine(nil, WithParallelism(3))
 	ctx := context.Background()
 
-	wantSel, err := ops.FixedRT(3).SelectAuto(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
+	wantSel, err := ops.FixedRT(3).SelectAuto(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +476,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "select", wantSel, gotSel)
 
-	wantBet, err := ops.FixedRT(3).SelectBetweenAuto(dynA, 10, 90, columns.DeltaBPDesc, vector.Vec512, false)
+	wantBet, err := ops.FixedRT(3).SelectBetweenAuto(dynA, 10, 90, columns.DeltaBPDesc, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +486,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "between", wantBet, gotBet)
 
-	wantProj, err := ops.FixedRT(3).Project(colA, wantSel, columns.DynBPDesc, vector.Vec512)
+	wantProj, err := ops.FixedRT(3).Project(colA, wantSel, columns.DynBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +496,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "project", wantProj, gotProj)
 
-	wantSum, _, err := ops.FixedRT(3).SumAuto(dynA, vector.Vec512, false)
+	wantSum, _, err := ops.FixedRT(3).SumAuto(dynA, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +508,7 @@ func TestEngineOneOffOps(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", gotSum, wantSum)
 	}
 
-	wantSemi, err := ops.FixedRT(3).SemiJoin(colA, colBuild, columns.DeltaBPDesc, vector.Vec512)
+	wantSemi, err := ops.FixedRT(3).SemiJoin(colA, colBuild, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +518,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "semijoin", wantSemi, gotSemi)
 
-	wantJP, wantJB, err := ops.FixedRT(3).JoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
+	wantJP, wantJB, err := ops.FixedRT(3).JoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +529,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	sameColumns(t, "join probe", wantJP, gotJP)
 	sameColumns(t, "join build", wantJB, gotJB)
 
-	wantCalc, err := ops.FixedRT(3).CalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc, vector.Vec512)
+	wantCalc, err := ops.FixedRT(3).CalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestEngineOneOffOps(t *testing.T) {
 		gids[i] = uint64(i % 16)
 	}
 	colG := columns.FromValues(gids)
-	wantGS, err := ops.FixedRT(3).SumGrouped(colG, colA, 16, vector.Vec512)
+	wantGS, err := ops.FixedRT(3).SumGrouped(colG, colA, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +574,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "union", wantU, gotU)
 
-	wantGF, wantGFE, err := ops.FixedRT(1).GroupFirst(colG, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
+	wantGF, wantGFE, err := ops.FixedRT(1).GroupFirst(colG, columns.DynBPDesc, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +585,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	sameColumns(t, "group first gids", wantGF, gotGF)
 	sameColumns(t, "group first extents", wantGFE, gotGFE)
 
-	wantGN, wantGNE, err := ops.FixedRT(1).GroupNext(wantGF, colB, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
+	wantGN, wantGNE, err := ops.FixedRT(1).GroupNext(wantGF, colB, columns.DynBPDesc, columns.UncomprDesc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,10 +92,10 @@ func (e *Engine) opGuard(op string, errp *error) {
 }
 
 // Select returns the sorted positions of elements matching `element op val`.
-// Options: WithOutput, WithStyle, WithSpecialized, WithParallelism.
+// Options: WithOutput, WithSpecialized, WithParallelism.
 func (e *Engine) Select(ctx context.Context, in *columns.Column, op bitutil.CmpKind, val uint64, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "select", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SelectAuto(in, op, val, opt.outputDesc(0), opt.style, opt.specialized)
+		out, err = rt.SelectAuto(in, op, val, opt.outputDesc(0), opt.specialized)
 		return err
 	})
 	return out, err
@@ -104,7 +104,7 @@ func (e *Engine) Select(ctx context.Context, in *columns.Column, op bitutil.CmpK
 // SelectBetween returns the sorted positions of elements in [lo, hi].
 func (e *Engine) SelectBetween(ctx context.Context, in *columns.Column, lo, hi uint64, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "between", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SelectBetweenAuto(in, lo, hi, opt.outputDesc(0), opt.style, opt.specialized)
+		out, err = rt.SelectBetweenAuto(in, lo, hi, opt.outputDesc(0), 0, opt.specialized)
 		return err
 	})
 	return out, err
@@ -114,7 +114,7 @@ func (e *Engine) SelectBetween(ctx context.Context, in *columns.Column, lo, hi u
 // support random access (uncompressed or static BP).
 func (e *Engine) Project(ctx context.Context, data, pos *columns.Column, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "project", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.Project(data, pos, opt.outputDesc(0), opt.style)
+		out, err = rt.Project(data, pos, opt.outputDesc(0))
 		return err
 	})
 	return out, err
@@ -123,7 +123,7 @@ func (e *Engine) Project(ctx context.Context, data, pos *columns.Column, o ...Op
 // Sum aggregates all elements of a column.
 func (e *Engine) Sum(ctx context.Context, in *columns.Column, o ...Option) (sum uint64, err error) {
 	err = e.oneOff(ctx, "sum", o, func(opt options, rt ops.Runtime) error {
-		sum, _, err = rt.SumAuto(in, opt.style, opt.specialized)
+		sum, _, err = rt.SumAuto(in, opt.specialized)
 		return err
 	})
 	return sum, err
@@ -132,7 +132,7 @@ func (e *Engine) Sum(ctx context.Context, in *columns.Column, o ...Option) (sum 
 // SumGrouped sums vals per group id, for group ids in [0, nGroups).
 func (e *Engine) SumGrouped(ctx context.Context, gids, vals *columns.Column, nGroups int, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "sum_grouped", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SumGrouped(gids, vals, nGroups, opt.style)
+		out, err = rt.SumGrouped(gids, vals, nGroups)
 		return err
 	})
 	return out, err
@@ -141,7 +141,7 @@ func (e *Engine) SumGrouped(ctx context.Context, gids, vals *columns.Column, nGr
 // SemiJoin emits probe positions whose key occurs in build.
 func (e *Engine) SemiJoin(ctx context.Context, probe, build *columns.Column, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "semijoin", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SemiJoin(probe, build, opt.outputDesc(0), opt.style)
+		out, err = rt.SemiJoin(probe, build, opt.outputDesc(0))
 		return err
 	})
 	return out, err
@@ -152,16 +152,17 @@ func (e *Engine) SemiJoin(ctx context.Context, probe, build *columns.Column, o .
 // with them, the joined build positions (WithOutputs sets their formats).
 func (e *Engine) JoinN1(ctx context.Context, probe, build *columns.Column, o ...Option) (probePos, buildPos *columns.Column, err error) {
 	err = e.oneOff(ctx, "join", o, func(opt options, rt ops.Runtime) error {
-		probePos, buildPos, err = rt.JoinN1(probe, build, opt.outputDesc(0), opt.outputDesc(1), opt.style)
+		probePos, buildPos, err = rt.JoinN1(probe, build, opt.outputDesc(0), opt.outputDesc(1), 0)
 		return err
 	})
 	return probePos, buildPos, err
 }
 
-// Calc combines two equal-length columns element-wise.
+// Calc combines two equal-length columns element-wise. An undefined op is an
+// ErrInvalidSchema error.
 func (e *Engine) Calc(ctx context.Context, op ops.CalcKind, a, b *columns.Column, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "calc", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.CalcBinary(op, a, b, opt.outputDesc(0), opt.style)
+		out, err = rt.CalcBinary(op, a, b, opt.outputDesc(0))
 		return err
 	})
 	return out, err
@@ -192,7 +193,7 @@ func (e *Engine) Union(ctx context.Context, a, b *columns.Column, o ...Option) (
 // position of its first occurrence (WithOutputs sets their formats).
 func (e *Engine) GroupFirst(ctx context.Context, keys *columns.Column, o ...Option) (gids, extents *columns.Column, err error) {
 	err = e.oneOff(ctx, "group", o, func(opt options, rt ops.Runtime) error {
-		gids, extents, err = rt.GroupFirst(keys, opt.outputDesc(0), opt.outputDesc(1), opt.style)
+		gids, extents, err = rt.GroupFirst(keys, opt.outputDesc(0), opt.outputDesc(1))
 		return err
 	})
 	return gids, extents, err
@@ -203,7 +204,7 @@ func (e *Engine) GroupFirst(ctx context.Context, keys *columns.Column, o ...Opti
 // and the same new key. Outputs follow the GroupFirst conventions.
 func (e *Engine) GroupNext(ctx context.Context, prevGids, keys *columns.Column, o ...Option) (gids, extents *columns.Column, err error) {
 	err = e.oneOff(ctx, "group_next", o, func(opt options, rt ops.Runtime) error {
-		gids, extents, err = rt.GroupNext(prevGids, keys, opt.outputDesc(0), opt.outputDesc(1), opt.style)
+		gids, extents, err = rt.GroupNext(prevGids, keys, opt.outputDesc(0), opt.outputDesc(1))
 		return err
 	})
 	return gids, extents, err

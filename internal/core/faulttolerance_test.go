@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // TestEngineQueryTimeout: WithQueryTimeout must stop a running query and the
@@ -109,7 +108,7 @@ func TestPreparedExecuteAfterFailure(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	e := NewEngine(db, WithParallelism(4), WithStyle(vector.Vec512))
+	e := NewEngine(db, WithParallelism(4))
 	pr, err := e.Prepare(plan, WithUniformFormat(columns.DeltaBPDesc))
 	if err != nil {
 		t.Fatal(err)

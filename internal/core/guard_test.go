@@ -14,7 +14,6 @@ import (
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // TestEntryGuard holds the contract of Engine.begin — the entry guard of
@@ -304,8 +303,8 @@ func TestOneOffFaultsReleaseAdmission(t *testing.T) {
 
 // TestUndefinedCmpKind: a comparison kind outside the six defined ones used
 // to select nothing, silently, on every kernel path. It is now an
-// ErrInvalidSchema error from all three entry points, for both styles and
-// with the specialized kernels on and off.
+// ErrInvalidSchema error from all three entry points, with the specialized
+// kernels on and off.
 func TestUndefinedCmpKind(t *testing.T) {
 	const bad = bitutil.CmpKind(9)
 	vals := make([]uint64, 300)
@@ -322,18 +321,47 @@ func TestUndefinedCmpKind(t *testing.T) {
 	}
 	e := NewEngine(db, WithParallelism(1))
 	defer e.Close(context.Background())
-	for _, style := range vector.Styles {
-		for _, specialized := range []bool{false, true} {
-			if col, err := ops.FixedRT(1).SelectAuto(in, bad, 3, columns.UncomprDesc, style, specialized); !errors.Is(err, qerr.ErrInvalidSchema) {
-				t.Errorf("Runtime.SelectAuto(%v, specialized=%v) = %v, %v; want ErrInvalidSchema", style, specialized, col, err)
-			}
-			if col, err := e.Select(context.Background(), in, bad, 3, WithStyle(style), WithSpecialized(specialized)); !errors.Is(err, qerr.ErrInvalidSchema) {
-				t.Errorf("Engine.Select(%v, specialized=%v) = %v, %v; want ErrInvalidSchema", style, specialized, col, err)
-			}
+	for _, specialized := range []bool{false, true} {
+		if col, err := ops.FixedRT(1).SelectAuto(in, bad, 3, columns.UncomprDesc, specialized); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Runtime.SelectAuto(specialized=%v) = %v, %v; want ErrInvalidSchema", specialized, col, err)
+		}
+		if col, err := e.Select(context.Background(), in, bad, 3, WithSpecialized(specialized)); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Engine.Select(specialized=%v) = %v, %v; want ErrInvalidSchema", specialized, col, err)
 		}
 	}
 	b := NewBuilder()
 	b.Result(b.Select("sel", b.Scan("t", "v"), bad, 3))
+	if p, err := b.Build(); !errors.Is(err, qerr.ErrInvalidSchema) {
+		t.Errorf("Builder.Build = %v, %v; want ErrInvalidSchema", p, err)
+	}
+}
+
+// TestUndefinedCalcKind: an arithmetic kind outside the three defined ones
+// used to compute zeros with a nil error. It is now an ErrInvalidSchema error
+// from all three entry points, on compressed and uncompressed inputs.
+func TestUndefinedCalcKind(t *testing.T) {
+	const bad = ops.CalcKind(9)
+	vals := []uint64{1, 2, 3}
+	db := NewDB()
+	if err := db.AddTable("t", map[string][]uint64{"a": vals, "b": vals}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, WithParallelism(1))
+	defer e.Close(context.Background())
+	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc} {
+		in, err := formats.Compress(vals, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if col, err := ops.FixedRT(1).CalcBinary(bad, in, in, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Runtime.CalcBinary(%v) = %v, %v; want ErrInvalidSchema", desc, col, err)
+		}
+		if col, err := e.Calc(context.Background(), bad, in, in); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Engine.Calc(%v) = %v, %v; want ErrInvalidSchema", desc, col, err)
+		}
+	}
+	b := NewBuilder()
+	b.Result(b.Calc("c", bad, b.Scan("t", "a"), b.Scan("t", "b")))
 	if p, err := b.Build(); !errors.Is(err, qerr.ErrInvalidSchema) {
 		t.Errorf("Builder.Build = %v, %v; want ErrInvalidSchema", p, err)
 	}

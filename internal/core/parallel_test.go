@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
-	"morphstore/internal/vector"
 )
 
 // buildParTestDB builds a star-schema-like database: a fact table with
@@ -124,45 +123,43 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 		db   *DB
 	}{{"plain", db}, {"encoded", enc}} {
 		for _, interDesc := range interDescs {
-			for _, style := range vector.Styles {
-				name := fmt.Sprintf("%s/%v/%v", dbCase.name, interDesc, style)
-				opts := []Option{WithUniformFormat(interDesc), WithStyle(style), WithKeep(true)}
-				want, err := execPlan(plan, dbCase.db, 1, opts...)
+			name := fmt.Sprintf("%s/%v", dbCase.name, interDesc)
+			opts := []Option{WithUniformFormat(interDesc), WithKeep(true)}
+			want, err := execPlan(plan, dbCase.db, 1, opts...)
+			if err != nil {
+				t.Fatalf("%s: sequential: %v", name, err)
+			}
+			// 10*512+300 fact elements span 11 blocks; 12 over-subscribes.
+			for _, par := range []int{2, 3, 8, 12} {
+				got, err := execPlan(plan, dbCase.db, par, opts...)
 				if err != nil {
-					t.Fatalf("%s: sequential: %v", name, err)
+					t.Fatalf("%s p=%d: %v", name, par, err)
 				}
-				// 10*512+300 fact elements span 11 blocks; 12 over-subscribes.
-				for _, par := range []int{2, 3, 8, 12} {
-					got, err := execPlan(plan, dbCase.db, par, opts...)
-					if err != nil {
-						t.Fatalf("%s p=%d: %v", name, par, err)
+				for cn, wc := range want.Cols {
+					gc, ok := got.Cols[cn]
+					if !ok {
+						t.Fatalf("%s p=%d: missing result column %q", name, par, cn)
 					}
-					for cn, wc := range want.Cols {
-						gc, ok := got.Cols[cn]
-						if !ok {
-							t.Fatalf("%s p=%d: missing result column %q", name, par, cn)
-						}
-						sameColumns(t, fmt.Sprintf("%s p=%d col %s", name, par, cn), wc, gc)
+					sameColumns(t, fmt.Sprintf("%s p=%d col %s", name, par, cn), wc, gc)
+				}
+				for cn, wc := range want.Inter {
+					gc, ok := got.Inter[cn]
+					if !ok {
+						t.Fatalf("%s p=%d: missing intermediate %q", name, par, cn)
 					}
-					for cn, wc := range want.Inter {
-						gc, ok := got.Inter[cn]
-						if !ok {
-							t.Fatalf("%s p=%d: missing intermediate %q", name, par, cn)
-						}
-						sameColumns(t, fmt.Sprintf("%s p=%d inter %s", name, par, cn), wc, gc)
-					}
-					if got.Meas.BaseBytes != want.Meas.BaseBytes || got.Meas.InterBytes != want.Meas.InterBytes {
-						t.Fatalf("%s p=%d: footprint %d/%d, want %d/%d", name, par,
-							got.Meas.BaseBytes, got.Meas.InterBytes, want.Meas.BaseBytes, want.Meas.InterBytes)
-					}
-					if len(got.Meas.ColBytes) != len(want.Meas.ColBytes) {
-						t.Fatalf("%s p=%d: ColBytes has %d entries, want %d", name, par,
-							len(got.Meas.ColBytes), len(want.Meas.ColBytes))
-					}
-					for cn, wb := range want.Meas.ColBytes {
-						if gb := got.Meas.ColBytes[cn]; gb != wb {
-							t.Fatalf("%s p=%d: ColBytes[%s] = %d, want %d", name, par, cn, gb, wb)
-						}
+					sameColumns(t, fmt.Sprintf("%s p=%d inter %s", name, par, cn), wc, gc)
+				}
+				if got.Meas.BaseBytes != want.Meas.BaseBytes || got.Meas.InterBytes != want.Meas.InterBytes {
+					t.Fatalf("%s p=%d: footprint %d/%d, want %d/%d", name, par,
+						got.Meas.BaseBytes, got.Meas.InterBytes, want.Meas.BaseBytes, want.Meas.InterBytes)
+				}
+				if len(got.Meas.ColBytes) != len(want.Meas.ColBytes) {
+					t.Fatalf("%s p=%d: ColBytes has %d entries, want %d", name, par,
+						len(got.Meas.ColBytes), len(want.Meas.ColBytes))
+				}
+				for cn, wb := range want.Meas.ColBytes {
+					if gb := got.Meas.ColBytes[cn]; gb != wb {
+						t.Fatalf("%s p=%d: ColBytes[%s] = %d, want %d", name, par, cn, gb, wb)
 					}
 				}
 			}
@@ -222,7 +219,7 @@ func TestBetweenPlanRanges(t *testing.T) {
 			}
 			for _, specialized := range []bool{false, true} {
 				for _, par := range []int{1, 4} {
-					res, err := execPlan(plan, enc, par, WithStyle(vector.Vec512), WithSpecialized(specialized))
+					res, err := execPlan(plan, enc, par, WithSpecialized(specialized))
 					if err != nil {
 						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %v", lo, hi, desc, specialized, par, err)
 					}

@@ -145,9 +145,10 @@ func (c *compiler) randomInput(ref ColRef) (func(es *execState) (*columns.Column
 	}, nil
 }
 
-// compile binds one plan node into its physical operator.
+// compile binds one plan node into its physical operator. The 0 passed to
+// SelectBetweenAuto and JoinN1 is their ignored style argument.
 func (c *compiler) compile(n *Node) (boundNode, error) {
-	style, specialized := c.opt.style, c.opt.specialized
+	specialized := c.opt.specialized
 	one := func(col *columns.Column, err error) ([]*columns.Column, error) {
 		if err != nil {
 			return nil, err
@@ -179,7 +180,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		in, cmp, val := n.inputs[0], n.cmp, n.val
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.SelectAuto(es.in(in), cmp, val, d, style, specialized))
+			return one(rt.SelectAuto(es.in(in), cmp, val, d, specialized))
 		}}, nil
 	case OpBetween:
 		d, err := c.outDesc(n.outNames[0])
@@ -188,7 +189,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		in, lo, hi := n.inputs[0], n.val, n.val2
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.SelectBetweenAuto(es.in(in), lo, hi, d, style, specialized))
+			return one(rt.SelectBetweenAuto(es.in(in), lo, hi, d, 0, specialized))
 		}}, nil
 	case OpProject:
 		d, err := c.outDesc(n.outNames[0])
@@ -205,7 +206,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(rt.Project(dcol, es.in(pos), d, style))
+			return one(rt.Project(dcol, es.in(pos), d))
 		}}, nil
 	case OpIntersect:
 		d, err := c.outDesc(n.outNames[0])
@@ -232,7 +233,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		probe, build := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.SemiJoin(es.in(probe), es.in(build), d, style))
+			return one(rt.SemiJoin(es.in(probe), es.in(build), d))
 		}}, nil
 	case OpJoinN1:
 		dp, err := c.outDesc(n.outNames[0])
@@ -245,7 +246,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		probe, build := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			cp, cb, err := rt.JoinN1(es.in(probe), es.in(build), dp, db2, style)
+			cp, cb, err := rt.JoinN1(es.in(probe), es.in(build), dp, db2, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -262,7 +263,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		keys := n.inputs[0]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			cg, ce, err := rt.GroupFirst(es.in(keys), dg, de, style)
+			cg, ce, err := rt.GroupFirst(es.in(keys), dg, de)
 			if err != nil {
 				return nil, err
 			}
@@ -279,7 +280,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		prev, keys := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			cg, ce, err := rt.GroupNext(es.in(prev), es.in(keys), dg, de, style)
+			cg, ce, err := rt.GroupNext(es.in(prev), es.in(keys), dg, de)
 			if err != nil {
 				return nil, err
 			}
@@ -288,14 +289,14 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 	case OpSumWhole:
 		in := n.inputs[0]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			_, col, err := rt.SumAuto(es.in(in), style, specialized)
+			_, col, err := rt.SumAuto(es.in(in), specialized)
 			return one(col, err)
 		}}, nil
 	case OpSumGrouped:
 		gids, extents, vals := n.inputs[0], n.inputs[1], n.inputs[2]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			nGroups := es.in(extents).N()
-			return one(rt.SumGrouped(es.in(gids), es.in(vals), nGroups, style))
+			return one(rt.SumGrouped(es.in(gids), es.in(vals), nGroups))
 		}}, nil
 	case OpCalc:
 		d, err := c.outDesc(n.outNames[0])
@@ -304,7 +305,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		}
 		op, x, y := n.calc, n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.CalcBinary(op, es.in(x), es.in(y), d, style))
+			return one(rt.CalcBinary(op, es.in(x), es.in(y), d))
 		}}, nil
 	case OpSelectStr:
 		d, err := c.outDesc(n.outNames[0])
@@ -336,11 +337,11 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			}
 			switch pred.mode {
 			case strPredEq:
-				return one(rt.SelectAuto(es.in(in), bitutil.CmpEq, pred.id, d, style, specialized))
+				return one(rt.SelectAuto(es.in(in), bitutil.CmpEq, pred.id, d, specialized))
 			case strPredRange:
-				return one(rt.SelectBetweenAuto(es.in(in), pred.lo, pred.hi, d, style, specialized))
+				return one(rt.SelectBetweenAuto(es.in(in), pred.lo, pred.hi, d, 0, specialized))
 			default:
-				return one(rt.SelectIn(es.in(in), pred.set, d, style))
+				return one(rt.SelectIn(es.in(in), pred.set, d))
 			}
 		}}, nil
 	default:

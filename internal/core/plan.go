@@ -295,8 +295,12 @@ func (b *Builder) SumGrouped(name string, gids, extents, vals ColRef) ColRef {
 	return b.add(&Node{op: OpSumGrouped, inputs: []ColRef{gids, extents, vals}}, name)[0]
 }
 
-// Calc combines two columns element-wise.
+// Calc combines two columns element-wise. An undefined op fails the build
+// with an ErrInvalidSchema error.
 func (b *Builder) Calc(name string, op ops.CalcKind, x, y ColRef) ColRef {
+	if op > ops.CalcMul {
+		return b.fail("core: calc %q: undefined arithmetic kind %d: %w", name, op, qerr.ErrInvalidSchema)
+	}
 	return b.add(&Node{op: OpCalc, calc: op, inputs: []ColRef{x, y}}, name)[0]
 }
 

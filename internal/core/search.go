@@ -7,7 +7,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // Assignment is a complete format combination for one plan: formats for the
@@ -133,7 +132,7 @@ func measureRuntime(e *Engine, p *Plan, inter map[string]columns.FormatDesc, rep
 // combination with respect to the query runtime using the paper's greedy
 // strategy: starting at the base data, fix one column's format at a time by
 // trying every candidate, measuring the full query, and keeping the best.
-func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maximize bool, repeats int) (*Assignment, error) {
+func RuntimeGreedySearch(p *Plan, db *DB, specialized, maximize bool, repeats int) (*Assignment, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -141,7 +140,7 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 	// choices compare sequential operator times; concurrent execution would
 	// fold scheduler contention into them.
 	engineOver := func(view *DB) *Engine {
-		return NewEngine(view, WithParallelism(1), WithStyle(style), WithSpecialized(specialized))
+		return NewEngine(view, WithParallelism(1), WithSpecialized(specialized))
 	}
 	// cur runs on the view holding every base format fixed so far; a base
 	// candidate's view differs from it in that one column, so each

@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // TestAddStringColumnValidation checks the typed schema errors of
@@ -461,7 +460,7 @@ func TestFormatSearchOnStringPredicatePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	greedy, err := RuntimeGreedySearch(p, db, vector.Scalar, true, false, 1)
+	greedy, err := RuntimeGreedySearch(p, db, true, false, 1)
 	if err != nil {
 		t.Fatalf("RuntimeGreedySearch: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
 	"morphstore/internal/ops"
-	"morphstore/internal/vector"
 )
 
 func TestBATWidths(t *testing.T) {
@@ -109,7 +108,7 @@ func TestMatchesMorphStoreEngine(t *testing.T) {
 	p := buildTestPlan(t)
 	db := buildTestDB(t, 20000, 3)
 
-	pr, err := core.NewEngine(db, core.WithStyle(vector.Vec512)).Prepare(p)
+	pr, err := core.NewEngine(db).Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // SumAuto computes the sum of all elements (modulo 2^64) and returns it both
@@ -15,19 +14,15 @@ import (
 // representation (SWAR over static BP words, per-block accumulation over
 // DynBP, the run dot product over RLE); everything else streams through the
 // generic de/re-compression kernel.
-func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bool) (uint64, *columns.Column, error) {
+func (rt Runtime) SumAuto(in *columns.Column, specialized bool) (uint64, *columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return 0, nil, err
 	}
 	kernel := func(acc []uint64, pt formats.Partition) error {
 		return streamCols(in, nil, pt, func(vals, _ []uint64, _ uint64) error {
 			var t uint64
-			if style == vector.Vec512 {
-				t = sumKernelVec(vals)
-			} else {
-				for _, v := range vals {
-					t += v
-				}
+			for _, v := range vals {
+				t += v
 			}
 			acc[0] += t
 			return nil
@@ -50,26 +45,12 @@ func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bo
 	return total[0], columns.FromValues(total), nil
 }
 
-// sumKernelVec accumulates eight lanes at a time.
-func sumKernelVec(vals []uint64) uint64 {
-	var acc vector.Vec
-	i := 0
-	for ; i+vector.Lanes <= len(vals); i += vector.Lanes {
-		acc = vector.Add(acc, vector.Load(vals[i:]))
-	}
-	total := acc.HSum()
-	for ; i < len(vals); i++ {
-		total += vals[i]
-	}
-	return total
-}
-
 // SumGrouped aggregates vals per group id: result[g] = sum of vals[i] where
 // gids[i] == g, for g in [0, nGroups). The two inputs stream in lockstep;
 // the result involves random writes and is therefore an uncompressed column
 // (§4.2: random write access targets the query's result columns, which stay
 // uncompressed anyway).
-func (rt Runtime) SumGrouped(gids, vals *columns.Column, nGroups int, _ vector.Style) (*columns.Column, error) {
+func (rt Runtime) SumGrouped(gids, vals *columns.Column, nGroups int) (*columns.Column, error) {
 	if err := checkCols(gids, vals); err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // faultTestColumn is large enough to split into many morsels at par 4.
@@ -50,7 +49,7 @@ var driverShapes = []struct {
 	run      func(rt Runtime, col *columns.Column) error
 }{
 	{"emit", true, func(rt Runtime, col *columns.Column) error {
-		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, vector.Scalar, false)
+		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, false)
 		return err
 	}},
 	{"emit2", true, func(rt Runtime, col *columns.Column) error {
@@ -58,15 +57,15 @@ var driverShapes = []struct {
 		for i := range build {
 			build[i] = uint64(i)
 		}
-		_, _, err := rt.JoinN1(col, columns.FromValues(build), columns.DeltaBPDesc, columns.DynBPDesc, vector.Scalar)
+		_, _, err := rt.JoinN1(col, columns.FromValues(build), columns.DeltaBPDesc, columns.DynBPDesc, 0)
 		return err
 	}},
 	{"map", true, func(rt Runtime, col *columns.Column) error {
-		_, err := rt.CalcBinary(CalcAdd, col, col, columns.DynBPDesc, vector.Scalar)
+		_, err := rt.CalcBinary(CalcAdd, col, col, columns.DynBPDesc)
 		return err
 	}},
 	{"reduce", false, func(rt Runtime, col *columns.Column) error {
-		_, _, err := rt.SumAuto(col, vector.Scalar, false)
+		_, _, err := rt.SumAuto(col, false)
 		return err
 	}},
 }
@@ -216,7 +215,7 @@ func TestGroupMergeFaultPanics(t *testing.T) {
 			t.Fatal("group merge did not escalate the injected error")
 		}
 	}()
-	_, _, _ = FixedRT(4).GroupFirst(col, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+	_, _, _ = FixedRT(4).GroupFirst(col, columns.UncomprDesc, columns.UncomprDesc)
 }
 
 // TestRunPartsNoGoroutineLeak runs many failing executions and checks the

@@ -7,7 +7,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // This file implements the grouping operators. Grouping is order-dependent —
@@ -152,7 +151,7 @@ func mergeBuilds(workers int, nLocal func(w int) int, firstPos func(w, lid int) 
 //   - extents: for each group, the position of its first occurrence
 //     (length = number of groups); projecting the key column with extents
 //     yields the per-group key values.
-func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.FormatDesc, _ vector.Style) (gids, extents *columns.Column, err error) {
+func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.FormatDesc) (gids, extents *columns.Column, err error) {
 	if err := checkCols(keys); err != nil {
 		return nil, nil, err
 	}
@@ -213,7 +212,7 @@ func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.F
 // and the same new key (the iterative multi-column grouping of MonetDB's
 // group.subgroup), under the same build/merge/remap scheme keyed on
 // (previous gid, key) pairs. Outputs follow the GroupFirst conventions.
-func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents columns.FormatDesc, _ vector.Style) (gids, extents *columns.Column, err error) {
+func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents columns.FormatDesc) (gids, extents *columns.Column, err error) {
 	if err := checkCols(prevGids, keys); err != nil {
 		return nil, nil, err
 	}

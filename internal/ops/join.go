@@ -151,7 +151,8 @@ func hashSemiJoinKernel(build []uint64) chunkKernel {
 // lookup table that all workers probe read-only — a direct-address array
 // indexed by key - min when the keys are dense (denseKeys), a hash map
 // otherwise. The choice depends only on the build column's element count and
-// key range, and the output is the same bytes either way.
+// key range, and the output is the same bytes either way. The style argument
+// is ignored (see package vector).
 func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, _ vector.Style) (probePos, buildPos *columns.Column, err error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err
@@ -186,7 +187,7 @@ func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.For
 // e.g. the date-filter joins of SSB Q1.x). Duplicate build keys are harmless.
 // The build side becomes a bitmap over [min, max] when its keys are dense
 // (denseKeys) and a hash set otherwise, chosen like JoinN1's table.
-func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc, _ vector.Style) (*columns.Column, error) {
+func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, err
 	}

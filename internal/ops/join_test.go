@@ -7,7 +7,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // joinProbe draws n probe keys for a build side: about two thirds are build
@@ -88,14 +87,14 @@ func TestJoinBuildPaths(t *testing.T) {
 					for _, par := range []int{1, 2, 3} {
 						rt := FixedRT(par)
 						ctx := sh.name + "/" + probeDesc.String() + "->" + out[0].String()
-						gotP, gotB, err := rt.JoinN1(probeCol, buildCol, out[0], out[1], vector.Scalar)
+						gotP, gotB, err := rt.JoinN1(probeCol, buildCol, out[0], out[1], 0)
 						if err != nil {
 							t.Fatalf("join %s p=%d: %v", ctx, par, err)
 						}
 						if !equalU64(decode(t, gotP), wantP) || !equalU64(decode(t, gotB), wantB) {
 							t.Fatalf("join %s p=%d: differs from the reference", ctx, par)
 						}
-						gotS, err := rt.SemiJoin(probeCol, buildCol, out[0], vector.Scalar)
+						gotS, err := rt.SemiJoin(probeCol, buildCol, out[0])
 						if err != nil {
 							t.Fatalf("semijoin %s p=%d: %v", ctx, par, err)
 						}
@@ -134,7 +133,7 @@ func TestJoinBuildPaths(t *testing.T) {
 
 	// Last wins, pinned: of the two build rows with key 5, index 1 joins.
 	pp, bp, err := JoinN1(columns.FromValues([]uint64{7, 5, 6}), columns.FromValues([]uint64{5, 5, 7}),
-		columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+		columns.UncomprDesc, columns.UncomprDesc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,9 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
-// TestBlockKernelMatchesReference runs the range kernel of both styles over
+// TestBlockKernelMatchesReference runs the predicated range kernel over
 // blocks of every length 0..130 and around the buffer size, with position
 // bases near 2^32 and plain, wrapped, one-sided and full ranges, against the
 // element-wise test.
@@ -41,12 +40,10 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 						want = append(want, base+uint64(i))
 					}
 				}
-				for _, style := range vector.Styles {
-					stage := [][]uint64{make([]uint64, n)}
-					k := blockKernel(lo, span, style)(vals, base, stage)
-					if !equalU64(stage[0][:k], want) {
-						t.Fatalf("n=%d base=%d lo=%d span=%d %v: got %d positions, want %d", n, base, lo, span, style, k, len(want))
-					}
+				stage := [][]uint64{make([]uint64, n)}
+				k := blockKernel(lo, span)(vals, base, stage)
+				if !equalU64(stage[0][:k], want) {
+					t.Fatalf("n=%d base=%d lo=%d span=%d: got %d positions, want %d", n, base, lo, span, k, len(want))
 				}
 			}
 		}
@@ -67,7 +64,7 @@ func TestSwarSelectTailWord(t *testing.T) {
 				if op == bitutil.CmpNe {
 					val = 1 // zero fields satisfy != 1
 				}
-				got, err := FixedRT(1).SelectAuto(in, op, val, columns.UncomprDesc, vector.Scalar, true)
+				got, err := FixedRT(1).SelectAuto(in, op, val, columns.UncomprDesc, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,7 +8,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
-	"morphstore/internal/vector"
 )
 
 // TestRunPartsRecordsShards: with a collector attached, runParts books every
@@ -55,7 +54,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := RT(context.Background(), nil, 4).
-		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
 	collected, err := RT(context.Background(), nil, 4).WithCollector(nc).
-		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

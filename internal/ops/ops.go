@@ -7,8 +7,9 @@
 //     architecture (Fig. 4) with a column layer (the Runtime operator
 //     methods and the morsel drivers behind them, drivers.go), a buffer
 //     layer (format Readers/Writers working at Lx-cache-resident-block
-//     granularity, streamCols), and a vector-register layer
-//     (format-oblivious kernels, specialized per processing Style),
+//     granularity, streamCols), and a kernel layer (format-oblivious
+//     loops over one cache-resident block, one loop per kernel: Go has no
+//     SIMD, so the paper's vector-register layer is a plain loop here),
 //   - specialized operators: direct processing of compressed data
 //     (SWAR select/sum on static BP, per-block sums on DynBP, run-level
 //     select/sum on RLE), kernels in specialized.go,

@@ -8,7 +8,6 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // TestPositionWidthHint verifies that selections with an auto-width static
@@ -17,7 +16,7 @@ import (
 func TestPositionWidthHint(t *testing.T) {
 	vals := genVals(100000, 10, 41)
 	in := mkCol(t, vals, columns.UncomprDesc)
-	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0), vector.Vec512, false)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestPositionWidthHintJoin(t *testing.T) {
 	}
 	pc := mkCol(t, probe, columns.UncomprDesc)
 	bc := mkCol(t, build, columns.UncomprDesc)
-	pp, bp, err := JoinN1(pc, bc, columns.StaticBPDesc(0), columns.StaticBPDesc(0), vector.Scalar)
+	pp, bp, err := JoinN1(pc, bc, columns.StaticBPDesc(0), columns.StaticBPDesc(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestPositionWidthHintJoin(t *testing.T) {
 	}
 }
 
-// Property: Select agrees across every (style, input format) pair for
+// Property: Select agrees with the reference on every input format for
 // arbitrary data and operators.
 func TestSelectEquivalenceProperty(t *testing.T) {
 	descs := formats.AllDescs()
@@ -71,18 +70,16 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		want := refSelect(vals, op, pred)
-		for _, style := range vector.Styles {
-			got, err := FixedRT(1).SelectAuto(in, op, pred, columns.DeltaBPDesc, style, false)
-			if err != nil {
-				return false
-			}
-			dec, err := formats.Decompress(got)
-			if err != nil {
-				return false
-			}
-			if !equalU64(dec, want) {
-				return false
-			}
+		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.DeltaBPDesc, false)
+		if err != nil {
+			return false
+		}
+		dec, err := formats.Decompress(got)
+		if err != nil {
+			return false
+		}
+		if !equalU64(dec, want) {
+			return false
 		}
 		return true
 	}
@@ -183,11 +180,11 @@ func TestGroupSumProperty(t *testing.T) {
 			vals[i] = uint64(rawVals[i])
 			total += vals[i]
 		}
-		gids, extents, err := FixedRT(1).GroupFirst(mkColQuick(keys), columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
+		gids, extents, err := FixedRT(1).GroupFirst(mkColQuick(keys), columns.DynBPDesc, columns.UncomprDesc)
 		if err != nil {
 			return false
 		}
-		sums, err := FixedRT(1).SumGrouped(gids, mkColQuick(vals), extents.N(), vector.Scalar)
+		sums, err := FixedRT(1).SumGrouped(gids, mkColQuick(vals), extents.N())
 		if err != nil {
 			return false
 		}
@@ -228,7 +225,7 @@ func TestProjectIdentityProperty(t *testing.T) {
 			pos[i] = uint64(i)
 		}
 		data := mkColQuick(raw)
-		out, err := FixedRT(1).Project(data, mkColQuick(pos), columns.UncomprDesc, vector.Vec512)
+		out, err := FixedRT(1).Project(data, mkColQuick(pos), columns.UncomprDesc)
 		if err != nil {
 			return false
 		}
@@ -251,14 +248,14 @@ func TestRemainderBoundaryOps(t *testing.T) {
 		}
 		for _, desc := range []columns.FormatDesc{columns.DynBPDesc, columns.DeltaBPDesc, columns.ForBPDesc} {
 			in := mkCol(t, vals, desc)
-			got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DynBPDesc, vector.Vec512, false)
+			got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DynBPDesc, false)
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, desc, err)
 			}
 			if !equalU64(decode(t, got), refSelect(vals, bitutil.CmpLt, 50)) {
 				t.Fatalf("n=%d %v: wrong result at remainder boundary", n, desc)
 			}
-			s, _, err := FixedRT(1).SumAuto(in, vector.Vec512, false)
+			s, _, err := FixedRT(1).SumAuto(in, false)
 			if err != nil {
 				t.Fatal(err)
 			}

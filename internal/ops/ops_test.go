@@ -7,7 +7,6 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 var allOps = []bitutil.CmpKind{bitutil.CmpEq, bitutil.CmpNe, bitutil.CmpLt, bitutil.CmpLe, bitutil.CmpGt, bitutil.CmpGe}
@@ -62,7 +61,7 @@ func genVals(n int, mod uint64, seed int64) []uint64 {
 }
 
 // TestSelectAllFormatsStyles runs the select operator over every in/out
-// format pair and both processing styles against a scalar reference —
+// format pair against an element-wise reference —
 // the correctness backbone of the Figure 5 experiment.
 func TestSelectAllFormatsStyles(t *testing.T) {
 	vals := genVals(3000, 50, 1)
@@ -70,19 +69,17 @@ func TestSelectAllFormatsStyles(t *testing.T) {
 	for _, inDesc := range descs {
 		in := mkCol(t, vals, inDesc)
 		for _, outDesc := range descs {
-			for _, style := range vector.Styles {
-				for _, op := range allOps {
-					got, err := FixedRT(1).SelectAuto(in, op, 25, outDesc, style, false)
-					if err != nil {
-						t.Fatalf("%v->%v %v %v: %v", inDesc, outDesc, style, op, err)
-					}
-					if got.Desc().Kind != outDesc.Kind {
-						t.Fatalf("%v->%v: output kind %v", inDesc, outDesc, got.Desc())
-					}
-					want := refSelect(vals, op, 25)
-					if !equalU64(decode(t, got), want) {
-						t.Fatalf("%v->%v %v %v: wrong positions", inDesc, outDesc, style, op)
-					}
+			for _, op := range allOps {
+				got, err := FixedRT(1).SelectAuto(in, op, 25, outDesc, false)
+				if err != nil {
+					t.Fatalf("%v->%v %v: %v", inDesc, outDesc, op, err)
+				}
+				if got.Desc().Kind != outDesc.Kind {
+					t.Fatalf("%v->%v: output kind %v", inDesc, outDesc, got.Desc())
+				}
+				want := refSelect(vals, op, 25)
+				if !equalU64(decode(t, got), want) {
+					t.Fatalf("%v->%v %v: wrong positions", inDesc, outDesc, op)
 				}
 			}
 		}
@@ -103,16 +100,14 @@ func TestSelectBetween(t *testing.T) {
 		}
 		for _, inDesc := range append(formats.AllDescs(), columns.StaticBPDesc(8)) {
 			in := mkCol(t, vals, inDesc)
-			for _, style := range vector.Styles {
-				for _, specialized := range []bool{false, true} {
-					got, err := FixedRT(1).SelectBetweenAuto(in, lo, hi, columns.DeltaBPDesc, style, specialized)
-					if err != nil {
-						t.Fatalf("[%d,%d] %v %v specialized=%v: %v", lo, hi, inDesc, style, specialized, err)
-					}
-					if !equalU64(decode(t, got), want) {
-						t.Fatalf("[%d,%d] %v %v specialized=%v: %d positions, want %d",
-							lo, hi, inDesc, style, specialized, got.N(), len(want))
-					}
+			for _, specialized := range []bool{false, true} {
+				got, err := FixedRT(1).SelectBetweenAuto(in, lo, hi, columns.DeltaBPDesc, 0, specialized)
+				if err != nil {
+					t.Fatalf("[%d,%d] %v specialized=%v: %v", lo, hi, inDesc, specialized, err)
+				}
+				if !equalU64(decode(t, got), want) {
+					t.Fatalf("[%d,%d] %v specialized=%v: %d positions, want %d",
+						lo, hi, inDesc, specialized, got.N(), len(want))
 				}
 			}
 		}
@@ -122,7 +117,7 @@ func TestSelectBetween(t *testing.T) {
 func TestSelectBetweenFullRange(t *testing.T) {
 	vals := genVals(1000, 1<<63, 3)
 	in := mkCol(t, vals, columns.UncomprDesc)
-	got, err := FixedRT(1).SelectBetweenAuto(in, 0, ^uint64(0), columns.UncomprDesc, vector.Vec512, false)
+	got, err := FixedRT(1).SelectBetweenAuto(in, 0, ^uint64(0), columns.UncomprDesc, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +133,16 @@ func TestProject(t *testing.T) {
 		d := mkCol(t, data, dataDesc)
 		for _, posDesc := range formats.AllDescs() {
 			p := mkCol(t, posVals, posDesc)
-			for _, style := range vector.Styles {
-				got, err := FixedRT(1).Project(d, p, columns.UncomprDesc, style)
-				if err != nil {
-					t.Fatalf("%v/%v %v: %v", dataDesc, posDesc, style, err)
-				}
-				want := make([]uint64, len(posVals))
-				for i, ix := range posVals {
-					want[i] = data[ix]
-				}
-				if !equalU64(decode(t, got), want) {
-					t.Fatalf("%v/%v %v: wrong projection", dataDesc, posDesc, style)
-				}
+			got, err := FixedRT(1).Project(d, p, columns.UncomprDesc)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", dataDesc, posDesc, err)
+			}
+			want := make([]uint64, len(posVals))
+			for i, ix := range posVals {
+				want[i] = data[ix]
+			}
+			if !equalU64(decode(t, got), want) {
+				t.Fatalf("%v/%v: wrong projection", dataDesc, posDesc)
 			}
 		}
 	}
@@ -158,7 +151,7 @@ func TestProject(t *testing.T) {
 func TestProjectRejectsNonRandomAccessData(t *testing.T) {
 	data := mkCol(t, genVals(2000, 100, 5), columns.DynBPDesc)
 	pos := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc); err == nil {
 		t.Error("project on DynBP data must fail (random access unsupported)")
 	}
 }
@@ -166,7 +159,7 @@ func TestProjectRejectsNonRandomAccessData(t *testing.T) {
 func TestProjectRejectsOutOfRangePositions(t *testing.T) {
 	data := mkCol(t, genVals(100, 100, 6), columns.UncomprDesc)
 	pos := mkCol(t, []uint64{5, 200}, columns.UncomprDesc)
-	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc); err == nil {
 		t.Error("out-of-range position must fail")
 	}
 }
@@ -184,22 +177,20 @@ func TestJoinN1(t *testing.T) {
 	for _, probeDesc := range formats.PaperDescs() {
 		pc := mkCol(t, probe, probeDesc)
 		bc := mkCol(t, build, columns.UncomprDesc)
-		for _, style := range vector.Styles {
-			pp, bp, err := JoinN1(pc, bc, columns.DeltaBPDesc, columns.DynBPDesc, style)
-			if err != nil {
-				t.Fatalf("%v %v: %v", probeDesc, style, err)
+		pp, bp, err := JoinN1(pc, bc, columns.DeltaBPDesc, columns.DynBPDesc, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", probeDesc, err)
+		}
+		gotP, gotB := decode(t, pp), decode(t, bp)
+		var wantP, wantB []uint64
+		for i, v := range probe {
+			if v >= 100 && v < 150 {
+				wantP = append(wantP, uint64(i))
+				wantB = append(wantB, v-100)
 			}
-			gotP, gotB := decode(t, pp), decode(t, bp)
-			var wantP, wantB []uint64
-			for i, v := range probe {
-				if v >= 100 && v < 150 {
-					wantP = append(wantP, uint64(i))
-					wantB = append(wantB, v-100)
-				}
-			}
-			if !equalU64(gotP, wantP) || !equalU64(gotB, wantB) {
-				t.Fatalf("%v %v: wrong join result", probeDesc, style)
-			}
+		}
+		if !equalU64(gotP, wantP) || !equalU64(gotB, wantB) {
+			t.Fatalf("%v: wrong join result", probeDesc)
 		}
 	}
 }
@@ -210,7 +201,7 @@ func TestSemiJoin(t *testing.T) {
 	for _, probeDesc := range formats.PaperDescs() {
 		pc := mkCol(t, probe, probeDesc)
 		bc := mkCol(t, build, columns.StaticBPDesc(0))
-		got, err := FixedRT(1).SemiJoin(pc, bc, columns.DeltaBPDesc, vector.Vec512)
+		got, err := FixedRT(1).SemiJoin(pc, bc, columns.DeltaBPDesc)
 		if err != nil {
 			t.Fatalf("%v: %v", probeDesc, err)
 		}
@@ -230,7 +221,7 @@ func TestGroupFirst(t *testing.T) {
 	keys := []uint64{7, 3, 7, 7, 9, 3}
 	for _, desc := range formats.PaperDescs() {
 		kc := mkCol(t, keys, desc)
-		gids, extents, err := FixedRT(1).GroupFirst(kc, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+		gids, extents, err := FixedRT(1).GroupFirst(kc, columns.UncomprDesc, columns.UncomprDesc)
 		if err != nil {
 			t.Fatalf("%v: %v", desc, err)
 		}
@@ -248,12 +239,12 @@ func TestGroupNext(t *testing.T) {
 	a := []uint64{1, 1, 2, 1, 2}
 	b := []uint64{1, 2, 1, 1, 1}
 	ac := mkCol(t, a, columns.UncomprDesc)
-	gids1, _, err := FixedRT(1).GroupFirst(ac, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+	gids1, _, err := FixedRT(1).GroupFirst(ac, columns.UncomprDesc, columns.UncomprDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc := mkCol(t, b, columns.StaticBPDesc(0))
-	gids2, ext2, err := FixedRT(1).GroupNext(gids1, bc, columns.DynBPDesc, columns.UncomprDesc, vector.Scalar)
+	gids2, ext2, err := FixedRT(1).GroupNext(gids1, bc, columns.DynBPDesc, columns.UncomprDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +259,7 @@ func TestGroupNext(t *testing.T) {
 func TestGroupNextLengthMismatch(t *testing.T) {
 	a := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
 	b := mkCol(t, []uint64{1, 2, 3}, columns.UncomprDesc)
-	if _, _, err := FixedRT(1).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, _, err := FixedRT(1).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
@@ -281,17 +272,15 @@ func TestSumWhole(t *testing.T) {
 	}
 	for _, desc := range formats.AllDescs() {
 		c := mkCol(t, vals, desc)
-		for _, style := range vector.Styles {
-			got, col, err := FixedRT(1).SumAuto(c, style, false)
-			if err != nil {
-				t.Fatalf("%v %v: %v", desc, style, err)
-			}
-			if got != want {
-				t.Fatalf("%v %v: sum = %d, want %d", desc, style, got, want)
-			}
-			if col.N() != 1 {
-				t.Fatalf("%v: result column length %d", desc, col.N())
-			}
+		got, col, err := FixedRT(1).SumAuto(c, false)
+		if err != nil {
+			t.Fatalf("%v: %v", desc, err)
+		}
+		if got != want {
+			t.Fatalf("%v: sum = %d, want %d", desc, got, want)
+		}
+		if col.N() != 1 {
+			t.Fatalf("%v: result column length %d", desc, col.N())
 		}
 	}
 }
@@ -303,7 +292,7 @@ func TestSumGrouped(t *testing.T) {
 		for _, vDesc := range formats.PaperDescs() {
 			gc := mkCol(t, gids, gDesc)
 			vc := mkCol(t, vals, vDesc)
-			got, err := FixedRT(1).SumGrouped(gc, vc, 3, vector.Scalar)
+			got, err := FixedRT(1).SumGrouped(gc, vc, 3)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", gDesc, vDesc, err)
 			}
@@ -317,7 +306,7 @@ func TestSumGrouped(t *testing.T) {
 func TestSumGroupedBadGid(t *testing.T) {
 	gc := mkCol(t, []uint64{0, 5}, columns.UncomprDesc)
 	vc := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := FixedRT(1).SumGrouped(gc, vc, 2, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).SumGrouped(gc, vc, 2); err == nil {
 		t.Error("out-of-range gid must fail")
 	}
 }
@@ -337,16 +326,14 @@ func TestCalcBinary(t *testing.T) {
 		ac := mkCol(t, a, aDesc)
 		bc := mkCol(t, b, columns.DynBPDesc)
 		for _, cse := range cases {
-			for _, style := range vector.Styles {
-				got, err := FixedRT(1).CalcBinary(cse.op, ac, bc, columns.DynBPDesc, style)
-				if err != nil {
-					t.Fatalf("%v %v %v: %v", aDesc, cse.op, style, err)
-				}
-				dec := decode(t, got)
-				for i := range a {
-					if dec[i] != cse.f(a[i], b[i]) {
-						t.Fatalf("%v %v %v: elem %d", aDesc, cse.op, style, i)
-					}
+			got, err := FixedRT(1).CalcBinary(cse.op, ac, bc, columns.DynBPDesc)
+			if err != nil {
+				t.Fatalf("%v %v: %v", aDesc, cse.op, err)
+			}
+			dec := decode(t, got)
+			for i := range a {
+				if dec[i] != cse.f(a[i], b[i]) {
+					t.Fatalf("%v %v: elem %d", aDesc, cse.op, i)
 				}
 			}
 		}
@@ -356,7 +343,7 @@ func TestCalcBinary(t *testing.T) {
 func TestCalcLengthMismatch(t *testing.T) {
 	a := mkCol(t, []uint64{1}, columns.UncomprDesc)
 	b := mkCol(t, []uint64{1, 2}, columns.UncomprDesc)
-	if _, err := FixedRT(1).CalcBinary(CalcAdd, a, b, columns.UncomprDesc, vector.Scalar); err == nil {
+	if _, err := FixedRT(1).CalcBinary(CalcAdd, a, b, columns.UncomprDesc); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
@@ -427,10 +414,10 @@ func TestMergeSorted(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	empty := mkCol(t, nil, columns.UncomprDesc)
-	if got, err := FixedRT(1).SelectAuto(empty, bitutil.CmpEq, 1, columns.DynBPDesc, vector.Vec512, false); err != nil || got.N() != 0 {
+	if got, err := FixedRT(1).SelectAuto(empty, bitutil.CmpEq, 1, columns.DynBPDesc, false); err != nil || got.N() != 0 {
 		t.Errorf("select on empty: %v, n=%v", err, got.N())
 	}
-	s, _, err := FixedRT(1).SumAuto(empty, vector.Scalar, false)
+	s, _, err := FixedRT(1).SumAuto(empty, false)
 	if err != nil || s != 0 {
 		t.Errorf("sum on empty: %v %d", err, s)
 	}
@@ -438,14 +425,14 @@ func TestEmptyInputs(t *testing.T) {
 	if err != nil || i2.N() != 0 {
 		t.Errorf("intersect on empty: %v", err)
 	}
-	g, e, err := FixedRT(1).GroupFirst(empty, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
+	g, e, err := FixedRT(1).GroupFirst(empty, columns.UncomprDesc, columns.UncomprDesc)
 	if err != nil || g.N() != 0 || e.N() != 0 {
 		t.Errorf("group on empty: %v", err)
 	}
 }
 
 func TestNilColumn(t *testing.T) {
-	if _, err := FixedRT(1).SelectAuto(nil, bitutil.CmpEq, 1, columns.UncomprDesc, vector.Scalar, false); err == nil {
+	if _, err := FixedRT(1).SelectAuto(nil, bitutil.CmpEq, 1, columns.UncomprDesc, false); err == nil {
 		t.Error("nil input must fail")
 	}
 	if _, err := FixedRT(1).Intersect(nil, nil, columns.UncomprDesc); err == nil {

@@ -6,7 +6,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // groupTestKeys builds a key column with heavy repetition (realistic group
@@ -32,7 +31,7 @@ func groupTestKeys(n, card int, seed int64) []uint64 {
 }
 
 // TestParallelGroupFirstEquivalence is the cross-product equivalence check
-// for the parallel grouping: every key format x gid output format x style x
+// for the parallel grouping: every key format x gid output format x
 // parallelism degree must reproduce both sequential output columns byte for
 // byte (canonical first-occurrence id order included).
 func TestParallelGroupFirstEquivalence(t *testing.T) {
@@ -43,20 +42,18 @@ func TestParallelGroupFirstEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, outDesc := range formats.AllDescs() {
-			for _, style := range vector.Styles {
-				ctx := keyDesc.String() + "->" + outDesc.String() + "/" + style.String()
-				wantG, wantE, err := FixedRT(1).GroupFirst(keys, outDesc, columns.UncomprDesc, style)
+			ctx := keyDesc.String() + "->" + outDesc.String()
+			wantG, wantE, err := FixedRT(1).GroupFirst(keys, outDesc, columns.UncomprDesc)
+			if err != nil {
+				t.Fatalf("group %s: %v", ctx, err)
+			}
+			for _, par := range parLevels {
+				gotG, gotE, err := FixedRT(par).GroupFirst(keys, outDesc, columns.UncomprDesc)
 				if err != nil {
-					t.Fatalf("group %s: %v", ctx, err)
+					t.Fatalf("par group %s p=%d: %v", ctx, par, err)
 				}
-				for _, par := range parLevels {
-					gotG, gotE, err := FixedRT(par).GroupFirst(keys, outDesc, columns.UncomprDesc, style)
-					if err != nil {
-						t.Fatalf("par group %s p=%d: %v", ctx, par, err)
-					}
-					assertSameColumn(t, "group gids "+ctx, wantG, gotG)
-					assertSameColumn(t, "group extents "+ctx, wantE, gotE)
-				}
+				assertSameColumn(t, "group gids "+ctx, wantG, gotG)
+				assertSameColumn(t, "group extents "+ctx, wantE, gotE)
 			}
 		}
 	}
@@ -77,25 +74,23 @@ func TestParallelGroupNextEquivalence(t *testing.T) {
 		for _, prevDesc := range formats.AllDescs() {
 			// The previous gids come from a real first grouping so the
 			// refinement sees the dense id distribution it gets in plans.
-			gids1Ref, _, err := FixedRT(1).GroupFirst(keys1, prevDesc, columns.UncomprDesc, vector.Scalar)
+			gids1Ref, _, err := FixedRT(1).GroupFirst(keys1, prevDesc, columns.UncomprDesc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.StaticBPDesc(0), columns.DynBPDesc, columns.RLEDesc} {
-				for _, style := range vector.Styles {
-					ctx := prevDesc.String() + "+" + keyDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					wantG, wantE, err := FixedRT(1).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
+				ctx := prevDesc.String() + "+" + keyDesc.String() + "->" + outDesc.String()
+				wantG, wantE, err := FixedRT(1).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc)
+				if err != nil {
+					t.Fatalf("group next %s: %v", ctx, err)
+				}
+				for _, par := range parLevels {
+					gotG, gotE, err := FixedRT(par).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc)
 					if err != nil {
-						t.Fatalf("group next %s: %v", ctx, err)
+						t.Fatalf("par group next %s p=%d: %v", ctx, par, err)
 					}
-					for _, par := range parLevels {
-						gotG, gotE, err := FixedRT(par).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
-						if err != nil {
-							t.Fatalf("par group next %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "group next gids "+ctx, wantG, gotG)
-						assertSameColumn(t, "group next extents "+ctx, wantE, gotE)
-					}
+					assertSameColumn(t, "group next gids "+ctx, wantG, gotG)
+					assertSameColumn(t, "group next extents "+ctx, wantE, gotE)
 				}
 			}
 		}
@@ -119,12 +114,12 @@ func TestParallelGroupFirstSkewed(t *testing.T) {
 	cases["quartile_blocks"] = split
 	for name, vals := range cases {
 		in := columns.FromValues(vals)
-		wantG, wantE, err := FixedRT(1).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
+		wantG, wantE, err := FixedRT(1).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, par := range parLevels {
-			gotG, gotE, err := FixedRT(par).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
+			gotG, gotE, err := FixedRT(par).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, par, err)
 			}
@@ -140,7 +135,7 @@ func TestParallelGroupNextLengthMismatch(t *testing.T) {
 	a := columns.FromValues(make([]uint64, parTestN))
 	b := columns.FromValues(make([]uint64, parTestN-1))
 	for _, par := range parLevels {
-		if _, _, err := FixedRT(par).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
+		if _, _, err := FixedRT(par).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc); err == nil {
 			t.Fatalf("p=%d: diverging inputs must fail", par)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // parTestN is deliberately not a multiple of the 512-element block, so every
@@ -64,7 +63,7 @@ func assertSameColumn(t *testing.T, ctx string, want, got *columns.Column) {
 
 // TestParallelOperatorEquivalence is the cross-product equivalence check:
 // every parallel operator, at every parallelism degree, over every input
-// format x output format x processing style, must produce a column
+// format x output format, must produce a column
 // byte-identical to the sequential path.
 func TestParallelOperatorEquivalence(t *testing.T) {
 	vals := parTestValues(parTestN)
@@ -80,29 +79,27 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 	for _, inDesc := range formats.AllDescs() {
 		in := inputs[inDesc.Kind]
 		for _, outDesc := range formats.AllDescs() {
-			for _, style := range vector.Styles {
-				ctx := inDesc.String() + "->" + outDesc.String() + "/" + style.String()
+			ctx := inDesc.String() + "->" + outDesc.String()
 
-				seqSel, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 250, outDesc, style, false)
+			seqSel, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 250, outDesc, false)
+			if err != nil {
+				t.Fatalf("select %s: %v", ctx, err)
+			}
+			seqBet, err := FixedRT(1).SelectBetweenAuto(in, 100, 400, outDesc, 0, false)
+			if err != nil {
+				t.Fatalf("between %s: %v", ctx, err)
+			}
+			for _, par := range parLevels {
+				got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc, false)
 				if err != nil {
-					t.Fatalf("select %s: %v", ctx, err)
+					t.Fatalf("par select %s p=%d: %v", ctx, par, err)
 				}
-				seqBet, err := FixedRT(1).SelectBetweenAuto(in, 100, 400, outDesc, style, false)
+				assertSameColumn(t, "select "+ctx, seqSel, got)
+				got, err = FixedRT(par).SelectBetweenAuto(in, 100, 400, outDesc, 0, false)
 				if err != nil {
-					t.Fatalf("between %s: %v", ctx, err)
+					t.Fatalf("par between %s p=%d: %v", ctx, par, err)
 				}
-				for _, par := range parLevels {
-					got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc, style, false)
-					if err != nil {
-						t.Fatalf("par select %s p=%d: %v", ctx, par, err)
-					}
-					assertSameColumn(t, "select "+ctx, seqSel, got)
-					got, err = FixedRT(par).SelectBetweenAuto(in, 100, 400, outDesc, style, false)
-					if err != nil {
-						t.Fatalf("par between %s p=%d: %v", ctx, par, err)
-					}
-					assertSameColumn(t, "between "+ctx, seqBet, got)
-				}
+				assertSameColumn(t, "between "+ctx, seqBet, got)
 			}
 		}
 	}
@@ -115,21 +112,19 @@ func TestParallelSumEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, style := range vector.Styles {
-			want, wantCol, err := FixedRT(1).SumAuto(in, style, false)
+		want, wantCol, err := FixedRT(1).SumAuto(in, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range parLevels {
+			got, gotCol, err := FixedRT(par).SumAuto(in, false)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("par sum %v p=%d: %v", inDesc, par, err)
 			}
-			for _, par := range parLevels {
-				got, gotCol, err := FixedRT(par).SumAuto(in, style, false)
-				if err != nil {
-					t.Fatalf("par sum %v/%v p=%d: %v", inDesc, style, par, err)
-				}
-				if got != want {
-					t.Fatalf("par sum %v/%v p=%d: %d, want %d", inDesc, style, par, got, want)
-				}
-				assertSameColumn(t, "sum", wantCol, gotCol)
+			if got != want {
+				t.Fatalf("par sum %v p=%d: %d, want %d", inDesc, par, got, want)
 			}
+			assertSameColumn(t, "sum", wantCol, gotCol)
 		}
 	}
 }
@@ -152,19 +147,17 @@ func TestParallelProjectEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					want, err := FixedRT(1).Project(data, pos, outDesc, style)
+				want, err := FixedRT(1).Project(data, pos, outDesc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, par := range parLevels {
+					got, err := FixedRT(par).Project(data, pos, outDesc)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("par project %v/%v/%v p=%d: %v",
+							dataDesc, posDesc, outDesc, par, err)
 					}
-					for _, par := range parLevels {
-						got, err := FixedRT(par).Project(data, pos, outDesc, style)
-						if err != nil {
-							t.Fatalf("par project %v/%v/%v/%v p=%d: %v",
-								dataDesc, posDesc, outDesc, style, par, err)
-						}
-						assertSameColumn(t, "project", want, got)
-					}
+					assertSameColumn(t, "project", want, got)
 				}
 			}
 		}
@@ -185,19 +178,17 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					want, err := FixedRT(1).SemiJoin(probe, build, outDesc, style)
+				want, err := FixedRT(1).SemiJoin(probe, build, outDesc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, par := range parLevels {
+					got, err := FixedRT(par).SemiJoin(probe, build, outDesc)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("par semijoin %v/%v p=%d: %v",
+							probeDesc, outDesc, par, err)
 					}
-					for _, par := range parLevels {
-						got, err := FixedRT(par).SemiJoin(probe, build, outDesc, style)
-						if err != nil {
-							t.Fatalf("par semijoin %v/%v/%v p=%d: %v",
-								probeDesc, outDesc, style, par, err)
-						}
-						assertSameColumn(t, "semijoin", want, got)
-					}
+					assertSameColumn(t, "semijoin", want, got)
 				}
 			}
 		}
@@ -205,7 +196,7 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 }
 
 // TestParallelJoinN1Equivalence checks the dual-output N:1 join: for every
-// probe format x output format x style x parallelism degree, both stitched
+// probe format x output format x parallelism degree, both stitched
 // position lists must be byte-identical to the sequential join's.
 func TestParallelJoinN1Equivalence(t *testing.T) {
 	vals := parTestValues(parTestN)
@@ -225,20 +216,18 @@ func TestParallelJoinN1Equivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					ctx := probeDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, style)
+				ctx := probeDesc.String() + "->" + outDesc.String()
+				wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, 0)
+				if err != nil {
+					t.Fatalf("join %s: %v", ctx, err)
+				}
+				for _, par := range parLevels {
+					gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, 0)
 					if err != nil {
-						t.Fatalf("join %s: %v", ctx, err)
+						t.Fatalf("par join %s p=%d: %v", ctx, par, err)
 					}
-					for _, par := range parLevels {
-						gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, style)
-						if err != nil {
-							t.Fatalf("par join %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "join probe pos "+ctx, wantP, gotP)
-						assertSameColumn(t, "join build pos "+ctx, wantB, gotB)
-					}
+					assertSameColumn(t, "join probe pos "+ctx, wantP, gotP)
+					assertSameColumn(t, "join build pos "+ctx, wantB, gotB)
 				}
 			}
 		}
@@ -279,12 +268,12 @@ func TestParallelJoinN1Skewed(t *testing.T) {
 			build := columns.FromValues(buildVals)
 			for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.StaticBPDesc(0), columns.DeltaBPDesc} {
 				ctx := skew.name + "/" + probeDesc.String() + "->" + outDesc.String()
-				wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
+				wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
+					gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, 0)
 					if err != nil {
 						t.Fatalf("%s p=%d: %v", ctx, par, err)
 					}
@@ -316,20 +305,18 @@ func TestParallelCalcEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					for _, op := range []CalcKind{CalcAdd, CalcSub, CalcMul} {
-						ctx := aDesc.String() + op.String() + bDesc.String() + "->" + outDesc.String() + "/" + style.String()
-						want, err := FixedRT(1).CalcBinary(op, a, bcol, outDesc, style)
+				for _, op := range []CalcKind{CalcAdd, CalcSub, CalcMul} {
+					ctx := aDesc.String() + op.String() + bDesc.String() + "->" + outDesc.String()
+					want, err := FixedRT(1).CalcBinary(op, a, bcol, outDesc)
+					if err != nil {
+						t.Fatalf("calc %s: %v", ctx, err)
+					}
+					for _, par := range parLevels {
+						got, err := FixedRT(par).CalcBinary(op, a, bcol, outDesc)
 						if err != nil {
-							t.Fatalf("calc %s: %v", ctx, err)
+							t.Fatalf("par calc %s p=%d: %v", ctx, par, err)
 						}
-						for _, par := range parLevels {
-							got, err := FixedRT(par).CalcBinary(op, a, bcol, outDesc, style)
-							if err != nil {
-								t.Fatalf("par calc %s p=%d: %v", ctx, par, err)
-							}
-							assertSameColumn(t, "calc "+ctx, want, got)
-						}
+						assertSameColumn(t, "calc "+ctx, want, got)
 					}
 				}
 			}
@@ -338,7 +325,7 @@ func TestParallelCalcEquivalence(t *testing.T) {
 }
 
 // TestParallelSumGroupedEquivalence checks the partial-group-sum merge: for
-// every gid format x value format x style x degree the merged sums must equal
+// every gid format x value format x degree the merged sums must equal
 // the sequential single-array accumulation bit for bit.
 func TestParallelSumGroupedEquivalence(t *testing.T) {
 	const nGroups = 37
@@ -358,19 +345,17 @@ func TestParallelSumGroupedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, style := range vector.Styles {
-				ctx := gDesc.String() + "+" + vDesc.String() + "/" + style.String()
-				want, err := FixedRT(1).SumGrouped(gids, vals, nGroups, style)
+			ctx := gDesc.String() + "+" + vDesc.String()
+			want, err := FixedRT(1).SumGrouped(gids, vals, nGroups)
+			if err != nil {
+				t.Fatalf("grouped sum %s: %v", ctx, err)
+			}
+			for _, par := range parLevels {
+				got, err := FixedRT(par).SumGrouped(gids, vals, nGroups)
 				if err != nil {
-					t.Fatalf("grouped sum %s: %v", ctx, err)
+					t.Fatalf("par grouped sum %s p=%d: %v", ctx, par, err)
 				}
-				for _, par := range parLevels {
-					got, err := FixedRT(par).SumGrouped(gids, vals, nGroups, style)
-					if err != nil {
-						t.Fatalf("par grouped sum %s p=%d: %v", ctx, par, err)
-					}
-					assertSameColumn(t, "grouped sum "+ctx, want, got)
-				}
+				assertSameColumn(t, "grouped sum "+ctx, want, got)
 			}
 		}
 	}
@@ -384,7 +369,7 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 	gids := columns.FromValues(gidVals)
 	vals := columns.FromValues(parTestValues(parTestN))
 	for _, par := range parLevels {
-		if _, err := FixedRT(par).SumGrouped(gids, vals, 10, vector.Scalar); err == nil {
+		if _, err := FixedRT(par).SumGrouped(gids, vals, 10); err == nil {
 			t.Fatalf("p=%d: out-of-range group id must fail", par)
 		}
 	}
@@ -405,32 +390,32 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
+		want, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBet, err := SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true)
+		wantBet, err := SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
+			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
 			assertSameColumn(t, "auto select "+inDesc.String(), want, got)
-			got, err = FixedRT(par).SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true)
+			got, err = FixedRT(par).SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, 0, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
 			assertSameColumn(t, "auto between "+inDesc.String(), wantBet, got)
 		}
-		wantSum, _, err := FixedRT(1).SumAuto(in, vector.Vec512, true)
+		wantSum, _, err := FixedRT(1).SumAuto(in, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			gotSum, _, err := FixedRT(par).SumAuto(in, vector.Vec512, true)
+			gotSum, _, err := FixedRT(par).SumAuto(in, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
@@ -480,9 +465,9 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		run := func(par int, specialized bool) *columns.Column {
 			var got *columns.Column
 			if tc.rng {
-				got, err = FixedRT(par).SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, vector.Scalar, specialized)
+				got, err = FixedRT(par).SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, 0, specialized)
 			} else {
-				got, err = FixedRT(par).SelectAuto(tc.in, tc.op, tc.val, tc.out, vector.Scalar, specialized)
+				got, err = FixedRT(par).SelectAuto(tc.in, tc.op, tc.val, tc.out, specialized)
 			}
 			if err != nil {
 				t.Fatalf("%s p=%d specialized=%v: %v", tc.name, par, specialized, err)
@@ -507,15 +492,15 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		for _, specialized := range []bool{false, true} {
 			ctx := fmt.Sprintf("truncated static BP p=%d specialized=%v", par, specialized)
 			rt := FixedRT(par)
-			_, err := rt.SelectAuto(trunc, bitutil.CmpLt, 50, columns.DynBPDesc, vector.Scalar, specialized)
+			_, err := rt.SelectAuto(trunc, bitutil.CmpLt, 50, columns.DynBPDesc, specialized)
 			if !errors.Is(err, qerr.ErrCorruptData) {
 				t.Errorf("%s select: want ErrCorruptData, got %v", ctx, err)
 			}
-			_, err = rt.SelectBetweenAuto(trunc, 10, 90, columns.DynBPDesc, vector.Scalar, specialized)
+			_, err = rt.SelectBetweenAuto(trunc, 10, 90, columns.DynBPDesc, 0, specialized)
 			if !errors.Is(err, qerr.ErrCorruptData) {
 				t.Errorf("%s between: want ErrCorruptData, got %v", ctx, err)
 			}
-			_, _, err = rt.SumAuto(trunc, vector.Scalar, specialized)
+			_, _, err = rt.SumAuto(trunc, specialized)
 			if !errors.Is(err, qerr.ErrCorruptData) {
 				t.Errorf("%s sum: want ErrCorruptData, got %v", ctx, err)
 			}

@@ -5,7 +5,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // Project gathers data[pos[i]] for every position in pos, producing a column
@@ -13,7 +12,7 @@ import (
 // are read sequentially (they are a selection result); the data column is
 // read with random access and must therefore be uncompressed or static BP
 // (§4.2) — the engine inserts an on-the-fly morph otherwise.
-func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(data, pos); err != nil {
 		return nil, err
 	}
@@ -26,16 +25,9 @@ func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, sty
 		return nil, fmt.Errorf("ops: project: %w", err)
 	}
 	ras[0] = ra
-	// Vec512 gather fast path over an uncompressed data column.
-	vals, direct := data.Values()
-	useVecGather := direct && style == vector.Vec512
 	return rt.mapCols("project", pos, nil, out, func(w int, ps, _, dst []uint64) error {
 		if err := checkPositions(ps, data.N()); err != nil {
 			return err
-		}
-		if useVecGather {
-			gatherKernelVec(vals, ps, dst)
-			return nil
 		}
 		if ras[w] == nil {
 			ra, err := formats.RandomAccess(data)
@@ -63,16 +55,4 @@ func checkPositions(pos []uint64, n int) error {
 		}
 	}
 	return nil
-}
-
-// gatherKernelVec gathers eight positions per step.
-func gatherKernelVec(vals []uint64, pos []uint64, stage []uint64) {
-	i := 0
-	for ; i+vector.Lanes <= len(pos); i += vector.Lanes {
-		idx := vector.Load(pos[i:])
-		vector.Gather(vals, idx).Store(stage[i:])
-	}
-	for ; i < len(pos); i++ {
-		stage[i] = vals[pos[i]]
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // TestBudgetBound: three morsel loops of par 4 running at once on a budget
@@ -156,11 +155,11 @@ func TestRuntimeOpsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FixedRT(3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
+	want, err := FixedRT(3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, vector.Vec512, false)
+	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestRuntimeCancelledSelect(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc, vector.Scalar, false)
+	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // SelectIn evaluates the set-membership predicate `element IN set` over the
@@ -15,10 +14,8 @@ import (
 // that way); membership is a branch-free galloping binary search for large
 // sets and a linear probe for small ones. An empty set is valid and yields
 // an empty position list through the same writer machinery, so the result
-// bytes stay identical across kernels for a given output descriptor. The
-// kernel is scalar for every style: membership has no vector form here, and
-// position output stays byte-identical regardless.
-func (rt Runtime) SelectIn(in *columns.Column, set []uint64, out columns.FormatDesc, _ vector.Style) (*columns.Column, error) {
+// bytes stay identical across kernels for a given output descriptor.
+func (rt Runtime) SelectIn(in *columns.Column, set []uint64, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}

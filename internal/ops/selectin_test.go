@@ -9,7 +9,6 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // selectInReference computes the expected positions with plain Go.
@@ -28,7 +27,7 @@ func selectInReference(vals []uint64, set []uint64) []uint64 {
 }
 
 // TestSelectInEquivalence checks the membership kernel over every input
-// format x output format x style x parallelism against both the plain-Go
+// format x output format x parallelism against both the plain-Go
 // reference and byte-identity with the sequential operator, for set sizes on
 // both sides of the linear-probe cutoff plus the empty set.
 func TestSelectInEquivalence(t *testing.T) {
@@ -50,33 +49,31 @@ func TestSelectInEquivalence(t *testing.T) {
 	for _, inDesc := range formats.AllDescs() {
 		in := inputs[inDesc.Kind]
 		for _, outDesc := range formats.AllDescs() {
-			for _, style := range vector.Styles {
-				for si, set := range sets {
-					ctx := inDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					seq, err := FixedRT(1).SelectIn(in, set, outDesc, style)
+			for si, set := range sets {
+				ctx := inDesc.String() + "->" + outDesc.String()
+				seq, err := FixedRT(1).SelectIn(in, set, outDesc)
+				if err != nil {
+					t.Fatalf("select in %s set=%d: %v", ctx, si, err)
+				}
+				wantPos := selectInReference(vals, set)
+				gotPos, err := formats.Decompress(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gotPos) != len(wantPos) {
+					t.Fatalf("select in %s set=%d: %d positions, want %d", ctx, si, len(gotPos), len(wantPos))
+				}
+				for i := range wantPos {
+					if gotPos[i] != wantPos[i] {
+						t.Fatalf("select in %s set=%d: pos[%d]=%d, want %d", ctx, si, i, gotPos[i], wantPos[i])
+					}
+				}
+				for _, par := range parLevels {
+					got, err := FixedRT(par).SelectIn(in, set, outDesc)
 					if err != nil {
-						t.Fatalf("select in %s set=%d: %v", ctx, si, err)
+						t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
 					}
-					wantPos := selectInReference(vals, set)
-					gotPos, err := formats.Decompress(seq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(gotPos) != len(wantPos) {
-						t.Fatalf("select in %s set=%d: %d positions, want %d", ctx, si, len(gotPos), len(wantPos))
-					}
-					for i := range wantPos {
-						if gotPos[i] != wantPos[i] {
-							t.Fatalf("select in %s set=%d: pos[%d]=%d, want %d", ctx, si, i, gotPos[i], wantPos[i])
-						}
-					}
-					for _, par := range parLevels {
-						got, err := FixedRT(par).SelectIn(in, set, outDesc, style)
-						if err != nil {
-							t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
-						}
-						assertSameColumn(t, "select in "+ctx, seq, got)
-					}
+					assertSameColumn(t, "select in "+ctx, seq, got)
 				}
 			}
 		}
@@ -90,17 +87,17 @@ func TestSelectInMatchesSelect(t *testing.T) {
 	vals := parTestValues(parTestN)
 	in := columns.FromValues(vals)
 	for _, outDesc := range formats.PaperDescs() {
-		eq, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 131, outDesc, vector.Scalar, false)
+		eq, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 131, outDesc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FixedRT(1).SelectIn(in, []uint64{131}, outDesc, vector.Scalar)
+		got, err := FixedRT(1).SelectIn(in, []uint64{131}, outDesc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameColumn(t, "eq "+outDesc.String(), eq, got)
 
-		bet, err := FixedRT(1).SelectBetweenAuto(in, 100, 120, outDesc, vector.Scalar, false)
+		bet, err := FixedRT(1).SelectBetweenAuto(in, 100, 120, outDesc, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +105,7 @@ func TestSelectInMatchesSelect(t *testing.T) {
 		for v := uint64(100); v <= 120; v++ {
 			contig = append(contig, v)
 		}
-		got, err = FixedRT(1).SelectIn(in, contig, outDesc, vector.Scalar)
+		got, err = FixedRT(1).SelectIn(in, contig, outDesc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,10 +116,10 @@ func TestSelectInMatchesSelect(t *testing.T) {
 func TestSelectInRejectsUnsortedSet(t *testing.T) {
 	in := columns.FromValues([]uint64{1, 2, 3})
 	for _, set := range [][]uint64{{5, 3}, {3, 3}} {
-		if _, err := FixedRT(1).SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if _, err := FixedRT(1).SelectIn(in, set, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
-		if _, err := FixedRT(2).SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if _, err := FixedRT(2).SelectIn(in, set, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("par set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
-	"morphstore/internal/vector"
 )
 
 // TestSelectDirectMatchesGeneric verifies the SWAR select on static BP
@@ -27,11 +26,11 @@ func TestSelectDirectMatchesGeneric(t *testing.T) {
 		}
 		for _, op := range allOps {
 			for _, val := range []uint64{0, 1, bitutil.Mask(bits) / 2, bitutil.Mask(bits), bitutil.Mask(bits) + 1, ^uint64(0)} {
-				got, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, vector.Scalar, true)
+				got, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, true)
 				if err != nil {
 					t.Fatalf("bits=%d %v val=%d: %v", bits, op, val, err)
 				}
-				want, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, vector.Scalar, false)
+				want, err := FixedRT(1).SelectAuto(in, op, val, columns.DeltaBPDesc, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,14 +48,14 @@ func TestSelectDirectAllZeroColumn(t *testing.T) {
 	if in.Desc().Bits != 0 {
 		t.Fatalf("all-zero column should pack at width 0, got %d", in.Desc().Bits)
 	}
-	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc, vector.Scalar, true)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 100 {
 		t.Fatalf("all positions should match, got %d", got.N())
 	}
-	none, err := FixedRT(1).SelectAuto(in, bitutil.CmpGt, 0, columns.UncomprDesc, vector.Scalar, true)
+	none, err := FixedRT(1).SelectAuto(in, bitutil.CmpGt, 0, columns.UncomprDesc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +77,11 @@ func TestSelectBetweenDirectMatchesGeneric(t *testing.T) {
 			{bitutil.Mask(bits), ^uint64(0)}, {bitutil.Mask(bits) + 1, ^uint64(0)},
 		}
 		for _, b := range bounds {
-			got, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, vector.Scalar, true)
+			got, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, 0, true)
 			if err != nil {
 				t.Fatalf("bits=%d [%d,%d]: %v", bits, b[0], b[1], err)
 			}
-			want, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, vector.Scalar, false)
+			want, err := FixedRT(1).SelectBetweenAuto(in, b[0], b[1], columns.DeltaBPDesc, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +100,7 @@ func TestSumDirectVariants(t *testing.T) {
 	}
 
 	for _, desc := range []columns.FormatDesc{columns.StaticBPDesc(0), columns.DynBPDesc, columns.RLEDesc} {
-		if got, _, err := FixedRT(1).SumAuto(mkCol(t, vals, desc), vector.Scalar, true); err != nil || got != want {
+		if got, _, err := FixedRT(1).SumAuto(mkCol(t, vals, desc), true); err != nil || got != want {
 			t.Errorf("%v direct sum = %d (%v), want %d", desc, got, err, want)
 		}
 	}
@@ -110,7 +109,7 @@ func TestSumDirectVariants(t *testing.T) {
 func TestSelectRLEDirect(t *testing.T) {
 	vals := []uint64{5, 5, 5, 2, 2, 9, 5, 5}
 	in := mkCol(t, vals, columns.RLEDesc)
-	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 5, columns.UncomprDesc, vector.Scalar, true)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 5, columns.UncomprDesc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +127,21 @@ func TestAutoDispatch(t *testing.T) {
 	for _, desc := range formats.AllDescs() {
 		c := mkCol(t, vals, desc)
 		for _, specialized := range []bool{false, true} {
-			got, _, err := FixedRT(1).SumAuto(c, vector.Vec512, specialized)
+			got, _, err := FixedRT(1).SumAuto(c, specialized)
 			if err != nil {
 				t.Fatalf("%v specialized=%v: %v", desc, specialized, err)
 			}
 			if got != want {
 				t.Fatalf("%v specialized=%v: sum = %d, want %d", desc, specialized, got, want)
 			}
-			sel, err := FixedRT(1).SelectAuto(c, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, specialized)
+			sel, err := FixedRT(1).SelectAuto(c, bitutil.CmpLt, 100, columns.DeltaBPDesc, specialized)
 			if err != nil {
 				t.Fatalf("%v specialized=%v: %v", desc, specialized, err)
 			}
 			if !equalU64(decode(t, sel), refSelect(vals, bitutil.CmpLt, 100)) {
 				t.Fatalf("%v specialized=%v: wrong select", desc, specialized)
 			}
-			bet, err := SelectBetweenAuto(c, 10, 90, columns.DeltaBPDesc, vector.Vec512, specialized)
+			bet, err := SelectBetweenAuto(c, 10, 90, columns.DeltaBPDesc, 0, specialized)
 			if err != nil {
 				t.Fatalf("%v specialized=%v: %v", desc, specialized, err)
 			}
@@ -175,7 +174,7 @@ func TestSelectDirectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.UncomprDesc, vector.Scalar, true)
+		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.UncomprDesc, true)
 		if err != nil {
 			return false
 		}

@@ -2,18 +2,16 @@ package ssb
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
-	"morphstore/internal/vector"
 )
 
 // TestGroupedQueriesParallelEquivalence is the cross-product equivalence
 // check for the group-by-tailed SSB queries: Q3.x (iterative three-key
 // grouping, two-city Merge predicates in Q3.3/Q3.4) and Q4.x (join-heavy
-// plans with grouped profit sums) are prepared once per format x style and
+// plans with grouped profit sums) are prepared once per format and
 // executed at parallelism 1, 2, 3, and 8 from the same Prepared — with the
 // grouping and sorted-set operators running their parallel drivers under the
 // engine budget — and every result column must be byte-identical to the
@@ -38,49 +36,46 @@ func TestGroupedQueriesParallelEquivalence(t *testing.T) {
 			}
 			eng := core.NewEngine(d.DB, core.WithParallelism(8))
 			for _, interDesc := range interDescs {
-				for _, style := range vector.Styles {
-					name := fmt.Sprintf("%v/%v", interDesc, style)
-					pq, err := eng.Prepare(plan,
-						core.WithUniformFormat(interDesc), core.WithStyle(style))
+				name := interDesc.String()
+				pq, err := eng.Prepare(plan, core.WithUniformFormat(interDesc))
+				if err != nil {
+					t.Fatalf("%s: prepare: %v", name, err)
+				}
+				var ref *core.Result
+				for _, par := range parLevels {
+					res, err := pq.Execute(ctx, core.WithParallelism(par))
 					if err != nil {
-						t.Fatalf("%s: prepare: %v", name, err)
+						t.Fatalf("%s p=%d: %v", name, par, err)
 					}
-					var ref *core.Result
-					for _, par := range parLevels {
-						res, err := pq.Execute(ctx, core.WithParallelism(par))
+					if par == 1 {
+						ref = res
+						// The sequential run must also agree with the
+						// row-wise ground truth.
+						got, err := ExtractResult(q, res)
 						if err != nil {
-							t.Fatalf("%s p=%d: %v", name, par, err)
+							t.Fatal(err)
 						}
-						if par == 1 {
-							ref = res
-							// The sequential run must also agree with the
-							// row-wise ground truth.
-							got, err := ExtractResult(q, res)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !RowsEqual(got, want) {
-								t.Fatalf("%s: sequential result differs from reference", name)
-							}
-							continue
+						if !RowsEqual(got, want) {
+							t.Fatalf("%s: sequential result differs from reference", name)
 						}
-						for cn, wc := range ref.Cols {
-							gc, ok := res.Cols[cn]
-							if !ok {
-								t.Fatalf("%s p=%d: missing result column %q", name, par, cn)
-							}
-							if gc.Desc() != wc.Desc() || gc.N() != wc.N() {
-								t.Fatalf("%s p=%d col %s: shape %v/%d, want %v/%d",
-									name, par, cn, gc.Desc(), gc.N(), wc.Desc(), wc.N())
-							}
-							gw, ww := gc.Words(), wc.Words()
-							if len(gw) != len(ww) {
-								t.Fatalf("%s p=%d col %s: %d words, want %d", name, par, cn, len(gw), len(ww))
-							}
-							for i := range ww {
-								if gw[i] != ww[i] {
-									t.Fatalf("%s p=%d col %s: word %d differs", name, par, cn, i)
-								}
+						continue
+					}
+					for cn, wc := range ref.Cols {
+						gc, ok := res.Cols[cn]
+						if !ok {
+							t.Fatalf("%s p=%d: missing result column %q", name, par, cn)
+						}
+						if gc.Desc() != wc.Desc() || gc.N() != wc.N() {
+							t.Fatalf("%s p=%d col %s: shape %v/%d, want %v/%d",
+								name, par, cn, gc.Desc(), gc.N(), wc.Desc(), wc.N())
+						}
+						gw, ww := gc.Words(), wc.Words()
+						if len(gw) != len(ww) {
+							t.Fatalf("%s p=%d col %s: %d words, want %d", name, par, cn, len(gw), len(ww))
+						}
+						for i := range ww {
+							if gw[i] != ww[i] {
+								t.Fatalf("%s p=%d col %s: word %d differs", name, par, cn, i)
 							}
 						}
 					}

@@ -11,7 +11,6 @@ import (
 	"morphstore/internal/core"
 	"morphstore/internal/metrics"
 	"morphstore/internal/monetsim"
-	"morphstore/internal/vector"
 )
 
 // testData caches a small SSB instance across tests.
@@ -204,7 +203,7 @@ func execPlan(p *core.Plan, db *core.DB, o ...core.Option) (*core.Result, error)
 
 // TestAllQueriesAllEnginesAgree is the central SSB correctness test: every
 // query must produce identical results in the row-wise reference, the
-// MorphStore engine (scalar, vectorized, and two compressed configurations),
+// MorphStore engine (uncompressed and several compressed configurations),
 // and the MonetDB-style baseline (wide and narrow).
 func TestAllQueriesAllEnginesAgree(t *testing.T) {
 	d := getData(t)
@@ -223,13 +222,11 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			vec := core.WithStyle(vector.Vec512)
 			cfgs := map[string][]core.Option{
-				"scalar-uncompr": {core.WithStyle(vector.Scalar)},
-				"vec-uncompr":    {vec},
-				"vec-staticbp":   {vec, core.WithUniformFormat(columns.StaticBPDesc(0))},
-				"vec-dynbp":      {vec, core.WithUniformFormat(columns.DynBPDesc)},
-				"vec-delta":      {vec, core.WithUniformFormat(columns.DeltaBPDesc)},
+				"uncompr":  nil,
+				"staticbp": {core.WithUniformFormat(columns.StaticBPDesc(0))},
+				"dynbp":    {core.WithUniformFormat(columns.DynBPDesc)},
+				"delta":    {core.WithUniformFormat(columns.DeltaBPDesc)},
 			}
 			for name, opts := range cfgs {
 				res, err := execPlan(plan, d.DB, opts...)
@@ -251,7 +248,7 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := execPlan(plan, enc, vec, core.WithUniformFormat(columns.DynBPDesc), core.WithSpecialized(true))
+			res, err := execPlan(plan, enc, core.WithUniformFormat(columns.DynBPDesc), core.WithSpecialized(true))
 			if err != nil {
 				t.Fatalf("specialized: %v", err)
 			}
@@ -322,7 +319,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := execPlan(plan, d.DB, core.WithStyle(vector.Vec512))
+	resU, err := execPlan(plan, d.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +327,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := execPlan(plan, enc, core.WithStyle(vector.Vec512), core.WithUniformFormat(columns.StaticBPDesc(0)))
+	resC, err := execPlan(plan, enc, core.WithUniformFormat(columns.StaticBPDesc(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

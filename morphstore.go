@@ -30,7 +30,7 @@
 //
 //	vals := []uint64{3, 1, 4, 1, 5, 9, 2, 6}
 //	col, _ := morphstore.Compress(vals, morphstore.DynBP)
-//	eng := morphstore.NewEngine(nil, morphstore.WithStyle(morphstore.Vec512))
+//	eng := morphstore.NewEngine(nil)
 //	pos, _ := eng.Select(ctx, col, morphstore.CmpGt, 3,
 //		morphstore.WithOutput(morphstore.DeltaBP))
 //
@@ -53,7 +53,6 @@ import (
 	"morphstore/internal/ops"
 	"morphstore/internal/ssb"
 	"morphstore/internal/stats"
-	"morphstore/internal/vector"
 )
 
 // Column is a sequence of unsigned 64-bit integers materialized in exactly
@@ -121,15 +120,6 @@ func ConcatCompressed(desc FormatDesc, parts []*Column) (*Column, error) {
 // uncompressed in main memory (direct morphing where available, block-wise
 // streaming otherwise).
 func Morph(col *Column, desc FormatDesc) (*Column, error) { return morph.Morph(col, desc) }
-
-// Style selects the processing-style specialization of operator kernels.
-type Style = vector.Style
-
-// Processing styles: scalar or 8-lane 512-bit vector processing.
-const (
-	Scalar = vector.Scalar
-	Vec512 = vector.Vec512
-)
 
 // CmpKind is a comparison operator for selections.
 type CmpKind = bitutil.CmpKind

@@ -39,7 +39,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(nil, WithStyle(Vec512))
+	eng := NewEngine(nil)
 	ctx := context.Background()
 	pos, err := eng.Select(ctx, static, CmpLt, 10, WithOutput(DeltaBP))
 	if err != nil {
@@ -95,8 +95,8 @@ func TestFacadePlanAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]Option{
-		{WithStyle(Scalar)},
-		{WithStyle(Vec512), WithUniformFormat(DynBP)},
+		nil,
+		{WithUniformFormat(DynBP)},
 	} {
 		res, err := execPlan(plan, db, 0, opts...)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestFacadeSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(plan, data.DB, 0, WithStyle(Vec512))
+	res, err := execPlan(plan, data.DB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFacadeSSBParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(plan, data.DB, 8, WithStyle(Vec512))
+		res, err := execPlan(plan, data.DB, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -197,8 +197,8 @@ func TestFacadeParallelOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	seq := NewEngine(nil, WithStyle(Vec512), WithParallelism(1))
-	par := NewEngine(nil, WithStyle(Vec512), WithParallelism(4))
+	seq := NewEngine(nil, WithParallelism(1))
+	par := NewEngine(nil, WithParallelism(4))
 	want, err := seq.Select(ctx, col, CmpLt, 100, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
@@ -210,14 +210,14 @@ func TestFacadeParallelOps(t *testing.T) {
 	if want.String() != got.String() {
 		t.Fatalf("parallel select: %v, want %v", got, want)
 	}
-	if _, err := par.SelectBetween(ctx, col, 10, 20, WithStyle(Scalar)); err != nil {
+	if _, err := par.SelectBetween(ctx, col, 10, 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := par.SemiJoin(ctx, col, FromValues([]uint64{5, 6}), WithStyle(Scalar)); err != nil {
+	if _, err := par.SemiJoin(ctx, col, FromValues([]uint64{5, 6})); err != nil {
 		t.Fatal(err)
 	}
 	data := FromValues(vals)
-	if _, err := par.Project(ctx, data, want, WithStyle(Scalar)); err != nil {
+	if _, err := par.Project(ctx, data, want); err != nil {
 		t.Fatal(err)
 	}
 	ws, err := seq.Sum(ctx, col)

@@ -16,7 +16,6 @@ import (
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/metrics"
 	"morphstore/internal/ssb"
-	"morphstore/internal/vector"
 )
 
 // observeSSB builds a small SSB instance and one prepared plan per query on
@@ -27,7 +26,7 @@ func observeSSB(t *testing.T) (*Engine, map[ssb.Query]*Prepared) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(data.DB, WithParallelism(4), WithStyle(vector.Vec512))
+	eng := NewEngine(data.DB, WithParallelism(4))
 	prs := make(map[ssb.Query]*Prepared, len(ssb.Queries))
 	for _, q := range ssb.Queries {
 		p, err := ssb.BuildPlan(q, data.Dicts)
