@@ -76,7 +76,7 @@ func BenchmarkParallelSelectDynBP(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, false); err != nil {
+				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,7 +96,7 @@ func BenchmarkParallelSum(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.FixedRT(par).SumAuto(col, false); err != nil {
+				if _, _, err := ops.FixedRT(par).SumAuto(col); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,11 +152,12 @@ func reportPerRow(b *testing.B, rows int) {
 
 // BenchmarkScan measures the range scan of SSB Q1.x per input shape, at the
 // two selectivities of Q1.1: discount-like values 0..10 tested for [1, 3]
-// (~27 %) and quantity-like values 1..50 tested for < 25 (~48 %). swar_wB is
-// the packed-word kernel on static BP at SWAR width B and unpack_wB the same
-// column through unpack + block kernel (their ratio is the A/B ROADMAP
-// records); packed_w6 is static BP at a width with no SWAR form, uncompr the
-// zero-copy block kernel, deltabp the block kernel behind a blocked codec.
+// (~27 %) on static BP at width 4 (staticbp_w4, the discount column itself),
+// and quantity-like values 1..50 tested for < 25 (~48 %) on static BP at
+// width 6 (packed_w6), uncompressed (uncompr, the zero-copy block kernel) and
+// DeltaBP (deltabp, the block kernel behind a blocked codec). The input's
+// format picks the kernel; the direct-kernel A/B behind that choice is
+// internal/ops' BenchmarkDirectKernels.
 func BenchmarkScan(b *testing.B) {
 	column := func(mod, off uint64, desc columns.FormatDesc) *columns.Column {
 		rng := rand.New(rand.NewSource(42))
@@ -170,34 +171,19 @@ func BenchmarkScan(b *testing.B) {
 		}
 		return col
 	}
-	type scan struct {
-		name        string
-		in          *columns.Column
-		lo, hi      uint64
-		specialized bool
-	}
-	var scans []scan
-	for _, w := range []uint{1, 2, 4, 8} {
-		// Width 4 is the discount column itself; the other widths keep its
-		// ~27 % with the domain scaled to the field range.
-		mod := min(uint64(11), bitutil.Mask(w)+1)
-		lo, hi := uint64(1), uint64(3)
-		if w < 4 {
-			lo, hi = 0, 0 // 1 of 2 (50 %), 1 of 4 (25 %)
-		}
-		in := column(mod, 0, columns.StaticBPDesc(w))
-		scans = append(scans,
-			scan{fmt.Sprintf("swar_w%d", w), in, lo, hi, true},
-			scan{fmt.Sprintf("unpack_w%d", w), in, lo, hi, false})
-	}
-	scans = append(scans,
-		scan{"packed_w6", column(50, 1, columns.StaticBPDesc(6)), 0, 24, true},
-		scan{"uncompr", column(50, 1, columns.UncomprDesc), 0, 24, false},
-		scan{"deltabp", column(50, 1, columns.DeltaBPDesc), 0, 24, false})
-	for _, sc := range scans {
+	for _, sc := range []struct {
+		name   string
+		in     *columns.Column
+		lo, hi uint64
+	}{
+		{"staticbp_w4", column(11, 0, columns.StaticBPDesc(4)), 1, 3},
+		{"packed_w6", column(50, 1, columns.StaticBPDesc(6)), 0, 24},
+		{"uncompr", column(50, 1, columns.UncomprDesc), 0, 24},
+		{"deltabp", column(50, 1, columns.DeltaBPDesc), 0, 24},
+	} {
 		b.Run(sc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.SelectBetweenAuto(sc.in, sc.lo, sc.hi, columns.DeltaBPDesc, 0, sc.specialized); err != nil {
+				if _, err := ops.SelectBetweenAuto(sc.in, sc.lo, sc.hi, columns.DeltaBPDesc, 0, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,7 +258,7 @@ func BenchmarkKernels(b *testing.B) {
 		n    int
 		run  func() error
 	}{
-		{"sum", benchScanN, func() error { _, _, err := rt.SumAuto(xc, false); return err }},
+		{"sum", benchScanN, func() error { _, _, err := rt.SumAuto(xc); return err }},
 		{"calc_add", benchScanN, calc(ops.CalcAdd)},
 		{"calc_mul", benchScanN, calc(ops.CalcMul)},
 		{"gather_uncompr", len(pos), gather(xc)},
@@ -518,55 +504,6 @@ func BenchmarkAblationMorph(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := formats.Compress(dec, columns.StaticBPDesc(0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSpecialized compares the specialized direct operators
-// against the on-the-fly de/re-compression operators on the same columns.
-func BenchmarkAblationSpecialized(b *testing.B) {
-	vals := make([]uint64, benchMicroN)
-	for i := range vals {
-		vals[i] = uint64(i % 256)
-	}
-	sbp, err := formats.Compress(vals, columns.StaticBPDesc(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dbp, err := formats.Compress(vals, columns.DynBPDesc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("select_swar_direct", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("select_otf", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := ops.FixedRT(1).SelectAuto(sbp, bitutil.CmpLt, 10, columns.DeltaBPDesc, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sum_dynbp_direct", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ops.FixedRT(1).SumAuto(dbp, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sum_otf", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ops.FixedRT(1).SumAuto(dbp, false); err != nil {
 				b.Fatal(err)
 			}
 		}

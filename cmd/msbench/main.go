@@ -281,11 +281,11 @@ func (w *workload) emptyDeltaRead(samples int) (pct float64, detail string, err 
 	if err := writable.Append(context.Background(), "t", map[string][]uint64{"a": {}, "b": {}}); err != nil {
 		return 0, "", err
 	}
-	_, frozen, err := execute(newEngine(w.db), w.plan, core.WithAutoMorph(true))
+	_, frozen, err := execute(newEngine(w.db), w.plan)
 	if err != nil {
 		return 0, "", err
 	}
-	_, empty, err := execute(writable, w.plan, core.WithAutoMorph(true))
+	_, empty, err := execute(writable, w.plan)
 	if err != nil {
 		return 0, "", err
 	}
@@ -330,7 +330,7 @@ func stringPredicate(samples int) (pct float64, detail string, err error) {
 		if err != nil {
 			return nil, err
 		}
-		_, run, err := execute(newEngine(db), plan, core.WithAutoMorph(true))
+		_, run, err := execute(newEngine(db), plan)
 		return run, err
 	}
 	byID, err := side(idb, func(b *core.Builder, s core.ColRef) core.ColRef {

@@ -78,7 +78,7 @@ func runFig5(opt options) error {
 			fmt.Printf("%-14v", ind)
 			for _, outd := range descs {
 				t, err := timeIt(opt.repeats, func() error {
-					_, err := ops.FixedRT(1).SelectAuto(inputs[i], bitutil.CmpEq, needle, outd, false)
+					_, err := ops.FixedRT(1).SelectAuto(inputs[i], bitutil.CmpEq, needle, outd)
 					return err
 				})
 				if err != nil {

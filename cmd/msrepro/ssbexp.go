@@ -157,12 +157,12 @@ func staticAssign(p *core.Plan) *core.Assignment {
 }
 
 // runAssign executes a query under a full assignment.
-func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment, specialized bool) (*core.Result, time.Duration, error) {
+func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment) (*core.Result, time.Duration, error) {
 	enc, err := c.data.DB.Encode(a.Base)
 	if err != nil {
 		return nil, 0, err
 	}
-	return c.timedRun(opt, q, enc, core.WithFormats(a.Inter), core.WithSpecialized(specialized))
+	return c.timedRun(opt, q, enc, core.WithFormats(a.Inter))
 }
 
 // runFig9 regenerates Figure 9: per-query runtimes of the four systems.
@@ -198,7 +198,7 @@ func runFig9(opt options) error {
 		if err != nil {
 			return err
 		}
-		_, tc, err := c.runAssign(opt, q, assign, true)
+		_, tc, err := c.runAssign(opt, q, assign)
 		if err != nil {
 			return err
 		}
@@ -229,7 +229,7 @@ func runFig9(opt options) error {
 // runtime experiments: greedy search with -full, cost-based otherwise.
 func (c *ssbCache) bestRuntimeAssign(opt options, q ssb.Query) (*core.Assignment, error) {
 	if opt.full {
-		return core.RuntimeGreedySearch(c.plans[q], c.data.DB, true, false, opt.repeats)
+		return core.RuntimeGreedySearch(c.plans[q], c.data.DB, false, opt.repeats)
 	}
 	return c.costBased(q)
 }
@@ -285,7 +285,7 @@ func runFig1(opt options) error {
 		if err != nil {
 			return err
 		}
-		resC, tc, err := c.runAssign(opt, q, assign, true)
+		resC, tc, err := c.runAssign(opt, q, assign)
 		if err != nil {
 			return err
 		}
@@ -338,7 +338,7 @@ func runFig7(opt options) error {
 			t    time.Duration
 		}
 		run := func(a *core.Assignment) (cell, error) {
-			res, t, err := c.runAssign(opt, q, a, false)
+			res, t, err := c.runAssign(opt, q, a)
 			if err != nil {
 				return cell{}, err
 			}
@@ -363,7 +363,7 @@ func runFig7(opt options) error {
 		if err != nil {
 			return err
 		}
-		_, bt, err := c.runAssign(opt, q, rtAssign, false)
+		_, bt, err := c.runAssign(opt, q, rtAssign)
 		if err != nil {
 			return err
 		}
@@ -413,7 +413,7 @@ func runFig8(opt options) error {
 		uncmp := core.NewAssignment()
 
 		run := func(a *core.Assignment) (int, time.Duration, error) {
-			res, t, err := c.runAssign(opt, q, a, false)
+			res, t, err := c.runAssign(opt, q, a)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -468,7 +468,7 @@ func runFig10(opt options) error {
 			return err
 		}
 		run := func(a *core.Assignment) (int, error) {
-			res, _, err := c.runAssign(opt, q, a, false)
+			res, _, err := c.runAssign(opt, q, a)
 			if err != nil {
 				return 0, err
 			}

@@ -167,7 +167,7 @@ func TestDictIngestEquivalence(t *testing.T) {
 		planB := idSelectPlan(t, id, hit)
 		for dn, desc := range descs {
 			for _, par := range []int{1, 4} {
-				opts := []ms.Option{ms.WithUniformFormat(desc), ms.WithParallelism(par), ms.WithAutoMorph(true)}
+				opts := []ms.Option{ms.WithUniformFormat(desc), ms.WithParallelism(par)}
 				prA, err := engA.Prepare(planA, opts...)
 				if err != nil {
 					t.Fatalf("%s/%s/par%d prepare strings: %v", w, dn, par, err)
@@ -227,7 +227,7 @@ func TestDictIngestEquivalence(t *testing.T) {
 		want := model(c.match)
 		var res1 *ms.Result
 		for _, par := range []int{1, 4} {
-			pr, err := engA.Prepare(c.plan, ms.WithUniformFormat(ms.DynBP), ms.WithParallelism(par), ms.WithAutoMorph(true))
+			pr, err := engA.Prepare(c.plan, ms.WithUniformFormat(ms.DynBP), ms.WithParallelism(par))
 			if err != nil {
 				t.Fatalf("%s/par%d: %v", c.name, par, err)
 			}

@@ -2,9 +2,11 @@
 //
 // An Engine owns a database, an engine-wide worker budget, and an admission
 // gate. Plans are compiled once with Prepare — per-column formats resolved
-// explicitly, uniformly, or cost-based; morph insertions and
-// specialized-kernel dispatch bound per node — and executed any number of
-// times, from any number of goroutines, under a context.Context:
+// explicitly, uniformly, or cost-based; morph insertions bound per node — and
+// executed any number of times, from any number of goroutines, under a
+// context.Context. Each operator picks its kernel from the format of the
+// column it is handed: a direct kernel on the compressed data where that
+// format has a faster one, on-the-fly de/re-compression everywhere else.
 //
 //	eng := morphstore.NewEngine(db,
 //		morphstore.WithParallelism(8),
@@ -60,21 +62,10 @@ type Snapshot = core.Snapshot
 type Option = core.Option
 
 // NewEngine returns an engine over db (nil means an empty database, for
-// one-off operator use). Options set engine-wide defaults (WithSpecialized,
-// WithAutoMorph), the worker budget (WithParallelism: 0 = GOMAXPROCS), the
-// admission gate (WithMaxConcurrentQueries, WithMemoryBudget,
-// WithAdmissionQueue), and the retry policy (WithRetry).
+// one-off operator use). Options set the worker budget (WithParallelism:
+// 0 = GOMAXPROCS), the admission gate (WithMaxConcurrentQueries,
+// WithMemoryBudget, WithAdmissionQueue), and the retry policy (WithRetry).
 func NewEngine(db *DB, opts ...Option) *Engine { return core.NewEngine(db, opts...) }
-
-// WithSpecialized enables the specialized-operator integration degree for
-// formats that have one (§3.3). Applies to NewEngine, Prepare, and one-off
-// operator calls.
-func WithSpecialized(on bool) Option { return core.WithSpecialized(on) }
-
-// WithAutoMorph permits on-the-fly morphs when an operator needs random
-// access to a column whose format does not support it; without it such
-// plans fail to prepare. Applies to NewEngine and Prepare.
-func WithAutoMorph(on bool) Option { return core.WithAutoMorph(on) }
 
 // WithKeep retains all intermediate columns in the result. Applies to
 // Prepare and Execute.

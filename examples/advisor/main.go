@@ -76,9 +76,10 @@ func makeWorkloads() []workload {
 }
 
 func main() {
-	// One engine runs the verification queries; specialized kernels work
-	// directly on the compressed representation where the format has one.
-	eng := ms.NewEngine(nil, ms.WithSpecialized(true))
+	// One engine runs the verification queries; each operator works directly
+	// on the compressed representation where the format has a faster direct
+	// kernel.
+	eng := ms.NewEngine(nil)
 	ctx := context.Background()
 	for _, w := range makeWorkloads() {
 		prof := ms.Analyze(w.vals)

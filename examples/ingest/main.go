@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := eng.Prepare(plan, ms.WithCostBasedFormats(), ms.WithAutoMorph(true))
+	q, err := eng.Prepare(plan, ms.WithCostBasedFormats())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 			log.Fatal(err)
 		}
 		engC := ms.NewEngine(encoded, ms.WithParallelism(1))
-		qC, err := engC.Prepare(plan, ms.WithFormats(assign.Inter), ms.WithSpecialized(true))
+		qC, err := engC.Prepare(plan, ms.WithFormats(assign.Inter))
 		if err != nil {
 			log.Fatal(err)
 		}

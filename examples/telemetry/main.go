@@ -99,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	qC, err := ms.NewEngine(encoded, ms.WithParallelism(1)).
-		Prepare(plan, ms.WithFormats(assign.Inter), ms.WithSpecialized(true))
+		Prepare(plan, ms.WithFormats(assign.Inter))
 	if err != nil {
 		log.Fatal(err)
 	}

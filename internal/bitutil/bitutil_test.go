@@ -287,7 +287,7 @@ func TestPackedRangeBoundaryValues(t *testing.T) {
 
 func TestSumPackedWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, b := range []uint{1, 2, 4, 8, 16, 32, 6, 13, 40} {
+	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
 		for _, n := range []int{0, 1, 64, 100, 4096} {
 			src := make([]uint64, n)
 			var want uint64
@@ -297,7 +297,7 @@ func TestSumPackedWords(t *testing.T) {
 			}
 			words := make([]uint64, PackedWords(n, b))
 			Pack(words, src, b)
-			if got := SumPackedWords(words, n, b); got != want {
+			if got := SumPackedWords(words, b); got != want {
 				t.Fatalf("b=%d n=%d: sum = %d, want %d", b, n, got, want)
 			}
 		}
@@ -344,6 +344,6 @@ func BenchmarkSwarSumWidth8(b *testing.B) {
 	b.SetBytes(int64(n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SumPackedWords(words, n, 8)
+		SumPackedWords(words, 8)
 	}
 }

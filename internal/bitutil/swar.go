@@ -154,20 +154,10 @@ func (p PackedRange) Match(x uint64) uint64 {
 }
 
 // SumPackedWords sums every b-wide field across the packed words using
-// window-parallel accumulation. n is the total number of fields represented;
-// unused fields of the final partial word must be zero (true for all
-// MorphStore packed buffers, which zero-initialize their words).
-func SumPackedWords(words []uint64, n int, b uint) uint64 {
-	if b == 0 || n == 0 {
-		return 0
-	}
-	if !SwarWidthOK(b) {
-		var s uint64
-		for i := 0; i < n; i++ {
-			s += Get(words, i, b)
-		}
-		return s
-	}
+// window-parallel accumulation; b must satisfy SwarWidthOK. Unused fields of
+// the final partial word must be zero (true for all MorphStore packed
+// buffers, which zero-initialize their words).
+func SumPackedWords(words []uint64, b uint) uint64 {
 	w := 2 * b
 	even := Broadcast(Mask(b), w)
 	odd := even << b

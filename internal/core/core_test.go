@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -93,26 +94,62 @@ func TestSimpleQueryAllConfigs(t *testing.T) {
 	}
 }
 
+// TestSpecializedMatchesGeneric runs the simple query over static BP base
+// columns at a width where the select and the sum have direct kernels (the
+// SWAR select at width 2, the SWAR sum at width 16) and at one where neither
+// has (width 11): the sum equals the reference on both.
 func TestSpecializedMatchesGeneric(t *testing.T) {
-	db, want := simpleDB(8000, 2)
-	p := simpleQueryPlan(t, 7)
-	encoded, err := db.Encode(map[string]columns.FormatDesc{
-		"r.x": columns.StaticBPDesc(8),
-		"r.y": columns.StaticBPDesc(0),
-	})
+	rng := rand.New(rand.NewSource(2))
+	x, y := make([]uint64, 8000), make([]uint64, 8000)
+	var want uint64
+	for i := range x {
+		x[i], y[i] = uint64(rng.Intn(4)), uint64(rng.Intn(2000))
+		if x[i] == 3 {
+			want += y[i]
+		}
+	}
+	db := NewDB()
+	db.AddTable("r", map[string][]uint64{"x": x, "y": y})
+	p := simpleQueryPlan(t, 3)
+	for _, w := range [][2]uint{{2, 16}, {11, 11}} {
+		encoded, err := db.Encode(map[string]columns.FormatDesc{
+			"r.x": columns.StaticBPDesc(w[0]),
+			"r.y": columns.StaticBPDesc(w[1]),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := execPlan(p, encoded, 0, WithUniformFormat(columns.DeltaBPDesc), WithFormat("y_proj", columns.StaticBPDesc(w[1])))
+		if err != nil {
+			t.Fatalf("widths %v: %v", w, err)
+		}
+		if got, _ := res.Cols["total"].Values(); got[0] != want {
+			t.Fatalf("widths %v: sum = %d, want %d", w, got[0], want)
+		}
+	}
+}
+
+// checkMorphRun runs p on db with the options o. The column named morphed
+// feeds a project but is kept in a format without random access, which
+// ops.Project rejects, so the plan can only run on a morphed copy. The check
+// is that the plan prepares and runs, that the kept column really is in
+// such a format, and that the results are byte-identical to an
+// all-uncompressed run of p on plain.
+func checkMorphRun(t *testing.T, p *Plan, db, plain *DB, morphed string, par int, o ...Option) {
+	t.Helper()
+	res, err := execPlan(p, db, par, append(o, WithKeep(true))...)
+	if err != nil {
+		t.Fatalf("%s p=%d: %v", morphed, par, err)
+	}
+	if col := res.Inter[morphed]; col == nil || formats.HasRandomAccess(col.Desc().Kind) {
+		t.Fatalf("%s p=%d: kept column %v, want a format without random access", morphed, par, col)
+	}
+	want, err := execPlan(p, plain, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, specialized := range []bool{false, true} {
-		res, err := execPlan(p, encoded, 0,
-			WithUniformFormat(columns.DeltaBPDesc), WithSpecialized(specialized))
-		if err != nil {
-			t.Fatalf("specialized=%v: %v", specialized, err)
-		}
-		got, _ := res.Cols["total"].Values()
-		if got[0] != want {
-			t.Fatalf("specialized=%v: sum = %d, want %d", specialized, got[0], want)
-		}
+	for name, wc := range want.Cols {
+		sameColumns(t, fmt.Sprintf("%s p=%d result %s", morphed, par, name), wc, res.Cols[name])
 	}
 }
 
@@ -152,24 +189,14 @@ func TestRandomAccessRestriction(t *testing.T) {
 	if !p.RandomAccessed("r.y") {
 		t.Fatal("r.y must be marked randomly accessed")
 	}
-	// Encoding the project data column in DynBP must fail without AutoMorph.
+	// A project data column stored in DynBP is morphed on the fly.
 	encoded, err := db.Encode(map[string]columns.FormatDesc{"r.y": columns.DynBPDesc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := execPlan(p, encoded, 0); err == nil {
-		t.Fatal("project on DynBP data must fail without AutoMorph")
-	}
-	// With AutoMorph the executor inserts an on-the-fly morph.
-	res, err := execPlan(p, encoded, 0, WithAutoMorph(true))
-	if err != nil {
-		t.Fatalf("AutoMorph execution failed: %v", err)
-	}
-	if len(res.Cols) != 1 {
-		t.Fatal("missing result")
-	}
-	// An intermediate consumed via random access must also be rejected when
-	// configured with a non-random-access format.
+	checkMorphRun(t, p, encoded, db, "r.y", 0)
+	// So is an intermediate consumed via random access and configured with a
+	// format without random access.
 	b := NewBuilder()
 	x := b.Scan("r", "x")
 	d := b.Project("d", x, b.Select("s", x, bitutil.CmpEq, 7))
@@ -178,12 +205,7 @@ func TestRandomAccessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := execPlan(p2, db, 0, WithFormat("d", columns.DynBPDesc)); err == nil {
-		t.Fatal("project on a DynBP intermediate must fail without AutoMorph")
-	}
-	if _, err := execPlan(p2, db, 0, WithFormat("d", columns.DynBPDesc), WithAutoMorph(true)); err != nil {
-		t.Fatalf("AutoMorph execution on a DynBP intermediate failed: %v", err)
-	}
+	checkMorphRun(t, p2, db, db, "d", 0, WithFormat("d", columns.DynBPDesc))
 }
 
 func TestResultMustStayUncompressed(t *testing.T) {
@@ -368,7 +390,7 @@ func TestCostBasedAssignmentNearOptimal(t *testing.T) {
 func TestRuntimeGreedySearchRuns(t *testing.T) {
 	db, want := simpleDB(4000, 8)
 	p := simpleQueryPlan(t, 7)
-	a, err := RuntimeGreedySearch(p, db, false, false, 1)
+	a, err := RuntimeGreedySearch(p, db, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

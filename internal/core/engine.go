@@ -19,11 +19,11 @@ import (
 // This file implements the engine API around the holistic processing model:
 // an Engine owns the base data, an engine-wide worker budget and an
 // admission gate; Prepare compiles a plan once — per-column formats
-// resolved explicitly, uniformly, or cost-based, morphs inserted,
-// specialized-kernel dispatch fixed (physop.go) — into a Prepared query; and
-// Prepared.Execute runs it under a context, with cancellation threaded
-// through the DAG scheduler and the morsel loops, and with the morsel workers
-// of concurrent Execute calls drawing on one engine-wide token budget.
+// resolved explicitly, uniformly, or cost-based, morphs inserted (physop.go)
+// — into a Prepared query; and Prepared.Execute runs it under a context,
+// with cancellation threaded through the DAG scheduler and the morsel loops,
+// and with the morsel workers of concurrent Execute calls drawing on one
+// engine-wide token budget.
 
 // scope classifies where a functional option applies.
 type scope uint8
@@ -53,17 +53,15 @@ func (s scope) String() string {
 // or one-off operator call. Layers merge: engine defaults, then Prepare
 // overrides, then Execute overrides.
 type options struct {
-	specialized bool
-	autoMorph   bool
-	keep        bool
-	par         int           // 0 = engine budget / GOMAXPROCS
-	maxQueries  int           // 0 = unlimited
-	admitDepth  int           // admission queue bound; 0 = unbounded
-	admitWait   time.Duration // admission queue wait bound; 0 = none
-	timeout     time.Duration // 0 = no per-execution deadline
-	memBudget   int64         // engine-wide byte budget of the admission gate; 0 = none
-	memDegrade  bool          // over-budget plans degrade to par=1 instead of failing
-	retry       RetryPolicy   // zero value = no retries
+	keep       bool
+	par        int           // 0 = engine budget / GOMAXPROCS
+	maxQueries int           // 0 = unlimited
+	admitDepth int           // admission queue bound; 0 = unbounded
+	admitWait  time.Duration // admission queue wait bound; 0 = none
+	timeout    time.Duration // 0 = no per-execution deadline
+	memBudget  int64         // engine-wide byte budget of the admission gate; 0 = none
+	memDegrade bool          // over-budget plans degrade to par=1 instead of failing
+	retry      RetryPolicy   // zero value = no retries
 	// Background remorph (WithRemorph): delta-to-main ratio that triggers a
 	// rebuild (<= 0 = any non-empty delta) and the worker's sweep interval
 	// (0 = no worker).
@@ -117,21 +115,20 @@ func WithStyle(vector.Style) Option {
 		apply: func(*options) {}}
 }
 
-// WithSpecialized enables the specialized-operator integration degree for
-// formats that have one (§3.3: employ them selectively). Applies to
-// NewEngine, Prepare, and one-off operator calls.
-func WithSpecialized(on bool) Option {
+// WithSpecialized sets nothing: the input column's format picks each
+// operator's kernel (ops.Runtime.SelectAuto, SumAuto). Applies to NewEngine,
+// Prepare, and one-off operator calls.
+func WithSpecialized(bool) Option {
 	return Option{name: "WithSpecialized", scope: scopeEngine | scopePrepare | scopeOp,
-		apply: func(o *options) { o.specialized = on }}
+		apply: func(*options) {}}
 }
 
-// WithAutoMorph permits on-the-fly morphs when an operator needs random
-// access to a column whose format does not support it; without it such
-// plans fail to prepare (strict consistency, §3.3). Applies to NewEngine
-// and Prepare.
-func WithAutoMorph(on bool) Option {
+// WithAutoMorph sets nothing: a random-access consumer of a column whose
+// format lacks random access always gets an on-the-fly morph to static BP.
+// Applies to NewEngine and Prepare.
+func WithAutoMorph(bool) Option {
 	return Option{name: "WithAutoMorph", scope: scopeEngine | scopePrepare,
-		apply: func(o *options) { o.autoMorph = on }}
+		apply: func(*options) {}}
 }
 
 // WithKeep retains all intermediate columns in the result (used by the
@@ -324,11 +321,12 @@ type Engine struct {
 	stopRemorph  sync.Once
 }
 
-// NewEngine returns an engine over db. Options set engine-wide defaults
-// (WithSpecialized, WithAutoMorph), the worker budget
-// (WithParallelism: 0 = GOMAXPROCS), and the admission gate
-// (WithMaxConcurrentQueries, WithMemoryBudget, WithAdmissionQueue). A
-// misplaced option is reported by the first Prepare/operator call.
+// NewEngine returns an engine over db. Options set the worker budget
+// (WithParallelism: 0 = GOMAXPROCS), the admission gate
+// (WithMaxConcurrentQueries, WithMemoryBudget, WithAdmissionQueue), the
+// background remorph (WithRemorph), and engine-wide defaults of per-query
+// options (WithQueryTimeout, WithRetry, WithTracer). A misplaced option is
+// reported by the first Prepare/operator call.
 func NewEngine(db *DB, o ...Option) *Engine {
 	if db == nil {
 		db = NewDB()
@@ -412,9 +410,8 @@ type Prepared struct {
 
 // Prepare compiles the plan once against the engine's database: per-column
 // formats are resolved (explicit WithFormat/WithFormats, WithUniformFormat,
-// or WithCostBasedFormats; explicit entries win), morph insertions and
-// specialized-kernel dispatch are fixed, and configuration errors surface
-// here rather than mid-execution.
+// or WithCostBasedFormats; explicit entries win), morph insertions are
+// fixed, and configuration errors surface here rather than mid-execution.
 func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -435,7 +432,7 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 			return nil, fmt.Errorf("core: result column %q must stay uncompressed, configured %v", name, d)
 		}
 	}
-	c := &compiler{p: p, db: e.db, opt: &opt, sinks: sinks}
+	c := &compiler{db: e.db, opt: &opt, sinks: sinks}
 	bound := make([]boundNode, len(p.nodes))
 	for i, n := range p.nodes {
 		if bound[i], err = c.compile(n); err != nil {

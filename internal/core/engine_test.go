@@ -272,7 +272,7 @@ func TestEngineOptionScopes(t *testing.T) {
 func TestEngineAccessorsAndOptions(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	e := NewEngine(db, WithParallelism(5), WithSpecialized(true))
+	e := NewEngine(db, WithParallelism(5))
 	if e.DB() != db {
 		t.Fatal("DB accessor lost the database")
 	}
@@ -356,32 +356,11 @@ func TestEnginePrepareValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "uncompressed") {
 		t.Fatalf("compressed result column = %v, want error", err)
 	}
-	// Random-access consumer of a non-random-access format without AutoMorph:
-	// pv is the data input of a second project.
+	// A random-access consumer of a format without random access is no
+	// configuration error: pv, the data input of a second project, is morphed
+	// on the fly.
 	rdb, rplan := randomAccessPlan(t)
-	re := NewEngine(rdb)
-	if _, err := re.Prepare(rplan, WithFormat("pv", columns.DeltaBPDesc)); err == nil ||
-		!strings.Contains(err.Error(), "random access") {
-		t.Fatalf("random access violation = %v, want error", err)
-	}
-	// ... and AutoMorph turns the same binding into an on-the-fly morph.
-	pr, err := re.Prepare(rplan, WithFormat("pv", columns.DeltaBPDesc), WithAutoMorph(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := re.Prepare(rplan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wres, err := want.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gres, err := pr.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "automorph total", wres.Cols["total"], gres.Cols["total"])
+	checkMorphRun(t, rplan, rdb, rdb, "pv", 0, WithFormat("pv", columns.DeltaBPDesc))
 	// Unknown base columns fail Prepare, not Execute.
 	b := NewBuilder()
 	bad := b.Scan("nope", "x")
@@ -466,7 +445,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	e := NewEngine(nil, WithParallelism(3))
 	ctx := context.Background()
 
-	wantSel, err := ops.FixedRT(3).SelectAuto(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
+	wantSel, err := ops.FixedRT(3).SelectAuto(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +475,7 @@ func TestEngineOneOffOps(t *testing.T) {
 	}
 	sameColumns(t, "project", wantProj, gotProj)
 
-	wantSum, _, err := ops.FixedRT(3).SumAuto(dynA, false)
+	wantSum, _, err := ops.FixedRT(3).SumAuto(dynA)
 	if err != nil {
 		t.Fatal(err)
 	}

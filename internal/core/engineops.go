@@ -92,10 +92,10 @@ func (e *Engine) opGuard(op string, errp *error) {
 }
 
 // Select returns the sorted positions of elements matching `element op val`.
-// Options: WithOutput, WithSpecialized, WithParallelism.
+// Options: WithOutput, WithParallelism.
 func (e *Engine) Select(ctx context.Context, in *columns.Column, op bitutil.CmpKind, val uint64, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "select", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SelectAuto(in, op, val, opt.outputDesc(0), opt.specialized)
+		out, err = rt.SelectAuto(in, op, val, opt.outputDesc(0))
 		return err
 	})
 	return out, err
@@ -104,7 +104,7 @@ func (e *Engine) Select(ctx context.Context, in *columns.Column, op bitutil.CmpK
 // SelectBetween returns the sorted positions of elements in [lo, hi].
 func (e *Engine) SelectBetween(ctx context.Context, in *columns.Column, lo, hi uint64, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "between", o, func(opt options, rt ops.Runtime) error {
-		out, err = rt.SelectBetweenAuto(in, lo, hi, opt.outputDesc(0), 0, opt.specialized)
+		out, err = rt.SelectBetweenAuto(in, lo, hi, opt.outputDesc(0), 0, false)
 		return err
 	})
 	return out, err
@@ -123,7 +123,7 @@ func (e *Engine) Project(ctx context.Context, data, pos *columns.Column, o ...Op
 // Sum aggregates all elements of a column.
 func (e *Engine) Sum(ctx context.Context, in *columns.Column, o ...Option) (sum uint64, err error) {
 	err = e.oneOff(ctx, "sum", o, func(opt options, rt ops.Runtime) error {
-		sum, _, err = rt.SumAuto(in, opt.specialized)
+		sum, _, err = rt.SumAuto(in)
 		return err
 	})
 	return sum, err

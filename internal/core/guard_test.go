@@ -303,17 +303,14 @@ func TestOneOffFaultsReleaseAdmission(t *testing.T) {
 
 // TestUndefinedCmpKind: a comparison kind outside the six defined ones used
 // to select nothing, silently, on every kernel path. It is now an
-// ErrInvalidSchema error from all three entry points, with the specialized
-// kernels on and off.
+// ErrInvalidSchema error from all three entry points, on an input the SWAR
+// kernel takes (static BP at width 2) and on one the block kernel takes
+// (width 4).
 func TestUndefinedCmpKind(t *testing.T) {
 	const bad = bitutil.CmpKind(9)
 	vals := make([]uint64, 300)
 	for i := range vals {
-		vals[i] = uint64(i % 8)
-	}
-	in, err := formats.Compress(vals, columns.StaticBPDesc(4)) // a SWAR width: the specialized path applies
-	if err != nil {
-		t.Fatal(err)
+		vals[i] = uint64(i % 4)
 	}
 	db := NewDB()
 	if err := db.AddTable("t", map[string][]uint64{"v": vals}); err != nil {
@@ -321,12 +318,16 @@ func TestUndefinedCmpKind(t *testing.T) {
 	}
 	e := NewEngine(db, WithParallelism(1))
 	defer e.Close(context.Background())
-	for _, specialized := range []bool{false, true} {
-		if col, err := ops.FixedRT(1).SelectAuto(in, bad, 3, columns.UncomprDesc, specialized); !errors.Is(err, qerr.ErrInvalidSchema) {
-			t.Errorf("Runtime.SelectAuto(specialized=%v) = %v, %v; want ErrInvalidSchema", specialized, col, err)
+	for _, w := range []uint{2, 4} {
+		in, err := formats.Compress(vals, columns.StaticBPDesc(w))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if col, err := e.Select(context.Background(), in, bad, 3, WithSpecialized(specialized)); !errors.Is(err, qerr.ErrInvalidSchema) {
-			t.Errorf("Engine.Select(specialized=%v) = %v, %v; want ErrInvalidSchema", specialized, col, err)
+		if col, err := ops.FixedRT(1).SelectAuto(in, bad, 3, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Runtime.SelectAuto(w=%d) = %v, %v; want ErrInvalidSchema", w, col, err)
+		}
+		if col, err := e.Select(context.Background(), in, bad, 3); !errors.Is(err, qerr.ErrInvalidSchema) {
+			t.Errorf("Engine.Select(w=%d) = %v, %v; want ErrInvalidSchema", w, col, err)
 		}
 	}
 	b := NewBuilder()

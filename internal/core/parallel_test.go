@@ -167,34 +167,30 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelErrorPropagation checks that a plan binding a
-// non-random-access format to a randomly accessed intermediate is rejected at
-// every width, and that no result is returned.
-func TestExecuteParallelErrorPropagation(t *testing.T) {
+// TestExecuteParallelMorph checks that a plan binding a non-random-access
+// format to a randomly accessed intermediate morphs it on the fly at every
+// width, with the results of an all-uncompressed run.
+func TestExecuteParallelMorph(t *testing.T) {
 	db := buildParTestDB(t)
 	b := NewBuilder()
 	qty := b.Scan("fact", "qty")
-	sel := b.Select("sel", qty, bitutil.CmpLt, 10)
-	// DynBP positions are randomly accessed by the project below: illegal
-	// without AutoMorph.
-	b.Result(b.Project("bad", sel, b.Select("sel2", qty, bitutil.CmpLt, 5)))
+	vals := b.Project("vals", qty, b.Select("sel", qty, bitutil.CmpLt, 10))
+	// The DynBP values of vals are the data the project below gathers from.
+	b.Result(b.Project("gathered", vals, b.Select("sel2", vals, bitutil.CmpLt, 5)))
 	plan, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		res, err := execPlan(plan, db, par, WithFormats(
-			map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc}))
-		if err == nil {
-			t.Fatalf("p=%d: expected random-access error, got result %v", par, res)
-		}
+		checkMorphRun(t, plan, db, db, "vals", par, WithFormats(map[string]columns.FormatDesc{
+			"sel": columns.DynBPDesc, "vals": columns.DynBPDesc, "sel2": columns.DynBPDesc}))
 	}
 }
 
 // TestBetweenPlanRanges runs a one-node range select as a plan over every
-// base format, with specialized operators on and off, sequentially and
-// morsel-parallel: an ordinary range and an inverted one (lo > hi, which
-// matches nothing) must both equal the plain-Go reference on every path.
+// base format, sequentially and morsel-parallel: an ordinary range and an
+// inverted one (lo > hi, which matches nothing) must both equal the plain-Go
+// reference on every path.
 func TestBetweenPlanRanges(t *testing.T) {
 	db := buildParTestDB(t)
 	qty, _ := db.Tables["fact"].Cols["qty"].Values()
@@ -217,22 +213,18 @@ func TestBetweenPlanRanges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, specialized := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					res, err := execPlan(plan, enc, par, WithSpecialized(specialized))
-					if err != nil {
-						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %v", lo, hi, desc, specialized, par, err)
-					}
-					got, _ := res.Cols["sel"].Values()
-					if len(got) != len(want) {
-						t.Fatalf("[%d,%d] %v specialized=%v par=%d: %d positions, want %d",
-							lo, hi, desc, specialized, par, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("[%d,%d] %v specialized=%v par=%d: position %d = %d, want %d",
-								lo, hi, desc, specialized, par, i, got[i], want[i])
-						}
+			for _, par := range []int{1, 4} {
+				res, err := execPlan(plan, enc, par)
+				if err != nil {
+					t.Fatalf("[%d,%d] %v par=%d: %v", lo, hi, desc, par, err)
+				}
+				got, _ := res.Cols["sel"].Values()
+				if len(got) != len(want) {
+					t.Fatalf("[%d,%d] %v par=%d: %d positions, want %d", lo, hi, desc, par, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("[%d,%d] %v par=%d: position %d = %d, want %d", lo, hi, desc, par, i, got[i], want[i])
 					}
 				}
 			}

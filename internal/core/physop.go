@@ -14,16 +14,15 @@ import (
 // This file implements the physical-operator compilation step behind
 // Engine.Prepare: every plan node is bound once — per-column output formats
 // resolved, on-the-fly morph insertions decided, base columns fetched from
-// the database, and the kernel dispatch (generic morsel drivers vs
-// specialized direct operators) fixed — into one physOp closure with a
-// uniform signature. Execution then just walks the bound operators; the
-// per-execution runNode type switch of the pre-engine executor is gone.
+// the database — into one physOp closure with a uniform signature. The
+// kernel each operator runs is not decided here: ops picks it from the
+// format of the column it is handed. Execution then just walks the bound
+// operators.
 //
 // All decisions that depend only on the plan, the configuration, and the
 // database schema happen here, so configuration errors (a compressed result
-// column, a random-access consumer of a non-random-access format without
-// AutoMorph, an unknown base column) surface at prepare time, before any
-// data is touched.
+// column, an unknown base column) surface at prepare time, before any data
+// is touched.
 
 // physOp runs one bound plan operator: it reads the already-complete outputs
 // of its inputs from the execution state and returns its own output columns.
@@ -62,7 +61,6 @@ func (es *execState) in(ref ColRef) *columns.Column { return es.outs[ref.node.id
 
 // compiler carries the immutable context of one Prepare call.
 type compiler struct {
-	p     *Plan
 	db    *DB
 	opt   *options
 	sinks map[string]bool
@@ -70,85 +68,32 @@ type compiler struct {
 
 // outDesc resolves the format a node output materializes in, honouring the
 // result-column rule (sinks stay uncompressed; Prepare has already rejected
-// a compressed format configured for one) and the random-access restriction
-// (§4.2).
-func (c *compiler) outDesc(name string) (columns.FormatDesc, error) {
-	if c.sinks[name] {
-		return columns.UncomprDesc, nil
+// a compressed format configured for one).
+func (c *compiler) outDesc(name string) columns.FormatDesc {
+	if d, ok := c.opt.inter[name]; ok && !c.sinks[name] {
+		return d
 	}
-	d, ok := c.opt.inter[name]
-	if !ok {
-		d = columns.UncomprDesc
-	}
-	if c.p.RandomAccessed(name) && !formats.HasRandomAccess(d.Kind) && !c.opt.autoMorph {
-		return columns.FormatDesc{}, fmt.Errorf("core: column %q needs random access but is configured %v (enable AutoMorph or choose uncompressed/static BP)", name, d)
-	}
-	return d, nil
+	return columns.UncomprDesc
 }
 
-// inputDesc resolves the format the referenced column materializes in: the
-// stored format for base columns, the configured format for intermediates,
-// uncompressed for result columns.
-func (c *compiler) inputDesc(ref ColRef) (columns.FormatDesc, error) {
-	if ref.node.op == OpScan {
-		col, err := c.db.Column(ref.node.table, ref.node.column)
-		if err != nil {
-			return columns.FormatDesc{}, err
-		}
-		return col.Desc(), nil
+// randomInput reads a project data input: a column whose format lacks random
+// access is morphed to static BP on the fly first (§3.3). The check runs on
+// the column the execution actually holds, not on a format fixed at prepare:
+// a writable table's stored format can drift across a remorph swap (the cost
+// model re-picks it), and the merged main+delta view may gain or lose random
+// access relative to the format seen at prepare.
+func randomInput(es *execState, ref ColRef) (*columns.Column, error) {
+	col := es.in(ref)
+	if formats.HasRandomAccess(col.Desc().Kind) {
+		return col, nil
 	}
-	if c.sinks[ref.Name()] {
-		return columns.UncomprDesc, nil
-	}
-	if d, ok := c.opt.inter[ref.Name()]; ok {
-		return d, nil
-	}
-	return columns.UncomprDesc, nil
+	return morph.Morph(col, columns.StaticBPDesc(0))
 }
 
-// randomInput binds a project data input: if the column's bound format lacks
-// random access, an on-the-fly morph to static BP is compiled in (AutoMorph)
-// or the preparation fails (strict consistency, §3.3).
-//
-// A scanned base column gets the runtime-checked binding instead of a
-// prepare-time one: on a writable table the stored format can drift across a
-// remorph swap (the cost model re-picks it) and the merged main+delta view
-// may gain or lose random access relative to the format seen at prepare —
-// the closure re-checks the snapshot-resolved column and morphs only when
-// actually needed. The strict-consistency rule still applies to the format
-// known at prepare time.
-func (c *compiler) randomInput(ref ColRef) (func(es *execState) (*columns.Column, error), error) {
-	d, err := c.inputDesc(ref)
-	if err != nil {
-		return nil, err
-	}
-	if ref.node.op == OpScan {
-		if !formats.HasRandomAccess(d.Kind) && !c.opt.autoMorph {
-			return nil, fmt.Errorf("core: column %q needs random access but is %v (enable AutoMorph or choose uncompressed/static BP)", ref.Name(), d)
-		}
-		return func(es *execState) (*columns.Column, error) {
-			col := es.in(ref)
-			if formats.HasRandomAccess(col.Desc().Kind) {
-				return col, nil
-			}
-			return morph.Morph(col, columns.StaticBPDesc(0))
-		}, nil
-	}
-	if formats.HasRandomAccess(d.Kind) {
-		return func(es *execState) (*columns.Column, error) { return es.in(ref), nil }, nil
-	}
-	if !c.opt.autoMorph {
-		return nil, fmt.Errorf("core: column %q needs random access but is %v (enable AutoMorph or choose uncompressed/static BP)", ref.Name(), d)
-	}
-	return func(es *execState) (*columns.Column, error) {
-		return morph.Morph(es.in(ref), columns.StaticBPDesc(0))
-	}, nil
-}
-
-// compile binds one plan node into its physical operator. The 0 passed to
-// SelectBetweenAuto and JoinN1 is their ignored style argument.
+// compile binds one plan node into its physical operator. The 0 and false
+// passed to SelectBetweenAuto and JoinN1 are their ignored style and
+// specialized arguments.
 func (c *compiler) compile(n *Node) (boundNode, error) {
-	specialized := c.opt.specialized
 	one := func(col *columns.Column, err error) ([]*columns.Column, error) {
 		if err != nil {
 			return nil, err
@@ -174,76 +119,48 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			return []*columns.Column{sc}, nil
 		}, rows: col.N()}, nil
 	case OpSelect:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		in, cmp, val := n.inputs[0], n.cmp, n.val
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.SelectAuto(es.in(in), cmp, val, d, specialized))
+			return one(rt.SelectAuto(es.in(in), cmp, val, d))
 		}}, nil
 	case OpBetween:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		in, lo, hi := n.inputs[0], n.val, n.val2
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			return one(rt.SelectBetweenAuto(es.in(in), lo, hi, d, 0, specialized))
+			return one(rt.SelectBetweenAuto(es.in(in), lo, hi, d, 0, false))
 		}}, nil
 	case OpProject:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
-		data, err := c.randomInput(n.inputs[0])
-		if err != nil {
-			return boundNode{}, err
-		}
-		pos := n.inputs[1]
+		d := c.outDesc(n.outNames[0])
+		data, pos := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			dcol, err := data(es)
+			dcol, err := randomInput(es, data)
 			if err != nil {
 				return nil, err
 			}
 			return one(rt.Project(dcol, es.in(pos), d))
 		}}, nil
 	case OpIntersect:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		x, y := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.Intersect(es.in(x), es.in(y), d))
 		}}, nil
 	case OpMerge:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		x, y := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.Merge(es.in(x), es.in(y), d))
 		}}, nil
 	case OpSemiJoin:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		probe, build := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.SemiJoin(es.in(probe), es.in(build), d))
 		}}, nil
 	case OpJoinN1:
-		dp, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
-		db2, err := c.outDesc(n.outNames[1])
-		if err != nil {
-			return boundNode{}, err
-		}
+		dp := c.outDesc(n.outNames[0])
+		db2 := c.outDesc(n.outNames[1])
 		probe, build := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cp, cb, err := rt.JoinN1(es.in(probe), es.in(build), dp, db2, 0)
@@ -253,14 +170,8 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			return []*columns.Column{cp, cb}, nil
 		}}, nil
 	case OpGroupFirst:
-		dg, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
-		de, err := c.outDesc(n.outNames[1])
-		if err != nil {
-			return boundNode{}, err
-		}
+		dg := c.outDesc(n.outNames[0])
+		de := c.outDesc(n.outNames[1])
 		keys := n.inputs[0]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cg, ce, err := rt.GroupFirst(es.in(keys), dg, de)
@@ -270,14 +181,8 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			return []*columns.Column{cg, ce}, nil
 		}}, nil
 	case OpGroupNext:
-		dg, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
-		de, err := c.outDesc(n.outNames[1])
-		if err != nil {
-			return boundNode{}, err
-		}
+		dg := c.outDesc(n.outNames[0])
+		de := c.outDesc(n.outNames[1])
 		prev, keys := n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cg, ce, err := rt.GroupNext(es.in(prev), es.in(keys), dg, de)
@@ -289,7 +194,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 	case OpSumWhole:
 		in := n.inputs[0]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
-			_, col, err := rt.SumAuto(es.in(in), specialized)
+			_, col, err := rt.SumAuto(es.in(in))
 			return one(col, err)
 		}}, nil
 	case OpSumGrouped:
@@ -299,19 +204,13 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			return one(rt.SumGrouped(es.in(gids), es.in(vals), nGroups))
 		}}, nil
 	case OpCalc:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		op, x, y := n.calc, n.inputs[0], n.inputs[1]
 		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.CalcBinary(op, es.in(x), es.in(y), d))
 		}}, nil
 	case OpSelectStr:
-		d, err := c.outDesc(n.outNames[0])
-		if err != nil {
-			return boundNode{}, err
-		}
+		d := c.outDesc(n.outNames[0])
 		in := n.inputs[0]
 		if in.node.op != OpScan {
 			return boundNode{}, fmt.Errorf("core: string select %q: input %q is not a base-column scan", n.outNames[0], in.Name())
@@ -337,9 +236,9 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			}
 			switch pred.mode {
 			case strPredEq:
-				return one(rt.SelectAuto(es.in(in), bitutil.CmpEq, pred.id, d, specialized))
+				return one(rt.SelectAuto(es.in(in), bitutil.CmpEq, pred.id, d))
 			case strPredRange:
-				return one(rt.SelectBetweenAuto(es.in(in), pred.lo, pred.hi, d, 0, specialized))
+				return one(rt.SelectBetweenAuto(es.in(in), pred.lo, pred.hi, d, 0, false))
 			default:
 				return one(rt.SelectIn(es.in(in), pred.set, d))
 			}

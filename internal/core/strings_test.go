@@ -94,7 +94,7 @@ func TestStringSelectEndToEnd(t *testing.T) {
 	e := NewEngine(db, WithParallelism(4))
 	defer e.Close(context.Background())
 	ctx := context.Background()
-	pr, err := e.Prepare(stringSelectPlan(t, "apple"), WithUniformFormat(columns.DynBPDesc), WithAutoMorph(true))
+	pr, err := e.Prepare(stringSelectPlan(t, "apple"), WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStringSelectEndToEnd(t *testing.T) {
 	check("after post-remorph append")
 
 	// A predicate string the dictionary does not hold selects nothing.
-	pr2, err := e.Prepare(stringSelectPlan(t, "zucchini"), WithAutoMorph(true))
+	pr2, err := e.Prepare(stringSelectPlan(t, "zucchini"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestStringSelectInAndPrefix(t *testing.T) {
 			}
 		}
 		for name, p := range plans {
-			pr, err := e.Prepare(p, WithAutoMorph(true))
+			pr, err := e.Prepare(p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -460,7 +460,7 @@ func TestFormatSearchOnStringPredicatePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	greedy, err := RuntimeGreedySearch(p, db, true, false, 1)
+	greedy, err := RuntimeGreedySearch(p, db, false, 1)
 	if err != nil {
 		t.Fatalf("RuntimeGreedySearch: %v", err)
 	}
@@ -473,7 +473,7 @@ func TestFormatSearchOnStringPredicatePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithSpecialized(true))
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

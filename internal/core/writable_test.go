@@ -83,7 +83,7 @@ func TestWritableVisibility(t *testing.T) {
 	}
 	e := NewEngine(db, WithParallelism(2))
 	defer e.Close(context.Background())
-	pr, err := e.Prepare(scanAllPlan(t), WithUniformFormat(columns.DynBPDesc), WithAutoMorph(true))
+	pr, err := e.Prepare(scanAllPlan(t), WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSnapshotPinnedAcrossSwap(t *testing.T) {
 	}
 	e := NewEngine(db, WithParallelism(2))
 	defer e.Close(context.Background())
-	pr, err := e.Prepare(scanAllPlan(t), WithAutoMorph(true))
+	pr, err := e.Prepare(scanAllPlan(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestChaosWritableClose(t *testing.T) {
 		WithAdmissionQueue(8, 2*time.Millisecond),
 		WithMemoryBudget(1<<30),
 		WithRemorph(0, time.Millisecond))
-	pr, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc), WithAutoMorph(true))
+	pr, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)
 	}

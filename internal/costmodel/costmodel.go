@@ -3,8 +3,7 @@
 // builds on (paper §5, "Determining a good format combination"; Damme et
 // al., ACM TODS 44(3), 2019): analytic per-format size estimates driven by
 // compact data characteristics (bit-width histograms, sortedness, run
-// structure), plus calibrated per-element speed estimates capturing
-// hardware-dependent behaviour.
+// structure).
 //
 // The model never inspects the full data; it consumes a stats.Profile, the
 // per-intermediate characteristics the paper assumes known during planning.
@@ -13,7 +12,6 @@ package costmodel
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
@@ -105,102 +103,6 @@ func ChooseBySize(p *stats.Profile, candidates []columns.FormatDesc) (columns.Fo
 		}
 		if bestSize < 0 || s < bestSize {
 			best, bestSize = d, s
-		}
-	}
-	return best, nil
-}
-
-// Calibration captures hardware-dependent per-element costs of each format,
-// the calibrated half of the gray-box model.
-type Calibration struct {
-	// CompressNs and DecompressNs map format kinds to nanoseconds per
-	// element.
-	CompressNs   map[columns.Kind]float64
-	DecompressNs map[columns.Kind]float64
-}
-
-// DefaultCalibration returns canned per-element costs representative of a
-// commodity x86-64 core; use Calibrate for machine-specific numbers.
-func DefaultCalibration() *Calibration {
-	return &Calibration{
-		CompressNs: map[columns.Kind]float64{
-			columns.Uncompressed: 0.3, columns.StaticBP: 1.2, columns.DynBP: 1.4,
-			columns.DeltaBP: 1.8, columns.ForBP: 1.8, columns.RLE: 1.0,
-		},
-		DecompressNs: map[columns.Kind]float64{
-			columns.Uncompressed: 0.3, columns.StaticBP: 1.0, columns.DynBP: 1.1,
-			columns.DeltaBP: 1.5, columns.ForBP: 1.4, columns.RLE: 0.8,
-		},
-	}
-}
-
-// Calibrate measures per-element compression and decompression costs of
-// every format on synthetic data of the given size and returns them as a
-// calibration (the offline calibration run of the gray-box approach).
-func Calibrate(n int) (*Calibration, error) {
-	if n < formats.BlockLen {
-		n = 1 << 16
-	}
-	vals := make([]uint64, n)
-	seed := uint64(0x2545F4914F6CDD1D)
-	for i := range vals {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		vals[i] = seed % 4096
-	}
-	cal := &Calibration{
-		CompressNs:   make(map[columns.Kind]float64),
-		DecompressNs: make(map[columns.Kind]float64),
-	}
-	dst := make([]uint64, n)
-	for _, desc := range formats.AllDescs() {
-		start := time.Now()
-		col, err := formats.Compress(vals, desc)
-		if err != nil {
-			return nil, err
-		}
-		cal.CompressNs[desc.Kind] = float64(time.Since(start).Nanoseconds()) / float64(n)
-		r, err := formats.NewReader(col)
-		if err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		for k := 0; k < n; {
-			c, err := r.Read(dst[k:])
-			if err != nil {
-				return nil, err
-			}
-			if c == 0 {
-				return nil, fmt.Errorf("costmodel: calibrate: %v column decodes to %d of %d elements", desc, k, n)
-			}
-			k += c
-		}
-		cal.DecompressNs[desc.Kind] = float64(time.Since(start).Nanoseconds()) / float64(n)
-	}
-	return cal, nil
-}
-
-// EstimateAccessNs estimates the time to write a column once and read it
-// once in the given format: the processing-cost objective that trades off
-// against the compression rate (§2.1: the best-rate algorithm is not
-// necessarily the fastest).
-func (c *Calibration) EstimateAccessNs(p *stats.Profile, desc columns.FormatDesc) float64 {
-	return float64(p.N) * (c.CompressNs[desc.Kind] + c.DecompressNs[desc.Kind])
-}
-
-// ChooseByAccessTime returns the candidate with the lowest estimated
-// write+read time.
-func (c *Calibration) ChooseByAccessTime(p *stats.Profile, candidates []columns.FormatDesc) (columns.FormatDesc, error) {
-	if len(candidates) == 0 {
-		return columns.FormatDesc{}, fmt.Errorf("costmodel: no candidate formats")
-	}
-	best := candidates[0]
-	bestT := -1.0
-	for _, d := range candidates {
-		t := c.EstimateAccessNs(p, d)
-		if bestT < 0 || t < bestT {
-			best, bestT = d, t
 		}
 	}
 	return best, nil

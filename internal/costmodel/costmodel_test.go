@@ -140,37 +140,3 @@ func TestEstimateEmptyAndErrors(t *testing.T) {
 		t.Error("empty candidates must fail")
 	}
 }
-
-func TestCalibrate(t *testing.T) {
-	cal, err := Calibrate(1 << 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, desc := range formats.AllDescs() {
-		if cal.CompressNs[desc.Kind] <= 0 {
-			t.Errorf("%v: no compression cost", desc)
-		}
-		if cal.DecompressNs[desc.Kind] <= 0 {
-			t.Errorf("%v: no decompression cost", desc)
-		}
-	}
-	prof := stats.Collect(datagen.Generate(datagen.C1, 10000, 1))
-	if cal.EstimateAccessNs(prof, columns.DynBPDesc) <= 0 {
-		t.Error("access estimate must be positive")
-	}
-	if _, err := cal.ChooseByAccessTime(prof, formats.PaperDescs()); err != nil {
-		t.Error(err)
-	}
-	if _, err := cal.ChooseByAccessTime(prof, nil); err == nil {
-		t.Error("empty candidates must fail")
-	}
-}
-
-func TestDefaultCalibrationComplete(t *testing.T) {
-	cal := DefaultCalibration()
-	for _, desc := range formats.AllDescs() {
-		if _, ok := cal.CompressNs[desc.Kind]; !ok {
-			t.Errorf("%v missing from default calibration", desc)
-		}
-	}
-}

@@ -279,18 +279,17 @@ func (r *blockedReader) Read(dst []uint64) (int, error) {
 	return k + c, nil
 }
 
-// WalkBlocks visits the compressed blocks of the block-aligned element range
-// [start, start+count) of a blocked-format column without decoding them:
-// visit receives each block's packed width and payload words (the transformed
-// values; the elements themselves for DynBP). It returns the part of the
-// uncompressed remainder inside the range. Headers are validated exactly as
-// for decoding, so callers may index the payload unchecked.
-func WalkBlocks(col *columns.Column, start, count int, visit func(bits uint, payload []uint64)) (tail []uint64, err error) {
+// WalkBlocks visits the compressed blocks of a blocked-format column without
+// decoding them: visit receives each block's packed width and payload words
+// (the transformed values; the elements themselves for DynBP). It returns the
+// uncompressed remainder. Headers are validated exactly as for decoding, so
+// callers may index the payload unchecked.
+func WalkBlocks(col *columns.Column, visit func(bits uint, payload []uint64)) (tail []uint64, err error) {
 	t := lookup(col.Desc().Kind).blocked
 	if t == nil {
 		return nil, fmt.Errorf("formats: WalkBlocks on %v column", col.Desc())
 	}
-	r := newBlockedReader(t, col, start, count)
+	r := newBlockedReader(t, col, 0, col.N())
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -183,7 +183,7 @@ func TestLoadCreatesTableAndAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := e.Prepare(p, core.WithAutoMorph(true))
+		pr, err := e.Prepare(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestLoadNumericOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := e.Prepare(p, core.WithAutoMorph(true))
+	pr, err := e.Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}

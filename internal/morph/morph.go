@@ -91,7 +91,7 @@ func Generic(col *columns.Column, dst columns.FormatDesc) (*columns.Column, erro
 func morphDynBPToStaticBP(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error) {
 	if dst.Bits == 0 {
 		var bits uint
-		tail, err := formats.WalkBlocks(col, 0, col.N(), func(b uint, _ []uint64) { bits = max(bits, b) })
+		tail, err := formats.WalkBlocks(col, func(b uint, _ []uint64) { bits = max(bits, b) })
 		if err != nil {
 			return nil, fmt.Errorf("morph %v -> %v: %w", col.Desc(), dst, err)
 		}

@@ -3,22 +3,51 @@ package ops
 import (
 	"fmt"
 
+	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 )
 
 // SumAuto computes the sum of all elements (modulo 2^64) and returns it both
 // as a scalar and as a single-element column. Query result columns are always
-// uncompressed (§3.3), so no output format is taken. With specialized set,
-// the formats that have a direct kernel are summed on their compressed
-// representation (SWAR over static BP words, per-block accumulation over
-// DynBP, the run dot product over RLE); everything else streams through the
-// generic de/re-compression kernel.
-func (rt Runtime) SumAuto(in *columns.Column, specialized bool) (uint64, *columns.Column, error) {
+// uncompressed (§3.3), so no output format is taken. The input's descriptor
+// picks the kernel (sumKernel).
+func (rt Runtime) SumAuto(in *columns.Column) (uint64, *columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return 0, nil, err
 	}
-	kernel := func(acc []uint64, pt formats.Partition) error {
+	total, err := rt.reduce("sum", in, nil, 1, sumKernel(in))
+	if err != nil {
+		return 0, nil, err
+	}
+	return total[0], columns.FromValues(total), nil
+}
+
+// sumKernel picks the sum kernel for the input's format:
+//
+//	static BP at a bitutil.SwarWidthOK width  sumStaticBP on the packed words
+//	RLE                                       sumRLE on the runs
+//	every other format and width              sumStreamed on unpacked blocks
+//
+// BenchmarkDirectKernels is the evidence for each line: summing the fields of
+// a width with no SWAR form one at a time is several times slower than
+// unpacking them.
+func sumKernel(in *columns.Column) reduceKernel {
+	d := in.Desc()
+	switch {
+	case d.Kind == columns.StaticBP && bitutil.SwarWidthOK(uint(d.Bits)):
+		return sumStaticBP(in)
+	case d.Kind == columns.RLE:
+		return sumRLE(in)
+	}
+	return sumStreamed(in)
+}
+
+// sumStreamed is the generic sum: the morsel streams through the
+// de/re-compression wrapper and each unpacked block is added up by a plain
+// loop.
+func sumStreamed(in *columns.Column) reduceKernel {
+	return func(acc []uint64, pt formats.Partition) error {
 		return streamCols(in, nil, pt, func(vals, _ []uint64, _ uint64) error {
 			var t uint64
 			for _, v := range vals {
@@ -28,21 +57,6 @@ func (rt Runtime) SumAuto(in *columns.Column, specialized bool) (uint64, *column
 			return nil
 		})
 	}
-	if specialized {
-		switch in.Desc().Kind {
-		case columns.StaticBP:
-			kernel = sumStaticBP(in)
-		case columns.DynBP:
-			kernel = sumDynBP(in)
-		case columns.RLE:
-			kernel = sumRLE(in)
-		}
-	}
-	total, err := rt.reduce("sum", in, nil, 1, kernel)
-	if err != nil {
-		return 0, nil, err
-	}
-	return total[0], columns.FromValues(total), nil
 }
 
 // SumGrouped aggregates vals per group id: result[g] = sum of vals[i] where

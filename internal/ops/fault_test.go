@@ -49,7 +49,7 @@ var driverShapes = []struct {
 	run      func(rt Runtime, col *columns.Column) error
 }{
 	{"emit", true, func(rt Runtime, col *columns.Column) error {
-		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, false)
+		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc)
 		return err
 	}},
 	{"emit2", true, func(rt Runtime, col *columns.Column) error {
@@ -65,7 +65,7 @@ var driverShapes = []struct {
 		return err
 	}},
 	{"reduce", false, func(rt Runtime, col *columns.Column) error {
-		_, _, err := rt.SumAuto(col, false)
+		_, _, err := rt.SumAuto(col)
 		return err
 	}},
 }

@@ -51,8 +51,8 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 }
 
 // TestSwarSelectTailWord: the unused fields of a static BP column's last
-// word hold zero, which a predicate admitting zero must not report — for
-// every SWAR width, every tail length, and morsels that end inside a word.
+// word hold zero, which a predicate admitting zero must not report — for the
+// SWAR kernel at every SWAR width and every tail length.
 func TestSwarSelectTailWord(t *testing.T) {
 	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
 		per := int(64 / b)
@@ -64,7 +64,7 @@ func TestSwarSelectTailWord(t *testing.T) {
 				if op == bitutil.CmpNe {
 					val = 1 // zero fields satisfy != 1
 				}
-				got, err := FixedRT(1).SelectAuto(in, op, val, columns.UncomprDesc, true)
+				got, err := swarSelectAt(in, op, val)
 				if err != nil {
 					t.Fatal(err)
 				}

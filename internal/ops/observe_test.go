@@ -54,7 +54,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := RT(context.Background(), nil, 4).
-		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
 	collected, err := RT(context.Background(), nil, 4).WithCollector(nc).
-		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, false)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,17 @@
 //     granularity, streamCols), and a kernel layer (format-oblivious
 //     loops over one cache-resident block, one loop per kernel: Go has no
 //     SIMD, so the paper's vector-register layer is a plain loop here),
-//   - specialized operators: direct processing of compressed data
-//     (SWAR select/sum on static BP, per-block sums on DynBP, run-level
-//     select/sum on RLE), kernels in specialized.go,
+//   - specialized operators: direct processing of compressed data (the SWAR
+//     select at static BP widths 1 and 2, the SWAR sum at static BP widths
+//     dividing 64, run-level select/sum on RLE), kernels in specialized.go,
 //   - on-the-fly morphing: adapting a column's format before/after an
 //     operator via internal/morph (driven by the engine in internal/core).
+//
+// The degree is a function of the input column's descriptor, not a caller's
+// choice: an operator runs a direct kernel exactly where the input's format
+// and width have one that beats de/re-compression (the dispatch tables in
+// select.go and agg.go, measured by BenchmarkDirectKernels), the generic
+// kernel everywhere else.
 //
 // The operator set follows MonetDB's headless-BAT style: every operator
 // consumes and produces plain columns of unsigned 64-bit integers; selection

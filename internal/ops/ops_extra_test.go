@@ -16,7 +16,7 @@ import (
 func TestPositionWidthHint(t *testing.T) {
 	vals := genVals(100000, 10, 41)
 	in := mkCol(t, vals, columns.UncomprDesc)
-	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0), false)
+	got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 5, columns.StaticBPDesc(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		want := refSelect(vals, op, pred)
-		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.DeltaBPDesc, false)
+		got, err := FixedRT(1).SelectAuto(in, op, pred, columns.DeltaBPDesc)
 		if err != nil {
 			return false
 		}
@@ -248,14 +248,14 @@ func TestRemainderBoundaryOps(t *testing.T) {
 		}
 		for _, desc := range []columns.FormatDesc{columns.DynBPDesc, columns.DeltaBPDesc, columns.ForBPDesc} {
 			in := mkCol(t, vals, desc)
-			got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DynBPDesc, false)
+			got, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DynBPDesc)
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, desc, err)
 			}
 			if !equalU64(decode(t, got), refSelect(vals, bitutil.CmpLt, 50)) {
 				t.Fatalf("n=%d %v: wrong result at remainder boundary", n, desc)
 			}
-			s, _, err := FixedRT(1).SumAuto(in, false)
+			s, _, err := FixedRT(1).SumAuto(in)
 			if err != nil {
 				t.Fatal(err)
 			}

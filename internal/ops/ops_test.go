@@ -11,7 +11,7 @@ import (
 
 var allOps = []bitutil.CmpKind{bitutil.CmpEq, bitutil.CmpNe, bitutil.CmpLt, bitutil.CmpLe, bitutil.CmpGt, bitutil.CmpGe}
 
-func mkCol(t *testing.T, vals []uint64, desc columns.FormatDesc) *columns.Column {
+func mkCol(t testing.TB, vals []uint64, desc columns.FormatDesc) *columns.Column {
 	t.Helper()
 	c, err := formats.Compress(vals, desc)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestSelectAllFormatsStyles(t *testing.T) {
 		in := mkCol(t, vals, inDesc)
 		for _, outDesc := range descs {
 			for _, op := range allOps {
-				got, err := FixedRT(1).SelectAuto(in, op, 25, outDesc, false)
+				got, err := FixedRT(1).SelectAuto(in, op, 25, outDesc)
 				if err != nil {
 					t.Fatalf("%v->%v %v: %v", inDesc, outDesc, op, err)
 				}
@@ -100,15 +100,12 @@ func TestSelectBetween(t *testing.T) {
 		}
 		for _, inDesc := range append(formats.AllDescs(), columns.StaticBPDesc(8)) {
 			in := mkCol(t, vals, inDesc)
-			for _, specialized := range []bool{false, true} {
-				got, err := FixedRT(1).SelectBetweenAuto(in, lo, hi, columns.DeltaBPDesc, 0, specialized)
-				if err != nil {
-					t.Fatalf("[%d,%d] %v specialized=%v: %v", lo, hi, inDesc, specialized, err)
-				}
-				if !equalU64(decode(t, got), want) {
-					t.Fatalf("[%d,%d] %v specialized=%v: %d positions, want %d",
-						lo, hi, inDesc, specialized, got.N(), len(want))
-				}
+			got, err := FixedRT(1).SelectBetweenAuto(in, lo, hi, columns.DeltaBPDesc, 0, false)
+			if err != nil {
+				t.Fatalf("[%d,%d] %v: %v", lo, hi, inDesc, err)
+			}
+			if !equalU64(decode(t, got), want) {
+				t.Fatalf("[%d,%d] %v: %d positions, want %d", lo, hi, inDesc, got.N(), len(want))
 			}
 		}
 	}
@@ -272,7 +269,7 @@ func TestSumWhole(t *testing.T) {
 	}
 	for _, desc := range formats.AllDescs() {
 		c := mkCol(t, vals, desc)
-		got, col, err := FixedRT(1).SumAuto(c, false)
+		got, col, err := FixedRT(1).SumAuto(c)
 		if err != nil {
 			t.Fatalf("%v: %v", desc, err)
 		}
@@ -414,10 +411,10 @@ func TestMergeSorted(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	empty := mkCol(t, nil, columns.UncomprDesc)
-	if got, err := FixedRT(1).SelectAuto(empty, bitutil.CmpEq, 1, columns.DynBPDesc, false); err != nil || got.N() != 0 {
+	if got, err := FixedRT(1).SelectAuto(empty, bitutil.CmpEq, 1, columns.DynBPDesc); err != nil || got.N() != 0 {
 		t.Errorf("select on empty: %v, n=%v", err, got.N())
 	}
-	s, _, err := FixedRT(1).SumAuto(empty, false)
+	s, _, err := FixedRT(1).SumAuto(empty)
 	if err != nil || s != 0 {
 		t.Errorf("sum on empty: %v %d", err, s)
 	}
@@ -432,7 +429,7 @@ func TestEmptyInputs(t *testing.T) {
 }
 
 func TestNilColumn(t *testing.T) {
-	if _, err := FixedRT(1).SelectAuto(nil, bitutil.CmpEq, 1, columns.UncomprDesc, false); err == nil {
+	if _, err := FixedRT(1).SelectAuto(nil, bitutil.CmpEq, 1, columns.UncomprDesc); err == nil {
 		t.Error("nil input must fail")
 	}
 	if _, err := FixedRT(1).Intersect(nil, nil, columns.UncomprDesc); err == nil {

@@ -81,7 +81,7 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 		for _, outDesc := range formats.AllDescs() {
 			ctx := inDesc.String() + "->" + outDesc.String()
 
-			seqSel, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 250, outDesc, false)
+			seqSel, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 250, outDesc)
 			if err != nil {
 				t.Fatalf("select %s: %v", ctx, err)
 			}
@@ -90,7 +90,7 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 				t.Fatalf("between %s: %v", ctx, err)
 			}
 			for _, par := range parLevels {
-				got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc, false)
+				got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc)
 				if err != nil {
 					t.Fatalf("par select %s p=%d: %v", ctx, par, err)
 				}
@@ -112,12 +112,12 @@ func TestParallelSumEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantCol, err := FixedRT(1).SumAuto(in, false)
+		want, wantCol, err := FixedRT(1).SumAuto(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			got, gotCol, err := FixedRT(par).SumAuto(in, false)
+			got, gotCol, err := FixedRT(par).SumAuto(in)
 			if err != nil {
 				t.Fatalf("par sum %v p=%d: %v", inDesc, par, err)
 			}
@@ -376,75 +376,75 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 }
 
 // TestParallelAutoMatchesSpecialized checks that the auto dispatchers stay
-// byte-identical to the sequential auto path whether the specialized kernel
-// runs per partition (static BP SWAR select/sum and per-block DynBP sum on
-// splittable inputs) or the sequential side picks a specialized direct
-// kernel on inputs that cannot split (RLE run-level).
+// byte-identical to the sequential auto path whether a direct kernel runs
+// per partition on a splittable input (the SWAR select and sum on static BP
+// at width 2, the SWAR sum at width 8), the generic kernels do (DynBP), or
+// the sequential side picks a direct kernel on an input that cannot split
+// (RLE run-level).
 func TestParallelAutoMatchesSpecialized(t *testing.T) {
-	vals := make([]uint64, parTestN)
-	for i := range vals {
-		vals[i] = uint64(i % 200)
+	mod := func(m uint64) []uint64 {
+		vals := make([]uint64, parTestN)
+		for i := range vals {
+			vals[i] = uint64(i) % m
+		}
+		return vals
 	}
-	for _, inDesc := range []columns.FormatDesc{columns.StaticBPDesc(8), columns.DynBPDesc, columns.RLEDesc} {
-		in, err := formats.Compress(vals, inDesc)
+	for _, tc := range []struct {
+		desc             columns.FormatDesc
+		vals             []uint64
+		lt, betLo, betHi uint64
+	}{
+		{columns.StaticBPDesc(2), mod(4), 2, 1, 2},
+		{columns.StaticBPDesc(8), mod(200), 50, 20, 120},
+		{columns.DynBPDesc, mod(200), 50, 20, 120},
+		{columns.RLEDesc, mod(200), 50, 20, 120},
+	} {
+		in, err := formats.Compress(tc.vals, tc.desc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, true)
+		want, err := FixedRT(1).SelectAuto(in, bitutil.CmpLt, tc.lt, columns.DeltaBPDesc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBet, err := SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, 0, true)
+		wantBet, err := SelectBetweenAuto(in, tc.betLo, tc.betHi, columns.DeltaBPDesc, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSum, _, err := FixedRT(1).SumAuto(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, true)
+			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, tc.lt, columns.DeltaBPDesc)
 			if err != nil {
-				t.Fatalf("%v p=%d: %v", inDesc, par, err)
+				t.Fatalf("%v p=%d: %v", tc.desc, par, err)
 			}
-			assertSameColumn(t, "auto select "+inDesc.String(), want, got)
-			got, err = FixedRT(par).SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, 0, true)
+			assertSameColumn(t, "auto select "+tc.desc.String(), want, got)
+			got, err = FixedRT(par).SelectBetweenAuto(in, tc.betLo, tc.betHi, columns.DeltaBPDesc, 0, false)
 			if err != nil {
-				t.Fatalf("%v p=%d: %v", inDesc, par, err)
+				t.Fatalf("%v p=%d: %v", tc.desc, par, err)
 			}
-			assertSameColumn(t, "auto between "+inDesc.String(), wantBet, got)
-		}
-		wantSum, _, err := FixedRT(1).SumAuto(in, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range parLevels {
-			gotSum, _, err := FixedRT(par).SumAuto(in, true)
+			assertSameColumn(t, "auto between "+tc.desc.String(), wantBet, got)
+			gotSum, _, err := FixedRT(par).SumAuto(in)
 			if err != nil {
-				t.Fatalf("%v p=%d: %v", inDesc, par, err)
+				t.Fatalf("%v p=%d: %v", tc.desc, par, err)
 			}
 			if gotSum != wantSum {
-				t.Fatalf("auto sum %v p=%d: %d, want %d", inDesc, par, gotSum, wantSum)
+				t.Fatalf("auto sum %v p=%d: %d, want %d", tc.desc, par, gotSum, wantSum)
 			}
 		}
 	}
 }
 
-// TestParallelAutoSpecializedEdgeCases pins the dispatch edges of the SWAR
-// kernels: predicate constants beyond the packed field range, range
-// predicates straddling it, and a width-0 input must produce the generic
-// kernels' column — same positions, same output descriptor — bit for bit, at
-// every parallelism degree.
+// TestParallelAutoSpecializedEdgeCases pins the dispatch edges: at every
+// static BP width 1..32, predicate constants beyond the packed field range
+// and range predicates straddling it — plus a width-0 input — must produce
+// the generic reference's column (genericSelect, genericBetween) — same
+// positions, same output descriptor — bit for bit, at every parallelism
+// degree.
 func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
-	vals := make([]uint64, parTestN)
-	for i := range vals {
-		vals[i] = uint64(i % 200)
-	}
-	packed, err := formats.Compress(vals, columns.StaticBPDesc(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros, err := formats.Compress(make([]uint64, parTestN), columns.StaticBPDesc(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
+	type edge struct {
 		name   string
 		in     *columns.Column
 		out    columns.FormatDesc
@@ -452,57 +452,77 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		val    uint64
 		lo, hi uint64
 		rng    bool
-	}{
-		{name: "eq_beyond_width", in: packed, out: columns.DynBPDesc, op: bitutil.CmpEq, val: 1 << 30},
-		{name: "lt_beyond_width", in: packed, out: columns.DynBPDesc, op: bitutil.CmpLt, val: 1 << 30},
-		{name: "between_hi_beyond_width", in: packed, out: columns.DynBPDesc, lo: 100, hi: 1 << 30, rng: true},
-		{name: "between_lo_beyond_width", in: packed, out: columns.DynBPDesc, lo: 1 << 30, hi: 1 << 31, rng: true},
-		// An auto-width static BP output is refined to the position width
-		// even when the width-0 input decides the predicate up front.
-		{name: "between_width0_lo_nonzero", in: zeros, out: columns.StaticBPDesc(0), lo: 3, hi: 9, rng: true},
+	}
+	zeros, err := formats.Compress(make([]uint64, parTestN), columns.StaticBPDesc(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An auto-width static BP output is refined to the position width even
+	// when the width-0 input decides the predicate up front.
+	cases := []edge{{name: "between_width0_lo_nonzero", in: zeros, out: columns.StaticBPDesc(0), lo: 3, hi: 9, rng: true}}
+	for w := uint(1); w <= 32; w++ {
+		vals := make([]uint64, parTestN)
+		for i := range vals {
+			vals[i] = uint64(i) % min(200, bitutil.Mask(w)+1)
+		}
+		packed, err := formats.Compress(vals, columns.StaticBPDesc(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		beyond := bitutil.Mask(w) + 1
+		cases = append(cases,
+			edge{name: fmt.Sprintf("w%d_eq_beyond_width", w), in: packed, out: columns.DynBPDesc, op: bitutil.CmpEq, val: beyond},
+			edge{name: fmt.Sprintf("w%d_lt_beyond_width", w), in: packed, out: columns.DynBPDesc, op: bitutil.CmpLt, val: beyond},
+			edge{name: fmt.Sprintf("w%d_between_hi_beyond_width", w), in: packed, out: columns.DynBPDesc, lo: beyond / 2, hi: beyond, rng: true},
+			edge{name: fmt.Sprintf("w%d_between_lo_beyond_width", w), in: packed, out: columns.DynBPDesc, lo: beyond, hi: 2 * beyond, rng: true})
 	}
 	for _, tc := range cases {
-		run := func(par int, specialized bool) *columns.Column {
+		run := func(par int, generic bool) *columns.Column {
 			var got *columns.Column
-			if tc.rng {
-				got, err = FixedRT(par).SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, 0, specialized)
-			} else {
-				got, err = FixedRT(par).SelectAuto(tc.in, tc.op, tc.val, tc.out, specialized)
+			rt := FixedRT(par)
+			switch {
+			case tc.rng && generic:
+				got, err = genericBetween(rt, tc.in, tc.lo, tc.hi, tc.out)
+			case tc.rng:
+				got, err = rt.SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, 0, false)
+			case generic:
+				got, err = genericSelect(rt, tc.in, tc.op, tc.val, tc.out)
+			default:
+				got, err = rt.SelectAuto(tc.in, tc.op, tc.val, tc.out)
 			}
 			if err != nil {
-				t.Fatalf("%s p=%d specialized=%v: %v", tc.name, par, specialized, err)
+				t.Fatalf("%s p=%d generic=%v: %v", tc.name, par, generic, err)
 			}
 			return got
 		}
-		want := run(1, false)
+		want := run(1, true)
 		for _, par := range parLevels {
-			assertSameColumn(t, tc.name, want, run(par, true))
+			assertSameColumn(t, tc.name, want, run(par, false))
 		}
 	}
 
 	// A truncated static BP column — far fewer packed words than its element
-	// count needs — is typed corruption on every path: generic and
-	// specialized, one morsel and many, never an out-of-range slice access
-	// (which at par > 1 would surface as a recovered ErrPanic).
-	trunc, err := columns.New(columns.StaticBPDesc(16), 100000, 100000, 10, make([]uint64, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2} {
-		for _, specialized := range []bool{false, true} {
-			ctx := fmt.Sprintf("truncated static BP p=%d specialized=%v", par, specialized)
+	// count needs — is typed corruption on both sides of every gate,
+	// dispatched and generic, one morsel and many, never an out-of-range
+	// slice access (which at par > 1 would surface as a recovered ErrPanic).
+	for _, w := range []uint{2, 6, 16} { // SWAR select and sum, neither, SWAR sum only
+		trunc, err := columns.New(columns.StaticBPDesc(w), 100000, 100000, 10, make([]uint64, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2} {
 			rt := FixedRT(par)
-			_, err := rt.SelectAuto(trunc, bitutil.CmpLt, 50, columns.DynBPDesc, specialized)
-			if !errors.Is(err, qerr.ErrCorruptData) {
-				t.Errorf("%s select: want ErrCorruptData, got %v", ctx, err)
-			}
-			_, err = rt.SelectBetweenAuto(trunc, 10, 90, columns.DynBPDesc, 0, specialized)
-			if !errors.Is(err, qerr.ErrCorruptData) {
-				t.Errorf("%s between: want ErrCorruptData, got %v", ctx, err)
-			}
-			_, _, err = rt.SumAuto(trunc, specialized)
-			if !errors.Is(err, qerr.ErrCorruptData) {
-				t.Errorf("%s sum: want ErrCorruptData, got %v", ctx, err)
+			for name, run := range map[string]func() error{
+				"select":          func() error { _, err := rt.SelectAuto(trunc, bitutil.CmpLt, 1, columns.DynBPDesc); return err },
+				"between":         func() error { _, err := rt.SelectBetweenAuto(trunc, 0, 1, columns.DynBPDesc, 0, false); return err },
+				"sum":             func() error { _, _, err := rt.SumAuto(trunc); return err },
+				"generic select":  func() error { _, err := genericSelect(rt, trunc, bitutil.CmpLt, 1, columns.DynBPDesc); return err },
+				"generic between": func() error { _, err := genericBetween(rt, trunc, 0, 1, columns.DynBPDesc); return err },
+				"streamed sum":    func() error { _, err := genericSum(rt, trunc); return err },
+			} {
+				if err := run(); !errors.Is(err, qerr.ErrCorruptData) {
+					t.Errorf("truncated static BP w=%d p=%d %s: want ErrCorruptData, got %v", w, par, name, err)
+				}
 			}
 		}
 	}

@@ -155,11 +155,11 @@ func TestRuntimeOpsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FixedRT(3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, false)
+	want, err := FixedRT(3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc, false)
+	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRuntimeCancelledSelect(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc, false)
+	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

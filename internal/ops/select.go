@@ -14,48 +14,53 @@ import (
 
 // The selection family has one predicate shape. Every comparison kind and the
 // between normalise, once per operator, to the wrapped unsigned range test
-// v-lo <= span (bitutil.CmpKind.Range), and there is one kernel per input
-// shape: blockKernel for unpacked blocks of any format, swarSelect for the
-// packed words of a static BP column, rleSelect for runs.
+// v-lo <= span (bitutil.CmpKind.Range), and the input column's descriptor
+// alone picks the kernel (selectDomain, rangeKernel):
+//
+//	static BP, width 1 or 2, constant in the field range  swarSelect on the packed words
+//	RLE                                                  rleSelect on the runs
+//	every other format and width                         blockKernel on unpacked blocks
+//
+// BenchmarkDirectKernels is the evidence for each line: the SWAR test loses
+// to unpack + block kernel from width 4 up.
 
 // SelectAuto evaluates the predicate `element <op> val` over the input column
 // and returns the sorted list of matching positions as a column in the
 // requested output format. The comparison is normalised to the range test
 // once, up front: a predicate no value can satisfy (< 0, > max) returns the
 // empty position list without a scan, and an undefined op is an
-// ErrInvalidSchema error rather than a silent empty result. By default the
-// operator is the on-the-fly de/re-compression operator of Fig. 4: every
-// morsel of the input is decompressed block-wise into a cache-resident
-// buffer, the block range kernel emits qualifying positions, and the output
-// is recompressed block-wise. With specialized set, inputs that have a direct
-// kernel are processed without decompression instead — the SWAR range test
-// on the packed words of a static BP column, the run-level select on RLE —
-// the selective-employment policy of §3.3; the positions, and therefore the
-// output bytes, are the same.
-func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, specialized bool) (*columns.Column, error) {
+// ErrInvalidSchema error rather than a silent empty result. The operator is
+// the on-the-fly de/re-compression operator of Fig. 4 — every morsel of the
+// input is decompressed block-wise into a cache-resident buffer, the block
+// range kernel emits qualifying positions, and the output is recompressed
+// block-wise — except where the input's format has a direct kernel that is
+// faster (the table above; the selective employment of §3.3). The positions,
+// and therefore the output bytes, are the same on every path.
+func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	max, swar := selectDomain(in, val, specialized)
+	max, swar := selectDomain(in, val)
 	lo, span, empty, ok := op.Range(val, max)
 	if !ok {
 		return nil, qerr.Tag(fmt.Errorf("ops: select: undefined comparison kind %d", op), qerr.ErrInvalidSchema)
 	}
-	return rt.selectRange("select", in, out, empty, rangeKernel(in, lo, span, specialized, swar))
+	return rt.selectRange("select", in, out, empty, rangeKernel(in, lo, span, swar))
 }
 
 // SelectBetweenAuto evaluates the conjunctive range predicate
 // lo <= element <= hi, returning matching positions like SelectAuto: the same
-// range test, kernels and specialized forms, with the bounds given directly.
-// An inverted range (lo > hi) matches nothing. The style argument is ignored
-// (see package vector).
-func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, _ vector.Style, specialized bool) (*columns.Column, error) {
+// range test and kernel dispatch, with the bounds given directly. An inverted
+// range (lo > hi) matches nothing. The style and specialized arguments are
+// ignored: every kernel has one loop (see package vector), and the input's
+// format picks the kernel.
+func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, _ vector.Style, _ bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
 	// Values above the domain can never match, so the upper bound clamps.
-	max, swar := selectDomain(in, lo, specialized)
-	return rt.selectRange("select between", in, out, lo > hi, rangeKernel(in, lo, min(hi, max)-lo, specialized, swar))
+	max, swar := selectDomain(in, lo)
+	return rt.selectRange("select between", in, out, lo > hi, rangeKernel(in, lo, min(hi, max)-lo, swar))
 }
 
 // SelectBetweenAuto is the single-worker form of Runtime.SelectBetweenAuto.
@@ -63,24 +68,28 @@ func SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc
 	return FixedRT(1).SelectBetweenAuto(in, lo, hi, out, style, specialized)
 }
 
-// selectDomain returns the largest value of the domain a predicate with the
-// constant c (a between's lower bound) is normalised over: the field range of
-// the column when the SWAR kernel will run (swar), all of uint64 otherwise.
-func selectDomain(in *columns.Column, c uint64, specialized bool) (max uint64, swar bool) {
-	if specialized && swarOK(in, c) {
-		return bitutil.Mask(uint(in.Desc().Bits)), true
+// selectDomain decides whether the SWAR kernel runs for the input and the
+// predicate constant c (a between's lower bound) — a static BP column at
+// width 1 or 2 whose fields can hold c; a constant beyond the field range
+// decides the predicate for every field alike and is left to the block
+// kernel — and returns the largest value of the domain the predicate is
+// normalised over: the field range when it does, all of uint64 otherwise.
+func selectDomain(in *columns.Column, c uint64) (max uint64, swar bool) {
+	d := in.Desc()
+	if b := uint(d.Bits); d.Kind == columns.StaticBP && (b == 1 || b == 2) && c <= bitutil.Mask(b) {
+		return bitutil.Mask(b), true
 	}
 	return math.MaxUint64, false
 }
 
 // rangeKernel picks the kernel of the range test v-lo <= span for the input:
-// a direct kernel where the specialized degree has one, the block kernel
-// behind the de/re-compression wrapper everywhere else.
-func rangeKernel(in *columns.Column, lo, span uint64, specialized, swar bool) emitKernel {
+// the SWAR test where selectDomain chose it, the run-level test on RLE, the
+// block kernel behind the de/re-compression wrapper everywhere else.
+func rangeKernel(in *columns.Column, lo, span uint64, swar bool) emitKernel {
 	switch {
 	case swar:
 		return swarSelect(in, lo, span)
-	case specialized && in.Desc().Kind == columns.RLE:
+	case in.Desc().Kind == columns.RLE:
 		return rleSelect(in, lo, span)
 	}
 	return scan(in, blockKernel(lo, span))

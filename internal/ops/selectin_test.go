@@ -87,7 +87,7 @@ func TestSelectInMatchesSelect(t *testing.T) {
 	vals := parTestValues(parTestN)
 	in := columns.FromValues(vals)
 	for _, outDesc := range formats.PaperDescs() {
-		eq, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 131, outDesc, false)
+		eq, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 131, outDesc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,25 +10,14 @@ import (
 
 // This file implements the kernels of the "specialized operator" integration
 // degree (Fig. 2c): kernels that process compressed data directly, without
-// decompressing into any buffer. They are format-specific by design and the
-// auto operators employ them selectively (§3.2), falling back to the
-// on-the-fly de/re-compression kernels everywhere else. They plug into the
-// same morsel drivers as the generic kernels: the static BP SWAR kernels
-// partition at the 64-value packing-group granularity (any SWAR width divides
-// 64, so a morsel boundary is always a packed-word boundary), the per-block
-// DynBP sum partitions at block granularity, and RLE never splits, so its
+// decompressing into any buffer. They are format-specific by design, and the
+// auto operators employ them selectively (§3.2) — only at the formats and
+// widths where they beat the on-the-fly de/re-compression kernels (the
+// dispatch tables of select.go and agg.go). They plug into the same morsel
+// drivers as the generic kernels: the static BP SWAR kernels partition at the
+// 64-value packing-group granularity (any SWAR width divides 64, so a morsel
+// boundary is always a packed-word boundary), and RLE never splits, so its
 // run-level kernels always see the whole column.
-
-// swarOK reports whether the SWAR select kernels cover the input column and
-// predicate constant: a static BP column with a preset word-parallel width
-// whose constant fits the packed fields. In the degenerate cases — width 0,
-// or a constant beyond the field range, which decides the predicate for
-// every field alike — the generic kernels produce the position stream.
-func swarOK(in *columns.Column, val uint64) bool {
-	b := uint(in.Desc().Bits)
-	return in.Desc().Kind == columns.StaticBP && b > 0 &&
-		bitutil.SwarWidthOK(b) && val <= bitutil.Mask(b)
-}
 
 // swarSelect evaluates the range test f-lo <= span (modulo the field range)
 // directly on the packed words of a static BP column, in the spirit of
@@ -98,11 +87,11 @@ func rleSelect(in *columns.Column, lo, span uint64) emitKernel {
 	}
 }
 
-// sumStaticBP sums a morsel of a static BP column directly on its packed
-// words via window-parallel SWAR accumulation (the bit-parallel aggregation
-// of Feng & Lo [25]). pt.Start is a multiple of 64 elements, so the morsel's
-// packed words begin word-aligned at Start*b/64 and span exactly the words
-// holding its Count fields.
+// sumStaticBP sums a morsel of a static BP column at a SWAR width directly
+// on its packed words via window-parallel SWAR accumulation (the
+// bit-parallel aggregation of Feng & Lo [25]). pt.Start is a multiple of 64
+// elements, so the morsel's packed words begin word-aligned at Start*b/64 and
+// span exactly the words holding its Count fields.
 func sumStaticBP(in *columns.Column) reduceKernel {
 	return func(acc []uint64, pt formats.Partition) error {
 		words, b, err := formats.StaticBPWords(in)
@@ -110,26 +99,7 @@ func sumStaticBP(in *columns.Column) reduceKernel {
 			return err
 		}
 		startW := pt.Start * int(b) / 64
-		acc[0] += bitutil.SumPackedWords(words[startW:startW+bitutil.PackedWords(pt.Count, b)], pt.Count, b)
-		return nil
-	}
-}
-
-// sumDynBP sums a morsel of a DynBP column block by block directly on the
-// packed payload words, plus the part of the uncompressed remainder the
-// morsel covers. Morsels are block-aligned; a header walk (no payload is
-// touched) positions the cursor at the morsel's first block.
-func sumDynBP(in *columns.Column) reduceKernel {
-	return func(acc []uint64, pt formats.Partition) error {
-		tail, err := formats.WalkBlocks(in, pt.Start, pt.Count, func(b uint, payload []uint64) {
-			acc[0] += bitutil.SumPackedWords(payload, formats.BlockLen, b)
-		})
-		if err != nil {
-			return err
-		}
-		for _, v := range tail {
-			acc[0] += v
-		}
+		acc[0] += bitutil.SumPackedWords(words[startW:startW+bitutil.PackedWords(pt.Count, b)], b)
 		return nil
 	}
 }

@@ -243,21 +243,22 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 				}
 			}
 
-			// Specialized operators enabled, on compressed base data.
+			// Compressed base data: static BP base columns, where the
+			// direct kernels apply.
 			enc, err := d.DB.Encode(allStaticBase(d.DB))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := execPlan(plan, enc, core.WithUniformFormat(columns.DynBPDesc), core.WithSpecialized(true))
+			res, err := execPlan(plan, enc, core.WithUniformFormat(columns.DynBPDesc))
 			if err != nil {
-				t.Fatalf("specialized: %v", err)
+				t.Fatalf("static BP base: %v", err)
 			}
 			got, err := ExtractResult(q, res)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !RowsEqual(got, want) {
-				t.Fatal("specialized: results differ from reference")
+				t.Fatal("static BP base: results differ from reference")
 			}
 
 			// The MonetDB-style baseline on the same plan.

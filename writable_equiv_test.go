@@ -175,7 +175,7 @@ func TestWritableSSBEquivalence(t *testing.T) {
 		}
 		for dn, desc := range descs {
 			for _, par := range []int{1, 4} {
-				opts := []ms.Option{ms.WithUniformFormat(desc), ms.WithParallelism(par), ms.WithAutoMorph(true)}
+				opts := []ms.Option{ms.WithUniformFormat(desc), ms.WithParallelism(par)}
 				prA, err := engA.Prepare(plan, opts...)
 				if err != nil {
 					t.Fatalf("%s/%s/par%d prepare mutated: %v", q, dn, par, err)
