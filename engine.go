@@ -64,7 +64,8 @@ type Option = core.Option
 // NewEngine returns an engine over db (nil means an empty database, for
 // one-off operator use). Options set the worker budget (WithParallelism:
 // 0 = GOMAXPROCS), the admission gate (WithMaxConcurrentQueries,
-// WithMemoryBudget, WithAdmissionQueue), and the retry policy (WithRetry).
+// WithMemoryBudget, WithAdmissionQueue), and the background remorph
+// (WithRemorph).
 func NewEngine(db *DB, opts ...Option) *Engine { return core.NewEngine(db, opts...) }
 
 // WithKeep retains all intermediate columns in the result. Applies to
@@ -105,23 +106,9 @@ func WithAdmissionQueue(depth int, maxWait time.Duration) Option {
 // with its slot; a request that does not fit waits in the admission queue
 // without holding a slot and sheds with ErrAdmissionRejected when its wait
 // expires. A query whose estimate exceeds the whole budget fails with
-// ErrMemoryLimit (degrading to sequential execution instead under
-// WithMemoryLimitDegrade). Actual peak usage is reported in
-// QueryStats.MemPeak and Engine.Stats. 0 means no budget. Applies to
-// NewEngine.
+// ErrMemoryLimit. Actual peak usage is reported in QueryStats.MemPeak and
+// Engine.Stats. 0 means no budget. Applies to NewEngine.
 func WithMemoryBudget(bytes int64) Option { return core.WithMemoryBudget(bytes) }
-
-// RetryPolicy configures WithRetry: the attempt bound and the jittered
-// exponential backoff between attempts. The zero policy disables retries.
-type RetryPolicy = core.RetryPolicy
-
-// WithRetry retries an execution whose failure IsRetryable reports
-// retryable (admission sheds, transient faults — never mid-flight
-// cancellations, corrupt data, or a closed engine), up to the policy's
-// MaxAttempts, sleeping its jittered exponential backoff between attempts.
-// The caller's context covers all attempts; WithQueryTimeout applies per
-// attempt. Applies to NewEngine, Prepare, and Execute.
-func WithRetry(p RetryPolicy) Option { return core.WithRetry(p) }
 
 // WithRemorph starts the engine's background remorph worker: every interval
 // it scans the tables written through Engine.Append/Delete and rebuilds any
@@ -136,13 +123,9 @@ func WithRemorph(threshold float64, interval time.Duration) Option {
 	return core.WithRemorph(threshold, interval)
 }
 
-// WithFormat assigns a compression format to one named plan column,
-// overriding WithUniformFormat/WithCostBasedFormats choices. Applies to
-// Prepare.
-func WithFormat(column string, d FormatDesc) Option { return core.WithFormat(column, d) }
-
-// WithFormats assigns compression formats to the named plan columns
-// (missing entries stay uncompressed). Applies to Prepare.
+// WithFormats assigns compression formats to the named plan columns,
+// overriding WithUniformFormat/WithCostBasedFormats choices (missing entries
+// stay uncompressed). Applies to Prepare.
 func WithFormats(m map[string]FormatDesc) Option { return core.WithFormats(m) }
 
 // WithUniformFormat assigns one format to every intermediate of the plan

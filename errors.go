@@ -7,7 +7,7 @@
 //	case errors.Is(err, morphstore.ErrCorruptData):
 //		// structurally invalid compressed data — quarantine the column
 //	case errors.Is(err, morphstore.ErrQueryTimeout):
-//		// the deadline (or WithQueryTimeout) fired — maybe retry smaller
+//		// the context's deadline fired — maybe retry smaller
 //	case errors.Is(err, morphstore.ErrQueryCanceled):
 //		// the caller's context was cancelled
 //	case errors.Is(err, morphstore.ErrAdmissionRejected):
@@ -22,12 +22,7 @@
 // recording the operator, the morsel index, the panic value, and the stack.
 package morphstore
 
-import (
-	"time"
-
-	"morphstore/internal/core"
-	"morphstore/internal/qerr"
-)
+import "morphstore/internal/qerr"
 
 // The sentinel errors of the taxonomy. Concrete failures wrap them with
 // contextual detail (column sizes, block offsets, limits); compare with
@@ -41,18 +36,18 @@ var (
 	ErrCorruptData = qerr.ErrCorruptData
 	// ErrInvalidSchema reports malformed base data handed to the engine:
 	// ragged column lengths at DB.AddTable, a duplicate table registration,
-	// or an Engine.Append whose rows do not match the table's column set.
-	// The failed call changed nothing; fix the data and retry.
+	// or an Engine.Append whose rows do not match the table's column set or
+	// give uint64 values for a string column. The failed call changed
+	// nothing; fix the data and retry.
 	ErrInvalidSchema = qerr.ErrInvalidSchema
 	// ErrQueryCanceled reports an execution stopped by context cancellation.
 	ErrQueryCanceled = qerr.ErrQueryCanceled
-	// ErrQueryTimeout reports an execution stopped by a context deadline,
-	// including one set with WithQueryTimeout.
+	// ErrQueryTimeout reports an execution stopped mid-flight by its
+	// context's deadline (context.WithTimeout).
 	ErrQueryTimeout = qerr.ErrQueryTimeout
 	// ErrMemoryLimit reports an execution whose memory estimate exceeds the
-	// whole WithMemoryBudget (without WithMemoryLimitDegrade), or an append
-	// batch larger than the budget. Never retryable: the request can never
-	// be granted.
+	// whole WithMemoryBudget, or an append batch larger than the budget.
+	// Never retryable: the request can never be granted.
 	ErrMemoryLimit = qerr.ErrMemoryLimit
 	// ErrAdmissionRejected reports a request the engine shed before it
 	// started: the admission queue overflowed its WithAdmissionQueue depth,
@@ -76,7 +71,8 @@ var (
 // guarantees the failed call did no observable work. Admission sheds
 // (ErrAdmissionRejected) and transient failures (ErrTransient) are
 // retryable; corrupt data, a closed engine, and mid-flight cancellations or
-// timeouts are not. WithRetry uses the same classification.
+// timeouts are not. A caller that wants retries loops on it (see the
+// "Retry" section of docs/ARCHITECTURE.md).
 func IsRetryable(err error) bool { return qerr.IsRetryable(err) }
 
 // QueryError is a panic recovered inside a query execution, converted into
@@ -87,18 +83,3 @@ func IsRetryable(err error) bool { return qerr.IsRetryable(err) }
 // errors.As; when the panic value is itself an error, errors.Is sees through
 // to it.
 type QueryError = qerr.QueryError
-
-// WithQueryTimeout bounds one execution's wall-clock time: Execute derives a
-// deadline context, running morsel loops stop within one morsel when it
-// fires, and the returned error matches ErrQueryTimeout. The timeout covers
-// the admission wait. 0 means no deadline. Applies to NewEngine (default for
-// every execution), Prepare, and Execute.
-func WithQueryTimeout(d time.Duration) Option { return core.WithQueryTimeout(d) }
-
-// WithMemoryLimitDegrade selects graceful degradation for executions whose
-// memory estimate exceeds the whole WithMemoryBudget: instead of failing
-// with ErrMemoryLimit, the execution reserves the whole budget and runs
-// sequentially, operator at a time — the mode with the smallest transient
-// footprint. QueryStats.MemDegraded reports the decision. Applies to
-// NewEngine and Prepare.
-func WithMemoryLimitDegrade(on bool) Option { return core.WithMemoryLimitDegrade(on) }

@@ -166,8 +166,8 @@ func TestArchitectureGroupingSnippet(t *testing.T) {
 	}
 }
 
-// TestArchitectureRetrySnippet compiles and runs the WithRetry example from
-// the "Overload protection & lifecycle" section of docs/ARCHITECTURE.md.
+// TestArchitectureRetrySnippet compiles and runs the caller-side retry loop
+// from the "Overload protection & lifecycle" section of docs/ARCHITECTURE.md.
 func TestArchitectureRetrySnippet(t *testing.T) {
 	ctx := context.Background()
 	vals := []uint64{3, 1, 4, 1, 5, 9, 2, 6}
@@ -185,12 +185,12 @@ func TestArchitectureRetrySnippet(t *testing.T) {
 
 	// doc-snippet:architecture-retry docs/ARCHITECTURE.md
 	q, _ := eng.Prepare(plan, morphstore.WithCostBasedFormats())
-	res, err := q.Execute(ctx, morphstore.WithRetry(morphstore.RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    100 * time.Millisecond,
-		Jitter:      0.5, // add up to 50% of the delay, avoiding retry herds
-	}))
+	res, err := q.Execute(ctx)
+	for attempt, delay := 1, time.Millisecond; morphstore.IsRetryable(err) && attempt < 5; attempt++ {
+		time.Sleep(delay) // back off (add jitter when many callers shed at once)
+		delay *= 2
+		res, err = q.Execute(ctx)
+	}
 	// end-doc-snippet
 
 	if err != nil {

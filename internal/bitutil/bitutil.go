@@ -201,23 +201,3 @@ func Get(words []uint64, i int, width uint) uint64 {
 	}
 	return v & Mask(width)
 }
-
-// Set writes value v at position i of the packed word stream. The target
-// field must currently be zero (Set is append-oriented; it ORs bits in).
-func Set(words []uint64, i int, width uint, v uint64) {
-	if width == 0 {
-		return
-	}
-	if width == 64 {
-		words[i] = v
-		return
-	}
-	v &= Mask(width)
-	bitpos := uint64(i) * uint64(width)
-	w := bitpos >> 6
-	off := uint(bitpos & 63)
-	words[w] |= v << off
-	if rem := 64 - off; rem < width {
-		words[w+1] |= v >> rem
-	}
-}

@@ -110,6 +110,7 @@ func TestPackUnpackZeroWidth(t *testing.T) {
 	}
 }
 
+// TestSetGet: every value Pack sets reads back through the random-access Get.
 func TestSetGet(t *testing.T) {
 	for _, width := range []uint{3, 8, 13, 21, 33, 64} {
 		n := 200
@@ -118,8 +119,8 @@ func TestSetGet(t *testing.T) {
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = rng.Uint64() & Mask(width)
-			Set(words, i, width, vals[i])
 		}
+		Pack(words, vals, width)
 		for i := range vals {
 			if g := Get(words, i, width); g != vals[i] {
 				t.Fatalf("width %d: Get(%d) = %x, want %x", width, i, g, vals[i])
@@ -285,25 +286,6 @@ func TestPackedRangeBoundaryValues(t *testing.T) {
 	}
 }
 
-func TestSumPackedWords(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
-		for _, n := range []int{0, 1, 64, 100, 4096} {
-			src := make([]uint64, n)
-			var want uint64
-			for i := range src {
-				src[i] = rng.Uint64() & Mask(b)
-				want += src[i]
-			}
-			words := make([]uint64, PackedWords(n, b))
-			Pack(words, src, b)
-			if got := SumPackedWords(words, b); got != want {
-				t.Fatalf("b=%d n=%d: sum = %d, want %d", b, n, got, want)
-			}
-		}
-	}
-}
-
 func BenchmarkUnpackWidth6(b *testing.B) {
 	benchUnpack(b, 6)
 }
@@ -330,20 +312,5 @@ func benchUnpack(b *testing.B, width uint) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Unpack(dst, packed, width)
-	}
-}
-
-func BenchmarkSwarSumWidth8(b *testing.B) {
-	n := 1 << 16
-	src := make([]uint64, n)
-	for i := range src {
-		src[i] = uint64(i) & 0xFF
-	}
-	words := make([]uint64, PackedWords(n, 8))
-	Pack(words, src, 8)
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SumPackedWords(words, 8)
 	}
 }

@@ -1,6 +1,5 @@
 // SWAR (SIMD within a register) primitives: an exact field-parallel range
-// test and summation over bit-packed 64-bit words, for field widths that
-// divide 64.
+// test over bit-packed 64-bit words, for field widths that divide 64.
 //
 // These kernels are the pure-Go substitute for the AVX-512 bit-parallel scan
 // instructions the original C++ MorphStore uses (cf. BitWeaving, SIMD-Scan):
@@ -32,12 +31,6 @@
 // to consecutive positions: that step cost a loop with a division per match
 // and bought nothing a shift does not.
 package bitutil
-
-// SwarWidthOK reports whether the SWAR kernels support field width b.
-// Supported widths divide 64 and leave at least two fields per word.
-func SwarWidthOK(b uint) bool {
-	return b > 0 && b <= 32 && 64%b == 0
-}
 
 // Broadcast replicates the low b bits of v into every b-wide field of a word.
 func Broadcast(v uint64, b uint) uint64 {
@@ -135,8 +128,9 @@ type PackedRange struct {
 	b         uint
 }
 
-// NewPackedRange prepares the test for field width b, which must satisfy
-// SwarWidthOK; lo and span must fit b bits.
+// NewPackedRange prepares the test for field width b, which must divide 64
+// and leave at least two fields per word (1, 2, 4, 8, 16 or 32); lo and span
+// must fit b bits.
 func NewPackedRange(lo, span uint64, b uint) PackedRange {
 	w := 2 * b
 	top := Broadcast(1<<(w-1), w)
@@ -151,44 +145,4 @@ func (p PackedRange) Match(x uint64) uint64 {
 	de := ((x&p.even | p.top) - p.lo) & p.even
 	do := ((x>>p.b&p.even | p.top) - p.lo) & p.even
 	return (p.span-de)&p.top>>p.b | (p.span-do)&p.top
-}
-
-// SumPackedWords sums every b-wide field across the packed words using
-// window-parallel accumulation; b must satisfy SwarWidthOK. Unused fields of
-// the final partial word must be zero (true for all MorphStore packed
-// buffers, which zero-initialize their words).
-func SumPackedWords(words []uint64, b uint) uint64 {
-	w := 2 * b
-	even := Broadcast(Mask(b), w)
-	odd := even << b
-
-	// Each 2b window accumulates values < 2^b; capacity 2^(2b)-1 allows at
-	// least 2^b safe additions before a fold is required.
-	safe := 1 << b
-	if safe > 1<<20 {
-		safe = 1 << 20
-	}
-
-	var total uint64
-	var accE, accO uint64
-	pending := 0
-	m := Mask(w)
-	fold := func() {
-		for off := uint(0); off < 64; off += w {
-			total += (accE >> off) & m
-			total += (accO >> off) & m
-		}
-		accE, accO = 0, 0
-		pending = 0
-	}
-	for _, x := range words {
-		accE += x & even
-		accO += (x & odd) >> b
-		pending++
-		if pending >= safe {
-			fold()
-		}
-	}
-	fold()
-	return total
 }

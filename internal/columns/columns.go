@@ -115,9 +115,13 @@ type Column struct {
 	words     []uint64 // mainWords words, then (n-mainElems) raw words
 }
 
-// New assembles a column from its parts. The words slice must hold exactly
-// mainWords + (n - mainElems) words; New reports an error otherwise.
+// New assembles a column from its parts. The format kind must be known and
+// the words slice must hold exactly mainWords + (n - mainElems) words; New
+// reports an error otherwise.
 func New(desc FormatDesc, n, mainElems, mainWords int, words []uint64) (*Column, error) {
+	if desc.Kind >= numKinds {
+		return nil, fmt.Errorf("columns: unknown format kind %d", desc.Kind)
+	}
 	rem := n - mainElems
 	if n < 0 || mainElems < 0 || rem < 0 || mainWords < 0 {
 		return nil, fmt.Errorf("columns: inconsistent extents n=%d mainElems=%d mainWords=%d", n, mainElems, mainWords)
@@ -179,23 +183,6 @@ func (c *Column) CompressionRate() float64 {
 		return 1
 	}
 	return float64(c.PhysicalBytes()) / float64(c.n*8+MetadataBytes)
-}
-
-// Validate checks the structural invariants of the column.
-func (c *Column) Validate() error {
-	if c.n < 0 || c.mainElems < 0 || c.mainElems > c.n {
-		return fmt.Errorf("columns: bad extents n=%d mainElems=%d", c.n, c.mainElems)
-	}
-	if want := c.mainWords + (c.n - c.mainElems); len(c.words) != want {
-		return fmt.Errorf("columns: buffer has %d words, want %d", len(c.words), want)
-	}
-	if c.desc.Kind >= numKinds {
-		return fmt.Errorf("columns: unknown format kind %d", c.desc.Kind)
-	}
-	if c.desc.Kind == Uncompressed && c.mainWords != c.mainElems {
-		return fmt.Errorf("columns: uncompressed main part has %d words for %d elements", c.mainWords, c.mainElems)
-	}
-	return nil
 }
 
 func (c *Column) String() string {

@@ -14,9 +14,6 @@ func TestFromValues(t *testing.T) {
 	if got, ok := c.Values(); !ok || len(got) != 3 {
 		t.Fatalf("Values = %v, %v", got, ok)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if c.PhysicalBytes() != 3*8+MetadataBytes {
 		t.Errorf("PhysicalBytes = %d", c.PhysicalBytes())
 	}
@@ -85,10 +82,9 @@ func TestDescString(t *testing.T) {
 	}
 }
 
+// TestValidateBadKind: New refuses a format kind it does not know.
 func TestValidateBadKind(t *testing.T) {
-	c := FromValues([]uint64{1})
-	c.desc.Kind = Kind(99)
-	if err := c.Validate(); err == nil {
+	if _, err := New(FormatDesc{Kind: Kind(99)}, 1, 1, 1, []uint64{1}); err == nil {
 		t.Error("unknown kind must fail validation")
 	}
 }

@@ -95,9 +95,9 @@ func TestSimpleQueryAllConfigs(t *testing.T) {
 }
 
 // TestSpecializedMatchesGeneric runs the simple query over static BP base
-// columns at a width where the select and the sum have direct kernels (the
-// SWAR select at width 2, the SWAR sum at width 16) and at one where neither
-// has (width 11): the sum equals the reference on both.
+// columns at a width where the select has a direct kernel (the SWAR select
+// at width 2) and at one where it has none (width 11): the sum equals the
+// reference on both.
 func TestSpecializedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, y := make([]uint64, 8000), make([]uint64, 8000)
@@ -119,7 +119,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(p, encoded, 0, WithUniformFormat(columns.DeltaBPDesc), WithFormat("y_proj", columns.StaticBPDesc(w[1])))
+		res, err := execPlan(p, encoded, 0, WithUniformFormat(columns.DeltaBPDesc), WithFormats(map[string]columns.FormatDesc{"y_proj": columns.StaticBPDesc(w[1])}))
 		if err != nil {
 			t.Fatalf("widths %v: %v", w, err)
 		}
@@ -205,13 +205,13 @@ func TestRandomAccessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMorphRun(t, p2, db, db, "d", 0, WithFormat("d", columns.DynBPDesc))
+	checkMorphRun(t, p2, db, db, "d", 0, WithFormats(map[string]columns.FormatDesc{"d": columns.DynBPDesc}))
 }
 
 func TestResultMustStayUncompressed(t *testing.T) {
 	db, _ := simpleDB(1000, 5)
 	p := simpleQueryPlan(t, 7)
-	_, err := execPlan(p, db, 0, WithFormat("total", columns.DynBPDesc))
+	_, err := execPlan(p, db, 0, WithFormats(map[string]columns.FormatDesc{"total": columns.DynBPDesc}))
 	if want := `core: result column "total" must stay uncompressed, configured ` + columns.DynBPDesc.String(); err == nil || err.Error() != want {
 		t.Fatalf("compressed result column: got error %v, want %q", err, want)
 	}

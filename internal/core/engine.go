@@ -58,10 +58,7 @@ type options struct {
 	maxQueries int           // 0 = unlimited
 	admitDepth int           // admission queue bound; 0 = unbounded
 	admitWait  time.Duration // admission queue wait bound; 0 = none
-	timeout    time.Duration // 0 = no per-execution deadline
 	memBudget  int64         // engine-wide byte budget of the admission gate; 0 = none
-	memDegrade bool          // over-budget plans degrade to par=1 instead of failing
-	retry      RetryPolicy   // zero value = no retries
 	// Background remorph (WithRemorph): delta-to-main ratio that triggers a
 	// rebuild (<= 0 = any non-empty delta) and the worker's sweep interval
 	// (0 = no worker).
@@ -182,50 +179,12 @@ func WithAdmissionQueue(depth int, maxWait time.Duration) Option {
 // remorph folds it into the main. A request that does not fit waits in the
 // admission queue without holding a slot, and sheds with
 // ErrAdmissionRejected under the WithAdmissionQueue bounds or its own ctx.
-// A query whose estimate exceeds the whole budget fails with ErrMemoryLimit
-// — unless WithMemoryLimitDegrade is set, in which case it runs sequentially
-// under a reservation clamped to the budget instead. The bytes actually
-// materialized are charged at the allocation sites and reported as
-// QueryStats.MemPeak. 0 means no budget. Applies to NewEngine.
+// A query whose estimate exceeds the whole budget fails with ErrMemoryLimit.
+// The bytes actually materialized are charged at the allocation sites and
+// reported as QueryStats.MemPeak. 0 means no budget. Applies to NewEngine.
 func WithMemoryBudget(bytes int64) Option {
 	return Option{name: "WithMemoryBudget", scope: scopeEngine,
 		apply: func(o *options) { o.memBudget = bytes }}
-}
-
-// WithQueryTimeout bounds one execution's wall-clock time: Execute derives a
-// deadline context, the running morsel loops stop within one morsel when it
-// fires, and the returned error matches ErrQueryTimeout. The timeout covers
-// the admission wait. 0 means no deadline. Applies to NewEngine (default for
-// every execution), Prepare, and Execute.
-func WithQueryTimeout(d time.Duration) Option {
-	return Option{name: "WithQueryTimeout", scope: scopeEngine | scopePrepare | scopeExec,
-		apply: func(o *options) { o.timeout = d }}
-}
-
-// WithMemoryLimitDegrade selects graceful degradation for executions whose
-// memory estimate exceeds the whole WithMemoryBudget: instead of failing
-// with ErrMemoryLimit, the execution reserves the whole budget and runs
-// sequentially, operator at a time (par=1) — the mode with the smallest
-// transient footprint, one operator's scratch at a time and no concurrent
-// per-worker buffers. QueryStats.MemDegraded reports the decision. Applies
-// to NewEngine and Prepare.
-func WithMemoryLimitDegrade(on bool) Option {
-	return Option{name: "WithMemoryLimitDegrade", scope: scopeEngine | scopePrepare,
-		apply: func(o *options) { o.memDegrade = on }}
-}
-
-// WithFormat assigns a compression format to one named plan column
-// (an intermediate, or with WithCostBasedFormats/WithUniformFormat an
-// override of the automatic choice). Applies to Prepare.
-func WithFormat(column string, d columns.FormatDesc) Option {
-	return Option{name: "WithFormat", scope: scopePrepare, apply: func(o *options) {
-		m := make(map[string]columns.FormatDesc, len(o.explicit)+1)
-		for k, v := range o.explicit {
-			m[k] = v
-		}
-		m[column] = d
-		o.explicit = m
-	}}
 }
 
 // WithFormats assigns compression formats to the named plan columns
@@ -324,9 +283,9 @@ type Engine struct {
 // NewEngine returns an engine over db. Options set the worker budget
 // (WithParallelism: 0 = GOMAXPROCS), the admission gate
 // (WithMaxConcurrentQueries, WithMemoryBudget, WithAdmissionQueue), the
-// background remorph (WithRemorph), and engine-wide defaults of per-query
-// options (WithQueryTimeout, WithRetry, WithTracer). A misplaced option is
-// reported by the first Prepare/operator call.
+// background remorph (WithRemorph), and the engine-wide default tracer
+// (WithTracer). A misplaced option is reported by the first Prepare/operator
+// call.
 func NewEngine(db *DB, o ...Option) *Engine {
 	if db == nil {
 		db = NewDB()
@@ -409,7 +368,7 @@ type Prepared struct {
 }
 
 // Prepare compiles the plan once against the engine's database: per-column
-// formats are resolved (explicit WithFormat/WithFormats, WithUniformFormat,
+// formats are resolved (explicit WithFormats, WithUniformFormat,
 // or WithCostBasedFormats; explicit entries win), morph insertions are
 // fixed, and configuration errors surface here rather than mid-execution.
 func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
@@ -500,14 +459,15 @@ func (pr *Prepared) Formats() map[string]columns.FormatDesc {
 // Execute runs the prepared plan. The context cancels the execution: the
 // DAG scheduler stops dispatching operators and running morsel loops stop
 // within one morsel, returning an error matching ErrQueryCanceled (or
-// ErrQueryTimeout when a deadline — including WithQueryTimeout — fired).
+// ErrQueryTimeout when a deadline fired; a deadline also bounds the
+// admission wait).
 // Before it starts, the execution passes the engine's admission gate once:
 // it waits, in one queue, until both a slot (WithMaxConcurrentQueries) and
 // its memory estimate (WithMemoryBudget) are free, for at most the
 // WithAdmissionQueue maxWait in total. A query shed there — queue overflow
 // or wait expiry — returns an error matching ErrAdmissionRejected and never
 // one of the mid-flight context sentinels: it did no work and is safe to
-// retry (see IsRetryable and WithRetry).
+// retry (see IsRetryable).
 // After Engine.Close, Execute fails fast with ErrEngineClosed.
 // Concurrent Execute calls from any number of goroutines share the engine's
 // worker budget and produce columns byte-identical to a sequential run. A
@@ -515,38 +475,23 @@ func (pr *Prepared) Formats() map[string]columns.FormatDesc {
 // panic — is isolated to this call: the engine, the prepared plan and
 // concurrent queries stay fully usable, and re-executing the same Prepared
 // afterwards yields the same columns a fresh execution would. Execute
-// options: WithParallelism (this query's cap), WithKeep,
-// WithQueryTimeout, WithRetry, WithExecStats, WithTracer.
+// options: WithParallelism (this query's cap), WithKeep, WithExecStats,
+// WithTracer.
 func (pr *Prepared) Execute(ctx context.Context, o ...Option) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt, err := pr.opt.merged(scopeExec, o)
-	if err != nil {
-		pr.e.counters.query(err)
-		return nil, err
+	var res *Result
+	if err == nil {
+		res, err = pr.execute(ctx, &opt)
 	}
-	attempts := opt.retry.attempts()
-	for attempt := 1; ; attempt++ {
-		res, err := pr.execute(ctx, &opt)
-		pr.e.counters.query(err)
-		if err == nil || attempt >= attempts || !qerr.IsRetryable(err) || ctx.Err() != nil {
-			return res, err
-		}
-		pr.e.counters.retried.Add(1)
-		if !sleepCtx(ctx, opt.retry.backoff(attempt)) {
-			return nil, qerr.Classify(fmt.Errorf("core: retry backoff interrupted: %w", ctx.Err()))
-		}
-	}
+	pr.e.counters.query(err)
+	return res, err
 }
 
-// execute runs one admission + execution attempt of the prepared plan.
+// execute runs the admission and the execution of the prepared plan.
 func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) {
-	if opt.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
-		defer cancel()
-	}
 	e := pr.e
 	// An engine Close that gave up on graceful draining cancels the
 	// execution through this derived context.
@@ -563,19 +508,13 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	}
 
 	// Under a byte budget the execution reserves its plan's estimate for the
-	// tables' current rows. An estimate over the whole budget can never be
-	// granted: it fails, or with WithMemoryLimitDegrade runs sequentially —
-	// the smallest transient footprint — under a reservation clamped to the
-	// budget.
+	// tables' current rows; an estimate over the whole budget can never be
+	// granted and fails with ErrMemoryLimit.
 	var est int64
-	degraded := false
-	if budget := e.adm.budget; budget > 0 {
+	if e.adm.budget > 0 {
 		var err error
 		if est, err = pr.memoryEstimate(); err != nil {
 			return nil, err
-		}
-		if est > budget && opt.memDegrade {
-			degraded, est = true, budget
 		}
 	}
 	wait, err := e.adm.admit(ctx, est, true)
@@ -590,15 +529,11 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	defer e.adm.release(est, true)
 	obs.admissionWait = wait
 	obs.memEstimate = est
-	obs.memDegraded = degraded
 	obs.admitted(opt, e.adm.budget > 0)
 
 	par := opt.par
 	if par <= 0 {
 		par = e.budget.Total()
-	}
-	if degraded {
-		par = 1
 	}
 	mres := &ops.MemReservation{}
 	es := &execState{
@@ -639,22 +574,6 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		return nil, err
 	}
 	return res, nil
-}
-
-// sleepCtx sleeps d (no-op when d <= 0) unless ctx fires first; it reports
-// whether the full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // runNode executes one bound operator; its morsel workers draw tokens from

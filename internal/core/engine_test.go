@@ -253,9 +253,9 @@ func TestEngineOptionScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.Execute(context.Background(), WithFormat("x", columns.RLEDesc)); err == nil ||
-		!strings.Contains(err.Error(), "WithFormat") {
-		t.Fatalf("WithFormat at Execute = %v, want scope error", err)
+	if _, err := pr.Execute(context.Background(), WithFormats(map[string]columns.FormatDesc{"x": columns.RLEDesc})); err == nil ||
+		!strings.Contains(err.Error(), "WithFormats") {
+		t.Fatalf("WithFormats at Execute = %v, want scope error", err)
 	}
 	// A misplaced engine option surfaces on first use.
 	bad := NewEngine(db, WithOutput(columns.DynBPDesc))
@@ -352,7 +352,7 @@ func TestEnginePrepareValidation(t *testing.T) {
 	plan := buildParTestPlan(t)
 	e := NewEngine(db)
 	// Compressed result column.
-	if _, err := e.Prepare(plan, WithFormat("rev_total", columns.DynBPDesc)); err == nil ||
+	if _, err := e.Prepare(plan, WithFormats(map[string]columns.FormatDesc{"rev_total": columns.DynBPDesc})); err == nil ||
 		!strings.Contains(err.Error(), "uncompressed") {
 		t.Fatalf("compressed result column = %v, want error", err)
 	}
@@ -360,7 +360,7 @@ func TestEnginePrepareValidation(t *testing.T) {
 	// configuration error: pv, the data input of a second project, is morphed
 	// on the fly.
 	rdb, rplan := randomAccessPlan(t)
-	checkMorphRun(t, rplan, rdb, rdb, "pv", 0, WithFormat("pv", columns.DeltaBPDesc))
+	checkMorphRun(t, rplan, rdb, rdb, "pv", 0, WithFormats(map[string]columns.FormatDesc{"pv": columns.DeltaBPDesc}))
 	// Unknown base columns fail Prepare, not Execute.
 	b := NewBuilder()
 	bad := b.Scan("nope", "x")
@@ -380,7 +380,7 @@ func TestEngineFormatResolution(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
 	e := NewEngine(db)
-	pr, err := e.Prepare(plan, WithUniformFormat(columns.DeltaBPDesc), WithFormat("q_sel", columns.RLEDesc))
+	pr, err := e.Prepare(plan, WithUniformFormat(columns.DeltaBPDesc), WithFormats(map[string]columns.FormatDesc{"q_sel": columns.RLEDesc}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"morphstore/internal/qerr"
 )
 
-// TestEngineQueryTimeout: WithQueryTimeout must stop a running query and the
-// error must match ErrQueryTimeout; the engine stays usable afterwards.
+// TestEngineQueryTimeout: a context deadline must stop a running query and
+// the error must match ErrQueryTimeout; the engine stays usable afterwards.
 func TestEngineQueryTimeout(t *testing.T) {
 	db, plan := bigCancelDB(t)
 	e := NewEngine(db, WithParallelism(2))
@@ -20,7 +20,9 @@ func TestEngineQueryTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.Execute(context.Background(), WithQueryTimeout(time.Millisecond)); !errors.Is(err, qerr.ErrQueryTimeout) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := pr.Execute(ctx); !errors.Is(err, qerr.ErrQueryTimeout) {
 		t.Fatalf("timed-out execution: %v, want ErrQueryTimeout", err)
 	}
 	// The timeout is per execution, not sticky state on the prepared plan.
@@ -28,9 +30,9 @@ func TestEngineQueryTimeout(t *testing.T) {
 		t.Fatalf("execution after timeout: %v", err)
 	}
 	// A pre-cancelled caller context classifies as a cancellation.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := pr.Execute(ctx); !errors.Is(err, qerr.ErrQueryCanceled) {
+	canceled, cancelNow := context.WithCancel(context.Background())
+	cancelNow()
+	if _, err := pr.Execute(canceled); !errors.Is(err, qerr.ErrQueryCanceled) {
 		t.Fatalf("pre-cancelled execution: %v, want ErrQueryCanceled", err)
 	}
 }
@@ -53,7 +55,9 @@ func TestEngineAdmissionRejectedTyped(t *testing.T) {
 	release := holdSlot(t, e.adm) // occupy the slot deterministically
 
 	// Deadline flavour, expiry while parked.
-	_, err = pr.Execute(context.Background(), WithQueryTimeout(time.Millisecond))
+	deadline, cancelDeadline := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancelDeadline()
+	_, err = pr.Execute(deadline)
 	if !errors.Is(err, qerr.ErrAdmissionRejected) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out waiter: %v, want ErrAdmissionRejected wrapping DeadlineExceeded", err)
 	}

@@ -25,8 +25,11 @@ import (
 func TestEntryGuard(t *testing.T) {
 	const (
 		nRows      = 8 * 1024 // several morsels at par 2: the operator call has claims to stall
-		batchBytes = 2 * 8    // one appended row of the two-column table
+		batchBytes = 2 * 8    // one appended row of a two-column table
 	)
+	// t mixes a numeric and a string column (AppendStrings' table); u is
+	// numeric only (Append's table).
+	tables := []string{"t", "u"}
 	newEngine := func(t *testing.T) (*Engine, *columns.Column) {
 		t.Helper()
 		v, s := make([]uint64, nRows), make([]string, nRows)
@@ -35,6 +38,9 @@ func TestEntryGuard(t *testing.T) {
 		}
 		db := NewDB()
 		if err := db.AddTable("t", map[string][]uint64{"v": v}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddTable("u", map[string][]uint64{"v": v, "w": v}); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.AddStringColumn("t", "s", s); err != nil {
@@ -67,7 +73,7 @@ func TestEntryGuard(t *testing.T) {
 		stall func(*testing.T, *Engine)
 	}{
 		{"append", func(ctx context.Context, e *Engine, _ *columns.Column) error {
-			return e.Append(ctx, "t", map[string][]uint64{"v": {7}, "s": {0}})
+			return e.Append(ctx, "u", map[string][]uint64{"v": {7}, "w": {0}})
 		}, blockAt(faultpoint.AppendLog)},
 		{"append_strings", func(ctx context.Context, e *Engine, _ *columns.Column) error {
 			return e.AppendStrings(ctx, "t", map[string][]uint64{"v": {7}}, map[string][]string{"s": {"fresh"}})
@@ -112,12 +118,14 @@ func TestEntryGuard(t *testing.T) {
 				t.Fatalf("with a cancelled context: %v, want ErrQueryCanceled only", err)
 			}
 			after, statsAfter := e.Snapshot(), e.Stats()
-			rowsAfter, _ := after.Rows("t")
-			if before.Epoch("t") != after.Epoch("t") {
-				t.Fatalf("epoch moved %d -> %d under a cancelled context", before.Epoch("t"), after.Epoch("t"))
-			}
-			if b, _ := before.Rows("t"); b != rowsAfter {
-				t.Fatalf("rows changed %d -> %d under a cancelled context", b, rowsAfter)
+			for _, tab := range tables {
+				rowsAfter, _ := after.Rows(tab)
+				if before.Epoch(tab) != after.Epoch(tab) {
+					t.Fatalf("%s: epoch moved %d -> %d under a cancelled context", tab, before.Epoch(tab), after.Epoch(tab))
+				}
+				if b, _ := before.Rows(tab); b != rowsAfter {
+					t.Fatalf("%s: rows changed %d -> %d under a cancelled context", tab, b, rowsAfter)
+				}
 			}
 			if statsBefore.Appends != statsAfter.Appends || statsBefore.Deletes != statsAfter.Deletes ||
 				statsBefore.Remorphs != statsAfter.Remorphs {
@@ -155,12 +163,12 @@ func TestEntryGuard(t *testing.T) {
 	// nothing: Close sheds it at once and still drains gracefully.
 	t.Run("append/close_sheds_byte_waiter", func(t *testing.T) {
 		e, _ := newEngine(t)
-		row := map[string][]uint64{"v": {1}, "s": {0}}
-		if err := e.Append(context.Background(), "t", row); err != nil {
+		row := map[string][]uint64{"v": {1}, "w": {0}}
+		if err := e.Append(context.Background(), "u", row); err != nil {
 			t.Fatal(err)
 		}
 		errCh := make(chan error, 1)
-		go func() { errCh <- e.Append(context.Background(), "t", row) }()
+		go func() { errCh <- e.Append(context.Background(), "u", row) }()
 		waitFor(t, "the append to park for bytes", func() bool { return e.adm.counters().queued == 1 })
 		if err := e.Close(context.Background()); err != nil {
 			t.Fatalf("close over a parked append: %v", err)
@@ -180,21 +188,23 @@ func TestEntryGuard(t *testing.T) {
 		e, _ := newEngine(t)
 		defer e.Close(context.Background())
 		ctx := context.Background()
-		if err := e.Append(ctx, "t", nil); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if err := e.Append(ctx, "u", nil); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("Append(nil): %v, want ErrInvalidSchema", err)
 		}
 		if err := e.AppendStrings(ctx, "t", nil, nil); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("AppendStrings(nil, nil): %v, want ErrInvalidSchema", err)
 		}
-		epoch := e.Snapshot().Epoch("t")
-		if err := e.Append(ctx, "t", map[string][]uint64{"v": {}, "s": {}}); err != nil {
+		before := e.Snapshot()
+		if err := e.Append(ctx, "u", map[string][]uint64{"v": {}, "w": {}}); err != nil {
 			t.Fatalf("zero-row Append: %v", err)
 		}
 		if err := e.AppendStrings(ctx, "t", map[string][]uint64{"v": {}}, map[string][]string{"s": {}}); err != nil {
 			t.Fatalf("zero-row AppendStrings: %v", err)
 		}
-		if got := e.Snapshot().Epoch("t"); got != epoch || e.Stats().Appends != 0 {
-			t.Fatalf("zero-row batches published epoch %d -> %d, %d appends", epoch, got, e.Stats().Appends)
+		for _, tab := range tables {
+			if got := e.Snapshot().Epoch(tab); got != before.Epoch(tab) || e.Stats().Appends != 0 {
+				t.Fatalf("%s: zero-row batches published epoch %d -> %d, %d appends", tab, before.Epoch(tab), got, e.Stats().Appends)
+			}
 		}
 	})
 }

@@ -49,7 +49,6 @@ type engineCounters struct {
 	corrupt     atomic.Int64
 	panicked    atomic.Int64
 	failedOther atomic.Int64
-	retried     atomic.Int64
 	memShed     atomic.Int64
 
 	// Write-path counters (Engine.Append/Delete and the remorph worker).
@@ -93,9 +92,9 @@ func (c *engineCounters) query(err error) {
 // Execute attempt lands in exactly one of them (classification order:
 // closed, rejected, timeout, canceled, corrupt, panic, other), so Succeeded
 // + the failure counters equals Started minus the executions still in
-// flight. With WithRetry, every attempt counts.
+// flight.
 type EngineStats struct {
-	// QueriesStarted counts Execute attempts that entered the engine.
+	// QueriesStarted counts Execute calls that entered the engine.
 	QueriesStarted int64
 	// QueriesSucceeded counts executions that returned a result.
 	QueriesSucceeded int64
@@ -119,9 +118,6 @@ type EngineStats struct {
 	// QueriesFailedOther counts the remaining failures (e.g. misplaced
 	// options).
 	QueriesFailedOther int64
-	// QueriesRetried counts the WithRetry re-attempts (each also counts in
-	// QueriesStarted and an outcome counter).
-	QueriesRetried int64
 	// AdmissionQueued is the number of requests (queries, and appends
 	// waiting for bytes) currently parked in the admission queue.
 	AdmissionQueued int
@@ -150,7 +146,7 @@ type EngineStats struct {
 	// MemPeakReserved is the high-water mark of MemReserved.
 	MemPeakReserved int64
 	// MemOverBudget counts executions rejected (ErrMemoryLimit) because
-	// their estimate exceeded the whole budget and degradation was off.
+	// their estimate exceeded the whole budget.
 	MemOverBudget int64
 	// BudgetTotal is the engine's worker allowance.
 	BudgetTotal int
@@ -219,7 +215,6 @@ func (e *Engine) Stats() EngineStats {
 		QueriesCorrupt:        e.counters.corrupt.Load(),
 		QueriesPanicked:       e.counters.panicked.Load(),
 		QueriesFailedOther:    e.counters.failedOther.Load(),
-		QueriesRetried:        e.counters.retried.Load(),
 		AdmissionQueued:       adm.queued,
 		AdmissionWaits:        adm.waits,
 		AdmissionWaitTotal:    time.Duration(adm.waitNS),
@@ -247,7 +242,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// execObs is the per-attempt admission observability state: the query id
+// execObs is the per-execution admission observability state: the query id
 // reserved before admission, and the wait/memory figures stamped into the
 // QueryStats tree at finish. Its event emitters trace the admission
 // pseudo-span (Node == -1) when a tracer is attached.
@@ -256,7 +251,6 @@ type execObs struct {
 	admissionWait time.Duration
 	memEstimate   int64
 	memPeak       int64
-	memDegraded   bool
 }
 
 // span is the query-level admission pseudo-span of this execution.
@@ -324,7 +318,6 @@ func finishCollector(coll *metrics.Collector, opt *options, err error, ob *execO
 	qs.AdmissionWait = ob.admissionWait
 	qs.MemEstimate = ob.memEstimate
 	qs.MemPeak = ob.memPeak
-	qs.MemDegraded = ob.memDegraded
 	if opt.stats != nil {
 		*opt.stats = *qs
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +17,7 @@ import (
 
 // This file tests the overload-protection layer: the bounded admission
 // gate (shed ordering, overflow, wait bounds, fault injection, the byte
-// budget and its engine integration), the WithRetry loop, and
-// graceful Engine.Close (the racing chaos variant lives in
+// budget and its engine integration), and graceful Engine.Close (the racing chaos variant lives in
 // closechaos_test.go).
 
 // waitFor polls cond for up to a second; it fails the test when the
@@ -178,8 +176,7 @@ func TestAdmissionBytesAccounting(t *testing.T) {
 
 // TestAdmissionBytesOverBudget: a request larger than the whole budget can
 // never be granted and is rejected at once with the non-retryable
-// ErrMemoryLimit — the caller decides between failing and degrading — and
-// takes neither bytes nor a slot.
+// ErrMemoryLimit and takes neither bytes nor a slot.
 func TestAdmissionBytesOverBudget(t *testing.T) {
 	a := newAdmission(1, 100, 0, 0)
 	for _, query := range []bool{false, true} {
@@ -418,131 +415,15 @@ func TestMemoryEstimateCountsDeltaRows(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffBounds: the policy's backoff doubles from BaseDelay, caps
-// at MaxDelay, and jitters only upward within the configured fraction.
-func TestRetryBackoffBounds(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-	for attempt, want := range map[int]time.Duration{
-		1: time.Millisecond,
-		2: 2 * time.Millisecond,
-		3: 4 * time.Millisecond,
-		4: 4 * time.Millisecond, // capped
-		9: 4 * time.Millisecond,
-	} {
-		if got := p.backoff(attempt); got != want {
-			t.Fatalf("backoff(%d) = %v, want %v (no jitter)", attempt, got, want)
-		}
-	}
-	p.Jitter = 0.5
-	for attempt := 1; attempt <= 6; attempt++ {
-		base := p.backoffBase(attempt)
-		for i := 0; i < 32; i++ {
-			d := p.backoff(attempt)
-			if d < base || d > base+base/2 {
-				t.Fatalf("jittered backoff(%d) = %v outside [%v, %v]", attempt, d, base, base+base/2)
-			}
-		}
-	}
-	if (RetryPolicy{}).attempts() != 1 || (RetryPolicy{MaxAttempts: -3}).attempts() != 1 {
-		t.Fatal("zero/negative policies must mean a single attempt")
-	}
-	if (RetryPolicy{BaseDelay: time.Second}).backoff(40) <= 0 {
-		t.Fatal("deep attempt backoff must stay positive (overflow)")
-	}
-}
-
-// TestWithRetryRecoversFromShed: an execution shed by the admission layer
-// retries under WithRetry and succeeds once the congestion clears; the
-// retries are visible in Engine.Stats.
-func TestWithRetryRecoversFromShed(t *testing.T) {
-	db := buildParTestDB(t)
-	plan := buildParTestPlan(t)
-	e := NewEngine(db, WithParallelism(2), WithMaxConcurrentQueries(1),
-		WithAdmissionQueue(1, 2*time.Millisecond))
-	pr, err := e.Prepare(plan, WithUniformFormat(columns.UncomprDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := holdSlot(t, e.adm)
-	go func() { time.Sleep(8 * time.Millisecond); hold() }()
-	res, err := pr.Execute(context.Background(),
-		WithRetry(RetryPolicy{MaxAttempts: 50, BaseDelay: time.Millisecond}))
-	if err != nil {
-		t.Fatalf("retried execution: %v", err)
-	}
-	if res == nil || len(res.Cols) == 0 {
-		t.Fatal("retried execution returned no columns")
-	}
-	st := e.Stats()
-	if st.QueriesRetried < 1 || st.QueriesRejected < 1 || st.QueriesSucceeded != 1 {
-		t.Fatalf("retry accounting: retried=%d rejected=%d succeeded=%d",
-			st.QueriesRetried, st.QueriesRejected, st.QueriesSucceeded)
-	}
-}
-
-// TestWithRetryTransientAndNonRetryable: a transient injected fault is
-// retried to success; a corrupt-data failure is not retried at all.
-func TestWithRetryTransientAndNonRetryable(t *testing.T) {
-	defer faultpoint.DisarmAll()
-	db := buildParTestDB(t)
-	plan := buildParTestPlan(t)
-	e := NewEngine(db, WithParallelism(2))
-	pr, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := pr.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First execution attempt hits a transient fault; the second runs clean.
-	var hits atomic.Int64
-	faultpoint.MorselClaim.Arm(func() error {
-		if hits.Add(1) == 1 {
-			return fmt.Errorf("injected flake: %w", qerr.ErrTransient)
-		}
-		return nil
-	})
-	res, err := pr.Execute(context.Background(),
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}))
-	if err != nil {
-		t.Fatalf("transient-retried execution: %v", err)
-	}
-	if err := sameResult(ref, res); err != nil {
-		t.Fatalf("retried execution diverged: %v", err)
-	}
-	if st := e.Stats(); st.QueriesRetried != 1 {
-		t.Fatalf("QueriesRetried = %d, want 1", st.QueriesRetried)
-	}
-
-	// Corrupt data is never retryable: exactly one attempt.
-	faultpoint.MorselClaim.Arm(func() error { return fmt.Errorf("injected: %w", qerr.ErrCorruptData) })
-	before := e.Stats().QueriesStarted
-	_, err = pr.Execute(context.Background(),
-		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond}))
-	if !errors.Is(err, qerr.ErrCorruptData) {
-		t.Fatalf("corrupt execution: %v", err)
-	}
-	if got := e.Stats().QueriesStarted - before; got != 1 {
-		t.Fatalf("corrupt failure made %d attempts, want 1", got)
-	}
-}
-
 // TestMemoryBudgetGovernance: executions reserve their estimate at the
 // admission gate, report estimate and measured peak in QueryStats, leave no
-// bytes reserved when done, degrade to sequential under
-// WithMemoryLimitDegrade when the estimate exceeds the budget, and fail
-// with a non-retryable ErrMemoryLimit without it.
+// bytes reserved when done, and fail with a non-retryable ErrMemoryLimit
+// when the estimate exceeds the whole budget.
 func TestMemoryBudgetGovernance(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
 	roomy := NewEngine(db, WithParallelism(4), WithMemoryBudget(1<<30))
 	pr, err := roomy.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := pr.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,35 +434,15 @@ func TestMemoryBudgetGovernance(t *testing.T) {
 	if qs.MemEstimate != int64(pr.MemoryEstimate()) || qs.MemEstimate <= 0 {
 		t.Fatalf("MemEstimate = %d, want %d", qs.MemEstimate, pr.MemoryEstimate())
 	}
-	if qs.MemPeak <= 0 || qs.MemDegraded {
-		t.Fatalf("MemPeak = %d, MemDegraded = %v, want positive peak, no degrade", qs.MemPeak, qs.MemDegraded)
+	if qs.MemPeak <= 0 {
+		t.Fatalf("MemPeak = %d, want positive", qs.MemPeak)
 	}
 	st := roomy.Stats()
 	if st.MemBudget != 1<<30 || st.MemReserved != 0 || st.MemPeakReserved < qs.MemEstimate {
 		t.Fatalf("memory stats after idle: %+v", st)
 	}
 
-	// Estimate over the whole budget, degradation on: sequential execution
-	// under a clamped reservation, byte-identical result.
-	tiny := NewEngine(db, WithParallelism(4),
-		WithMemoryBudget(int64(pr.MemoryEstimate()-1)), WithMemoryLimitDegrade(true))
-	dpr, err := tiny.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dqs metrics.QueryStats
-	res, err := dpr.Execute(context.Background(), WithExecStats(&dqs))
-	if err != nil {
-		t.Fatalf("degraded execution: %v", err)
-	}
-	if err := sameResult(ref, res); err != nil {
-		t.Fatalf("degraded execution diverged: %v", err)
-	}
-	if !dqs.MemDegraded || dqs.MemEstimate != int64(pr.MemoryEstimate()-1) {
-		t.Fatalf("degraded stats: %+v", dqs)
-	}
-
-	// Degradation off: typed, non-retryable rejection.
+	// Estimate over the whole budget: typed, non-retryable rejection.
 	strict := NewEngine(db, WithParallelism(4), WithMemoryBudget(int64(pr.MemoryEstimate()-1)))
 	spr, err := strict.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
 	if err != nil {

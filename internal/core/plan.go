@@ -82,15 +82,6 @@ const (
 	StrPrefix
 )
 
-var strPredNames = map[StrPredKind]string{StrEq: "eq", StrIn: "in", StrPrefix: "prefix"}
-
-func (k StrPredKind) String() string {
-	if s, ok := strPredNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("strpred(%d)", uint8(k))
-}
-
 func (k OpKind) String() string {
 	if s, ok := opNames[k]; ok {
 		return s
@@ -122,7 +113,7 @@ type ColRef struct {
 }
 
 // Name returns the unique column name of the referenced output, which is the
-// key WithFormat and WithFormats assign formats by.
+// key WithFormats assigns formats by.
 func (r ColRef) Name() string { return r.node.outNames[r.out] }
 
 // valid reports whether the reference points at an actual node output.

@@ -16,7 +16,7 @@ import (
 //
 // A worker always takes the ready node with the lowest id. Node ids are a
 // topological order (the builder only references already-built nodes), so a
-// single worker — WithParallelism(1) or a degraded plan — finds node k ready
+// single worker — WithParallelism(1) — finds node k ready
 // the moment nodes 0..k-1 are done: the sequential operator-at-a-time
 // execution is this scheduler at width 1, nodes in plan order, one at a time.
 //

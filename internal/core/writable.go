@@ -216,13 +216,13 @@ func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uin
 }
 
 // AppendStrings appends rows that mix plain uint64 columns (nums) and
-// string columns (strs): every string column must be dictionary-encoded
-// (AddStringColumn), its values are translated through the table's
-// dictionary — new strings get fresh IDs in first-occurrence order — and the
-// resulting ID rows append to the delta store under Append's visibility,
-// admission and Close semantics. nums and strs together
-// must cover exactly the table's columns with equally long slices
-// (ErrInvalidSchema otherwise; the rows are not appended, though novel
+// string columns (strs): every strs column must be dictionary-encoded
+// (AddStringColumn) and no nums column may be. The strings are translated
+// through the table's dictionary — new strings get fresh IDs in
+// first-occurrence order — and the resulting ID rows append to the delta
+// store under Append's visibility, admission and Close semantics. nums and
+// strs together must cover exactly the table's columns with equally long
+// slices (ErrInvalidSchema otherwise; the rows are not appended, though novel
 // strings of a failed batch may remain in the dictionary — harmless, they
 // simply match no row). This is the supported append path for tables with
 // string columns: it keeps translation atomic with the row append, so a
@@ -242,6 +242,13 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 	for cn := range strs {
 		if wt.dicts[cn] == nil {
 			return qerr.Tag(fmt.Errorf("core: append to %q: %q is not a dictionary-encoded string column", table, cn), qerr.ErrInvalidSchema)
+		}
+	}
+	// Raw values for a string column would land as IDs its dictionary never
+	// defined.
+	for cn := range nums {
+		if wt.dicts[cn] != nil {
+			return qerr.Tag(fmt.Errorf("core: append to %q: string column %q needs strings, got uint64 values", table, cn), qerr.ErrInvalidSchema)
 		}
 	}
 	nrows := 0

@@ -315,7 +315,7 @@ func TestJournalReplay(t *testing.T) {
 		t.Fatalf("replayed shape %d/%d/%d, want %d/%d/%d",
 			rs.Rows(), rs.TailRows(), rs.DeletedRows(), s.Rows(), s.TailRows(), s.DeletedRows())
 	}
-	for _, cn := range s.Columns() {
+	for _, cn := range tab.Columns() {
 		want, err := s.LiveValues(cn)
 		if err != nil {
 			t.Fatal(err)

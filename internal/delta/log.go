@@ -200,7 +200,7 @@ func (t *Table) replay(rec record) error {
 	}
 	t.journal = encodeDelete(t.journal, rec.deleted)
 	nd := mergeSorted(s.deleted, rec.deleted)
-	ns := newState(s.epoch+1, s.main, s.mainRows, t.cols, s.tail, s.tailRows, nd)
+	ns := newState(s.epoch+1, s.main, s.mainRows, s.tail, s.tailRows, nd)
 	t.cur.Store(ns)
 	return nil
 }

@@ -133,7 +133,7 @@ func FuzzDeltaLog(f *testing.F) {
 		}
 		// A journal that replays must produce a readable table.
 		s := tab.State()
-		for _, cn := range s.Columns() {
+		for _, cn := range tab.Columns() {
 			col, err := s.Column(cn)
 			if err != nil {
 				t.Fatalf("replayed table unreadable: %v", err)

@@ -50,7 +50,6 @@ type State struct {
 	epoch    uint64
 	main     map[string]*columns.Column
 	mainRows int
-	cols     []string            // sorted column names
 	tail     map[string][]uint64 // fixed-length views over the append-only backing
 	tailRows int
 	deleted  []uint64 // sorted absolute positions in [0, mainRows+tailRows)
@@ -74,15 +73,6 @@ func (s *State) TailRows() int { return s.tailRows }
 // DeletedRows returns the number of pending deletions (positions deleted
 // since the last remorph fold).
 func (s *State) DeletedRows() int { return len(s.deleted) }
-
-// Columns returns the table's column names in sorted order.
-func (s *State) Columns() []string { return s.cols }
-
-// DeltaBytes returns the delta's data footprint at this state: tail words
-// plus the deletion set (8 bytes per entry).
-func (s *State) DeltaBytes() int64 {
-	return int64(s.tailRows)*8*int64(len(s.cols)) + int64(len(s.deleted))*8
-}
 
 // Column returns the merged main+delta view of one column as an ordinary
 // column. With an empty delta it is the stored main column itself (no copy,

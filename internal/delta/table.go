@@ -57,15 +57,15 @@ func NewTable(name string, main map[string]*columns.Column) (*Table, error) {
 		tails[cn] = nil
 	}
 	t := &Table{name: name, cols: cols, tails: tails}
-	t.cur.Store(newState(0, mcopy, rows, cols, t.tailViews(0), 0, nil))
+	t.cur.Store(newState(0, mcopy, rows, t.tailViews(0), 0, nil))
 	return t, nil
 }
 
 // newState assembles an immutable State with a fresh merge cache.
-func newState(epoch uint64, main map[string]*columns.Column, mainRows int, cols []string,
+func newState(epoch uint64, main map[string]*columns.Column, mainRows int,
 	tail map[string][]uint64, tailRows int, deleted []uint64) *State {
 	return &State{
-		epoch: epoch, main: main, mainRows: mainRows, cols: cols,
+		epoch: epoch, main: main, mainRows: mainRows,
 		tail: tail, tailRows: tailRows, deleted: deleted,
 		merged: &mergeCache{cols: make(map[string]*columns.Column)},
 	}
@@ -132,7 +132,7 @@ func (t *Table) Append(rows map[string][]uint64) (*State, int, error) {
 	for _, cn := range t.cols {
 		t.tails[cn] = append(t.tails[cn], rows[cn]...)
 	}
-	ns := newState(s.epoch+1, s.main, s.mainRows, t.cols, t.tailViews(s.tailRows+n), s.tailRows+n, s.deleted)
+	ns := newState(s.epoch+1, s.main, s.mainRows, t.tailViews(s.tailRows+n), s.tailRows+n, s.deleted)
 	t.cur.Store(ns)
 	return ns, n, nil
 }
@@ -163,7 +163,7 @@ func (t *Table) Delete(positions []uint64) (*State, int, error) {
 	}
 	t.journal = encodeDelete(t.journal, abs)
 	nd := mergeSorted(s.deleted, abs)
-	ns := newState(s.epoch+1, s.main, s.mainRows, t.cols, s.tail, s.tailRows, nd)
+	ns := newState(s.epoch+1, s.main, s.mainRows, s.tail, s.tailRows, nd)
 	t.cur.Store(ns)
 	return ns, len(abs), nil
 }
@@ -308,7 +308,7 @@ func (t *Table) CompleteRebuildRemap(s0 *State, main map[string]*columns.Column,
 		j = encodeDelete(j, nd)
 	}
 	t.journal = j
-	ns := newState(s1.epoch+1, mcopy, newMainRows, t.cols, t.tailViews(newTailRows), newTailRows, nd)
+	ns := newState(s1.epoch+1, mcopy, newMainRows, t.tailViews(newTailRows), newTailRows, nd)
 	if onSwap != nil {
 		onSwap()
 	}

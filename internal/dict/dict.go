@@ -241,7 +241,7 @@ func (d *Dict) Journal() []byte {
 }
 
 // Rebuild is an in-progress sorted renumbering pinned against one snapshot.
-// The engine computes it off-line during remorph (Remap rewrites the ID
+// The engine computes it off-line during remorph (RemapAll rewrites the ID
 // column being rebuilt), then publishes it with CompleteSorted under the
 // same locks that swap the rebuilt column in.
 type Rebuild struct {
@@ -273,21 +273,14 @@ func (d *Dict) BeginSorted() *Rebuild {
 	return &Rebuild{base: base, strs: strs, remap: remap}
 }
 
-// Remap translates one old ID to its post-rebuild ID. IDs at or beyond the
-// pinned snapshot (strings added after BeginSorted) are unchanged.
-func (r *Rebuild) Remap(id uint64) uint64 {
-	if id < uint64(len(r.remap)) {
-		return r.remap[id]
-	}
-	return id
-}
-
 // RemapTable returns the renumbering table itself: remap[oldID] = newID for
 // every ID of the pinned snapshot. The delta store applies it to tail rows
 // that survive the swap.
 func (r *Rebuild) RemapTable() []uint64 { return r.remap }
 
-// RemapAll rewrites a value slice in place through Remap.
+// RemapAll rewrites a value slice in place from old IDs to post-rebuild IDs.
+// IDs at or beyond the pinned snapshot (strings added after BeginSorted) are
+// unchanged.
 func (r *Rebuild) RemapAll(vals []uint64) {
 	for i, v := range vals {
 		if v < uint64(len(r.remap)) {

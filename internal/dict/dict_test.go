@@ -139,9 +139,6 @@ func TestDictSortedRebuild(t *testing.T) {
 		t.Fatal("BeginSorted returned nil on unsorted dict")
 	}
 	// cherry=0 apple=1 banana=2 → apple=0 banana=1 cherry=2.
-	if got := r.Remap(0); got != 2 {
-		t.Fatalf("Remap(cherry) = %d", got)
-	}
 	vals := []uint64{0, 1, 2, 0}
 	r.RemapAll(vals)
 	if !reflect.DeepEqual(vals, []uint64{2, 0, 1, 2}) {
@@ -168,7 +165,8 @@ func TestDictSortedRebuild(t *testing.T) {
 			t.Fatalf("ID(%s) = %d,%v want %d", str, id, ok, want)
 		}
 	}
-	if r.Remap(3) != 3 {
+	late := []uint64{3}
+	if r.RemapAll(late); late[0] != 3 {
 		t.Fatal("late ID remapped")
 	}
 

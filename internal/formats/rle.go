@@ -17,8 +17,6 @@ import (
 // are never zero.
 type rleCodec struct{}
 
-func (rleCodec) Kind() columns.Kind { return columns.RLE }
-
 func (rleCodec) NewReader(col *columns.Column) Reader {
 	return &rleReader{words: col.MainWords(), n: col.N()}
 }

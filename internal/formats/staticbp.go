@@ -17,8 +17,6 @@ import (
 // column is the main part; there is never a remainder.
 type staticBPCodec struct{}
 
-func (staticBPCodec) Kind() columns.Kind { return columns.StaticBP }
-
 // StaticBPWords hands out the packed words and bit width of a static BP
 // column after bounds-checking them — the width must be a representable bit
 // count and the words must cover every packed element — so a truncated or

@@ -10,8 +10,6 @@ import (
 // per data element, main part only, no remainder.
 type uncomprCodec struct{}
 
-func (uncomprCodec) Kind() columns.Kind { return columns.Uncompressed }
-
 func (uncomprCodec) NewReader(col *columns.Column) Reader {
 	return &uncomprReader{vals: col.Words()}
 }

@@ -240,6 +240,31 @@ func TestLoadIntoExistingTable(t *testing.T) {
 	}
 }
 
+// TestLoadDigitsIntoStringColumn: a later CSV whose values for an existing
+// string column are all digits sniffs that column as uint; its values must
+// not land as dictionary IDs. The load fails with ErrInvalidSchema and the
+// table and dictionary keep their rows and strings.
+func TestLoadDigitsIntoStringColumn(t *testing.T) {
+	ctx := context.Background()
+	db := core.NewDB()
+	e := core.NewEngine(db, core.WithParallelism(1))
+	defer e.Close(ctx)
+	if _, err := Load(ctx, e, "t", NewCSV(strings.NewReader("level,n\nlow,1\nhigh,2\n"))); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Load(ctx, e, "t", NewCSV(strings.NewReader("level,n\n7,3\n")))
+	if !errors.Is(err, qerr.ErrInvalidSchema) || n != 0 {
+		t.Fatalf("digits for a string column: loaded %d rows, err = %v, want 0 and ErrInvalidSchema", n, err)
+	}
+	snap := e.Snapshot()
+	if rows, _ := snap.Rows("t"); rows != 2 {
+		t.Fatalf("table has %d rows, want 2", rows)
+	}
+	if ds := snap.Dict("t", "level"); ds == nil || ds.Len() != 2 {
+		t.Fatalf("dict snap = %+v, want 2 strings", ds)
+	}
+}
+
 func TestLoadEmptyAndErrorSemantics(t *testing.T) {
 	ctx := context.Background()
 	// An empty source creates nothing.

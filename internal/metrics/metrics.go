@@ -52,17 +52,12 @@ type QueryStats struct {
 	AdmissionWait time.Duration
 	// MemEstimate is the intermediate-memory byte estimate the execution
 	// reserved at the engine's admission gate (the plan's estimate for the
-	// tables' rows at admission, clamped to the budget when the execution
-	// degraded; 0 without a memory budget).
+	// tables' rows at admission; 0 without a memory budget).
 	MemEstimate int64
 	// MemPeak is the peak intermediate bytes the execution actually
 	// materialized, summed from the runtime charges of the operator and
 	// stitch buffers.
 	MemPeak int64
-	// MemDegraded reports that the execution was pinned to sequential
-	// processing because its estimate exceeded the engine's memory budget
-	// (the WithMemoryBudget + WithMemoryLimitDegrade runtime path).
-	MemDegraded bool
 	// Nodes holds one entry per plan node, indexed by plan node id (the
 	// plan's topological order).
 	Nodes []NodeStats
@@ -133,7 +128,7 @@ var queryID atomic.Uint64
 // ReserveQueryID draws the next process-wide execution number without
 // building a collector. The execution layer reserves the id before admission
 // so admission-wait and shed events trace under the same query number the
-// collector later uses; pass it to NewCollectorFor.
+// collector later uses.
 func ReserveQueryID() uint64 { return queryID.Add(1) }
 
 // Collector gathers one execution's QueryStats tree and forwards span
@@ -147,15 +142,10 @@ type Collector struct {
 	nodes  []NodeCollector
 }
 
-// NewCollector returns a collector for an execution of a plan with the given
-// node count; tracer may be nil (stats only).
-func NewCollector(nodes int, tracer Tracer) *Collector {
-	return NewCollectorFor(ReserveQueryID(), nodes, tracer)
-}
-
-// NewCollectorFor is NewCollector under a query id the caller already
-// reserved with ReserveQueryID (so pre-admission trace events and the
-// collected stats share one number).
+// NewCollectorFor returns a collector for an execution of a plan with the
+// given node count under a query id the caller reserved with ReserveQueryID
+// (so pre-admission trace events and the collected stats share one number);
+// tracer may be nil (stats only).
 func NewCollectorFor(query uint64, nodes int, tracer Tracer) *Collector {
 	c := &Collector{query: query, tracer: tracer, start: time.Now(), nodes: make([]NodeCollector, nodes)}
 	for i := range c.nodes {

@@ -39,7 +39,7 @@ func TestShardPadding(t *testing.T) {
 // TestCollectorLifecycle walks a two-node plan through the full collection
 // protocol and checks the assembled tree.
 func TestCollectorLifecycle(t *testing.T) {
-	c := NewCollector(2, nil)
+	c := NewCollectorFor(ReserveQueryID(), 2, nil)
 	c.Define(0, "lo_price", "scan", nil)
 	c.Define(1, "rev", "sum", []int{0})
 
@@ -97,7 +97,7 @@ func TestCollectorLifecycle(t *testing.T) {
 // operator (kernel pass, then stitch) reuse and grow the shard slice and
 // that Finish re-merges rather than double-counts.
 func TestShardsGrowAndAccumulate(t *testing.T) {
-	c := NewCollector(1, nil)
+	c := NewCollectorFor(ReserveQueryID(), 1, nil)
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(10)
@@ -133,7 +133,7 @@ func TestShardsGrowAndAccumulate(t *testing.T) {
 // TestPartialTreeOnFailure checks the failure shape: the failing node keeps
 // its error and loses Done, never-started nodes stay unstarted but labelled.
 func TestPartialTreeOnFailure(t *testing.T) {
-	c := NewCollector(3, nil)
+	c := NewCollectorFor(ReserveQueryID(), 3, nil)
 	c.Define(0, "a", "scan", nil)
 	c.Define(1, "b", "select", []int{0})
 	c.Define(2, "c", "sum", []int{1})
@@ -166,8 +166,8 @@ func TestPartialTreeOnFailure(t *testing.T) {
 
 // TestQueryIDsDistinct checks executions draw distinct process-wide ids.
 func TestQueryIDsDistinct(t *testing.T) {
-	a := NewCollector(1, nil).Finish(nil)
-	b := NewCollector(1, nil).Finish(nil)
+	a := NewCollectorFor(ReserveQueryID(), 1, nil).Finish(nil)
+	b := NewCollectorFor(ReserveQueryID(), 1, nil).Finish(nil)
 	if a.Query == b.Query {
 		t.Fatalf("two executions shared query id %d", a.Query)
 	}
@@ -178,7 +178,7 @@ func TestQueryIDsDistinct(t *testing.T) {
 func TestJSONLTracer(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
-	c := NewCollector(1, tr)
+	c := NewCollectorFor(ReserveQueryID(), 1, tr)
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(10)

@@ -5,10 +5,9 @@
 //
 // Morphing never materializes the whole column uncompressed in main memory.
 // The generic path streams the column through a format Reader into a format
-// Writer at Lx-cache-resident-block granularity; direct morph algorithms
-// registered for specific format pairs shortcut even that, exploiting the
-// source layout (e.g. reading only the block headers of DynBP to derive the
-// static BP width).
+// Writer at Lx-cache-resident-block granularity; the one direct morph,
+// DynBP to static BP, exploits the source layout to shortcut the width
+// derivation (it reads only the DynBP block headers).
 package morph
 
 import (
@@ -19,27 +18,10 @@ import (
 	"morphstore/internal/formats"
 )
 
-// directMorph transforms col into the destination format, exploiting the
-// concrete source and destination layouts.
-type directMorph func(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error)
-
-type kindPair struct{ src, dst columns.Kind }
-
-var direct = map[kindPair]directMorph{}
-
-func registerDirect(src, dst columns.Kind, f directMorph) {
-	direct[kindPair{src, dst}] = f
-}
-
-func init() {
-	registerDirect(columns.DynBP, columns.StaticBP, morphDynBPToStaticBP)
-	registerDirect(columns.RLE, columns.Uncompressed, morphRLEToUncompressed)
-}
-
 // Morph returns a column with the same logical content as col represented in
 // the requested format. If the column already is in that format it is
-// returned unchanged. A registered direct morph algorithm is preferred; the
-// generic fallback streams block-wise through the format reader and writer.
+// returned unchanged. DynBP to static BP takes the direct morph; every
+// other pair streams block-wise through the format reader and writer.
 func Morph(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error) {
 	src := col.Desc()
 	if src.Kind == dst.Kind {
@@ -47,15 +29,15 @@ func Morph(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error)
 			return col, nil
 		}
 	}
-	if f, ok := direct[kindPair{src.Kind, dst.Kind}]; ok {
-		return f(col, dst)
+	if src.Kind == columns.DynBP && dst.Kind == columns.StaticBP {
+		return morphDynBPToStaticBP(col, dst)
 	}
 	return Generic(col, dst)
 }
 
 // Generic is the block-granular fallback morph: decompress through a Reader
 // into a cache-resident buffer, recompress through a Writer. Exposed for the
-// ablation benchmarks comparing it against the direct algorithms.
+// tests comparing it against the direct morph.
 func Generic(col *columns.Column, dst columns.FormatDesc) (*columns.Column, error) {
 	r, err := formats.NewReader(col)
 	if err != nil {
@@ -98,22 +80,4 @@ func morphDynBPToStaticBP(col *columns.Column, dst columns.FormatDesc) (*columns
 		dst = columns.StaticBPDesc(max(bits, bitutil.MaxBits(tail)))
 	}
 	return Generic(col, dst)
-}
-
-// morphRLEToUncompressed expands runs straight into the output buffer.
-func morphRLEToUncompressed(col *columns.Column, _ columns.FormatDesc) (*columns.Column, error) {
-	runs, err := formats.RLERuns(col)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, 0, col.N())
-	for _, r := range runs {
-		for i := uint64(0); i < r.Length; i++ {
-			out = append(out, r.Value)
-		}
-	}
-	if len(out) != col.N() {
-		return nil, fmt.Errorf("morph: %w: RLE runs cover %d of %d elements", formats.ErrCorrupt, len(out), col.N())
-	}
-	return columns.FromValues(out), nil
 }

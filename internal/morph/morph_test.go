@@ -118,8 +118,8 @@ func TestMorphStaticBPRewidth(t *testing.T) {
 	}
 }
 
-// TestDirectEqualsGeneric verifies direct morph algorithms produce columns
-// with identical logical content and physical size as the generic path.
+// TestDirectEqualsGeneric verifies the direct morph produces columns with
+// identical logical content and physical size as the generic path.
 func TestDirectEqualsGeneric(t *testing.T) {
 	pairs := []struct {
 		src, dst columns.FormatDesc
@@ -127,7 +127,6 @@ func TestDirectEqualsGeneric(t *testing.T) {
 	}{
 		{columns.DynBPDesc, columns.StaticBPDesc(0), "small"},
 		{columns.DynBPDesc, columns.StaticBPDesc(0), "wide"},
-		{columns.RLEDesc, columns.UncomprDesc, "runs"},
 	}
 	for _, p := range pairs {
 		vals := genData(p.data, 3000, 42)

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 )
@@ -25,19 +24,12 @@ func (rt Runtime) SumAuto(in *columns.Column) (uint64, *columns.Column, error) {
 
 // sumKernel picks the sum kernel for the input's format:
 //
-//	static BP at a bitutil.SwarWidthOK width  sumStaticBP on the packed words
-//	RLE                                       sumRLE on the runs
-//	every other format and width              sumStreamed on unpacked blocks
+//	RLE                           sumRLE on the runs
+//	every other format and width  sumStreamed on unpacked blocks
 //
-// BenchmarkDirectKernels is the evidence for each line: summing the fields of
-// a width with no SWAR form one at a time is several times slower than
-// unpacking them.
+// BenchmarkDirectKernels is the evidence for the RLE line.
 func sumKernel(in *columns.Column) reduceKernel {
-	d := in.Desc()
-	switch {
-	case d.Kind == columns.StaticBP && bitutil.SwarWidthOK(uint(d.Bits)):
-		return sumStaticBP(in)
-	case d.Kind == columns.RLE:
+	if in.Desc().Kind == columns.RLE {
 		return sumRLE(in)
 	}
 	return sumStreamed(in)

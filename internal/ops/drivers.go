@@ -11,11 +11,11 @@ import (
 // through. An operator is a kernel plus a choice of driver:
 //
 //   - emit: variable-length output, one or two row-aligned streams (select,
-//     between, select-in, semijoin, N:1 join, and the specialized SWAR / RLE
-//     selects),
+//     between, select-in, semijoin, N:1 join, and the SWAR select on packed
+//     words),
 //   - mapCols: exactly one output value per input element (project, calc),
-//   - reduce: a fixed-width partial folded over the input (sum, the direct
-//     sums on compressed data, grouped sum).
+//   - reduce: a fixed-width partial folded over the input (sum, the run-level
+//     sum on RLE, grouped sum).
 //
 // Each driver checks cancellation, splits the streamed input into contiguous
 // block-aligned morsels (formats.SplitColumnMorsels), lets worker goroutines

@@ -189,7 +189,7 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 func TestUnsplitRunRecorded(t *testing.T) {
 	col := faultTestColumn(t)
 	for _, shape := range driverShapes {
-		c := metrics.NewCollector(1, nil)
+		c := metrics.NewCollectorFor(metrics.ReserveQueryID(), 1, nil)
 		c.Define(0, "v", shape.name, nil)
 		nc := c.Node(0)
 		nc.Begin(int64(col.N()))

@@ -13,7 +13,7 @@ import (
 // TestRunPartsRecordsShards: with a collector attached, runParts books every
 // claimed morsel with a positive kernel timing into the worker's shard.
 func TestRunPartsRecordsShards(t *testing.T) {
-	c := metrics.NewCollector(1, nil)
+	c := metrics.NewCollectorFor(metrics.ReserveQueryID(), 1, nil)
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(0)
@@ -58,7 +58,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := metrics.NewCollector(1, nil)
+	c := metrics.NewCollectorFor(metrics.ReserveQueryID(), 1, nil)
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))

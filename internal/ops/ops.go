@@ -11,8 +11,8 @@
 //     loops over one cache-resident block, one loop per kernel: Go has no
 //     SIMD, so the paper's vector-register layer is a plain loop here),
 //   - specialized operators: direct processing of compressed data (the SWAR
-//     select at static BP widths 1 and 2, the SWAR sum at static BP widths
-//     dividing 64, run-level select/sum on RLE), kernels in specialized.go,
+//     select at static BP widths 1 and 2, the run-level sum on RLE), kernels
+//     in specialized.go,
 //   - on-the-fly morphing: adapting a column's format before/after an
 //     operator via internal/morph (driven by the engine in internal/core).
 //

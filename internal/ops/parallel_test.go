@@ -377,10 +377,10 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 
 // TestParallelAutoMatchesSpecialized checks that the auto dispatchers stay
 // byte-identical to the sequential auto path whether a direct kernel runs
-// per partition on a splittable input (the SWAR select and sum on static BP
-// at width 2, the SWAR sum at width 8), the generic kernels do (DynBP), or
-// the sequential side picks a direct kernel on an input that cannot split
-// (RLE run-level).
+// per partition on a splittable input (the SWAR select on static BP at width
+// 2), the generic kernels do (static BP at width 8, DynBP), or the sequential
+// side picks a direct kernel on an input that cannot split (the run-level sum
+// on RLE).
 func TestParallelAutoMatchesSpecialized(t *testing.T) {
 	mod := func(m uint64) []uint64 {
 		vals := make([]uint64, parTestN)
@@ -505,7 +505,7 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 	// count needs — is typed corruption on both sides of every gate,
 	// dispatched and generic, one morsel and many, never an out-of-range
 	// slice access (which at par > 1 would surface as a recovered ErrPanic).
-	for _, w := range []uint{2, 6, 16} { // SWAR select and sum, neither, SWAR sum only
+	for _, w := range []uint{2, 6, 16} { // SWAR select, then the generic kernels
 		trunc, err := columns.New(columns.StaticBPDesc(w), 100000, 100000, 10, make([]uint64, 10))
 		if err != nil {
 			t.Fatal(err)

@@ -18,11 +18,10 @@ import (
 // alone picks the kernel (selectDomain, rangeKernel):
 //
 //	static BP, width 1 or 2, constant in the field range  swarSelect on the packed words
-//	RLE                                                  rleSelect on the runs
 //	every other format and width                         blockKernel on unpacked blocks
 //
-// BenchmarkDirectKernels is the evidence for each line: the SWAR test loses
-// to unpack + block kernel from width 4 up.
+// BenchmarkDirectKernels is the evidence: the SWAR test loses to unpack +
+// block kernel from width 4 up.
 
 // SelectAuto evaluates the predicate `element <op> val` over the input column
 // and returns the sorted list of matching positions as a column in the
@@ -83,14 +82,11 @@ func selectDomain(in *columns.Column, c uint64) (max uint64, swar bool) {
 }
 
 // rangeKernel picks the kernel of the range test v-lo <= span for the input:
-// the SWAR test where selectDomain chose it, the run-level test on RLE, the
-// block kernel behind the de/re-compression wrapper everywhere else.
+// the SWAR test where selectDomain chose it, the block kernel behind the
+// de/re-compression wrapper everywhere else.
 func rangeKernel(in *columns.Column, lo, span uint64, swar bool) emitKernel {
-	switch {
-	case swar:
+	if swar {
 		return swarSelect(in, lo, span)
-	case in.Desc().Kind == columns.RLE:
-		return rleSelect(in, lo, span)
 	}
 	return scan(in, blockKernel(lo, span))
 }

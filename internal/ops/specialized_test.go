@@ -53,8 +53,8 @@ type dispatchInput struct {
 }
 
 // dispatchInputs returns static BP at every width 1..32 — both sides of the
-// SWAR-select and SWAR-sum gates — plus RLE (runs of 5) and DynBP, each
-// dispatchN rows of values in its field range.
+// SWAR-select gate — plus RLE (runs of 5) and DynBP, each dispatchN rows of
+// values in its field range.
 func dispatchInputs(t *testing.T) []dispatchInput {
 	t.Helper()
 	rng := rand.New(rand.NewSource(13))
@@ -105,13 +105,10 @@ func TestAutoDispatch(t *testing.T) {
 		case d.Kind == columns.StaticBP && d.Bits <= 2:
 			wantSel = "swarSelect"
 		case d.Kind == columns.RLE:
-			wantSel, wantSum = "rleSelect", "sumRLE"
-		}
-		if d.Kind == columns.StaticBP && bitutil.SwarWidthOK(uint(d.Bits)) {
-			wantSum = "sumStaticBP"
+			wantSum = "sumRLE"
 		}
 		max, swar := selectDomain(di.in, 0)
-		if got := kernelMaker(rangeKernel(di.in, 0, 0, swar), "swarSelect", "rleSelect", "scan"); got != wantSel {
+		if got := kernelMaker(rangeKernel(di.in, 0, 0, swar), "swarSelect", "scan"); got != wantSel {
 			t.Errorf("%v: select kernel %q, want %q", d, got, wantSel)
 		}
 		if swar != (wantSel == "swarSelect") || swar && max != di.max {
@@ -121,7 +118,7 @@ func TestAutoDispatch(t *testing.T) {
 		if _, swar := selectDomain(di.in, di.max+1); swar {
 			t.Errorf("%v: SWAR select for a constant beyond the field range", d)
 		}
-		if got := kernelMaker(sumKernel(di.in), "sumStaticBP", "sumRLE", "sumStreamed"); got != wantSum {
+		if got := kernelMaker(sumKernel(di.in), "sumRLE", "sumStreamed"); got != wantSum {
 			t.Errorf("%v: sum kernel %q, want %q", d, got, wantSum)
 		}
 	}
@@ -320,23 +317,6 @@ func TestSelectDirectProperty(t *testing.T) {
 // benchDirectN is the row count of BenchmarkDirectKernels' columns.
 const benchDirectN = 1 << 20
 
-// getSum is the per-element static BP sum that sumStaticBP ran at a width
-// with no SWAR form before the dispatch kept it to SWAR widths: one
-// bitutil.Get per field. BenchmarkDirectKernels keeps it as the direct arm at
-// those widths.
-func getSum(in *columns.Column) reduceKernel {
-	return func(acc []uint64, pt formats.Partition) error {
-		words, b, err := formats.StaticBPWords(in)
-		if err != nil {
-			return err
-		}
-		for i := pt.Start; i < pt.Start+pt.Count; i++ {
-			acc[0] += bitutil.Get(words, i, b)
-		}
-		return nil
-	}
-}
-
 // BenchmarkDirectKernels is the A/B behind the kernel dispatch of SelectAuto
 // and SumAuto (select.go, agg.go): each direct kernel against the generic
 // path on the same benchDirectN-row column, one worker, in ns per element.
@@ -345,13 +325,8 @@ func getSum(in *columns.Column) reduceKernel {
 //     static BP column at width B against unpack + block kernel, at Q1.1's
 //     discount selectivity (values 0..10 tested for [1, 3], ~27 %; widths 1
 //     and 2 test == 0 over their whole field range, 50 % and 25 %);
-//   - select/rle/{direct,unpack}: the run-level test against decoding the
-//     runs, same values and predicate, runs of 1..16;
-//   - sum/wB/{direct,streamed}: the packed-word sum — SWAR at widths dividing
-//     64, getSum elsewhere — against the streamed sum over uniform B-bit
-//     values;
 //   - sum/rle/{direct,streamed}: the run dot product against decoding the
-//     runs.
+//     runs, runs of 1..16.
 func BenchmarkDirectKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	column := func(desc columns.FormatDesc, gen func() uint64) *columns.Column {
@@ -391,19 +366,6 @@ func BenchmarkDirectKernels(b *testing.B) {
 		runLeft--
 		return runVal
 	})
-	rows = append(rows,
-		row{"select/rle/direct", sel(rle, rleSelect(rle, 1, 2))},
-		row{"select/rle/unpack", sel(rle, scan(rle, blockKernel(1, 2)))})
-	for _, w := range []uint{1, 2, 3, 4, 6, 8, 11, 16, 20, 32} {
-		in := column(columns.StaticBPDesc(w), func() uint64 { return rng.Uint64() & bitutil.Mask(w) })
-		direct := getSum(in)
-		if bitutil.SwarWidthOK(w) {
-			direct = sumStaticBP(in)
-		}
-		rows = append(rows,
-			row{fmt.Sprintf("sum/w%d/direct", w), sum(in, direct)},
-			row{fmt.Sprintf("sum/w%d/streamed", w), sum(in, sumStreamed(in))})
-	}
 	rows = append(rows,
 		row{"sum/rle/direct", sum(rle, sumRLE(rle))},
 		row{"sum/rle/streamed", sum(rle, sumStreamed(rle))})

@@ -51,8 +51,7 @@ var (
 	ErrInvalidSchema = errors.New("invalid table schema")
 	// ErrQueryCanceled reports an execution stopped by context cancellation.
 	ErrQueryCanceled = errors.New("query canceled")
-	// ErrQueryTimeout reports an execution stopped by a context deadline
-	// (including WithQueryTimeout).
+	// ErrQueryTimeout reports an execution stopped by a context deadline.
 	ErrQueryTimeout = errors.New("query timeout")
 	// ErrMemoryLimit reports a request whose memory estimate exceeds the
 	// engine's whole WithMemoryBudget, so the admission gate can never grant
@@ -81,7 +80,7 @@ var (
 // or failed for a reason expected to clear.
 // A closed engine, corrupt data, a caller-cancelled context, and recovered
 // panics are not — retrying replays the same outcome or overrides the
-// caller's intent. WithRetry consults exactly this predicate.
+// caller's intent.
 func IsRetryable(err error) bool {
 	switch {
 	case err == nil:

@@ -38,12 +38,6 @@ func NewDictionary(values []string) *Dictionary {
 	return &Dictionary{strs: strs, idx: idx}
 }
 
-// Code returns the code of value s.
-func (d *Dictionary) Code(s string) (uint64, bool) {
-	c, ok := d.idx[s]
-	return c, ok
-}
-
 // MustCode returns the code of s and panics if s is not in the dictionary;
 // it is used for the fixed predicate constants of the SSB queries.
 func (d *Dictionary) MustCode(s string) uint64 {

@@ -160,7 +160,7 @@ func TestDictionaryOrderPreserving(t *testing.T) {
 		t.Error("mfgr codes not ordered")
 	}
 	// Unknown lookups.
-	if _, ok := d.Dicts.Region.Code("ATLANTIS"); ok {
+	if _, ok := d.Dicts.Region.idx["ATLANTIS"]; ok {
 		t.Error("unknown region found")
 	}
 }
@@ -385,11 +385,10 @@ func (o *orderTracer) End(metrics.Span, time.Time, metrics.NodeStats) {
 func (o *orderTracer) Event(metrics.Span, time.Time, metrics.Event) {}
 
 // TestWidth1RunsPlanOrder pins "sequential is the scheduler at width 1": on
-// every SSB plan a width-1 execution — asked for with WithParallelism(1), or
-// forced by WithMemoryLimitDegrade under a budget every estimate exceeds,
-// which QueryStats.MemDegraded then reports — starts the nodes in node-id
-// order with one operator in flight, and width 1 and width 4 materialize
-// byte-identical columns with identical per-column sizes.
+// every SSB plan a width-1 execution — on a plain engine, and on one whose
+// admission gate reserves each estimate against a memory budget — starts the
+// nodes in node-id order with one operator in flight, and width 1 and width 4
+// materialize byte-identical columns with identical per-column sizes.
 func TestWidth1RunsPlanOrder(t *testing.T) {
 	d := getData(t)
 	enc, err := d.DB.Encode(allStaticBase(d.DB))
@@ -397,7 +396,7 @@ func TestWidth1RunsPlanOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := core.NewEngine(enc, core.WithParallelism(4))
-	tight := core.NewEngine(enc, core.WithParallelism(4), core.WithMemoryBudget(1), core.WithMemoryLimitDegrade(true))
+	budgeted := core.NewEngine(enc, core.WithParallelism(4), core.WithMemoryBudget(1<<40))
 	for _, q := range Queries {
 		plan, err := BuildPlan(q, d.Dicts)
 		if err != nil {
@@ -410,28 +409,27 @@ func TestWidth1RunsPlanOrder(t *testing.T) {
 			}
 			return pr
 		}
-		plain, degraded := prepare(eng), prepare(tight)
-		wide, err := plain.Execute(context.Background())
+		wide, err := prepare(eng).Execute(context.Background())
 		if err != nil {
 			t.Fatalf("%s width 4: %v", q, err)
 		}
 		for _, c := range []struct {
 			name string
-			pr   *core.Prepared
-			o    []core.Option
+			e    *core.Engine
 		}{
-			{"width 1", plain, []core.Option{core.WithParallelism(1)}},
-			{"degraded", degraded, nil},
+			{"width 1", eng},
+			{"width 1 under a memory budget", budgeted},
 		} {
 			name := c.name
 			var ot orderTracer
 			var qs metrics.QueryStats
-			res, err := c.pr.Execute(context.Background(), append(c.o, core.WithTracer(&ot), core.WithExecStats(&qs))...)
+			res, err := prepare(c.e).Execute(context.Background(),
+				core.WithParallelism(1), core.WithTracer(&ot), core.WithExecStats(&qs))
 			if err != nil {
 				t.Fatalf("%s %s: %v", q, name, err)
 			}
-			if qs.MemDegraded != (c.pr == degraded) {
-				t.Fatalf("%s %s: MemDegraded = %v", q, name, qs.MemDegraded)
+			if (c.e == budgeted) != (qs.MemEstimate > 0) {
+				t.Fatalf("%s %s: MemEstimate = %d", q, name, qs.MemEstimate)
 			}
 			if ot.maxOpen != 1 {
 				t.Errorf("%s %s: %d operators in flight at once, want 1", q, name, ot.maxOpen)

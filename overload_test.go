@@ -10,7 +10,7 @@ import (
 
 // The overload acceptance test: the public API's overload-protection and
 // lifecycle surface — WithMaxConcurrentQueries + WithAdmissionQueue,
-// WithMemoryBudget, WithRetry, IsRetryable, Engine.Close — exercised
+// WithMemoryBudget, IsRetryable, Engine.Close — exercised
 // end-to-end through the morphstore package.
 
 // overloadDB builds a small two-column database and a select-project-sum
@@ -42,8 +42,9 @@ func overloadDB(t *testing.T) (*DB, *Plan) {
 
 // TestOverloadAdmissionAndRetry: under 4x over-admission against one slot
 // and a bounded queue, some executions are shed with the retryable
-// ErrAdmissionRejected; the same storm under WithRetry completes fully,
-// with every result identical.
+// ErrAdmissionRejected; the same storm with each client retrying what
+// IsRetryable reports retryable completes fully, with every result
+// identical.
 func TestOverloadAdmissionAndRetry(t *testing.T) {
 	db, plan := overloadDB(t)
 	e := NewEngine(db, WithParallelism(2),
@@ -100,9 +101,17 @@ func TestOverloadAdmissionAndRetry(t *testing.T) {
 		t.Fatalf("QueriesRejected = %d, observed %d sheds", st.QueriesRejected, shed)
 	}
 
-	// The same storm with retries enabled: every client eventually gets
-	// through.
-	retry := WithRetry(RetryPolicy{MaxAttempts: 100, BaseDelay: 100 * time.Microsecond, Jitter: 0.5})
+	// The same storm, each client retrying its sheds after a short backoff:
+	// every execution eventually gets through.
+	executeRetrying := func() (*Result, error) {
+		for attempt := 1; ; attempt++ {
+			res, err := pr.Execute(context.Background())
+			if err == nil || !IsRetryable(err) || attempt == 100 {
+				return res, err
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 	var rwg sync.WaitGroup
 	errCh := make(chan error, clients*iters)
 	for c := 0; c < clients; c++ {
@@ -110,7 +119,7 @@ func TestOverloadAdmissionAndRetry(t *testing.T) {
 		go func() {
 			defer rwg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := pr.Execute(context.Background(), retry)
+				res, err := executeRetrying()
 				if err != nil {
 					errCh <- err
 					return
@@ -127,8 +136,8 @@ func TestOverloadAdmissionAndRetry(t *testing.T) {
 	for err := range errCh {
 		t.Fatalf("retried storm: %v", err)
 	}
-	if shed > 0 && e.Stats().QueriesRetried == 0 {
-		t.Fatal("retry storm recorded no retries despite earlier sheds")
+	if st := e.Stats(); st.QueriesStarted != st.QueriesSucceeded+st.QueriesRejected {
+		t.Fatalf("outcome counters do not partition the attempts: %+v", st)
 	}
 }
 
@@ -145,8 +154,8 @@ func TestOverloadMemoryBudget(t *testing.T) {
 	if _, err := pr.Execute(context.Background(), WithExecStats(&qs)); err != nil {
 		t.Fatal(err)
 	}
-	if qs.MemEstimate <= 0 || qs.MemPeak <= 0 || qs.MemDegraded {
-		t.Fatalf("memory stats: estimate=%d peak=%d degraded=%v", qs.MemEstimate, qs.MemPeak, qs.MemDegraded)
+	if qs.MemEstimate <= 0 || qs.MemPeak <= 0 {
+		t.Fatalf("memory stats: estimate=%d peak=%d", qs.MemEstimate, qs.MemPeak)
 	}
 	st := e.Stats()
 	if st.MemBudget != 1<<30 || st.MemReserved != 0 || st.MemPeakReserved < qs.MemEstimate {
