@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"morphstore/internal/columns"
@@ -173,12 +174,12 @@ func WithAdmissionQueue(depth int, maxWait time.Duration) Option {
 // WithMemoryBudget gives the engine's admission gate a byte budget for the
 // intermediate columns of all concurrently executing queries and the delta
 // tails of all appended batches. Each execution reserves its plan's
-// conservative estimate for the tables' current rows
-// (Prepared.MemoryEstimate) at admission, together with its slot, and
-// returns it when it finishes; each append reserves its batch until a
-// remorph folds it into the main. A request that does not fit waits in the
-// admission queue without holding a slot, and sheds with
-// ErrAdmissionRejected under the WithAdmissionQueue bounds or its own ctx.
+// estimate for the tables' current rows (Prepared.MemoryEstimate) at
+// admission, together with its slot, and returns it when it finishes; each
+// append reserves its batch until a remorph folds it into the main. A
+// request that does not fit waits in the admission queue without holding a
+// slot, and sheds with ErrAdmissionRejected under the WithAdmissionQueue
+// bounds or its own ctx.
 // A query whose estimate exceeds the whole budget fails with ErrMemoryLimit.
 // The bytes actually materialized are charged at the allocation sites and
 // reported as QueryStats.MemPeak. 0 means no budget. Applies to NewEngine.
@@ -357,14 +358,17 @@ func (e *Engine) DB() *DB { return e.db }
 func (e *Engine) Budget() int { return e.budget.Total() }
 
 // Prepared is a plan compiled against one engine: formats resolved, every
-// node bound to a physical operator. It is immutable and safe for
-// concurrent Execute calls from many goroutines.
+// node bound to a physical operator. It is safe for concurrent Execute calls
+// from many goroutines: the compiled plan is immutable, and the one thing an
+// execution changes, the observation record (observed.go), is swapped
+// atomically.
 type Prepared struct {
 	e     *Engine
 	p     *Plan
 	opt   options
 	bound []boundNode
 	sinks map[string]bool
+	obs   atomic.Pointer[observation] // nil until the first successful execution
 }
 
 // Prepare compiles the plan once against the engine's database: per-column
@@ -405,13 +409,14 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 	return pr, nil
 }
 
-// MemoryEstimate returns the conservative upper bound, in bytes, on the
-// intermediate columns one execution of the prepared plan can materialize
-// for the tables' current rows (main plus delta, minus pending deletions) —
-// the bytes an execution reserves at admission under WithMemoryBudget. Base
-// columns are excluded (scans hand out the stored columns), and every
-// intermediate element is costed at an uncompressed 8-byte word, so
-// compressed plans stay well under the estimate.
+// MemoryEstimate returns the bytes one execution of the prepared plan
+// reserves at admission under WithMemoryBudget, for the tables' current rows
+// (main plus delta, minus pending deletions). Until the first successful
+// execution it is a conservative upper bound on the intermediate columns,
+// every element costed at an uncompressed 8-byte word; after it, the bytes
+// the last successful execution charged, scaled by the largest growth of a
+// scanned table since and by 1.25, capped by that bound. Base columns are
+// excluded (scans hand out the stored columns).
 func (pr *Prepared) MemoryEstimate() int {
 	est, _ := pr.memoryEstimate()
 	return int(est)
@@ -545,6 +550,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		// remorph swap completing mid-flight stays invisible. Nil on the
 		// read-only fast path.
 		snap: e.snapshotOrNil(),
+		prev: pr.obs.Load(),
 	}
 	res := &Result{
 		Cols: make(map[string]*columns.Column, len(pr.p.sinks)),
@@ -573,6 +579,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	pr.obs.Store(observe(es))
 	return res, nil
 }
 
@@ -607,13 +614,14 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 		// Scans hand out stored columns — no intermediate bytes to charge.
 		return bn.run(es, ops.RT(ctx, nil, 1).WithCollector(nc))
 	}
-	produced, err = bn.run(es, ops.RT(ctx, pr.e.budget, par).WithCollector(nc).WithMemReservation(es.mres))
+	rt := ops.RT(ctx, pr.e.budget, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(bn.n.id))
+	produced, err = bn.run(es, rt)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)
 	}
 	// Charge the materialized intermediates to the query's counter; the
-	// transient section buffers inside the parallel stitch charge themselves
-	// through the runtime.
+	// parallel drivers' staging buffers and the stitch's section buffers
+	// charge themselves through the runtime.
 	for _, col := range produced {
 		es.mres.Charge(col.PhysicalBytes())
 	}

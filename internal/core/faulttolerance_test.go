@@ -106,8 +106,10 @@ func TestEngineAdmissionRejectedTyped(t *testing.T) {
 }
 
 // TestPreparedExecuteAfterFailure: a failed execution — recovered panic or
-// cancellation — must leave the Prepared fully usable, with subsequent
-// executions byte-identical to an untroubled run.
+// cancellation, before or while running — must leave the Prepared fully
+// usable, publish no observation record, and let subsequent executions,
+// which size their buffers from the record, stay byte-identical to an
+// untroubled run.
 func TestPreparedExecuteAfterFailure(t *testing.T) {
 	defer faultpoint.DisarmAll()
 	db := buildParTestDB(t)
@@ -120,6 +122,10 @@ func TestPreparedExecuteAfterFailure(t *testing.T) {
 	ref, err := pr.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	rec := pr.obs.Load()
+	if rec == nil {
+		t.Fatal("a successful execution published no observation record")
 	}
 
 	faultpoint.KernelBody.Arm(func() error { panic("injected kernel panic") })
@@ -138,6 +144,15 @@ func TestPreparedExecuteAfterFailure(t *testing.T) {
 	if _, err := pr.Execute(ctx); !errors.Is(err, qerr.ErrQueryCanceled) {
 		t.Fatalf("cancelled execution: %v", err)
 	}
+	ctx, cancel = context.WithCancel(context.Background())
+	faultpoint.KernelBody.Arm(func() error { cancel(); return nil })
+	if _, err := pr.Execute(ctx); !errors.Is(err, qerr.ErrQueryCanceled) {
+		t.Fatalf("execution cancelled while running: %v", err)
+	}
+	faultpoint.DisarmAll()
+	if pr.obs.Load() != rec {
+		t.Fatal("a failed execution replaced the observation record")
+	}
 
 	for i := 0; i < 3; i++ {
 		res, err := pr.Execute(context.Background())
@@ -146,6 +161,11 @@ func TestPreparedExecuteAfterFailure(t *testing.T) {
 		}
 		if err := sameResult(ref, res); err != nil {
 			t.Fatalf("execution %d after failures diverged: %v", i, err)
+		}
+		if next := pr.obs.Load(); next == rec {
+			t.Fatalf("execution %d published no new observation record", i)
+		} else {
+			rec = next
 		}
 	}
 	if n := e.budget.InUse(); n != 0 {

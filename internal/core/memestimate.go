@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // This file implements the memory estimate a query reserves at the admission
-// gate under WithMemoryBudget. The estimate is a conservative upper bound on
-// the bytes of intermediate columns one execution of the plan can
+// gate under WithMemoryBudget.
+//
+// Until the plan's first successful execution the estimate is a conservative
+// upper bound on the bytes of intermediate columns one execution can
 // materialize, for the tables' current rows: scans are sized from each
 // table's live row count (main plus delta tail minus pending deletions, read
 // when the query arrives at admission), per-operator output cardinalities
@@ -15,22 +18,32 @@ import (
 // input row), and every intermediate element is costed at a full 8-byte word
 // — the uncompressed worst case; every compressed format is at most
 // marginally larger than that bound (per-block headers), which the
-// word-rounding absorbs for any column beyond a few blocks.
+// word-rounding absorbs for any column beyond a few blocks. The bound sums
+// over all intermediates rather than a live-set peak: the executor keeps
+// every produced column until Execute returns.
 //
-// The bound deliberately sums over all intermediates rather than a live-set
-// peak: the executor keeps every produced column until Execute returns (the
-// DAG scheduler may still have dependents for any of them), so the sum is the
-// honest worst case, not a pessimization.
+// After a success the observation record (observed.go) knows what the plan
+// really charged, compressed formats and staging buffers included, and the
+// estimate becomes that charge scaled by the tables' growth since, plus a
+// quarter of headroom, still capped by the bound.
 
-// memoryEstimate returns the conservative upper bound, in bytes, on the
-// intermediate columns one execution of the prepared plan can materialize
-// over the tables' current rows. Base columns are excluded: scans hand out
-// the stored columns without copying.
+// estimateHeadroom is the factor over the last run's charged bytes.
+const estimateHeadroom = 1.25
+
+// memoryEstimate returns the bytes one execution of the prepared plan
+// reserves over the tables' current rows: the upper bound before the first
+// successful execution, ceil(1.25 × last run's charged bytes × growth)
+// capped by the bound after it. growth is the largest ratio, never below 1,
+// of a scanned table's current live rows to its rows at the observation.
+// Base columns are excluded: scans hand out the stored columns without
+// copying.
 func (pr *Prepared) memoryEstimate() (int64, error) {
+	obs := pr.obs.Load()
 	// card bounds each node output's element count, two slots per node (no
 	// operator has more than two outputs).
 	card := make([]int, 2*len(pr.bound))
 	var bytes int64
+	growth := 1.0
 	e := pr.e
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -45,6 +58,13 @@ func (pr *Prepared) memoryEstimate() (int64, error) {
 			card[2*i] = bn.rows
 			if wt := e.wtabs[n.table]; wt != nil {
 				card[2*i] = wt.dt.State().Rows()
+			}
+			if obs != nil {
+				// A table that was empty at the observation and is not now
+				// grew by +Inf: the estimate falls back to the bound.
+				if live, seen := card[2*i], obs.nodes[i].rows[0]; live > seen {
+					growth = max(growth, float64(live)/float64(seen))
+				}
 			}
 			continue
 		case OpSelect, OpBetween, OpSelectStr, OpSemiJoin, OpCalc:
@@ -67,6 +87,13 @@ func (pr *Prepared) memoryEstimate() (int64, error) {
 		card[2*i] = c
 		card[2*i+1] = c
 		bytes += int64(c*outs) * 8
+	}
+	if obs == nil {
+		return bytes, nil
+	}
+	// NaN (0 charged × +Inf growth) fails the comparison like +Inf does.
+	if est := estimateHeadroom * float64(obs.charged) * growth; est < float64(bytes) {
+		return int64(math.Ceil(est)), nil
 	}
 	return bytes, nil
 }

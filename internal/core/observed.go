@@ -1,0 +1,47 @@
+package core
+
+// This file implements the observation record: what each node of a prepared
+// plan produced the last time the plan ran successfully. Two consumers read
+// it. The drivers size their output buffers from a node's rows
+// (ops.Runtime.WithObserved), and the memory estimate scales the run's
+// charged bytes by the tables' growth since (memestimate.go). memcp's
+// rebuild() sizes each pass from the previous one the same way.
+//
+// A record is immutable once published: Prepared.obs swaps in a new one at
+// the end of each successful execution, and a concurrent execution keeps
+// reading the one it loaded when it started. A failed, cancelled or
+// panicking execution publishes nothing.
+
+// observed is what one plan node produced in a successful execution.
+type observed struct {
+	rows  []int // element count per output
+	bytes int   // physical bytes of the outputs
+}
+
+// observation is the record one successful execution publishes.
+type observation struct {
+	nodes   []observed // indexed by plan node id
+	charged int64      // bytes the execution charged to its memory counter
+}
+
+// observe builds the record of a successful execution from its outputs.
+func observe(es *execState) *observation {
+	o := &observation{nodes: make([]observed, len(es.outs)), charged: es.mres.Charged()}
+	for id, produced := range es.outs {
+		n := &o.nodes[id]
+		n.rows = make([]int, len(produced))
+		for i, col := range produced {
+			n.rows[i] = col.N()
+			n.bytes += col.PhysicalBytes()
+		}
+	}
+	return o
+}
+
+// rows returns node id's observed output rows, nil without a record.
+func (o *observation) rows(id int) []int {
+	if o == nil {
+		return nil
+	}
+	return o.nodes[id].rows
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -427,15 +428,20 @@ func TestMemoryBudgetGovernance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := pr.MemoryEstimate()
 	var qs metrics.QueryStats
 	if _, err := pr.Execute(context.Background(), WithExecStats(&qs)); err != nil {
 		t.Fatal(err)
 	}
-	if qs.MemEstimate != int64(pr.MemoryEstimate()) || qs.MemEstimate <= 0 {
-		t.Fatalf("MemEstimate = %d, want %d", qs.MemEstimate, pr.MemoryEstimate())
+	if qs.MemEstimate != int64(bound) || qs.MemEstimate <= 0 {
+		t.Fatalf("MemEstimate = %d, want the upper bound %d", qs.MemEstimate, bound)
 	}
 	if qs.MemPeak <= 0 {
 		t.Fatalf("MemPeak = %d, want positive", qs.MemPeak)
+	}
+	// After a success the estimate is the run's charge plus a quarter.
+	if got, want := pr.MemoryEstimate(), min(bound, int(math.Ceil(1.25*float64(qs.MemPeak)))); got != want {
+		t.Fatalf("estimate after a run = %d, want %d (peak %d, bound %d)", got, want, qs.MemPeak, bound)
 	}
 	st := roomy.Stats()
 	if st.MemBudget != 1<<30 || st.MemReserved != 0 || st.MemPeakReserved < qs.MemEstimate {
@@ -443,7 +449,7 @@ func TestMemoryBudgetGovernance(t *testing.T) {
 	}
 
 	// Estimate over the whole budget: typed, non-retryable rejection.
-	strict := NewEngine(db, WithParallelism(4), WithMemoryBudget(int64(pr.MemoryEstimate()-1)))
+	strict := NewEngine(db, WithParallelism(4), WithMemoryBudget(int64(bound-1)))
 	spr, err := strict.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
 	if err != nil {
 		t.Fatal(err)

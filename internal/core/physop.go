@@ -44,16 +44,18 @@ type boundNode struct {
 
 // execState is the mutable state of one plan execution: the per-node output
 // slots, the execution's stats collector (nil when detached), the counter its
-// materialized intermediates are charged to, and the snapshot pinning the
+// materialized intermediates are charged to, the snapshot pinning the
 // writable tables' delta states (nil for a read-only engine — scans then
-// hand out the prepare-bound columns). The scheduler publishes a
-// node's outputs before any dependent is popped, which establishes the
-// happens-before edge for readers.
+// hand out the prepare-bound columns), and the observation record current
+// when it started (nil before the plan's first success). The scheduler
+// publishes a node's outputs before any dependent is popped, which
+// establishes the happens-before edge for readers.
 type execState struct {
 	outs [][]*columns.Column
 	coll *metrics.Collector
 	mres *ops.MemReservation
 	snap *Snapshot
+	prev *observation
 }
 
 // in resolves a bound input reference against the execution state.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
+	"morphstore/internal/metrics"
 	"morphstore/internal/qerr"
 )
 
@@ -151,6 +153,83 @@ func TestWritableVisibility(t *testing.T) {
 		t.Fatalf("bad-schema append: err = %v, want ErrInvalidSchema", err)
 	}
 	check("after failed appends")
+}
+
+// TestWritableGrowthObserved: a Prepared sizes its buffers from the rows its
+// last run produced and its memory estimate from that run's charge, scaled by
+// the table's growth since. Neither may change a result: after the table
+// grows 10× and after deletes shrink it again, the prepared plan returns
+// what a fresh Prepare returns, and after the growth it reserves 10× the
+// observed charge (plus a quarter), capped by the upper bound.
+func TestWritableGrowthObserved(t *testing.T) {
+	const n = 8192
+	rows := func(lo, hi int) []uint64 {
+		vals := make([]uint64, hi-lo)
+		for i := range vals {
+			vals[i] = uint64((lo + i) * 7919 % 1000)
+		}
+		return vals
+	}
+	db := NewDB()
+	if err := db.AddTable("t", map[string][]uint64{"v": rows(0, n)}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, WithParallelism(2))
+	defer e.Close(context.Background())
+	b := NewBuilder()
+	v := b.Scan("t", "v")
+	b.Result(b.Project("vals", v, b.Select("pos", v, bitutil.CmpLt, 500)))
+	plan, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare := func() *Prepared {
+		pr, err := e.Prepare(plan, WithUniformFormat(columns.DynBPDesc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	ctx := context.Background()
+	pr := prepare()
+	var qs metrics.QueryStats
+	if _, err := pr.Execute(ctx, WithExecStats(&qs)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		got, err := pr.Execute(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		want, err := prepare().Execute(ctx)
+		if err != nil {
+			t.Fatalf("%s, fresh Prepare: %v", stage, err)
+		}
+		if err := sameResult(want, got); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+
+	if err := e.Append(ctx, "t", map[string][]uint64{"v": rows(n, 10*n)}); err != nil {
+		t.Fatal(err)
+	}
+	bound := prepare().MemoryEstimate()
+	if got, want := pr.MemoryEstimate(), min(bound, int(math.Ceil(1.25*10*float64(qs.MemPeak)))); got != want {
+		t.Fatalf("estimate after 10× growth = %d, want %d (observed peak %d, bound %d)", got, want, qs.MemPeak, bound)
+	}
+	check("after 10× growth")
+
+	var gone []uint64
+	for i := 0; i < 10*n; i++ {
+		if i%10 != 0 {
+			gone = append(gone, uint64(i))
+		}
+	}
+	if err := e.Delete(ctx, "t", gone); err != nil {
+		t.Fatal(err)
+	}
+	check("after deletes")
 }
 
 // TestWritableBackgroundRemorph checks the WithRemorph worker folds a

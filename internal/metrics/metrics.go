@@ -52,11 +52,13 @@ type QueryStats struct {
 	AdmissionWait time.Duration
 	// MemEstimate is the intermediate-memory byte estimate the execution
 	// reserved at the engine's admission gate (the plan's estimate for the
-	// tables' rows at admission; 0 without a memory budget).
+	// tables' rows at admission — an upper bound before the plan's first
+	// successful run, the last successful run's charge scaled by the tables'
+	// growth after it; 0 without a memory budget).
 	MemEstimate int64
 	// MemPeak is the peak intermediate bytes the execution actually
-	// materialized, summed from the runtime charges of the operator and
-	// stitch buffers.
+	// materialized, summed from the runtime charges of the operator outputs,
+	// the parallel drivers' staging buffers and the stitch buffers.
 	MemPeak int64
 	// Nodes holds one entry per plan node, indexed by plan node id (the
 	// plan's topological order).

@@ -65,8 +65,8 @@ func (s *appendSink) Close() (*columns.Column, error) {
 	return columns.FromValues(s.vals), nil
 }
 
-// emitOut describes one output stream of the emit driver: its format and the
-// writer's size hint.
+// emitOut describes one output stream of the emit driver: its format and an
+// upper bound on its rows, which rt.reserve sizes the buffers from.
 type emitOut struct {
 	desc columns.FormatDesc
 	hint int
@@ -101,17 +101,19 @@ func flush(stage [][]uint64, k int, sinks []formats.Writer) error {
 	return nil
 }
 
-func newStage(outs int) [][]uint64 {
-	stage := make([][]uint64, outs)
-	for o := range stage {
-		stage[o] = make([]uint64, blockBuf)
-	}
-	return stage
+// runStaged runs kernel over pt with a stage of outs (one or two) outputs cut
+// from a pooled scratch buffer.
+func runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []formats.Writer) error {
+	buf := scratch.Get().(*scratchBuf)
+	defer scratch.Put(buf)
+	return kernel(pt, [][]uint64{buf[:blockBuf], buf[blockBuf:]}[:outs], sinks)
 }
 
 // emit is the variable-length-output driver: kernel runs once per morsel of
 // in and the per-morsel outputs are stitched, per output stream, in morsel
-// order.
+// order. A morsel's buffer starts at its pro-rata share of the observed rows,
+// or at an eighth of the morsel without an observation. Each morsel's staged
+// rows are charged to the query's memory counter.
 func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel emitKernel) ([]*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
@@ -121,13 +123,13 @@ func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel e
 	if parts == nil {
 		sinks := make([]formats.Writer, len(outs))
 		for o, out := range outs {
-			w, err := formats.NewWriter(out.desc, out.hint)
+			w, err := formats.NewWriter(out.desc, rt.reserve(o, out.hint))
 			if err != nil {
 				return nil, err
 			}
 			sinks[o] = w
 		}
-		if err := kernel(whole(in), newStage(len(outs)), sinks); err != nil {
+		if err := runStaged(kernel, whole(in), len(outs), sinks); err != nil {
 			return nil, fmt.Errorf("ops: %s: %w", name, err)
 		}
 		for o, w := range sinks {
@@ -143,22 +145,19 @@ func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel e
 	for o := range results {
 		results[o] = make([][]uint64, len(parts))
 	}
-	stages := make([][][]uint64, rt.workers(len(parts)))
-	err := rt.runParts(parts, func(w, i int, pt formats.Partition) error {
-		if stages[w] == nil {
-			stages[w] = newStage(len(outs))
-		}
+	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
 		local := make([]appendSink, len(outs))
 		sinks := make([]formats.Writer, len(outs))
-		for o := range sinks {
-			local[o].vals = make([]uint64, 0, pt.Count/8+16)
+		for o, out := range outs {
+			local[o].vals = make([]uint64, 0, rt.reservePart(o, out.hint, pt.Count, in.N(), pt.Count/8+16))
 			sinks[o] = &local[o]
 		}
-		if err := kernel(pt, stages[w], sinks); err != nil {
+		if err := runStaged(kernel, pt, len(outs), sinks); err != nil {
 			return err
 		}
 		for o := range local {
 			results[o][i] = local[o].vals
+			rt.ChargeMem(8 * len(local[o].vals))
 		}
 		return nil
 	})
@@ -166,7 +165,7 @@ func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel e
 		return nil, fmt.Errorf("ops: %s: %w", name, err)
 	}
 	for o, out := range outs {
-		if cols[o], err = rt.stitchCompressed(out.desc, out.hint, results[o]); err != nil {
+		if cols[o], err = rt.stitchCompressed(out.desc, rt.reserve(o, out.hint), results[o]); err != nil {
 			return nil, err
 		}
 	}
@@ -191,9 +190,9 @@ type mapKernel func(worker int, a, b, dst []uint64) error
 
 // mapCols is the one-value-per-element driver over input a, or over a and b
 // in lockstep. Output offsets are known a priori, so the workers write into
-// disjoint ranges of one shared destination, which the parallel compressed
-// stitch recompresses section-wise; an unsplit input streams chunk by chunk
-// into the output writer instead.
+// disjoint ranges of one shared destination, charged to the query's memory
+// counter, which the parallel compressed stitch recompresses section-wise;
+// an unsplit input streams chunk by chunk into the output writer instead.
 func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatDesc, kernel mapKernel) (*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
@@ -204,7 +203,9 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 		if err != nil {
 			return nil, err
 		}
-		stage := make([]uint64, blockBuf)
+		buf := scratch.Get().(*scratchBuf)
+		defer scratch.Put(buf)
+		stage := buf[:blockBuf]
 		err = streamCols(a, b, whole(a), func(va, vb []uint64, _ uint64) error {
 			if err := kernel(0, va, vb, stage[:len(va)]); err != nil {
 				return err
@@ -217,6 +218,7 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 		return w.Close()
 	}
 	dst := make([]uint64, a.N())
+	rt.ChargeMem(8 * len(dst))
 	err := rt.runParts(parts, func(w, _ int, pt formats.Partition) error {
 		return streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
 			return kernel(w, va, vb, dst[base:base+uint64(len(va))])

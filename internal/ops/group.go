@@ -177,6 +177,7 @@ func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.F
 			builds[w] = b
 		}
 		local := make([]uint64, pt.Count)
+		rt.ChargeMem(8 * len(local))
 		if err := streamCols(keys, nil, pt, func(vals, _ []uint64, base uint64) error {
 			b.add(vals, base, local[int(base)-pt.Start:])
 			return nil
@@ -239,6 +240,7 @@ func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents 
 			builds[w] = b
 		}
 		local := make([]uint64, pt.Count)
+		rt.ChargeMem(8 * len(local))
 		if err := streamCols(prevGids, keys, pt, func(gs, ks []uint64, base uint64) error {
 			b.add(gs, ks, base, local[int(base)-pt.Start:])
 			return nil
@@ -302,7 +304,9 @@ func groupWhole(a, b *columns.Column, outGids, outExtents columns.FormatDesc,
 	if err != nil {
 		return nil, nil, err
 	}
-	stage := make([]uint64, blockBuf)
+	buf := scratch.Get().(*scratchBuf)
+	defer scratch.Put(buf)
+	stage := buf[:blockBuf]
 	err = streamCols(a, b, whole(a), func(va, vb []uint64, base uint64) error {
 		add(va, vb, base, stage)
 		return wg.Write(stage[:len(va)])

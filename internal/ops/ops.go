@@ -35,6 +35,7 @@ package ops
 
 import (
 	"fmt"
+	"sync"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -46,6 +47,16 @@ import (
 // 2048 elements = 16 KiB, half of a typical 32 KiB L1 data cache, matching
 // the paper's evaluation setup (§5).
 const blockBuf = formats.BufferLen
+
+// scratchBuf is one cache-resident scratch buffer of the drivers: a decode
+// buffer, a lockstep pair of them, a one- or two-output emit stage, or a
+// sorted-set kernel's output.
+type scratchBuf [2 * blockBuf]uint64
+
+// scratch recycles scratch buffers across operator calls, so a call does not
+// allocate 16-32 KiB of it. Every writer copies what it is handed, so no
+// column references a buffer once it is put back.
+var scratch = sync.Pool{New: func() any { return new(scratchBuf) }}
 
 // positionDesc refines a requested output format for a position list whose
 // values are known a priori to be < n: an auto-width static BP output can
@@ -105,13 +116,17 @@ func streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb 
 				return nil
 			}
 		}
-		buf := make([]uint64, blockBuf)
+	}
+	buf := scratch.Get().(*scratchBuf)
+	defer scratch.Put(buf)
+	bufA, bufB := buf[:blockBuf], buf[blockBuf:]
+	if b == nil {
 		for {
-			k, err := ra.Read(buf)
+			k, err := ra.Read(bufA)
 			if err != nil || k == 0 {
 				return err
 			}
-			if err := process(buf[:k], nil, base); err != nil {
+			if err := process(bufA[:k], nil, base); err != nil {
 				return err
 			}
 			base += uint64(k)
@@ -121,8 +136,6 @@ func streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb 
 	if err != nil {
 		return err
 	}
-	bufA := make([]uint64, blockBuf)
-	bufB := make([]uint64, blockBuf)
 	for {
 		na, err := readFull(ra, bufA)
 		if err != nil {

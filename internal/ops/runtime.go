@@ -83,10 +83,11 @@ func (b *Budget) release() {
 }
 
 // MemReservation counts the bytes of intermediate columns one query
-// materializes — its actual footprint, reported as QueryStats.MemPeak beside
-// the estimate the engine's admission gate reserved for it. Charges never
-// block: a query is admitted on its estimate, and enforcing the budget inside
-// the morsel loops could deadlock siblings. All methods are nil-receiver-safe.
+// materializes, and of the parallel drivers' staging buffers on the way —
+// its actual footprint, reported as QueryStats.MemPeak beside the estimate
+// the engine's admission gate reserved for it. Charges never block: a query
+// is admitted on its estimate, and enforcing the budget inside the morsel
+// loops could deadlock siblings. All methods are nil-receiver-safe.
 type MemReservation struct{ charged atomic.Int64 }
 
 // Charge books bytes of intermediate-buffer allocation.
@@ -108,15 +109,18 @@ func (r *MemReservation) Charged() int64 {
 // Runtime carries the execution environment of one operator invocation:
 // the cancellation context, the engine's worker budget (nil outside an
 // engine), the morsel-parallelism cap, the operator's stats collector (nil
-// when detached), and the query's memory charge counter (nil outside a
-// prepared execution). The zero value is single-worker execution: every
-// operator runs as one morsel on the calling goroutine.
+// when detached), the query's memory charge counter (nil outside a
+// prepared execution), and the rows each output of the operator produced
+// the last time its plan ran (nil without such a run). The zero value is
+// single-worker execution: every operator runs as one morsel on the calling
+// goroutine.
 type Runtime struct {
 	ctx    context.Context
 	budget *Budget
 	par    int
 	coll   *metrics.NodeCollector
 	mres   *MemReservation
+	obs    []int
 }
 
 // FixedRT returns a runtime with a fixed worker count and no budget sharing
@@ -152,6 +156,38 @@ func (rt Runtime) WithMemReservation(r *MemReservation) Runtime {
 // per-section/per-column, never per-element, so the accounting stays off the
 // kernel hot path.
 func (rt Runtime) ChargeMem(bytes int) { rt.mres.Charge(bytes) }
+
+// WithObserved returns a copy of the runtime that sizes the operator's output
+// buffers from rows, the element count each output produced the last time
+// the same plan node ran. A nil rows (or never calling WithObserved) sizes
+// them from the inputs' upper bounds. Only capacity depends on it: the output
+// bytes are the same either way.
+func (rt Runtime) WithObserved(rows []int) Runtime {
+	rt.obs = rows
+	return rt
+}
+
+// reserve returns the capacity to reserve for output o of the operator,
+// which holds at most upper elements: the observed rows plus 1/16 and 64 of
+// slack, or upper without an observation. A buffer that outgrows it grows by
+// append, so an underestimate costs a copy, never a wrong result.
+func (rt Runtime) reserve(o, upper int) int {
+	if o >= len(rt.obs) {
+		return upper
+	}
+	r := rt.obs[o]
+	return min(upper, r+r/16+64)
+}
+
+// reservePart returns the starting capacity of one part's buffer for output
+// o: its pro-rata share, part of whole (> 0) input elements, of
+// reserve(o, upper), or guess without an observation.
+func (rt Runtime) reservePart(o, upper, part, whole, guess int) int {
+	if o >= len(rt.obs) {
+		return guess
+	}
+	return rt.reserve(o, upper) * part / whole
+}
 
 // Par returns the runtime's morsel-parallelism cap (at least 1).
 func (rt Runtime) Par() int {

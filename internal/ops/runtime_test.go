@@ -74,6 +74,55 @@ func TestMemReservationCharge(t *testing.T) {
 	}
 }
 
+// TestParallelStagingCharged: at two workers each parallel driver stages one
+// 8-byte word per output row before the stitch copies the rows into the
+// output column — the emit driver's per-morsel sinks (select), mapCols'
+// shared destination (project), the sorted-set range sinks (intersect) and
+// the grouping's staged chunks — so the query's memory counter must hold at
+// least the staged bytes plus the output's. The output is charged here the
+// way the engine charges every produced column.
+func TestParallelStagingCharged(t *testing.T) {
+	const n = 1 << 20
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(i % 2)
+	}
+	in := columns.FromValues(vals)
+	half, err := FixedRT(1).SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc) // 50 % selectivity
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		run  func(rt Runtime) (*columns.Column, error)
+	}{
+		{"select", func(rt Runtime) (*columns.Column, error) {
+			return rt.SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc)
+		}},
+		{"project", func(rt Runtime) (*columns.Column, error) { return rt.Project(in, half, columns.UncomprDesc) }},
+		{"intersect", func(rt Runtime) (*columns.Column, error) { return rt.Intersect(half, half, columns.UncomprDesc) }},
+		{"group", func(rt Runtime) (*columns.Column, error) {
+			gids, _, err := rt.GroupFirst(in, columns.UncomprDesc, columns.UncomprDesc)
+			return gids, err
+		}},
+	}
+	for _, c := range cases {
+		r := &MemReservation{}
+		rt := RT(context.Background(), nil, 2).WithMemReservation(r)
+		out, err := c.run(rt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out.N() < n/2 {
+			t.Fatalf("%s: %d output rows, want at least %d", c.name, out.N(), n/2)
+		}
+		rt.ChargeMem(out.PhysicalBytes())
+		if got, want := r.Charged(), int64(8*out.N()+out.PhysicalBytes()); got < want {
+			t.Errorf("%s: charged %d bytes, want at least %d staged + output", c.name, got, want)
+		}
+	}
+}
+
 // TestBudgetWaiterCancelled: a waiter on an exhausted budget returns false as
 // soon as its context is cancelled, without any token being released.
 func TestBudgetWaiterCancelled(t *testing.T) {

@@ -104,8 +104,9 @@ type setKernel func(dst, a, b []uint64) (i, j, k int)
 // windows, again and again, until it makes no more progress. The merge state
 // is the two cursors and nothing else, so cutting the inputs into windows —
 // like cutting them into value ranges — changes nothing about the output.
-// stage is the kernel's output buffer of 2*blockBuf elements.
-func streamSet(kernel setKernel, stage []uint64, a, b *columns.Column, w formats.Writer) error {
+// The kernel's output stage is a pooled scratch buffer of 2*blockBuf
+// elements.
+func streamSet(kernel setKernel, a, b *columns.Column, w formats.Writer) error {
 	pa, err := newPullReader(a)
 	if err != nil {
 		return err
@@ -114,8 +115,10 @@ func streamSet(kernel setKernel, stage []uint64, a, b *columns.Column, w formats
 	if err != nil {
 		return err
 	}
+	stage := scratch.Get().(*scratchBuf)
+	defer scratch.Put(stage)
 	for pa.err == nil && pb.err == nil {
-		i, j, k := kernel(stage, pa.window(), pb.window())
+		i, j, k := kernel(stage[:], pa.window(), pb.window())
 		if i+j == 0 {
 			break
 		}
@@ -170,11 +173,11 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 		// One serial pass straight into the output writer, recorded like
 		// every other unsplit operator.
 		rt.coll.SeqFallback()
-		w, err := formats.NewWriter(out, hint)
+		w, err := formats.NewWriter(out, rt.reserve(0, hint))
 		if err != nil {
 			return nil, err
 		}
-		if err := streamSet(op.kernel, make([]uint64, 2*blockBuf), a, b, w); err != nil {
+		if err := streamSet(op.kernel, a, b, w); err != nil {
 			return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 		}
 		return w.Close()
@@ -186,21 +189,19 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 		pairs = []formats.RangePair{{A: formats.Partition{Count: len(avals)}, B: formats.Partition{Count: len(bvals)}}}
 	}
 	results := make([][]uint64, len(pairs))
-	stages := make([][]uint64, rt.workers(len(pairs)))
-	err = rt.runTasks(len(pairs), func(w, i int) error {
-		if stages[w] == nil {
-			stages[w] = make([]uint64, 2*blockBuf)
-		}
+	err = rt.runTasks(len(pairs), func(_, i int) error {
 		pa, pb := pairs[i].A, pairs[i].B
-		sink := appendSink{vals: make([]uint64, 0, op.reserve(pa.Count, pb.Count))}
-		err := streamSet(op.kernel, stages[w], columns.FromValues(avals[pa.Start:pa.Start+pa.Count]), columns.FromValues(bvals[pb.Start:pb.Start+pb.Count]), &sink)
+		n := rt.reservePart(0, hint, pa.Count+pb.Count, len(avals)+len(bvals), op.reserve(pa.Count, pb.Count))
+		sink := appendSink{vals: make([]uint64, 0, n)}
+		err := streamSet(op.kernel, columns.FromValues(avals[pa.Start:pa.Start+pa.Count]), columns.FromValues(bvals[pb.Start:pb.Start+pb.Count]), &sink)
 		results[i] = sink.vals
+		rt.ChargeMem(8 * len(sink.vals))
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 	}
-	return rt.stitchCompressed(out, hint, results)
+	return rt.stitchCompressed(out, rt.reserve(0, hint), results)
 }
 
 // Intersect merges two sorted position lists into their intersection (the
