@@ -185,19 +185,19 @@ func UnpackGroup(dst *[64]uint64, words []uint64, g int, width uint) {
 
 // Get returns the i-th value of width bits from the packed word stream.
 // This is the random-access primitive used by the static bit-packing format.
+//
+// It is branch-free past the zero-width check: the field's bits above the
+// first word always come from the next word, clamped to the last one. Where
+// the field does not straddle, that word contributes only bits above the
+// field, which the mask drops; at offset 0 the shift is 64, which Go defines
+// as 0.
 func Get(words []uint64, i int, width uint) uint64 {
 	if width == 0 {
 		return 0
 	}
-	if width == 64 {
-		return words[i]
-	}
 	bitpos := uint64(i) * uint64(width)
 	w := bitpos >> 6
 	off := uint(bitpos & 63)
-	v := words[w] >> off
-	if rem := 64 - off; rem < width {
-		v |= words[w+1] << rem
-	}
-	return v & Mask(width)
+	v := words[w]>>off | words[min(w+1, uint64(len(words)-1))]<<(64-off)
+	return v & (^uint64(0) >> (64 - width))
 }

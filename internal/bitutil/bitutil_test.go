@@ -129,6 +129,36 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
+// TestGetFullLastWord: Get reads the word after a field's first one
+// unconditionally, clamped to the last word. At every width, a stream whose
+// last word is exactly filled — no padding word behind it — reads back
+// without an out-of-range access, the last field included.
+func TestGetFullLastWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for width := uint(1); width <= 64; width++ {
+		n := 64 / int(gcd(64, width)) // the fewest values that fill whole words
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & Mask(width)
+		}
+		vals[n-1] = Mask(width)
+		words := make([]uint64, PackedWords(n, width))
+		Pack(words, vals, width)
+		for i := range vals {
+			if g := Get(words, i, width); g != vals[i] {
+				t.Fatalf("width %d, %d values in %d words: Get(%d) = %x, want %x", width, n, len(words), i, g, vals[i])
+			}
+		}
+	}
+}
+
+func gcd(a, b uint) uint {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // Property: packing then unpacking preserves values at any width.
 func TestPackRoundTripProperty(t *testing.T) {
 	f := func(raw []uint64, w8 uint8) bool {

@@ -152,11 +152,6 @@ func Get(kind columns.Kind) (Codec, error) {
 // Compress materializes src as a new column in the requested format: the
 // format's writer fed all of src at once.
 func Compress(src []uint64, desc columns.FormatDesc) (*columns.Column, error) {
-	if desc.Kind == columns.StaticBP && desc.Bits == 0 {
-		// The whole input is at hand: skip the auto-width writer's buffered
-		// copy of src and go where its Close goes.
-		return packStaticBP(src)
-	}
 	w, err := NewWriter(desc, len(src))
 	if err != nil {
 		return nil, err

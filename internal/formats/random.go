@@ -82,20 +82,23 @@ func (a *staticBPAccessor) Gather(dst []uint64, idx []uint64) {
 		}
 		return
 	}
+	// Locals: the stores to dst would otherwise force the fields to reload.
+	words, bits, gid := a.words, a.bits, a.gid
 	fullGroups := a.n >> 6
 	for j, ix := range idx {
 		g := int(ix >> 6)
-		if g != a.gid {
+		if g != gid {
 			// Element-wise for the partial tail group and for a group too few
 			// upcoming positions share (on a sorted list, the gatherDense-th
 			// position from here tells).
 			if g >= fullGroups || j+gatherDense > len(idx) || int(idx[j+gatherDense-1]>>6) != g {
-				dst[j] = bitutil.Get(a.words, int(ix), a.bits)
+				dst[j] = bitutil.Get(words, int(ix), bits)
 				continue
 			}
-			bitutil.UnpackGroup(&a.group, a.words, g, a.bits)
-			a.gid = g
+			bitutil.UnpackGroup(&a.group, words, g, bits)
+			gid = g
 		}
 		dst[j] = a.group[ix&63]
 	}
+	a.gid = gid
 }

@@ -152,6 +152,58 @@ func TestStaticBPGatherZeroWidth(t *testing.T) {
 	}
 }
 
+// TestStaticBPGatherLastWord: the element-wise gather at width 64, and at
+// widths whose last field ends exactly at the end of the last word, so the
+// column has no word behind it. Every position is read element-wise (one per
+// group, then the whole partial tail group) and through the group decode.
+func TestStaticBPGatherLastWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range []struct {
+		width uint
+		n     int
+	}{
+		{64, 3*64 + 5},
+		{64, 1},
+		{16, 2*64 + 12}, // 140 values × 16 bits = 35 whole words
+		{32, 2*64 + 2},
+		{13, 3 * 64}, // the last field of a full group ends a word
+		{63, 64},
+	} {
+		vals := make([]uint64, c.n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & bitutil.Mask(c.width)
+		}
+		vals[c.n-1] = bitutil.Mask(c.width)
+		col, err := Compress(vals, columns.StaticBPDesc(c.width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if words := col.MainWords(); len(words)*64 != c.n*int(c.width) {
+			t.Fatalf("width %d, n %d: %d words, want them exactly filled", c.width, c.n, len(words))
+		}
+		var sparse, all []uint64
+		for i := 0; i < c.n; i++ {
+			all = append(all, uint64(i))
+			if i%64 == 63 || i >= c.n&^63 {
+				sparse = append(sparse, uint64(i))
+			}
+		}
+		for _, idx := range [][]uint64{sparse, all} {
+			ra, err := RandomAccess(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]uint64, len(idx))
+			ra.Gather(dst, idx)
+			for j, ix := range idx {
+				if dst[j] != vals[ix] {
+					t.Fatalf("width %d, n %d: Gather[%d] (pos %d) = %#x, want %#x", c.width, c.n, j, ix, dst[j], vals[ix])
+				}
+			}
+		}
+	}
+}
+
 // Property: Gather agrees with Get for arbitrary widths and index sets.
 func TestGatherEqualsGetProperty(t *testing.T) {
 	f := func(raw []uint64, idxRaw []uint16, w8 uint8) bool {

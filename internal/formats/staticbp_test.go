@@ -1,0 +1,138 @@
+package formats
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"morphstore/internal/bitutil"
+	"morphstore/internal/columns"
+)
+
+// TestStaticBPWidenMatchesPack: the auto-width writer packs at the running
+// maximum and widens what it has packed when a chunk needs more bits. Fed any
+// input in any chunking, it must end with exactly the column Pack produces at
+// the width of the whole input: same descriptor, element count and words. An
+// explicit-width writer fed the same input plus one wider value must reject
+// that value.
+func TestStaticBPWidenMatchesPack(t *testing.T) {
+	const n = 78*64 + 8 // not a multiple of 64: the last group is partial
+	rng := rand.New(rand.NewSource(30))
+	inputs := []struct {
+		name string
+		gen  func(n int, m uint64) []uint64 // m: the mask of the target width
+	}{
+		{"random", func(n int, m uint64) []uint64 {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() & m
+			}
+			vals[rng.Intn(n)] = m // pin the width
+			return vals
+		}},
+		// A ramp up to the width's maximum: every few chunks need one more bit.
+		{"sorted", func(n int, m uint64) []uint64 {
+			vals := make([]uint64, n)
+			step := max(m/uint64(max(n-1, 1)), 1)
+			for i := range vals {
+				vals[i] = min(uint64(i), m) * step
+			}
+			return vals
+		}},
+		{"outlier in the last chunk", func(n int, m uint64) []uint64 {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() & m & 31
+			}
+			vals[n-1] = m
+			return vals
+		}},
+		{"zeros", func(n int, _ uint64) []uint64 { return make([]uint64, n) }},
+		{"single value", func(int, uint64) []uint64 { return []uint64{rng.Uint64()} }},
+	}
+	for _, width := range []uint{0, 1, 13, 21, 63, 64} {
+		m := bitutil.Mask(width)
+		for _, in := range inputs {
+			vals := in.gen(n, m)
+			for i := range vals {
+				vals[i] &= m
+			}
+			bits := bitutil.MaxBits(vals)
+			want := make([]uint64, bitutil.PackedWords(len(vals), bits))
+			bitutil.Pack(want, vals, bits)
+			for _, chunk := range []int{1, 63, 64, 2048, len(vals)} {
+				name := fmt.Sprintf("width %d, %s, chunks of %d", width, in.name, chunk)
+				col := writeChunks(t, name, columns.StaticBPDesc(0), vals, chunk)
+				if col.Desc() != columns.StaticBPDesc(bits) || col.N() != len(vals) || !slices.Equal(col.MainWords(), want) {
+					t.Fatalf("%s: got %v, %d elements, %d words; want %v, %d elements, %d words (words equal: %v)",
+						name, col.Desc(), col.N(), len(col.MainWords()), columns.StaticBPDesc(bits), len(vals), len(want),
+						slices.Equal(col.MainWords(), want))
+				}
+				if width == 0 || width == 64 {
+					continue // width 0 is the auto width; no value is wider than 64 bits
+				}
+				w, err := NewWriter(columns.StaticBPDesc(width), len(vals))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < len(vals); i += chunk {
+					if err := w.Write(vals[i:min(i+chunk, len(vals))]); err != nil {
+						t.Fatalf("%s: explicit width: %v", name, err)
+					}
+				}
+				err = w.Write([]uint64{m + 1})
+				if err == nil || !strings.Contains(err.Error(), "value exceeds static BP width") {
+					t.Fatalf("%s: explicit width accepted a %d-bit value (err %v)", name, width+1, err)
+				}
+			}
+		}
+	}
+}
+
+// writeChunks feeds vals to a new writer of desc in chunks of the given size
+// and returns the closed column.
+func writeChunks(t *testing.T, name string, desc columns.FormatDesc, vals []uint64, chunk int) *columns.Column {
+	t.Helper()
+	w, err := NewWriter(desc, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(vals); i += chunk {
+		if err := w.Write(vals[i:min(i+chunk, len(vals))]); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+	}
+	col, err := w.Close()
+	if err != nil {
+		t.Fatalf("%s: close: %v", name, err)
+	}
+	return col
+}
+
+// TestAutoWidthWriterAllocation pins that the auto-width writer packs as
+// values arrive: 1 Mi 13-bit values written in 2048-value chunks allocate
+// little more than the packed column itself, not an 8-byte-per-value staging
+// copy of the input.
+func TestAutoWidthWriterAllocation(t *testing.T) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(13))
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(rng.Intn(1 << 13))
+	}
+	vals[0] = 1<<13 - 1 // the first chunk already needs all 13 bits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	col := writeChunks(t, "13-bit", columns.StaticBPDesc(0), vals, BufferLen)
+	runtime.ReadMemStats(&after)
+	if col.Desc() != columns.StaticBPDesc(13) {
+		t.Fatalf("desc = %v, want %v", col.Desc(), columns.StaticBPDesc(13))
+	}
+	packed := bitutil.PackedWords(n, 13) * 8
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(packed)*5/4; got > limit {
+		t.Fatalf("writing %d values allocated %d bytes, want at most %d (1.25 x the %d packed bytes)", n, got, limit, packed)
+	}
+}

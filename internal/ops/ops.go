@@ -59,9 +59,9 @@ type scratchBuf [2 * blockBuf]uint64
 var scratch = sync.Pool{New: func() any { return new(scratchBuf) }}
 
 // positionDesc refines a requested output format for a position list whose
-// values are known a priori to be < n: an auto-width static BP output can
-// then be packed streamingly at width bits(n-1) instead of buffering the
-// whole column to find the maximum.
+// values are known a priori to be < n: an auto-width static BP output is
+// packed at width bits(n-1) from the first value, so it never widens. That
+// width, not the list's own maximum, is part of a position list's layout.
 func positionDesc(out columns.FormatDesc, n int) columns.FormatDesc {
 	if out.Kind == columns.StaticBP && out.Bits == 0 && n > 0 {
 		out.Bits = uint8(bitutil.EffectiveBits(uint64(n - 1)))

@@ -123,6 +123,39 @@ func TestParallelStagingCharged(t *testing.T) {
 	}
 }
 
+// TestSortedSetInputsCharged: at two workers the sorted-set driver decompresses
+// both compressed inputs into 8-byte value slices before cutting them into
+// value ranges, so the query's memory counter must hold at least those bytes
+// plus the output's.
+func TestSortedSetInputsCharged(t *testing.T) {
+	const n = 1 << 20
+	evens, threes := make([]uint64, n), make([]uint64, n)
+	for i := range evens {
+		evens[i], threes[i] = uint64(2*i), uint64(3*i)
+	}
+	a, err := formats.Compress(evens, columns.DeltaBPDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := formats.Compress(threes, columns.DeltaBPDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &MemReservation{}
+	rt := RT(context.Background(), nil, 2).WithMemReservation(r)
+	out, err := rt.Intersect(a, b, columns.DeltaBPDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := n / 3; out.N() < want {
+		t.Fatalf("%d output rows, want at least %d", out.N(), want)
+	}
+	rt.ChargeMem(out.PhysicalBytes())
+	if got, want := r.Charged(), int64(8*(a.N()+b.N())+out.PhysicalBytes()); got < want {
+		t.Errorf("charged %d bytes, want at least %d decompressed inputs + output", got, want)
+	}
+}
+
 // TestBudgetWaiterCancelled: a waiter on an exhausted budget returns false as
 // soon as its context is cancelled, without any token being released.
 func TestBudgetWaiterCancelled(t *testing.T) {

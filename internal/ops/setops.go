@@ -86,6 +86,9 @@ func (rt Runtime) splitSortedInputs(a, b *columns.Column) ([]formats.RangePair, 
 	if err := rt.runTasks(2, func(_, i int) error {
 		v, err := readAll(cols[i])
 		vals[i] = v
+		if _, viewed := cols[i].Values(); !viewed {
+			rt.ChargeMem(8 * len(v)) // decompressed: a transient 8-byte copy
+		}
 		return err
 	}); err != nil {
 		return nil, nil, nil, err

@@ -61,9 +61,11 @@ func (rt Runtime) stitchCompressed(desc columns.FormatDesc, sizeHint int, chunks
 func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, total int) (col *columns.Column, done bool, err error) {
 	d := desc
 	if d.Kind == columns.StaticBP && d.Bits == 0 {
-		// The monolithic auto-width writer buffers the whole stream to derive
-		// one global width; deriving it up front lets every section pack
-		// streamingly at that width and concatenate by pure bit-copies.
+		// The monolithic auto-width writer packs at the running maximum width
+		// and widens what it has packed when a wider value arrives; sections
+		// packed that way would end at different widths. Deriving the global
+		// width up front lets every section pack at it and concatenate by
+		// pure bit-copies.
 		b, err := rt.maxBitsChunks(chunks)
 		if err != nil {
 			return nil, true, err
