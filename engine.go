@@ -133,8 +133,9 @@ func WithFormats(m map[string]FormatDesc) Option { return core.WithFormats(m) }
 func WithUniformFormat(d FormatDesc) Option { return core.WithUniformFormat(d) }
 
 // WithCostBasedFormats selects every intermediate's format with the
-// gray-box cost model (footprint objective, §5) at prepare time. Applies to
-// Prepare.
+// gray-box cost model (footprint objective, §5) at prepare time, profiling
+// the rows an execution admitted then would read: a writable table's live
+// main plus delta, every other table as registered. Applies to Prepare.
 func WithCostBasedFormats() Option { return core.WithCostBasedFormats() }
 
 // WithOutput sets the output format of a one-off operator call (every

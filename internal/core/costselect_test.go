@@ -157,10 +157,9 @@ func TestBaseProfileConcurrent(t *testing.T) {
 }
 
 // TestBaseProfileAfterRemorph: Engine.Remorph swaps the table's main inside
-// the engine's delta store and leaves Table.Cols alone, so the memo entry
-// stays the profile of the column the cost-based Prepare reads. After the
-// swap, Prepare picks what a cold memo picks, and its execution reads the
-// new main (the appended rows count in the sum).
+// the engine's delta store and leaves Table.Cols and its memo entry alone.
+// After the swap, Prepare picks what a cold memo picks, and its execution
+// reads the new main (the appended rows count in the sum).
 func TestBaseProfileAfterRemorph(t *testing.T) {
 	const n = 8000
 	db := profileDB(t, n)
@@ -205,5 +204,66 @@ func TestBaseProfileAfterRemorph(t *testing.T) {
 	}
 	if got, _ := res.Cols["total"].Values(); len(got) != 1 || got[0] != want {
 		t.Fatalf("post-remorph sum %v, want [%d]", got, want)
+	}
+}
+
+// TestCostBasedPickReadsSnapshot: a cost-based Prepare profiles a writable
+// table as an execution would read it, not as it was registered. The table
+// is created empty and filled through Append, remorphed and appended to
+// again; Prepare binds the formats CostBasedAssignment picks over a
+// read-only database holding the same live rows. Right after the remorph the
+// pick reuses the profiles remorph took instead of profiling the new main.
+func TestCostBasedPickReadsSnapshot(t *testing.T) {
+	const n = 12000
+	live := profileDB(t, n+3000)
+	lx, _ := live.Tables["r"].Cols["x"].Values()
+	ly, _ := live.Tables["r"].Cols["y"].Values()
+	db := NewDB()
+	if err := db.AddTable("r", map[string][]uint64{"x": {}, "y": {}}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db)
+	defer e.Close(context.Background())
+	ctx := context.Background()
+	appendRows := func(lo, hi int) {
+		t.Helper()
+		if err := e.Append(ctx, "r", map[string][]uint64{"x": lx[lo:hi], "y": ly[lo:hi]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < n; lo += 4000 {
+		appendRows(lo, lo+4000)
+	}
+	if err := e.Remorph(ctx, "r"); err != nil {
+		t.Fatal(err)
+	}
+	view, err := e.pickDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cn := range []string{"x", "y"} {
+		prof, err := view.baseProfile("r", cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := e.wtabs["r"].profs[cn].prof; prof != want {
+			t.Errorf("r.%s: the pick profiled the remorphed main again instead of reusing remorph's profile", cn)
+		}
+	}
+	appendRows(n, n+3000)
+	p := profilePlan(t, uint64(n)*37/2)
+	pr, err := e.Prepare(p, WithCostBasedFormats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CostBasedAssignment(p, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pr.Formats(), want.Inter) {
+		t.Fatalf("prepared formats %v, want %v (the pick over the live rows)", pr.Formats(), want.Inter)
+	}
+	if d := pr.Formats()["x_sel"]; d.Kind == columns.Uncompressed {
+		t.Fatalf("x_sel picked %v: the pick profiled no rows", d)
 	}
 }

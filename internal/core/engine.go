@@ -217,7 +217,10 @@ func WithUniformFormat(d columns.FormatDesc) Option {
 // WithCostBasedFormats selects every intermediate's format with the
 // gray-box cost model (footprint objective, §5): the plan's data
 // characteristics are profiled once at prepare time and each column's
-// format chosen from its compact profile. Applies to Prepare.
+// format chosen from its compact profile. The profiles are taken from the
+// rows an execution admitted at that moment would read: a writable table's
+// live main plus delta (a failing merge fails Prepare), every other table
+// as registered. Applies to Prepare.
 func WithCostBasedFormats() Option {
 	return Option{name: "WithCostBasedFormats", scope: scopePrepare, apply: func(o *options) {
 		o.costBased = true
@@ -427,7 +430,11 @@ func (e *Engine) resolveFormats(p *Plan, opt *options) (map[string]columns.Forma
 	inter := make(map[string]columns.FormatDesc)
 	switch {
 	case opt.costBased:
-		a, err := CostBasedAssignment(p, e.db)
+		db, err := e.pickDB()
+		if err != nil {
+			return nil, err
+		}
+		a, err := CostBasedAssignment(p, db)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -109,13 +110,16 @@ func (s *Snapshot) columnOr(fallback *columns.Column, table, column string) (*co
 // writableTable pairs a table's delta store with the engine-side admission
 // bookkeeping: one byte reservation per append batch, tagged with the tail
 // length it ends at, released when a remorph folds the batch into the main.
-// The mutex guards only resv (the delta store locks itself).
+// The mutex guards resv and profs (the delta store locks itself).
 type writableTable struct {
 	dt    *delta.Table
 	dicts map[string]*dict.Dict // the table's string-column dictionaries
 
 	mu   sync.Mutex
 	resv []tailResv
+	// profs holds the profiles the last remorph took of the main columns it
+	// built, replaced at every swap; the cost-based pick starts from them.
+	profs map[string]colProfile
 
 	// ingestMu makes each AppendStrings batch's dictionary translation and
 	// row append atomic with respect to a sorted-rebuild renumbering: the
@@ -184,6 +188,38 @@ func (e *Engine) snapshotOrNil() *Snapshot {
 		dicts[n] = ds
 	}
 	return &Snapshot{states: m, dicts: dicts}
+}
+
+// pickDB returns the tables as an execution admitted now reads them, for the
+// cost-based pick to profile: each writable table's merged main+delta columns
+// at its current state, every other table as registered. A writable table's
+// view starts from the profiles its last remorph took, so a column that is
+// still that main (its delta is empty) is not decoded and profiled again.
+func (e *Engine) pickDB() (*DB, error) {
+	snap := e.snapshotOrNil()
+	if snap == nil {
+		return e.db, nil
+	}
+	view := &DB{Tables: maps.Clone(e.db.Tables)}
+	for name, st := range snap.states {
+		e.wmu.Lock()
+		wt := e.wtabs[name]
+		e.wmu.Unlock()
+		wt.mu.Lock()
+		profs := maps.Clone(wt.profs) // the view's memo grows on a miss
+		wt.mu.Unlock()
+		t := e.db.Tables[name]
+		vt := &Table{Name: name, Cols: make(map[string]*columns.Column, len(t.Cols)), Dicts: t.Dicts, profs: profs}
+		for cn := range t.Cols {
+			col, err := st.Column(cn)
+			if err != nil {
+				return nil, err
+			}
+			vt.Cols[cn] = col
+		}
+		view.Tables[name] = vt
+	}
+	return view, nil
 }
 
 // Snapshot pins the engine's current read view: each writable table at its
@@ -396,6 +432,7 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 		}
 	}
 	newMain := make(map[string]*columns.Column, len(wt.dt.Columns()))
+	profs := make(map[string]colProfile, len(wt.dt.Columns()))
 	for _, cn := range wt.dt.Columns() {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -408,8 +445,9 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			r.RemapAll(vals)
 		}
 		desc := columns.UncomprDesc
+		prof := stats.Collect(vals)
 		if len(vals) > 0 {
-			if d, err := costmodel.ChooseBySize(stats.Collect(vals), formats.PaperDescs()); err == nil {
+			if d, err := costmodel.ChooseBySize(prof, formats.PaperDescs()); err == nil {
 				desc = d
 			}
 		}
@@ -418,6 +456,7 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			return fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
 		}
 		newMain[cn] = col
+		profs[cn] = colProfile{col: col, prof: prof}
 	}
 	if err := hitGuarded(faultpoint.RemorphSwap); err != nil {
 		return err
@@ -447,6 +486,9 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	if err != nil {
 		return err
 	}
+	wt.mu.Lock()
+	wt.profs = profs
+	wt.mu.Unlock()
 	wt.releaseFolded(e.adm, res.FoldedTail)
 	e.counters.remorphs.Add(1)
 	e.counters.remorphRows.Add(int64(res.State.MainRows()))

@@ -71,43 +71,77 @@ func (m *model) delete(positions []uint64) {
 	m.vals = out
 }
 
-// TestMergePerFormat checks the merged main+delta view for every paper
-// format, with a main long enough to have both full blocks and a remainder.
+// checkMerge appends tail to a table whose main is base compressed in d and
+// checks the merged view: it keeps the main's format and is byte-identical to
+// compressing base and tail in one pass.
+func checkMerge(t *testing.T, d columns.FormatDesc, base, tail []uint64) {
+	t.Helper()
+	tab, err := NewTable("t", map[string]*columns.Column{"v": compress(t, base, d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tab.Append(map[string][]uint64{"v": tail}); err != nil {
+		t.Fatal(err)
+	}
+	col, err := tab.State().Column("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := compress(t, append(append([]uint64(nil), base...), tail...), d)
+	if col.Desc() != want.Desc() || col.N() != want.N() || col.MainElems() != want.MainElems() ||
+		len(col.MainWords()) != len(want.MainWords()) || !eq(col.Words(), want.Words()) {
+		t.Fatalf("merged column %v differs from Compress(main+tail) %v", col, want)
+	}
+}
+
+// TestMergePerFormat checks the merged main+delta view for every format: the
+// tail is appended in the main's format, byte-identical to compressing main
+// and tail in one pass, never materialized uncompressed. Byte identity pins
+// the static BP width (a wider tail widens the main) and the RLE runs (a tail
+// continuing the main's last run extends it).
 func TestMergePerFormat(t *testing.T) {
-	base := seq(0, 1300) // 2 full 512-blocks + 276 remainder elements
-	tail := seq(1300, 77)
-	want := append(append([]uint64(nil), base...), tail...)
-	for _, d := range formats.PaperDescs() {
+	type mergeCase struct {
+		name       string
+		base, tail []uint64
+	}
+	wide := func(n int, v uint64) []uint64 {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = v - uint64(i%3)
+		}
+		return vals
+	}
+	runs := func(vals ...uint64) []uint64 {
+		var out []uint64
+		for _, v := range vals {
+			for i := 0; i < 50; i++ {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	common := []mergeCase{
+		{"within-block", seq(0, 1300), seq(1300, 77)},  // 1300 = 2 full 512-blocks + 276 remainder
+		{"across-block", seq(0, 1300), seq(1300, 700)}, // completes the remainder into a block
+		{"one-value", seq(0, 1300), seq(1300, 1)},
+	}
+	extra := map[columns.Kind][]mergeCase{
+		columns.StaticBP: {
+			{"wider-tail", seq(0, 1000), wide(100, 1<<40)},
+			{"group-aligned-main", seq(0, 1024), seq(1024, 70)},
+			{"zero-width-main", make([]uint64, 130), seq(0, 5)},
+			{"zero-width-both", make([]uint64, 130), make([]uint64, 9)},
+			{"width-64-main", wide(100, ^uint64(0)), seq(0, 200)},
+			{"empty-main", nil, seq(5, 70)},
+		},
+		columns.RLE: {
+			{"extends-last-run", runs(1, 2, 3), runs(3, 4)},
+		},
+	}
+	for _, d := range formats.AllDescs() {
 		t.Run(d.String(), func(t *testing.T) {
-			main := compress(t, base, d)
-			tab, err := NewTable("t", map[string]*columns.Column{"v": main})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := tab.Append(map[string][]uint64{"v": tail}); err != nil {
-				t.Fatal(err)
-			}
-			col, err := tab.State().Column("v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if col.N() != len(want) {
-				t.Fatalf("merged N = %d, want %d", col.N(), len(want))
-			}
-			if got := decompress(t, col); !eq(got, want) {
-				t.Fatalf("merged values differ from main+tail")
-			}
-			// The extended-remainder formats must reuse the compressed main
-			// unchanged; whole-column formats materialize uncompressed.
-			switch d.Kind {
-			case columns.Uncompressed, columns.DynBP, columns.DeltaBP, columns.ForBP:
-				if col.Desc().Kind != d.Kind {
-					t.Fatalf("merged kind = %v, want %v (extended remainder)", col.Desc().Kind, d.Kind)
-				}
-			default:
-				if col.Desc().Kind != columns.Uncompressed {
-					t.Fatalf("merged kind = %v, want uncompr (materialized)", col.Desc().Kind)
-				}
+			for _, c := range append(common, extra[d.Kind]...) {
+				t.Run(c.name, func(t *testing.T) { checkMerge(t, d, c.base, c.tail) })
 			}
 		})
 	}

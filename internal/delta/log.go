@@ -33,8 +33,13 @@ func corrupt(format string, args ...any) error {
 }
 
 // encodeAppend appends an append record for n rows of the given columns.
+// The payload is sized once, so a large batch is not copied as it grows.
 func encodeAppend(dst []byte, cols []string, rows map[string][]uint64, n int) []byte {
-	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(cols)))
+	size := 8
+	for _, cn := range cols {
+		size += 2 + len(cn) + 8*n
+	}
+	payload := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(cols)))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(n))
 	for _, cn := range cols {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(cn)))

@@ -13,14 +13,15 @@
 // its main.
 //
 // Reads go through State.Column, which merges main and delta into a single
-// ordinary column: with no deletions, blocked formats (DynBP, DeltaBP,
-// ForBP) and uncompressed mains take the extended-remainder fast path — the
-// tail is appended to the column's uncompressed remainder, so the compressed
-// main words are reused byte-for-byte — while whole-column formats
-// (StaticBP, RLE) and any state with deletions materialize a compacted
-// uncompressed column. Merged views are cached per State, so concurrent
-// queries at one epoch share them. A State with an empty delta hands out the
-// main column itself: the writable path then costs one nil check per scan.
+// ordinary column. With no deletions every format appends the tail in the
+// main's own format (formats.AppendTail): the tail is compressed alone and
+// concatenated behind the main's copied (not decoded) blocks, static BP
+// groups or runs. The merged column equals the main's format applied to main
+// and tail in one pass, so a dirty table stays compressed. Only a state with
+// deletions compacts into an uncompressed column. Merged views are cached per
+// State, so concurrent queries at one epoch share them. A State with an empty
+// delta hands out the main column itself: the writable path then costs one
+// nil check per scan.
 //
 // A background remorph (driven by the engine) folds the delta back into a
 // freshly compressed main: BeginRebuild pins the current State, the caller
@@ -120,16 +121,17 @@ type mergeCache struct {
 	cols map[string]*columns.Column
 }
 
-// merge builds the merged main+delta view of one column. With no deletions,
-// formats that can carry the tail as raw words behind the unchanged main part
-// (formats.AppendTail) reuse the compressed main words; whole-column formats
-// (StaticBP packs every element, RLE has no remainder) and any state with
-// deletions compact into a fresh uncompressed column.
+// merge builds the merged main+delta view of one column. With no deletions
+// the tail is appended in the main's format (formats.AppendTail), which copies
+// the compressed main words instead of decoding them; a state with deletions
+// compacts into a fresh uncompressed column.
 func (s *State) merge(name string, main *columns.Column) (*columns.Column, error) {
 	if len(s.deleted) == 0 {
-		if c, ok := formats.AppendTail(main, s.tail[name]); ok {
-			return c, nil
+		c, err := formats.AppendTail(main, s.tail[name])
+		if err != nil {
+			return nil, fmt.Errorf("delta: %q: %w", name, err)
 		}
+		return c, nil
 	}
 	vals, err := s.liveValues(name, main)
 	if err != nil {

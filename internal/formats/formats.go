@@ -26,7 +26,7 @@
 // on compressed data directly goes through the layout accessors: WalkBlocks
 // (block headers and payloads of a blocked column), StaticBPWords (validated
 // packed words), RLERuns, BlockHeaderBytes (size model) and AppendTail
-// (extending a column's uncompressed remainder).
+// (extending a column without decoding its main part).
 package formats
 
 import (
@@ -204,24 +204,23 @@ func NewWriter(desc columns.FormatDesc, sizeHint int) (Writer, error) {
 	return c.NewWriter(desc, sizeHint), nil
 }
 
-// AppendTail returns col extended by tail without touching its compressed
-// main part: the tail elements ride as raw words behind it, which the
-// uncompressed format and the blocked formats (whose remainder stores
-// absolute values at any length) can represent. For every other format it
-// reports false.
-func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, bool) {
-	f := lookup(col.Desc().Kind)
-	if f.blocked == nil && col.Desc().Kind != columns.Uncompressed {
-		return nil, false
+// AppendTail returns col extended by tail, in col's format, without decoding
+// col's compressed main part: the tail is compressed on its own and the two
+// are concatenated (ConcatCompressed), which copies col's whole blocks,
+// static BP groups or runs. A static BP column stays at auto width, so a tail
+// value wider than col's width widens the result. When col is as a writer at
+// auto width leaves it, the result is byte-identical to compressing col's
+// elements followed by tail in one pass.
+func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, error) {
+	desc := col.Desc()
+	if desc.Kind == columns.StaticBP {
+		desc = columns.StaticBPDesc(0)
 	}
-	w := col.Words()
-	buf := make([]uint64, 0, len(w)+len(tail))
-	buf = append(append(buf, w...), tail...)
-	if f.blocked == nil {
-		return columns.FromValues(buf), true
+	t, err := Compress(tail, desc)
+	if err != nil {
+		return nil, err
 	}
-	out, err := columns.New(col.Desc(), col.N()+len(tail), col.MainElems(), len(col.MainWords()), buf)
-	return out, err == nil
+	return ConcatCompressed(desc, []*columns.Column{col, t})
 }
 
 // PaperDescs returns the five formats implemented by the paper's MorphStore

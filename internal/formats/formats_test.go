@@ -528,3 +528,70 @@ func TestGetUnknownKind(t *testing.T) {
 		t.Error("unknown kind should fail")
 	}
 }
+
+// TestAppendTailMatchesCompress: AppendTail of every format equals, byte for
+// byte, compressing main and tail in one pass, at every split of every data
+// shape and with a tail of another shape (a wider tail widens static BP). A
+// corrupt main fails instead of being copied.
+func TestAppendTailMatchesCompress(t *testing.T) {
+	data := testData(1500, 11)
+	same := func(a, b *columns.Column) bool {
+		if a.Desc() != b.Desc() || a.N() != b.N() || a.MainElems() != b.MainElems() || len(a.Words()) != len(b.Words()) {
+			return false
+		}
+		for i, w := range a.Words() {
+			if b.Words()[i] != w {
+				return false
+			}
+		}
+		return true
+	}
+	for _, desc := range AllDescs() {
+		for name, vals := range data {
+			for _, tailShape := range []string{name, "full_width", "zeros"} {
+				for _, split := range []int{0, 1, 63, 64, 700, 1023, 1024, 1499, 1500} {
+					whole := append(append([]uint64(nil), vals[:split]...), data[tailShape][split:]...)
+					main, err := Compress(whole[:split], desc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := AppendTail(main, whole[split:])
+					if err != nil {
+						t.Fatalf("%v %s+%s at %d: %v", desc, name, tailShape, split, err)
+					}
+					want, err := Compress(whole, desc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !same(got, want) {
+						t.Fatalf("%v %s+%s at %d: appended %v, want %v", desc, name, tailShape, split, got, want)
+					}
+				}
+			}
+		}
+	}
+	sbp, err := Compress(data["small_uniform"], columns.StaticBPDesc(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rle, err := Compress(data["runs"], columns.RLEDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		desc  columns.FormatDesc
+		n     int
+		words []uint64
+	}{
+		{sbp.Desc(), sbp.N(), sbp.Words()[:len(sbp.Words())-1]}, // truncated packed words
+		{rle.Desc(), rle.N() + 1, rle.Words()},                  // runs short of the length
+	} {
+		col, err := columns.New(c.desc, c.n, c.n, len(c.words), c.words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AppendTail(col, []uint64{1}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: AppendTail on a corrupt main returned %v, want ErrCorrupt", c.desc, err)
+		}
+	}
+}
