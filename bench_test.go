@@ -158,9 +158,15 @@ func reportPerRow(b *testing.B, rows int) {
 // DeltaBP (deltabp, the block kernel behind a blocked codec). The input's
 // format picks the kernel; the direct-kernel A/B behind that choice is
 // internal/ops' BenchmarkDirectKernels.
+//
+// The and_* rows price the conjunction of Q1.1–Q1.3 over independent
+// discount-like (static BP width 4) and quantity-like (width 6) columns, per
+// row of the table: three_op is the plan as written — two selections and the
+// intersect of their position lists, every list DeltaBP — and fused the one
+// two-column scan the rewrite pass binds instead (ops.Runtime.SelectAnd).
 func BenchmarkScan(b *testing.B) {
-	column := func(mod, off uint64, desc columns.FormatDesc) *columns.Column {
-		rng := rand.New(rand.NewSource(42))
+	column := func(seed int64, mod, off uint64, desc columns.FormatDesc) *columns.Column {
+		rng := rand.New(rand.NewSource(seed))
 		vals := make([]uint64, benchScanN)
 		for i := range vals {
 			vals[i] = rng.Uint64()%mod + off
@@ -176,10 +182,10 @@ func BenchmarkScan(b *testing.B) {
 		in     *columns.Column
 		lo, hi uint64
 	}{
-		{"staticbp_w4", column(11, 0, columns.StaticBPDesc(4)), 1, 3},
-		{"packed_w6", column(50, 1, columns.StaticBPDesc(6)), 0, 24},
-		{"uncompr", column(50, 1, columns.UncomprDesc), 0, 24},
-		{"deltabp", column(50, 1, columns.DeltaBPDesc), 0, 24},
+		{"staticbp_w4", column(42, 11, 0, columns.StaticBPDesc(4)), 1, 3},
+		{"packed_w6", column(42, 50, 1, columns.StaticBPDesc(6)), 0, 24},
+		{"uncompr", column(42, 50, 1, columns.UncomprDesc), 0, 24},
+		{"deltabp", column(42, 50, 1, columns.DeltaBPDesc), 0, 24},
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -189,6 +195,44 @@ func BenchmarkScan(b *testing.B) {
 			}
 			reportPerRow(b, benchScanN)
 		})
+	}
+
+	disc, qty := column(42, 11, 0, columns.StaticBPDesc(4)), column(43, 50, 1, columns.StaticBPDesc(6))
+	rt, out := ops.FixedRT(1), columns.DeltaBPDesc
+	for _, q := range []struct {
+		name                         string
+		discLo, discHi, qtyLo, qtyHi uint64
+	}{{"q11", 1, 3, 1, 24}, {"q12", 4, 6, 26, 35}, {"q13", 5, 7, 26, 35}} {
+		for _, path := range []struct {
+			name string
+			run  func() error
+		}{
+			{"three_op", func() error {
+				sd, err := rt.SelectBetweenAuto(disc, q.discLo, q.discHi, out, 0, false)
+				if err != nil {
+					return err
+				}
+				sq, err := rt.SelectBetweenAuto(qty, q.qtyLo, q.qtyHi, out, 0, false)
+				if err != nil {
+					return err
+				}
+				_, err = rt.Intersect(sd, sq, out)
+				return err
+			}},
+			{"fused", func() error {
+				_, err := rt.SelectAnd(disc, q.discLo, q.discHi-q.discLo, qty, q.qtyLo, q.qtyHi-q.qtyLo, out)
+				return err
+			}},
+		} {
+			b.Run("and_"+q.name+"/"+path.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := path.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportPerRow(b, benchScanN)
+			})
+		}
 	}
 }
 

@@ -169,9 +169,10 @@ func runFig6(opt options) error {
 				return err
 			}
 			// Paper reproduction: a single-worker engine yields sequential
-			// operator timings; the plan compiles once per configuration.
+			// operator timings of the plan as written (WithKeep); the plan
+			// compiles once per configuration.
 			eng := core.NewEngine(enc, core.WithParallelism(1))
-			pq, err := eng.Prepare(plan, core.WithFormats(cfg.inter))
+			pq, err := eng.Prepare(plan, core.WithFormats(cfg.inter), core.WithKeep(true))
 			if err != nil {
 				return err
 			}

@@ -70,10 +70,12 @@ func getSSB(opt options) (*ssbCache, error) {
 // prepare compiles the query once on a single-worker engine over db. The
 // paper's figures measure the sequential operator-at-a-time model, so the
 // reproduction pins the budget to 1 (per-operator timings would otherwise
-// include scheduler contention on multi-core hosts).
+// include scheduler contention on multi-core hosts) and keeps every column
+// (WithKeep): the plan runs as written, without the engine's physical
+// rewrites, and Meas.Footprint counts every intermediate of that plan.
 func (c *ssbCache) prepare(q ssb.Query, db *core.DB, o ...core.Option) (*core.Prepared, error) {
 	eng := core.NewEngine(db, core.WithParallelism(1))
-	return eng.Prepare(c.plans[q], o...)
+	return eng.Prepare(c.plans[q], append([]core.Option{core.WithKeep(true)}, o...)...)
 }
 
 // verified executes the prepared query and checks the result against the

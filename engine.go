@@ -68,8 +68,10 @@ type Option = core.Option
 // (WithRemorph).
 func NewEngine(db *DB, opts ...Option) *Engine { return core.NewEngine(db, opts...) }
 
-// WithKeep retains all intermediate columns in the result. Applies to
-// Prepare and Execute.
+// WithKeep retains all intermediate columns in the result, and so runs the
+// plan as written: no node is fused or elided by the engine's physical
+// rewrites, every intermediate is materialized, and Meas counts them all.
+// Applies to Prepare and Execute.
 func WithKeep(on bool) Option { return core.WithKeep(on) }
 
 // WithParallelism sets the worker-goroutine budget: at NewEngine the

@@ -18,13 +18,15 @@ import (
 	"morphstore/internal/qerr"
 )
 
-// coherentStatsTree checks the invariants every collected execution must
-// satisfy regardless of outcome: a fully-labelled tree of the plan's size
-// where node state is consistent (never Done with an error, never finished
-// without starting) and, on failure, the failure is recorded. It returns
+// coherentStatsTree checks the invariants every collected execution of pr
+// must satisfy regardless of outcome: a fully-labelled tree of the plan's
+// size where node state is consistent (never Done with an error, never
+// finished without starting), the rewrite pass's shape holds (an elided node
+// that finished carries no values, morsels or formats; a fused node counts
+// the columns it read) and, on failure, the failure is recorded. It returns
 // instead of t.Fatal-ing so chaos worker goroutines can use it.
-func coherentStatsTree(qs *metrics.QueryStats, nodes int, execErr error) error {
-	if len(qs.Nodes) != nodes {
+func coherentStatsTree(qs *metrics.QueryStats, pr *Prepared, execErr error) error {
+	if nodes := len(pr.p.nodes); len(qs.Nodes) != nodes {
 		return fmt.Errorf("tree has %d nodes, want %d", len(qs.Nodes), nodes)
 	}
 	if (execErr != nil) != qs.Failed {
@@ -52,6 +54,22 @@ func coherentStatsTree(qs *metrics.QueryStats, nodes int, execErr error) error {
 		for _, in := range ns.Inputs {
 			if in < 0 || in >= i {
 				return fmt.Errorf("node %d input %d out of topological range", i, in)
+			}
+		}
+		alt := pr.bound[i].alt
+		switch {
+		case !ns.Done || alt == nil:
+		case alt == elided:
+			if ns.InValues != 0 || ns.OutValues != 0 || ns.Morsels != 0 || len(ns.Formats) != 0 {
+				return fmt.Errorf("elided node %d carries work: %+v", i, ns)
+			}
+		default:
+			var read int64
+			for _, ref := range alt.inputs {
+				read += qs.Nodes[ref.node.id].OutValues
+			}
+			if ns.InValues != read {
+				return fmt.Errorf("fused node %d counts %d input values, want the %d it read", i, ns.InValues, read)
 			}
 		}
 	}
@@ -86,7 +104,6 @@ func TestChaosStatsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := len(pr.p.nodes)
 	baseline := runtime.NumGoroutine()
 	tracer := metrics.NewJSONLTracer(io.Discard)
 
@@ -136,7 +153,7 @@ func TestChaosStatsTree(t *testing.T) {
 				if cancel != nil {
 					cancel()
 				}
-				if terr := coherentStatsTree(&qs, nodes, err); terr != nil {
+				if terr := coherentStatsTree(&qs, pr, err); terr != nil {
 					errCh <- fmt.Errorf("goroutine %d iter %d: incoherent stats tree: %v", g, i, terr)
 					return
 				}
@@ -153,7 +170,7 @@ func TestChaosStatsTree(t *testing.T) {
 							errCh <- fmt.Errorf("goroutine %d iter %d: panic QueryError without attached stats", g, i)
 							return
 						}
-						if terr := coherentStatsTree(qe.Stats, nodes, err); terr != nil {
+						if terr := coherentStatsTree(qe.Stats, pr, err); terr != nil {
 							errCh <- fmt.Errorf("goroutine %d iter %d: incoherent QueryError stats: %v", g, i, terr)
 							return
 						}
@@ -212,7 +229,7 @@ func TestChaosStatsTree(t *testing.T) {
 	if err := sameResult(ref, res); err != nil {
 		t.Fatalf("collected execution after chaos diverged: %v", err)
 	}
-	if err := coherentStatsTree(&qs, nodes, nil); err != nil {
+	if err := coherentStatsTree(&qs, pr, nil); err != nil {
 		t.Fatalf("stats tree after chaos: %v", err)
 	}
 }

@@ -130,7 +130,10 @@ func WithAutoMorph(bool) Option {
 }
 
 // WithKeep retains all intermediate columns in the result (used by the
-// format-search and cost-model tooling). Applies to Prepare and Execute.
+// format-search and cost-model tooling, the footprint measurements and the
+// paper reproductions), and so runs the plan as written: the rewrite pass's
+// operators (rewrite.go) stand aside, every node materializes its outputs,
+// and Meas counts them all. Applies to Prepare and Execute.
 func WithKeep(on bool) Option {
 	return Option{name: "WithKeep", scope: scopePrepare | scopeExec,
 		apply: func(o *options) { o.keep = on }}
@@ -405,6 +408,7 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 			return nil, err
 		}
 	}
+	c.rewrite(p, bound)
 	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, sinks: sinks}
 	if _, err := pr.memoryEstimate(); err != nil {
 		return nil, err
@@ -558,6 +562,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		// read-only fast path.
 		snap: e.snapshotOrNil(),
 		prev: pr.obs.Load(),
+		keep: opt.keep,
 	}
 	res := &Result{
 		Cols: make(map[string]*columns.Column, len(pr.p.sinks)),
@@ -573,7 +578,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	// the same tail as every other outcome so the (all-unstarted) stats tree is
 	// still published.
 	if err = ctx.Err(); err == nil {
-		err = pr.runPlan(ctx, es, res, opt.keep, par)
+		err = pr.runPlan(ctx, es, res, par)
 	}
 	err = qerr.Classify(err)
 	if err != nil && e.killCtx.Err() != nil && errors.Is(err, qerr.ErrQueryCanceled) {
@@ -590,20 +595,25 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	return res, nil
 }
 
-// runNode executes one bound operator; its morsel workers draw tokens from
-// the engine budget. Scans do no kernel work (they hand out the stored
-// column), so they run at width 1 and charge nothing.
+// runNode executes one bound operator — the rewrite pass's operator where it
+// bound one, unless the execution keeps every column; its morsel workers
+// draw tokens from the engine budget. Scans do no kernel work (they hand out
+// the stored column), so they run at width 1 and charge nothing.
 //
 // The node runs under a recover guard: a panic on the operator's own
 // goroutine — the morsel workers have their own guards — is converted into a
 // *QueryError instead of crashing the process, and every QueryError
 // surfacing here is tagged with the operator it escaped from.
 func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, par int) (produced []*columns.Column, err error) {
+	run, inputs := bn.run, bn.n.inputs
+	if bn.alt != nil && !es.keep {
+		run, inputs = bn.alt.run, bn.alt.inputs
+	}
 	// The collector's Finish defer is registered before the recover guard so
 	// it runs after it and records the final, panic-converted outcome — a
 	// panicking node still leaves a coherent partial stats entry.
 	nc := es.coll.Node(bn.n.id)
-	nc.Begin(inputValues(es, bn.n))
+	nc.Begin(inputValues(es, inputs))
 	defer func() { nc.Finish(outputValues(produced), outputFormats(produced), err) }()
 	defer func() {
 		if v := recover(); v != nil {
@@ -619,10 +629,10 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 	}()
 	if bn.n.op == OpScan {
 		// Scans hand out stored columns — no intermediate bytes to charge.
-		return bn.run(es, ops.RT(ctx, nil, 1).WithCollector(nc))
+		return run(es, ops.RT(ctx, nil, 1).WithCollector(nc))
 	}
 	rt := ops.RT(ctx, pr.e.budget, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(bn.n.id))
-	produced, err = bn.run(es, rt)
+	produced, err = run(es, rt)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)
 	}

@@ -154,8 +154,10 @@ func (db *DB) Encode(base map[string]columns.FormatDesc) (*DB, error) {
 type Measure struct {
 	// BaseBytes is the physical size of all distinct base columns scanned.
 	BaseBytes int
-	// InterBytes is the physical size of all materialized intermediates
-	// (including result columns).
+	// InterBytes is the physical size of the intermediates this execution
+	// materialized (including result columns). A node the rewrite pass
+	// elided materializes nothing, so only a WithKeep execution, which runs
+	// the plan as written, counts every intermediate of the plan.
 	InterBytes int
 	// Runtime is the total operator time (base encoding excluded). Under a
 	// concurrent execution (parallelism > 1) it is the sum of the

@@ -327,12 +327,12 @@ func finishCollector(coll *metrics.Collector, opt *options, err error, ob *execO
 	}
 }
 
-// inputValues sums the element counts of a node's bound inputs; each
+// inputValues sums the element counts of the columns an operator reads; each
 // consumed column reference counts (a project's data and positions inputs
-// both do).
-func inputValues(es *execState, n *Node) int64 {
+// both do, and so do a fused conjunction's two scanned columns).
+func inputValues(es *execState, inputs []ColRef) int64 {
 	var total int64
-	for _, ref := range n.inputs {
+	for _, ref := range inputs {
 		total += int64(es.in(ref).N())
 	}
 	return total

@@ -42,8 +42,8 @@ func buildParTestDB(t *testing.T) *DB {
 // buildParTestPlan assembles a plan with two independent filter branches
 // (fodder for the concurrent scheduler), a semijoin, an N:1 join with both
 // outputs consumed, projects, a calc, a grouped and a whole-column
-// aggregation — every morsel-parallel streamed operator appears at least
-// once.
+// aggregation, and a fused conjunction — every morsel-parallel streamed
+// operator appears at least once.
 func buildParTestPlan(t *testing.T) *Plan {
 	t.Helper()
 	b := NewBuilder()
@@ -74,6 +74,11 @@ func buildParTestPlan(t *testing.T) *Plan {
 	qtyJ := b.Project("qty_j", qty, jp)
 	prod := b.Calc("jprod", ops.CalcMul, qtyJ, idJ)
 	b.Result(b.SumWhole("jtotal", prod))
+
+	// A conjunction of two range selections over fact: the rewrite pass fuses
+	// it into one two-column scan and elides both selections.
+	cPos := b.Intersect("c_pos", b.Between("c_qty", qty, 5, 30), b.Select("c_price", price, bitutil.CmpLt, 600))
+	b.Result(b.SumWhole("c_total", b.Project("c_price_pos", price, cPos)))
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

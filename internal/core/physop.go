@@ -39,15 +39,17 @@ type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 type boundNode struct {
 	n    *Node
 	run  physOp
-	rows int // scans: the prepare-bound stored column's length
+	alt  *rewritten // the rewrite pass's operator (rewrite.go); nil when none
+	rows int        // scans: the prepare-bound stored column's length
 }
 
 // execState is the mutable state of one plan execution: the per-node output
 // slots, the execution's stats collector (nil when detached), the counter its
 // materialized intermediates are charged to, the snapshot pinning the
 // writable tables' delta states (nil for a read-only engine — scans then
-// hand out the prepare-bound columns), and the observation record current
-// when it started (nil before the plan's first success). The scheduler
+// hand out the prepare-bound columns), the observation record current when
+// it started (nil before the plan's first success), and whether it keeps
+// every column (WithKeep), which runs the plan as written. The scheduler
 // publishes a node's outputs before any dependent is popped, which
 // establishes the happens-before edge for readers.
 type execState struct {
@@ -56,6 +58,7 @@ type execState struct {
 	mres *ops.MemReservation
 	snap *Snapshot
 	prev *observation
+	keep bool
 }
 
 // in resolves a bound input reference against the execution state.

@@ -58,7 +58,7 @@ type sched struct {
 // context derived from ctx: the first failing node cancels it, so the morsel
 // loops of concurrently running sibling operators stop within one morsel
 // instead of completing work whose result the failed execution can never use.
-func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, keep bool, par int) error {
+func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, par int) error {
 	ctx, cancelPlan := context.WithCancel(ctx)
 	defer cancelPlan()
 	total := len(pr.p.nodes)
@@ -110,10 +110,10 @@ func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, kee
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr.schedWorker(ctx, s, es, res, keep, par)
+			pr.schedWorker(ctx, s, es, res, par)
 		}()
 	}
-	pr.schedWorker(ctx, s, es, res, keep, par)
+	pr.schedWorker(ctx, s, es, res, par)
 	wg.Wait()
 	return s.err
 }
@@ -135,7 +135,7 @@ func (s *sched) popLowest() int {
 }
 
 // schedWorker pulls ready nodes until the plan completes or fails.
-func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, res *Result, keep bool, par int) {
+func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, res *Result, par int) {
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.done {
@@ -165,7 +165,7 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 			s.cancel()
 		} else if s.err == nil {
 			es.outs[id] = produced
-			pr.account(res, bn.n, produced, elapsed, keep)
+			pr.account(res, bn.n, produced, elapsed, es.keep)
 			for _, d := range s.dependents[id] {
 				s.deps[d]--
 				if s.deps[d] == 0 {

@@ -10,9 +10,10 @@ import (
 // This file implements the three morsel drivers every streamed operator runs
 // through. An operator is a kernel plus a choice of driver:
 //
-//   - emit: variable-length output, one or two row-aligned streams (select,
-//     between, select-in, semijoin, N:1 join, and the SWAR select on packed
-//     words),
+//   - emit: variable-length output, one or two row-aligned streams, over one
+//     input or two in lockstep (select, between, select-in, semijoin, N:1
+//     join, the SWAR select on packed words, and the fused two-column
+//     select),
 //   - mapCols: exactly one output value per input element (project, calc),
 //   - reduce: a fixed-width partial folded over the input (sum, the run-level
 //     sum on RLE, grouped sum).
@@ -110,16 +111,17 @@ func runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []format
 }
 
 // emit is the variable-length-output driver: kernel runs once per morsel of
-// in and the per-morsel outputs are stitched, per output stream, in morsel
-// order. A morsel's buffer starts at its pro-rata share of the observed rows,
-// or at an eighth of the morsel without an observation. Each morsel's staged
-// rows are charged to the query's memory counter.
-func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel emitKernel) ([]*columns.Column, error) {
+// in — of in and b at shared boundaries when b is non-nil — and the
+// per-morsel outputs are stitched, per output stream, in morsel order. A
+// morsel's buffer starts at its pro-rata share of the observed rows, or at an
+// eighth of the morsel without an observation. Each morsel's staged rows are
+// charged to the query's memory counter.
+func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kernel emitKernel) ([]*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
 	cols := make([]*columns.Column, len(outs))
-	parts := rt.split(in, nil)
+	parts := rt.split(in, b)
 	if parts == nil {
 		sinks := make([]formats.Writer, len(outs))
 		for o, out := range outs {
@@ -175,7 +177,7 @@ func (rt Runtime) emit(name string, in *columns.Column, outs []emitOut, kernel e
 // emitPositions is emit for the common single position-list output over the
 // elements of in.
 func (rt Runtime) emitPositions(name string, in *columns.Column, out columns.FormatDesc, kernel emitKernel) (*columns.Column, error) {
-	cols, err := rt.emit(name, in, []emitOut{{positionDesc(out, in.N()), in.N()}}, kernel)
+	cols, err := rt.emit(name, in, nil, []emitOut{{positionDesc(out, in.N()), in.N()}}, kernel)
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func (rt Runtime) joinN1(probeKeys *columns.Column, buildN int, outProbe, outBui
 		{positionDesc(outProbe, probeKeys.N()), probeKeys.N()},
 		{positionDesc(outBuild, buildN), probeKeys.N()},
 	}
-	cols, err := rt.emit("join", probeKeys, outs, scan(probeKeys, kernel))
+	cols, err := rt.emit("join", probeKeys, nil, outs, scan(probeKeys, kernel))
 	if err != nil {
 		return nil, nil, err
 	}

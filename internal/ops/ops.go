@@ -95,67 +95,86 @@ func sectionReader(col *columns.Column, pt formats.Partition) (formats.Reader, e
 // the two equally long columns a and b in lockstep when b is non-nil —
 // through process in cache-resident chunks of at most blockBuf elements. base
 // carries the global element offset of each chunk, so selective kernels emit
-// globally correct positions. A single uncompressed input is handed out as
-// zero-copy sub-slices of the column (the purely-uncompressed degree).
+// globally correct positions. An uncompressed input is handed out as
+// zero-copy sub-slices of the column (the purely-uncompressed degree), alone
+// or beside the other input of a lockstep pair.
 func streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb []uint64, base uint64) error) error {
-	ra, err := sectionReader(a, pt)
-	if err != nil {
-		return err
-	}
-	base := uint64(pt.Start)
-	if b == nil {
-		if vv, ok := ra.(formats.ValueViewer); ok {
-			if vals, viewable := vv.View(); viewable {
-				for len(vals) > 0 {
-					k := min(len(vals), blockBuf)
-					if err := process(vals[:k], nil, base); err != nil {
-						return err
-					}
-					vals, base = vals[k:], base+uint64(k)
-				}
-				return nil
-			}
-		}
-	}
 	buf := scratch.Get().(*scratchBuf)
 	defer scratch.Put(buf)
-	bufA, bufB := buf[:blockBuf], buf[blockBuf:]
-	if b == nil {
-		for {
-			k, err := ra.Read(bufA)
-			if err != nil || k == 0 {
-				return err
-			}
-			if err := process(bufA[:k], nil, base); err != nil {
-				return err
-			}
-			base += uint64(k)
-		}
-	}
-	rb, err := sectionReader(b, pt)
+	sa, err := openSource(a, pt, buf[:blockBuf])
 	if err != nil {
 		return err
 	}
-	for {
-		na, err := readFull(ra, bufA)
-		if err != nil {
+	var sb source
+	if b != nil {
+		if sb, err = openSource(b, pt, buf[blockBuf:]); err != nil {
 			return err
 		}
-		nb, err := readFull(rb, bufB[:max(na, 1)])
-		if err != nil {
-			return err
-		}
-		if na == 0 && nb == 0 {
-			return nil
-		}
-		if na != nb {
-			return fmt.Errorf("input columns diverge (%d vs %d elements)", na, nb)
-		}
-		if err := process(bufA[:na], bufB[:nb], base); err != nil {
-			return err
-		}
-		base += uint64(na)
 	}
+	for base := uint64(pt.Start); ; {
+		va, err := sa.next(blockBuf, b != nil)
+		if err != nil || (len(va) == 0 && b == nil) {
+			return err
+		}
+		var vb []uint64
+		if b != nil {
+			if vb, err = sb.next(max(len(va), 1), true); err != nil {
+				return err
+			}
+			if len(va) == 0 && len(vb) == 0 {
+				return nil
+			}
+			if len(va) != len(vb) {
+				return fmt.Errorf("input columns diverge (%d vs %d elements)", len(va), len(vb))
+			}
+		}
+		if err := process(va, vb, base); err != nil {
+			return err
+		}
+		base += uint64(len(va))
+	}
+}
+
+// source is one input of streamCols: the zero-copy view of an uncompressed
+// section, or a reader decompressing into a cache-resident buffer.
+type source struct {
+	view []uint64 // values not yet handed out; nil when r decompresses
+	r    formats.Reader
+	buf  []uint64
+}
+
+func openSource(col *columns.Column, pt formats.Partition, buf []uint64) (source, error) {
+	r, err := sectionReader(col, pt)
+	if err != nil {
+		return source{}, err
+	}
+	if vv, ok := r.(formats.ValueViewer); ok {
+		if vals, viewable := vv.View(); viewable {
+			return source{view: vals}, nil
+		}
+	}
+	return source{r: r, buf: buf}, nil
+}
+
+// next returns the next chunk of at most k elements; an empty chunk once the
+// input has ended. A decompressing source fills the chunk when full is set —
+// two lockstep inputs must hand out equally long chunks — and returns what
+// one Read produces otherwise.
+func (s *source) next(k int, full bool) ([]uint64, error) {
+	if s.r == nil {
+		k = min(k, len(s.view))
+		vals := s.view[:k]
+		s.view = s.view[k:]
+		return vals, nil
+	}
+	var n int
+	var err error
+	if full {
+		n, err = readFull(s.r, s.buf[:k])
+	} else {
+		n, err = s.r.Read(s.buf[:k])
+	}
+	return s.buf[:n], err
 }
 
 // readFull reads from r until dst is full or the column is exhausted.

@@ -105,6 +105,57 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 	}
 }
 
+// TestSelectAndMatchesIntersect checks the fused conjunction against the
+// operators it replaces: over every pair of input formats (streamed in
+// lockstep, viewed or decompressed) and every output format, at every
+// parallelism degree, SelectAnd's column is byte-identical to the sequential
+// intersect of the two selections in the same output format.
+func TestSelectAndMatchesIntersect(t *testing.T) {
+	va := parTestValues(parTestN)
+	vb := make([]uint64, len(va))
+	for i := range vb {
+		vb[i] = va[len(va)-1-i] % 300
+	}
+	compress := func(vals []uint64, d columns.FormatDesc) *columns.Column {
+		col, err := formats.Compress(vals, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	for _, da := range formats.AllDescs() {
+		a := compress(va, da)
+		for _, db := range formats.AllDescs() {
+			b := compress(vb, db)
+			for _, out := range formats.AllDescs() {
+				ctx := fmt.Sprintf("%v&%v->%v", da, db, out)
+				sa, err := FixedRT(1).SelectAuto(a, bitutil.CmpLt, 250, columns.DeltaBPDesc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := FixedRT(1).SelectBetweenAuto(b, 100, 200, columns.UncomprDesc, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := FixedRT(1).Intersect(sa, sb, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, par := range parLevels {
+					got, err := FixedRT(par).SelectAnd(a, 0, 249, b, 100, 100, out)
+					if err != nil {
+						t.Fatalf("%s p=%d: %v", ctx, par, err)
+					}
+					assertSameColumn(t, fmt.Sprintf("%s p=%d", ctx, par), want, got)
+				}
+			}
+		}
+	}
+	if _, err := FixedRT(1).SelectAnd(columns.FromValues(va), 0, 1, columns.FromValues(vb[1:]), 0, 1, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
+		t.Fatalf("unequal inputs: err = %v, want ErrInvalidSchema", err)
+	}
+}
+
 func TestParallelSumEquivalence(t *testing.T) {
 	vals := parTestValues(parTestN)
 	for _, inDesc := range formats.AllDescs() {

@@ -105,6 +105,60 @@ func (rt Runtime) selectRange(name string, in *columns.Column, out columns.Forma
 	return rt.emitPositions(name, in, out, kernel)
 }
 
+// SelectAnd evaluates the conjunction of two range tests over the equally
+// long columns a and b — a[i]-loA <= spanA and b[i]-loB <= spanB, the
+// normalised form of bitutil.CmpKind.Range and of a between over the 64-bit
+// domain — and returns the sorted positions where both hold, in format out.
+// It is the select → select → intersect triple of a conjunction as one
+// operator: both columns stream in lockstep through the emit driver and no
+// per-predicate position list is written. The positions are exactly the
+// intersection of the two selections, so a caller that would have passed the
+// intersection's output format gets the intersection's bytes. An empty
+// predicate (no range form) is the caller's to answer.
+func (rt Runtime) SelectAnd(a *columns.Column, loA, spanA uint64, b *columns.Column, loB, spanB uint64, out columns.FormatDesc) (*columns.Column, error) {
+	if err := checkCols(a, b); err != nil {
+		return nil, err
+	}
+	if a.N() != b.N() {
+		return nil, qerr.Tag(fmt.Errorf("ops: select and: columns of %d and %d elements", a.N(), b.N()), qerr.ErrInvalidSchema)
+	}
+	kernel := andKernel(loA, spanA, loB, spanB)
+	cols, err := rt.emit("select and", a, b, []emitOut{{out, a.N()}},
+		func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+			return streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
+				return flush(stage, kernel(va, vb, base, stage[0]), sinks)
+			})
+		})
+	if err != nil {
+		return nil, err
+	}
+	return cols[0], nil
+}
+
+// andKernel is the two-test kernel over one lockstep chunk, in two predicated
+// passes: the first stages the chunk-local indices passing the first test
+// (blockKernel's compress-store), the second compacts them in place to those
+// whose second value passes too and turns them into global positions. The
+// second pass touches only the first pass's survivors, so a selective first
+// test makes it cheap.
+func andKernel(loA, spanA, loB, spanB uint64) func(va, vb []uint64, base uint64, out []uint64) int {
+	return func(va, vb []uint64, base uint64, out []uint64) int {
+		k := 0
+		for i, v := range va {
+			out[k] = uint64(i)
+			_, miss := bits.Sub64(spanA, v-loA, 0)
+			k += int(1 - miss)
+		}
+		m := 0
+		for _, i := range out[:k] {
+			out[m] = base + i
+			_, miss := bits.Sub64(spanB, vb[i]-loB, 0)
+			m += int(1 - miss)
+		}
+		return m
+	}
+}
+
 // blockKernel is the range test over one unpacked block. It is predicated
 // like a masked compress-store: every position is staged unconditionally and
 // the cursor advances by the match bit — the complement of the borrow of

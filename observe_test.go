@@ -80,6 +80,7 @@ func checkStatsTree(t *testing.T, label string, qs *QueryStats) {
 	}
 	var morsels, kernels int64
 	allFellBack := true
+	elided := elidedNodes(t, label, qs)
 	for i, ns := range qs.Nodes {
 		if ns.Node != i {
 			t.Fatalf("%s: node %d indexed as %d", label, i, ns.Node)
@@ -90,6 +91,9 @@ func checkStatsTree(t *testing.T, label string, qs *QueryStats) {
 		if !ns.Started || !ns.Done || ns.Err != "" {
 			t.Fatalf("%s: node %d (%s %q) not completed: started=%v done=%v err=%q",
 				label, i, ns.Op, ns.Name, ns.Started, ns.Done, ns.Err)
+		}
+		if elided[i] {
+			continue
 		}
 		if len(ns.Formats) == 0 {
 			t.Fatalf("%s: node %d (%s %q) has no output formats", label, i, ns.Op, ns.Name)
@@ -133,9 +137,50 @@ func checkStatsTree(t *testing.T, label string, qs *QueryStats) {
 	}
 }
 
+// elidedNodes returns the selections the conjunction fusion elided — the
+// select and between nodes that completed without an output — after checking
+// their shape: no values, morsels or fallback of their own, and one consumer,
+// an intersect that counted the two scanned columns as its input instead.
+func elidedNodes(t *testing.T, label string, qs *QueryStats) map[int]bool {
+	t.Helper()
+	consumers := make(map[int][]int)
+	for i, ns := range qs.Nodes {
+		for _, in := range ns.Inputs {
+			consumers[in] = append(consumers[in], i)
+		}
+	}
+	elided := make(map[int]bool)
+	for i, ns := range qs.Nodes {
+		if len(ns.Formats) != 0 || (ns.Op != "select" && ns.Op != "between") {
+			continue
+		}
+		if ns.InValues != 0 || ns.OutValues != 0 || ns.Morsels != 0 || ns.SeqFallback {
+			t.Fatalf("%s: elided node %d (%s %q) carries work: %+v", label, i, ns.Op, ns.Name, ns)
+		}
+		if c := consumers[i]; len(c) != 1 || qs.Nodes[c[0]].Op != "intersect" {
+			t.Fatalf("%s: elided node %d (%s %q) is consumed by %v, want one intersect", label, i, ns.Op, ns.Name, c)
+		}
+		elided[i] = true
+	}
+	for i, ns := range qs.Nodes {
+		if ns.Op != "intersect" || len(ns.Inputs) != 2 || !elided[ns.Inputs[0]] || !elided[ns.Inputs[1]] {
+			continue
+		}
+		var scanned int64
+		for _, sel := range ns.Inputs {
+			scanned += qs.Nodes[qs.Nodes[sel].Inputs[0]].OutValues
+		}
+		if ns.InValues != scanned {
+			t.Fatalf("%s: fused intersect %d counts %d input values, want the scanned %d", label, i, ns.InValues, scanned)
+		}
+	}
+	return elided
+}
+
 // TestQueryStatsSSB runs every SSB query with and without a collector:
 // stats must be fully populated at par=1 and par=4 alike, and the produced
-// columns byte-identical across all three runs.
+// columns byte-identical across all three runs. The Q1.x conjunctions run
+// fused: two of their selections complete without an output.
 func TestQueryStatsSSB(t *testing.T) {
 	eng, prs := observeSSB(t)
 	execs := 0
@@ -152,6 +197,9 @@ func TestQueryStatsSSB(t *testing.T) {
 		}
 		sameResultCols(t, string(q), ref, res)
 		checkStatsTree(t, string(q), &qs)
+		if fused := len(elidedNodes(t, string(q), &qs)); (q == ssb.Q11 || q == ssb.Q12 || q == ssb.Q13) && fused < 2 {
+			t.Fatalf("%s: %d selections elided, want the fused conjunction's two", q, fused)
+		}
 
 		var seq QueryStats
 		resSeq, err := pr.Execute(context.Background(), WithParallelism(1), WithExecStats(&seq))
