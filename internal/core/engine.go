@@ -410,7 +410,7 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 	}
 	c.rewrite(p, bound)
 	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, sinks: sinks}
-	if _, err := pr.memoryEstimate(); err != nil {
+	if _, err := pr.memoryEstimate(nil); err != nil {
 		return nil, err
 	}
 	return pr, nil
@@ -422,11 +422,23 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 // execution it is a conservative upper bound on the intermediate columns,
 // every element costed at an uncompressed 8-byte word; after it, the bytes
 // the last successful execution charged, scaled by the largest growth of a
-// scanned table since and by 1.25, capped by that bound. Base columns are
-// excluded (scans hand out the stored columns).
+// scanned table since and by 1.25, capped by that bound. A plan prepared
+// WithKeep(true) always reserves the bound. Base columns are excluded (scans
+// hand out the stored columns).
 func (pr *Prepared) MemoryEstimate() int {
-	est, _ := pr.memoryEstimate()
+	est, _ := pr.memoryEstimate(pr.record(pr.opt.keep))
 	return int(est)
+}
+
+// record returns the observation record an execution reads, nil for one
+// that keeps every column: it runs the plan as written, which materializes
+// more than the rewritten plan the record describes, so it reserves and
+// sizes from the upper bound and publishes no record of its own.
+func (pr *Prepared) record(keep bool) *observation {
+	if keep {
+		return nil
+	}
+	return pr.obs.Load()
 }
 
 // resolveFormats materializes the per-column format map of one preparation.
@@ -526,10 +538,11 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	// Under a byte budget the execution reserves its plan's estimate for the
 	// tables' current rows; an estimate over the whole budget can never be
 	// granted and fails with ErrMemoryLimit.
+	prev := pr.record(opt.keep)
 	var est int64
 	if e.adm.budget > 0 {
 		var err error
-		if est, err = pr.memoryEstimate(); err != nil {
+		if est, err = pr.memoryEstimate(prev); err != nil {
 			return nil, err
 		}
 	}
@@ -561,7 +574,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		// remorph swap completing mid-flight stays invisible. Nil on the
 		// read-only fast path.
 		snap: e.snapshotOrNil(),
-		prev: pr.obs.Load(),
+		prev: prev,
 		keep: opt.keep,
 	}
 	res := &Result{
@@ -591,7 +604,9 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	pr.obs.Store(observe(es))
+	if !opt.keep {
+		pr.obs.Store(observe(es))
+	}
 	return res, nil
 }
 

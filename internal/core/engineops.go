@@ -168,8 +168,7 @@ func (e *Engine) Calc(ctx context.Context, op ops.CalcKind, a, b *columns.Column
 	return out, err
 }
 
-// Intersect intersects two sorted position lists, splitting both inputs at
-// shared value-range boundaries for parallel processing.
+// Intersect intersects two sorted position lists in one pass.
 func (e *Engine) Intersect(ctx context.Context, a, b *columns.Column, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "intersect", o, func(opt options, rt ops.Runtime) error {
 		out, err = rt.Intersect(a, b, opt.outputDesc(0))
@@ -178,8 +177,7 @@ func (e *Engine) Intersect(ctx context.Context, a, b *columns.Column, o ...Optio
 	return out, err
 }
 
-// Union merges two sorted position lists without duplicates, splitting both
-// inputs at shared value-range boundaries for parallel processing.
+// Union merges two sorted position lists without duplicates in one pass.
 func (e *Engine) Union(ctx context.Context, a, b *columns.Column, o ...Option) (out *columns.Column, err error) {
 	err = e.oneOff(ctx, "merge", o, func(opt options, rt ops.Runtime) error {
 		out, err = rt.Merge(a, b, opt.outputDesc(0))

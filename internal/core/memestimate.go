@@ -25,20 +25,21 @@ import (
 // After a success the observation record (observed.go) knows what the plan
 // really charged, compressed formats and staging buffers included, and the
 // estimate becomes that charge scaled by the tables' growth since, plus a
-// quarter of headroom, still capped by the bound.
+// quarter of headroom, still capped by the bound. A WithKeep(true) execution
+// runs the plan as written, not the rewritten plan the record describes, so
+// it always reserves the bound.
 
 // estimateHeadroom is the factor over the last run's charged bytes.
 const estimateHeadroom = 1.25
 
 // memoryEstimate returns the bytes one execution of the prepared plan
-// reserves over the tables' current rows: the upper bound before the first
-// successful execution, ceil(1.25 × last run's charged bytes × growth)
-// capped by the bound after it. growth is the largest ratio, never below 1,
-// of a scanned table's current live rows to its rows at the observation.
-// Base columns are excluded: scans hand out the stored columns without
-// copying.
-func (pr *Prepared) memoryEstimate() (int64, error) {
-	obs := pr.obs.Load()
+// reserves over the tables' current rows: the upper bound without an
+// observation record obs, ceil(1.25 × the recorded run's charged bytes ×
+// growth) capped by the bound with one. growth is the largest ratio, never
+// below 1, of a scanned table's current live rows to its rows at the
+// observation. Base columns are excluded: scans hand out the stored columns
+// without copying.
+func (pr *Prepared) memoryEstimate(obs *observation) (int64, error) {
 	// card bounds each node output's element count, two slots per node (no
 	// operator has more than two outputs).
 	card := make([]int, 2*len(pr.bound))

@@ -10,7 +10,8 @@ package core
 // A record is immutable once published: Prepared.obs swaps in a new one at
 // the end of each successful execution, and a concurrent execution keeps
 // reading the one it loaded when it started. A failed, cancelled or
-// panicking execution publishes nothing.
+// panicking execution publishes nothing, nor does a WithKeep(true) one: it
+// runs the plan as written, not the rewritten plan the other executions run.
 
 // observed is what one plan node produced in a successful execution.
 type observed struct {

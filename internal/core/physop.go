@@ -32,10 +32,10 @@ import (
 type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 
 // boundNode pairs a plan node with its compiled physical operator. Every
-// operator participates in morsel/range parallelism (since the grouping and
-// sorted-set operators gained parallel drivers there are no capped,
-// inherently sequential nodes left), so each node splits up to the full
-// per-query width and its morsel workers draw on the engine budget.
+// node gets the full per-query width: an operator on a morsel driver splits
+// its input up to it, its workers drawing on the engine budget; the grouping
+// and sorted-set operators run as one pass on the node's own goroutine and
+// record a sequential fallback.
 type boundNode struct {
 	n    *Node
 	run  physOp

@@ -256,6 +256,48 @@ func TestRewriteWritableTable(t *testing.T) {
 	}
 }
 
+// TestKeepRunReservesTheBound: a WithKeep(true) execution runs the plan as
+// written, which materializes the selections a fused run elides, so it
+// neither reads nor publishes the fused run's observation record: it
+// reserves the upper bound, charges no more than that, and the next normal
+// run reserves what it did before the keep run.
+func TestKeepRunReservesTheBound(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(rewriteDB(t), WithParallelism(1), WithMemoryBudget(1<<30))
+	b := NewBuilder()
+	rewriteShapes[0].build(b)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := e.Prepare(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := pr.MemoryEstimate()
+	if _, err := pr.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fused := pr.MemoryEstimate()
+	if fused >= bound {
+		t.Fatalf("estimate after a fused run = %d, want below the bound %d", fused, bound)
+	}
+	var kept metrics.QueryStats
+	if _, err := pr.Execute(ctx, WithKeep(true), WithExecStats(&kept)); err != nil {
+		t.Fatal(err)
+	}
+	if kept.MemEstimate != int64(bound) || kept.MemPeak > kept.MemEstimate {
+		t.Fatalf("keep run reserved %d and charged %d, want the bound %d and at most that", kept.MemEstimate, kept.MemPeak, bound)
+	}
+	var next metrics.QueryStats
+	if _, err := pr.Execute(ctx, WithExecStats(&next)); err != nil {
+		t.Fatal(err)
+	}
+	if next.MemEstimate != int64(fused) {
+		t.Fatalf("normal run after the keep run reserved %d, want %d as before it", next.MemEstimate, fused)
+	}
+}
+
 // TestRewriteFaultInFusedKernel fires the kernel fault point inside the fused
 // scan, the only operator of the plan that runs morsels: the execution fails
 // with a typed error, holds no worker token or charged byte afterwards, and

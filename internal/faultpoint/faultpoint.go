@@ -39,9 +39,6 @@ var (
 	// ConcatFixup fires at the head of ConcatCompressed, before the
 	// per-format seam fixups splice the parts.
 	ConcatFixup = newPoint("concat-fixup")
-	// GroupMerge fires in the sequential merge phase of the parallel
-	// grouping operators, between the worker builds and the remap pass.
-	GroupMerge = newPoint("group-merge")
 	// AdmissionEnqueue fires when a query is about to park in the engine's
 	// bounded admission queue (after the fast-path grant was unavailable,
 	// before the waiter is enqueued).
@@ -72,7 +69,7 @@ var (
 	IngestBatch = newPoint("ingest-batch")
 )
 
-var points = []*Point{MorselClaim, KernelBody, StitchSeam, ConcatFixup, GroupMerge, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
+var points = []*Point{MorselClaim, KernelBody, StitchSeam, ConcatFixup, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
 
 func newPoint(name string) *Point { return &Point{name: name} }
 

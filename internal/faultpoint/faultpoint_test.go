@@ -54,8 +54,7 @@ func TestPointsAndDisarmAll(t *testing.T) {
 		p.Arm(func() error { return errors.New("x") })
 	}
 	for _, want := range []string{"morsel-claim", "kernel-body", "stitch-seam",
-		"concat-fixup", "group-merge",
-		"admission-enqueue", "close-drain"} {
+		"concat-fixup", "admission-enqueue", "close-drain"} {
 		if !names[want] {
 			t.Fatalf("missing point %q", want)
 		}

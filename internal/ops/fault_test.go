@@ -183,39 +183,100 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 	}
 }
 
-// TestUnsplitRunRecorded: every driver shape, run with one worker, reports
-// the sequential fallback through the attached collector and records no
-// morsels.
-func TestUnsplitRunRecorded(t *testing.T) {
-	col := faultTestColumn(t)
-	for _, shape := range driverShapes {
-		c := metrics.NewCollectorFor(metrics.ReserveQueryID(), 1, nil)
-		c.Define(0, "v", shape.name, nil)
-		nc := c.Node(0)
-		nc.Begin(int64(col.N()))
-		if err := shape.run(RT(context.Background(), nil, 1).WithCollector(nc), col); err != nil {
-			t.Fatalf("%s: %v", shape.name, err)
-		}
-		nc.Finish(0, nil, nil)
-		if ns := c.Finish(nil).Nodes[0]; !ns.SeqFallback || ns.Morsels != 0 {
-			t.Fatalf("%s: SeqFallback=%v Morsels=%d, want true and 0", shape.name, ns.SeqFallback, ns.Morsels)
-		}
+// fallbackCounter is a tracer counting the sequential-fallback events of
+// the spans it sees.
+type fallbackCounter struct{ n int }
+
+func (f *fallbackCounter) Begin(metrics.Span, time.Time)                  {}
+func (f *fallbackCounter) End(metrics.Span, time.Time, metrics.NodeStats) {}
+func (f *fallbackCounter) Event(_ metrics.Span, _ time.Time, ev metrics.Event) {
+	if ev.Kind == metrics.EvSeqFallback {
+		f.n++
 	}
 }
 
-// TestGroupMergeFaultPanics checks the merge-phase fault point escalates to a
-// panic (the grouping drivers have no error path there; the engine layer
-// recovers it — see the core chaos test).
-func TestGroupMergeFaultPanics(t *testing.T) {
-	defer faultpoint.DisarmAll()
+// onePassOps are the operators that run as one pass at every parallelism:
+// the grouping operators over col, the sorted-set operators over two sorted
+// lists as long as col.
+var onePassOps = []struct {
+	name string
+	run  func(rt Runtime, col *columns.Column) ([]*columns.Column, error)
+}{
+	{"group_first", func(rt Runtime, col *columns.Column) ([]*columns.Column, error) {
+		gids, ext, err := rt.GroupFirst(col, columns.DynBPDesc, columns.DeltaBPDesc)
+		return []*columns.Column{gids, ext}, err
+	}},
+	{"group_next", func(rt Runtime, col *columns.Column) ([]*columns.Column, error) {
+		gids, ext, err := rt.GroupNext(col, col, columns.DynBPDesc, columns.UncomprDesc)
+		return []*columns.Column{gids, ext}, err
+	}},
+	{"intersect", func(rt Runtime, col *columns.Column) ([]*columns.Column, error) {
+		out, err := rt.Intersect(sortedOf(col, 2), sortedOf(col, 3), columns.DeltaBPDesc)
+		return []*columns.Column{out}, err
+	}},
+	{"merge", func(rt Runtime, col *columns.Column) ([]*columns.Column, error) {
+		out, err := rt.Merge(sortedOf(col, 2), sortedOf(col, 3), columns.DeltaBPDesc)
+		return []*columns.Column{out}, err
+	}},
+}
+
+// sortedOf returns the positions 0, step, 2*step, ... as long as col.
+func sortedOf(col *columns.Column, step int) *columns.Column {
+	vals := make([]uint64, col.N())
+	for i := range vals {
+		vals[i] = uint64(step * i)
+	}
+	return columns.FromValues(vals)
+}
+
+// TestUnsplitRunRecorded: every driver shape run with one worker, and every
+// one-pass operator at four workers over an input of many morsels, reports
+// one sequential fallback through the attached collector, records no
+// morsels, takes no budget token and charges nothing of its own — the
+// counter holds exactly the outputs' bytes, charged here the way the engine
+// charges every produced column.
+func TestUnsplitRunRecorded(t *testing.T) {
 	col := faultTestColumn(t)
-	faultpoint.GroupMerge.Arm(func() error { return errors.New("injected") })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("group merge did not escalate the injected error")
+	type run struct {
+		name string
+		par  int
+		run  func(rt Runtime, col *columns.Column) ([]*columns.Column, error)
+	}
+	var runs []run
+	for _, shape := range driverShapes {
+		runs = append(runs, run{shape.name, 1, func(rt Runtime, col *columns.Column) ([]*columns.Column, error) {
+			return nil, shape.run(rt, col)
+		}})
+	}
+	for _, op := range onePassOps {
+		runs = append(runs, run{op.name, 4, op.run})
+	}
+	for _, r := range runs {
+		var fb fallbackCounter
+		c := metrics.NewCollectorFor(metrics.ReserveQueryID(), 1, &fb)
+		c.Define(0, "v", r.name, nil)
+		nc := c.Node(0)
+		nc.Begin(int64(col.N()))
+		b, mres := NewBudget(4), &MemReservation{}
+		rt := RT(context.Background(), b, r.par).WithCollector(nc).WithMemReservation(mres)
+		outs, err := r.run(rt, col)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
 		}
-	}()
-	_, _, _ = FixedRT(4).GroupFirst(col, columns.UncomprDesc, columns.UncomprDesc)
+		nc.Finish(0, nil, nil)
+		if ns := c.Finish(nil).Nodes[0]; !ns.SeqFallback || ns.Morsels != 0 || fb.n != 1 {
+			t.Fatalf("%s: SeqFallback=%v (%d events) Morsels=%d, want one fallback and 0 morsels", r.name, ns.SeqFallback, fb.n, ns.Morsels)
+		}
+		assertBudgetIdle(t, b, r.name)
+		want := 0
+		for _, out := range outs {
+			want += out.PhysicalBytes()
+			rt.ChargeMem(out.PhysicalBytes())
+		}
+		if got := mres.Charged(); got != int64(want) {
+			t.Fatalf("%s: charged %d bytes, want the outputs' %d", r.name, got, want)
+		}
+	}
 }
 
 // TestRunPartsNoGoroutineLeak runs many failing executions and checks the

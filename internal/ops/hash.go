@@ -129,15 +129,12 @@ func pairHash(a, b uint64) uint64 {
 	return h
 }
 
-func (m *pairMap) getOrPut(a, b, def uint64) (v uint64, inserted bool) {
-	return m.getOrPutMixed(a*hashMul, a, b, def)
-}
-
-// getOrPutMixed is getOrPut with the first key's hash contribution
-// (a*hashMul) precomputed by the caller. The grouping loops process runs of
-// equal first keys, so hoisting the multiply out of the per-row call is a
-// small but measurable win; pairHash(a, b) == (mixA ^ b) * hashMul keeps the
-// slots identical to getOrPut's.
+// getOrPutMixed returns the existing value for (a, b), or inserts def and
+// returns it with inserted = true. The caller passes the first key's hash
+// contribution mixA = a*hashMul: the grouping loop processes runs of equal
+// first keys, so hoisting the multiply out of the per-row call is a small but
+// measurable win; pairHash(a, b) == (mixA ^ b) * hashMul keeps the slots
+// identical to grow's.
 func (m *pairMap) getOrPutMixed(mixA, a, b, def uint64) (v uint64, inserted bool) {
 	if m.size*2 >= len(m.k1) {
 		m.grow()

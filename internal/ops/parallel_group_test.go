@@ -10,8 +10,8 @@ import (
 
 // groupTestKeys builds a key column with heavy repetition (realistic group
 // cardinality), long runs (dictionary-coded dimension values arrive in runs)
-// and a few late first occurrences, so canonical id assignment order and the
-// per-worker first-occurrence minima are both exercised.
+// and a few late first occurrences, so first-occurrence id order is
+// exercised.
 func groupTestKeys(n, card int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]uint64, n)
@@ -31,8 +31,8 @@ func groupTestKeys(n, card int, seed int64) []uint64 {
 }
 
 // TestParallelGroupFirstEquivalence is the cross-product equivalence check
-// for the parallel grouping: every key format x gid output format x
-// parallelism degree must reproduce both sequential output columns byte for
+// for the grouping: every key format x gid output format x parallelism
+// degree must reproduce both sequential output columns byte for
 // byte (canonical first-occurrence id order included).
 func TestParallelGroupFirstEquivalence(t *testing.T) {
 	keyVals := groupTestKeys(parTestN, 300, 11)
@@ -61,7 +61,7 @@ func TestParallelGroupFirstEquivalence(t *testing.T) {
 
 // TestParallelGroupNextEquivalence checks the grouping refinement: for every
 // previous-gid format x key format x output format x degree, the pair-keyed
-// parallel refinement must match the sequential one byte for byte.
+// refinement must match the sequential one byte for byte.
 func TestParallelGroupNextEquivalence(t *testing.T) {
 	keyVals1 := groupTestKeys(parTestN, 40, 21)
 	keyVals2 := groupTestKeys(parTestN, 25, 22)
@@ -97,9 +97,9 @@ func TestParallelGroupNextEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelGroupFirstSkewed pins the deterministic merge under extreme
-// key skew: a single giant group, all-distinct keys, and a column whose
-// second half introduces only new keys (every worker's table differs).
+// TestParallelGroupFirstSkewed pins the id order at every degree under
+// extreme key skew: a single giant group, all-distinct keys, and a column
+// whose quarters each introduce only new keys.
 func TestParallelGroupFirstSkewed(t *testing.T) {
 	cases := map[string][]uint64{}
 	constant := make([]uint64, parTestN)
@@ -129,8 +129,8 @@ func TestParallelGroupFirstSkewed(t *testing.T) {
 	}
 }
 
-// TestParallelGroupNextLengthMismatch checks that the parallel refinement
-// rejects diverging inputs like the sequential one.
+// TestParallelGroupNextLengthMismatch checks that the refinement rejects
+// diverging inputs at every degree.
 func TestParallelGroupNextLengthMismatch(t *testing.T) {
 	a := columns.FromValues(make([]uint64, parTestN))
 	b := columns.FromValues(make([]uint64, parTestN-1))

@@ -25,9 +25,9 @@ func sortedTestLists(n int, seed int64) (a, b []uint64) {
 }
 
 // TestParallelSetOpsEquivalence is the cross-product equivalence check for
-// the value-range-parallel sorted-set operators: every input format pair x
-// output format x parallelism degree must reproduce the sequential
-// intersection/union byte for byte.
+// the sorted-set operators: every input format pair x output format x
+// parallelism degree must reproduce the sequential intersection/union byte
+// for byte.
 func TestParallelSetOpsEquivalence(t *testing.T) {
 	aVals, bVals := sortedTestLists(3*parTestN, 31)
 	for _, aDesc := range formats.AllDescs() {
@@ -67,10 +67,10 @@ func TestParallelSetOpsEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelSetOpsEdgeShapes pins the value-range split on the degenerate
-// input shapes: empty sides, disjoint ranges (all of a below all of b),
-// full overlap (a == b), duplicate-heavy runs crossing boundaries, and a
-// second input much longer than the boundary-defining first input.
+// TestParallelSetOpsEdgeShapes pins every degree on the degenerate input
+// shapes: empty sides, disjoint ranges (all of a below all of b), full
+// overlap (a == b), duplicate-heavy runs crossing block windows, and inputs
+// of very different lengths.
 func TestParallelSetOpsEdgeShapes(t *testing.T) {
 	n := 3 * parTestN
 	asc := make([]uint64, n)
@@ -135,8 +135,7 @@ func TestParallelSetOpsEdgeShapes(t *testing.T) {
 	}
 }
 
-// TestParallelSetOpsNilInput checks the nil-column guard on the parallel
-// paths.
+// TestParallelSetOpsNilInput checks the nil-column guard at width > 1.
 func TestParallelSetOpsNilInput(t *testing.T) {
 	if _, err := FixedRT(4).Intersect(nil, nil, columns.UncomprDesc); err == nil {
 		t.Error("nil inputs must fail")

@@ -74,11 +74,10 @@ func TestMemReservationCharge(t *testing.T) {
 	}
 }
 
-// TestParallelStagingCharged: at two workers each parallel driver stages one
+// TestParallelStagingCharged: at two workers each morsel driver stages one
 // 8-byte word per output row before the stitch copies the rows into the
-// output column — the emit driver's per-morsel sinks (select), mapCols'
-// shared destination (project), the sorted-set range sinks (intersect) and
-// the grouping's staged chunks — so the query's memory counter must hold at
+// output column — the emit driver's per-morsel sinks (select) and mapCols'
+// shared destination (project) — so the query's memory counter must hold at
 // least the staged bytes plus the output's. The output is charged here the
 // way the engine charges every produced column.
 func TestParallelStagingCharged(t *testing.T) {
@@ -100,11 +99,6 @@ func TestParallelStagingCharged(t *testing.T) {
 			return rt.SelectAuto(in, bitutil.CmpEq, 0, columns.UncomprDesc)
 		}},
 		{"project", func(rt Runtime) (*columns.Column, error) { return rt.Project(in, half, columns.UncomprDesc) }},
-		{"intersect", func(rt Runtime) (*columns.Column, error) { return rt.Intersect(half, half, columns.UncomprDesc) }},
-		{"group", func(rt Runtime) (*columns.Column, error) {
-			gids, _, err := rt.GroupFirst(in, columns.UncomprDesc, columns.UncomprDesc)
-			return gids, err
-		}},
 	}
 	for _, c := range cases {
 		r := &MemReservation{}
@@ -120,39 +114,6 @@ func TestParallelStagingCharged(t *testing.T) {
 		if got, want := r.Charged(), int64(8*out.N()+out.PhysicalBytes()); got < want {
 			t.Errorf("%s: charged %d bytes, want at least %d staged + output", c.name, got, want)
 		}
-	}
-}
-
-// TestSortedSetInputsCharged: at two workers the sorted-set driver decompresses
-// both compressed inputs into 8-byte value slices before cutting them into
-// value ranges, so the query's memory counter must hold at least those bytes
-// plus the output's.
-func TestSortedSetInputsCharged(t *testing.T) {
-	const n = 1 << 20
-	evens, threes := make([]uint64, n), make([]uint64, n)
-	for i := range evens {
-		evens[i], threes[i] = uint64(2*i), uint64(3*i)
-	}
-	a, err := formats.Compress(evens, columns.DeltaBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := formats.Compress(threes, columns.DeltaBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &MemReservation{}
-	rt := RT(context.Background(), nil, 2).WithMemReservation(r)
-	out, err := rt.Intersect(a, b, columns.DeltaBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := n / 3; out.N() < want {
-		t.Fatalf("%d output rows, want at least %d", out.N(), want)
-	}
-	rt.ChargeMem(out.PhysicalBytes())
-	if got, want := r.Charged(), int64(8*(a.N()+b.N())+out.PhysicalBytes()); got < want {
-		t.Errorf("charged %d bytes, want at least %d decompressed inputs + output", got, want)
 	}
 }
 

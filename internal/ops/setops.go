@@ -9,22 +9,11 @@ import (
 )
 
 // This file implements the sorted-set operators (intersection and union of
-// sorted position lists) and their value-range-parallel driver. The
-// two-pointer merge carries no state across elements other than the two
-// cursors, so cutting BOTH inputs at one shared set of boundary values
-// (formats.SplitSortedAligned: boundary values sampled from the first input,
-// cut points located by galloping lower-bound searches) yields range pairs
-// that can be processed independently: concatenating the per-range results
-// in range order reproduces the whole-input merge exactly, duplicates
-// included. The per-range outputs are finished through the parallel
-// compressed stitch, so the result column is byte-identical at every
-// parallelism level.
-//
-// Unlike the morsel drivers, the range cuts are value positions, not
-// block-aligned element positions, so both inputs are materialized as value
-// slices first (zero-copy for uncompressed inputs). That also makes the
-// parallel path total over formats — RLE inputs, which cannot be
-// morsel-split, still partition by value range.
+// sorted position lists). The two-pointer merge is order-dependent across
+// its whole input, so it does not fit the emit/map/reduce drivers: it runs
+// as one pass at every parallelism, the operator's slice kernel streamed over
+// both inputs' block windows straight into the output writer, recorded as a
+// sequential fallback.
 
 // pullReader exposes a sorted input to the set kernels as a sequence of block
 // windows: the unread part of the block most recently decompressed, or, for
@@ -68,34 +57,6 @@ func (p *pullReader) window() []uint64 {
 	return p.win
 }
 
-// splitSortedInputs materializes both sorted inputs and cuts them at shared
-// value boundaries; a nil pair list means the operator runs as one range
-// (par <= 1, the larger input too small to be worth splitting — the inputs
-// are then not materialized — or no value boundary exists). The two
-// decompressions run as two tasks of one morsel loop (they are real work, so
-// their workers hold budget tokens, and decompressing them in parallel
-// halves the serial tail ahead of the range kernels); the coarsest
-// cancellation window of the sorted-set driver is therefore one full-column
-// decompress rather than one morsel.
-func (rt Runtime) splitSortedInputs(a, b *columns.Column) ([]formats.RangePair, []uint64, []uint64, error) {
-	if rt.Par() <= 1 || a.N() < 2*formats.MinMorsel {
-		return nil, nil, nil, nil
-	}
-	cols := [2]*columns.Column{a, b}
-	var vals [2][]uint64
-	if err := rt.runTasks(2, func(_, i int) error {
-		v, err := readAll(cols[i])
-		vals[i] = v
-		if _, viewed := cols[i].Values(); !viewed {
-			rt.ChargeMem(8 * len(v)) // decompressed: a transient 8-byte copy
-		}
-		return err
-	}); err != nil {
-		return nil, nil, nil, err
-	}
-	return formats.SplitSortedAligned(vals[0], vals[1], rt.Par()), vals[0], vals[1], nil
-}
-
 // setKernel is the slice kernel of a sorted-set operator. It consumes the
 // sorted windows a and b until one of them is used up, writes its output to
 // dst and returns how far it advanced in a, b and dst. An empty window means
@@ -105,8 +66,8 @@ type setKernel func(dst, a, b []uint64) (i, j, k int)
 
 // streamSet runs a set kernel over two whole inputs: over their current block
 // windows, again and again, until it makes no more progress. The merge state
-// is the two cursors and nothing else, so cutting the inputs into windows —
-// like cutting them into value ranges — changes nothing about the output.
+// is the two cursors and nothing else, so cutting the inputs into windows
+// changes nothing about the output.
 // The kernel's output stage is a pooled scratch buffer of 2*blockBuf
 // elements.
 func streamSet(kernel setKernel, a, b *columns.Column, w formats.Writer) error {
@@ -138,80 +99,36 @@ type setOp struct {
 	name   string
 	kernel setKernel
 	// bound is the largest output inputs of na and nb elements can produce;
-	// it sizes the output writer. reserve is the capacity a value range's
-	// output buffer starts with (it grows by append): the bound for the
-	// union, which fills at least half of it, a quarter of it for the
-	// intersection, which may leave it empty.
-	bound, reserve func(na, nb int) int
+	// it sizes the output writer.
+	bound func(na, nb int) int
 }
 
 var (
-	intersectOp = setOp{"intersect", intersectKernel,
-		func(na, nb int) int { return min(na, nb) },
-		func(na, nb int) int { return min(na, nb)/4 + 16 }}
-	mergeOp = setOp{"merge", mergeKernel,
-		func(na, nb int) int { return na + nb },
-		func(na, nb int) int { return na + nb }}
+	intersectOp = setOp{"intersect", intersectKernel, func(na, nb int) int { return min(na, nb) }}
+	mergeOp     = setOp{"merge", mergeKernel, func(na, nb int) int { return na + nb }}
 )
 
-// sortedSet is the value-range driver of both sorted-set operators: the
-// operator's kernel streams over the whole inputs when they do not split and
-// over each value range pair when they do.
+// sortedSet is the driver of both sorted-set operators: one serial pass of
+// the operator's kernel over the whole inputs into the output writer.
 func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
-	// Intersection and union are symmetric in their operands, so the larger
-	// input goes first: it drives the boundary sampling and the size gate,
-	// and a tiny first operand cannot force a huge second one sequential.
-	if a.N() < b.N() {
-		a, b = b, a
-	}
-	hint := op.bound(a.N(), b.N())
-	pairs, avals, bvals, err := rt.splitSortedInputs(a, b)
+	rt.coll.SeqFallback()
+	w, err := formats.NewWriter(out, rt.reserve(0, op.bound(a.N(), b.N())))
 	if err != nil {
 		return nil, err
 	}
-	if avals == nil {
-		// One serial pass straight into the output writer, recorded like
-		// every other unsplit operator.
-		rt.coll.SeqFallback()
-		w, err := formats.NewWriter(out, rt.reserve(0, hint))
-		if err != nil {
-			return nil, err
-		}
-		if err := streamSet(op.kernel, a, b, w); err != nil {
-			return nil, fmt.Errorf("ops: %s: %w", op.name, err)
-		}
-		return w.Close()
-	}
-	if pairs == nil {
-		// The inputs are already materialized but admit no value boundary
-		// (e.g. one giant duplicate run): one range, still one serial pass.
-		rt.coll.SeqFallback()
-		pairs = []formats.RangePair{{A: formats.Partition{Count: len(avals)}, B: formats.Partition{Count: len(bvals)}}}
-	}
-	results := make([][]uint64, len(pairs))
-	err = rt.runTasks(len(pairs), func(_, i int) error {
-		pa, pb := pairs[i].A, pairs[i].B
-		n := rt.reservePart(0, hint, pa.Count+pb.Count, len(avals)+len(bvals), op.reserve(pa.Count, pb.Count))
-		sink := appendSink{vals: make([]uint64, 0, n)}
-		err := streamSet(op.kernel, columns.FromValues(avals[pa.Start:pa.Start+pa.Count]), columns.FromValues(bvals[pb.Start:pb.Start+pb.Count]), &sink)
-		results[i] = sink.vals
-		rt.ChargeMem(8 * len(sink.vals))
-		return err
-	})
-	if err != nil {
+	if err := streamSet(op.kernel, a, b, w); err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 	}
-	return rt.stitchCompressed(out, rt.reserve(0, hint), results)
+	return w.Close()
 }
 
 // Intersect merges two sorted position lists into their intersection (the
 // conjunction of two selections on the same table, e.g. the discount and
 // quantity predicates of SSB Q1.x). The merge is one branch-free slice kernel
-// (intersectKernel) run over the inputs' block windows, or over value ranges
-// of the materialized inputs when the runtime has more than one worker.
+// (intersectKernel) run over the inputs' block windows.
 func (rt Runtime) Intersect(a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err

@@ -419,7 +419,7 @@ func TestPairMap(t *testing.T) {
 	n := uint64(0)
 	for a := uint64(0); a < 50; a++ {
 		for b := uint64(0); b < 20; b++ {
-			if v, ins := m.getOrPut(a, b, n); !ins || v != n {
+			if v, ins := m.getOrPutMixed(a*hashMul, a, b, n); !ins || v != n {
 				t.Fatalf("insert (%d,%d)", a, b)
 			}
 			n++
@@ -428,7 +428,7 @@ func TestPairMap(t *testing.T) {
 	n = 0
 	for a := uint64(0); a < 50; a++ {
 		for b := uint64(0); b < 20; b++ {
-			if v, ins := m.getOrPut(a, b, 9999); ins || v != n {
+			if v, ins := m.getOrPutMixed(a*hashMul, a, b, 9999); ins || v != n {
 				t.Fatalf("lookup (%d,%d) = %d, want %d", a, b, v, n)
 			}
 			n++
