@@ -207,6 +207,9 @@ func TestChaosStatsTree(t *testing.T) {
 	if n := e.budget.InUse(); n != 0 {
 		t.Fatalf("%d budget worker tokens leaked", n)
 	}
+	if n, held, limit := e.pool.Leases(), e.pool.Held(), e.pool.Limit(); n != 0 || held > limit {
+		t.Fatalf("buffer pool after the storm: %d leases open, %d bytes retained (cap %d)", n, held, limit)
+	}
 	st := e.Stats()
 	finished := st.QueriesSucceeded + st.QueriesRejected + st.QueriesCanceled +
 		st.QueriesTimedOut + st.QueriesCorrupt + st.QueriesPanicked + st.QueriesFailedOther

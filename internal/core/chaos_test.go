@@ -191,10 +191,14 @@ func TestChaosConcurrentExecution(t *testing.T) {
 		t.Fatal("no execution succeeded under chaos")
 	}
 
-	// Invariants after the storm: no leaked worker token, worker goroutines
-	// gone, and the same prepared plans produce byte-identical columns again.
+	// Invariants after the storm: no leaked worker token or pool lease, the
+	// pool within its cap, worker goroutines gone, and the same prepared
+	// plans produce byte-identical columns again.
 	if n := e.budget.InUse(); n != 0 {
 		t.Fatalf("%d budget worker tokens leaked", n)
+	}
+	if n, held, limit := e.pool.Leases(), e.pool.Held(), e.pool.Limit(); n != 0 || held > limit {
+		t.Fatalf("buffer pool after the storm: %d leases open, %d bytes retained (cap %d)", n, held, limit)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {

@@ -153,6 +153,9 @@ func TestChaosClose(t *testing.T) {
 	if n := e.adm.counters().reserved; n != 0 {
 		t.Fatalf("%d bytes of memory reservation leaked", n)
 	}
+	if n, held := e.pool.Leases(), e.pool.Held(); n != 0 || held != 0 {
+		t.Fatalf("buffer pool after Close: %d leases open, %d bytes retained", n, held)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

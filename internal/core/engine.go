@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
@@ -261,14 +262,16 @@ func (o *options) outputDesc(i int) columns.FormatDesc {
 
 // Engine owns a database, an engine-wide worker budget whose tokens the
 // morsel workers of every concurrently executing query and one-off operator
-// call hold while they claim morsels, and an admission gate that bounds
+// call hold while they claim morsels, a buffer pool their intermediates'
+// words are drawn from and returned to, and an admission gate that bounds
 // concurrent queries and, optionally, the bytes they and the delta tails
 // reserve. It is safe for concurrent use; all its state is fixed at
-// construction except the observability counters behind Stats (atomic) and
-// the admission state (internally locked).
+// construction except the observability counters behind Stats (atomic), the
+// admission state and the buffer pool (internally locked).
 type Engine struct {
 	db       *DB
 	budget   *ops.Budget
+	pool     *bufpool.Pool
 	adm      *admission
 	killCtx  context.Context    // done when Close gave up on graceful drain
 	kill     context.CancelFunc // fires killCtx, cancelling in-flight work
@@ -298,7 +301,7 @@ func NewEngine(db *DB, o ...Option) *Engine {
 		db = NewDB()
 	}
 	defs, err := options{}.merged(scopeEngine, o)
-	e := &Engine{db: db, budget: ops.NewBudget(defs.par), defs: defs, err: err}
+	e := &Engine{db: db, budget: ops.NewBudget(defs.par), pool: bufpool.New(), defs: defs, err: err}
 	e.adm = newAdmission(defs.maxQueries, defs.memBudget, defs.admitDepth, defs.admitWait)
 	e.killCtx, e.kill = context.WithCancel(context.Background())
 	e.wtabs = make(map[string]*writableTable)
@@ -322,8 +325,9 @@ func NewEngine(db *DB, o ...Option) *Engine {
 // return errors matching ErrEngineClosed), the drain finishes, and Close
 // returns the context's error; a nil ctx or one without a deadline waits
 // indefinitely for the graceful drain. Close is idempotent and safe to call
-// concurrently with executions; after it returns, no worker token is held and
-// the admission gate holds no reserved bytes.
+// concurrently with executions; after it returns, no worker token is held,
+// the admission gate holds no reserved bytes and the buffer pool retains no
+// buffer.
 func (e *Engine) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -338,12 +342,14 @@ func (e *Engine) Close(ctx context.Context) error {
 	if e.adm.drain(ctx) {
 		e.waitRemorphWorker()
 		e.releaseDeltaReservations()
+		e.pool.Drain()
 		return nil
 	}
 	e.kill()
 	e.adm.drain(context.Background())
 	e.waitRemorphWorker()
 	e.releaseDeltaReservations()
+	e.pool.Drain()
 	return ctx.Err()
 }
 
@@ -373,6 +379,7 @@ type Prepared struct {
 	p     *Plan
 	opt   options
 	bound []boundNode
+	life  lifetimes // when each intermediate dies (sched.go)
 	sinks map[string]bool
 	obs   atomic.Pointer[observation] // nil until the first successful execution
 }
@@ -409,7 +416,7 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 		}
 	}
 	c.rewrite(p, bound)
-	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, sinks: sinks}
+	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, life: newLifetimes(bound), sinks: sinks}
 	if _, err := pr.memoryEstimate(nil); err != nil {
 		return nil, err
 	}
@@ -420,11 +427,11 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 // reserves at admission under WithMemoryBudget, for the tables' current rows
 // (main plus delta, minus pending deletions). Until the first successful
 // execution it is a conservative upper bound on the intermediate columns,
-// every element costed at an uncompressed 8-byte word; after it, the bytes
-// the last successful execution charged, scaled by the largest growth of a
-// scanned table since and by 1.25, capped by that bound. A plan prepared
-// WithKeep(true) always reserves the bound. Base columns are excluded (scans
-// hand out the stored columns).
+// every element costed at an uncompressed 8-byte word; after it, the most
+// bytes the last successful execution held at once, scaled by the largest
+// growth of a scanned table since and by 1.25, capped by that bound. A plan
+// prepared WithKeep(true) always reserves the bound. Base columns are
+// excluded (scans hand out the stored columns).
 func (pr *Prepared) MemoryEstimate() int {
 	est, _ := pr.memoryEstimate(pr.record(pr.opt.keep))
 	return int(est)
@@ -565,10 +572,14 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		par = e.budget.Total()
 	}
 	mres := &ops.MemReservation{}
+	bufs := e.pool.Lease()
+	defer bufs.Close()
 	es := &execState{
 		outs: make([][]*columns.Column, len(pr.p.nodes)),
+		seen: make([]observed, len(pr.p.nodes)),
 		coll: pr.newCollector(opt, obs.query),
 		mres: mres,
+		bufs: bufs,
 		// The snapshot pins every writable table's delta state for the whole
 		// execution: all operators read one consistent main+delta view, and a
 		// remorph swap completing mid-flight stays invisible. Nil on the
@@ -593,13 +604,16 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	if err = ctx.Err(); err == nil {
 		err = pr.runPlan(ctx, es, res, par)
 	}
+	if err != nil {
+		pr.releaseAll(es)
+	}
 	err = qerr.Classify(err)
 	if err != nil && e.killCtx.Err() != nil && errors.Is(err, qerr.ErrQueryCanceled) {
 		// The cancellation came from Engine.Close giving up on the graceful
 		// drain, not from the caller's context.
 		err = qerr.Tag(err, qerr.ErrEngineClosed)
 	}
-	obs.memPeak = mres.Charged()
+	obs.memPeak = mres.Peak()
 	finishCollector(es.coll, opt, err, &obs)
 	if err != nil {
 		return nil, err
@@ -644,9 +658,9 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, p
 	}()
 	if bn.n.op == OpScan {
 		// Scans hand out stored columns — no intermediate bytes to charge.
-		return run(es, ops.RT(ctx, nil, 1).WithCollector(nc))
+		return run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc))
 	}
-	rt := ops.RT(ctx, pr.e.budget, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(bn.n.id))
+	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(bn.n.id))
 	produced, err = run(es, rt)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)

@@ -68,7 +68,9 @@ func (e *Engine) oneOff(ctx context.Context, op string, o []Option, run func(opt
 	if par <= 0 {
 		par = e.budget.Total()
 	}
-	return run(opt, ops.RT(ctx, e.budget, par))
+	bufs := e.pool.Lease()
+	defer bufs.Close()
+	return run(opt, ops.RT(ctx, e.budget, bufs, par))
 }
 
 // opGuard is the deferred failure boundary of every call begin guards: it

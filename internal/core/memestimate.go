@@ -19,23 +19,25 @@ import (
 // — the uncompressed worst case; every compressed format is at most
 // marginally larger than that bound (per-block headers), which the
 // word-rounding absorbs for any column beyond a few blocks. The bound sums
-// over all intermediates rather than a live-set peak: the executor keeps
-// every produced column until Execute returns.
+// over all intermediates rather than a live-set peak: it must cover every
+// schedule, a WithKeep(true) execution's — which releases nothing — among
+// them.
 //
-// After a success the observation record (observed.go) knows what the plan
-// really charged, compressed formats and staging buffers included, and the
-// estimate becomes that charge scaled by the tables' growth since, plus a
+// After a success the observation record (observed.go) knows the most bytes
+// the plan really held at once — compressed formats and staging buffers
+// included, each column released when its last consumer finished — and the
+// estimate becomes that peak scaled by the tables' growth since, plus a
 // quarter of headroom, still capped by the bound. A WithKeep(true) execution
-// runs the plan as written, not the rewritten plan the record describes, so
-// it always reserves the bound.
+// runs the plan as written and keeps every column, not the rewritten plan
+// the record describes, so it always reserves the bound.
 
-// estimateHeadroom is the factor over the last run's charged bytes.
+// estimateHeadroom is the factor over the last run's peak.
 const estimateHeadroom = 1.25
 
 // memoryEstimate returns the bytes one execution of the prepared plan
 // reserves over the tables' current rows: the upper bound without an
-// observation record obs, ceil(1.25 × the recorded run's charged bytes ×
-// growth) capped by the bound with one. growth is the largest ratio, never
+// observation record obs, ceil(1.25 × the recorded run's peak × growth)
+// capped by the bound with one. growth is the largest ratio, never
 // below 1, of a scanned table's current live rows to its rows at the
 // observation. Base columns are excluded: scans hand out the stored columns
 // without copying.
@@ -92,8 +94,8 @@ func (pr *Prepared) memoryEstimate(obs *observation) (int64, error) {
 	if obs == nil {
 		return bytes, nil
 	}
-	// NaN (0 charged × +Inf growth) fails the comparison like +Inf does.
-	if est := estimateHeadroom * float64(obs.charged) * growth; est < float64(bytes) {
+	// NaN (0 peak × +Inf growth) fails the comparison like +Inf does.
+	if est := estimateHeadroom * float64(obs.peak) * growth; est < float64(bytes) {
 		return int64(math.Ceil(est)), nil
 	}
 	return bytes, nil

@@ -153,6 +153,12 @@ type EngineStats struct {
 	// BudgetInUse is the number of worker tokens currently held by morsel
 	// workers; zero whenever the engine is idle.
 	BudgetInUse int
+	// PooledBytes is the bytes of free word buffers the engine's buffer pool
+	// retains for the next executions' intermediates. It never exceeds the
+	// most bytes one execution drew from the pool at once times the most
+	// executions and one-off operator calls that ran at once, and is zero
+	// after Close.
+	PooledBytes int64
 	// Appends counts successful Engine.Append calls (including zero-row
 	// no-ops).
 	Appends int64
@@ -228,6 +234,7 @@ func (e *Engine) Stats() EngineStats {
 		MemOverBudget:         e.counters.memShed.Load(),
 		BudgetTotal:           e.budget.Total(),
 		BudgetInUse:           e.budget.InUse(),
+		PooledBytes:           e.pool.Held(),
 		Appends:               e.counters.appends.Load(),
 		AppendedRows:          e.counters.appendedRows.Load(),
 		Deletes:               e.counters.deletes.Load(),

@@ -1,10 +1,12 @@
 package core
 
+import "morphstore/internal/columns"
+
 // This file implements the observation record: what each node of a prepared
 // plan produced the last time the plan ran successfully. Two consumers read
 // it. The drivers size their output buffers from a node's rows
 // (ops.Runtime.WithObserved), and the memory estimate scales the run's
-// charged bytes by the tables' growth since (memestimate.go). memcp's
+// peak of held bytes by the tables' growth since (memestimate.go). memcp's
 // rebuild() sizes each pass from the previous one the same way.
 //
 // A record is immutable once published: Prepared.obs swaps in a new one at
@@ -21,20 +23,22 @@ type observed struct {
 
 // observation is the record one successful execution publishes.
 type observation struct {
-	nodes   []observed // indexed by plan node id
-	charged int64      // bytes the execution charged to its memory counter
+	nodes []observed // indexed by plan node id
+	peak  int64      // the most bytes the execution held charged at once
 }
 
-// observe builds the record of a successful execution from its outputs.
+// observe builds the record of a successful execution from what its nodes
+// produced, noted as each was published (its columns may since be released).
 func observe(es *execState) *observation {
-	o := &observation{nodes: make([]observed, len(es.outs)), charged: es.mres.Charged()}
-	for id, produced := range es.outs {
-		n := &o.nodes[id]
-		n.rows = make([]int, len(produced))
-		for i, col := range produced {
-			n.rows[i] = col.N()
-			n.bytes += col.PhysicalBytes()
-		}
+	return &observation{nodes: es.seen, peak: es.mres.Peak()}
+}
+
+// observedOf notes what one node produced.
+func observedOf(produced []*columns.Column) observed {
+	o := observed{rows: make([]int, len(produced))}
+	for i, col := range produced {
+		o.rows[i] = col.N()
+		o.bytes += col.PhysicalBytes()
 	}
 	return o
 }

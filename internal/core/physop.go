@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
@@ -44,9 +45,11 @@ type boundNode struct {
 }
 
 // execState is the mutable state of one plan execution: the per-node output
-// slots, the execution's stats collector (nil when detached), the counter its
-// materialized intermediates are charged to, the snapshot pinning the
-// writable tables' delta states (nil for a read-only engine — scans then
+// slots (emptied when a node's columns are released), what each node
+// produced (for the observation record), the execution's stats collector
+// (nil when detached), the counter its materialized intermediates are
+// charged to, its lease on the engine's buffer pool, the snapshot pinning
+// the writable tables' delta states (nil for a read-only engine — scans then
 // hand out the prepare-bound columns), the observation record current when
 // it started (nil before the plan's first success), and whether it keeps
 // every column (WithKeep), which runs the plan as written. The scheduler
@@ -54,8 +57,10 @@ type boundNode struct {
 // establishes the happens-before edge for readers.
 type execState struct {
 	outs [][]*columns.Column
+	seen []observed
 	coll *metrics.Collector
 	mres *ops.MemReservation
+	bufs *bufpool.Lease
 	snap *Snapshot
 	prev *observation
 	keep bool

@@ -76,7 +76,7 @@ func (c *compiler) selectAnd(n, x, y *Node) *rewritten {
 	loB, spanB, emptyB := rangeTest(y)
 	return &rewritten{inputs: []ColRef{a, b}, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 		if emptyA || emptyB {
-			w, err := formats.NewWriter(d, 0)
+			w, err := formats.NewWriterFrom(es.bufs, d, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -33,10 +36,48 @@ import (
 // edge for the outputs it reads. Result accounting happens under the mutex
 // too, keeping the Measure maps race-free.
 //
+// Column lifetimes: a plan is a DAG of functions over columns, so each
+// column's last reader is known before the plan runs. Prepare counts, per
+// node, the nodes that read its outputs in an execution that does not keep
+// every column (lifetimes). Such an execution decrements the count of each
+// node a finished node read, under the mutex; at zero the node's columns are
+// dead, and their words go back to the engine's buffer pool and their bytes
+// leave the query's memory counter — so a worker's next operator can reuse
+// them, and MemPeak is the peak of live intermediates. Never released: a
+// scan's output (a stored column, or a snapshot's merged main+delta view),
+// a result column, and every column of a WithKeep(true) execution. A failed
+// execution releases everything it produced once its workers have stopped.
+//
 // Cancellation: a watcher goroutine flips the scheduler to done when the
 // context fires, so idle workers return immediately; workers running an
 // operator notice the cancellation inside the morsel loops (within one
 // morsel) and surface ctx.Err() through the node result.
+
+// lifetimes is the release schedule of a prepared plan, derived at Prepare
+// over the inputs an execution that does not keep every column reads: a
+// fused node's rewritten inputs, none for an elided node.
+type lifetimes struct {
+	reads   [][]int // per node, the nodes whose outputs it reads, each once
+	readers []int   // per node, how many nodes read its outputs
+}
+
+// newLifetimes derives the release schedule of the bound plan.
+func newLifetimes(bound []boundNode) lifetimes {
+	lt := lifetimes{reads: make([][]int, len(bound)), readers: make([]int, len(bound))}
+	for d, bn := range bound {
+		inputs := bn.n.inputs
+		if bn.alt != nil {
+			inputs = bn.alt.inputs
+		}
+		for _, in := range inputs {
+			if p := in.node.id; !slices.Contains(lt.reads[d], p) {
+				lt.reads[d] = append(lt.reads[d], p)
+				lt.readers[p]++
+			}
+		}
+	}
+	return lt
+}
 
 // sched is the mutable scheduler state, guarded by mu. cancel is set once
 // before the workers start and never mutated, so workers read it unlocked.
@@ -46,6 +87,7 @@ type sched struct {
 	queue      []int   // node ids ready to run
 	deps       []int   // open dependency count per node
 	dependents [][]int // node ids waiting on each node
+	left       []int   // readers still to finish per node; nil when nothing is released
 	completed  int
 	total      int
 	err        error
@@ -67,6 +109,9 @@ func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, par
 		dependents: make([][]int, total),
 		total:      total,
 		cancel:     cancelPlan,
+	}
+	if !es.keep {
+		s.left = slices.Clone(pr.life.readers)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, n := range pr.p.nodes {
@@ -163,13 +208,22 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 			// checks done before overwriting err, so the node's error — not
 			// the derived context's — is what Execute reports.
 			s.cancel()
-		} else if s.err == nil {
+		} else {
+			// Published even after a failure elsewhere: the failed
+			// execution's final release then returns these columns too.
 			es.outs[id] = produced
-			pr.account(res, bn.n, produced, elapsed, es.keep)
-			for _, d := range s.dependents[id] {
-				s.deps[d]--
-				if s.deps[d] == 0 {
-					s.queue = append(s.queue, d)
+			if s.err == nil {
+				es.seen[id] = observedOf(produced)
+				pr.account(res, bn.n, produced, elapsed, es.keep)
+				for _, d := range s.dependents[id] {
+					s.deps[d]--
+					if s.deps[d] == 0 {
+						s.queue = append(s.queue, d)
+					}
+				}
+				if err := pr.retire(es, s.left, id); err != nil {
+					s.err, s.done = err, true
+					s.cancel()
 				}
 			}
 		}
@@ -179,5 +233,59 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
+	}
+}
+
+// retire counts node id, just published, off the readers of every node it
+// read and releases the columns of each node left without one — id's own
+// when nothing reads them. left is nil in an execution that keeps every
+// column. mu is held.
+func (pr *Prepared) retire(es *execState, left []int, id int) error {
+	if left == nil {
+		return nil
+	}
+	var err error
+	if left[id] == 0 {
+		err = pr.release(es, id, false)
+	}
+	for _, p := range pr.life.reads[id] {
+		if left[p]--; left[p] == 0 {
+			err = errors.Join(err, pr.release(es, p, false))
+		}
+	}
+	return err
+}
+
+// release returns the columns of node id to the engine's buffer pool and
+// their bytes to the query's memory counter, and forgets them. A scan's
+// columns are never released, nor are result columns unless failed: a failed
+// execution hands nothing to its caller. A column the execution's lease did
+// not issue, or issued and took back already, is a bug; it is reported and
+// not recycled.
+func (pr *Prepared) release(es *execState, id int, failed bool) error {
+	n := pr.bound[id].n
+	if n.op == OpScan {
+		return nil
+	}
+	var err error
+	for i, col := range es.outs[id] {
+		name := n.outNames[i]
+		if pr.sinks[name] && !failed {
+			continue
+		}
+		es.mres.Release(col.PhysicalBytes())
+		if perr := es.bufs.Put(col.Words()); perr != nil {
+			err = errors.Join(err, fmt.Errorf("core: release %q: %w", name, perr))
+		}
+	}
+	es.outs[id] = nil
+	return err
+}
+
+// releaseAll is the release of a failed execution, once its workers have
+// stopped: every column it produced that is still held.
+func (pr *Prepared) releaseAll(es *execState) {
+	for id := range es.outs {
+		_ = pr.release(es, id, true) // the execution has failed already
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 )
 
@@ -106,16 +107,18 @@ var forBP = &transform{
 // payloadWords is the number of packed words of one block at width bits.
 func payloadWords(bits uint) int { return int(bits) * (BlockLen / 64) }
 
-// appendBlock encodes one full block of BlockLen elements behind words.
-func (t *transform) appendBlock(words, scratch, blk []uint64, prev uint64) []uint64 {
+// appendBlock encodes one full block of BlockLen elements behind words,
+// growing words from bufs.
+func (t *transform) appendBlock(bufs *bufpool.Lease, words, scratch, blk []uint64, prev uint64) []uint64 {
 	vals, param, bits := t.encode(scratch[:BlockLen], blk[:BlockLen], prev)
+	words = bufs.Grow(words, t.hdrWords+payloadWords(bits))
 	if t.hdrWords == 2 {
 		words = append(words, param)
 	}
 	words = append(words, uint64(bits))
 	off := len(words)
-	words = append(words, make([]uint64, payloadWords(bits))...)
-	bitutil.Pack(words[off:], vals, bits)
+	words = words[:off+payloadWords(bits)]
+	bitutil.Pack(words[off:], vals, bits) // writes every payload word
 	return words
 }
 
@@ -177,19 +180,19 @@ func (t *transform) NewReader(col *columns.Column) Reader {
 	return newBlockedReader(t, col, 0, col.N())
 }
 
-func (t *transform) NewWriter(_ columns.FormatDesc, sizeHint int) Writer {
-	return newBlockedWriter(t, sizeHint/t.hintDiv)
+func (t *transform) NewWriter(_ columns.FormatDesc, sizeHint int, bufs *bufpool.Lease) Writer {
+	return newBlockedWriter(t, sizeHint/t.hintDiv, bufs)
 }
 
 // concat copies whole blocks verbatim wherever a seam falls on a block
 // boundary of the output stream; a misaligned seam re-blocks the following
 // part (see blockedWriter.appendColumn).
-func (t *transform) concat(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func (t *transform) concat(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	capWords := 0
 	for _, p := range parts {
 		capWords += len(p.Words())
 	}
-	w := newBlockedWriter(t, capWords)
+	w := newBlockedWriter(t, capWords, bufs)
 	for _, p := range parts {
 		if err := w.appendColumn(p); err != nil {
 			return nil, err
@@ -314,9 +317,11 @@ func BlockHeaderBytes(kind columns.Kind) int {
 }
 
 // blockedWriter encodes a stream block by block, carrying the elements that
-// do not fill a block yet; on Close they become the column's remainder.
+// do not fill a block yet; on Close they become the column's remainder. Its
+// buffers come from bufs; Close returns all but the column's words.
 type blockedWriter struct {
 	t       *transform
+	bufs    *bufpool.Lease
 	words   []uint64
 	pending []uint64 // fewer than BlockLen carried elements
 	scratch []uint64 // transform output of the block being encoded
@@ -326,17 +331,18 @@ type blockedWriter struct {
 	closed  bool
 }
 
-func newBlockedWriter(t *transform, capWords int) *blockedWriter {
+func newBlockedWriter(t *transform, capWords int, bufs *bufpool.Lease) *blockedWriter {
 	return &blockedWriter{
 		t:       t,
-		words:   make([]uint64, 0, capWords),
-		pending: make([]uint64, 0, BlockLen),
-		scratch: make([]uint64, BlockLen),
+		bufs:    bufs,
+		words:   bufs.Get(capWords)[:0],
+		pending: bufs.Get(BlockLen)[:0],
+		scratch: bufs.Get(BlockLen),
 	}
 }
 
 func (w *blockedWriter) emit(blk []uint64) {
-	w.words = w.t.appendBlock(w.words, w.scratch, blk, w.prev)
+	w.words = w.t.appendBlock(w.bufs, w.words, w.scratch, blk, w.prev)
 	w.prev = blk[BlockLen-1]
 }
 
@@ -371,7 +377,7 @@ func (w *blockedWriter) Write(vals []uint64) error {
 func (w *blockedWriter) appendColumn(p *columns.Column) error {
 	if len(w.pending) > 0 {
 		if w.buf == nil {
-			w.buf = make([]uint64, BufferLen)
+			w.buf = w.bufs.Get(BufferLen)
 		}
 		r := newBlockedReader(w.t, p, 0, p.N())
 		for {
@@ -408,7 +414,7 @@ func (w *blockedWriter) appendColumn(p *columns.Column) error {
 			}
 			w.prev = blk[BlockLen-1]
 		}
-		w.words = append(w.words, pw[from:]...)
+		w.words = w.bufs.Append(w.words, pw[from:]...)
 		w.n += p.MainElems()
 	}
 	return w.Write(p.Remainder())
@@ -420,6 +426,12 @@ func (w *blockedWriter) Close() (*columns.Column, error) {
 	}
 	w.closed = true
 	mainWords := len(w.words)
-	words := append(w.words, w.pending...)
-	return columns.New(w.t.desc, w.n, w.n-len(w.pending), mainWords, words)
+	words := w.bufs.Append(w.words, w.pending...)
+	rem := len(w.pending)
+	// The writer's own buffers, issued by bufs.
+	_ = w.bufs.Put(w.pending)
+	_ = w.bufs.Put(w.scratch)
+	_ = w.bufs.Put(w.buf)
+	w.pending, w.scratch, w.buf = nil, nil, nil
+	return columns.New(w.t.desc, w.n, w.n-rem, mainWords, words)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 )
@@ -49,7 +50,13 @@ func CanConcat(kind columns.Kind) bool { return ConcatAlign(kind) > 0 }
 // base with it, so a section starting on a block boundary compresses to the
 // very bytes the monolithic writer would produce for that range.
 func NewSectionWriter(desc columns.FormatDesc, sizeHint int, prev uint64, hasPrev bool) (Writer, error) {
-	w, err := NewWriter(desc, sizeHint)
+	return NewSectionWriterFrom(nil, desc, sizeHint, prev, hasPrev)
+}
+
+// NewSectionWriterFrom is NewSectionWriter drawing the writer's buffers from
+// bufs; a nil bufs allocates them.
+func NewSectionWriterFrom(bufs *bufpool.Lease, desc columns.FormatDesc, sizeHint int, prev uint64, hasPrev bool) (Writer, error) {
+	w, err := NewWriterFrom(bufs, desc, sizeHint)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +79,12 @@ func NewSectionWriter(desc columns.FormatDesc, sizeHint int, prev uint64, hasPre
 // width whenever every part was itself compressed at its tight (derived)
 // width.
 func ConcatCompressed(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+	return ConcatFrom(nil, desc, parts)
+}
+
+// ConcatFrom is ConcatCompressed drawing the output's buffers from bufs; a
+// nil bufs allocates them.
+func ConcatFrom(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	if err := faultpoint.ConcatFixup.Hit(); err != nil {
 		return nil, err
 	}
@@ -87,15 +100,15 @@ func ConcatCompressed(desc columns.FormatDesc, parts []*columns.Column) (*column
 	if concat == nil {
 		return nil, fmt.Errorf("formats: no codec for kind %v", desc.Kind)
 	}
-	return concat(desc, parts)
+	return concat(bufs, desc, parts)
 }
 
-func concatUncompr(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatUncompr(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total := 0
 	for _, p := range parts {
 		total += p.N()
 	}
-	words := make([]uint64, 0, total)
+	words := bufs.Get(total)[:0]
 	for _, p := range parts {
 		words = append(words, p.Words()...)
 	}
@@ -128,7 +141,7 @@ func appendPackedBits(dst []uint64, bitPos uint64, src []uint64, nbits uint64) {
 	}
 }
 
-func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	bits := uint(desc.Bits)
 	total := 0
 	for _, p := range parts {
@@ -148,8 +161,14 @@ func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.
 	if bits == 0 { // every element of every part is zero
 		return columns.New(columns.FormatDesc{Kind: columns.StaticBP}, total, total, 0, nil)
 	}
-	words := make([]uint64, bitutil.PackedWords(total, bits))
-	var vbuf, tmp []uint64 // width-repack scratch, allocated on demand
+	// The parts are ORed into the words, so they start cleared.
+	words := bufs.Get(bitutil.PackedWords(total, bits))
+	clear(words)
+	var vbuf, tmp []uint64 // width-repack scratch, taken on demand
+	defer func() {
+		_ = bufs.Put(vbuf) // scratch issued by bufs below
+		_ = bufs.Put(tmp)
+	}()
 	bitPos := uint64(0)
 	for _, p := range parts {
 		n := p.N()
@@ -168,8 +187,8 @@ func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.
 			// read and the scratch pack stay word-aligned.
 			const repackChunk = 4 * 1024
 			if vbuf == nil {
-				vbuf = make([]uint64, repackChunk)
-				tmp = make([]uint64, bitutil.PackedWords(repackChunk, 64))
+				vbuf = bufs.Get(repackChunk)
+				tmp = bufs.Get(bitutil.PackedWords(repackChunk, 64))
 			}
 			pw := p.MainWords()
 			for off := 0; off < n; off += repackChunk {
@@ -187,13 +206,13 @@ func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.
 		total, total, len(words), words)
 }
 
-func concatRLE(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatRLE(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total, capWords := 0, 0
 	for _, p := range parts {
 		total += p.N()
 		capWords += len(p.MainWords())
 	}
-	words := make([]uint64, 0, capWords)
+	words := bufs.Get(capWords)[:0]
 	for _, p := range parts {
 		pw := p.MainWords()
 		// The concatenation reuses the parts' run words verbatim, so their

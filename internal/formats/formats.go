@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/qerr"
 )
@@ -91,7 +92,8 @@ type Codec interface {
 	// NewWriter returns a writer producing a column in this format. For
 	// formats with a derivable parameter (StaticBP width) the descriptor may
 	// leave it 0. sizeHint is the expected number of elements (0 if unknown).
-	NewWriter(desc columns.FormatDesc, sizeHint int) Writer
+	// The writer draws its buffers from bufs (nil: plain allocations).
+	NewWriter(desc columns.FormatDesc, sizeHint int, bufs *bufpool.Lease) Writer
 }
 
 // format is the registry row of one format kind: its codec plus every
@@ -106,7 +108,7 @@ type format struct {
 	// concatAlign is the element alignment at which a seam between two
 	// concatenated parts is a pure copy; concat stitches parts at any seam.
 	concatAlign int
-	concat      func(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
+	concat      func(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
 	// access opens random read access (nil: the format has none, §4.2).
 	access func(col *columns.Column) (RandomAccessor, error)
 	// blocked is the transform of a blocked-codec format, nil otherwise.
@@ -164,12 +166,16 @@ func Compress(src []uint64, desc columns.FormatDesc) (*columns.Column, error) {
 
 // Decompress expands col into a freshly allocated slice: the format's reader
 // filling the destination in one pass.
-func Decompress(col *columns.Column) ([]uint64, error) {
+func Decompress(col *columns.Column) ([]uint64, error) { return DecompressFrom(nil, col) }
+
+// DecompressFrom is Decompress into a buffer from bufs; a nil bufs allocates
+// it. On error the buffer is not given back.
+func DecompressFrom(bufs *bufpool.Lease, col *columns.Column) ([]uint64, error) {
 	r, err := NewReader(col)
 	if err != nil {
 		return nil, err
 	}
-	dst := make([]uint64, col.N())
+	dst := bufs.Get(col.N())
 	// Even an empty column is read once, so a reader's latched validation
 	// error surfaces.
 	for n := 0; ; {
@@ -197,11 +203,18 @@ func NewReader(col *columns.Column) (Reader, error) {
 
 // NewWriter returns a writer producing a column in the requested format.
 func NewWriter(desc columns.FormatDesc, sizeHint int) (Writer, error) {
+	return NewWriterFrom(nil, desc, sizeHint)
+}
+
+// NewWriterFrom is NewWriter drawing the writer's buffers, the finished
+// column's words among them, from bufs; a nil bufs allocates them. Pooled
+// buffers are dirty, so every writer overwrites each word it exposes.
+func NewWriterFrom(bufs *bufpool.Lease, desc columns.FormatDesc, sizeHint int) (Writer, error) {
 	c, err := Get(desc.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return c.NewWriter(desc, sizeHint), nil
+	return c.NewWriter(desc, sizeHint, bufs), nil
 }
 
 // AppendTail returns col extended by tail, in col's format, without decoding

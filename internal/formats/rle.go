@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 )
 
@@ -21,8 +22,8 @@ func (rleCodec) NewReader(col *columns.Column) Reader {
 	return &rleReader{words: col.MainWords(), n: col.N()}
 }
 
-func (rleCodec) NewWriter(_ columns.FormatDesc, _ int) Writer {
-	return &rleWriter{words: make([]uint64, 0, 64)}
+func (rleCodec) NewWriter(_ columns.FormatDesc, _ int, bufs *bufpool.Lease) Writer {
+	return &rleWriter{words: bufs.Get(64)[:0], bufs: bufs}
 }
 
 // Run is one (value, length) pair of an RLE column.
@@ -118,6 +119,7 @@ func (r *rleReader) Read(dst []uint64) (int, error) {
 
 type rleWriter struct {
 	words  []uint64
+	bufs   *bufpool.Lease
 	cur    uint64
 	curLen uint64
 	n      int
@@ -133,7 +135,7 @@ func (w *rleWriter) Write(vals []uint64) error {
 			j++
 		}
 		if w.curLen > 0 && v != w.cur {
-			w.words = append(w.words, w.cur, w.curLen)
+			w.words = w.bufs.Append(w.words, w.cur, w.curLen)
 			w.curLen = 0
 		}
 		w.cur, w.curLen = v, w.curLen+uint64(j-i)
@@ -148,7 +150,7 @@ func (w *rleWriter) Close() (*columns.Column, error) {
 	}
 	w.closed = true
 	if w.curLen > 0 {
-		w.words = append(w.words, w.cur, w.curLen)
+		w.words = w.bufs.Append(w.words, w.cur, w.curLen)
 	}
 	return columns.New(columns.RLEDesc, w.n, w.n, len(w.words), w.words)
 }

@@ -2,9 +2,9 @@ package formats
 
 import (
 	"fmt"
-	"slices"
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 )
 
@@ -50,10 +50,10 @@ func staticBPSection(col *columns.Column, start, count int) Reader {
 	return r
 }
 
-func (staticBPCodec) NewWriter(desc columns.FormatDesc, sizeHint int) Writer {
-	w := &staticBPWriter{bits: uint(desc.Bits), auto: desc.Bits == 0, sizeHint: sizeHint}
+func (staticBPCodec) NewWriter(desc columns.FormatDesc, sizeHint int, bufs *bufpool.Lease) Writer {
+	w := &staticBPWriter{bits: uint(desc.Bits), auto: desc.Bits == 0, sizeHint: sizeHint, bufs: bufs}
 	if !w.auto {
-		w.words = make([]uint64, 0, bitutil.PackedWords(sizeHint, w.bits))
+		w.words = bufs.Get(bitutil.PackedWords(sizeHint, w.bits))[:0]
 	}
 	return w
 }
@@ -104,6 +104,7 @@ type staticBPWriter struct {
 	bits     uint
 	auto     bool
 	sizeHint int
+	bufs     *bufpool.Lease
 	words    []uint64 // packed output: whole groups so far
 	group    [64]uint64
 	inGroup  int
@@ -115,7 +116,7 @@ type staticBPWriter struct {
 // group), to the packed output.
 func (w *staticBPWriter) pack(vals []uint64) {
 	off, k := len(w.words), bitutil.PackedWords(len(vals), w.bits)
-	w.words = slices.Grow(w.words, k)[:off+k] // Pack writes all k words
+	w.words = w.bufs.Grow(w.words, k)[:off+k] // Pack writes all k words
 	bitutil.Pack(w.words[off:], vals, w.bits)
 }
 
@@ -155,9 +156,12 @@ func (w *staticBPWriter) widen(m uint) {
 	groups := (w.n - w.inGroup) / 64
 	need := groups * int(m)
 	if w.words == nil || cap(w.words) < need {
-		w.words = append(make([]uint64, 0, max(need, bitutil.PackedWords(w.sizeHint, m))), w.words...)
+		words := w.bufs.Get(max(need, bitutil.PackedWords(w.sizeHint, m)))[:len(w.words)]
+		copy(words, w.words)
+		_ = w.bufs.Put(w.words) // the writer's own buffer, issued by bufs
+		w.words = words
 	}
-	w.words = w.words[:need]
+	w.words = w.words[:need] // every group is repacked below, so no stale word stays
 	var vals [64]uint64
 	for g := groups - 1; g >= 0; g-- {
 		bitutil.UnpackGroup(&vals, w.words, g, w.bits)

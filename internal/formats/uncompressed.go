@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 )
 
@@ -14,8 +15,8 @@ func (uncomprCodec) NewReader(col *columns.Column) Reader {
 	return &uncomprReader{vals: col.Words()}
 }
 
-func (uncomprCodec) NewWriter(_ columns.FormatDesc, sizeHint int) Writer {
-	return &uncomprWriter{hint: sizeHint}
+func (uncomprCodec) NewWriter(_ columns.FormatDesc, sizeHint int, bufs *bufpool.Lease) Writer {
+	return &uncomprWriter{hint: sizeHint, bufs: bufs}
 }
 
 func uncomprSection(col *columns.Column, start, count int) Reader {
@@ -44,16 +45,17 @@ func (r *uncomprReader) View() ([]uint64, bool) {
 type uncomprWriter struct {
 	vals   []uint64
 	hint   int // capacity to reserve, unless the first Write already covers it
+	bufs   *bufpool.Lease
 	closed bool
 }
 
 func (w *uncomprWriter) Write(vals []uint64) error {
 	if w.vals == nil && len(vals) < w.hint {
-		w.vals = make([]uint64, 0, w.hint)
+		w.vals = w.bufs.Get(w.hint)[:0]
 	}
 	// A first Write covering the hint (Compress) appends to nil instead: one
 	// allocation that is copied into without being zeroed first.
-	w.vals = append(w.vals, vals...)
+	w.vals = w.bufs.Append(w.vals, vals...)
 	return nil
 }
 

@@ -196,6 +196,9 @@ func TestChaosIngestClose(t *testing.T) {
 	if st.BudgetInUse != 0 {
 		t.Fatalf("budget leaked: %d worker tokens in use", st.BudgetInUse)
 	}
+	if st.PooledBytes != 0 {
+		t.Fatalf("buffer pool retains %d bytes after Close", st.PooledBytes)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -39,8 +39,8 @@ func sumKernel(in *columns.Column) reduceKernel {
 // de/re-compression wrapper and each unpacked block is added up by a plain
 // loop.
 func sumStreamed(in *columns.Column) reduceKernel {
-	return func(acc []uint64, pt formats.Partition) error {
-		return streamCols(in, nil, pt, func(vals, _ []uint64, _ uint64) error {
+	return func(rt Runtime, acc []uint64, pt formats.Partition) error {
+		return rt.streamCols(in, nil, pt, func(vals, _ []uint64, _ uint64) error {
 			var t uint64
 			for _, v := range vals {
 				t += v
@@ -66,8 +66,8 @@ func (rt Runtime) SumGrouped(gids, vals *columns.Column, nGroups int) (*columns.
 	if nGroups < 0 {
 		return nil, fmt.Errorf("ops: grouped sum: negative group count %d", nGroups)
 	}
-	sums, err := rt.reduce("grouped sum", gids, vals, nGroups, func(acc []uint64, pt formats.Partition) error {
-		return streamCols(gids, vals, pt, func(gs, vs []uint64, _ uint64) error {
+	sums, err := rt.reduce("grouped sum", gids, vals, nGroups, func(rt Runtime, acc []uint64, pt formats.Partition) error {
+		return rt.streamCols(gids, vals, pt, func(gs, vs []uint64, _ uint64) error {
 			return sumGroupedChunk(acc, gs, vs, nGroups)
 		})
 	})

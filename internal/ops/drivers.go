@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 )
@@ -53,12 +54,16 @@ func (rt Runtime) split(a, b *columns.Column) []formats.Partition {
 func whole(col *columns.Column) formats.Partition { return formats.Partition{Count: col.N()} }
 
 // appendSink is the per-morsel output of the emit driver: it stages a
-// morsel's output values behind the formats.Writer interface, so a kernel
-// writes to the compressed output writer and to a morsel buffer alike.
-type appendSink struct{ vals []uint64 }
+// morsel's output values, in a buffer from the lease, behind the
+// formats.Writer interface, so a kernel writes to the compressed output
+// writer and to a morsel buffer alike.
+type appendSink struct {
+	vals []uint64
+	bufs *bufpool.Lease
+}
 
 func (s *appendSink) Write(v []uint64) error {
-	s.vals = append(s.vals, v...)
+	s.vals = s.bufs.Append(s.vals, v...)
 	return nil
 }
 
@@ -75,8 +80,9 @@ type emitOut struct {
 
 // emitKernel processes one morsel of the emit driver's input: it writes the
 // morsel's output rows to sinks (one per output stream, row-aligned), using
-// stage — one blockBuf-element buffer per output — as its scratch.
-type emitKernel func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error
+// stage — one blockBuf-element buffer per output — as its scratch and rt's
+// lease for any buffer of its own.
+type emitKernel func(rt Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error
 
 // chunkKernel fills stage with the output rows of vals (at most blockBuf
 // elements whose first has global position base) and returns their count.
@@ -85,8 +91,8 @@ type chunkKernel func(vals []uint64, base uint64, stage [][]uint64) int
 // scan adapts a chunk kernel to an emitKernel streaming the morsel's values
 // through the de/re-compression wrapper.
 func scan(in *columns.Column, chunk chunkKernel) emitKernel {
-	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
-		return streamCols(in, nil, pt, func(vals, _ []uint64, base uint64) error {
+	return func(rt Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+		return rt.streamCols(in, nil, pt, func(vals, _ []uint64, base uint64) error {
 			return flush(stage, chunk(vals, base, stage), sinks)
 		})
 	}
@@ -103,11 +109,11 @@ func flush(stage [][]uint64, k int, sinks []formats.Writer) error {
 }
 
 // runStaged runs kernel over pt with a stage of outs (one or two) outputs cut
-// from a pooled scratch buffer.
-func runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []formats.Writer) error {
-	buf := scratch.Get().(*scratchBuf)
-	defer scratch.Put(buf)
-	return kernel(pt, [][]uint64{buf[:blockBuf], buf[blockBuf:]}[:outs], sinks)
+// from a scratch buffer.
+func (rt Runtime) runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []formats.Writer) error {
+	buf := rt.scratch()
+	defer rt.free(buf)
+	return kernel(rt, pt, [][]uint64{buf[:blockBuf], buf[blockBuf:]}[:outs], sinks)
 }
 
 // emit is the variable-length-output driver: kernel runs once per morsel of
@@ -115,7 +121,8 @@ func runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []format
 // per-morsel outputs are stitched, per output stream, in morsel order. A
 // morsel's buffer starts at its pro-rata share of the observed rows, or at an
 // eighth of the morsel without an observation. Each morsel's staged rows are
-// charged to the query's memory counter.
+// charged to the query's memory counter, and released with the morsel
+// buffers once the stitch has copied them.
 func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kernel emitKernel) ([]*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
@@ -125,13 +132,13 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 	if parts == nil {
 		sinks := make([]formats.Writer, len(outs))
 		for o, out := range outs {
-			w, err := formats.NewWriter(out.desc, rt.reserve(o, out.hint))
+			w, err := formats.NewWriterFrom(rt.bufs, out.desc, rt.reserve(o, out.hint))
 			if err != nil {
 				return nil, err
 			}
 			sinks[o] = w
 		}
-		if err := runStaged(kernel, whole(in), len(outs), sinks); err != nil {
+		if err := rt.runStaged(kernel, whole(in), len(outs), sinks); err != nil {
 			return nil, fmt.Errorf("ops: %s: %w", name, err)
 		}
 		for o, w := range sinks {
@@ -147,21 +154,29 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 	for o := range results {
 		results[o] = make([][]uint64, len(parts))
 	}
+	// The morsel buffers are staging: given back, and their charge released,
+	// however the driver ends.
+	defer func() {
+		for _, r := range results {
+			for _, vals := range r {
+				rt.releaseMem(8 * len(vals))
+				rt.free(vals)
+			}
+		}
+	}()
 	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
 		local := make([]appendSink, len(outs))
 		sinks := make([]formats.Writer, len(outs))
 		for o, out := range outs {
-			local[o].vals = make([]uint64, 0, rt.reservePart(o, out.hint, pt.Count, in.N(), pt.Count/8+16))
+			local[o] = appendSink{rt.bufs.Get(rt.reservePart(o, out.hint, pt.Count, in.N(), pt.Count/8+16))[:0], rt.bufs}
 			sinks[o] = &local[o]
 		}
-		if err := runStaged(kernel, pt, len(outs), sinks); err != nil {
-			return err
-		}
+		err := rt.runStaged(kernel, pt, len(outs), sinks)
 		for o := range local {
 			results[o][i] = local[o].vals
 			rt.ChargeMem(8 * len(local[o].vals))
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", name, err)
@@ -193,22 +208,23 @@ type mapKernel func(worker int, a, b, dst []uint64) error
 // mapCols is the one-value-per-element driver over input a, or over a and b
 // in lockstep. Output offsets are known a priori, so the workers write into
 // disjoint ranges of one shared destination, charged to the query's memory
-// counter, which the parallel compressed stitch recompresses section-wise;
-// an unsplit input streams chunk by chunk into the output writer instead.
+// counter, which the parallel compressed stitch recompresses section-wise
+// and which is then given back and released; an unsplit input streams chunk
+// by chunk into the output writer instead.
 func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatDesc, kernel mapKernel) (*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
 	parts := rt.split(a, b)
 	if parts == nil {
-		w, err := formats.NewWriter(out, a.N())
+		w, err := formats.NewWriterFrom(rt.bufs, out, a.N())
 		if err != nil {
 			return nil, err
 		}
-		buf := scratch.Get().(*scratchBuf)
-		defer scratch.Put(buf)
+		buf := rt.scratch()
+		defer rt.free(buf)
 		stage := buf[:blockBuf]
-		err = streamCols(a, b, whole(a), func(va, vb []uint64, _ uint64) error {
+		err = rt.streamCols(a, b, whole(a), func(va, vb []uint64, _ uint64) error {
 			if err := kernel(0, va, vb, stage[:len(va)]); err != nil {
 				return err
 			}
@@ -219,10 +235,14 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 		}
 		return w.Close()
 	}
-	dst := make([]uint64, a.N())
+	dst := rt.bufs.Get(a.N()) // every element is written by its morsel
 	rt.ChargeMem(8 * len(dst))
+	defer func() {
+		rt.releaseMem(8 * len(dst))
+		rt.free(dst)
+	}()
 	err := rt.runParts(parts, func(w, _ int, pt formats.Partition) error {
-		return streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
+		return rt.streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
 			return kernel(w, va, vb, dst[base:base+uint64(len(va))])
 		})
 	})
@@ -233,7 +253,7 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 }
 
 // reduceKernel folds one morsel into acc, a partial of the driver's width.
-type reduceKernel func(acc []uint64, pt formats.Partition) error
+type reduceKernel func(rt Runtime, acc []uint64, pt formats.Partition) error
 
 // reduce is the aggregation driver over input a, or over a and b in
 // lockstep: every worker folds the morsels it claims into its own
@@ -252,19 +272,26 @@ func (rt Runtime) reduce(name string, a, b *columns.Column, width int, kernel re
 		rt.coll.SeqFallback()
 		parts = nil
 	}
-	total := make([]uint64, width)
+	total := rt.bufs.Get(width) // the caller's output column
+	clear(total)
 	if parts == nil {
-		if err := kernel(total, whole(a)); err != nil {
+		if err := kernel(rt, total, whole(a)); err != nil {
 			return nil, fmt.Errorf("ops: %s: %w", name, err)
 		}
 		return total, nil
 	}
 	partials := make([][]uint64, rt.workers(len(parts)))
+	defer func() {
+		for _, partial := range partials {
+			rt.free(partial)
+		}
+	}()
 	err := rt.runParts(parts, func(w, _ int, pt formats.Partition) error {
 		if partials[w] == nil {
-			partials[w] = make([]uint64, width)
+			partials[w] = rt.bufs.Get(width)
+			clear(partials[w])
 		}
-		return kernel(partials[w], pt)
+		return kernel(rt, partials[w], pt)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", name, err)

@@ -72,7 +72,7 @@ var driverShapes = []struct {
 
 // runOnBudget runs one driver shape at par workers drawing tokens from b.
 func runOnBudget(ctx context.Context, b *Budget, par int, run func(Runtime, *columns.Column) error, col *columns.Column) error {
-	return run(RT(ctx, b, par), col)
+	return run(RT(ctx, b, nil, par), col)
 }
 
 // runSelect runs one parallel select on budget b and returns its error.
@@ -258,7 +258,7 @@ func TestUnsplitRunRecorded(t *testing.T) {
 		nc := c.Node(0)
 		nc.Begin(int64(col.N()))
 		b, mres := NewBudget(4), &MemReservation{}
-		rt := RT(context.Background(), b, r.par).WithCollector(nc).WithMemReservation(mres)
+		rt := RT(context.Background(), b, nil, r.par).WithCollector(nc).WithMemReservation(mres)
 		outs, err := r.run(rt, col)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)

@@ -73,8 +73,9 @@ func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.F
 		return nil, nil, err
 	}
 	rt.coll.SeqFallback()
-	b := groupBuild{ht: newU64Map(1024)}
-	return groupWhole(keys, nil, outGids, outExtents,
+	b := groupBuild{ht: newU64Map(rt.bufs, 1024)}
+	defer b.ht.release()
+	return rt.groupWhole(keys, nil, outGids, outExtents,
 		func(vals, _ []uint64, base uint64, gids []uint64) { b.add(vals, base, gids) }, &b.firstPos)
 }
 
@@ -94,23 +95,24 @@ func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents 
 		return nil, nil, fmt.Errorf("ops: group: gid column has %d elements, keys %d", prevGids.N(), keys.N())
 	}
 	rt.coll.SeqFallback()
-	b := pairBuild{ht: newPairMap(1024)}
-	return groupWhole(prevGids, keys, outGids, outExtents, b.add, &b.firstPos)
+	b := pairBuild{ht: newPairMap(rt.bufs, 1024)}
+	defer b.ht.release()
+	return rt.groupWhole(prevGids, keys, outGids, outExtents, b.add, &b.firstPos)
 }
 
 // groupWhole groups keys alone (b nil), or previous gids and keys in
 // lockstep, in one pass: the group ids add assigns stream straight into the
 // output writer and the first positions it records are the extents.
-func groupWhole(a, b *columns.Column, outGids, outExtents columns.FormatDesc,
+func (rt Runtime) groupWhole(a, b *columns.Column, outGids, outExtents columns.FormatDesc,
 	add func(va, vb []uint64, base uint64, gids []uint64), firstPos *[]uint64) (gids, extents *columns.Column, err error) {
-	wg, err := formats.NewWriter(outGids, a.N())
+	wg, err := formats.NewWriterFrom(rt.bufs, outGids, a.N())
 	if err != nil {
 		return nil, nil, err
 	}
-	buf := scratch.Get().(*scratchBuf)
-	defer scratch.Put(buf)
+	buf := rt.scratch()
+	defer rt.free(buf)
 	stage := buf[:blockBuf]
-	err = streamCols(a, b, whole(a), func(va, vb []uint64, base uint64) error {
+	err = rt.streamCols(a, b, whole(a), func(va, vb []uint64, base uint64) error {
 		add(va, vb, base, stage)
 		return wg.Write(stage[:len(va)])
 	})
@@ -120,14 +122,14 @@ func groupWhole(a, b *columns.Column, outGids, outExtents columns.FormatDesc,
 	if gids, err = wg.Close(); err != nil {
 		return nil, nil, err
 	}
-	extents, err = extentsColumn(*firstPos, outExtents)
+	extents, err = rt.extentsColumn(*firstPos, outExtents)
 	return gids, extents, err
 }
 
 // extentsColumn materializes the first-occurrence positions in their output
 // format.
-func extentsColumn(ext []uint64, out columns.FormatDesc) (*columns.Column, error) {
-	w, err := formats.NewWriter(out, 0)
+func (rt Runtime) extentsColumn(ext []uint64, out columns.FormatDesc) (*columns.Column, error) {
+	w, err := formats.NewWriterFrom(rt.bufs, out, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,35 +1,75 @@
 package ops
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"morphstore/internal/bufpool"
+)
 
 // u64Map is a minimal open-addressing hash map from uint64 keys to uint64
 // values, tuned for the join/group operators: linear probing, power-of-two
 // capacity, multiply-shift hashing. The zero key is handled via an explicit
-// occupancy slice, avoiding sentinel restrictions on the key domain.
+// occupancy bitmap, avoiding sentinel restrictions on the key domain. Its
+// arrays come from a lease; release gives them back.
 type u64Map struct {
 	keys  []uint64
 	vals  []uint64
-	used  []bool
+	used  []uint64 // occupancy, one bit per slot
 	mask  uint64
 	shift uint
 	size  int
+	bufs  *bufpool.Lease
 }
 
 const hashMul = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 
-// newU64Map creates a map sized for about n entries.
-func newU64Map(n int) *u64Map {
+// tableCap is the power-of-two slot count of a table sized for about n
+// entries.
+func tableCap(n int) int {
 	cap := 16
 	for cap < n*2 {
 		cap <<= 1
 	}
-	return &u64Map{
-		keys:  make([]uint64, cap),
-		vals:  make([]uint64, cap),
-		used:  make([]bool, cap),
-		mask:  uint64(cap - 1),
-		shift: 64 - uint(bits.TrailingZeros64(uint64(cap))),
+	return cap
+}
+
+// occupancy takes a cleared occupancy bitmap of slots bits from bufs.
+func occupancy(bufs *bufpool.Lease, slots int) []uint64 {
+	used := bufs.Get((slots + 63) / 64)
+	clear(used)
+	return used
+}
+
+// isUsed reports whether slot i is occupied.
+func isUsed(used []uint64, i uint64) bool { return used[i>>6]>>(i&63)&1 != 0 }
+
+// markUsed sets slot i occupied.
+func markUsed(used []uint64, i uint64) { used[i>>6] |= 1 << (i & 63) }
+
+// newU64Map creates a map sized for about n entries, its arrays from bufs.
+func newU64Map(bufs *bufpool.Lease, n int) *u64Map {
+	m := &u64Map{bufs: bufs}
+	m.alloc(tableCap(n))
+	return m
+}
+
+// alloc gives the map empty arrays of cap slots.
+func (m *u64Map) alloc(cap int) {
+	m.keys = m.bufs.Get(cap)
+	m.vals = m.bufs.Get(cap)
+	m.used = occupancy(m.bufs, cap)
+	m.mask = uint64(cap - 1)
+	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
+	m.size = 0
+}
+
+// release gives the map's arrays back to its lease; the map is unusable
+// afterwards.
+func (m *u64Map) release() {
+	for _, b := range [][]uint64{m.keys, m.vals, m.used} {
+		_ = m.bufs.Put(b) // issued by alloc
 	}
+	m.keys, m.vals, m.used = nil, nil, nil
 }
 
 func (m *u64Map) slot(k uint64) uint64 {
@@ -42,14 +82,15 @@ func (m *u64Map) put(k, v uint64) {
 		m.grow()
 	}
 	i := m.slot(k)
-	for m.used[i] {
+	for isUsed(m.used, i) {
 		if m.keys[i] == k {
 			m.vals[i] = v
 			return
 		}
 		i = (i + 1) & m.mask
 	}
-	m.keys[i], m.vals[i], m.used[i] = k, v, true
+	m.keys[i], m.vals[i] = k, v
+	markUsed(m.used, i)
 	m.size++
 }
 
@@ -60,13 +101,14 @@ func (m *u64Map) getOrPut(k, def uint64) (v uint64, inserted bool) {
 		m.grow()
 	}
 	i := m.slot(k)
-	for m.used[i] {
+	for isUsed(m.used, i) {
 		if m.keys[i] == k {
 			return m.vals[i], false
 		}
 		i = (i + 1) & m.mask
 	}
-	m.keys[i], m.vals[i], m.used[i] = k, def, true
+	m.keys[i], m.vals[i] = k, def
+	markUsed(m.used, i)
 	m.size++
 	return def, true
 }
@@ -74,7 +116,7 @@ func (m *u64Map) getOrPut(k, def uint64) (v uint64, inserted bool) {
 // get looks up k.
 func (m *u64Map) get(k uint64) (uint64, bool) {
 	i := m.slot(k)
-	for m.used[i] {
+	for isUsed(m.used, i) {
 		if m.keys[i] == k {
 			return m.vals[i], true
 		}
@@ -85,42 +127,51 @@ func (m *u64Map) get(k uint64) (uint64, bool) {
 
 func (m *u64Map) grow() {
 	old := *m
-	cap := len(old.keys) * 2
-	m.keys = make([]uint64, cap)
-	m.vals = make([]uint64, cap)
-	m.used = make([]bool, cap)
-	m.mask = uint64(cap - 1)
-	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
-	m.size = 0
-	for i, u := range old.used {
-		if u {
+	m.alloc(len(old.keys) * 2)
+	for i := range old.keys {
+		if isUsed(old.used, uint64(i)) {
 			m.put(old.keys[i], old.vals[i])
 		}
 	}
+	old.release()
 }
 
 // pairMap maps a pair of uint64 keys to a uint64 value; it backs the
-// iterative group-by refinement (group id, next key) -> new group id.
+// iterative group-by refinement (group id, next key) -> new group id. Its
+// arrays come from a lease like u64Map's.
 type pairMap struct {
 	k1, k2 []uint64
 	vals   []uint64
-	used   []bool
+	used   []uint64 // occupancy, one bit per slot
 	mask   uint64
 	size   int
+	bufs   *bufpool.Lease
 }
 
-func newPairMap(n int) *pairMap {
-	cap := 16
-	for cap < n*2 {
-		cap <<= 1
+// newPairMap creates a map sized for about n entries, its arrays from bufs.
+func newPairMap(bufs *bufpool.Lease, n int) *pairMap {
+	m := &pairMap{bufs: bufs}
+	m.alloc(tableCap(n))
+	return m
+}
+
+// alloc gives the map empty arrays of cap slots.
+func (m *pairMap) alloc(cap int) {
+	m.k1 = m.bufs.Get(cap)
+	m.k2 = m.bufs.Get(cap)
+	m.vals = m.bufs.Get(cap)
+	m.used = occupancy(m.bufs, cap)
+	m.mask = uint64(cap - 1)
+	m.size = 0
+}
+
+// release gives the map's arrays back to its lease; the map is unusable
+// afterwards.
+func (m *pairMap) release() {
+	for _, b := range [][]uint64{m.k1, m.k2, m.vals, m.used} {
+		_ = m.bufs.Put(b) // issued by alloc
 	}
-	return &pairMap{
-		k1:   make([]uint64, cap),
-		k2:   make([]uint64, cap),
-		vals: make([]uint64, cap),
-		used: make([]bool, cap),
-		mask: uint64(cap - 1),
-	}
+	m.k1, m.k2, m.vals, m.used = nil, nil, nil, nil
 }
 
 func pairHash(a, b uint64) uint64 {
@@ -140,35 +191,32 @@ func (m *pairMap) getOrPutMixed(mixA, a, b, def uint64) (v uint64, inserted bool
 		m.grow()
 	}
 	i := ((mixA ^ b) * hashMul) & m.mask
-	for m.used[i] {
+	for isUsed(m.used, i) {
 		if m.k1[i] == a && m.k2[i] == b {
 			return m.vals[i], false
 		}
 		i = (i + 1) & m.mask
 	}
-	m.k1[i], m.k2[i], m.vals[i], m.used[i] = a, b, def, true
+	m.k1[i], m.k2[i], m.vals[i] = a, b, def
+	markUsed(m.used, i)
 	m.size++
 	return def, true
 }
 
 func (m *pairMap) grow() {
 	old := *m
-	cap := len(old.k1) * 2
-	m.k1 = make([]uint64, cap)
-	m.k2 = make([]uint64, cap)
-	m.vals = make([]uint64, cap)
-	m.used = make([]bool, cap)
-	m.mask = uint64(cap - 1)
-	m.size = 0
-	for i, u := range old.used {
-		if u {
+	m.alloc(len(old.k1) * 2)
+	for i := range old.k1 {
+		if isUsed(old.used, uint64(i)) {
 			// re-insert
 			j := pairHash(old.k1[i], old.k2[i]) & m.mask
-			for m.used[j] {
+			for isUsed(m.used, j) {
 				j = (j + 1) & m.mask
 			}
-			m.k1[j], m.k2[j], m.vals[j], m.used[j] = old.k1[i], old.k2[i], old.vals[i], true
+			m.k1[j], m.k2[j], m.vals[j] = old.k1[i], old.k2[i], old.vals[i]
+			markUsed(m.used, j)
 			m.size++
 		}
 	}
+	old.release()
 }

@@ -3,7 +3,9 @@ package ops
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/vector"
 )
@@ -42,20 +44,34 @@ func denseKeys(build []uint64) (lo, span uint64, ok bool) {
 	return lo, span, span < directSpanCap || span < directSlotsPerKey*n
 }
 
+// The join and semi-join tables are built per execution from the build
+// keys. Their arrays come from the runtime's lease, cleared on take, and each
+// kernel maker returns, beside the kernel, the done func that gives them back
+// once the probe is over.
+
 // joinKernel picks the N:1 join kernel for the build keys.
-func joinKernel(build []uint64) chunkKernel {
+func joinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
 	if lo, span, ok := denseKeys(build); ok {
-		return directJoinKernel(build, lo, span)
+		return directJoinKernel(bufs, build, lo, span)
 	}
-	return hashJoinKernel(build)
+	return hashJoinKernel(bufs, build)
+}
+
+// u32Table takes a cleared table of n uint32 slots from bufs, viewing the
+// words of a lease buffer — which it returns for giving back — as uint32s.
+func u32Table(bufs *bufpool.Lease, n uint64) ([]uint32, []uint64) {
+	words := bufs.Get(int(n/2 + n%2))
+	tab := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(words))), n)
+	clear(tab)
+	return tab, words
 }
 
 // directJoinKernel probes a direct-address table: tab[k-lo] is the build
 // index of key k plus one, 0 for an absent key. Every probe row is staged
 // unconditionally and the cursor advances by the match bit, so the only
 // data-dependent branch left is the range check.
-func directJoinKernel(build []uint64, lo, span uint64) chunkKernel {
-	tab := make([]uint32, span+1)
+func directJoinKernel(bufs *bufpool.Lease, build []uint64, lo, span uint64) (chunkKernel, func()) {
+	tab, words := u32Table(bufs, span+1)
 	for i, k := range build {
 		tab[k-lo] = uint32(i) + 1
 	}
@@ -71,12 +87,12 @@ func directJoinKernel(build []uint64, lo, span uint64) chunkKernel {
 			k += int((t + math.MaxUint32) >> 32) // 1 iff t != 0
 		}
 		return k
-	}
+	}, func() { _ = bufs.Put(words) } // issued by u32Table
 }
 
 // hashJoinKernel is the sparse-key fallback of directJoinKernel.
-func hashJoinKernel(build []uint64) chunkKernel {
-	ht := newU64Map(len(build))
+func hashJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
+	ht := newU64Map(bufs, len(build))
 	for i, k := range build {
 		ht.put(k, uint64(i))
 	}
@@ -90,21 +106,22 @@ func hashJoinKernel(build []uint64) chunkKernel {
 			}
 		}
 		return k
-	}
+	}, ht.release
 }
 
 // semiJoinKernel picks the semi-join kernel for the build keys.
-func semiJoinKernel(build []uint64) chunkKernel {
+func semiJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
 	if lo, span, ok := denseKeys(build); ok {
-		return directSemiJoinKernel(build, lo, span)
+		return directSemiJoinKernel(bufs, build, lo, span)
 	}
-	return hashSemiJoinKernel(build)
+	return hashSemiJoinKernel(bufs, build)
 }
 
 // directSemiJoinKernel probes a bitmap over [lo, lo+span]: bit k-lo is set
 // iff key k occurs on the build side.
-func directSemiJoinKernel(build []uint64, lo, span uint64) chunkKernel {
-	bits := make([]uint64, span>>6+1)
+func directSemiJoinKernel(bufs *bufpool.Lease, build []uint64, lo, span uint64) (chunkKernel, func()) {
+	bits := bufs.Get(int(span>>6 + 1))
+	clear(bits)
 	for _, k := range build {
 		d := k - lo
 		bits[d>>6] |= 1 << (d & 63)
@@ -120,12 +137,12 @@ func directSemiJoinKernel(build []uint64, lo, span uint64) chunkKernel {
 			k += int(m)
 		}
 		return k
-	}
+	}, func() { _ = bufs.Put(bits) } // issued above
 }
 
 // hashSemiJoinKernel is the sparse-key fallback of directSemiJoinKernel.
-func hashSemiJoinKernel(build []uint64) chunkKernel {
-	ht := newU64Map(len(build))
+func hashSemiJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
+	ht := newU64Map(bufs, len(build))
 	for _, k := range build {
 		ht.put(k, 1)
 	}
@@ -138,7 +155,7 @@ func hashSemiJoinKernel(build []uint64) chunkKernel {
 			}
 		}
 		return k
-	}
+	}, ht.release
 }
 
 // JoinN1 performs an N:1 equi-join between a probe-side key column (e.g. a
@@ -157,11 +174,15 @@ func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuil
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err
 	}
-	build, err := readAll(buildKeys)
+	build, freeBuild, err := rt.readAll(buildKeys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ops: join build side: %w", err)
 	}
-	return rt.joinN1(probeKeys, len(build), outProbe, outBuild, joinKernel(build))
+	kernel, freeTable := joinKernel(rt.bufs, build)
+	defer freeTable()
+	n := len(build)
+	freeBuild() // the table holds what the probe needs
+	return rt.joinN1(probeKeys, n, outProbe, outBuild, kernel)
 }
 
 // joinN1 runs a join kernel over the probe keys through the emit driver.
@@ -191,9 +212,12 @@ func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.For
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, err
 	}
-	build, err := readAll(buildKeys)
+	build, freeBuild, err := rt.readAll(buildKeys)
 	if err != nil {
 		return nil, fmt.Errorf("ops: semijoin build side: %w", err)
 	}
-	return rt.emitPositions("semijoin", probeKeys, out, scan(probeKeys, semiJoinKernel(build)))
+	kernel, freeTable := semiJoinKernel(rt.bufs, build)
+	defer freeTable()
+	freeBuild() // the table holds what the probe needs
+	return rt.emitPositions("semijoin", probeKeys, out, scan(probeKeys, kernel))
 }

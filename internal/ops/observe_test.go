@@ -22,7 +22,7 @@ func TestRunPartsRecordsShards(t *testing.T) {
 	for i := range parts {
 		parts[i] = formats.Partition{Start: i * 512, Count: 512}
 	}
-	rt := RT(context.Background(), nil, 4).WithCollector(nc)
+	rt := RT(context.Background(), nil, nil, 4).WithCollector(nc)
 	if err := rt.runParts(parts, func(_, _ int, _ formats.Partition) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RT(context.Background(), nil, 4).
+	plain, err := RT(context.Background(), nil, nil, 4).
 		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	c.Define(0, "v", "select", nil)
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
-	collected, err := RT(context.Background(), nil, 4).WithCollector(nc).
+	collected, err := RT(context.Background(), nil, nil, 4).WithCollector(nc).
 		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)

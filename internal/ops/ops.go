@@ -35,7 +35,6 @@ package ops
 
 import (
 	"fmt"
-	"sync"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -47,16 +46,6 @@ import (
 // 2048 elements = 16 KiB, half of a typical 32 KiB L1 data cache, matching
 // the paper's evaluation setup (§5).
 const blockBuf = formats.BufferLen
-
-// scratchBuf is one cache-resident scratch buffer of the drivers: a decode
-// buffer, a lockstep pair of them, a one- or two-output emit stage, or a
-// sorted-set kernel's output.
-type scratchBuf [2 * blockBuf]uint64
-
-// scratch recycles scratch buffers across operator calls, so a call does not
-// allocate 16-32 KiB of it. Every writer copies what it is handed, so no
-// column references a buffer once it is put back.
-var scratch = sync.Pool{New: func() any { return new(scratchBuf) }}
 
 // positionDesc refines a requested output format for a position list whose
 // values are known a priori to be < n: an auto-width static BP output is
@@ -97,10 +86,12 @@ func sectionReader(col *columns.Column, pt formats.Partition) (formats.Reader, e
 // carries the global element offset of each chunk, so selective kernels emit
 // globally correct positions. An uncompressed input is handed out as
 // zero-copy sub-slices of the column (the purely-uncompressed degree), alone
-// or beside the other input of a lockstep pair.
-func streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb []uint64, base uint64) error) error {
-	buf := scratch.Get().(*scratchBuf)
-	defer scratch.Put(buf)
+// or beside the other input of a lockstep pair. The decode buffers are one
+// scratch buffer from the runtime's lease; every writer copies what it is
+// handed, so no column references it once it is given back.
+func (rt Runtime) streamCols(a, b *columns.Column, pt formats.Partition, process func(va, vb []uint64, base uint64) error) error {
+	buf := rt.scratch()
+	defer rt.free(buf)
 	sa, err := openSource(a, pt, buf[:blockBuf])
 	if err != nil {
 		return err
@@ -193,10 +184,15 @@ func readFull(r formats.Reader, dst []uint64) (int, error) {
 	return n, nil
 }
 
-// readAll fully decompresses a column (used for small build sides).
-func readAll(col *columns.Column) ([]uint64, error) {
+// readAll fully decompresses a column (used for small build sides): an
+// uncompressed column's own values, or its values decompressed into a
+// buffer from the runtime's lease. done gives that buffer back.
+func (rt Runtime) readAll(col *columns.Column) (vals []uint64, done func(), err error) {
 	if vals, ok := col.Values(); ok {
-		return vals, nil
+		return vals, func() {}, nil
 	}
-	return formats.Decompress(col)
+	if vals, err = formats.DecompressFrom(rt.bufs, col); err != nil {
+		return nil, nil, err
+	}
+	return vals, func() { rt.free(vals) }, nil
 }

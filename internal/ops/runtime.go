@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"morphstore/internal/bufpool"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
@@ -14,9 +15,11 @@ import (
 )
 
 // This file implements the execution runtime threaded through the morsel
-// drivers: a cancellation context checked between morsels and the engine's
+// drivers: a cancellation context checked between morsels, the engine's
 // worker Budget, which bounds how many morsel workers run at once across
-// every operator of every query.
+// every operator of every query, and the lease on the engine's buffer pool
+// that the writers, the drivers' staging and scratch, and the join and
+// grouping tables draw their words from.
 
 // Budget is an engine-wide count of worker tokens. Each worker goroutine that
 // runParts spawns takes one token before its first claim and keeps it until
@@ -83,12 +86,20 @@ func (b *Budget) release() {
 }
 
 // MemReservation counts the bytes of intermediate columns one query
-// materializes, and of the parallel drivers' staging buffers on the way —
-// its actual footprint, reported as QueryStats.MemPeak beside the estimate
-// the engine's admission gate reserved for it. Charges never block: a query
-// is admitted on its estimate, and enforcing the budget inside the morsel
-// loops could deadlock siblings. All methods are nil-receiver-safe.
-type MemReservation struct{ charged atomic.Int64 }
+// materializes, and of the parallel drivers' staging buffers on the way. A
+// column's bytes are charged when it is produced and released when the
+// query no longer needs it (its last consumer finished; staging once the
+// stitch has copied it), so the high-water mark of charged minus released
+// bytes is the query's actual peak footprint, reported as QueryStats.MemPeak
+// beside the estimate the engine's admission gate reserved for it. Charges
+// never block: a query is admitted on its estimate, and enforcing the budget
+// inside the morsel loops could deadlock siblings. All methods are
+// nil-receiver-safe.
+type MemReservation struct {
+	charged atomic.Int64 // every byte ever charged
+	live    atomic.Int64 // charged minus released
+	peak    atomic.Int64 // high-water mark of live
+}
 
 // Charge books bytes of intermediate-buffer allocation.
 func (r *MemReservation) Charge(bytes int) {
@@ -96,9 +107,20 @@ func (r *MemReservation) Charge(bytes int) {
 		return
 	}
 	r.charged.Add(int64(bytes))
+	live := r.live.Add(int64(bytes))
+	for p := r.peak.Load(); live > p && !r.peak.CompareAndSwap(p, live); p = r.peak.Load() {
+	}
 }
 
-// Charged returns the bytes charged so far.
+// Release returns charged bytes the query no longer holds.
+func (r *MemReservation) Release(bytes int) {
+	if r == nil || bytes <= 0 {
+		return
+	}
+	r.live.Add(-int64(bytes))
+}
+
+// Charged returns the bytes charged so far, released ones included.
 func (r *MemReservation) Charged() int64 {
 	if r == nil {
 		return 0
@@ -106,32 +128,48 @@ func (r *MemReservation) Charged() int64 {
 	return r.charged.Load()
 }
 
+// Peak returns the most bytes held at once: the high-water mark of charged
+// minus released bytes.
+func (r *MemReservation) Peak() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.peak.Load()
+}
+
 // Runtime carries the execution environment of one operator invocation:
 // the cancellation context, the engine's worker budget (nil outside an
-// engine), the morsel-parallelism cap, the operator's stats collector (nil
-// when detached), the query's memory charge counter (nil outside a
-// prepared execution), and the rows each output of the operator produced
-// the last time its plan ran (nil without such a run). The zero value is
-// single-worker execution: every operator runs as one morsel on the calling
-// goroutine.
+// engine), the lease on the engine's buffer pool (nil outside an engine:
+// buffers are plain allocations), the morsel-parallelism cap, the
+// operator's stats collector (nil when detached), the query's memory charge
+// counter (nil outside a prepared execution), and the rows each output of
+// the operator produced the last time its plan ran (nil without such a
+// run). The zero value is single-worker execution: every operator runs as
+// one morsel on the calling goroutine.
+//
+// An operator returns every buffer it took from the lease except its output
+// columns' words, which pass to the caller: in an engine, the scheduler puts
+// them back once the column's last consumer has finished.
 type Runtime struct {
 	ctx    context.Context
 	budget *Budget
+	bufs   *bufpool.Lease
 	par    int
 	coll   *metrics.NodeCollector
 	mres   *MemReservation
 	obs    []int
 }
 
-// FixedRT returns a runtime with a fixed worker count and no budget sharing
-// or cancellation: the way to call an operator outside an engine (benchmarks,
-// tests); FixedRT(1) is the sequential operator.
+// FixedRT returns a runtime with a fixed worker count and no budget sharing,
+// buffer pool or cancellation: the way to call an operator outside an engine
+// (benchmarks, tests); FixedRT(1) is the sequential operator.
 func FixedRT(par int) Runtime { return Runtime{par: par} }
 
 // RT returns a runtime for one operator run: ctx is checked between morsels,
-// and b (which may be nil) bounds the morsel workers running engine-wide.
-func RT(ctx context.Context, b *Budget, par int) Runtime {
-	return Runtime{ctx: ctx, budget: b, par: par}
+// b (which may be nil) bounds the morsel workers running engine-wide, and
+// bufs (which may be nil) supplies the operator's buffers.
+func RT(ctx context.Context, b *Budget, bufs *bufpool.Lease, par int) Runtime {
+	return Runtime{ctx: ctx, budget: b, bufs: bufs, par: par}
 }
 
 // WithCollector returns a copy of the runtime reporting morsel counts,
@@ -156,6 +194,18 @@ func (rt Runtime) WithMemReservation(r *MemReservation) Runtime {
 // per-section/per-column, never per-element, so the accounting stays off the
 // kernel hot path.
 func (rt Runtime) ChargeMem(bytes int) { rt.mres.Charge(bytes) }
+
+// releaseMem returns staged bytes charged by ChargeMem.
+func (rt Runtime) releaseMem(bytes int) { rt.mres.Release(bytes) }
+
+// scratch takes one cache-resident scratch buffer of the drivers from the
+// lease — a decode buffer, a lockstep pair of them, a one- or two-output
+// emit stage, or a sorted-set kernel's output; free gives it back.
+func (rt Runtime) scratch() []uint64 { return rt.bufs.Get(2 * blockBuf) }
+
+// free gives back a buffer the operator took from the lease and no column
+// references.
+func (rt Runtime) free(buf []uint64) { _ = rt.bufs.Put(buf) } // issued by rt.bufs: cannot fail
 
 // WithObserved returns a copy of the runtime that sizes the operator's output
 // buffers from rows, the element count each output produced the last time

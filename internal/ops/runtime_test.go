@@ -25,7 +25,7 @@ func TestBudgetBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- RT(context.Background(), b, 4).runTasks(64, func(_, _ int) error {
+			errs <- RT(context.Background(), b, nil, 4).runTasks(64, func(_, _ int) error {
 				n := inFlight.Add(1)
 				for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
 				}
@@ -58,7 +58,7 @@ func TestBudgetBound(t *testing.T) {
 // the nil-receiver paths are no-ops.
 func TestMemReservationCharge(t *testing.T) {
 	r := &MemReservation{}
-	rt := RT(context.Background(), nil, 2).WithMemReservation(r)
+	rt := RT(context.Background(), nil, nil, 2).WithMemReservation(r)
 	rt.ChargeMem(100)
 	rt.ChargeMem(28)
 	rt.ChargeMem(0)
@@ -68,9 +68,47 @@ func TestMemReservationCharge(t *testing.T) {
 	}
 	var nr *MemReservation
 	nr.Charge(10)
-	RT(context.Background(), nil, 2).ChargeMem(10)
+	RT(context.Background(), nil, nil, 2).ChargeMem(10)
 	if nr.Charged() != 0 {
 		t.Fatal("nil reservation must report zero")
+	}
+}
+
+// TestMemReservationPeak: released bytes leave the live count but not the
+// charged sum, and the peak is the high-water mark of the live count. The
+// staging a parallel operator charges is released before it returns, so
+// once its output is charged the peak is below the charged sum.
+func TestMemReservationPeak(t *testing.T) {
+	r := &MemReservation{}
+	r.Charge(100)
+	r.Release(60)
+	r.Charge(30)
+	r.Release(0)
+	if r.Charged() != 130 || r.Peak() != 100 {
+		t.Fatalf("charged %d peak %d, want 130 and 100", r.Charged(), r.Peak())
+	}
+	var nr *MemReservation
+	nr.Release(10)
+	if nr.Peak() != 0 {
+		t.Fatal("nil reservation must report zero")
+	}
+
+	const n = 1 << 16
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(i % 2)
+	}
+	r = &MemReservation{}
+	out, err := RT(context.Background(), nil, nil, 2).WithMemReservation(r).SelectAuto(columns.FromValues(vals), bitutil.CmpEq, 0, columns.UncomprDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staged := int64(8 * out.N()); r.Charged() < staged || r.Peak() < staged {
+		t.Fatalf("charged %d, peak %d: want both at least the %d staged bytes", r.Charged(), r.Peak(), staged)
+	}
+	r.Charge(out.PhysicalBytes()) // as the engine charges a produced column
+	if r.Peak() >= r.Charged() {
+		t.Fatalf("peak %d not below the %d bytes charged: the staging was not released", r.Peak(), r.Charged())
 	}
 }
 
@@ -102,7 +140,7 @@ func TestParallelStagingCharged(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := &MemReservation{}
-		rt := RT(context.Background(), nil, 2).WithMemReservation(r)
+		rt := RT(context.Background(), nil, nil, 2).WithMemReservation(r)
 		out, err := c.run(rt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -153,7 +191,7 @@ func TestRunPartsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	var once sync.Once
-	err := RT(ctx, nil, 2).runParts(parts, func(_, _ int, _ formats.Partition) error {
+	err := RT(ctx, nil, nil, 2).runParts(parts, func(_, _ int, _ formats.Partition) error {
 		ran.Add(1)
 		once.Do(cancel)
 		return nil
@@ -174,7 +212,7 @@ func TestRunPartsComplete(t *testing.T) {
 		parts[i] = formats.Partition{Start: i, Count: 1}
 	}
 	var ran atomic.Int64
-	if err := RT(context.Background(), nil, 4).runParts(parts, func(_, _ int, _ formats.Partition) error {
+	if err := RT(context.Background(), nil, nil, 4).runParts(parts, func(_, _ int, _ formats.Partition) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
@@ -202,7 +240,7 @@ func TestRuntimeOpsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RT(context.Background(), NewBudget(3), 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc)
+	got, err := RT(context.Background(), NewBudget(3), nil, 3).SelectAuto(col, bitutil.CmpLt, 40, columns.DeltaBPDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +265,7 @@ func TestRuntimeCancelledSelect(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RT(ctx, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc)
+	_, err = RT(ctx, nil, nil, 2).SelectAuto(col, bitutil.CmpEq, 0, columns.DeltaBPDesc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

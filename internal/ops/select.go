@@ -96,7 +96,7 @@ func rangeKernel(in *columns.Column, lo, span uint64, swar bool) emitKernel {
 // predicate is answered here, once, for every kernel and input format.
 func (rt Runtime) selectRange(name string, in *columns.Column, out columns.FormatDesc, empty bool, kernel emitKernel) (*columns.Column, error) {
 	if empty {
-		w, err := formats.NewWriter(positionDesc(out, in.N()), 0)
+		w, err := formats.NewWriterFrom(rt.bufs, positionDesc(out, in.N()), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -124,8 +124,8 @@ func (rt Runtime) SelectAnd(a *columns.Column, loA, spanA uint64, b *columns.Col
 	}
 	kernel := andKernel(loA, spanA, loB, spanB)
 	cols, err := rt.emit("select and", a, b, []emitOut{{out, a.N()}},
-		func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
-			return streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
+		func(rt Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+			return rt.streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
 				return flush(stage, kernel(va, vb, base, stage[0]), sinks)
 			})
 		})

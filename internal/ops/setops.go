@@ -26,7 +26,9 @@ type pullReader struct {
 	err  error
 }
 
-func newPullReader(col *columns.Column) (*pullReader, error) {
+// newPullReader opens a pull reader over col; its decompression buffer, if
+// it needs one, is buf (blockBuf elements).
+func newPullReader(col *columns.Column, buf []uint64) (*pullReader, error) {
 	r, err := formats.NewReader(col)
 	if err != nil {
 		return nil, err
@@ -36,7 +38,7 @@ func newPullReader(col *columns.Column) (*pullReader, error) {
 			return &pullReader{rest: vals}, nil
 		}
 	}
-	return &pullReader{r: r, buf: make([]uint64, blockBuf)}, nil
+	return &pullReader{r: r, buf: buf}, nil
 }
 
 // window returns the unread elements of the current block, moving on to the
@@ -68,21 +70,22 @@ type setKernel func(dst, a, b []uint64) (i, j, k int)
 // windows, again and again, until it makes no more progress. The merge state
 // is the two cursors and nothing else, so cutting the inputs into windows
 // changes nothing about the output.
-// The kernel's output stage is a pooled scratch buffer of 2*blockBuf
-// elements.
-func streamSet(kernel setKernel, a, b *columns.Column, w formats.Writer) error {
-	pa, err := newPullReader(a)
+// The kernel's output stage is one scratch buffer of 2*blockBuf elements,
+// the two inputs' decompression buffers halves of another.
+func (rt Runtime) streamSet(kernel setKernel, a, b *columns.Column, w formats.Writer) error {
+	in, stage := rt.scratch(), rt.scratch()
+	defer rt.free(in)
+	defer rt.free(stage)
+	pa, err := newPullReader(a, in[:blockBuf])
 	if err != nil {
 		return err
 	}
-	pb, err := newPullReader(b)
+	pb, err := newPullReader(b, in[blockBuf:])
 	if err != nil {
 		return err
 	}
-	stage := scratch.Get().(*scratchBuf)
-	defer scratch.Put(stage)
 	for pa.err == nil && pb.err == nil {
-		i, j, k := kernel(stage[:], pa.window(), pb.window())
+		i, j, k := kernel(stage, pa.window(), pb.window())
 		if i+j == 0 {
 			break
 		}
@@ -115,11 +118,11 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 		return nil, err
 	}
 	rt.coll.SeqFallback()
-	w, err := formats.NewWriter(out, rt.reserve(0, op.bound(a.N(), b.N())))
+	w, err := formats.NewWriterFrom(rt.bufs, out, rt.reserve(0, op.bound(a.N(), b.N())))
 	if err != nil {
 		return nil, err
 	}
-	if err := streamSet(op.kernel, a, b, w); err != nil {
+	if err := rt.streamSet(op.kernel, a, b, w); err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", op.name, err)
 	}
 	return w.Close()

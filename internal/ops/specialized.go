@@ -30,7 +30,7 @@ func swarSelect(in *columns.Column, lo, span uint64) emitKernel {
 	b := uint(in.Desc().Bits)
 	per, shift := int(64/b), uint(bits.TrailingZeros(b))
 	test := bitutil.NewPackedRange(lo, span, b)
-	return func(pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
+	return func(_ Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
 		words, _, err := formats.StaticBPWords(in)
 		if err != nil {
 			return err
@@ -61,7 +61,7 @@ func swarSelect(in *columns.Column, lo, span uint64) emitKernel {
 // sumRLE sums an RLE column as the dot product of run values and run
 // lengths, never touching individual elements (Abadi et al. [2]).
 func sumRLE(in *columns.Column) reduceKernel {
-	return func(acc []uint64, _ formats.Partition) error {
+	return func(_ Runtime, acc []uint64, _ formats.Partition) error {
 		runs, err := formats.RLERuns(in)
 		if err != nil {
 			return err

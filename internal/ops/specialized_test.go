@@ -382,7 +382,7 @@ func BenchmarkDirectKernels(b *testing.B) {
 }
 
 func TestU64Map(t *testing.T) {
-	m := newU64Map(4)
+	m := newU64Map(nil, 4)
 	for i := uint64(0); i < 1000; i++ {
 		m.put(i*7, i)
 	}
@@ -415,7 +415,7 @@ func TestU64Map(t *testing.T) {
 }
 
 func TestPairMap(t *testing.T) {
-	m := newPairMap(4)
+	m := newPairMap(nil, 4)
 	n := uint64(0)
 	for a := uint64(0); a < 50; a++ {
 		for b := uint64(0); b < 20; b++ {

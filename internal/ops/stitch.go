@@ -44,7 +44,7 @@ func (rt Runtime) stitchCompressed(desc columns.FormatDesc, sizeHint int, chunks
 			return col, err
 		}
 	}
-	w, err := formats.NewWriter(desc, sizeHint)
+	w, err := formats.NewWriterFrom(rt.bufs, desc, sizeHint)
 	if err != nil {
 		return nil, err
 	}
@@ -84,6 +84,16 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 		return nil, false, nil
 	}
 	parts := make([]*columns.Column, len(ranges))
+	// The sections are staging: given back, and their charge released, once
+	// the concatenation has copied them or the stitch failed.
+	defer func() {
+		for _, c := range parts {
+			if c != nil {
+				rt.releaseMem(c.PhysicalBytes())
+				rt.free(c.Words())
+			}
+		}
+	}()
 	err = rt.runParts(ranges, func(_, i int, pt formats.Partition) error {
 		if err := faultpoint.StitchSeam.Hit(); err != nil {
 			return err
@@ -93,7 +103,7 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 		if hasPrev && d.Kind == columns.DeltaBP {
 			prev = chunkElem(chunks, pt.Start-1)
 		}
-		w, err := formats.NewSectionWriter(d, pt.Count, prev, hasPrev)
+		w, err := formats.NewSectionWriterFrom(rt.bufs, d, pt.Count, prev, hasPrev)
 		if err != nil {
 			return err
 		}
@@ -114,7 +124,7 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 	if err != nil {
 		return nil, true, err
 	}
-	col, err = formats.ConcatCompressed(d, parts)
+	col, err = formats.ConcatFrom(rt.bufs, d, parts)
 	return col, true, err
 }
 
