@@ -56,16 +56,16 @@ func coherentStatsTree(qs *metrics.QueryStats, pr *Prepared, execErr error) erro
 				return fmt.Errorf("node %d input %d out of topological range", i, in)
 			}
 		}
-		alt := pr.bound[i].alt
+		st := pr.rewritten[i]
 		switch {
-		case !ns.Done || alt == nil:
-		case alt == elided:
+		case !ns.Done:
+		case st.run == nil:
 			if ns.InValues != 0 || ns.OutValues != 0 || ns.Morsels != 0 || len(ns.Formats) != 0 {
 				return fmt.Errorf("elided node %d carries work: %+v", i, ns)
 			}
-		default:
+		case fusedNode(pr, i):
 			var read int64
-			for _, ref := range alt.inputs {
+			for _, ref := range st.inputs {
 				read += qs.Nodes[ref.node.id].OutValues
 			}
 			if ns.InValues != read {

@@ -375,13 +375,14 @@ func (e *Engine) Budget() int { return e.budget.Total() }
 // execution changes, the observation record (observed.go), is swapped
 // atomically.
 type Prepared struct {
-	e     *Engine
-	p     *Plan
-	opt   options
-	bound []boundNode
-	life  lifetimes // when each intermediate dies (sched.go)
-	sinks map[string]bool
-	obs   atomic.Pointer[observation] // nil until the first successful execution
+	e         *Engine
+	p         *Plan
+	opt       options
+	written   schedule // the plan as written, run WithKeep(true) (sched.go)
+	rewritten schedule // the rewrite pass's schedule, run otherwise (rewrite.go)
+	rows      []int    // per scan node, the prepare-bound stored column's length
+	sinks     map[string]bool
+	obs       atomic.Pointer[observation] // nil until the first successful execution
 }
 
 // Prepare compiles the plan once against the engine's database: per-column
@@ -408,15 +409,16 @@ func (e *Engine) Prepare(p *Plan, o ...Option) (*Prepared, error) {
 			return nil, fmt.Errorf("core: result column %q must stay uncompressed, configured %v", name, d)
 		}
 	}
-	c := &compiler{db: e.db, opt: &opt, sinks: sinks}
-	bound := make([]boundNode, len(p.nodes))
+	c := &compiler{db: e.db, opt: &opt, sinks: sinks, rows: make([]int, len(p.nodes))}
+	written := make(schedule, len(p.nodes))
 	for i, n := range p.nodes {
-		if bound[i], err = c.compile(n); err != nil {
+		if written[i].run, err = c.compile(n); err != nil {
 			return nil, err
 		}
+		written[i].inputs = n.inputs
 	}
-	c.rewrite(p, bound)
-	pr := &Prepared{e: e, p: p, opt: opt, bound: bound, life: newLifetimes(bound), sinks: sinks}
+	written.link()
+	pr := &Prepared{e: e, p: p, opt: opt, written: written, rewritten: c.rewrite(p, written), rows: c.rows, sinks: sinks}
 	if _, err := pr.memoryEstimate(nil); err != nil {
 		return nil, err
 	}
@@ -624,46 +626,47 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	return res, nil
 }
 
-// runNode executes one bound operator — the rewrite pass's operator where it
-// bound one, unless the execution keeps every column; its morsel workers
-// draw tokens from the engine budget. Scans do no kernel work (they hand out
-// the stored column), so they run at width 1 and charge nothing.
+// runNode executes node n as its step in the execution's schedule says; its
+// morsel workers draw tokens from the engine budget. Scans do no kernel work
+// (they hand out the stored column), so they run at width 1 and charge
+// nothing.
 //
 // The node runs under a recover guard: a panic on the operator's own
 // goroutine — the morsel workers have their own guards — is converted into a
 // *QueryError instead of crashing the process, and every QueryError
 // surfacing here is tagged with the operator it escaped from.
-func (pr *Prepared) runNode(ctx context.Context, es *execState, bn *boundNode, par int) (produced []*columns.Column, err error) {
-	run, inputs := bn.run, bn.n.inputs
-	if bn.alt != nil && !es.keep {
-		run, inputs = bn.alt.run, bn.alt.inputs
-	}
+func (pr *Prepared) runNode(ctx context.Context, es *execState, n *Node, st *step, par int) (produced []*columns.Column, err error) {
 	// The collector's Finish defer is registered before the recover guard so
 	// it runs after it and records the final, panic-converted outcome — a
 	// panicking node still leaves a coherent partial stats entry.
-	nc := es.coll.Node(bn.n.id)
-	nc.Begin(inputValues(es, inputs))
-	defer func() { nc.Finish(outputValues(produced), outputFormats(produced), err) }()
+	nc := es.coll.Node(n.id)
+	if nc != nil {
+		nc.Begin(inputValues(es, st.inputs))
+		defer func() { nc.Finish(outputValues(produced), outputFormats(produced), err) }()
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			qe := qerr.Recovered(v, -1)
-			qe.Op = bn.n.op.String()
+			qe.Op = n.op.String()
 			produced, err = nil, qe
 			return
 		}
 		var qe *qerr.QueryError
 		if errors.As(err, &qe) && qe.Op == "" {
-			qe.Op = bn.n.op.String()
+			qe.Op = n.op.String()
 		}
 	}()
-	if bn.n.op == OpScan {
+	switch {
+	case st.run == nil: // elided
+		return nil, nil
+	case n.op == OpScan:
 		// Scans hand out stored columns — no intermediate bytes to charge.
-		return run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc))
+		return st.run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc))
 	}
-	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(bn.n.id))
-	produced, err = run(es, rt)
+	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(n.id))
+	produced, err = st.run(es, rt)
 	if err != nil {
-		return nil, fmt.Errorf("core: %v %q: %w", bn.n.op, bn.n.outNames[0], err)
+		return nil, fmt.Errorf("core: %v %q: %w", n.op, n.outNames[0], err)
 	}
 	// Charge the materialized intermediates to the query's counter; the
 	// parallel drivers' staging buffers and the stitch's section buffers

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"morphstore/internal/metrics"
+)
 
 // This file hands the external tests of the package (package core_test,
 // which may import internal/ssb) the few internals they check.
@@ -25,3 +29,7 @@ func AdmitQuery(ctx context.Context, e *Engine, bytes int64) (release func(), er
 // ShareRecord gives pr the observation record of from, a preparation of the
 // same plan over the same data on another engine, as if pr had run.
 func ShareRecord(pr, from *Prepared) { pr.obs.Store(from.obs.Load()) }
+
+// CheckSchedules checks the schedules pr derived at Prepare against its plan
+// and qs, the stats tree of one of its executions (schedule_test.go).
+func CheckSchedules(pr *Prepared, qs *metrics.QueryStats) error { return checkSchedules(pr, qs) }

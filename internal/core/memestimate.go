@@ -44,21 +44,20 @@ const estimateHeadroom = 1.25
 func (pr *Prepared) memoryEstimate(obs *observation) (int64, error) {
 	// card bounds each node output's element count, two slots per node (no
 	// operator has more than two outputs).
-	card := make([]int, 2*len(pr.bound))
+	card := make([]int, 2*len(pr.p.nodes))
 	var bytes int64
 	growth := 1.0
 	e := pr.e
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	for i, bn := range pr.bound {
-		n := bn.n
+	for i, n := range pr.p.nodes {
 		in := func(j int) int { return card[2*n.inputs[j].node.id+n.inputs[j].out] }
 		var c, outs int
 		switch n.op {
 		case OpScan:
 			// A written table's rows live in its delta state; the stored
 			// column of a table never written is immutable.
-			card[2*i] = bn.rows
+			card[2*i] = pr.rows[i]
 			if wt := e.wtabs[n.table]; wt != nil {
 				card[2*i] = wt.dt.State().Rows()
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -292,24 +293,18 @@ func (ob *execObs) admitted(opt *options, budgeted bool) {
 
 // newCollector builds the execution's collector when stats or tracing were
 // requested, pre-defining every plan node so even a failed execution's tree
-// is fully labelled. Detached executions (the common case) return nil. The
-// query id was reserved before admission (execObs) so admission events and
-// operator spans share one number.
+// is fully labelled; a node's inputs are the nodes it reads as written.
+// Detached executions (the common case) return nil. The query id was
+// reserved before admission (execObs) so admission events and operator
+// spans share one number.
 func (pr *Prepared) newCollector(opt *options, query uint64) *metrics.Collector {
 	if opt.stats == nil && opt.tracer == nil {
 		return nil
 	}
 	coll := metrics.NewCollectorFor(query, len(pr.p.nodes), opt.tracer)
 	for _, n := range pr.p.nodes {
-		var inputs []int
-		seen := make(map[int]bool, len(n.inputs))
-		for _, ref := range n.inputs {
-			if id := ref.node.id; !seen[id] {
-				seen[id] = true
-				inputs = append(inputs, id)
-			}
-		}
-		coll.Define(n.id, n.outNames[0], n.op.String(), inputs)
+		// A copy: the stats tree is the caller's, the schedule is shared.
+		coll.Define(n.id, n.outNames[0], n.op.String(), slices.Clone(pr.written[n.id].reads))
 	}
 	return coll
 }

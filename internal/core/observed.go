@@ -17,8 +17,7 @@ import "morphstore/internal/columns"
 
 // observed is what one plan node produced in a successful execution.
 type observed struct {
-	rows  []int // element count per output
-	bytes int   // physical bytes of the outputs
+	rows []int // element count per output
 }
 
 // observation is the record one successful execution publishes.
@@ -38,7 +37,6 @@ func observedOf(produced []*columns.Column) observed {
 	o := observed{rows: make([]int, len(produced))}
 	for i, col := range produced {
 		o.rows[i] = col.N()
-		o.bytes += col.PhysicalBytes()
 	}
 	return o
 }

@@ -32,18 +32,6 @@ import (
 // prepared plan.
 type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 
-// boundNode pairs a plan node with its compiled physical operator. Every
-// node gets the full per-query width: an operator on a morsel driver splits
-// its input up to it, its workers drawing on the engine budget; the grouping
-// and sorted-set operators run as one pass on the node's own goroutine and
-// record a sequential fallback.
-type boundNode struct {
-	n    *Node
-	run  physOp
-	alt  *rewritten // the rewrite pass's operator (rewrite.go); nil when none
-	rows int        // scans: the prepare-bound stored column's length
-}
-
 // execState is the mutable state of one plan execution: the per-node output
 // slots (emptied when a node's columns are released), what each node
 // produced (for the observation record), the execution's stats collector
@@ -69,11 +57,13 @@ type execState struct {
 // in resolves a bound input reference against the execution state.
 func (es *execState) in(ref ColRef) *columns.Column { return es.outs[ref.node.id][ref.out] }
 
-// compiler carries the immutable context of one Prepare call.
+// compiler carries the context of one Prepare call and the row counts of
+// the stored columns its scans bound.
 type compiler struct {
 	db    *DB
 	opt   *options
 	sinks map[string]bool
+	rows  []int // per node id; set for scans
 }
 
 // outDesc resolves the format a node output materializes in, honouring the
@@ -100,10 +90,13 @@ func randomInput(es *execState, ref ColRef) (*columns.Column, error) {
 	return morph.Morph(col, columns.StaticBPDesc(0))
 }
 
-// compile binds one plan node into its physical operator. The 0 and false
-// passed to SelectBetweenAuto and JoinN1 are their ignored style and
-// specialized arguments.
-func (c *compiler) compile(n *Node) (boundNode, error) {
+// compile binds one plan node into its physical operator. Every node gets
+// the full per-query width: an operator on a morsel driver splits its input
+// up to it, its workers drawing on the engine budget; the grouping and
+// sorted-set operators run as one pass on the node's own goroutine and
+// record a sequential fallback. The 0 and false passed to SelectBetweenAuto
+// and JoinN1 are their ignored style and specialized arguments.
+func (c *compiler) compile(n *Node) (physOp, error) {
 	one := func(col *columns.Column, err error) ([]*columns.Column, error) {
 		if err != nil {
 			return nil, err
@@ -114,10 +107,11 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 	case OpScan:
 		col, err := c.db.Column(n.table, n.column)
 		if err != nil {
-			return boundNode{}, err
+			return nil, err
 		}
 		table, column := n.table, n.column
-		return boundNode{n: n, run: func(es *execState, _ ops.Runtime) ([]*columns.Column, error) {
+		c.rows[n.id] = col.N()
+		return func(es *execState, _ ops.Runtime) ([]*columns.Column, error) {
 			// A writable table is read at the execution's pinned snapshot:
 			// the merged main+delta view of that epoch. Read-only tables (and
 			// read-only engines, where the snapshot is nil) hand out the
@@ -127,107 +121,107 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 				return nil, err
 			}
 			return []*columns.Column{sc}, nil
-		}, rows: col.N()}, nil
+		}, nil
 	case OpSelect:
 		d := c.outDesc(n.outNames[0])
 		in, cmp, val := n.inputs[0], n.cmp, n.val
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.SelectAuto(es.in(in), cmp, val, d))
-		}}, nil
+		}, nil
 	case OpBetween:
 		d := c.outDesc(n.outNames[0])
 		in, lo, hi := n.inputs[0], n.val, n.val2
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.SelectBetweenAuto(es.in(in), lo, hi, d, 0, false))
-		}}, nil
+		}, nil
 	case OpProject:
 		d := c.outDesc(n.outNames[0])
 		data, pos := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			dcol, err := randomInput(es, data)
 			if err != nil {
 				return nil, err
 			}
 			return one(rt.Project(dcol, es.in(pos), d))
-		}}, nil
+		}, nil
 	case OpIntersect:
 		d := c.outDesc(n.outNames[0])
 		x, y := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.Intersect(es.in(x), es.in(y), d))
-		}}, nil
+		}, nil
 	case OpMerge:
 		d := c.outDesc(n.outNames[0])
 		x, y := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.Merge(es.in(x), es.in(y), d))
-		}}, nil
+		}, nil
 	case OpSemiJoin:
 		d := c.outDesc(n.outNames[0])
 		probe, build := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.SemiJoin(es.in(probe), es.in(build), d))
-		}}, nil
+		}, nil
 	case OpJoinN1:
 		dp := c.outDesc(n.outNames[0])
 		db2 := c.outDesc(n.outNames[1])
 		probe, build := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cp, cb, err := rt.JoinN1(es.in(probe), es.in(build), dp, db2, 0)
 			if err != nil {
 				return nil, err
 			}
 			return []*columns.Column{cp, cb}, nil
-		}}, nil
+		}, nil
 	case OpGroupFirst:
 		dg := c.outDesc(n.outNames[0])
 		de := c.outDesc(n.outNames[1])
 		keys := n.inputs[0]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cg, ce, err := rt.GroupFirst(es.in(keys), dg, de)
 			if err != nil {
 				return nil, err
 			}
 			return []*columns.Column{cg, ce}, nil
-		}}, nil
+		}, nil
 	case OpGroupNext:
 		dg := c.outDesc(n.outNames[0])
 		de := c.outDesc(n.outNames[1])
 		prev, keys := n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			cg, ce, err := rt.GroupNext(es.in(prev), es.in(keys), dg, de)
 			if err != nil {
 				return nil, err
 			}
 			return []*columns.Column{cg, ce}, nil
-		}}, nil
+		}, nil
 	case OpSumWhole:
 		in := n.inputs[0]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			_, col, err := rt.SumAuto(es.in(in))
 			return one(col, err)
-		}}, nil
+		}, nil
 	case OpSumGrouped:
 		gids, extents, vals := n.inputs[0], n.inputs[1], n.inputs[2]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			nGroups := es.in(extents).N()
 			return one(rt.SumGrouped(es.in(gids), es.in(vals), nGroups))
-		}}, nil
+		}, nil
 	case OpCalc:
 		d := c.outDesc(n.outNames[0])
 		op, x, y := n.calc, n.inputs[0], n.inputs[1]
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			return one(rt.CalcBinary(op, es.in(x), es.in(y), d))
-		}}, nil
+		}, nil
 	case OpSelectStr:
 		d := c.outDesc(n.outNames[0])
 		in := n.inputs[0]
 		if in.node.op != OpScan {
-			return boundNode{}, fmt.Errorf("core: string select %q: input %q is not a base-column scan", n.outNames[0], in.Name())
+			return nil, fmt.Errorf("core: string select %q: input %q is not a base-column scan", n.outNames[0], in.Name())
 		}
 		dd := c.db.Dict(in.node.table, in.node.column)
 		if dd == nil {
-			return boundNode{}, fmt.Errorf("core: string select %q: %s.%s is not a dictionary-encoded string column",
+			return nil, fmt.Errorf("core: string select %q: %s.%s is not a dictionary-encoded string column",
 				n.outNames[0], in.node.table, in.node.column)
 		}
 		table, column := in.node.table, in.node.column
@@ -239,7 +233,7 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 		// so a prepared plan stays valid across ingest and remorph.
 		prepSnap := dd.Snap()
 		prep := translateStrPred(prepSnap, kind, sval, svals)
-		return boundNode{n: n, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			pred := prep
 			if ds := es.snap.Dict(table, column); ds != nil && (ds.Gen() != prepSnap.Gen() || ds.Len() != prepSnap.Len()) {
 				pred = translateStrPred(ds, kind, sval, svals)
@@ -252,8 +246,8 @@ func (c *compiler) compile(n *Node) (boundNode, error) {
 			default:
 				return one(rt.SelectIn(es.in(in), pred.set, d))
 			}
-		}}, nil
+		}, nil
 	default:
-		return boundNode{}, fmt.Errorf("core: unknown operator %v", n.op)
+		return nil, fmt.Errorf("core: unknown operator %v", n.op)
 	}
 }

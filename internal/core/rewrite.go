@@ -8,21 +8,22 @@ import (
 	"morphstore/internal/ops"
 )
 
-// This file implements the Prepare-time physical rewrite pass. The logical
-// plan stays the paper's operator-at-a-time MonetDB plan (§5.2): node ids,
-// op names, output names and formats are those of the plan as built, and a
-// WithKeep(true) execution runs every node exactly as written. Every other
-// execution runs a node's rewritten operator where the pass bound one, which
-// may produce the node's outputs from other columns than its logical inputs,
-// or elide the node: it then produces no column, and its only consumer reads
-// around it.
+// This file implements the Prepare-time physical rewrite pass: a transform
+// of the schedule as written into the schedule every execution that does not
+// keep every column runs (sched.go). The logical plan stays the paper's
+// operator-at-a-time MonetDB plan (§5.2): node ids, op names, output names
+// and formats are those of the plan as built, and a WithKeep(true) execution
+// runs every node exactly as written. The rewritten schedule may bind a node
+// to an operator that produces its outputs from other columns than its
+// logical inputs, or elide the node: it then runs and reads nothing, and its
+// only consumer reads around it.
 //
 // One rule is implemented, the fused conjunction. An intersect of two range
 // selections (select or between) is bound to ops.Runtime.SelectAnd over the
 // two scanned columns when
 //
 //   - both selections read a scan of the same table,
-//   - each has exactly one consumer, the intersect, and
+//   - each is referenced exactly once, by the intersect, and
 //   - neither is a result column.
 //
 // The fused operator streams both columns in lockstep and writes only the
@@ -30,51 +31,40 @@ import (
 // selections are elided. Its output is the intersection of the two
 // position lists, so it is byte-identical to the unfused intersect's.
 
-// rewritten is the operator a rewrite bound to a node, run instead of the
-// node's own unless the execution keeps every column.
-type rewritten struct {
-	run physOp
-	// inputs are the columns the operator reads, which its stats count; nil
-	// for an elided node.
-	inputs []ColRef
-}
-
-// elided is the rewritten operator of a node whose work another node does.
-var elided = &rewritten{run: func(*execState, ops.Runtime) ([]*columns.Column, error) { return nil, nil }}
-
-// rewrite binds the rewritten operators of the plan's nodes into bound.
-func (c *compiler) rewrite(p *Plan, bound []boundNode) {
-	consumers := make([]int, len(p.nodes))
-	for _, n := range p.nodes {
-		for _, in := range n.inputs {
-			consumers[in.node.id]++
-		}
+// rewrite transforms p's schedule as written into the rewritten schedule.
+func (c *compiler) rewrite(p *Plan, written schedule) schedule {
+	s := make(schedule, len(written))
+	for i, st := range written {
+		s[i] = step{run: st.run, inputs: st.inputs}
 	}
-	fusable := func(s *Node) bool {
-		return (s.op == OpSelect || s.op == OpBetween) && s.inputs[0].node.op == OpScan &&
-			consumers[s.id] == 1 && !c.sinks[s.outNames[0]]
+	// A selection with one reader is referenced once unless that reader is
+	// an intersect of the selection with itself (x == y below).
+	fusable := func(sel *Node) bool {
+		return (sel.op == OpSelect || sel.op == OpBetween) && sel.inputs[0].node.op == OpScan &&
+			len(written[sel.id].readers) == 1 && !c.sinks[sel.outNames[0]]
 	}
 	for _, n := range p.nodes {
 		if n.op != OpIntersect {
 			continue
 		}
 		x, y := n.inputs[0].node, n.inputs[1].node
-		if !fusable(x) || !fusable(y) || x.inputs[0].node.table != y.inputs[0].node.table {
+		if x == y || !fusable(x) || !fusable(y) || x.inputs[0].node.table != y.inputs[0].node.table {
 			continue
 		}
-		bound[x.id].alt, bound[y.id].alt = elided, elided
-		bound[n.id].alt = c.selectAnd(n, x, y)
+		s[x.id], s[y.id] = step{}, step{}
+		s[n.id] = step{run: c.selectAnd(n, x, y), inputs: []ColRef{x.inputs[0], y.inputs[0]}}
 	}
+	return s.link()
 }
 
 // selectAnd binds the fused conjunction of the range selections x and y,
 // which intersect n combines.
-func (c *compiler) selectAnd(n, x, y *Node) *rewritten {
+func (c *compiler) selectAnd(n, x, y *Node) physOp {
 	d := c.outDesc(n.outNames[0])
 	a, b := x.inputs[0], y.inputs[0]
 	loA, spanA, emptyA := rangeTest(x)
 	loB, spanB, emptyB := rangeTest(y)
-	return &rewritten{inputs: []ColRef{a, b}, run: func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
+	return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 		if emptyA || emptyB {
 			w, err := formats.NewWriterFrom(es.bufs, d, 0)
 			if err != nil {
@@ -88,7 +78,7 @@ func (c *compiler) selectAnd(n, x, y *Node) *rewritten {
 			return nil, err
 		}
 		return []*columns.Column{col}, nil
-	}}
+	}
 }
 
 // rangeTest normalises the predicate of a select or between node to the

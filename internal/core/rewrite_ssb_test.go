@@ -81,6 +81,36 @@ func TestRewriteSSBMatchesPlanAsWritten(t *testing.T) {
 	}
 }
 
+// TestScheduleEdgesSSB checks the schedules of the 13 SSB plans
+// (CheckSchedules): the edges of each are one another's inverse, the
+// elided Q1.x selections read nothing, and the stats tree reports the plan's
+// inputs.
+func TestScheduleEdgesSSB(t *testing.T) {
+	data, err := ssb.Generate(0.002, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.NewEngine(data.DB, core.WithParallelism(2))
+	defer e.Close(context.Background())
+	for _, q := range ssb.Queries {
+		p, err := ssb.BuildPlan(q, data.Dicts)
+		if err != nil {
+			t.Fatalf("Q%s: %v", q, err)
+		}
+		pr, err := e.Prepare(p, core.WithCostBasedFormats())
+		if err != nil {
+			t.Fatalf("Q%s: %v", q, err)
+		}
+		var qs metrics.QueryStats
+		if _, err := pr.Execute(context.Background(), core.WithExecStats(&qs)); err != nil {
+			t.Fatalf("Q%s: %v", q, err)
+		}
+		if err := core.CheckSchedules(pr, &qs); err != nil {
+			t.Fatalf("Q%s: %v", q, err)
+		}
+	}
+}
+
 // sameResultCols fails the test unless both results carry the same result
 // columns with the same words.
 func sameResultCols(t *testing.T, label string, want, got *core.Result) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"morphstore/internal/bitutil"
@@ -90,6 +91,11 @@ var rewriteShapes = func() []rewriteShape {
 			conj(b, s1, b.Between("s2", b.Scan("t", "y"), 1, 24))
 			b.Result(s1)
 		}},
+		{"self_intersect", false, func(b *Builder) {
+			s1 := b.Between("s1", b.Scan("t", "x"), 1, 3)
+			conj(b, s1, s1)
+			b.Result(b.Between("s2", b.Scan("t", "y"), 1, 24))
+		}},
 		{"two_tables", false, func(b *Builder) {
 			conj(b, b.Between("s1", b.Scan("t", "x"), 1, 3), b.Select("s2", b.Scan("u", "v"), bitutil.CmpLt, 60))
 		}},
@@ -160,18 +166,26 @@ func checkRewrites(t *testing.T, label string, pr *Prepared, par int) int {
 	}
 	es := keptState(t, label, pr, kept)
 	fused := 0
-	for _, bn := range pr.bound {
-		if bn.alt == nil || bn.alt == elided {
+	for i, st := range pr.rewritten {
+		if !fusedNode(pr, i) {
 			continue
 		}
 		fused++
-		out, err := bn.alt.run(es, ops.FixedRT(par))
+		name := pr.p.nodes[i].outNames[0]
+		out, err := st.run(es, ops.FixedRT(par))
 		if err != nil {
-			t.Fatalf("%s: fused %q: %v", label, bn.n.outNames[0], err)
+			t.Fatalf("%s: fused %q: %v", label, name, err)
 		}
-		sameColumns(t, label+" fused "+bn.n.outNames[0], kept.Inter[bn.n.outNames[0]], out[0])
+		sameColumns(t, label+" fused "+name, kept.Inter[name], out[0])
 	}
 	return fused
+}
+
+// fusedNode reports whether the rewritten schedule runs node id over other
+// columns than the plan as written does.
+func fusedNode(pr *Prepared, id int) bool {
+	st := pr.rewritten[id]
+	return st.run != nil && !slices.Equal(st.inputs, pr.written[id].inputs)
 }
 
 // TestRewriteFusesConjunctions runs the hand-built shapes under every format
@@ -208,7 +222,7 @@ func TestRewriteFusesConjunctions(t *testing.T) {
 				}
 			}
 			for _, name := range []string{"s1", "s2"} {
-				if got := pr.bound[p.byName[name].node.id].alt == elided; got != sh.fused {
+				if got := pr.rewritten[p.byName[name].node.id].run == nil; got != sh.fused {
 					t.Fatalf("%s/%s: %s elided = %v, want %v", fc.name, sh.name, name, got, sh.fused)
 				}
 			}

@@ -36,63 +36,69 @@ import (
 // edge for the outputs it reads. Result accounting happens under the mutex
 // too, keeping the Measure maps race-free.
 //
-// Column lifetimes: a plan is a DAG of functions over columns, so each
-// column's last reader is known before the plan runs. Prepare counts, per
-// node, the nodes that read its outputs in an execution that does not keep
-// every column (lifetimes). Such an execution decrements the count of each
-// node a finished node read, under the mutex; at zero the node's columns are
-// dead, and their words go back to the engine's buffer pool and their bytes
-// leave the query's memory counter — so a worker's next operator can reuse
-// them, and MemPeak is the peak of live intermediates. Never released: a
-// scan's output (a stored column, or a snapshot's merged main+delta view),
-// a result column, and every column of a WithKeep(true) execution. A failed
-// execution releases everything it produced once its workers have stopped.
+// Schedules: a plan is a DAG of functions over columns whose edges are fixed
+// when it is built, so Prepare derives them once, into two immutable
+// schedules every execution shares: the plan as written, which a
+// WithKeep(true) execution runs, and the rewrite pass's transform of it,
+// which every other execution runs (rewrite.go). Per node a schedule holds
+// the operator, the columns it reads, the nodes it reads from and the nodes
+// that read from it. An execution copies only counters out of its schedule:
+// each node's open dependencies and, unless it keeps every column, each
+// node's readers still to finish.
+//
+// Column lifetimes: a finished node counts itself off the readers of every
+// node it read, under the mutex; at zero the node's columns are dead, and
+// their words go back to the engine's buffer pool and their bytes leave the
+// query's memory counter — so a worker's next operator can reuse them, and
+// MemPeak is the peak of live intermediates. Never released: a scan's output
+// (a stored column, or a snapshot's merged main+delta view), a result
+// column, and every column of a WithKeep(true) execution. A failed execution
+// releases everything it produced once its workers have stopped.
 //
 // Cancellation: a watcher goroutine flips the scheduler to done when the
 // context fires, so idle workers return immediately; workers running an
 // operator notice the cancellation inside the morsel loops (within one
 // morsel) and surface ctx.Err() through the node result.
 
-// lifetimes is the release schedule of a prepared plan, derived at Prepare
-// over the inputs an execution that does not keep every column reads: a
-// fused node's rewritten inputs, none for an elided node.
-type lifetimes struct {
-	reads   [][]int // per node, the nodes whose outputs it reads, each once
-	readers []int   // per node, how many nodes read its outputs
+// schedule is the run order of a prepared plan in one execution mode,
+// indexed by node id. It is built at Prepare and never written after.
+type schedule []step
+
+// step is one node of a schedule. reads and readers list each node once. An
+// elided node — its work done by another — has no run and reads nothing.
+type step struct {
+	run     physOp
+	inputs  []ColRef // the columns run reads, which the node's stats count
+	reads   []int    // the nodes whose outputs run reads
+	readers []int    // the nodes that read this node's outputs
 }
 
-// newLifetimes derives the release schedule of the bound plan.
-func newLifetimes(bound []boundNode) lifetimes {
-	lt := lifetimes{reads: make([][]int, len(bound)), readers: make([]int, len(bound))}
-	for d, bn := range bound {
-		inputs := bn.n.inputs
-		if bn.alt != nil {
-			inputs = bn.alt.inputs
-		}
-		for _, in := range inputs {
-			if p := in.node.id; !slices.Contains(lt.reads[d], p) {
-				lt.reads[d] = append(lt.reads[d], p)
-				lt.readers[p]++
+// link derives every step's reads and readers from its inputs.
+func (s schedule) link() schedule {
+	for d := range s {
+		for _, in := range s[d].inputs {
+			if p := in.node.id; !slices.Contains(s[d].reads, p) {
+				s[d].reads = append(s[d].reads, p)
+				s[p].readers = append(s[p].readers, d)
 			}
 		}
 	}
-	return lt
+	return s
 }
 
 // sched is the mutable scheduler state, guarded by mu. cancel is set once
 // before the workers start and never mutated, so workers read it unlocked.
 type sched struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []int   // node ids ready to run
-	deps       []int   // open dependency count per node
-	dependents [][]int // node ids waiting on each node
-	left       []int   // readers still to finish per node; nil when nothing is released
-	completed  int
-	total      int
-	err        error
-	done       bool
-	cancel     context.CancelFunc // cancels the plan-internal context
+	mu        sync.Mutex
+	cond      *sync.Cond
+	steps     schedule // what this execution runs
+	queue     []int    // node ids ready to run
+	deps      []int    // open dependency count per node
+	left      []int    // readers still to finish per node; nil when nothing is released
+	completed int
+	err       error
+	done      bool
+	cancel    context.CancelFunc // cancels the plan-internal context
 }
 
 // runPlan executes the plan DAG on min(par, nodes) workers, the calling
@@ -103,31 +109,19 @@ type sched struct {
 func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, par int) error {
 	ctx, cancelPlan := context.WithCancel(ctx)
 	defer cancelPlan()
-	total := len(pr.p.nodes)
-	s := &sched{
-		deps:       make([]int, total),
-		dependents: make([][]int, total),
-		total:      total,
-		cancel:     cancelPlan,
-	}
-	if !es.keep {
-		s.left = slices.Clone(pr.life.readers)
+	s := &sched{steps: pr.rewritten, deps: make([]int, len(pr.p.nodes)), cancel: cancelPlan}
+	if es.keep {
+		s.steps = pr.written
+	} else {
+		s.left = make([]int, len(s.steps))
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, n := range pr.p.nodes {
-		seen := make(map[int]bool, len(n.inputs))
-		for _, in := range n.inputs {
-			id := in.node.id
-			if !seen[id] {
-				seen[id] = true
-				s.deps[n.id]++
-				s.dependents[id] = append(s.dependents[id], n.id)
-			}
-		}
-	}
-	for id := 0; id < total; id++ {
-		if s.deps[id] == 0 {
+	for id, st := range s.steps {
+		if s.deps[id] = len(st.reads); s.deps[id] == 0 {
 			s.queue = append(s.queue, id)
+		}
+		if s.left != nil {
+			s.left[id] = len(st.readers)
 		}
 	}
 
@@ -151,7 +145,7 @@ func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, par
 	}()
 
 	var wg sync.WaitGroup
-	for w := 1; w < min(par, total); w++ {
+	for w := 1; w < min(par, len(s.steps)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -193,9 +187,9 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 		id := s.popLowest()
 		s.mu.Unlock()
 
-		bn := &pr.bound[id]
+		n, st := pr.p.nodes[id], &s.steps[id]
 		start := time.Now()
-		produced, err := pr.runNode(ctx, es, bn, par)
+		produced, err := pr.runNode(ctx, es, n, st, par)
 		elapsed := time.Since(start)
 
 		s.mu.Lock()
@@ -214,21 +208,21 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 			es.outs[id] = produced
 			if s.err == nil {
 				es.seen[id] = observedOf(produced)
-				pr.account(res, bn.n, produced, elapsed, es.keep)
-				for _, d := range s.dependents[id] {
+				pr.account(res, n, produced, elapsed, es.keep)
+				for _, d := range st.readers {
 					s.deps[d]--
 					if s.deps[d] == 0 {
 						s.queue = append(s.queue, d)
 					}
 				}
-				if err := pr.retire(es, s.left, id); err != nil {
+				if err := pr.retire(es, s, id); err != nil {
 					s.err, s.done = err, true
 					s.cancel()
 				}
 			}
 		}
 		s.completed++
-		if s.completed == s.total {
+		if s.completed == len(s.steps) {
 			s.done = true
 		}
 		s.cond.Broadcast()
@@ -238,9 +232,10 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 
 // retire counts node id, just published, off the readers of every node it
 // read and releases the columns of each node left without one — id's own
-// when nothing reads them. left is nil in an execution that keeps every
-// column. mu is held.
-func (pr *Prepared) retire(es *execState, left []int, id int) error {
+// when nothing reads them. Nothing is released in an execution that keeps
+// every column. mu is held.
+func (pr *Prepared) retire(es *execState, s *sched, id int) error {
+	left := s.left
 	if left == nil {
 		return nil
 	}
@@ -248,7 +243,7 @@ func (pr *Prepared) retire(es *execState, left []int, id int) error {
 	if left[id] == 0 {
 		err = pr.release(es, id, false)
 	}
-	for _, p := range pr.life.reads[id] {
+	for _, p := range s.steps[id].reads {
 		if left[p]--; left[p] == 0 {
 			err = errors.Join(err, pr.release(es, p, false))
 		}
@@ -263,7 +258,7 @@ func (pr *Prepared) retire(es *execState, left []int, id int) error {
 // not issue, or issued and took back already, is a bug; it is reported and
 // not recycled.
 func (pr *Prepared) release(es *execState, id int, failed bool) error {
-	n := pr.bound[id].n
+	n := pr.p.nodes[id]
 	if n.op == OpScan {
 		return nil
 	}

@@ -12,11 +12,11 @@ import (
 // This file implements the output half of MorphStore-Go's compressed
 // stitching: concatenating several compressed columns of one format into a
 // single column that is byte-identical to compressing the concatenated
-// element streams monolithically. Together with NewSectionWriter (a Writer
-// primed with its stream context) it lets the morsel-parallel operator
+// element streams monolithically. It lets the morsel-parallel operator
 // drivers compress block-aligned sections of their output stream on worker
-// goroutines and then stitch the partial columns by block-granular copies
-// instead of re-encoding the whole output through one sequential writer.
+// goroutines, each with its own Writer, and then stitch the partial columns
+// by block-granular copies instead of re-encoding the whole output through
+// one sequential writer.
 //
 // Every format concatenates by plain copies as long as each seam falls on its
 // concat alignment in the logical stream; the remaining fixups are:
@@ -42,29 +42,6 @@ func ConcatAlign(kind columns.Kind) int { return lookup(kind).concatAlign }
 
 // CanConcat reports whether ConcatCompressed supports the format.
 func CanConcat(kind columns.Kind) bool { return ConcatAlign(kind) > 0 }
-
-// NewSectionWriter returns a Writer producing a compressed column for one
-// section of a larger logical stream: prev is the element at the position
-// just before the section (hasPrev is false for the stream head). Formats
-// whose encoding is position-independent ignore it; DeltaBP seeds its block
-// base with it, so a section starting on a block boundary compresses to the
-// very bytes the monolithic writer would produce for that range.
-func NewSectionWriter(desc columns.FormatDesc, sizeHint int, prev uint64, hasPrev bool) (Writer, error) {
-	return NewSectionWriterFrom(nil, desc, sizeHint, prev, hasPrev)
-}
-
-// NewSectionWriterFrom is NewSectionWriter drawing the writer's buffers from
-// bufs; a nil bufs allocates them.
-func NewSectionWriterFrom(bufs *bufpool.Lease, desc columns.FormatDesc, sizeHint int, prev uint64, hasPrev bool) (Writer, error) {
-	w, err := NewWriterFrom(bufs, desc, sizeHint)
-	if err != nil {
-		return nil, err
-	}
-	if bw, ok := w.(*blockedWriter); ok && hasPrev {
-		bw.prev = prev // read by chained transforms only
-	}
-	return w, nil
-}
 
 // ConcatCompressed concatenates parts — all columns in desc's format — into
 // one column holding their element streams back to back, byte-identical to

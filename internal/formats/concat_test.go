@@ -101,17 +101,12 @@ func concatCase(t *testing.T, ctx string, desc columns.FormatDesc, vals []uint64
 	}
 	assertColsEqual(t, ctx+"/independent", whole, got)
 
-	// Mode 2 — sectioned parts: each segment written through a section
-	// writer seeded with its preceding stream element, the parallel stitch's
-	// configuration. Aligned seams then concatenate by pure block copies.
+	// Mode 2 — sectioned parts: each segment streamed through a Writer of
+	// its own, sized to the segment, the parallel stitch's configuration.
 	sect := make([]*columns.Column, 0, len(cuts)-1)
 	for i := 1; i < len(cuts); i++ {
 		start := cuts[i-1]
-		var prev uint64
-		if start > 0 {
-			prev = vals[start-1]
-		}
-		w, err := NewSectionWriter(desc, cuts[i]-start, prev, start > 0)
+		w, err := NewWriter(desc, cuts[i]-start)
 		if err != nil {
 			t.Fatalf("%s: section writer %d: %v", ctx, i, err)
 		}
@@ -253,11 +248,7 @@ func TestConcatCompressedAllocsFullBlocks(t *testing.T) {
 		parts := make([]*columns.Column, 0, len(cuts)-1)
 		for i := 1; i < len(cuts); i++ {
 			start := cuts[i-1]
-			var prev uint64
-			if start > 0 {
-				prev = vals[start-1]
-			}
-			w, err := NewSectionWriter(desc, cuts[i]-start, prev, start > 0)
+			w, err := NewWriter(desc, cuts[i]-start)
 			if err != nil {
 				t.Fatal(err)
 			}

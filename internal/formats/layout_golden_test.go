@@ -62,31 +62,12 @@ func layoutDigest(col *columns.Column) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenSections writes vals as sections cut at the given offsets, each
-// through a section writer seeded with its preceding element (seeded) or
-// compressed on its own (independent parts), and concatenates them.
-func goldenSections(desc columns.FormatDesc, vals []uint64, cuts []int, seeded bool) (*columns.Column, error) {
+// goldenSections compresses the sections of vals cut at the given offsets
+// each on its own and concatenates them.
+func goldenSections(desc columns.FormatDesc, vals []uint64, cuts []int) (*columns.Column, error) {
 	var parts []*columns.Column
 	for i := 1; i < len(cuts); i++ {
-		start, end := cuts[i-1], cuts[i]
-		var p *columns.Column
-		var err error
-		if seeded {
-			var prev uint64
-			if start > 0 {
-				prev = vals[start-1]
-			}
-			var w Writer
-			if w, err = NewSectionWriter(desc, end-start, prev, start > 0); err != nil {
-				return nil, err
-			}
-			if err = w.Write(vals[start:end]); err != nil {
-				return nil, err
-			}
-			p, err = w.Close()
-		} else {
-			p, err = Compress(vals[start:end], desc)
-		}
+		p, err := Compress(vals[cuts[i-1]:cuts[i]], desc)
 		if err != nil {
 			return nil, err
 		}
@@ -98,9 +79,9 @@ func goldenSections(desc columns.FormatDesc, vals []uint64, cuts []int, seeded b
 // TestLayoutGolden pins the encoded bytes of every format across commits.
 // The digests were generated at the commit preceding the blocked-codec
 // unification (PR 13, eb291ed) from Compress; every other way of producing
-// the column — the streaming Writer fed in ragged chunks, and section writers
-// stitched by ConcatCompressed over aligned seams, misaligned seams and
-// independently compressed parts — must hash to the same value, as it did
+// the column — the streaming Writer fed in ragged chunks, and independently
+// compressed parts stitched by ConcatCompressed over aligned and misaligned
+// seams, the parallel stitch's path — must hash to the same value, as it did
 // there. A digest changes only when the physical layout changes.
 func TestLayoutGolden(t *testing.T) {
 	descs := append(AllDescs(), columns.StaticBPDesc(40))
@@ -150,13 +131,9 @@ func TestLayoutGolden(t *testing.T) {
 				third := n / 3
 				aligned := []int{0, third &^ (BlockLen - 1), 2 * third &^ (BlockLen - 1), n}
 				misaligned := []int{0, min(third|1, n), min(2*third|1, n), n}
-				col, err = goldenSections(desc, vals, aligned, true)
-				check("sections-aligned", col, err)
-				col, err = goldenSections(desc, vals, misaligned, true)
-				check("sections-misaligned", col, err)
-				col, err = goldenSections(desc, vals, aligned, false)
+				col, err = goldenSections(desc, vals, aligned)
 				check("independent-aligned", col, err)
-				col, err = goldenSections(desc, vals, misaligned, false)
+				col, err = goldenSections(desc, vals, misaligned)
 				check("independent-misaligned", col, err)
 			}
 		}

@@ -162,10 +162,15 @@ func (w *staticBPWriter) widen(m uint) {
 		w.words = words
 	}
 	w.words = w.words[:need] // every group is repacked below, so no stale word stays
-	var vals [64]uint64
-	for g := groups - 1; g >= 0; g-- {
-		bitutil.UnpackGroup(&vals, w.words, g, w.bits)
-		bitutil.Pack(w.words[g*int(m):], vals[:], m)
+	if groups > 0 {
+		// A local array would escape through the unpack dispatch: the
+		// writer's lease lends the repack buffer instead.
+		vals := w.bufs.Get(64)
+		for g := groups - 1; g >= 0; g-- {
+			bitutil.UnpackGroup((*[64]uint64)(vals), w.words, g, w.bits)
+			bitutil.Pack(w.words[g*int(m):], vals, m)
+		}
+		_ = w.bufs.Put(vals) // issued by bufs just above
 	}
 	w.bits = m
 }

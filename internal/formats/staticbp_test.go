@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 )
 
@@ -134,5 +135,33 @@ func TestAutoWidthWriterAllocation(t *testing.T) {
 	packed := bitutil.PackedWords(n, 13) * 8
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(packed)*5/4; got > limit {
 		t.Fatalf("writing %d values allocated %d bytes, want at most %d (1.25 x the %d packed bytes)", n, got, limit, packed)
+	}
+}
+
+// TestAutoWidthWidenAllocation pins that widening allocates only to repack:
+// an auto-width writer whose widenings find every value so far still staged
+// — no whole group packed — allocates nothing once its lease's pool holds
+// the buffer the first widening reserves.
+func TestAutoWidthWidenAllocation(t *testing.T) {
+	lease := bufpool.New().Lease()
+	defer lease.Close()
+	w := new(staticBPWriter)
+	chunks := [][]uint64{{1, 0}, {6, 3}, {100, 50}, {1<<13 - 1, 7}} // each one widens
+	allocs := testing.AllocsPerRun(20, func() {
+		*w = staticBPWriter{auto: true, sizeHint: BufferLen, bufs: lease}
+		for _, c := range chunks {
+			if err := w.Write(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.bits != 13 || w.inGroup != 8 {
+			t.Fatalf("writer at width %d with %d values staged, want 13 and 8", w.bits, w.inGroup)
+		}
+		if err := lease.Put(w.words); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("widening without a group to repack allocated %.0f times per writer, want 0", allocs)
 	}
 }

@@ -642,11 +642,7 @@ func TestStitchZeroAllocConcat(t *testing.T) {
 		}
 		parts := make([]*columns.Column, len(ranges))
 		for i, pt := range ranges {
-			var prev uint64
-			if pt.Start > 0 {
-				prev = vals[pt.Start-1]
-			}
-			w, err := formats.NewSectionWriter(d, pt.Count, prev, pt.Start > 0)
+			w, err := formats.NewWriter(d, pt.Count) // as the stitch's section workers do
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,12 +12,12 @@ import (
 // format. The old stitch pushed every element through one sequential writer —
 // an Amdahl bottleneck that grew with selectivity and worker count. Now the
 // output stream is cut at block boundaries of the target format, each section
-// is compressed by a worker goroutine into a partial column (DeltaBP sections
-// are seeded with their preceding stream element so their block bases match
-// the monolithic encoding), and formats.ConcatCompressed splices the partial
-// columns by whole-block copies. The only remaining sequential work is the
-// final block-granular memcpy, so the stitched column stays byte-identical to
-// the sequential operator's at a fraction of the serial cost.
+// is compressed by a worker goroutine into an independent partial column, and
+// formats.ConcatCompressed splices the partial columns by whole-block copies,
+// rebasing the first block of each DeltaBP part onto its preceding stream
+// element. The only remaining sequential work is the final block-granular
+// memcpy, so the stitched column stays byte-identical to the sequential
+// operator's at a fraction of the serial cost.
 
 // StitchCompressed compresses the logical concatenation of chunks into a
 // column of the requested format, using up to par section-compression
@@ -98,12 +98,7 @@ func (rt Runtime) stitchParallel(desc columns.FormatDesc, chunks [][]uint64, tot
 		if err := faultpoint.StitchSeam.Hit(); err != nil {
 			return err
 		}
-		var prev uint64
-		hasPrev := pt.Start > 0
-		if hasPrev && d.Kind == columns.DeltaBP {
-			prev = chunkElem(chunks, pt.Start-1)
-		}
-		w, err := formats.NewSectionWriterFrom(rt.bufs, d, pt.Count, prev, hasPrev)
+		w, err := formats.NewWriterFrom(rt.bufs, d, pt.Count)
 		if err != nil {
 			return err
 		}
@@ -162,17 +157,6 @@ func (rt Runtime) maxBitsChunks(chunks [][]uint64) (uint, error) {
 // per element (much cheaper than compression), so coarser pieces than the
 // compression morsels keep the goroutine count low.
 const morselScanFactor = 16
-
-// chunkElem returns element i of the logical concatenation of chunks.
-func chunkElem(chunks [][]uint64, i int) uint64 {
-	for _, c := range chunks {
-		if i < len(c) {
-			return c[i]
-		}
-		i -= len(c)
-	}
-	panic("ops: chunk element index out of range")
-}
 
 // feedChunks passes the element range [start, start+count) of the logical
 // concatenation of chunks to write as zero-copy sub-slices.
