@@ -372,7 +372,7 @@ func (e *Engine) Budget() int { return e.budget.Total() }
 // Prepared is a plan compiled against one engine: formats resolved, every
 // node bound to a physical operator. It is safe for concurrent Execute calls
 // from many goroutines: the compiled plan is immutable, and the one thing an
-// execution changes, the observation record (observed.go), is swapped
+// execution changes, the observation record (memestimate.go), is swapped
 // atomically.
 type Prepared struct {
 	e         *Engine
@@ -441,8 +441,8 @@ func (pr *Prepared) MemoryEstimate() int {
 
 // record returns the observation record an execution reads, nil for one
 // that keeps every column: it runs the plan as written, which materializes
-// more than the rewritten plan the record describes, so it reserves and
-// sizes from the upper bound and publishes no record of its own.
+// more than the rewritten plan the record describes, so it reserves the
+// upper bound and publishes no record of its own.
 func (pr *Prepared) record(keep bool) *observation {
 	if keep {
 		return nil
@@ -547,11 +547,10 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	// Under a byte budget the execution reserves its plan's estimate for the
 	// tables' current rows; an estimate over the whole budget can never be
 	// granted and fails with ErrMemoryLimit.
-	prev := pr.record(opt.keep)
 	var est int64
 	if e.adm.budget > 0 {
 		var err error
-		if est, err = pr.memoryEstimate(prev); err != nil {
+		if est, err = pr.memoryEstimate(pr.record(opt.keep)); err != nil {
 			return nil, err
 		}
 	}
@@ -578,7 +577,6 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	defer bufs.Close()
 	es := &execState{
 		outs: make([][]*columns.Column, len(pr.p.nodes)),
-		seen: make([]observed, len(pr.p.nodes)),
 		coll: pr.newCollector(opt, obs.query),
 		mres: mres,
 		bufs: bufs,
@@ -587,7 +585,6 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		// remorph swap completing mid-flight stays invisible. Nil on the
 		// read-only fast path.
 		snap: e.snapshotOrNil(),
-		prev: prev,
 		keep: opt.keep,
 	}
 	res := &Result{
@@ -621,7 +618,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		return nil, err
 	}
 	if !opt.keep {
-		pr.obs.Store(observe(es))
+		pr.obs.Store(pr.observe(es))
 	}
 	return res, nil
 }
@@ -663,7 +660,7 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, n *Node, st *ste
 		// Scans hand out stored columns — no intermediate bytes to charge.
 		return st.run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc))
 	}
-	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres).WithObserved(es.prev.rows(n.id))
+	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres)
 	produced, err = st.run(es, rt)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v %q: %w", n.op, n.outNames[0], err)

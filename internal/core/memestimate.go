@@ -23,16 +23,39 @@ import (
 // schedule, a WithKeep(true) execution's — which releases nothing — among
 // them.
 //
-// After a success the observation record (observed.go) knows the most bytes
-// the plan really held at once — compressed formats and staging buffers
-// included, each column released when its last consumer finished — and the
-// estimate becomes that peak scaled by the tables' growth since, plus a
-// quarter of headroom, still capped by the bound. A WithKeep(true) execution
-// runs the plan as written and keeps every column, not the rewritten plan
-// the record describes, so it always reserves the bound.
+// After a success the observation record knows the most bytes the plan
+// really held at once — compressed formats and staging buffers included,
+// each column released when its last consumer finished — and the estimate
+// becomes that peak scaled by the tables' growth since, plus a quarter of
+// headroom, still capped by the bound. A WithKeep(true) execution runs the
+// plan as written and keeps every column, not the rewritten plan the record
+// describes, so it always reserves the bound.
+//
+// A record is immutable once published: Prepared.obs swaps in a new one at
+// the end of each successful execution, and a concurrent execution keeps
+// reading the one it loaded when it started. A failed, cancelled or
+// panicking execution publishes nothing, nor does a WithKeep(true) one.
 
 // estimateHeadroom is the factor over the last run's peak.
 const estimateHeadroom = 1.25
+
+// observation is the record one successful execution publishes.
+type observation struct {
+	peak int64 // the most bytes the execution held charged at once
+	scan []int // per scan node id, the rows it read; zero for other nodes
+}
+
+// observe builds the record of a successful execution. A scan's columns are
+// never released, so its rows are still there to read at the end.
+func (pr *Prepared) observe(es *execState) *observation {
+	o := &observation{peak: es.mres.Peak(), scan: make([]int, len(pr.p.nodes))}
+	for id, n := range pr.p.nodes {
+		if n.op == OpScan {
+			o.scan[id] = es.outs[id][0].N()
+		}
+	}
+	return o
+}
 
 // memoryEstimate returns the bytes one execution of the prepared plan
 // reserves over the tables' current rows: the upper bound without an
@@ -64,7 +87,7 @@ func (pr *Prepared) memoryEstimate(obs *observation) (int64, error) {
 			if obs != nil {
 				// A table that was empty at the observation and is not now
 				// grew by +Inf: the estimate falls back to the bound.
-				if live, seen := card[2*i], obs.nodes[i].rows[0]; live > seen {
+				if live, seen := card[2*i], obs.scan[i]; live > seen {
 					growth = max(growth, float64(live)/float64(seen))
 				}
 			}

@@ -33,24 +33,22 @@ import (
 type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 
 // execState is the mutable state of one plan execution: the per-node output
-// slots (emptied when a node's columns are released), what each node
-// produced (for the observation record), the execution's stats collector
-// (nil when detached), the counter its materialized intermediates are
-// charged to, its lease on the engine's buffer pool, the snapshot pinning
-// the writable tables' delta states (nil for a read-only engine — scans then
-// hand out the prepare-bound columns), the observation record current when
-// it started (nil before the plan's first success), and whether it keeps
-// every column (WithKeep), which runs the plan as written. The scheduler
-// publishes a node's outputs before any dependent is popped, which
-// establishes the happens-before edge for readers.
+// slots (emptied when a node's columns are released; a scan's never are),
+// the execution's stats collector (nil when detached), the counter its
+// materialized intermediates are charged to, its lease on the engine's
+// buffer pool, from which every intermediate's buffers are drawn and to
+// which they return, the snapshot pinning the writable tables' delta states
+// (nil for a read-only engine — scans then hand out the prepare-bound
+// columns), and whether it keeps every column (WithKeep), which runs the
+// plan as written. The scheduler publishes a node's outputs before any
+// dependent is popped, which establishes the happens-before edge for
+// readers.
 type execState struct {
 	outs [][]*columns.Column
-	seen []observed
 	coll *metrics.Collector
 	mres *ops.MemReservation
 	bufs *bufpool.Lease
 	snap *Snapshot
-	prev *observation
 	keep bool
 }
 

@@ -207,7 +207,6 @@ func (pr *Prepared) schedWorker(ctx context.Context, s *sched, es *execState, re
 			// execution's final release then returns these columns too.
 			es.outs[id] = produced
 			if s.err == nil {
-				es.seen[id] = observedOf(produced)
 				pr.account(res, n, produced, elapsed, es.keep)
 				for _, d := range st.readers {
 					s.deps[d]--

@@ -140,32 +140,26 @@ func (s *State) merge(name string, main *columns.Column) (*columns.Column, error
 	return columns.FromValues(vals), nil
 }
 
-// liveValues gathers the column's live values: main then tail, deletions
-// dropped.
+// liveValues gathers the column's live values into one fresh slice: the main
+// decoded (or copied) straight into it, the tail copied behind, and the
+// deleted positions compacted out in place.
 func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) {
-	base, ok := main.Values()
-	if !ok {
-		var err error
-		if base, err = formats.Decompress(main); err != nil {
-			return nil, fmt.Errorf("delta: %q: %w", name, err)
-		}
+	all := make([]uint64, s.mainRows+s.tailRows)
+	if base, ok := main.Values(); ok {
+		copy(all, base)
+	} else if err := formats.DecompressInto(all[:s.mainRows], main); err != nil {
+		return nil, fmt.Errorf("delta: %q: %w", name, err)
 	}
-	tail := s.tail[name]
-	total := s.mainRows + s.tailRows
-	out := make([]uint64, 0, total-len(s.deleted))
-	di := 0
-	for i := 0; i < total; i++ {
+	copy(all[s.mainRows:], s.tail[name])
+	live, di := all[:0], 0
+	for i, v := range all {
 		if di < len(s.deleted) && s.deleted[di] == uint64(i) {
 			di++
 			continue
 		}
-		if i < s.mainRows {
-			out = append(out, base[i])
-		} else {
-			out = append(out, tail[i-s.mainRows])
-		}
+		live = append(live, v)
 	}
-	return out, nil
+	return live, nil
 }
 
 // liveToAbs maps a live row number to its absolute position under the sorted

@@ -171,23 +171,31 @@ func Decompress(col *columns.Column) ([]uint64, error) { return DecompressFrom(n
 // DecompressFrom is Decompress into a buffer from bufs; a nil bufs allocates
 // it. On error the buffer is not given back.
 func DecompressFrom(bufs *bufpool.Lease, col *columns.Column) ([]uint64, error) {
-	r, err := NewReader(col)
-	if err != nil {
+	dst := bufs.Get(col.N())
+	if err := DecompressInto(dst, col); err != nil {
 		return nil, err
 	}
-	dst := bufs.Get(col.N())
+	return dst, nil
+}
+
+// DecompressInto expands col into dst, which holds exactly col.N() elements.
+func DecompressInto(dst []uint64, col *columns.Column) error {
+	r, err := NewReader(col)
+	if err != nil {
+		return err
+	}
 	// Even an empty column is read once, so a reader's latched validation
 	// error surfaces.
 	for n := 0; ; {
 		k, err := r.Read(dst[n:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n += k; n == len(dst) {
-			return dst, nil
+			return nil
 		}
 		if k == 0 {
-			return nil, fmt.Errorf("%w: %v column decodes to %d of %d elements", ErrCorrupt, col.Desc(), n, len(dst))
+			return fmt.Errorf("%w: %v column decodes to %d of %d elements", ErrCorrupt, col.Desc(), n, len(dst))
 		}
 	}
 }

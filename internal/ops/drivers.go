@@ -72,7 +72,7 @@ func (s *appendSink) Close() (*columns.Column, error) {
 }
 
 // emitOut describes one output stream of the emit driver: its format and an
-// upper bound on its rows, which rt.reserve sizes the buffers from.
+// upper bound on its rows, which sizes its writer and its stitch.
 type emitOut struct {
 	desc columns.FormatDesc
 	hint int
@@ -119,10 +119,9 @@ func (rt Runtime) runStaged(kernel emitKernel, pt formats.Partition, outs int, s
 // emit is the variable-length-output driver: kernel runs once per morsel of
 // in — of in and b at shared boundaries when b is non-nil — and the
 // per-morsel outputs are stitched, per output stream, in morsel order. A
-// morsel's buffer starts at its pro-rata share of the observed rows, or at an
-// eighth of the morsel without an observation. Each morsel's staged rows are
-// charged to the query's memory counter, and released with the morsel
-// buffers once the stitch has copied them.
+// morsel's buffer starts at an eighth of the morsel and grows by append.
+// Each morsel's staged rows are charged to the query's memory counter, and
+// released with the morsel buffers once the stitch has copied them.
 func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kernel emitKernel) ([]*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
@@ -132,7 +131,7 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 	if parts == nil {
 		sinks := make([]formats.Writer, len(outs))
 		for o, out := range outs {
-			w, err := formats.NewWriterFrom(rt.bufs, out.desc, rt.reserve(o, out.hint))
+			w, err := formats.NewWriterFrom(rt.bufs, out.desc, out.hint)
 			if err != nil {
 				return nil, err
 			}
@@ -167,8 +166,8 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
 		local := make([]appendSink, len(outs))
 		sinks := make([]formats.Writer, len(outs))
-		for o, out := range outs {
-			local[o] = appendSink{rt.bufs.Get(rt.reservePart(o, out.hint, pt.Count, in.N(), pt.Count/8+16))[:0], rt.bufs}
+		for o := range outs {
+			local[o] = appendSink{rt.bufs.Get(pt.Count/8 + 16)[:0], rt.bufs}
 			sinks[o] = &local[o]
 		}
 		err := rt.runStaged(kernel, pt, len(outs), sinks)
@@ -182,7 +181,7 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 		return nil, fmt.Errorf("ops: %s: %w", name, err)
 	}
 	for o, out := range outs {
-		if cols[o], err = rt.stitchCompressed(out.desc, rt.reserve(o, out.hint), results[o]); err != nil {
+		if cols[o], err = rt.stitchCompressed(out.desc, out.hint, results[o]); err != nil {
 			return nil, err
 		}
 	}

@@ -141,15 +141,16 @@ func (r *MemReservation) Peak() int64 {
 // the cancellation context, the engine's worker budget (nil outside an
 // engine), the lease on the engine's buffer pool (nil outside an engine:
 // buffers are plain allocations), the morsel-parallelism cap, the
-// operator's stats collector (nil when detached), the query's memory charge
-// counter (nil outside a prepared execution), and the rows each output of
-// the operator produced the last time its plan ran (nil without such a
-// run). The zero value is single-worker execution: every operator runs as
-// one morsel on the calling goroutine.
+// operator's stats collector (nil when detached) and the query's memory
+// charge counter (nil outside a prepared execution). The zero value is
+// single-worker execution: every operator runs as one morsel on the calling
+// goroutine.
 //
-// An operator returns every buffer it took from the lease except its output
-// columns' words, which pass to the caller: in an engine, the scheduler puts
-// them back once the column's last consumer has finished.
+// An operator sizes each output buffer from the upper bound on its rows and
+// returns every buffer it took from the lease except its output columns'
+// words, which pass to the caller: in an engine, the scheduler puts them
+// back once the column's last consumer has finished, and the next execution
+// draws them again.
 type Runtime struct {
 	ctx    context.Context
 	budget *Budget
@@ -157,7 +158,6 @@ type Runtime struct {
 	par    int
 	coll   *metrics.NodeCollector
 	mres   *MemReservation
-	obs    []int
 }
 
 // FixedRT returns a runtime with a fixed worker count and no budget sharing,
@@ -206,38 +206,6 @@ func (rt Runtime) scratch() []uint64 { return rt.bufs.Get(2 * blockBuf) }
 // free gives back a buffer the operator took from the lease and no column
 // references.
 func (rt Runtime) free(buf []uint64) { _ = rt.bufs.Put(buf) } // issued by rt.bufs: cannot fail
-
-// WithObserved returns a copy of the runtime that sizes the operator's output
-// buffers from rows, the element count each output produced the last time
-// the same plan node ran. A nil rows (or never calling WithObserved) sizes
-// them from the inputs' upper bounds. Only capacity depends on it: the output
-// bytes are the same either way.
-func (rt Runtime) WithObserved(rows []int) Runtime {
-	rt.obs = rows
-	return rt
-}
-
-// reserve returns the capacity to reserve for output o of the operator,
-// which holds at most upper elements: the observed rows plus 1/16 and 64 of
-// slack, or upper without an observation. A buffer that outgrows it grows by
-// append, so an underestimate costs a copy, never a wrong result.
-func (rt Runtime) reserve(o, upper int) int {
-	if o >= len(rt.obs) {
-		return upper
-	}
-	r := rt.obs[o]
-	return min(upper, r+r/16+64)
-}
-
-// reservePart returns the starting capacity of one part's buffer for output
-// o: its pro-rata share, part of whole (> 0) input elements, of
-// reserve(o, upper), or guess without an observation.
-func (rt Runtime) reservePart(o, upper, part, whole, guess int) int {
-	if o >= len(rt.obs) {
-		return guess
-	}
-	return rt.reserve(o, upper) * part / whole
-}
 
 // Par returns the runtime's morsel-parallelism cap (at least 1).
 func (rt Runtime) Par() int {

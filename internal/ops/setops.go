@@ -118,7 +118,7 @@ func (rt Runtime) sortedSet(op setOp, a, b *columns.Column, out columns.FormatDe
 		return nil, err
 	}
 	rt.coll.SeqFallback()
-	w, err := formats.NewWriterFrom(rt.bufs, out, rt.reserve(0, op.bound(a.N(), b.N())))
+	w, err := formats.NewWriterFrom(rt.bufs, out, op.bound(a.N(), b.N()))
 	if err != nil {
 		return nil, err
 	}

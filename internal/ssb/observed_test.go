@@ -10,12 +10,14 @@ import (
 	"morphstore/internal/core"
 )
 
-// TestObservedReservationsKeepResults: the second and third execution of a
-// Prepared size their output buffers from what the previous one produced,
-// the first from the inputs' upper bounds. Only capacities may differ: on all
-// 13 plans, uncompressed and cost-based, at one and two workers, the kept
-// columns and footprints of runs 2 and 3 are byte-identical to run 1's.
-func TestObservedReservationsKeepResults(t *testing.T) {
+// TestPooledKeepRunsKeepResults: every execution of a Prepared draws its
+// output buffers from the engine's buffer pool, dirty with what earlier
+// executions released, and sizes them from the inputs' upper bounds. Only
+// capacities may differ: on all 13 plans, uncompressed and cost-based, at one
+// and two workers, the kept columns and footprints of keep runs 2 and 3 are
+// byte-identical to run 1's, though a normal (WithKeep(false)) execution of
+// the same Prepared runs before each of them and gives its buffers back.
+func TestPooledKeepRunsKeepResults(t *testing.T) {
 	d := getData(t)
 	eng := core.NewEngine(d.DB, core.WithParallelism(2))
 	configs := []struct {
@@ -38,6 +40,9 @@ func TestObservedReservationsKeepResults(t *testing.T) {
 				}
 				var first *core.Result
 				for run := 1; run <= 3; run++ {
+					if _, err := pr.Execute(context.Background(), core.WithKeep(false)); err != nil {
+						t.Fatalf("%s %s par %d normal run before keep run %d: %v", q, c.name, par, run, err)
+					}
 					res, err := pr.Execute(context.Background())
 					if err != nil {
 						t.Fatalf("%s %s par %d run %d: %v", q, c.name, par, run, err)
@@ -73,17 +78,18 @@ func sameKept(a, b *core.Result) string {
 	return ""
 }
 
-// TestSteadyStateAllocation pins what sizing buffers from the last run and
-// recycling them through the engine's buffer pool save, on one worker at SF
-// 0.02 with uncompressed intermediates. The third sweep of the 13 queries,
-// whose buffers are sized from the second's outputs, allocates at most 0.6×
-// what the first sweep, whose buffers are reserved for their inputs' lengths
-// and not yet pooled, allocates. And it allocates at most 0.075× the bytes of
-// the intermediates it materializes (the summed Meas.InterBytes): every
-// intermediate's words, the drivers' staging and scratch and the join and
-// grouping tables come from the pool, so what is left is the result columns
-// and the per-execution bookkeeping (measured 0.055×, 327 kB of 6.0 MB, on
-// a two-core x86-64 container; 1.62× before the pool).
+// TestSteadyStateAllocation pins what recycling intermediates through the
+// engine's buffer pool saves, on one worker at SF 0.02 with uncompressed
+// intermediates. Every execution sizes its buffers from their inputs' upper
+// bounds and draws them from the pool, which the earlier sweeps filled. The
+// third sweep of the 13 queries allocates at most 0.6× what the first sweep,
+// whose buffers are not yet pooled, allocates. And it allocates at most
+// 0.075× the bytes of the intermediates it materializes (the summed
+// Meas.InterBytes): every intermediate's words, the drivers' staging and
+// scratch and the join and grouping tables come from the pool, so what is
+// left is the result columns and the per-execution bookkeeping (measured
+// 0.047×, 284 kB of 6.0 MB, on a two-core x86-64 container; 1.62× before
+// the pool).
 func TestSteadyStateAllocation(t *testing.T) {
 	d, err := Generate(0.02, 1)
 	if err != nil {
