@@ -116,9 +116,10 @@ func WithMemoryBudget(bytes int64) Option { return core.WithMemoryBudget(bytes) 
 // it scans the tables written through Engine.Append/Delete and rebuilds any
 // whose delta (tail rows plus pending deletions) has reached threshold times
 // the main row count (threshold <= 0 folds any non-empty delta). A rebuild
-// rescans main plus delta off the hot path, re-picks each column's
-// compression format with the cost model, and atomically swaps the new main
-// in; running queries finish on their pinned snapshots. Engine.Close stops
+// re-picks each column's compression format with the cost model off the hot
+// path — a delete-free delta that keeps the format is folded by appending
+// it, anything else by recompressing the live rows — and atomically swaps
+// the new main in; running queries finish on their pinned snapshots. Engine.Close stops
 // the worker and drains an in-flight rebuild. Without this option the delta
 // only folds on explicit Engine.Remorph calls. Applies to NewEngine.
 func WithRemorph(threshold float64, interval time.Duration) Option {

@@ -22,19 +22,20 @@ import (
 // internal/delta: Append/Delete mutate a per-table delta store, Snapshot
 // pins the consistent main+delta view every execution reads (execute() pins
 // one at admission), and Remorph — called directly or by the background
-// worker WithRemorph starts — folds a table's delta into a freshly
-// compressed main chosen by the cost model, atomically swapped in while
-// in-flight queries finish on the states they pinned.
+// worker WithRemorph starts — folds a table's delta into a compressed main
+// chosen by the cost model, atomically swapped in while in-flight queries
+// finish on the states they pinned.
 
 // WithRemorph starts the engine's background remorph worker: every interval
 // it scans the writable tables and rebuilds any whose delta (tail rows plus
 // pending deletions) has reached threshold times the main row count
-// (threshold <= 0 means any non-empty delta). Each rebuild rescans main plus
-// delta off the hot path, re-picks every column's format with the cost model,
-// compresses, and atomically swaps the new main in; queries already running
-// finish on their pinned snapshots. The worker registers its rebuilds with
-// the admission layer, so Engine.Close drains them like queries. Applies to
-// NewEngine.
+// (threshold <= 0 means any non-empty delta). Each rebuild re-picks every
+// column's format with the cost model off the hot path, builds the new main
+// (the merged main+delta column when nothing is deleted and the format
+// stays, the recompressed live rows otherwise), and atomically swaps it in;
+// queries already running finish on their pinned snapshots. The worker
+// registers its rebuilds with the admission layer, so Engine.Close drains
+// them like queries. Applies to NewEngine.
 func WithRemorph(threshold float64, interval time.Duration) Option {
 	return Option{name: "WithRemorph", scope: scopeEngine, apply: func(o *options) {
 		o.remorphRatio, o.remorphEvery = threshold, interval
@@ -360,10 +361,11 @@ func (e *Engine) Delete(ctx context.Context, table string, positions []uint64) (
 	return nil
 }
 
-// Remorph folds a table's delta into a freshly compressed main immediately
-// (the background worker runs the same pass on its own schedule): the live
-// rows are rescanned at a pinned state, each column's format is re-picked by
-// the cost model over the paper's formats, and the new main is atomically
+// Remorph folds a table's delta into the main immediately (the background
+// worker runs the same pass on its own schedule): at a pinned state each
+// column's format is re-picked by the cost model over the paper's formats —
+// from the last fold's profile extended by the tail when nothing is deleted,
+// from a rescan of the live rows otherwise — and the new main is atomically
 // swapped in. Queries already running finish on their pinned snapshots — the
 // swap never blocks them — and mutations that arrive during the rebuild
 // survive it as the new delta. A table with an empty delta, or one whose
@@ -398,13 +400,15 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	defer wt.dt.EndRebuild()
 	start := time.Now()
 	var span metrics.Span
+	var inValues, outValues int64 // values the fold read, rows of the new mains
 	tr := e.defs.tracer
 	if tr != nil {
 		span = metrics.Span{Query: metrics.ReserveQueryID(), Node: -1, Name: wt.dt.Name(), Op: "remorph"}
 		tr.Begin(span, start)
 		defer func() {
 			ns := metrics.NodeStats{Node: -1, Name: wt.dt.Name(), Op: "remorph",
-				Started: true, Done: err == nil, Wall: time.Since(start)}
+				Started: true, Done: err == nil, Wall: time.Since(start),
+				InValues: inValues, OutValues: outValues}
 			if err != nil {
 				ns.Err = err.Error()
 			}
@@ -431,32 +435,22 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			rebuilds[cn] = r
 		}
 	}
+	wt.mu.Lock()
+	last := wt.profs
+	wt.mu.Unlock()
 	newMain := make(map[string]*columns.Column, len(wt.dt.Columns()))
 	profs := make(map[string]colProfile, len(wt.dt.Columns()))
 	for _, cn := range wt.dt.Columns() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		vals, err := s0.LiveValues(cn)
+		cp, read, err := wt.foldColumn(s0, cn, last[cn], rebuilds[cn])
 		if err != nil {
 			return err
 		}
-		if r := rebuilds[cn]; r != nil {
-			r.RemapAll(vals)
-		}
-		desc := columns.UncomprDesc
-		prof := stats.Collect(vals)
-		if len(vals) > 0 {
-			if d, err := costmodel.ChooseBySize(prof, formats.PaperDescs()); err == nil {
-				desc = d
-			}
-		}
-		col, err := formats.Compress(vals, desc)
-		if err != nil {
-			return fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
-		}
-		newMain[cn] = col
-		profs[cn] = colProfile{col: col, prof: prof}
+		newMain[cn], profs[cn] = cp.col, cp
+		inValues += int64(read)
+		outValues += int64(cp.col.N())
 	}
 	if err := hitGuarded(faultpoint.RemorphSwap); err != nil {
 		return err
@@ -497,6 +491,51 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			metrics.Event{Kind: metrics.EvRemorphSwap, Value: int64(res.FoldedTail + res.FoldedDeletes)})
 	}
 	return nil
+}
+
+// foldColumn builds column cn's new main from the pinned state s0 and returns
+// it with its profile and the number of values the fold read. A fold with no
+// deletions and no renumbering extends last, the profile the previous fold
+// took of s0's main, by the tail alone; when the pick from the extended
+// profile keeps the main's format, the new main is s0's merged column, which
+// equals compressing the live values in that format in one pass (and which
+// the queries reading s0 have usually built already). Every other fold
+// decodes the live values, profiles them and compresses them.
+func (wt *writableTable) foldColumn(s0 *delta.State, cn string, last colProfile, r *dict.Rebuild) (colProfile, int, error) {
+	if main := s0.Main(cn); s0.DeletedRows() == 0 && r == nil && last.col == main {
+		tail := s0.Tail(cn)
+		if prof, ok := last.prof.Append(tail); ok && pickFormat(prof).Kind == main.Desc().Kind {
+			col, err := s0.Column(cn)
+			if err != nil {
+				return colProfile{}, 0, err
+			}
+			return colProfile{col: col, prof: prof}, len(tail), nil
+		}
+	}
+	vals, err := s0.LiveValues(cn)
+	if err != nil {
+		return colProfile{}, 0, err
+	}
+	if r != nil {
+		r.RemapAll(vals)
+	}
+	prof := stats.Collect(vals)
+	col, err := formats.Compress(vals, pickFormat(prof))
+	if err != nil {
+		return colProfile{}, 0, fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
+	}
+	return colProfile{col: col, prof: prof}, len(vals), nil
+}
+
+// pickFormat is the fold's format pick: the smallest of the paper's formats
+// by the cost model's size estimate, uncompressed for an empty column.
+func pickFormat(prof *stats.Profile) columns.FormatDesc {
+	if prof.N > 0 {
+		if d, err := costmodel.ChooseBySize(prof, formats.PaperDescs()); err == nil {
+			return d
+		}
+	}
+	return columns.UncomprDesc
 }
 
 // releaseFolded returns to the admission gate the bytes of append batches the

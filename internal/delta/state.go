@@ -23,12 +23,14 @@
 // delta hands out the main column itself: the writable path then costs one
 // nil check per scan.
 //
-// A background remorph (driven by the engine) folds the delta back into a
-// freshly compressed main: BeginRebuild pins the current State, the caller
-// rebuilds each column off the hot path from State.LiveValues, and
-// CompleteRebuild atomically swaps the new main in — remapping the tail rows
-// and deletions that arrived during the rebuild — while in-flight readers
-// finish on the State they pinned.
+// A background remorph (driven by the engine) folds the delta back into the
+// main: BeginRebuild pins the current State, the caller builds each new main
+// column off the hot path, and CompleteRebuild atomically swaps the new main
+// in — remapping the tail rows and deletions that arrived during the rebuild
+// — while in-flight readers finish on the State they pinned. A fold with no
+// deletions that keeps a column's format takes the merged column itself as
+// the new main (State.Column, with State.Main and State.Tail for the caller's
+// profile bookkeeping); any other fold recompresses State.LiveValues.
 package delta
 
 import (
@@ -105,7 +107,9 @@ func (s *State) Column(name string) (*columns.Column, error) {
 
 // LiveValues returns the column's live values at this state in row order:
 // main then tail, with deleted positions dropped. The slice is freshly
-// allocated; callers own it (the remorph rebuild compresses it in place).
+// allocated; callers own it. It decodes the whole main, so the remorph fold
+// calls it only when it recompresses a column: with deletions, a renumbered
+// dictionary column, a changed format, or no profile of the main to extend.
 func (s *State) LiveValues(name string) ([]uint64, error) {
 	main, ok := s.main[name]
 	if !ok {
@@ -113,6 +117,15 @@ func (s *State) LiveValues(name string) ([]uint64, error) {
 	}
 	return s.liveValues(name, main)
 }
+
+// Main returns the stored main column of name at this state (nil for an
+// unknown column): the column the last remorph swapped in, without the delta.
+func (s *State) Main(name string) *columns.Column { return s.main[name] }
+
+// Tail returns the delta tail of name at this state, the values appended
+// since the last remorph in row order (nil for an unknown column). The slice
+// is shared with the state; callers must not modify it.
+func (s *State) Tail(name string) []uint64 { return s.tail[name] }
 
 // mergeCache holds a state's lazily built merged views. It lives behind a
 // pointer so State itself stays immutable and copyable.
@@ -141,7 +154,7 @@ func (s *State) merge(name string, main *columns.Column) (*columns.Column, error
 }
 
 // liveValues gathers the column's live values into one fresh slice: the main
-// decoded (or copied) straight into it, the tail copied behind, and the
+// decoded (or copied) straight into it, the tail copied behind, and any
 // deleted positions compacted out in place.
 func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) {
 	all := make([]uint64, s.mainRows+s.tailRows)
@@ -151,6 +164,9 @@ func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) 
 		return nil, fmt.Errorf("delta: %q: %w", name, err)
 	}
 	copy(all[s.mainRows:], s.tail[name])
+	if len(s.deleted) == 0 {
+		return all, nil
+	}
 	live, di := all[:0], 0
 	for i, v := range all {
 		if di < len(s.deleted) && s.deleted[di] == uint64(i) {

@@ -145,7 +145,7 @@ func referenceCollect(vals []uint64) *Profile {
 		}
 		prev = v
 	}
-	p.MaxBits = uint(bits.Len64(p.Max))
+	p.MaxBits, p.Last = uint(bits.Len64(p.Max)), prev
 	for _, v := range vals {
 		p.ForBitHist[bits.Len64(v-p.Min)]++
 	}
@@ -192,6 +192,84 @@ func TestCollectMatchesReference(t *testing.T) {
 			t.Errorf("%s: Collect = %+v, want %+v", tc.name, *got, *want)
 		}
 	}
+}
+
+// TestProfileAppend checks Append against referenceCollect over the joined
+// sequence at seams that exercise every field's seam rule, and that a tail
+// below the profile's minimum reports ok == false.
+func TestProfileAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	random := make([]uint64, 777)
+	for i := range random[1:] {
+		random[i+1] = rng.Uint64() >> uint(rng.Intn(64))
+	}
+	// random[0] == 0 is the head's minimum, so no tail goes below it.
+	for _, tc := range []struct {
+		name       string
+		head, tail []uint64
+		ok         bool
+	}{
+		{"both empty", nil, nil, true},
+		{"empty head", nil, []uint64{9, 3, 3}, true},
+		{"empty tail", []uint64{9, 3, 3}, nil, true},
+		{"run across the seam", []uint64{1, 2, 5, 5}, []uint64{5, 5, 7}, true},
+		{"sorted across the seam", []uint64{1, 2, 5}, []uint64{6, 9}, true},
+		{"sortedness break at the seam", []uint64{1, 2, 5}, []uint64{4, 9}, true},
+		{"unsorted head", []uint64{3, 1, 5}, []uint64{6, 9}, true},
+		{"wrap-around delta", []uint64{0, math.MaxUint64}, []uint64{0, 1}, true},
+		{"tail at the minimum", []uint64{7, 9}, []uint64{7, 7}, true},
+		{"tail raises the maximum", []uint64{7, 9}, []uint64{1 << 40}, true},
+		{"random", random[:400], random[400:], true},
+		{"tail below the minimum", []uint64{7, 9}, []uint64{8, 6}, false},
+	} {
+		got, ok := Collect(tc.head).Append(tc.tail)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		want := referenceCollect(append(append([]uint64(nil), tc.head...), tc.tail...))
+		if *got != *want {
+			t.Errorf("%s: Append = %+v, want %+v", tc.name, *got, *want)
+		}
+	}
+}
+
+// FuzzProfileAppend splits fuzzed values at a fuzzed cut: profiling the
+// head and appending the tail equals profiling the whole sequence whenever
+// the tail does not go below the head's minimum, and reports ok == false
+// exactly when it does.
+func FuzzProfileAppend(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 3, 3, 0, 255, 7}, uint(4))
+	f.Add([]byte{9, 9, 9, 9}, uint(2))
+	f.Add([]byte{}, uint(0))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		vals := make([]uint64, len(data)/2)
+		for i := range vals {
+			// Two bytes per value, spread over the full range so wide
+			// offsets and wrap-around deltas occur.
+			vals[i] = uint64(data[2*i])<<56 | uint64(data[2*i+1])
+		}
+		k := int(cut % uint(len(vals)+1))
+		head, tail := vals[:k], vals[k:]
+		hp := Collect(head)
+		got, ok := hp.Append(tail)
+		below := false
+		for _, v := range tail {
+			below = below || (k > 0 && v < hp.Min)
+		}
+		if ok == below {
+			t.Fatalf("cut %d of %v: ok = %v with tail below the minimum %v", k, vals, ok, below)
+		}
+		if !ok {
+			return
+		}
+		if want := referenceCollect(vals); *got != *want {
+			t.Fatalf("cut %d of %v: Append = %+v, want %+v", k, vals, *got, *want)
+		}
+	})
 }
 
 // BenchmarkCollect profiles 1 Mi random values of mixed bit widths.
