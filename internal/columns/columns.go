@@ -13,7 +13,12 @@
 // every format in internal/formats lays out explicitly.
 package columns
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+
+	"morphstore/internal/stats"
+)
 
 // Kind identifies a lightweight integer compression format.
 type Kind uint8
@@ -106,13 +111,17 @@ const MetadataBytes = 48
 
 // Column is a sequence of unsigned 64-bit integers materialized in exactly
 // one format: a compressed main part followed by an uncompressed remainder
-// in a single word buffer.
+// in a single word buffer. A column never changes once built, so the data
+// characteristics the cost model reads (stats.Profile) are a fact about it:
+// they live with the column, stored at most once.
 type Column struct {
 	desc      FormatDesc
 	n         int      // total logical number of data elements
 	mainElems int      // elements represented by the compressed main part
 	mainWords int      // words occupied by the compressed main part
 	words     []uint64 // mainWords words, then (n-mainElems) raw words
+
+	prof atomic.Pointer[stats.Profile] // write-once: see SetProfile
 }
 
 // New assembles a column from its parts. The format kind must be known and
@@ -148,6 +157,21 @@ func (c *Column) Desc() FormatDesc { return c.desc }
 
 // N returns the logical number of data elements.
 func (c *Column) N() int { return c.n }
+
+// Profile returns the profile stored with the column, nil until one is set.
+func (c *Column) Profile() *stats.Profile { return c.prof.Load() }
+
+// SetProfile stores p as the column's profile unless one is stored already
+// and returns the stored one: the first store wins, so concurrent first
+// profilings all end up with one pointer. p must describe exactly the
+// column's values — stats.Collect of them, or an exact Profile.Append of
+// such a profile.
+func (c *Column) SetProfile(p *stats.Profile) *stats.Profile {
+	if c.prof.CompareAndSwap(nil, p) {
+		return p
+	}
+	return c.prof.Load()
+}
 
 // MainElems returns the number of elements in the compressed main part.
 func (c *Column) MainElems() int { return c.mainElems }

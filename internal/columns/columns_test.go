@@ -3,7 +3,35 @@ package columns
 import (
 	"strings"
 	"testing"
+	"unsafe"
+
+	"morphstore/internal/stats"
 )
+
+// TestColumnSize pins the size of the Column struct: every operator output
+// allocates one, so the profile slot must not push it past the 64-byte
+// allocation size class into the next.
+func TestColumnSize(t *testing.T) {
+	if s := unsafe.Sizeof(Column{}); s > 64 {
+		t.Fatalf("Column is %d B, want at most 64", s)
+	}
+}
+
+// TestSetProfileFirstWins: a column starts without a profile, the first
+// SetProfile stores its argument and a later one returns the stored profile.
+func TestSetProfileFirstWins(t *testing.T) {
+	c := FromValues([]uint64{1, 2, 3})
+	if c.Profile() != nil {
+		t.Fatal("a new column carries a profile")
+	}
+	first, second := stats.Collect([]uint64{1, 2, 3}), stats.Collect([]uint64{1, 2, 3})
+	if got := c.SetProfile(first); got != first || c.Profile() != first {
+		t.Fatal("the first SetProfile did not store its profile")
+	}
+	if got := c.SetProfile(second); got != first || c.Profile() != first {
+		t.Fatal("a second SetProfile replaced the stored profile")
+	}
+}
 
 func TestFromValues(t *testing.T) {
 	vals := []uint64{1, 2, 3}

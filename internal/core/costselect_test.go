@@ -9,6 +9,7 @@ import (
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
+	"morphstore/internal/stats"
 )
 
 // profileDB holds table r with a sorted column x of wide values (small
@@ -42,8 +43,8 @@ func profilePlan(t *testing.T, lim uint64) *Plan {
 }
 
 // TestBaseProfileReplacedColumn: replacing a column in Table.Cols with an
-// unsorted permutation of the same values misses the memo, re-profiles the
-// new column and changes the pick.
+// unsorted permutation of the same values profiles the new column, which
+// gets its own profile, and changes the pick.
 func TestBaseProfileReplacedColumn(t *testing.T) {
 	db := profileDB(t, 20000)
 	p := profilePlan(t, 1<<62)
@@ -55,7 +56,10 @@ func TestBaseProfileReplacedColumn(t *testing.T) {
 		t.Fatalf("sorted r.x picked %v, want delta_bp", d)
 	}
 	tab := db.Tables["r"]
-	sorted := tab.profs["x"].prof
+	sorted := tab.Cols["x"].Profile()
+	if sorted == nil {
+		t.Fatal("the pick stored no profile on r.x")
+	}
 	vals, _ := tab.Cols["x"].Values()
 	shuffled := append([]uint64(nil), vals...)
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
@@ -68,18 +72,19 @@ func TestBaseProfileReplacedColumn(t *testing.T) {
 	if d := a.Base["r.x"]; d.Kind != columns.StaticBP {
 		t.Fatalf("shuffled r.x picked %v, want static_bp", d)
 	}
-	e := tab.profs["x"]
-	if e.col != tab.Cols["x"] || e.prof == sorted || e.prof.Sorted {
-		t.Fatalf("memo entry not replaced by the new column's profile: %+v", e)
+	if prof := tab.Cols["x"].Profile(); prof == nil || prof == sorted || prof.Sorted {
+		t.Fatalf("the new column does not carry its own profile: %+v", prof)
 	}
-	if len(tab.profs) != 2 {
-		t.Fatalf("memo holds %d entries, want one per column (2)", len(tab.profs))
+	for cn, col := range tab.Cols {
+		if col.Profile() == nil {
+			t.Fatalf("r.%s carries no profile", cn)
+		}
 	}
 }
 
-// TestBaseProfileEncodedColumn: a column DB.Encode compressed profiles equal,
-// field for field, to its uncompressed original, and the encoded database's
-// tables start with an empty memo.
+// TestBaseProfileEncodedColumn: a column DB.Encode compressed starts without
+// a profile and profiles equal, field for field, to its uncompressed
+// original.
 func TestBaseProfileEncodedColumn(t *testing.T) {
 	db := profileDB(t, 5000)
 	p := profilePlan(t, 1<<62)
@@ -90,18 +95,19 @@ func TestBaseProfileEncodedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(enc.Tables["r"].profs); n != 0 {
-		t.Fatalf("encoded table starts with %d memo entries", n)
-	}
 	for _, cn := range []string{"x", "y"} {
-		if _, ok := enc.Tables["r"].Cols[cn].Values(); ok {
+		col := enc.Tables["r"].Cols[cn]
+		if _, ok := col.Values(); ok {
 			t.Fatalf("r.%s is not compressed", cn)
 		}
-		want, err := db.baseProfile("r", cn)
+		if col.Profile() != nil {
+			t.Fatalf("encoded r.%s starts with a profile", cn)
+		}
+		want, err := profileOf(db.Tables["r"].Cols[cn])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := enc.baseProfile("r", cn)
+		got, err := profileOf(col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +119,10 @@ func TestBaseProfileEncodedColumn(t *testing.T) {
 
 // TestBaseProfileConcurrent: eight goroutines run the cost-based pick on one
 // cold database, half through CostBasedAssignment and half through a
-// cost-based Prepare on one engine; every assignment equals a sequential one.
+// cost-based Prepare on one engine; every assignment equals a sequential one,
+// and every scanned column ends up carrying the profile a sequential
+// profileOf takes. Eight concurrent first profileOf calls on one fresh
+// column all return the one stored profile.
 func TestBaseProfileConcurrent(t *testing.T) {
 	p := profilePlan(t, 20000*37/2)
 	want, err := CostBasedAssignment(p, profileDB(t, 20000))
@@ -154,10 +163,38 @@ func TestBaseProfileConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d: prepared formats %v, want %v", g, got[g], want.Inter)
 		}
 	}
+	fresh := profileDB(t, 20000).Tables["r"].Cols
+	for cn, col := range db.Tables["r"].Cols {
+		wantProf, err := profileOf(fresh[cn])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof := col.Profile(); prof == nil || *prof != *wantProf {
+			t.Errorf("r.%s carries profile %+v, want %+v", cn, prof, wantProf)
+		}
+	}
+	col := profileDB(t, 20000).Tables["r"].Cols["x"]
+	profs := make([]*stats.Profile, 8)
+	for g := range profs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			profs[g], errs[g] = profileOf(col)
+		}(g)
+	}
+	wg.Wait()
+	for g, prof := range profs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if prof == nil || prof != col.Profile() {
+			t.Errorf("goroutine %d: profileOf returned %p, the column stores %p", g, prof, col.Profile())
+		}
+	}
 }
 
 // TestBaseProfileAfterRemorph: Engine.Remorph swaps the table's main inside
-// the engine's delta store and leaves Table.Cols and its memo entry alone.
+// the engine's delta store and leaves Table.Cols and its profiles alone.
 // After the swap, Prepare picks what a cold memo picks, and its execution
 // reads the new main (the appended rows count in the sum).
 func TestBaseProfileAfterRemorph(t *testing.T) {
@@ -171,7 +208,10 @@ func TestBaseProfileAfterRemorph(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := db.Tables["r"]
-	col, entry := tab.Cols["x"], tab.profs["x"]
+	col, prof := tab.Cols["x"], tab.Cols["x"].Profile()
+	if prof == nil {
+		t.Fatal("the cost-based Prepare stored no profile on r.x")
+	}
 	ctx := context.Background()
 	if err := e.Append(ctx, "r", map[string][]uint64{"x": {5, 1 << 40, 3}, "y": {10, 20, 30}}); err != nil {
 		t.Fatal(err)
@@ -183,15 +223,15 @@ func TestBaseProfileAfterRemorph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Cols["x"] != col || tab.profs["x"] != entry {
-		t.Fatal("remorph replaced the DB column or its memo entry")
+	if tab.Cols["x"] != col || col.Profile() != prof {
+		t.Fatal("remorph replaced the DB column or its profile")
 	}
 	cold, err := CostBasedAssignment(p, profileDB(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(after.Formats(), cold.Inter) || !reflect.DeepEqual(after.Formats(), before.Formats()) {
-		t.Fatalf("post-remorph formats %v, cold memo %v, before %v", after.Formats(), cold.Inter, before.Formats())
+		t.Fatalf("post-remorph formats %v, cold pick %v, before %v", after.Formats(), cold.Inter, before.Formats())
 	}
 	res, err := after.Execute(ctx)
 	if err != nil {
@@ -212,7 +252,8 @@ func TestBaseProfileAfterRemorph(t *testing.T) {
 // is created empty and filled through Append, remorphed and appended to
 // again; Prepare binds the formats CostBasedAssignment picks over a
 // read-only database holding the same live rows. Right after the remorph the
-// pick reuses the profiles remorph took instead of profiling the new main.
+// pick reuses the profiles remorph stored on the new mains instead of
+// profiling them again.
 func TestCostBasedPickReadsSnapshot(t *testing.T) {
 	const n = 12000
 	live := profileDB(t, n+3000)
@@ -242,11 +283,15 @@ func TestCostBasedPickReadsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cn := range []string{"x", "y"} {
-		prof, err := view.baseProfile("r", cn)
+		want := e.wtabs["r"].dt.State().Main(cn).Profile()
+		if want == nil {
+			t.Fatalf("r.%s: remorph stored no profile on the new main", cn)
+		}
+		prof, err := profileOf(view.Tables["r"].Cols[cn])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := e.wtabs["r"].profs[cn].prof; prof != want {
+		if prof != want {
 			t.Errorf("r.%s: the pick profiled the remorphed main again instead of reusing remorph's profile", cn)
 		}
 	}

@@ -219,12 +219,12 @@ func WithUniformFormat(d columns.FormatDesc) Option {
 }
 
 // WithCostBasedFormats selects every intermediate's format with the
-// gray-box cost model (footprint objective, §5): the plan's data
-// characteristics are profiled once at prepare time and each column's
-// format chosen from its compact profile. The profiles are taken from the
+// gray-box cost model (footprint objective, §5): each column's format is
+// chosen at prepare time from its compact profile. The profiles are of the
 // rows an execution admitted at that moment would read: a writable table's
 // live main plus delta (a failing merge fails Prepare), every other table
-// as registered. Applies to Prepare.
+// as registered. A column keeps its profile once taken, so a base column
+// (or a main a remorph built) is not profiled again. Applies to Prepare.
 func WithCostBasedFormats() Option {
 	return Option{name: "WithCostBasedFormats", scope: scopePrepare, apply: func(o *options) {
 		o.costBased = true

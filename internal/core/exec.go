@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"morphstore/internal/columns"
@@ -20,12 +19,6 @@ type Table struct {
 	// the same name is the uint64 ID column the engine compresses and
 	// executes, and the dictionary translates between strings and IDs.
 	Dicts map[string]*dict.Dict
-
-	// profMu guards profs, the cost model's memo of one profile per base
-	// column (costselect.go), valid while Cols still holds the profiled
-	// column.
-	profMu sync.Mutex
-	profs  map[string]colProfile
 }
 
 // DB is the base data a plan executes against.

@@ -66,10 +66,10 @@ func rebuildRef(t *testing.T, vals []uint64) (*columns.Column, *stats.Profile) {
 
 // foldAndCheck folds table tab, pinned at its current state, and checks every
 // column's new main against a full rebuild of the state's live values:
-// equal Desc, N and words, and a memo entry holding the new main with the
-// profile Collect takes of those values. The columns named in appended must
-// take the append path (the new main is the pinned state's merged column);
-// every other column must be rebuilt. The remorph span must report the
+// equal Desc, N and words, and a stored profile equal to the one Collect
+// takes of those values. The columns named in appended must take the append
+// path (the new main is the pinned state's merged column); every other
+// column must be rebuilt. The remorph span must report the
 // values the fold read (the tail on the append path, the live rows
 // otherwise) and the rows of the new mains. With read set, a snapshot reads
 // every merged column before the fold, as a query would.
@@ -120,8 +120,8 @@ func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool
 			t.Fatalf("%s.%s: new main %v (%d rows, %d words), full rebuild %v (%d rows, %d words)",
 				tab, cn, got.Desc(), got.N(), len(got.Words()), want.Desc(), want.N(), len(want.Words()))
 		}
-		if m := wt.profs[cn]; m.col != got || *m.prof != *wantProf {
-			t.Fatalf("%s.%s: memo entry does not hold the new main with Collect's profile", tab, cn)
+		if prof := got.Profile(); prof == nil || *prof != *wantProf {
+			t.Fatalf("%s.%s: the new main does not carry Collect's profile", tab, cn)
 		}
 		merged, err := s0.Column(cn)
 		if err != nil {
@@ -163,6 +163,33 @@ func foldEngine(t *testing.T, base []uint64) (*Engine, *foldTracer) {
 	return e, tr
 }
 
+// preparedEngine returns an engine with a tracer over one table "t" whose
+// registered column "v" is base compressed as a full rebuild would compress
+// it, after a cost-based Prepare of a plan scanning it: the pick stores the
+// column's profile on it, so the first fold has a profile to extend.
+func preparedEngine(t *testing.T, base []uint64) (*Engine, *foldTracer) {
+	t.Helper()
+	col, _ := rebuildRef(t, base)
+	db := NewDB()
+	db.Tables["t"] = &Table{Name: "t", Cols: map[string]*columns.Column{"v": col}}
+	tr := &foldTracer{}
+	e := NewEngine(db, WithTracer(tr))
+	t.Cleanup(func() { e.Close(context.Background()) })
+	b := NewBuilder()
+	b.Result(b.SumWhole("sum", b.Scan("t", "v")))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Prepare(p, WithCostBasedFormats()); err != nil {
+		t.Fatal(err)
+	}
+	if col.Profile() == nil {
+		t.Fatal("the cost-based Prepare stored no profile on t.v")
+	}
+	return e, tr
+}
+
 func appendV(t *testing.T, e *Engine, vals []uint64) {
 	t.Helper()
 	if err := e.Append(context.Background(), "t", map[string][]uint64{"v": vals}); err != nil {
@@ -174,7 +201,8 @@ func appendV(t *testing.T, e *Engine, vals []uint64) {
 // keeps as uncompressed, static BP, DynBP, DeltaBP and ForBP, at main and
 // tail lengths aligned and misaligned to 64 and to formats.BlockLen, and
 // checks every fold against a full rebuild: the appended main is the same
-// column, byte for byte, with the same profile.
+// column, byte for byte, with the same profile. A table whose registered
+// column a cost-based Prepare profiled appends from its first fold on.
 func TestFoldAppendEquivalence(t *testing.T) {
 	const bl = formats.BlockLen
 	type gen func(rng *rand.Rand, prev uint64) uint64
@@ -199,26 +227,31 @@ func TestFoldAppendEquivalence(t *testing.T) {
 		{columns.ForBP, func(rng *rand.Rand, _ uint64) uint64 { return 1<<40 + uint64(rng.Intn(256)) }},
 	} {
 		for _, mainN := range []int{8 * bl, 8*bl + 37} {
-			t.Run(fmt.Sprintf("%v/main=%d", tc.kind, mainN), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(38 + mainN)))
-				prev := uint64(1 << 20)
-				vals := func(n int) []uint64 {
-					out := make([]uint64, n)
-					for i := range out {
-						prev = tc.next(rng, prev)
-						out[i] = prev
+			for _, setup := range []struct {
+				name   string
+				engine func(*testing.T, []uint64) (*Engine, *foldTracer)
+			}{{"", foldEngine}, {"/prepared", preparedEngine}} {
+				t.Run(fmt.Sprintf("%v/main=%d%s", tc.kind, mainN, setup.name), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(38 + mainN)))
+					prev := uint64(1 << 20)
+					vals := func(n int) []uint64 {
+						out := make([]uint64, n)
+						for i := range out {
+							prev = tc.next(rng, prev)
+							out[i] = prev
+						}
+						return out
 					}
-					return out
-				}
-				e, tr := foldEngine(t, vals(mainN))
-				if k := e.wtabs["t"].dt.State().Main("v").Desc().Kind; k != tc.kind {
-					t.Fatalf("the pick made the main %v, want %v", k, tc.kind)
-				}
-				for i, tailN := range []int{64, bl, 100, bl + 5, 1} {
-					appendV(t, e, vals(tailN))
-					foldAndCheck(t, e, tr, "t", i%2 == 0, "v")
-				}
-			})
+					e, tr := setup.engine(t, vals(mainN))
+					for i, tailN := range []int{64, bl, 100, bl + 5, 1} {
+						appendV(t, e, vals(tailN))
+						if k := e.wtabs["t"].dt.State().Main("v").Desc().Kind; i == 0 && k != tc.kind {
+							t.Fatalf("the pick made the main %v, want %v", k, tc.kind)
+						}
+						foldAndCheck(t, e, tr, "t", i%2 == 0, "v")
+					}
+				})
+			}
 		}
 	}
 }

@@ -34,9 +34,10 @@ func Candidates(p *Plan, name string) []columns.FormatDesc {
 	return formats.PaperDescs()
 }
 
-// materializedColumns runs the plan once fully uncompressed, returning the
-// uncompressed values of every base column and intermediate by name.
-func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
+// keptColumns runs the plan once fully uncompressed and returns every base
+// column and intermediate by name: the stored base columns themselves and
+// the intermediates the run kept.
+func keptColumns(p *Plan, db *DB) (map[string]*columns.Column, error) {
 	pr, err := NewEngine(db).Prepare(p, WithKeep(true))
 	if err != nil {
 		return nil, err
@@ -45,18 +46,12 @@ func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]uint64)
-	for name, col := range res.Inter {
-		vals, ok := col.Values()
-		if !ok {
-			vals, err = formats.Decompress(col)
-			if err != nil {
-				return nil, err
-			}
+	for _, name := range append(p.BaseColumns(), p.IntermediateNames()...) {
+		if res.Inter[name] == nil {
+			return nil, fmt.Errorf("core: no materialization for column %q", name)
 		}
-		out[name] = vals
 	}
-	return out, nil
+	return res.Inter, nil
 }
 
 // FootprintSearch determines the best and the worst format combination with
@@ -64,27 +59,16 @@ func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
 // column is optimized independently by exhaustively trying every candidate
 // format — exactly the search the paper uses for Fig. 7's footprint series.
 func FootprintSearch(p *Plan, db *DB) (best, worst *Assignment, err error) {
-	cols, err := materializedColumns(p, db)
+	cols, err := keptColumns(p, db)
 	if err != nil {
 		return nil, nil, err
 	}
 	best, worst = NewAssignment(), NewAssignment()
-	baseSet := make(map[string]bool)
-	for _, name := range p.BaseColumns() {
-		baseSet[name] = true
-	}
-	assign := func(a *Assignment, name string, d columns.FormatDesc) {
-		if baseSet[name] {
-			a.Base[name] = d
-		} else {
-			a.Inter[name] = d
-		}
-	}
-	names := append(p.BaseColumns(), p.IntermediateNames()...)
-	for _, name := range names {
-		vals, ok := cols[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: no materialization for column %q", name)
+	nbase := len(p.BaseColumns())
+	for i, name := range append(p.BaseColumns(), p.IntermediateNames()...) {
+		vals, err := valuesOf(cols[name])
+		if err != nil {
+			return nil, nil, err
 		}
 		var bestDesc, worstDesc columns.FormatDesc
 		bestSize, worstSize := -1, -1
@@ -101,8 +85,11 @@ func FootprintSearch(p *Plan, db *DB) (best, worst *Assignment, err error) {
 				worstSize, worstDesc = size, d
 			}
 		}
-		assign(best, name, bestDesc)
-		assign(worst, name, worstDesc)
+		if i < nbase {
+			best.Base[name], worst.Base[name] = bestDesc, worstDesc
+		} else {
+			best.Inter[name], worst.Inter[name] = bestDesc, worstDesc
+		}
 	}
 	return best, worst, nil
 }

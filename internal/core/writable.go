@@ -111,16 +111,13 @@ func (s *Snapshot) columnOr(fallback *columns.Column, table, column string) (*co
 // writableTable pairs a table's delta store with the engine-side admission
 // bookkeeping: one byte reservation per append batch, tagged with the tail
 // length it ends at, released when a remorph folds the batch into the main.
-// The mutex guards resv and profs (the delta store locks itself).
+// The mutex guards resv (the delta store locks itself).
 type writableTable struct {
 	dt    *delta.Table
 	dicts map[string]*dict.Dict // the table's string-column dictionaries
 
 	mu   sync.Mutex
 	resv []tailResv
-	// profs holds the profiles the last remorph took of the main columns it
-	// built, replaced at every swap; the cost-based pick starts from them.
-	profs map[string]colProfile
 
 	// ingestMu makes each AppendStrings batch's dictionary translation and
 	// row append atomic with respect to a sorted-rebuild renumbering: the
@@ -193,9 +190,9 @@ func (e *Engine) snapshotOrNil() *Snapshot {
 
 // pickDB returns the tables as an execution admitted now reads them, for the
 // cost-based pick to profile: each writable table's merged main+delta columns
-// at its current state, every other table as registered. A writable table's
-// view starts from the profiles its last remorph took, so a column that is
-// still that main (its delta is empty) is not decoded and profiled again.
+// at its current state, every other table as registered. A column that is
+// still the main the last remorph built (its delta is empty) carries the
+// profile remorph stored, so the pick does not decode and profile it again.
 func (e *Engine) pickDB() (*DB, error) {
 	snap := e.snapshotOrNil()
 	if snap == nil {
@@ -203,14 +200,8 @@ func (e *Engine) pickDB() (*DB, error) {
 	}
 	view := &DB{Tables: maps.Clone(e.db.Tables)}
 	for name, st := range snap.states {
-		e.wmu.Lock()
-		wt := e.wtabs[name]
-		e.wmu.Unlock()
-		wt.mu.Lock()
-		profs := maps.Clone(wt.profs) // the view's memo grows on a miss
-		wt.mu.Unlock()
 		t := e.db.Tables[name]
-		vt := &Table{Name: name, Cols: make(map[string]*columns.Column, len(t.Cols)), Dicts: t.Dicts, profs: profs}
+		vt := &Table{Name: name, Cols: make(map[string]*columns.Column, len(t.Cols)), Dicts: t.Dicts}
 		for cn := range t.Cols {
 			col, err := st.Column(cn)
 			if err != nil {
@@ -364,13 +355,13 @@ func (e *Engine) Delete(ctx context.Context, table string, positions []uint64) (
 // Remorph folds a table's delta into the main immediately (the background
 // worker runs the same pass on its own schedule): at a pinned state each
 // column's format is re-picked by the cost model over the paper's formats —
-// from the last fold's profile extended by the tail when nothing is deleted,
-// from a rescan of the live rows otherwise — and the new main is atomically
-// swapped in. Queries already running finish on their pinned snapshots — the
-// swap never blocks them — and mutations that arrive during the rebuild
-// survive it as the new delta. A table with an empty delta, or one whose
-// rebuild is already running, is a no-op. After Engine.Close, Remorph fails
-// fast with ErrEngineClosed.
+// from the main's stored profile extended by the tail when nothing is
+// deleted, from a rescan of the live rows otherwise — and the new main, which
+// keeps the profile the pick read, is atomically swapped in. Queries already
+// running finish on their pinned snapshots — the swap never blocks them — and
+// mutations that arrive during the rebuild survive it as the new delta. A
+// table with an empty delta, or one whose rebuild is already running, is a
+// no-op. After Engine.Close, Remorph fails fast with ErrEngineClosed.
 func (e *Engine) Remorph(ctx context.Context, table string) (err error) {
 	defer e.opGuard("remorph", &err)
 	ctx, done, err := e.begin(ctx)
@@ -435,22 +426,18 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			rebuilds[cn] = r
 		}
 	}
-	wt.mu.Lock()
-	last := wt.profs
-	wt.mu.Unlock()
 	newMain := make(map[string]*columns.Column, len(wt.dt.Columns()))
-	profs := make(map[string]colProfile, len(wt.dt.Columns()))
 	for _, cn := range wt.dt.Columns() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cp, read, err := wt.foldColumn(s0, cn, last[cn], rebuilds[cn])
+		col, read, err := wt.foldColumn(s0, cn, rebuilds[cn])
 		if err != nil {
 			return err
 		}
-		newMain[cn], profs[cn] = cp.col, cp
+		newMain[cn] = col
 		inValues += int64(read)
-		outValues += int64(cp.col.N())
+		outValues += int64(col.N())
 	}
 	if err := hitGuarded(faultpoint.RemorphSwap); err != nil {
 		return err
@@ -480,9 +467,6 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	if err != nil {
 		return err
 	}
-	wt.mu.Lock()
-	wt.profs = profs
-	wt.mu.Unlock()
 	wt.releaseFolded(e.adm, res.FoldedTail)
 	e.counters.remorphs.Add(1)
 	e.counters.remorphRows.Add(int64(res.State.MainRows()))
@@ -493,28 +477,29 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	return nil
 }
 
-// foldColumn builds column cn's new main from the pinned state s0 and returns
-// it with its profile and the number of values the fold read. A fold with no
-// deletions and no renumbering extends last, the profile the previous fold
-// took of s0's main, by the tail alone; when the pick from the extended
-// profile keeps the main's format, the new main is s0's merged column, which
-// equals compressing the live values in that format in one pass (and which
-// the queries reading s0 have usually built already). Every other fold
-// decodes the live values, profiles them and compresses them.
-func (wt *writableTable) foldColumn(s0 *delta.State, cn string, last colProfile, r *dict.Rebuild) (colProfile, int, error) {
-	if main := s0.Main(cn); s0.DeletedRows() == 0 && r == nil && last.col == main {
+// foldColumn builds column cn's new main from the pinned state s0, stores
+// its profile on it and returns it with the number of values the fold read.
+// A fold with no deletions and no renumbering extends the profile stored on
+// s0's main by the tail alone; when the pick from the extended profile keeps
+// the main's format, the new main is s0's merged column, which equals
+// compressing the live values in that format in one pass (and which the
+// queries reading s0 have usually built already). Every other fold decodes
+// the live values, profiles them and compresses them.
+func (wt *writableTable) foldColumn(s0 *delta.State, cn string, r *dict.Rebuild) (*columns.Column, int, error) {
+	if main := s0.Main(cn); s0.DeletedRows() == 0 && r == nil && main.Profile() != nil {
 		tail := s0.Tail(cn)
-		if prof, ok := last.prof.Append(tail); ok && pickFormat(prof).Kind == main.Desc().Kind {
+		if prof, ok := main.Profile().Append(tail); ok && pickFormat(prof).Kind == main.Desc().Kind {
 			col, err := s0.Column(cn)
 			if err != nil {
-				return colProfile{}, 0, err
+				return nil, 0, err
 			}
-			return colProfile{col: col, prof: prof}, len(tail), nil
+			col.SetProfile(prof)
+			return col, len(tail), nil
 		}
 	}
 	vals, err := s0.LiveValues(cn)
 	if err != nil {
-		return colProfile{}, 0, err
+		return nil, 0, err
 	}
 	if r != nil {
 		r.RemapAll(vals)
@@ -522,18 +507,18 @@ func (wt *writableTable) foldColumn(s0 *delta.State, cn string, last colProfile,
 	prof := stats.Collect(vals)
 	col, err := formats.Compress(vals, pickFormat(prof))
 	if err != nil {
-		return colProfile{}, 0, fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
+		return nil, 0, fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
 	}
-	return colProfile{col: col, prof: prof}, len(vals), nil
+	col.SetProfile(prof)
+	return col, len(vals), nil
 }
 
 // pickFormat is the fold's format pick: the smallest of the paper's formats
-// by the cost model's size estimate, uncompressed for an empty column.
+// by the cost model's size estimate (uncompressed for an empty column, where
+// every estimate ties at the metadata and the first candidate wins).
 func pickFormat(prof *stats.Profile) columns.FormatDesc {
-	if prof.N > 0 {
-		if d, err := costmodel.ChooseBySize(prof, formats.PaperDescs()); err == nil {
-			return d
-		}
+	if d, err := costmodel.ChooseBySize(prof, formats.PaperDescs()); err == nil {
+		return d
 	}
 	return columns.UncomprDesc
 }

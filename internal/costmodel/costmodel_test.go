@@ -139,4 +139,9 @@ func TestEstimateEmptyAndErrors(t *testing.T) {
 	if _, err := ChooseBySize(prof, nil); err == nil {
 		t.Error("empty candidates must fail")
 	}
+	// N == 0: every estimate is the metadata and the tie keeps the first
+	// candidate, so the paper's formats pick uncompressed.
+	if d, err := ChooseBySize(prof, formats.PaperDescs()); err != nil || d != columns.UncomprDesc {
+		t.Errorf("empty column: chose %v (err %v), want %v", d, err, columns.UncomprDesc)
+	}
 }

@@ -29,8 +29,9 @@
 // in — remapping the tail rows and deletions that arrived during the rebuild
 // — while in-flight readers finish on the State they pinned. A fold with no
 // deletions that keeps a column's format takes the merged column itself as
-// the new main (State.Column, with State.Main and State.Tail for the caller's
-// profile bookkeeping); any other fold recompresses State.LiveValues.
+// the new main (State.Column; State.Main and State.Tail give the caller the
+// main whose profile it extends and the tail it extends it by); any other
+// fold recompresses State.LiveValues.
 package delta
 
 import (
@@ -109,7 +110,7 @@ func (s *State) Column(name string) (*columns.Column, error) {
 // main then tail, with deleted positions dropped. The slice is freshly
 // allocated; callers own it. It decodes the whole main, so the remorph fold
 // calls it only when it recompresses a column: with deletions, a renumbered
-// dictionary column, a changed format, or no profile of the main to extend.
+// dictionary column, a changed format, or a main that carries no profile.
 func (s *State) LiveValues(name string) ([]uint64, error) {
 	main, ok := s.main[name]
 	if !ok {
