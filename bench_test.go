@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -274,7 +276,9 @@ func BenchmarkSortedSet(b *testing.B) {
 // benchScanN-row columns, in ns per element: sum over an uncompressed column,
 // calc_add/calc_mul over two uncompressed columns, and the project gather at
 // the ~27 % sorted positions of Q1.1's discount predicate from an uncompressed
-// (gather_uncompr) and a static BP (gather_staticbp) data column.
+// (gather_uncompr) and a static BP (gather_staticbp) data column. The kernel
+// ladder (kernelLadder) follows, each row on the AVX-512 and the portable
+// path.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	x, y := make([]uint64, benchScanN), make([]uint64, benchScanN)
@@ -317,6 +321,98 @@ func BenchmarkKernels(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.n), "ns/elem")
 		})
 	}
+	for _, k := range kernelLadder() {
+		for _, path := range []string{"avx512", "portable"} {
+			b.Run(k.name+"/"+path, func(b *testing.B) {
+				if ok, missing := bitutil.AVX512(); !ok && path == "avx512" {
+					b.Skipf("no AVX-512 path: the CPU lacks %s", missing)
+				}
+				forcePortable.Store(path == "portable")
+				defer forcePortable.Store(false)
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchScanN, "ns/elem")
+			})
+		}
+	}
+}
+
+// forcePortable is the kernel-path test hook of morphstore/internal/bitutil:
+// while it is set, every kernel runs its portable Go loop.
+//
+//go:linkname forcePortable morphstore/internal/bitutil.forcePortable
+var forcePortable atomic.Bool
+
+// ladderRow is one kernel of the ladder, run over benchScanN values.
+type ladderRow struct {
+	name string
+	run  func()
+}
+
+// kernelLadder returns the kernels with an AVX-512 path (package bitutil),
+// each run over benchScanN values in blockLen-value blocks, the engine's
+// block buffer:
+//
+//   - unpack_wW: static BP decode at width W;
+//   - probe_dense/spanS_hitH: the dense-key join probe over a table of S+1
+//     slots, H % of them (and of the uniform probe keys) hits;
+//   - select_range: the range test at Q1.1's discount selectivity (0..10 for
+//     [1, 3], ~27 %);
+//   - select_and: the fused conjunction of that test and Q1.1's quantity test
+//     (1..50 for [1, 24]).
+func kernelLadder() []ladderRow {
+	const blockLen = formats.BufferLen
+	rng := rand.New(rand.NewSource(43))
+	blocks := func(f func(off, end int)) func() {
+		return func() {
+			for off := 0; off < benchScanN; off += blockLen {
+				f(off, min(off+blockLen, benchScanN))
+			}
+		}
+	}
+	gen := func(f func() uint64) []uint64 {
+		vals := make([]uint64, benchScanN)
+		for i := range vals {
+			vals[i] = f()
+		}
+		return vals
+	}
+	stage, stageB := make([]uint64, blockLen), make([]uint64, blockLen)
+	var rows []ladderRow
+	for _, w := range []uint{7, 13, 20, 32} {
+		w := w
+		words := make([]uint64, bitutil.PackedWords(benchScanN, w))
+		bitutil.Pack(words, gen(rng.Uint64), w)
+		rows = append(rows, ladderRow{fmt.Sprintf("unpack_w%d", w), blocks(func(off, end int) {
+			bitutil.Unpack(stage[:end-off], words[off*int(w)/64:], w)
+		})})
+	}
+	for _, span := range []uint64{6000, 40000} {
+		for _, hit := range []uint64{20, 40} {
+			const lo = 19920101 // a yyyymmdd date key
+			span := span
+			tab := make([]uint32, span+1)
+			for i := range tab {
+				if rng.Uint64()%100 < hit {
+					tab[i] = uint32(i) + 1
+				}
+			}
+			keys := gen(func() uint64 { return lo + rng.Uint64()%(span+1) })
+			rows = append(rows, ladderRow{fmt.Sprintf("probe_dense/span%d_hit%d", span, hit), blocks(func(off, end int) {
+				bitutil.ProbeDense(keys[off:end], uint64(off), lo, span, tab, stage, stageB)
+			})})
+		}
+	}
+	disc := gen(func() uint64 { return rng.Uint64() % 11 })
+	qty := gen(func() uint64 { return 1 + rng.Uint64()%50 })
+	return append(rows,
+		ladderRow{"select_range", blocks(func(off, end int) {
+			bitutil.SelectRange(disc[off:end], uint64(off), 1, 2, stage)
+		})},
+		ladderRow{"select_and", blocks(func(off, end int) {
+			bitutil.SelectRangeAnd(disc[off:end], qty[off:end], uint64(off), 1, 2, 1, 23, stage)
+		})})
 }
 
 // BenchmarkParallelCalc measures the morsel-parallel element-wise multiply

@@ -54,7 +54,8 @@ func idSelectPlan(t *testing.T, id uint64, hit bool) *ms.Plan {
 // and remorph folds (which renumber the dictionary into sorted order) must
 // answer string-equality queries byte-identically to a read-only reference
 // engine holding the same rows as a pre-translated uint64 ID column queried
-// with a plain integer select — across four formats and parallelism 1 and 4.
+// with a plain integer select — across four formats, parallelism 1 and 4
+// and both kernel paths.
 func TestDictIngestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	words := make([]string, 40)
@@ -176,23 +177,33 @@ func TestDictIngestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/par%d prepare reference: %v", w, dn, par, err)
 				}
-				resA, err := prA.Execute(ctx)
-				if err != nil {
-					t.Fatalf("%s/%s/par%d strings: %v", w, dn, par, err)
-				}
-				resB, err := prB.Execute(ctx)
-				if err != nil {
-					t.Fatalf("%s/%s/par%d reference: %v", w, dn, par, err)
-				}
-				if err := sameResultCols(resB, resA); err != nil {
-					t.Fatalf("%s/%s/par%d: string engine diverges from pre-translated reference: %v", w, dn, par, err)
-				}
+				var ref *ms.Result
+				eachKernelPath(func(path string) {
+					resA, err := prA.Execute(ctx)
+					if err != nil {
+						t.Fatalf("%s/%s/par%d/%s strings: %v", w, dn, par, path, err)
+					}
+					resB, err := prB.Execute(ctx)
+					if err != nil {
+						t.Fatalf("%s/%s/par%d/%s reference: %v", w, dn, par, path, err)
+					}
+					if ref == nil {
+						ref = resB
+					}
+					if err := sameResultCols(ref, resA); err != nil {
+						t.Fatalf("%s/%s/par%d/%s: string engine diverges from pre-translated reference: %v", w, dn, par, path, err)
+					}
+					if err := sameResultCols(ref, resB); err != nil {
+						t.Fatalf("%s/%s/par%d/%s: reference diverges across kernel paths: %v", w, dn, par, path, err)
+					}
+				})
 			}
 		}
 	}
 
-	// IN and prefix predicates against a plain-Go model: par 1 and par 4
-	// must stay byte-identical, and the values must match the model.
+	// IN and prefix predicates against a plain-Go model: par 1 and par 4, on
+	// both kernel paths, must stay byte-identical, and the values must match
+	// the model.
 	inSet := []string{words[3], words[17], words[24], "absent"}
 	prefix := "wb"
 	model := func(match func(string) bool) map[uint64]int {
@@ -226,37 +237,39 @@ func TestDictIngestEquivalence(t *testing.T) {
 	for _, c := range checks {
 		want := model(c.match)
 		var res1 *ms.Result
-		for _, par := range []int{1, 4} {
-			pr, err := engA.Prepare(c.plan, ms.WithUniformFormat(ms.DynBP), ms.WithParallelism(par))
-			if err != nil {
-				t.Fatalf("%s/par%d: %v", c.name, par, err)
-			}
-			res, err := pr.Execute(ctx)
-			if err != nil {
-				t.Fatalf("%s/par%d: %v", c.name, par, err)
-			}
-			if par == 1 {
-				res1 = res
-				vals, err := ms.Decompress(res.Cols["vals"])
+		eachKernelPath(func(path string) {
+			for _, par := range []int{1, 4} {
+				pr, err := engA.Prepare(c.plan, ms.WithUniformFormat(ms.DynBP), ms.WithParallelism(par))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/par%d/%s: %v", c.name, par, path, err)
 				}
-				got := make(map[uint64]int)
-				for _, v := range vals {
-					got[v]++
+				res, err := pr.Execute(ctx)
+				if err != nil {
+					t.Fatalf("%s/par%d/%s: %v", c.name, par, path, err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d distinct values, want %d", c.name, len(got), len(want))
-				}
-				for v, n := range want {
-					if got[v] != n {
-						t.Fatalf("%s: value %d appears %d times, want %d", c.name, v, got[v], n)
+				if res1 == nil {
+					res1 = res
+					vals, err := ms.Decompress(res.Cols["vals"])
+					if err != nil {
+						t.Fatal(err)
 					}
+					got := make(map[uint64]int)
+					for _, v := range vals {
+						got[v]++
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d distinct values, want %d", c.name, len(got), len(want))
+					}
+					for v, n := range want {
+						if got[v] != n {
+							t.Fatalf("%s: value %d appears %d times, want %d", c.name, v, got[v], n)
+						}
+					}
+				} else if err := sameResultCols(res1, res); err != nil {
+					t.Fatalf("%s/par%d/%s: diverges from par 1: %v", c.name, par, path, err)
 				}
-			} else if err := sameResultCols(res1, res); err != nil {
-				t.Fatalf("%s: par 4 diverges from par 1: %v", c.name, err)
 			}
-		}
+		})
 	}
 
 	// The grown dictionary can translate a result back: every live row's

@@ -106,9 +106,15 @@ func Unpack(dst []uint64, src []uint64, width uint) {
 		copy(dst, src)
 		return
 	}
-	// Unrolled per-width kernels handle whole groups of 64 values.
+	// The vector kernel or the unrolled per-width kernels handle whole groups
+	// of 64 values.
 	if f := unpack64[width]; f != nil {
 		i, w := 0, 0
+		if width <= maxVecUnpackWidth && vec() {
+			unpackVec(dst, src, width)
+			i = len(dst) &^ 63
+			w = i / 64 * int(width)
+		}
 		for ; i+64 <= len(dst); i, w = i+64, w+int(width) {
 			f(src[w:], dst[i:i+64])
 		}
@@ -174,6 +180,8 @@ func UnpackGroup(dst *[64]uint64, words []uint64, g int, width uint) {
 		*dst = [64]uint64{}
 	case width == 64:
 		copy(dst[:], words[g*64:])
+	case width <= maxVecUnpackWidth && vec():
+		unpackVec(dst[:], words[g*int(width):], width)
 	default:
 		if f := unpack64[width]; f != nil {
 			f(words[g*int(width):], dst[:])

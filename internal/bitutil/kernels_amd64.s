@@ -1,0 +1,215 @@
+#include "textflag.h"
+
+// The AVX-512 kernels behind kernels.go's dispatch. Each processes 8 values
+// per step in one ZMM register. The range selects and the probe test a step,
+// compress the passing lanes (VPCOMPRESSQ) to the bottom of a register, store
+// the whole register at the output cursor, and advance the cursor by the
+// popcount of the step's mask: the cursor never passes the input index, so a
+// store never passes the input's length.
+
+// lanes holds 0..7, the step-local index of each lane.
+DATA lanes<>+0(SB)/8, $0
+DATA lanes<>+8(SB)/8, $1
+DATA lanes<>+16(SB)/8, $2
+DATA lanes<>+24(SB)/8, $3
+DATA lanes<>+32(SB)/8, $4
+DATA lanes<>+40(SB)/8, $5
+DATA lanes<>+48(SB)/8, $6
+DATA lanes<>+56(SB)/8, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func unpackAVX512(dst, src *uint64, steps int, width uint, ctl *[16]uint64)
+//
+// A step loads the width bytes of 8 values (a zero-masked byte load, so no
+// byte past them is read), permutes into lane j the 8 bytes starting at the
+// one holding value j's first bit, shifts the value down to bit 0 and masks
+// it to width bits. The byte mask of the load and the value mask are both
+// the low width bits.
+TEXT ·unpackAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ steps+16(FP), BX
+	MOVQ width+24(FP), CX
+	MOVQ ctl+32(FP), AX
+	VMOVDQU64 (AX), Z1   // byte permute
+	VMOVDQU64 64(AX), Z2 // shifts
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVQ AX, K1
+	VPBROADCASTQ AX, Z3
+	TESTQ BX, BX
+	JZ unpackDone
+
+unpackLoop:
+	VMOVDQU8.Z (SI), K1, Z0
+	VPERMB Z0, Z1, Z0
+	VPSRLVQ Z2, Z0, Z0
+	VPANDQ Z3, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ CX, SI
+	ADDQ $64, DI
+	DECQ BX
+	JNZ unpackLoop
+
+unpackDone:
+	VZEROUPPER
+	RET
+
+// func selectRangeVec(vals []uint64, base, lo, span uint64, out []uint64) int
+TEXT ·selectRangeVec(SB), NOSPLIT, $0-80
+	MOVQ vals_base+0(FP), SI
+	MOVQ vals_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ base+24(FP), AX
+	VPBROADCASTQ AX, Z12
+	VPADDQ lanes<>(SB), Z12, Z12 // positions of the step
+	MOVQ lo+32(FP), AX
+	VPBROADCASTQ AX, Z10
+	MOVQ span+40(FP), AX
+	VPBROADCASTQ AX, Z11
+	MOVQ $8, AX
+	VPBROADCASTQ AX, Z13
+	MOVQ out_base+48(FP), DI
+	XORQ AX, AX // output cursor
+	TESTQ CX, CX
+	JZ selectDone
+
+selectLoop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ Z10, Z0, Z0
+	VPCMPUQ $2, Z11, Z0, K1 // v-lo <= span
+	VPCOMPRESSQ.Z Z12, K1, Z1
+	VMOVDQU64 Z1, (DI)(AX*8)
+	KMOVB K1, DX
+	POPCNTL DX, DX
+	ADDQ DX, AX
+	VPADDQ Z13, Z12, Z12
+	ADDQ $64, SI
+	DECQ CX
+	JNZ selectLoop
+
+selectDone:
+	MOVQ AX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// func selectRangeAndVec(va, vb []uint64, base, loA, spanA, loB, spanB uint64, out []uint64) int
+//
+// The second test is masked by the first, which ANDs the two masks in the
+// compare.
+TEXT ·selectRangeAndVec(SB), NOSPLIT, $0-120
+	MOVQ va_base+0(FP), SI
+	MOVQ vb_base+24(FP), R10
+	MOVQ va_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ base+48(FP), AX
+	VPBROADCASTQ AX, Z12
+	VPADDQ lanes<>(SB), Z12, Z12
+	MOVQ loA+56(FP), AX
+	VPBROADCASTQ AX, Z10
+	MOVQ spanA+64(FP), AX
+	VPBROADCASTQ AX, Z11
+	MOVQ loB+72(FP), AX
+	VPBROADCASTQ AX, Z14
+	MOVQ spanB+80(FP), AX
+	VPBROADCASTQ AX, Z15
+	MOVQ $8, AX
+	VPBROADCASTQ AX, Z13
+	MOVQ out_base+88(FP), DI
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ andDone
+
+andLoop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (R10), Z1
+	VPSUBQ Z10, Z0, Z0
+	VPSUBQ Z14, Z1, Z1
+	VPCMPUQ $2, Z11, Z0, K1     // a-loA <= spanA
+	VPCMPUQ $2, Z15, Z1, K1, K2 // and b-loB <= spanB
+	VPCOMPRESSQ.Z Z12, K2, Z2
+	VMOVDQU64 Z2, (DI)(AX*8)
+	KMOVB K2, DX
+	POPCNTL DX, DX
+	ADDQ DX, AX
+	VPADDQ Z13, Z12, Z12
+	ADDQ $64, SI
+	ADDQ $64, R10
+	DECQ CX
+	JNZ andLoop
+
+andDone:
+	MOVQ AX, ret+112(FP)
+	VZEROUPPER
+	RET
+
+// func probeDenseVec(vals []uint64, base, lo, span uint64, tab []uint32, outP, outB []uint64) int
+//
+// The gather is masked to the lanes with v-lo <= span, so it reads only slots
+// of the table; the masked-off lanes stay 0, which is an absent key.
+TEXT ·probeDenseVec(SB), NOSPLIT, $0-128
+	MOVQ vals_base+0(FP), SI
+	MOVQ vals_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ base+24(FP), AX
+	VPBROADCASTQ AX, Z12
+	VPADDQ lanes<>(SB), Z12, Z12
+	MOVQ lo+32(FP), AX
+	VPBROADCASTQ AX, Z10
+	MOVQ span+40(FP), AX
+	VPBROADCASTQ AX, Z11
+	MOVQ tab_base+48(FP), R8
+	MOVQ outP_base+72(FP), DI
+	MOVQ outB_base+96(FP), R9
+	MOVQ $8, AX
+	VPBROADCASTQ AX, Z13
+	VPTERNLOGQ $0xff, Z14, Z14, Z14 // all ones: -1 in every lane
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ probeDone
+
+probeLoop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ Z10, Z0, Z0
+	VPCMPUQ $2, Z11, Z0, K1 // v-lo <= span
+	VPXORQ Z1, Z1, Z1
+	VPGATHERQD (R8)(Z0*4), K1, Y1 // tab[v-lo]; clears K1
+	VPMOVZXDQ Y1, Z1
+	VPTESTMQ Z1, Z1, K2 // a build match: the slot is not 0
+	VPADDQ Z14, Z1, Z1  // its build index
+	VPCOMPRESSQ.Z Z12, K2, Z2
+	VPCOMPRESSQ.Z Z1, K2, Z3
+	VMOVDQU64 Z2, (DI)(AX*8)
+	VMOVDQU64 Z3, (R9)(AX*8)
+	KMOVB K2, DX
+	POPCNTL DX, DX
+	ADDQ DX, AX
+	VPADDQ Z13, Z12, Z12
+	ADDQ $64, SI
+	DECQ CX
+	JNZ probeLoop
+
+probeDone:
+	MOVQ AX, ret+120(FP)
+	VZEROUPPER
+	RET

@@ -1,0 +1,19 @@
+//go:build !amd64
+
+package bitutil
+
+// Other architectures have no assembly kernels: vec is always false, so the
+// functions below are never called.
+const hasAVX512, avx512Missing = false, "amd64"
+
+func unpackVec(dst, src []uint64, width uint) {}
+
+func selectRangeVec(vals []uint64, base, lo, span uint64, out []uint64) int { return 0 }
+
+func selectRangeAndVec(va, vb []uint64, base, loA, spanA, loB, spanB uint64, out []uint64) int {
+	return 0
+}
+
+func probeDenseVec(vals []uint64, base, lo, span uint64, tab []uint32, outP, outB []uint64) int {
+	return 0
+}

@@ -1,0 +1,224 @@
+package bitutil
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// TestKernelPath reports which kernel path this host runs; CI runs it with -v
+// so the log shows whether the AVX-512 half of FuzzKernels ran.
+func TestKernelPath(t *testing.T) {
+	if ok, missing := AVX512(); ok {
+		t.Log("kernel path: AVX-512")
+	} else {
+		t.Logf("kernel path: portable (the CPU lacks %s)", missing)
+	}
+}
+
+// splitmix is the fuzz inputs' value generator.
+func splitmix(seed *uint64) uint64 {
+	*seed += 0x9E3779B97F4A7C15
+	z := *seed
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// kernelCase is one input of the kernel differential: values of one width,
+// a second lockstep column, a range test and a dense-key probe over a table.
+type kernelCase struct {
+	width              uint
+	vals, other        []uint64
+	lo, span           uint64
+	probe              []uint64
+	plo, pspan         uint64
+	tab                []uint32
+	base               uint64
+	otherLo, otherSpan uint64
+}
+
+// newKernelCase decodes the fuzz arguments. mode picks the range test's
+// edge: as given, span 0 on a present value, span MaxUint64, lo above every
+// value, a wrapping v-lo, and a range over the middle of the width's domain.
+func newKernelCase(seed uint64, width uint8, n uint16, lo, span uint64, mode uint8) kernelCase {
+	c := kernelCase{width: uint(width) % 65, lo: lo, span: span}
+	m := Mask(c.width)
+	c.vals = make([]uint64, int(n)%2101)
+	c.other = make([]uint64, len(c.vals))
+	var hi uint64
+	for i := range c.vals {
+		c.vals[i] = splitmix(&seed) & m
+		c.other[i] = splitmix(&seed) % 11
+		hi = max(hi, c.vals[i])
+	}
+	switch mode % 6 {
+	case 1:
+		c.span = 0
+		if len(c.vals) > 0 {
+			c.lo = c.vals[len(c.vals)/2]
+		}
+	case 2:
+		c.span = math.MaxUint64
+	case 3: // above every value; all ones when the values reach the top
+		c.lo = hi + 1
+		if hi == math.MaxUint64 {
+			c.lo = hi
+		}
+	case 4: // values below lo wrap to the top of the domain
+		c.lo = m/2 + 1
+		c.span = math.MaxUint64 - m/4
+	case 5:
+		c.lo, c.span = m/4, m/2
+	}
+	c.otherLo, c.otherSpan = splitmix(&seed)%11, splitmix(&seed)%6
+	c.base = splitmix(&seed) >> (splitmix(&seed) % 64)
+
+	// The probe: a table over [lo, lo+pspan] with absent keys (0) and build
+	// index 0 (1) in it, probed by keys just below, inside and just above
+	// it, wrapping where lo is near the top of the domain.
+	c.plo, c.pspan = lo, span%5000
+	c.tab = make([]uint32, c.pspan+1)
+	for i := range c.tab {
+		switch r := splitmix(&seed) % 4; r {
+		case 0, 1:
+			c.tab[i] = uint32(r)
+		default:
+			c.tab[i] = uint32(splitmix(&seed))
+		}
+	}
+	c.probe = make([]uint64, len(c.vals))
+	for i := range c.probe {
+		c.probe[i] = c.plo + splitmix(&seed)%(c.pspan+3) - 1
+		if i%5 == 0 {
+			c.probe[i] = c.vals[i]
+		}
+	}
+	return c
+}
+
+// sentinel fills the slack past every kernel's output bound.
+const sentinel = 0xDEADBEEFDEADBEEF
+
+// outBuf returns n+16 words of sentinel; the kernel gets the first n.
+func outBuf(n int) []uint64 {
+	b := make([]uint64, n+16)
+	for i := range b {
+		b[i] = sentinel
+	}
+	return b
+}
+
+// kernelRun is every kernel's output over one case on the current path.
+type kernelRun struct {
+	unpackBuf, group   []uint64
+	selBuf, andBuf     []uint64
+	posBuf, bidxBuf    []uint64
+	selK, andK, probeK int
+}
+
+func runKernels(c kernelCase) kernelRun {
+	var r kernelRun
+	n := len(c.vals)
+	packed := make([]uint64, PackedWords(n, c.width))
+	Pack(packed, c.vals, c.width)
+	r.unpackBuf = outBuf(n)
+	Unpack(r.unpackBuf[:n], packed, c.width)
+	for g := 0; g < n/64; g++ {
+		var grp [64]uint64
+		UnpackGroup(&grp, packed, g, c.width)
+		r.group = append(r.group, grp[:]...)
+	}
+	r.selBuf, r.andBuf = outBuf(n), outBuf(n)
+	r.selK = SelectRange(c.vals, c.base, c.lo, c.span, r.selBuf[:n])
+	r.andK = SelectRangeAnd(c.vals, c.other, c.base, c.lo, c.span, c.otherLo, c.otherSpan, r.andBuf[:n])
+	r.posBuf, r.bidxBuf = outBuf(n), outBuf(n)
+	r.probeK = ProbeDense(c.probe, c.base, c.plo, c.pspan, c.tab, r.posBuf[:n], r.bidxBuf[:n])
+	return r
+}
+
+// compare fails unless got is the reference's run: the same counts, the same
+// staged rows up to each count, and no word written past an output bound.
+func (want kernelRun) compare(t *testing.T, ctx string, got kernelRun, n int) {
+	t.Helper()
+	same := func(name string, g, w []uint64) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s: %d rows, want %d", ctx, name, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: %s: row %d = %#x, want %#x", ctx, name, i, g[i], w[i])
+			}
+		}
+	}
+	same("unpack", got.unpackBuf[:n], want.unpackBuf[:n])
+	same("unpack group", got.group, want.group)
+	same("select range", got.selBuf[:got.selK], want.selBuf[:want.selK])
+	same("select and", got.andBuf[:got.andK], want.andBuf[:want.andK])
+	same("probe positions", got.posBuf[:got.probeK], want.posBuf[:want.probeK])
+	same("probe build indices", got.bidxBuf[:got.probeK], want.bidxBuf[:want.probeK])
+	for name, b := range map[string][]uint64{
+		"unpack": got.unpackBuf, "select range": got.selBuf, "select and": got.andBuf,
+		"probe positions": got.posBuf, "probe build indices": got.bidxBuf,
+	} {
+		for i, v := range b[n:] {
+			if v != sentinel {
+				t.Fatalf("%s: %s: wrote %#x at %d, past the output bound %d", ctx, name, v, n+i, n)
+			}
+		}
+	}
+}
+
+// reference is what every kernel computes, element by element.
+func (c kernelCase) reference() kernelRun {
+	var r kernelRun
+	n := len(c.vals)
+	r.unpackBuf = append(append([]uint64(nil), c.vals...), outBuf(0)...)
+	r.group = append([]uint64(nil), c.vals[:n&^63]...)
+	r.selBuf, r.andBuf, r.posBuf, r.bidxBuf = outBuf(n), outBuf(n), outBuf(n), outBuf(n)
+	for i, v := range c.vals {
+		if v-c.lo <= c.span {
+			r.selBuf[r.selK] = c.base + uint64(i)
+			r.selK++
+			if c.other[i]-c.otherLo <= c.otherSpan {
+				r.andBuf[r.andK] = c.base + uint64(i)
+				r.andK++
+			}
+		}
+		if d := c.probe[i] - c.plo; d <= c.pspan && c.tab[d] != 0 {
+			r.posBuf[r.probeK], r.bidxBuf[r.probeK] = c.base+uint64(i), uint64(c.tab[d]-1)
+			r.probeK++
+		}
+	}
+	return r
+}
+
+// FuzzKernels is the contract of the AVX-512 kernels: over widths 0..64,
+// lengths 0..2100 (every tail of 0..7 values past the last 8-value step),
+// the range edges (span 0 and MaxUint64, lo above every value, a wrapping
+// v-lo) and probe tables with absent keys and build index 0, the portable
+// loops must equal the element-wise reference and the AVX-512 path must equal
+// the portable loops, with nothing written past an output bound. On a host
+// without the AVX-512 path the second half skips, naming the missing feature.
+func FuzzKernels(f *testing.F) {
+	for w := 0; w <= 64; w++ {
+		f.Add(uint64(w), uint8(w), uint16(31*w+w%8), uint64(w), uint64(1<<(w%40)), uint8(w))
+	}
+	f.Add(uint64(1), uint8(13), uint16(2100), uint64(100), uint64(4999), uint8(0))
+	f.Add(uint64(2), uint8(64), uint16(2047), uint64(math.MaxUint64-3), uint64(40), uint8(0))
+	f.Add(uint64(3), uint8(20), uint16(9), uint64(0), uint64(math.MaxUint64), uint8(2))
+	f.Add(uint64(4), uint8(7), uint16(0), uint64(5), uint64(5), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, width uint8, n uint16, lo, span uint64, mode uint8) {
+		c := newKernelCase(seed, width, n, lo, span, mode)
+		ctx := fmt.Sprintf("width %d, %d values, lo %#x, span %#x", c.width, len(c.vals), c.lo, c.span)
+		forcePortable.Store(true)
+		portable := runKernels(c)
+		forcePortable.Store(false)
+		c.reference().compare(t, "portable: "+ctx, portable, len(c.vals))
+		if !hasAVX512 {
+			t.Skipf("portable path checked; no AVX-512 path: the CPU lacks %s", avx512Missing)
+		}
+		portable.compare(t, "avx512: "+ctx, runKernels(c), len(c.vals))
+	})
+}

@@ -107,8 +107,9 @@ func (base options) merged(sc scope, opts []Option) (options, error) {
 	return o, nil
 }
 
-// WithStyle sets nothing: every kernel has one loop (see package vector).
-// Applies to NewEngine, Prepare, and one-off operator calls.
+// WithStyle sets nothing: the processing style is the CPU's, detected once
+// in package bitutil (see package vector). Applies to NewEngine, Prepare, and
+// one-off operator calls.
 func WithStyle(vector.Style) Option {
 	return Option{name: "WithStyle", scope: scopeEngine | scopePrepare | scopeOp,
 		apply: func(*options) {}}

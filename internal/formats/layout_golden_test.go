@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"morphstore/internal/columns"
@@ -82,62 +83,72 @@ func goldenSections(desc columns.FormatDesc, vals []uint64, cuts []int) (*column
 // the column — the streaming Writer fed in ragged chunks, and independently
 // compressed parts stitched by ConcatCompressed over aligned and misaligned
 // seams, the parallel stitch's path — must hash to the same value, as it did
-// there. A digest changes only when the physical layout changes.
+// there. A digest changes only when the physical layout changes. Every case
+// runs on both kernel paths.
 func TestLayoutGolden(t *testing.T) {
 	descs := append(AllDescs(), columns.StaticBPDesc(40))
 	lengths := []int{0, 1, 511, 512, 513, 64<<10 + 7}
 	chunks := []int{1, 700, 63, 2048, 513, 64, 4099}
-	for _, desc := range descs {
-		for _, seed := range []uint64{1, 2} {
-			for _, n := range lengths {
-				key := fmt.Sprintf("%v/seed=%d/n=%d", desc, seed, n)
-				vals := goldenValues(n, seed)
-				if desc.Kind == columns.StaticBP && desc.Bits > 0 {
-					for i := range vals {
-						vals[i] &= 1<<desc.Bits - 1
+	// Both kernel paths (package bitutil) must produce, and decode, the
+	// golden bytes.
+	eachKernelPath(func(kernels string) {
+		for _, desc := range descs {
+			for _, seed := range []uint64{1, 2} {
+				for _, n := range lengths {
+					key := fmt.Sprintf("%v/seed=%d/n=%d", desc, seed, n)
+					vals := goldenValues(n, seed)
+					if desc.Kind == columns.StaticBP && desc.Bits > 0 {
+						for i := range vals {
+							vals[i] &= 1<<desc.Bits - 1
+						}
 					}
-				}
-				want, ok := layoutGolden[key]
-				if !ok {
-					t.Errorf("no golden digest for %q", key)
-					continue
-				}
-				check := func(path string, col *columns.Column, err error) {
-					t.Helper()
+					want, ok := layoutGolden[key]
+					if !ok {
+						t.Errorf("no golden digest for %q", key)
+						continue
+					}
+					check := func(path string, col *columns.Column, err error) {
+						t.Helper()
+						if err != nil {
+							t.Errorf("%s/%s/%s: %v", kernels, key, path, err)
+						} else if got := layoutDigest(col); got != want {
+							t.Errorf("%s/%s/%s: layout digest %s, want %s", kernels, key, path, got, want)
+						}
+					}
+
+					col, err := Compress(vals, desc)
+					check("compress", col, err)
+					if err == nil {
+						if dec, err := Decompress(col); err != nil || !slices.Equal(dec, vals) {
+							t.Errorf("%s/%s: decompressed values differ (%v)", kernels, key, err)
+						}
+					}
+
+					w, err := NewWriter(desc, 0)
 					if err != nil {
-						t.Errorf("%s/%s: %v", key, path, err)
-					} else if got := layoutDigest(col); got != want {
-						t.Errorf("%s/%s: layout digest %s, want %s", key, path, got, want)
+						t.Fatalf("%s/%s: %v", kernels, key, err)
 					}
-				}
-
-				col, err := Compress(vals, desc)
-				check("compress", col, err)
-
-				w, err := NewWriter(desc, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				for off, i := 0, 0; off < n; i++ {
-					c := min(chunks[i%len(chunks)], n-off)
-					if err := w.Write(vals[off : off+c]); err != nil {
-						t.Fatalf("%s/writer: %v", key, err)
+					for off, i := 0, 0; off < n; i++ {
+						c := min(chunks[i%len(chunks)], n-off)
+						if err := w.Write(vals[off : off+c]); err != nil {
+							t.Fatalf("%s/%s/writer: %v", kernels, key, err)
+						}
+						off += c
 					}
-					off += c
-				}
-				col, err = w.Close()
-				check("writer", col, err)
+					col, err = w.Close()
+					check("writer", col, err)
 
-				third := n / 3
-				aligned := []int{0, third &^ (BlockLen - 1), 2 * third &^ (BlockLen - 1), n}
-				misaligned := []int{0, min(third|1, n), min(2*third|1, n), n}
-				col, err = goldenSections(desc, vals, aligned)
-				check("independent-aligned", col, err)
-				col, err = goldenSections(desc, vals, misaligned)
-				check("independent-misaligned", col, err)
+					third := n / 3
+					aligned := []int{0, third &^ (BlockLen - 1), 2 * third &^ (BlockLen - 1), n}
+					misaligned := []int{0, min(third|1, n), min(2*third|1, n), n}
+					col, err = goldenSections(desc, vals, aligned)
+					check("independent-aligned", col, err)
+					col, err = goldenSections(desc, vals, misaligned)
+					check("independent-misaligned", col, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // layoutGolden maps "format/seed/n" to the SHA-256 layout digest.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"unsafe"
 
+	"morphstore/internal/bitutil"
 	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/vector"
@@ -67,26 +68,14 @@ func u32Table(bufs *bufpool.Lease, n uint64) ([]uint32, []uint64) {
 }
 
 // directJoinKernel probes a direct-address table: tab[k-lo] is the build
-// index of key k plus one, 0 for an absent key. Every probe row is staged
-// unconditionally and the cursor advances by the match bit, so the only
-// data-dependent branch left is the range check.
+// index of key k plus one, 0 for an absent key (bitutil.ProbeDense).
 func directJoinKernel(bufs *bufpool.Lease, build []uint64, lo, span uint64) (chunkKernel, func()) {
 	tab, words := u32Table(bufs, span+1)
 	for i, k := range build {
 		tab[k-lo] = uint32(i) + 1
 	}
 	return func(vals []uint64, base uint64, stage [][]uint64) int {
-		stageP, stageB, k := stage[0], stage[1], 0
-		for i, v := range vals {
-			var t uint64
-			if d := v - lo; d <= span {
-				t = uint64(tab[d])
-			}
-			stageP[k] = base + uint64(i)
-			stageB[k] = t - 1
-			k += int((t + math.MaxUint32) >> 32) // 1 iff t != 0
-		}
-		return k
+		return bitutil.ProbeDense(vals, base, lo, span, tab, stage[0], stage[1])
 	}, func() { _ = bufs.Put(words) } // issued by u32Table
 }
 
@@ -169,7 +158,8 @@ func hashSemiJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func(
 // indexed by key - min when the keys are dense (denseKeys), a hash map
 // otherwise. The choice depends only on the build column's element count and
 // key range, and the output is the same bytes either way. The style argument
-// is ignored (see package vector).
+// is ignored: the processing style is the CPU's, detected once in package
+// bitutil (see package vector).
 func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, _ vector.Style) (probePos, buildPos *columns.Column, err error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err

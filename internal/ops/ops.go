@@ -8,8 +8,10 @@
 //     methods and the morsel drivers behind them, drivers.go), a buffer
 //     layer (format Readers/Writers working at Lx-cache-resident-block
 //     granularity, streamCols), and a kernel layer (format-oblivious
-//     loops over one cache-resident block, one loop per kernel: Go has no
-//     SIMD, so the paper's vector-register layer is a plain loop here),
+//     kernels over one cache-resident block; the range selects, the
+//     dense-key probe and the unpack behind the BP readers live in package
+//     bitutil, which runs them in AVX-512 where the CPU has it — the
+//     paper's vector-register layer — and as Go loops elsewhere),
 //   - specialized operators: direct processing of compressed data (the SWAR
 //     select at static BP widths 1 and 2, the run-level sum on RLE), kernels
 //     in specialized.go,

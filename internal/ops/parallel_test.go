@@ -247,8 +247,8 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 }
 
 // TestParallelJoinN1Equivalence checks the dual-output N:1 join: for every
-// probe format x output format x parallelism degree, both stitched
-// position lists must be byte-identical to the sequential join's.
+// probe format x output format x parallelism degree x kernel path, both
+// stitched position lists must be byte-identical to the sequential join's.
 func TestParallelJoinN1Equivalence(t *testing.T) {
 	vals := parTestValues(parTestN)
 	// Unique build keys covering about half of the probe value domain.
@@ -272,14 +272,16 @@ func TestParallelJoinN1Equivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("join %s: %v", ctx, err)
 				}
-				for _, par := range parLevels {
-					gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, 0)
-					if err != nil {
-						t.Fatalf("par join %s p=%d: %v", ctx, par, err)
+				eachKernelPath(func(path string) {
+					for _, par := range parLevels {
+						gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, 0)
+						if err != nil {
+							t.Fatalf("par join %s p=%d %s: %v", ctx, par, path, err)
+						}
+						assertSameColumn(t, "join probe pos "+ctx+" "+path, wantP, gotP)
+						assertSameColumn(t, "join build pos "+ctx+" "+path, wantB, gotB)
 					}
-					assertSameColumn(t, "join probe pos "+ctx, wantP, gotP)
-					assertSameColumn(t, "join build pos "+ctx, wantB, gotB)
-				}
+				})
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -21,7 +20,8 @@ import (
 //	every other format and width                         blockKernel on unpacked blocks
 //
 // BenchmarkDirectKernels is the evidence: the SWAR test loses to unpack +
-// block kernel from width 4 up.
+// block kernel from width 4 up on both kernel paths (package bitutil). At
+// widths 1 and 2 it beats the portable path and loses to the AVX-512 one.
 
 // SelectAuto evaluates the predicate `element <op> val` over the input column
 // and returns the sorted list of matching positions as a column in the
@@ -51,8 +51,8 @@ func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64,
 // lo <= element <= hi, returning matching positions like SelectAuto: the same
 // range test and kernel dispatch, with the bounds given directly. An inverted
 // range (lo > hi) matches nothing. The style and specialized arguments are
-// ignored: every kernel has one loop (see package vector), and the input's
-// format picks the kernel.
+// ignored: the processing style is the CPU's, detected once in package
+// bitutil (see package vector), and the input's format picks the kernel.
 func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, _ vector.Style, _ bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
@@ -122,11 +122,10 @@ func (rt Runtime) SelectAnd(a *columns.Column, loA, spanA uint64, b *columns.Col
 	if a.N() != b.N() {
 		return nil, qerr.Tag(fmt.Errorf("ops: select and: columns of %d and %d elements", a.N(), b.N()), qerr.ErrInvalidSchema)
 	}
-	kernel := andKernel(loA, spanA, loB, spanB)
 	cols, err := rt.emit("select and", a, b, []emitOut{{out, a.N()}},
 		func(rt Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error {
 			return rt.streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
-				return flush(stage, kernel(va, vb, base, stage[0]), sinks)
+				return flush(stage, bitutil.SelectRangeAnd(va, vb, base, loA, spanA, loB, spanB, stage[0]), sinks)
 			})
 		})
 	if err != nil {
@@ -135,43 +134,9 @@ func (rt Runtime) SelectAnd(a *columns.Column, loA, spanA uint64, b *columns.Col
 	return cols[0], nil
 }
 
-// andKernel is the two-test kernel over one lockstep chunk, in two predicated
-// passes: the first stages the chunk-local indices passing the first test
-// (blockKernel's compress-store), the second compacts them in place to those
-// whose second value passes too and turns them into global positions. The
-// second pass touches only the first pass's survivors, so a selective first
-// test makes it cheap.
-func andKernel(loA, spanA, loB, spanB uint64) func(va, vb []uint64, base uint64, out []uint64) int {
-	return func(va, vb []uint64, base uint64, out []uint64) int {
-		k := 0
-		for i, v := range va {
-			out[k] = uint64(i)
-			_, miss := bits.Sub64(spanA, v-loA, 0)
-			k += int(1 - miss)
-		}
-		m := 0
-		for _, i := range out[:k] {
-			out[m] = base + i
-			_, miss := bits.Sub64(spanB, vb[i]-loB, 0)
-			m += int(1 - miss)
-		}
-		return m
-	}
-}
-
-// blockKernel is the range test over one unpacked block. It is predicated
-// like a masked compress-store: every position is staged unconditionally and
-// the cursor advances by the match bit — the complement of the borrow of
-// span - (v-lo) — so the loop has no data-dependent branch and costs the same
-// at every selectivity.
+// blockKernel is the range test over one unpacked block (bitutil.SelectRange).
 func blockKernel(lo, span uint64) chunkKernel {
 	return func(vals []uint64, base uint64, stage [][]uint64) int {
-		out, k := stage[0], 0
-		for i, v := range vals {
-			out[k] = base + uint64(i)
-			_, miss := bits.Sub64(span, v-lo, 0)
-			k += int(1 - miss)
-		}
-		return k
+		return bitutil.SelectRange(vals, base, lo, span, stage[0])
 	}
 }

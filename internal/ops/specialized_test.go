@@ -321,10 +321,12 @@ const benchDirectN = 1 << 20
 // and SumAuto (select.go, agg.go): each direct kernel against the generic
 // path on the same benchDirectN-row column, one worker, in ns per element.
 //
-//   - select/wB/{swar,unpack}: the SWAR range test on the packed words of a
-//     static BP column at width B against unpack + block kernel, at Q1.1's
-//     discount selectivity (values 0..10 tested for [1, 3], ~27 %; widths 1
-//     and 2 test == 0 over their whole field range, 50 % and 25 %);
+//   - select/wB/{swar,unpack,unpack_portable}: the SWAR range test on the
+//     packed words of a static BP column at width B against unpack + block
+//     kernel, on the CPU's kernel path and on the portable one (package
+//     bitutil), at Q1.1's discount selectivity (values 0..10 tested for
+//     [1, 3], ~27 %; widths 1 and 2 test == 0 over their whole field range,
+//     50 % and 25 %);
 //   - sum/rle/{direct,streamed}: the run dot product against decoding the
 //     runs, runs of 1..16.
 func BenchmarkDirectKernels(b *testing.B) {
@@ -340,6 +342,13 @@ func BenchmarkDirectKernels(b *testing.B) {
 	sel := func(in *columns.Column, k emitKernel) func() error {
 		return func() error { _, err := rt.emitPositions("select", in, columns.DeltaBPDesc, k); return err }
 	}
+	portable := func(run func() error) func() error {
+		return func() error {
+			forcePortable.Store(true)
+			defer forcePortable.Store(false)
+			return run()
+		}
+	}
 	sum := func(in *columns.Column, k reduceKernel) func() error {
 		return func() error { _, err := rt.reduce("sum", in, nil, 1, k); return err }
 	}
@@ -354,9 +363,11 @@ func BenchmarkDirectKernels(b *testing.B) {
 			mod, lo, span = bitutil.Mask(w)+1, 0, 0
 		}
 		in := column(columns.StaticBPDesc(w), func() uint64 { return rng.Uint64() % mod })
+		unpack := sel(in, scan(in, blockKernel(lo, span)))
 		rows = append(rows,
 			row{fmt.Sprintf("select/w%d/swar", w), sel(in, swarSelect(in, lo, span))},
-			row{fmt.Sprintf("select/w%d/unpack", w), sel(in, scan(in, blockKernel(lo, span)))})
+			row{fmt.Sprintf("select/w%d/unpack", w), unpack},
+			row{fmt.Sprintf("select/w%d/unpack_portable", w), portable(unpack)})
 	}
 	var runVal, runLeft uint64
 	rle := column(columns.RLEDesc, func() uint64 {

@@ -1,7 +1,9 @@
 // Package vector holds only the names the benchmark module (bench/) still
-// compiles against. Every kernel has one loop, so core.WithStyle,
-// ops.SelectBetweenAuto and ops.JoinN1 ignore a Style; the package goes once
-// bench/ stops naming it (ROADMAP item 1(c)).
+// compiles against. The processing style is the CPU's: package bitutil
+// detects AVX-512 once, at start-up, and its kernels run their vector path
+// wherever the CPU has it. So core.WithStyle, ops.SelectBetweenAuto and
+// ops.JoinN1 ignore a Style; the package goes once bench/ stops naming it
+// (ROADMAP item 1(c)).
 package vector
 
 // Style is the ignored processing-style argument.

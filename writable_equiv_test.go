@@ -67,8 +67,8 @@ func sameResultCols(want, got *ms.Result) error {
 // database grown through a randomized interleaving of Engine.Append,
 // Engine.Delete, and remorph folds (explicit and background) must answer
 // all 13 SSB queries byte-identically to a freshly loaded read-only
-// database holding the same final rows, across intermediate formats and
-// parallelism levels.
+// database holding the same final rows, across intermediate formats,
+// parallelism levels and both kernel paths.
 func TestWritableSSBEquivalence(t *testing.T) {
 	data, err := ms.GenerateSSB(0.002, 11)
 	if err != nil {
@@ -184,17 +184,26 @@ func TestWritableSSBEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/par%d prepare fresh: %v", q, dn, par, err)
 				}
-				resA, err := prA.Execute(ctx)
-				if err != nil {
-					t.Fatalf("%s/%s/par%d mutated: %v", q, dn, par, err)
-				}
-				resB, err := prB.Execute(ctx)
-				if err != nil {
-					t.Fatalf("%s/%s/par%d fresh: %v", q, dn, par, err)
-				}
-				if err := sameResultCols(resB, resA); err != nil {
-					t.Fatalf("%s/%s/par%d: mutated diverges from fresh reload: %v", q, dn, par, err)
-				}
+				var ref *ms.Result
+				eachKernelPath(func(path string) {
+					resA, err := prA.Execute(ctx)
+					if err != nil {
+						t.Fatalf("%s/%s/par%d/%s mutated: %v", q, dn, par, path, err)
+					}
+					resB, err := prB.Execute(ctx)
+					if err != nil {
+						t.Fatalf("%s/%s/par%d/%s fresh: %v", q, dn, par, path, err)
+					}
+					if ref == nil {
+						ref = resB
+					}
+					if err := sameResultCols(ref, resA); err != nil {
+						t.Fatalf("%s/%s/par%d/%s: mutated diverges from fresh reload: %v", q, dn, par, path, err)
+					}
+					if err := sameResultCols(ref, resB); err != nil {
+						t.Fatalf("%s/%s/par%d/%s: fresh reload diverges across kernel paths: %v", q, dn, par, path, err)
+					}
+				})
 			}
 		}
 	}
