@@ -332,7 +332,7 @@ func BenchmarkKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					k.run()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchScanN, "ns/elem")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.n), "ns/elem")
 			})
 		}
 	}
@@ -344,9 +344,10 @@ func BenchmarkKernels(b *testing.B) {
 //go:linkname forcePortable morphstore/internal/bitutil.forcePortable
 var forcePortable atomic.Bool
 
-// ladderRow is one kernel of the ladder, run over benchScanN values.
+// ladderRow is one kernel of the ladder, run over n values.
 type ladderRow struct {
 	name string
+	n    int
 	run  func()
 }
 
@@ -360,7 +361,11 @@ type ladderRow struct {
 //   - select_range: the range test at Q1.1's discount selectivity (0..10 for
 //     [1, 3], ~27 %);
 //   - select_and: the fused conjunction of that test and Q1.1's quantity test
-//     (1..50 for [1, 24]).
+//     (1..50 for [1, 24]);
+//   - gather_bp_wW/dD: the project's gather from static BP at width W, of
+//     the sorted positions of a D % selection, in blockLen-position chunks,
+//     per position;
+//   - gather_words/dD: the same gather from uncompressed words.
 func kernelLadder() []ladderRow {
 	const blockLen = formats.BufferLen
 	rng := rand.New(rand.NewSource(43))
@@ -380,12 +385,40 @@ func kernelLadder() []ladderRow {
 	}
 	stage, stageB := make([]uint64, blockLen), make([]uint64, blockLen)
 	var rows []ladderRow
-	for _, w := range []uint{7, 13, 20, 32} {
+	widths := []uint{7, 13, 20, 32}
+	packed := map[uint][]uint64{}
+	for _, w := range widths {
 		w := w
 		words := make([]uint64, bitutil.PackedWords(benchScanN, w))
 		bitutil.Pack(words, gen(rng.Uint64), w)
-		rows = append(rows, ladderRow{fmt.Sprintf("unpack_w%d", w), blocks(func(off, end int) {
+		packed[w] = words
+		rows = append(rows, ladderRow{fmt.Sprintf("unpack_w%d", w), benchScanN, blocks(func(off, end int) {
 			bitutil.Unpack(stage[:end-off], words[off*int(w)/64:], w)
+		})})
+	}
+	uncompr := gen(rng.Uint64)
+	for _, d := range []uint64{1, 10, 40, 100} {
+		var pos []uint64
+		for i := uint64(0); i < benchScanN; i++ {
+			if rng.Uint64()%100 < d {
+				pos = append(pos, i)
+			}
+		}
+		chunks := func(f func(p []uint64)) func() {
+			return func() {
+				for off := 0; off < len(pos); off += blockLen {
+					f(pos[off:min(off+blockLen, len(pos))])
+				}
+			}
+		}
+		for _, w := range widths {
+			w, words := w, packed[w]
+			rows = append(rows, ladderRow{fmt.Sprintf("gather_bp_w%d/d%d", w, d), len(pos), chunks(func(p []uint64) {
+				bitutil.GatherBits(stage, words, p, w, benchScanN)
+			})})
+		}
+		rows = append(rows, ladderRow{fmt.Sprintf("gather_words/d%d", d), len(pos), chunks(func(p []uint64) {
+			bitutil.GatherWords(stage, uncompr, p)
 		})})
 	}
 	for _, span := range []uint64{6000, 40000} {
@@ -399,7 +432,7 @@ func kernelLadder() []ladderRow {
 				}
 			}
 			keys := gen(func() uint64 { return lo + rng.Uint64()%(span+1) })
-			rows = append(rows, ladderRow{fmt.Sprintf("probe_dense/span%d_hit%d", span, hit), blocks(func(off, end int) {
+			rows = append(rows, ladderRow{fmt.Sprintf("probe_dense/span%d_hit%d", span, hit), benchScanN, blocks(func(off, end int) {
 				bitutil.ProbeDense(keys[off:end], uint64(off), lo, span, tab, stage, stageB)
 			})})
 		}
@@ -407,10 +440,10 @@ func kernelLadder() []ladderRow {
 	disc := gen(func() uint64 { return rng.Uint64() % 11 })
 	qty := gen(func() uint64 { return 1 + rng.Uint64()%50 })
 	return append(rows,
-		ladderRow{"select_range", blocks(func(off, end int) {
+		ladderRow{"select_range", benchScanN, blocks(func(off, end int) {
 			bitutil.SelectRange(disc[off:end], uint64(off), 1, 2, stage)
 		})},
-		ladderRow{"select_and", blocks(func(off, end int) {
+		ladderRow{"select_and", benchScanN, blocks(func(off, end int) {
 			bitutil.SelectRangeAnd(disc[off:end], qty[off:end], uint64(off), 1, 2, 1, 23, stage)
 		})})
 }

@@ -108,21 +108,19 @@ func Unpack(dst []uint64, src []uint64, width uint) {
 	}
 	// The vector kernel or the unrolled per-width kernels handle whole groups
 	// of 64 values.
-	if f := unpack64[width]; f != nil {
-		i, w := 0, 0
-		if width <= maxVecUnpackWidth && vec() {
-			unpackVec(dst, src, width)
-			i = len(dst) &^ 63
-			w = i / 64 * int(width)
-		}
-		for ; i+64 <= len(dst); i, w = i+64, w+int(width) {
-			f(src[w:], dst[i:i+64])
-		}
-		dst = dst[i:]
-		src = src[w:]
-		if len(dst) == 0 {
-			return
-		}
+	i, w := 0, 0
+	if width <= maxVecUnpackWidth && vec() {
+		unpackVec(dst, src, width)
+		i = len(dst) &^ 63
+		w = i / 64 * int(width)
+	}
+	for ; i+64 <= len(dst); i, w = i+64, w+int(width) {
+		unpack64(src[w:], dst[i:i+64], width)
+	}
+	dst = dst[i:]
+	src = src[w:]
+	if len(dst) == 0 {
+		return
 	}
 	if 64%width == 0 {
 		unpackAligned(dst, src, width)
@@ -130,7 +128,7 @@ func Unpack(dst []uint64, src []uint64, width uint) {
 	}
 	m := Mask(width)
 	var bitpos uint
-	w := 0
+	w = 0
 	for i := range dst {
 		v := src[w] >> bitpos
 		if rem := 64 - bitpos; rem < width {
@@ -183,11 +181,7 @@ func UnpackGroup(dst *[64]uint64, words []uint64, g int, width uint) {
 	case width <= maxVecUnpackWidth && vec():
 		unpackVec(dst[:], words[g*int(width):], width)
 	default:
-		if f := unpack64[width]; f != nil {
-			f(words[g*int(width):], dst[:])
-			return
-		}
-		Unpack(dst[:], words[g*int(width):], width)
+		unpack64(words[g*int(width):], dst[:], width)
 	}
 }
 

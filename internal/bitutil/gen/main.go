@@ -22,13 +22,19 @@ func main() {
 	fmt.Fprintln(&b, "package bitutil")
 	fmt.Fprintln(&b, "")
 
-	// Dispatch tables.
-	fmt.Fprintln(&b, "// unpack64 holds, per width, the unrolled kernel decoding one group of")
-	fmt.Fprintln(&b, "// 64 values from w packed words. Index 0 and 64 are handled separately.")
-	fmt.Fprintln(&b, "var unpack64 = [65]func(src, dst []uint64){")
+	// Dispatch. The unpack is a switch of direct calls, not a table of
+	// function values: escape analysis cannot see through a call of a
+	// function value and would move every dst to the heap, so the portable
+	// gather's group cache could not live on its stack.
+	fmt.Fprintln(&b, "// unpack64 decodes one group of 64 values of width 1..63 from w packed")
+	fmt.Fprintln(&b, "// words with the width's unrolled kernel. Widths 0 and 64 are handled")
+	fmt.Fprintln(&b, "// separately.")
+	fmt.Fprintln(&b, "func unpack64(src, dst []uint64, width uint) {")
+	fmt.Fprintln(&b, "\tswitch width {")
 	for w := 1; w <= 63; w++ {
-		fmt.Fprintf(&b, "\t%d: unpack64w%d,\n", w, w)
+		fmt.Fprintf(&b, "\tcase %d:\n\t\tunpack64w%d(src, dst)\n", w, w)
 	}
+	fmt.Fprintln(&b, "\t}")
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b, "")
 	fmt.Fprintln(&b, "// pack64 holds the unrolled inverse kernels.")

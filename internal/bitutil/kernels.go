@@ -8,7 +8,8 @@ import (
 
 // Kernel dispatch. The operators' inner loops — the range select over one
 // unpacked block, the two-column range select of a fused conjunction, the
-// dense-key join probe, and the unpack of whole 64-value groups — have two
+// dense-key join probe, the unpack of whole 64-value groups, and the
+// project's gathers from static BP and uncompressed words — have two
 // implementations: AVX-512 assembly (kernels_amd64.s), 8 values per step, and
 // the portable Go loops below. One CPU check, run once when the package
 // initialises (hasAVX512), picks the assembly where the CPU reports
@@ -21,7 +22,10 @@ import (
 // finishes the tail, starting at the assembly's output cursor. The assembly
 // stores whole 8-lane vectors at that cursor; the cursor never passes the
 // input index, so no store passes len(vals), which every wrapper bounds the
-// outputs to.
+// outputs to. The gathers' assembly stops before the first step holding an
+// out-of-range position, having loaded nothing for it; the Go loop then
+// gathers that step's in-range lanes up to it and reports it, so both paths
+// report the same index.
 
 // forcePortable, set by tests through go:linkname, makes every kernel run its
 // portable loop on a host that has the AVX-512 path, so both paths go through
@@ -31,6 +35,11 @@ var forcePortable atomic.Bool
 
 // vec reports whether the kernels run their AVX-512 path.
 func vec() bool { return hasAVX512 && !forcePortable.Load() }
+
+// Portable reports whether the kernels run their portable Go loops: on a CPU
+// without the AVX-512 path, or while a test forces them. Operators whose
+// direct kernel beats only the portable path dispatch on it.
+func Portable() bool { return !vec() }
 
 // AVX512 reports whether this CPU runs the AVX-512 kernels and, if it does
 // not, names the first required feature it lacks.
@@ -137,4 +146,83 @@ func probeDenseGo(vals []uint64, base, lo, span uint64, tab []uint32, outP, outB
 		k += int((t + math.MaxUint32) >> 32) // 1 iff t != 0
 	}
 	return k
+}
+
+// GatherBits fills dst[j] with the idx[j]-th value of the n width-bit values
+// packed in words (Get's layout) and returns -1, or, if a position is n or
+// more, the first j with idx[j] >= n. dst must hold len(idx) values; it holds
+// the values of the positions before the reported one, and no word is loaded
+// for the reported position or any after it. words must hold
+// PackedWords(n, width) words.
+func GatherBits(dst, words, idx []uint64, width uint, n int) int {
+	dst = dst[:len(idx)]
+	i := 0
+	if vec() && width > 0 && len(idx) >= 8 {
+		i = gatherBitsVec(dst, words, idx[:len(idx)&^7], width, uint64(n))
+	}
+	return offset(i, gatherBitsGo(dst[i:], words, idx[i:], width, n))
+}
+
+// gatherDense is how many of the upcoming positions must fall into one
+// 64-value group for gatherBitsGo to decode the whole group: about where one
+// group unpack becomes cheaper than that many single-field extractions.
+const gatherDense = 8
+
+// gatherBitsGo is the portable GatherBits. It decodes a 64-value group once,
+// into a cache on its stack, where gatherDense upcoming positions share it
+// (on a sorted list, the gatherDense-th position from here tells), and
+// extracts every other position on its own with Get, so a selective list
+// does not pay 64 decoded values per hit. Any order is correct; sorted
+// selection results hit the cache.
+func gatherBitsGo(dst, words, idx []uint64, width uint, n int) int {
+	var group [64]uint64
+	gid, full := -1, n>>6
+	for j, ix := range idx {
+		// A position in the cached group is in range: the group is whole.
+		if g := int(ix >> 6); g != gid {
+			if ix >= uint64(n) {
+				return j
+			}
+			if g >= full || j+gatherDense > len(idx) || int(idx[j+gatherDense-1]>>6) != g {
+				dst[j] = Get(words, int(ix), width)
+				continue
+			}
+			UnpackGroup(&group, words, g, width)
+			gid = g
+		}
+		dst[j] = group[ix&63]
+	}
+	return -1
+}
+
+// GatherWords fills dst[j] with words[idx[j]] and returns -1, or, if a
+// position is len(words) or more, the first such j, with GatherBits' contract
+// on dst.
+func GatherWords(dst, words, idx []uint64) int {
+	dst = dst[:len(idx)]
+	i := 0
+	if vec() && len(idx) >= 8 {
+		i = gatherWordsVec(dst, words, idx[:len(idx)&^7])
+	}
+	return offset(i, gatherWordsGo(dst[i:], words, idx[i:]))
+}
+
+// gatherWordsGo is the portable GatherWords.
+func gatherWordsGo(dst, words, idx []uint64) int {
+	for j, ix := range idx {
+		if ix >= uint64(len(words)) {
+			return j
+		}
+		dst[j] = words[ix]
+	}
+	return -1
+}
+
+// offset turns j, the index a Go loop reports in the positions from i on
+// (or -1), into an index in the whole list.
+func offset(i, j int) int {
+	if j < 0 {
+		return j
+	}
+	return i + j
 }

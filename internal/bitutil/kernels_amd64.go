@@ -84,6 +84,19 @@ func selectRangeAndVec(va, vb []uint64, base, loA, spanA, loB, spanB uint64, out
 //go:noescape
 func probeDenseVec(vals []uint64, base, lo, span uint64, tab []uint32, outP, outB []uint64) int
 
+// The gathers below process len(idx) positions, a multiple of 8, into dst,
+// which holds as many, and return how many they gathered: all of them, or
+// the 8-position steps before the first step with a position of n (for
+// gatherWordsVec, len(words)) or more. gatherBitsVec needs width 1..64 and
+// n ≤ len(words)·64/width, so words is not empty where a position is in
+// range.
+
+//go:noescape
+func gatherBitsVec(dst, words, idx []uint64, width uint, n uint64) int
+
+//go:noescape
+func gatherWordsVec(dst, words, idx []uint64) int
+
 // unpackVec decodes len(dst)/64 whole groups of width (1..56) bits from src,
 // which must hold their width words each.
 func unpackVec(dst, src []uint64, width uint) {

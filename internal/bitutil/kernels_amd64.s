@@ -5,7 +5,9 @@
 // compress the passing lanes (VPCOMPRESSQ) to the bottom of a register, store
 // the whole register at the output cursor, and advance the cursor by the
 // popcount of the step's mask: the cursor never passes the input index, so a
-// store never passes the input's length.
+// store never passes the input's length. The gathers test a step's positions
+// against the column length first and return before the step's loads if one
+// is out of range.
 
 // lanes holds 0..7, the step-local index of each lane.
 DATA lanes<>+0(SB)/8, $0
@@ -211,5 +213,102 @@ probeLoop:
 
 probeDone:
 	MOVQ AX, ret+120(FP)
+	VZEROUPPER
+	RET
+
+// func gatherBitsVec(dst, words, idx []uint64, width uint, n uint64) int
+//
+// The field of position p starts at bit p·width: in word p·width>>6, at
+// offset p·width&63. A step gathers that word and the next, clamped to the
+// last word as Get clamps it, shifts the first right by the offset and the
+// second left by 64 - offset (VPSLLVQ gives 0 for a shift of 64, so at
+// offset 0 the next word drops out), ORs them and masks to width bits.
+TEXT ·gatherBitsVec(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ words_base+24(FP), R8
+	MOVQ words_len+32(FP), AX
+	DECQ AX
+	VPBROADCASTQ AX, Z10 // the last word
+	MOVQ idx_base+48(FP), SI
+	MOVQ idx_len+56(FP), CX
+	SHRQ $3, CX
+	MOVQ width+72(FP), DX
+	VPBROADCASTQ DX, Z11
+	MOVQ $64, AX
+	SUBQ DX, AX
+	VPBROADCASTQ AX, Z12
+	VPTERNLOGQ $0xff, Z13, Z13, Z13
+	VPSRLVQ Z12, Z13, Z13 // the value mask: the low width bits
+	MOVQ n+80(FP), AX
+	VPBROADCASTQ AX, Z14
+	MOVQ $63, AX
+	VPBROADCASTQ AX, Z15
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z16
+	MOVQ $64, AX
+	VPBROADCASTQ AX, Z17
+	XORQ AX, AX // positions gathered
+	TESTQ CX, CX
+	JZ bitsDone
+
+bitsLoop:
+	VMOVDQU64 (SI)(AX*8), Z0
+	VPCMPUQ $5, Z14, Z0, K1 // p >= n
+	KORTESTB K1, K1
+	JNZ bitsDone
+	VPMULLQ Z11, Z0, Z1 // bit position
+	VPSRLQ $6, Z1, Z2   // word
+	VPANDQ Z15, Z1, Z3  // offset
+	VPADDQ Z16, Z2, Z4
+	VPMINUQ Z10, Z4, Z4 // the next word, clamped to the last
+	KXNORB K2, K2, K2
+	KXNORB K3, K3, K3
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPGATHERQQ (R8)(Z2*8), K2, Z5
+	VPGATHERQQ (R8)(Z4*8), K3, Z6
+	VPSUBQ Z3, Z17, Z7
+	VPSRLVQ Z3, Z5, Z5
+	VPSLLVQ Z7, Z6, Z6
+	VPORQ Z6, Z5, Z5
+	VPANDQ Z13, Z5, Z5
+	VMOVDQU64 Z5, (DI)(AX*8)
+	ADDQ $8, AX
+	DECQ CX
+	JNZ bitsLoop
+
+bitsDone:
+	MOVQ AX, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func gatherWordsVec(dst, words, idx []uint64) int
+TEXT ·gatherWordsVec(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ words_base+24(FP), R8
+	MOVQ words_len+32(FP), AX
+	VPBROADCASTQ AX, Z14
+	MOVQ idx_base+48(FP), SI
+	MOVQ idx_len+56(FP), CX
+	SHRQ $3, CX
+	XORQ AX, AX // positions gathered
+	TESTQ CX, CX
+	JZ wordsDone
+
+wordsLoop:
+	VMOVDQU64 (SI)(AX*8), Z0
+	VPCMPUQ $5, Z14, Z0, K1 // p >= len(words)
+	KORTESTB K1, K1
+	JNZ wordsDone
+	KXNORB K2, K2, K2
+	VPXORQ Z1, Z1, Z1
+	VPGATHERQQ (R8)(Z0*8), K2, Z1
+	VMOVDQU64 Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	DECQ CX
+	JNZ wordsLoop
+
+wordsDone:
+	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET

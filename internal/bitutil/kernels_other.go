@@ -17,3 +17,7 @@ func selectRangeAndVec(va, vb []uint64, base, loA, spanA, loB, spanB uint64, out
 func probeDenseVec(vals []uint64, base, lo, span uint64, tab []uint32, outP, outB []uint64) int {
 	return 0
 }
+
+func gatherBitsVec(dst, words, idx []uint64, width uint, n uint64) int { return 0 }
+
+func gatherWordsVec(dst, words, idx []uint64) int { return 0 }

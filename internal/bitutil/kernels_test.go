@@ -7,12 +7,125 @@ import (
 )
 
 // TestKernelPath reports which kernel path this host runs; CI runs it with -v
-// so the log shows whether the AVX-512 half of FuzzKernels ran.
+// so the log shows whether the AVX-512 half of FuzzKernels ran. It then pins
+// the gathers' position check at every width: 19 positions (two 8-position
+// steps and a tail of 3) with one out-of-range position in each place in
+// turn, or none, over a column whose last field ends its last word and over
+// one whose last word has room left, on both paths against the element-wise
+// reference.
 func TestKernelPath(t *testing.T) {
 	if ok, missing := AVX512(); ok {
 		t.Log("kernel path: AVX-512")
 	} else {
 		t.Logf("kernel path: portable (the CPU lacks %s)", missing)
+	}
+	seed := uint64(5)
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{192, 200} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = splitmix(&seed) & Mask(width)
+			}
+			for bad := -1; bad < 19; bad++ {
+				c := gatherCase{width: width, vals: vals, pos: make([]uint64, 19)}
+				for j := range c.pos {
+					c.pos[j] = splitmix(&seed) % uint64(n)
+				}
+				c.pos[0] = uint64(n - 1) // the last field, in the first step
+				if bad >= 0 {
+					c.pos[bad] = uint64(n) + uint64(bad%3)
+					if bad%2 == 1 {
+						c.pos[bad] = math.MaxUint64
+					}
+				}
+				c.check(t, fmt.Sprintf("width %d, n %d, out of range at %d", width, n, bad))
+			}
+		}
+	}
+}
+
+// gatherCase is one input of the gathers' differential: a column of values
+// of one width and the positions gathered from it.
+type gatherCase struct {
+	width uint
+	vals  []uint64
+	pos   []uint64
+}
+
+// gatherRun is both gathers' output over one case on one path.
+type gatherRun struct {
+	bits, words       []uint64
+	bitsBad, wordsBad int
+}
+
+func (c gatherCase) run() gatherRun {
+	m := len(c.pos)
+	packed := make([]uint64, PackedWords(len(c.vals), c.width))
+	Pack(packed, c.vals, c.width)
+	r := gatherRun{bits: outBuf(m), words: outBuf(m)}
+	r.bitsBad = GatherBits(r.bits[:m], packed, c.pos, c.width, len(c.vals))
+	r.wordsBad = GatherWords(r.words[:m], c.vals, c.pos)
+	return r
+}
+
+// reference is what both gathers compute, element by element.
+func (c gatherCase) reference() gatherRun {
+	r := gatherRun{bits: outBuf(len(c.pos)), bitsBad: -1}
+	for j, p := range c.pos {
+		if p >= uint64(len(c.vals)) {
+			r.bitsBad = j
+			break
+		}
+		r.bits[j] = c.vals[p]
+	}
+	r.words, r.wordsBad = r.bits, r.bitsBad
+	return r
+}
+
+// compare fails unless got reports the reference's out-of-range index, holds
+// its values below that index (all of them when none is out of range), and
+// wrote nothing past the positions' count.
+func (want gatherRun) compare(t *testing.T, ctx string, got gatherRun) {
+	t.Helper()
+	m := len(want.bits) - 16
+	for _, g := range []struct {
+		name            string
+		got, want       []uint64
+		gotBad, wantBad int
+	}{
+		{"gather bits", got.bits, want.bits, got.bitsBad, want.bitsBad},
+		{"gather words", got.words, want.words, got.wordsBad, want.wordsBad},
+	} {
+		if g.gotBad != g.wantBad {
+			t.Fatalf("%s: %s: out-of-range index %d, want %d", ctx, g.name, g.gotBad, g.wantBad)
+		}
+		valid := m
+		if g.wantBad >= 0 {
+			valid = g.wantBad
+		}
+		for j := 0; j < valid; j++ {
+			if g.got[j] != g.want[j] {
+				t.Fatalf("%s: %s: row %d = %#x, want %#x", ctx, g.name, j, g.got[j], g.want[j])
+			}
+		}
+		for i, v := range g.got[m:] {
+			if v != sentinel {
+				t.Fatalf("%s: %s: wrote %#x at %d, past the output bound %d", ctx, g.name, v, m+i, m)
+			}
+		}
+	}
+}
+
+// check runs the case on the portable path against the reference and, where
+// the CPU has it, on the AVX-512 path against the portable one.
+func (c gatherCase) check(t *testing.T, ctx string) {
+	t.Helper()
+	forcePortable.Store(true)
+	portable := c.run()
+	forcePortable.Store(false)
+	c.reference().compare(t, "portable: "+ctx, portable)
+	if hasAVX512 {
+		portable.compare(t, "avx512: "+ctx, c.run())
 	}
 }
 
@@ -36,6 +149,7 @@ type kernelCase struct {
 	tab                []uint32
 	base               uint64
 	otherLo, otherSpan uint64
+	gather             gatherCase
 }
 
 // newKernelCase decodes the fuzz arguments. mode picks the range test's
@@ -93,6 +207,42 @@ func newKernelCase(seed uint64, width uint8, n uint16, lo, span uint64, mode uin
 		if i%5 == 0 {
 			c.probe[i] = c.vals[i]
 		}
+	}
+	c.gather = newGatherCase(&seed, c.width, c.vals)
+	return c
+}
+
+// newGatherCase gathers from vals, or from its whole 64-value groups, whose
+// last field ends the last word; the positions are sorted (a dense run with
+// duplicates, as a selection's gather reads them), unsorted, or a few
+// positions repeated, and one of every three cases puts one out-of-range
+// position at a random index.
+func newGatherCase(seed *uint64, width uint, vals []uint64) gatherCase {
+	c := gatherCase{width: width, vals: vals}
+	if splitmix(seed)%2 == 0 {
+		c.vals = vals[:len(vals)&^63]
+	}
+	c.pos = make([]uint64, splitmix(seed)%300)
+	n := uint64(max(len(c.vals), 1))
+	switch splitmix(seed) % 3 {
+	case 0:
+		p, step := splitmix(seed)%n, splitmix(seed)%4
+		for j := range c.pos {
+			c.pos[j] = min(p, n-1)
+			p += step
+		}
+	case 1:
+		for j := range c.pos {
+			c.pos[j] = splitmix(seed) % n
+		}
+	case 2:
+		few := [3]uint64{splitmix(seed) % n, splitmix(seed) % n, n - 1}
+		for j := range c.pos {
+			c.pos[j] = few[splitmix(seed)%3]
+		}
+	}
+	if len(c.pos) > 0 && splitmix(seed)%3 == 0 {
+		c.pos[splitmix(seed)%uint64(len(c.pos))] = uint64(len(c.vals)) + splitmix(seed)%2
 	}
 	return c
 }
@@ -197,7 +347,8 @@ func (c kernelCase) reference() kernelRun {
 // FuzzKernels is the contract of the AVX-512 kernels: over widths 0..64,
 // lengths 0..2100 (every tail of 0..7 values past the last 8-value step),
 // the range edges (span 0 and MaxUint64, lo above every value, a wrapping
-// v-lo) and probe tables with absent keys and build index 0, the portable
+// v-lo), probe tables with absent keys and build index 0, and gathers of
+// sorted, unsorted and repeated positions (newGatherCase), the portable
 // loops must equal the element-wise reference and the AVX-512 path must equal
 // the portable loops, with nothing written past an output bound. On a host
 // without the AVX-512 path the second half skips, naming the missing feature.
@@ -216,6 +367,7 @@ func FuzzKernels(f *testing.F) {
 		portable := runKernels(c)
 		forcePortable.Store(false)
 		c.reference().compare(t, "portable: "+ctx, portable, len(c.vals))
+		c.gather.check(t, fmt.Sprintf("%s, gather %d positions from %d values", ctx, len(c.gather.pos), len(c.gather.vals)))
 		if !hasAVX512 {
 			t.Skipf("portable path checked; no AVX-512 path: the CPU lacks %s", avx512Missing)
 		}

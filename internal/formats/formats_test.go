@@ -313,13 +313,7 @@ func TestRandomAccess(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			idx = append(idx, uint64(rng.Intn(len(vals))))
 		}
-		dst := make([]uint64, len(idx))
-		ra.Gather(dst, idx)
-		for j, ix := range idx {
-			if dst[j] != vals[ix] {
-				t.Fatalf("%v: Gather[%d] = %d, want %d", desc, j, dst[j], vals[ix])
-			}
-		}
+		checkGather(t, desc.String(), ra, vals, idx)
 	}
 	// Other formats must refuse.
 	for _, desc := range []columns.FormatDesc{columns.DynBPDesc, columns.DeltaBPDesc, columns.ForBPDesc, columns.RLEDesc} {

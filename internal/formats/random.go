@@ -12,9 +12,13 @@ import (
 // the uncompressed format and static BP, where a logical position maps to a
 // physical bit address in a straightforward way; plans that need random
 // access to other formats must morph first (the on-the-fly-morphing degree).
+// An accessor is stateless, so one serves any number of goroutines at once.
 type RandomAccessor interface {
-	// Gather fills dst[j] with the element at position idx[j] for all j.
-	Gather(dst []uint64, idx []uint64)
+	// Gather fills dst[j] with the element at position idx[j] for all j and
+	// returns -1, or, if a position is out of the column's range, the first
+	// j whose position is, having filled dst only below it (bitutil's
+	// GatherBits and GatherWords).
+	Gather(dst []uint64, idx []uint64) int
 }
 
 // ErrNoRandomAccess reports a random-access request on a format without
@@ -35,7 +39,7 @@ func RandomAccess(col *columns.Column) (RandomAccessor, error) {
 func HasRandomAccess(kind columns.Kind) bool { return lookup(kind).access != nil }
 
 func uncomprAccess(col *columns.Column) (RandomAccessor, error) {
-	return uncomprAccessor(col.Words()), nil
+	return uncomprAccessor(col.Words()[:col.N()]), nil
 }
 
 func staticBPAccess(col *columns.Column) (RandomAccessor, error) {
@@ -43,62 +47,22 @@ func staticBPAccess(col *columns.Column) (RandomAccessor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &staticBPAccessor{words: words, bits: bits, n: col.N(), gid: -1}, nil
+	return staticBPAccessor{words: words, bits: bits, n: col.N()}, nil
 }
 
 type uncomprAccessor []uint64
 
-func (a uncomprAccessor) Gather(dst []uint64, idx []uint64) {
-	for j, ix := range idx {
-		dst[j] = a[ix]
-	}
+func (a uncomprAccessor) Gather(dst []uint64, idx []uint64) int {
+	return bitutil.GatherWords(dst, a, idx)
 }
 
-// staticBPAccessor provides random access into packed words. Gather caches
-// the most recently decoded 64-value group: position lists produced by
-// selections are sorted, so on a dense list consecutive accesses
-// overwhelmingly hit the cached group and gathering approaches sequential
-// decode speed. A group is decoded only when gatherDense upcoming positions
-// share it; sparser positions are extracted one by one, so a selective list
-// does not pay 64 decoded values per hit. Arbitrary access orders remain
-// correct.
+// staticBPAccessor extracts each position's field from the packed words.
 type staticBPAccessor struct {
 	words []uint64
 	bits  uint
 	n     int
-	group [64]uint64
-	gid   int
 }
 
-// gatherDense is how many of the upcoming positions must fall into one group
-// for Gather to decode the whole group: about where one 64-value unpack
-// becomes cheaper than that many single-field extractions.
-const gatherDense = 8
-
-func (a *staticBPAccessor) Gather(dst []uint64, idx []uint64) {
-	if a.bits == 0 {
-		for j := range idx {
-			dst[j] = 0
-		}
-		return
-	}
-	// Locals: the stores to dst would otherwise force the fields to reload.
-	words, bits, gid := a.words, a.bits, a.gid
-	fullGroups := a.n >> 6
-	for j, ix := range idx {
-		g := int(ix >> 6)
-		if g != gid {
-			// Element-wise for the partial tail group and for a group too few
-			// upcoming positions share (on a sorted list, the gatherDense-th
-			// position from here tells).
-			if g >= fullGroups || j+gatherDense > len(idx) || int(idx[j+gatherDense-1]>>6) != g {
-				dst[j] = bitutil.Get(words, int(ix), bits)
-				continue
-			}
-			bitutil.UnpackGroup(&a.group, words, g, bits)
-			gid = g
-		}
-		dst[j] = a.group[ix&63]
-	}
-	a.gid = gid
+func (a staticBPAccessor) Gather(dst []uint64, idx []uint64) int {
+	return bitutil.GatherBits(dst, a.words, idx, a.bits, a.n)
 }

@@ -61,7 +61,7 @@ func (rt Runtime) CalcBinary(op CalcKind, a, b *columns.Column, out columns.Form
 	if a.N() != b.N() {
 		return nil, fmt.Errorf("ops: calc: inputs have %d and %d elements", a.N(), b.N())
 	}
-	return rt.mapCols("calc", a, b, out, func(_ int, va, vb, dst []uint64) error {
+	return rt.mapCols("calc", a, b, out, func(va, vb, dst []uint64) error {
 		calcKernel(op, va, vb, dst)
 		return nil
 	})

@@ -199,10 +199,9 @@ func (rt Runtime) emitPositions(name string, in *columns.Column, out columns.For
 }
 
 // mapKernel computes one output value per element of a chunk: dst[i] from
-// a[i] (and b[i] for a dual-input operator; b is nil otherwise). worker
-// indexes per-worker kernel state; one worker index is never active on two
-// goroutines.
-type mapKernel func(worker int, a, b, dst []uint64) error
+// a[i] (and b[i] for a dual-input operator; b is nil otherwise). It keeps no
+// state, so every worker runs the same kernel.
+type mapKernel func(a, b, dst []uint64) error
 
 // mapCols is the one-value-per-element driver over input a, or over a and b
 // in lockstep. Output offsets are known a priori, so the workers write into
@@ -224,7 +223,7 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 		defer rt.free(buf)
 		stage := buf[:blockBuf]
 		err = rt.streamCols(a, b, whole(a), func(va, vb []uint64, _ uint64) error {
-			if err := kernel(0, va, vb, stage[:len(va)]); err != nil {
+			if err := kernel(va, vb, stage[:len(va)]); err != nil {
 				return err
 			}
 			return w.Write(stage[:len(va)])
@@ -240,9 +239,9 @@ func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatD
 		rt.releaseMem(8 * len(dst))
 		rt.free(dst)
 	}()
-	err := rt.runParts(parts, func(w, _ int, pt formats.Partition) error {
+	err := rt.runParts(parts, func(_, _ int, pt formats.Partition) error {
 		return rt.streamCols(a, b, pt, func(va, vb []uint64, base uint64) error {
-			return kernel(w, va, vb, dst[base:base+uint64(len(va))])
+			return kernel(va, vb, dst[base:base+uint64(len(va))])
 		})
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"morphstore/internal/bitutil"
@@ -153,11 +154,40 @@ func TestProjectRejectsNonRandomAccessData(t *testing.T) {
 	}
 }
 
+// TestProjectRejectsOutOfRangePositions: the gather's position check names
+// the first out-of-range position — in the tail of a short list, in lane 7 of
+// an 8-position step, and in the tail behind whole steps — for both
+// random-access formats on both kernel paths.
 func TestProjectRejectsOutOfRangePositions(t *testing.T) {
-	data := mkCol(t, genVals(100, 100, 6), columns.UncomprDesc)
-	pos := mkCol(t, []uint64{5, 200}, columns.UncomprDesc)
-	if _, err := FixedRT(1).Project(data, pos, columns.UncomprDesc); err == nil {
-		t.Error("out-of-range position must fail")
+	vals := genVals(100, 100, 6)
+	seq := func(n int) []uint64 {
+		p := make([]uint64, n)
+		for i := range p {
+			p[i] = uint64(i * 3)
+		}
+		return p
+	}
+	lane7 := append(seq(7), 200, 50, 300)
+	tail := append(seq(19), 100)
+	for _, desc := range formats.RandomAccessDescs() {
+		data := mkCol(t, vals, desc)
+		eachKernelPath(func(path string) {
+			for _, c := range []struct {
+				name string
+				pos  []uint64
+				want string
+			}{
+				{"short", []uint64{5, 200}, "position 200 out of range [0,100)"},
+				{"lane 7", lane7, "position 200 out of range [0,100)"},
+				{"tail", tail, "position 100 out of range [0,100)"},
+			} {
+				pos := mkCol(t, c.pos, columns.UncomprDesc)
+				_, err := FixedRT(1).Project(data, pos, columns.UncomprDesc)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%v, %s, %s: error %v, want %q", desc, path, c.name, err, c.want)
+				}
+			}
+		})
 	}
 }
 

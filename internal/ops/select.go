@@ -13,15 +13,16 @@ import (
 
 // The selection family has one predicate shape. Every comparison kind and the
 // between normalise, once per operator, to the wrapped unsigned range test
-// v-lo <= span (bitutil.CmpKind.Range), and the input column's descriptor
-// alone picks the kernel (selectDomain, rangeKernel):
+// v-lo <= span (bitutil.CmpKind.Range), and the input column's descriptor and
+// the kernel path (package bitutil) pick the kernel (selectDomain,
+// rangeKernel):
 //
-//	static BP, width 1 or 2, constant in the field range  swarSelect on the packed words
-//	every other format and width                         blockKernel on unpacked blocks
+//	static BP, width 1 or 2, constant in the field range, portable path  swarSelect on the packed words
+//	every other input, and every input on the AVX-512 path              blockKernel on unpacked blocks
 //
 // BenchmarkDirectKernels is the evidence: the SWAR test loses to unpack +
-// block kernel from width 4 up on both kernel paths (package bitutil). At
-// widths 1 and 2 it beats the portable path and loses to the AVX-512 one.
+// block kernel from width 4 up on both kernel paths. At widths 1 and 2 it
+// beats the portable path and loses to the AVX-512 one.
 
 // SelectAuto evaluates the predicate `element <op> val` over the input column
 // and returns the sorted list of matching positions as a column in the
@@ -69,13 +70,14 @@ func SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc
 
 // selectDomain decides whether the SWAR kernel runs for the input and the
 // predicate constant c (a between's lower bound) — a static BP column at
-// width 1 or 2 whose fields can hold c; a constant beyond the field range
-// decides the predicate for every field alike and is left to the block
-// kernel — and returns the largest value of the domain the predicate is
-// normalised over: the field range when it does, all of uint64 otherwise.
+// width 1 or 2 whose fields can hold c, while the kernels run their portable
+// path; a constant beyond the field range decides the predicate for every
+// field alike and is left to the block kernel — and returns the largest value
+// of the domain the predicate is normalised over: the field range when it
+// does, all of uint64 otherwise.
 func selectDomain(in *columns.Column, c uint64) (max uint64, swar bool) {
 	d := in.Desc()
-	if b := uint(d.Bits); d.Kind == columns.StaticBP && (b == 1 || b == 2) && c <= bitutil.Mask(b) {
+	if b := uint(d.Bits); d.Kind == columns.StaticBP && (b == 1 || b == 2) && c <= bitutil.Mask(b) && bitutil.Portable() {
 		return bitutil.Mask(b), true
 	}
 	return math.MaxUint64, false

@@ -95,33 +95,36 @@ func kernelMaker(k any, makers ...string) string {
 }
 
 // TestAutoDispatch pins the dispatch tables of select.go and agg.go — which
-// kernel each input's descriptor gets — and checks the dispatched select,
-// between and sum of every format against the element-wise reference.
+// kernel each input's descriptor gets on each kernel path — and checks the
+// dispatched select, between and sum of every format against the
+// element-wise reference.
 func TestAutoDispatch(t *testing.T) {
-	for _, di := range dispatchInputs(t) {
-		d := di.in.Desc()
-		wantSel, wantSum := "scan", "sumStreamed"
-		switch {
-		case d.Kind == columns.StaticBP && d.Bits <= 2:
-			wantSel = "swarSelect"
-		case d.Kind == columns.RLE:
-			wantSum = "sumRLE"
+	eachKernelPath(func(path string) {
+		for _, di := range dispatchInputs(t) {
+			d := di.in.Desc()
+			wantSel, wantSum := "scan", "sumStreamed"
+			switch {
+			case d.Kind == columns.StaticBP && d.Bits <= 2 && bitutil.Portable():
+				wantSel = "swarSelect"
+			case d.Kind == columns.RLE:
+				wantSum = "sumRLE"
+			}
+			max, swar := selectDomain(di.in, 0)
+			if got := kernelMaker(rangeKernel(di.in, 0, 0, swar), "swarSelect", "scan"); got != wantSel {
+				t.Errorf("%s: %v: select kernel %q, want %q", path, d, got, wantSel)
+			}
+			if swar != (wantSel == "swarSelect") || swar && max != di.max {
+				t.Errorf("%s: %v: select domain (%d, %v)", path, d, max, swar)
+			}
+			// A constant beyond the field range leaves the SWAR test to the block kernel.
+			if _, swar := selectDomain(di.in, di.max+1); swar {
+				t.Errorf("%s: %v: SWAR select for a constant beyond the field range", path, d)
+			}
+			if got := kernelMaker(sumKernel(di.in), "sumRLE", "sumStreamed"); got != wantSum {
+				t.Errorf("%s: %v: sum kernel %q, want %q", path, d, got, wantSum)
+			}
 		}
-		max, swar := selectDomain(di.in, 0)
-		if got := kernelMaker(rangeKernel(di.in, 0, 0, swar), "swarSelect", "scan"); got != wantSel {
-			t.Errorf("%v: select kernel %q, want %q", d, got, wantSel)
-		}
-		if swar != (wantSel == "swarSelect") || swar && max != di.max {
-			t.Errorf("%v: select domain (%d, %v)", d, max, swar)
-		}
-		// A constant beyond the field range leaves the SWAR test to the block kernel.
-		if _, swar := selectDomain(di.in, di.max+1); swar {
-			t.Errorf("%v: SWAR select for a constant beyond the field range", d)
-		}
-		if got := kernelMaker(sumKernel(di.in), "sumRLE", "sumStreamed"); got != wantSum {
-			t.Errorf("%v: sum kernel %q, want %q", d, got, wantSum)
-		}
-	}
+	})
 
 	vals := genVals(5000, 256, 23)
 	var want uint64
@@ -161,31 +164,34 @@ func TestAutoDispatch(t *testing.T) {
 
 // TestSelectDirectMatchesGeneric checks the dispatched select against the
 // generic reference for every comparison, constants at and beyond both ends
-// of the field range, on every input the dispatch distinguishes.
+// of the field range, on every input the dispatch distinguishes, on both
+// kernel paths: the portable one is where the SWAR kernel runs.
 func TestSelectDirectMatchesGeneric(t *testing.T) {
-	for _, di := range dispatchInputs(t) {
-		for _, par := range dispatchPars {
-			rt := FixedRT(par)
-			for _, op := range allOps {
-				for _, val := range []uint64{0, 1, di.max / 2, di.max, di.max + 1, math.MaxUint64} {
-					ctx := fmt.Sprintf("%v p=%d %v %d", di.in.Desc(), par, op, val)
-					got, err := rt.SelectAuto(di.in, op, val, columns.DeltaBPDesc)
-					if err != nil {
-						t.Fatalf("%s: %v", ctx, err)
+	eachKernelPath(func(path string) {
+		for _, di := range dispatchInputs(t) {
+			for _, par := range dispatchPars {
+				rt := FixedRT(par)
+				for _, op := range allOps {
+					for _, val := range []uint64{0, 1, di.max / 2, di.max, di.max + 1, math.MaxUint64} {
+						ctx := fmt.Sprintf("%s: %v p=%d %v %d", path, di.in.Desc(), par, op, val)
+						got, err := rt.SelectAuto(di.in, op, val, columns.DeltaBPDesc)
+						if err != nil {
+							t.Fatalf("%s: %v", ctx, err)
+						}
+						want, err := genericSelect(rt, di.in, op, val, columns.DeltaBPDesc)
+						if err != nil {
+							t.Fatalf("%s: generic: %v", ctx, err)
+						}
+						assertSameColumn(t, ctx, want, got)
 					}
-					want, err := genericSelect(rt, di.in, op, val, columns.DeltaBPDesc)
-					if err != nil {
-						t.Fatalf("%s: generic: %v", ctx, err)
-					}
-					assertSameColumn(t, ctx, want, got)
+				}
+				got, err := rt.SelectAuto(di.in, bitutil.CmpLe, di.max/2, columns.UncomprDesc)
+				if err != nil || !equalU64(decode(t, got), refSelect(di.vals, bitutil.CmpLe, di.max/2)) {
+					t.Fatalf("%s: %v p=%d: generic and dispatched agree, but not with the element-wise reference (%v)", path, di.in.Desc(), par, err)
 				}
 			}
-			got, err := rt.SelectAuto(di.in, bitutil.CmpLe, di.max/2, columns.UncomprDesc)
-			if err != nil || !equalU64(decode(t, got), refSelect(di.vals, bitutil.CmpLe, di.max/2)) {
-				t.Fatalf("%v p=%d: generic and dispatched agree, but not with the element-wise reference (%v)", di.in.Desc(), par, err)
-			}
 		}
-	}
+	})
 }
 
 func TestSelectDirectAllZeroColumn(t *testing.T) {
