@@ -109,7 +109,9 @@ func BenchmarkParallelSum(b *testing.B) {
 // BenchmarkParallelJoinN1 measures the morsel-parallel N:1 join probe over a
 // DynBP probe column against the shared read-only build table (~50% match
 // rate), once per build path: dense keys 0..4095 take the direct-address
-// table, the same keys shifted left by 40 bits the hash map.
+// table, the same keys shifted left by 40 bits the hash map. The semijoin and
+// selectin rows run the same probe through SemiJoin and SelectIn (the keys as
+// the IN set), which keep only its probe positions.
 func BenchmarkParallelJoinN1(b *testing.B) {
 	vals := datagen.Generate(datagen.C1, benchMicroN, 42)
 	const nBuild = 4096
@@ -130,15 +132,27 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 			buildVals[i] = uint64(i) << shape.shift
 		}
 		build := columns.FromValues(buildVals)
-		for _, par := range benchParLevels {
-			b.Run(fmt.Sprintf("%s/par%d", shape.name, par), func(b *testing.B) {
-				b.SetBytes(int64(len(vals) * 8))
-				for i := 0; i < b.N; i++ {
-					if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, 0); err != nil {
-						b.Fatal(err)
+		for _, op := range []struct {
+			name string
+			run  func(rt ops.Runtime) error
+		}{
+			{"join", func(rt ops.Runtime) error {
+				_, _, err := rt.JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, 0)
+				return err
+			}},
+			{"semijoin", func(rt ops.Runtime) error { _, err := rt.SemiJoin(probe, build, columns.DeltaBPDesc); return err }},
+			{"selectin", func(rt ops.Runtime) error { _, err := rt.SelectIn(probe, buildVals, columns.DeltaBPDesc); return err }},
+		} {
+			for _, par := range benchParLevels {
+				b.Run(fmt.Sprintf("%s/%s/par%d", shape.name, op.name, par), func(b *testing.B) {
+					b.SetBytes(int64(len(vals) * 8))
+					for i := 0; i < b.N; i++ {
+						if err := op.run(ops.FixedRT(par)); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -157,9 +171,8 @@ func reportPerRow(b *testing.B, rows int) {
 // (~27 %) on static BP at width 4 (staticbp_w4, the discount column itself),
 // and quantity-like values 1..50 tested for < 25 (~48 %) on static BP at
 // width 6 (packed_w6), uncompressed (uncompr, the zero-copy block kernel) and
-// DeltaBP (deltabp, the block kernel behind a blocked codec). The input's
-// format picks the kernel; the direct-kernel A/B behind that choice is
-// internal/ops' BenchmarkDirectKernels.
+// DeltaBP (deltabp, the block kernel behind a blocked codec). Every shape
+// runs the same block kernel; the format decides only how a block is decoded.
 //
 // The and_* rows price the conjunction of Q1.1–Q1.3 over independent
 // discount-like (static BP width 4) and quantity-like (width 6) columns, per

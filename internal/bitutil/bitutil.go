@@ -1,16 +1,17 @@
 // Package bitutil provides the bit-level kernels underlying every
 // null-suppression (NS) compression format in MorphStore-Go: tight bit
-// packing of 64-bit integers at arbitrary widths, random access into packed
-// words, and SWAR (SIMD-within-a-register) primitives that process several
-// packed fields per 64-bit word in parallel.
+// packing of 64-bit integers at arbitrary widths and random access into
+// packed words, plus the block kernels the operators run over unpacked values
+// (the range selects, the dense-key probe and the gathers, kernels.go), each
+// in AVX-512 where the CPU has it and as a Go loop elsewhere.
 //
 // Packing layout: values are stored LSB-first in a contiguous stream of
 // 64-bit words. Value i occupies bit positions [i*bits, (i+1)*bits) of the
 // stream; fields may straddle word boundaries. A convenient consequence is
 // that 64 values of width b occupy exactly b words.
-//go:generate go run ./gen
-
 package bitutil
+
+//go:generate go run ./gen
 
 import "math/bits"
 

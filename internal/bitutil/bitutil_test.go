@@ -184,25 +184,10 @@ func TestPackRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	if got := Broadcast(0x3, 2); got != ^uint64(0)&0xFFFFFFFFFFFFFFFF {
-		// 0b11 replicated 32 times = all ones
-		if got != ^uint64(0) {
-			t.Errorf("Broadcast(3,2) = %x", got)
-		}
-	}
-	if got := Broadcast(1, 8); got != 0x0101010101010101 {
-		t.Errorf("Broadcast(1,8) = %x", got)
-	}
-	if got := Broadcast(0xAB, 16); got != 0x00AB00AB00AB00AB {
-		t.Errorf("Broadcast(0xAB,16) = %x", got)
-	}
-}
-
 var allCmpKinds = []CmpKind{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
 
 // TestCmpKindRange checks the normalisation against CmpKind.Eval: over the
-// 64-bit domain and every SWAR field domain, for constants at both ends and
+// 64-bit domain and the field domains of widths 1 to 32, for constants at both ends and
 // in the middle, on a value grid that includes the wrap-around neighbours of
 // the constant and of the domain bounds.
 func TestCmpKindRange(t *testing.T) {
@@ -231,88 +216,6 @@ func TestCmpKindRange(t *testing.T) {
 	}
 	if _, _, _, ok := CmpKind(9).Range(3, ^uint64(0)); ok {
 		t.Error("undefined CmpKind normalised")
-	}
-}
-
-// checkPackedRange compares PackedRange.Match on one word against the scalar
-// range test, field by field, in the field-top-bit layout.
-func checkPackedRange(t *testing.T, fields []uint64, b uint, lo, span uint64) {
-	t.Helper()
-	var want uint64
-	for i, f := range fields {
-		if (f-lo)&Mask(b) <= span {
-			want |= 1 << (uint(i)*b + b - 1)
-		}
-	}
-	var word [1]uint64
-	Pack(word[:], fields, b)
-	if got := NewPackedRange(lo, span, b).Match(word[0]); got != want {
-		t.Fatalf("b=%d fields=%v lo=%d span=%d: got %064b, want %064b", b, fields, lo, span, got, want)
-	}
-}
-
-// TestPackedRangeExhaustiveSmallWidths tests, for widths 1, 2 and 4, every
-// (lo, span) pair — wrapped ranges included — against every field value, in
-// every field position, beside neighbours of every value.
-func TestPackedRangeExhaustiveSmallWidths(t *testing.T) {
-	for _, b := range []uint{1, 2, 4} {
-		per := int(64 / b)
-		dom := uint64(1) << b
-		for lo := uint64(0); lo < dom; lo++ {
-			for span := uint64(0); span < dom; span++ {
-				for shift := uint64(0); shift < dom; shift++ {
-					// Field i holds (i+shift) mod 2^b: over all shifts every
-					// position sees every value and every neighbour pair occurs.
-					fields := make([]uint64, per)
-					for i := range fields {
-						fields[i] = (uint64(i) + shift) & Mask(b)
-					}
-					checkPackedRange(t, fields, b, lo, span)
-				}
-			}
-		}
-	}
-}
-
-// TestPackedRangeBoundaryValues covers the wide SWAR widths with fields and
-// range bounds at and next to the domain ends, the normalised form of every
-// comparison kind among them, plus random words.
-func TestPackedRangeBoundaryValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, b := range []uint{8, 16, 32} {
-		per := int(64 / b)
-		max := Mask(b)
-		edge := []uint64{0, 1, max / 2, max/2 + 1, max - 1, max}
-		type rg struct{ lo, span uint64 }
-		var ranges []rg
-		for _, lo := range edge {
-			for _, span := range edge {
-				ranges = append(ranges, rg{lo, span})
-			}
-			for _, op := range allCmpKinds {
-				if l, s, empty, _ := op.Range(lo, max); !empty {
-					ranges = append(ranges, rg{l, s})
-				}
-			}
-		}
-		for _, r := range ranges {
-			for _, fv := range edge { // one value in every field
-				fields := make([]uint64, per)
-				for i := range fields {
-					fields[i] = fv
-				}
-				checkPackedRange(t, fields, b, r.lo, r.span)
-			}
-			for trial := 0; trial < 20; trial++ {
-				fields := make([]uint64, per)
-				for i := range fields {
-					if fields[i] = rng.Uint64() & max; trial%2 == 0 {
-						fields[i] = edge[rng.Intn(len(edge))]
-					}
-				}
-				checkPackedRange(t, fields, b, r.lo, r.span)
-			}
-		}
 	}
 }
 

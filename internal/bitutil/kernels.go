@@ -36,11 +36,6 @@ var forcePortable atomic.Bool
 // vec reports whether the kernels run their AVX-512 path.
 func vec() bool { return hasAVX512 && !forcePortable.Load() }
 
-// Portable reports whether the kernels run their portable Go loops: on a CPU
-// without the AVX-512 path, or while a test forces them. Operators whose
-// direct kernel beats only the portable path dispatch on it.
-func Portable() bool { return !vec() }
-
 // AVX512 reports whether this CPU runs the AVX-512 kernels and, if it does
 // not, names the first required feature it lacks.
 func AVX512() (ok bool, missing string) { return hasAVX512, avx512Missing }

@@ -122,7 +122,7 @@ func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*colum
 	bits := uint(desc.Bits)
 	total := 0
 	for _, p := range parts {
-		if _, _, err := StaticBPWords(p); err != nil {
+		if _, _, err := staticBPWords(p); err != nil {
 			return nil, err
 		}
 		total += p.N()

@@ -24,9 +24,8 @@
 //
 // The physical layouts are private to this package. Code elsewhere that works
 // on compressed data directly goes through the layout accessors: WalkBlocks
-// (block headers and payloads of a blocked column), StaticBPWords (validated
-// packed words), RLERuns, BlockHeaderBytes (size model) and AppendTail
-// (extending a column without decoding its main part).
+// (block headers and payloads of a blocked column), BlockHeaderBytes (size
+// model) and AppendTail (extending a column without decoding its main part).
 package formats
 
 import (
@@ -143,8 +142,8 @@ func lookup(kind columns.Kind) *format {
 	return &registry[kind]
 }
 
-// Get returns the codec for the given kind.
-func Get(kind columns.Kind) (Codec, error) {
+// codecOf returns the codec for the given kind.
+func codecOf(kind columns.Kind) (Codec, error) {
 	if c := lookup(kind).Codec; c != nil {
 		return c, nil
 	}
@@ -202,7 +201,7 @@ func DecompressInto(dst []uint64, col *columns.Column) error {
 
 // NewReader returns a sequential reader over col in its own format.
 func NewReader(col *columns.Column) (Reader, error) {
-	c, err := Get(col.Desc().Kind)
+	c, err := codecOf(col.Desc().Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +217,7 @@ func NewWriter(desc columns.FormatDesc, sizeHint int) (Writer, error) {
 // column's words among them, from bufs; a nil bufs allocates them. Pooled
 // buffers are dirty, so every writer overwrites each word it exposes.
 func NewWriterFrom(bufs *bufpool.Lease, desc columns.FormatDesc, sizeHint int) (Writer, error) {
-	c, err := Get(desc.Kind)
+	c, err := codecOf(desc.Kind)
 	if err != nil {
 		return nil, err
 	}

@@ -368,7 +368,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := Decompress(trunc); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated static BP: want ErrCorrupt, got %v", err)
 	}
-	if _, _, err := StaticBPWords(trunc); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := staticBPWords(trunc); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated static BP words: want ErrCorrupt, got %v", err)
 	}
 	if _, err := RandomAccess(trunc); !errors.Is(err, ErrCorrupt) {
@@ -401,31 +401,6 @@ func headerBitsOffset(desc columns.FormatDesc) int {
 		return 0
 	}
 	return 1 // DeltaBP and ForBP: [base/ref][bits]
-}
-
-func TestRLERuns(t *testing.T) {
-	vals := []uint64{7, 7, 7, 3, 3, 9}
-	col, err := Compress(vals, columns.RLEDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := RLERuns(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Run{{7, 3}, {3, 2}, {9, 1}}
-	if len(runs) != len(want) {
-		t.Fatalf("runs = %v, want %v", runs, want)
-	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Errorf("run %d = %v, want %v", i, runs[i], want[i])
-		}
-	}
-	u, _ := Compress(vals, columns.UncomprDesc)
-	if _, err := RLERuns(u); err == nil {
-		t.Error("RLERuns on non-RLE column should fail")
-	}
 }
 
 func TestUncompressedView(t *testing.T) {
@@ -518,7 +493,7 @@ func TestWriterCompressAgreementProperty(t *testing.T) {
 }
 
 func TestGetUnknownKind(t *testing.T) {
-	if _, err := Get(columns.Kind(200)); err == nil {
+	if _, err := codecOf(columns.Kind(200)); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }

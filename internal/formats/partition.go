@@ -24,11 +24,11 @@ type Partition struct {
 	Count int
 }
 
-// PartitionAlign returns the element alignment that partition boundaries
+// partitionAlign returns the element alignment that partition boundaries
 // must respect for the format, or 0 if the format cannot be partitioned.
 // Block-based formats align to their 512-element block; static BP aligns to
 // the 64-value packing group so section readers keep word-aligned cursors.
-func PartitionAlign(kind columns.Kind) int { return lookup(kind).partitionAlign }
+func partitionAlign(kind columns.Kind) int { return lookup(kind).partitionAlign }
 
 // MinMorsel is the smallest partition worth a worker goroutine: one
 // cache-resident buffer of elements. Columns shorter than two morsels are
@@ -37,28 +37,28 @@ func PartitionAlign(kind columns.Kind) int { return lookup(kind).partitionAlign 
 const MinMorsel = BufferLen
 
 // SplitColumn splits col into at most p contiguous partitions whose
-// boundaries respect PartitionAlign; every partition except the tail holds
+// boundaries respect partitionAlign; every partition except the tail holds
 // at least MinMorsel elements (the tail takes whatever remains). It returns
 // nil when the format cannot be partitioned or when the column is too small
 // to yield more than one aligned morsel — callers treat nil as "process
 // sequentially".
 func SplitColumn(col *columns.Column, p int) []Partition {
-	return SplitRange(col.N(), p, PartitionAlign(col.Desc().Kind))
+	return SplitRange(col.N(), p, partitionAlign(col.Desc().Kind))
 }
 
-// SplitColumnsAligned splits two equally long columns at one set of shared
+// splitColumnsAligned splits two equally long columns at one set of shared
 // boundaries that respect both formats' partition alignments (the operator
 // pairs streamed in lockstep — calc inputs, group-id/value pairs — must cut
 // both inputs at identical element offsets). Every alignment is a power of
 // two dividing the 512-element block, so the shared alignment is simply the
 // larger of the two. It returns nil when either format cannot be partitioned,
 // when the lengths differ, or when the columns are too small to split.
-func SplitColumnsAligned(a, b *columns.Column, p int) []Partition {
+func splitColumnsAligned(a, b *columns.Column, p int) []Partition {
 	if a.N() != b.N() {
 		return nil
 	}
-	alignA := PartitionAlign(a.Desc().Kind)
-	alignB := PartitionAlign(b.Desc().Kind)
+	alignA := partitionAlign(a.Desc().Kind)
+	alignB := partitionAlign(b.Desc().Kind)
 	if alignA == 0 || alignB == 0 {
 		return nil
 	}
@@ -74,7 +74,7 @@ const morselsPerWorker = 8
 
 // SplitColumnMorsels splits col into work-queue morsels: up to
 // morselsPerWorker*p contiguous partitions whose boundaries respect
-// PartitionAlign, each at least MinMorsel elements except the tail. Like
+// partitionAlign, each at least MinMorsel elements except the tail. Like
 // SplitColumn it returns nil when the column cannot or need not be split;
 // unlike SplitColumn the partition count intentionally exceeds the worker
 // count so a dynamic work queue can rebalance skewed morsel costs.
@@ -87,12 +87,12 @@ func SplitColumnMorsels(col *columns.Column, p int) []Partition {
 
 // SplitColumnsAlignedMorsels is the dual-input form of SplitColumnMorsels:
 // one shared set of work-queue morsel boundaries respecting both formats'
-// partition alignments (see SplitColumnsAligned).
+// partition alignments (see splitColumnsAligned).
 func SplitColumnsAlignedMorsels(a, b *columns.Column, p int) []Partition {
 	if p <= 1 {
 		return nil
 	}
-	return SplitColumnsAligned(a, b, p*morselsPerWorker)
+	return splitColumnsAligned(a, b, p*morselsPerWorker)
 }
 
 // SplitRange cuts the element range [0, n) into at most p contiguous
@@ -128,7 +128,7 @@ func SplitRange(n, p, align int) []Partition {
 
 // NewSectionReader returns a sequential Reader over the logical element
 // range [start, start+count) of col. start must be a multiple of
-// PartitionAlign for the column's format, and for the block-based formats
+// partitionAlign for the column's format, and for the block-based formats
 // start+count must either be block-aligned too or reach past the compressed
 // main part — exactly the boundaries SplitColumn produces.
 func NewSectionReader(col *columns.Column, start, count int) (Reader, error) {

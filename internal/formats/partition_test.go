@@ -56,7 +56,7 @@ func TestSplitColumnCoversColumn(t *testing.T) {
 					t.Fatalf("%v p=%d: morsel %v below minimum %d", desc, p, pt, MinMorsel)
 				}
 			}
-			align := PartitionAlign(desc.Kind)
+			align := partitionAlign(desc.Kind)
 			next := 0
 			for _, pt := range parts {
 				if pt.Start != next {
@@ -97,8 +97,8 @@ func TestSplitColumnsAligned(t *testing.T) {
 				t.Fatalf("%v: %v", descB, err)
 			}
 			for _, p := range []int{2, 3, 8, n/BlockLen + 2} {
-				parts := SplitColumnsAligned(a, b, p)
-				if PartitionAlign(descA.Kind) == 0 || PartitionAlign(descB.Kind) == 0 {
+				parts := splitColumnsAligned(a, b, p)
+				if partitionAlign(descA.Kind) == 0 || partitionAlign(descB.Kind) == 0 {
 					if parts != nil {
 						t.Fatalf("%v+%v: non-partitionable pair split into %v", descA, descB, parts)
 					}
@@ -107,8 +107,8 @@ func TestSplitColumnsAligned(t *testing.T) {
 				if parts == nil {
 					t.Fatalf("%v+%v p=%d: no partitions for n=%d", descA, descB, p, n)
 				}
-				alignA := PartitionAlign(descA.Kind)
-				alignB := PartitionAlign(descB.Kind)
+				alignA := partitionAlign(descA.Kind)
+				alignB := partitionAlign(descB.Kind)
 				next := 0
 				for _, pt := range parts {
 					if pt.Start != next {
@@ -135,7 +135,7 @@ func TestSplitColumnsAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts := SplitColumnsAligned(full, short, 4); parts != nil {
+	if parts := splitColumnsAligned(full, short, 4); parts != nil {
 		t.Fatalf("mismatched lengths split into %v", parts)
 	}
 }
@@ -144,7 +144,7 @@ func TestSectionReaderMatchesFullDecode(t *testing.T) {
 	n := 15*BlockLen + 301
 	vals := sectionTestValues(n)
 	for _, desc := range AllDescs() {
-		if PartitionAlign(desc.Kind) == 0 {
+		if partitionAlign(desc.Kind) == 0 {
 			continue
 		}
 		col, err := Compress(vals, desc)

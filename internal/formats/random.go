@@ -43,7 +43,7 @@ func uncomprAccess(col *columns.Column) (RandomAccessor, error) {
 }
 
 func staticBPAccess(col *columns.Column) (RandomAccessor, error) {
-	words, bits, err := StaticBPWords(col)
+	words, bits, err := staticBPWords(col)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,7 @@ import (
 // (run value, run length) word pairs. RLE is one of the five basic
 // lightweight techniques of §2.1; the paper's engine does not yet ship it,
 // so in MorphStore-Go it is an extension format that plugs into the same
-// codec, morph and operator machinery (and powers the specialized
-// sum-on-RLE operator sketched by Abadi et al. [2]).
+// codec, morph and operator machinery.
 //
 // The whole column is the main part (any n is representable); run lengths
 // are never zero.
@@ -24,29 +23,6 @@ func (rleCodec) NewReader(col *columns.Column) Reader {
 
 func (rleCodec) NewWriter(_ columns.FormatDesc, _ int, bufs *bufpool.Lease) Writer {
 	return &rleWriter{words: bufs.Get(64)[:0], bufs: bufs}
-}
-
-// Run is one (value, length) pair of an RLE column.
-type Run struct {
-	Value  uint64
-	Length uint64
-}
-
-// RLERuns exposes the runs of an RLE column without decompression; it is the
-// direct-access primitive of the specialized RLE operators.
-func RLERuns(col *columns.Column) ([]Run, error) {
-	if col.Desc().Kind != columns.RLE {
-		return nil, fmt.Errorf("formats: RLERuns on %v column", col.Desc())
-	}
-	words := col.MainWords()
-	if err := rleCheck(words, col.N()); err != nil {
-		return nil, err
-	}
-	runs := make([]Run, len(words)/2)
-	for i := range runs {
-		runs[i] = Run{Value: words[2*i], Length: words[2*i+1]}
-	}
-	return runs, nil
 }
 
 // rleCheck validates the run words of an RLE column of n elements: whole

@@ -18,15 +18,14 @@ import (
 // column is the main part; there is never a remainder.
 type staticBPCodec struct{}
 
-// StaticBPWords hands out the packed words and bit width of a static BP
+// staticBPWords hands out the packed words and bit width of a static BP
 // column after bounds-checking them — the width must be a representable bit
 // count and the words must cover every packed element — so a truncated or
 // mislabeled column surfaces as ErrCorrupt instead of an out-of-bounds slice
-// access. Every packed read, inside this package and in the specialized
-// operators, starts here.
-func StaticBPWords(col *columns.Column) (words []uint64, bits uint, err error) {
+// access. Every packed read starts here.
+func staticBPWords(col *columns.Column) (words []uint64, bits uint, err error) {
 	if col.Desc().Kind != columns.StaticBP {
-		return nil, 0, fmt.Errorf("formats: StaticBPWords on %v column", col.Desc())
+		return nil, 0, fmt.Errorf("formats: staticBPWords on %v column", col.Desc())
 	}
 	bits = uint(col.Desc().Bits)
 	if bits > 64 {
@@ -46,7 +45,7 @@ func (staticBPCodec) NewReader(col *columns.Column) Reader {
 
 func staticBPSection(col *columns.Column, start, count int) Reader {
 	r := &staticBPReader{n: start + count, pos: start}
-	r.words, r.bits, r.err = StaticBPWords(col)
+	r.words, r.bits, r.err = staticBPWords(col)
 	return r
 }
 

@@ -9,33 +9,19 @@ import (
 
 // SumAuto computes the sum of all elements (modulo 2^64) and returns it both
 // as a scalar and as a single-element column. Query result columns are always
-// uncompressed (§3.3), so no output format is taken. The input's descriptor
-// picks the kernel (sumKernel).
+// uncompressed (§3.3), so no output format is taken.
 func (rt Runtime) SumAuto(in *columns.Column) (uint64, *columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return 0, nil, err
 	}
-	total, err := rt.reduce("sum", in, nil, 1, sumKernel(in))
+	total, err := rt.reduce("sum", in, nil, 1, sumStreamed(in))
 	if err != nil {
 		return 0, nil, err
 	}
 	return total[0], columns.FromValues(total), nil
 }
 
-// sumKernel picks the sum kernel for the input's format:
-//
-//	RLE                           sumRLE on the runs
-//	every other format and width  sumStreamed on unpacked blocks
-//
-// BenchmarkDirectKernels is the evidence for the RLE line.
-func sumKernel(in *columns.Column) reduceKernel {
-	if in.Desc().Kind == columns.RLE {
-		return sumRLE(in)
-	}
-	return sumStreamed(in)
-}
-
-// sumStreamed is the generic sum: the morsel streams through the
+// sumStreamed is the sum kernel: the morsel streams through the
 // de/re-compression wrapper and each unpacked block is added up by a plain
 // loop.
 func sumStreamed(in *columns.Column) reduceKernel {

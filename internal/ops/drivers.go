@@ -12,12 +12,10 @@ import (
 // through. An operator is a kernel plus a choice of driver:
 //
 //   - emit: variable-length output, one or two row-aligned streams, over one
-//     input or two in lockstep (select, between, select-in, semijoin, N:1
-//     join, the SWAR select on packed words, and the fused two-column
-//     select),
+//     input or two in lockstep (select, between, the fused two-column select,
+//     and the N:1 join's probe, which semijoin and select-in share),
 //   - mapCols: exactly one output value per input element (project, calc),
-//   - reduce: a fixed-width partial folded over the input (sum, the run-level
-//     sum on RLE, grouped sum).
+//   - reduce: a fixed-width partial folded over the input (sum, grouped sum).
 //
 // Each driver checks cancellation, splits the streamed input into contiguous
 // block-aligned morsels (formats.SplitColumnMorsels), lets worker goroutines
@@ -80,8 +78,8 @@ type emitOut struct {
 
 // emitKernel processes one morsel of the emit driver's input: it writes the
 // morsel's output rows to sinks (one per output stream, row-aligned), using
-// stage — one blockBuf-element buffer per output — as its scratch and rt's
-// lease for any buffer of its own.
+// stage — two blockBuf-element buffers, whatever the number of outputs — as
+// its scratch and rt's lease for any buffer of its own.
 type emitKernel func(rt Runtime, pt formats.Partition, stage [][]uint64, sinks []formats.Writer) error
 
 // chunkKernel fills stage with the output rows of vals (at most blockBuf
@@ -108,12 +106,14 @@ func flush(stage [][]uint64, k int, sinks []formats.Writer) error {
 	return nil
 }
 
-// runStaged runs kernel over pt with a stage of outs (one or two) outputs cut
-// from a scratch buffer.
-func (rt Runtime) runStaged(kernel emitKernel, pt formats.Partition, outs int, sinks []formats.Writer) error {
+// runStaged runs kernel over pt with both halves of a scratch buffer as its
+// stage, so a kernel that stages two rows per match (the join's probe) feeds
+// an operator with one sink too: flush writes only the stages it has sinks
+// for.
+func (rt Runtime) runStaged(kernel emitKernel, pt formats.Partition, sinks []formats.Writer) error {
 	buf := rt.scratch()
 	defer rt.free(buf)
-	return kernel(rt, pt, [][]uint64{buf[:blockBuf], buf[blockBuf:]}[:outs], sinks)
+	return kernel(rt, pt, [][]uint64{buf[:blockBuf], buf[blockBuf:]}, sinks)
 }
 
 // emit is the variable-length-output driver: kernel runs once per morsel of
@@ -137,7 +137,7 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 			}
 			sinks[o] = w
 		}
-		if err := rt.runStaged(kernel, whole(in), len(outs), sinks); err != nil {
+		if err := rt.runStaged(kernel, whole(in), sinks); err != nil {
 			return nil, fmt.Errorf("ops: %s: %w", name, err)
 		}
 		for o, w := range sinks {
@@ -170,7 +170,7 @@ func (rt Runtime) emit(name string, in, b *columns.Column, outs []emitOut, kerne
 			local[o] = appendSink{rt.bufs.Get(pt.Count/8 + 16)[:0], rt.bufs}
 			sinks[o] = &local[o]
 		}
-		err := rt.runStaged(kernel, pt, len(outs), sinks)
+		err := rt.runStaged(kernel, pt, sinks)
 		for o := range local {
 			results[o][i] = local[o].vals
 			rt.ChargeMem(8 * len(local[o].vals))

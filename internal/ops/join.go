@@ -45,12 +45,15 @@ func denseKeys(build []uint64) (lo, span uint64, ok bool) {
 	return lo, span, span < directSpanCap || span < directSlotsPerKey*n
 }
 
-// The join and semi-join tables are built per execution from the build
-// keys. Their arrays come from the runtime's lease, cleared on take, and each
-// kernel maker returns, beside the kernel, the done func that gives them back
-// once the probe is over.
+// The join table is built per execution from the build keys. Its arrays come
+// from the runtime's lease, cleared on take, and each kernel maker returns,
+// beside the kernel, the done func that gives them back once the probe is
+// over.
 
-// joinKernel picks the N:1 join kernel for the build keys.
+// joinKernel picks the N:1 join kernel for the build keys. It stages two rows
+// per match, the probe position in stage[0] and the build index in stage[1];
+// the membership operators (SemiJoin, SelectIn) run it with one sink and
+// write only the positions.
 func joinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
 	if lo, span, ok := denseKeys(build); ok {
 		return directJoinKernel(bufs, build, lo, span)
@@ -91,55 +94,6 @@ func hashJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
 			if b, ok := ht.get(v); ok {
 				stageP[k] = base + uint64(i)
 				stageB[k] = b
-				k++
-			}
-		}
-		return k
-	}, ht.release
-}
-
-// semiJoinKernel picks the semi-join kernel for the build keys.
-func semiJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
-	if lo, span, ok := denseKeys(build); ok {
-		return directSemiJoinKernel(bufs, build, lo, span)
-	}
-	return hashSemiJoinKernel(bufs, build)
-}
-
-// directSemiJoinKernel probes a bitmap over [lo, lo+span]: bit k-lo is set
-// iff key k occurs on the build side.
-func directSemiJoinKernel(bufs *bufpool.Lease, build []uint64, lo, span uint64) (chunkKernel, func()) {
-	bits := bufs.Get(int(span>>6 + 1))
-	clear(bits)
-	for _, k := range build {
-		d := k - lo
-		bits[d>>6] |= 1 << (d & 63)
-	}
-	return func(vals []uint64, base uint64, stage [][]uint64) int {
-		out, k := stage[0], 0
-		for i, v := range vals {
-			var m uint64
-			if d := v - lo; d <= span {
-				m = bits[d>>6] >> (d & 63) & 1
-			}
-			out[k] = base + uint64(i)
-			k += int(m)
-		}
-		return k
-	}, func() { _ = bufs.Put(bits) } // issued above
-}
-
-// hashSemiJoinKernel is the sparse-key fallback of directSemiJoinKernel.
-func hashSemiJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
-	ht := newU64Map(bufs, len(build))
-	for _, k := range build {
-		ht.put(k, 1)
-	}
-	return func(vals []uint64, base uint64, stage [][]uint64) int {
-		out, k := stage[0], 0
-		for i, v := range vals {
-			if _, ok := ht.get(v); ok {
-				out[k] = base + uint64(i)
 				k++
 			}
 		}
@@ -196,8 +150,8 @@ func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.For
 // SemiJoin returns the probe positions whose key occurs in the build-side
 // key column (used when only the existence of a dimension match matters,
 // e.g. the date-filter joins of SSB Q1.x). Duplicate build keys are harmless.
-// The build side becomes a bitmap over [min, max] when its keys are dense
-// (denseKeys) and a hash set otherwise, chosen like JoinN1's table.
+// It is JoinN1's probe, over the same table, with the build-index output
+// dropped.
 func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, err
@@ -206,7 +160,7 @@ func (rt Runtime) SemiJoin(probeKeys, buildKeys *columns.Column, out columns.For
 	if err != nil {
 		return nil, fmt.Errorf("ops: semijoin build side: %w", err)
 	}
-	kernel, freeTable := semiJoinKernel(rt.bufs, build)
+	kernel, freeTable := joinKernel(rt.bufs, build)
 	defer freeTable()
 	freeBuild() // the table holds what the probe needs
 	return rt.emitPositions("semijoin", probeKeys, out, scan(probeKeys, kernel))

@@ -31,7 +31,9 @@ func joinProbe(build []uint64, n int, seed int64) []uint64 {
 // rule distinguishes: the rule picks the expected path, the picked path
 // matches a map-based reference, and wherever the direct-address kernel
 // applies it and the hash kernel emit byte-identical columns — across probe
-// formats, parallelism degrees and output formats.
+// formats, parallelism degrees, output formats and both kernel paths of the
+// dense probe. SemiJoin runs the join's kernels with one sink, so its
+// positions must be the join's probe positions.
 func TestJoinBuildPaths(t *testing.T) {
 	seq := func(n int, key func(i int) uint64) []uint64 {
 		build := make([]uint64, n)
@@ -81,53 +83,55 @@ func TestJoinBuildPaths(t *testing.T) {
 					wantP, wantB = append(wantP, uint64(i)), append(wantB, b)
 				}
 			}
-			for _, probeDesc := range formats.PaperDescs() {
-				probeCol := mkCol(t, probe, probeDesc)
-				for _, out := range outDescs {
-					for _, par := range []int{1, 2, 3} {
-						rt := FixedRT(par)
-						ctx := sh.name + "/" + probeDesc.String() + "->" + out[0].String()
-						gotP, gotB, err := rt.JoinN1(probeCol, buildCol, out[0], out[1], 0)
-						if err != nil {
-							t.Fatalf("join %s p=%d: %v", ctx, par, err)
-						}
-						if !equalU64(decode(t, gotP), wantP) || !equalU64(decode(t, gotB), wantB) {
-							t.Fatalf("join %s p=%d: differs from the reference", ctx, par)
-						}
-						gotS, err := rt.SemiJoin(probeCol, buildCol, out[0])
-						if err != nil {
-							t.Fatalf("semijoin %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "semijoin vs join probe positions "+ctx, gotP, gotS)
+			eachKernelPath(func(path string) {
+				for _, probeDesc := range formats.PaperDescs() {
+					probeCol := mkCol(t, probe, probeDesc)
+					for _, out := range outDescs {
+						for _, par := range []int{1, 2, 3} {
+							rt := FixedRT(par)
+							ctx := path + ": " + sh.name + "/" + probeDesc.String() + "->" + out[0].String()
+							gotP, gotB, err := rt.JoinN1(probeCol, buildCol, out[0], out[1], 0)
+							if err != nil {
+								t.Fatalf("join %s p=%d: %v", ctx, par, err)
+							}
+							if !equalU64(decode(t, gotP), wantP) || !equalU64(decode(t, gotB), wantB) {
+								t.Fatalf("join %s p=%d: differs from the reference", ctx, par)
+							}
+							gotS, err := rt.SemiJoin(probeCol, buildCol, out[0])
+							if err != nil {
+								t.Fatalf("semijoin %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "semijoin vs join probe positions "+ctx, gotP, gotS)
 
-						hashP, hashB, err := rt.joinN1(probeCol, len(sh.build), out[0], out[1], kernelOnly(hashJoinKernel(nil, sh.build)))
-						if err != nil {
-							t.Fatalf("hash join %s p=%d: %v", ctx, par, err)
+							hashP, hashB, err := rt.joinN1(probeCol, len(sh.build), out[0], out[1], kernelOnly(hashJoinKernel(nil, sh.build)))
+							if err != nil {
+								t.Fatalf("hash join %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "hash join probe pos "+ctx, gotP, hashP)
+							assertSameColumn(t, "hash join build pos "+ctx, gotB, hashB)
+							hashS, err := rt.emitPositions("semijoin", probeCol, out[0], scan(probeCol, kernelOnly(hashJoinKernel(nil, sh.build))))
+							if err != nil {
+								t.Fatalf("hash semijoin %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "hash semijoin "+ctx, gotS, hashS)
+							if !direct {
+								continue
+							}
+							dirP, dirB, err := rt.joinN1(probeCol, len(sh.build), out[0], out[1], kernelOnly(directJoinKernel(nil, sh.build, lo, span)))
+							if err != nil {
+								t.Fatalf("direct join %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "direct join probe pos "+ctx, hashP, dirP)
+							assertSameColumn(t, "direct join build pos "+ctx, hashB, dirB)
+							dirS, err := rt.emitPositions("semijoin", probeCol, out[0], scan(probeCol, kernelOnly(directJoinKernel(nil, sh.build, lo, span))))
+							if err != nil {
+								t.Fatalf("direct semijoin %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "direct semijoin "+ctx, hashS, dirS)
 						}
-						assertSameColumn(t, "hash join probe pos "+ctx, gotP, hashP)
-						assertSameColumn(t, "hash join build pos "+ctx, gotB, hashB)
-						hashS, err := rt.emitPositions("semijoin", probeCol, out[0], scan(probeCol, kernelOnly(hashSemiJoinKernel(nil, sh.build))))
-						if err != nil {
-							t.Fatalf("hash semijoin %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "hash semijoin "+ctx, gotS, hashS)
-						if !direct {
-							continue
-						}
-						dirP, dirB, err := rt.joinN1(probeCol, len(sh.build), out[0], out[1], kernelOnly(directJoinKernel(nil, sh.build, lo, span)))
-						if err != nil {
-							t.Fatalf("direct join %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "direct join probe pos "+ctx, hashP, dirP)
-						assertSameColumn(t, "direct join build pos "+ctx, hashB, dirB)
-						dirS, err := rt.emitPositions("semijoin", probeCol, out[0], scan(probeCol, kernelOnly(directSemiJoinKernel(nil, sh.build, lo, span))))
-						if err != nil {
-							t.Fatalf("direct semijoin %s p=%d: %v", ctx, par, err)
-						}
-						assertSameColumn(t, "direct semijoin "+ctx, hashS, dirS)
 					}
 				}
-			}
+			})
 		}
 	}
 

@@ -50,10 +50,10 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSwarSelectTailWord: the unused fields of a static BP column's last
-// word hold zero, which a predicate admitting zero must not report — for the
-// SWAR kernel at every SWAR width and every tail length.
-func TestSwarSelectTailWord(t *testing.T) {
+// TestSelectTailWord: the unused fields of a static BP column's last word
+// hold zero, which a predicate admitting zero must not report — at widths 1
+// to 32 with every kind of tail, on both kernel paths.
+func TestSelectTailWord(t *testing.T) {
 	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
 		per := int(64 / b)
 		for _, n := range []int{1, per - 1, per, per + 1, 3*per - 1, 64 + 1, 5*64 + per/2 + 1} {
@@ -64,13 +64,9 @@ func TestSwarSelectTailWord(t *testing.T) {
 				if op == bitutil.CmpNe {
 					val = 1 // zero fields satisfy != 1
 				}
-				got, err := swarSelectAt(in, op, val)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := refSelect(vals, op, val); !equalU64(decode(t, got), want) {
-					t.Fatalf("b=%d n=%d %v %d: got %v, want %v", b, n, op, val, decode(t, got), want)
-				}
+				checkPaths(t, fmt.Sprintf("b=%d n=%d %v %d", b, n, op, val), refSelect(vals, op, val), func() (*columns.Column, error) {
+					return FixedRT(1).SelectAuto(in, op, val, columns.UncomprDesc)
+				})
 			}
 		}
 	}

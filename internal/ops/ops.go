@@ -1,9 +1,9 @@
 // Package ops implements MorphStore-Go's physical query operators with the
-// paper's four degrees of compression integration (§3.2, Fig. 2):
+// paper's compression integration degrees (§3.2, Fig. 2):
 //
 //   - purely uncompressed: kernels run directly over uncompressed columns
 //     (the zero-copy ValueViewer fast path),
-//   - on-the-fly de/re-compression: the default; the paper's three-layer
+//   - on-the-fly de/re-compression: every operator; the paper's three-layer
 //     architecture (Fig. 4) with a column layer (the Runtime operator
 //     methods and the morsel drivers behind them, drivers.go), a buffer
 //     layer (format Readers/Writers working at Lx-cache-resident-block
@@ -12,17 +12,14 @@
 //     dense-key probe and the unpack behind the BP readers live in package
 //     bitutil, which runs them in AVX-512 where the CPU has it — the
 //     paper's vector-register layer — and as Go loops elsewhere),
-//   - specialized operators: direct processing of compressed data (the SWAR
-//     select at static BP widths 1 and 2, the run-level sum on RLE), kernels
-//     in specialized.go,
 //   - on-the-fly morphing: adapting a column's format before/after an
 //     operator via internal/morph (driven by the engine in internal/core).
 //
-// The degree is a function of the input column's descriptor, not a caller's
-// choice: an operator runs a direct kernel exactly where the input's format
-// and width have one that beats de/re-compression (the dispatch tables in
-// select.go and agg.go, measured by BenchmarkDirectKernels), the generic
-// kernel everywhere else.
+// The third degree, specialized operators on compressed data, has no kernel
+// here: each operator runs one kernel whatever its input's format, so the
+// format decides how a block is decoded and never which kernel runs. The
+// only kernel choice left in this package is the join table's (denseKeys),
+// which SemiJoin and SelectIn share with JoinN1.
 //
 // The operator set follows MonetDB's headless-BAT style: every operator
 // consumes and produces plain columns of unsigned 64-bit integers; selection

@@ -90,7 +90,7 @@ func TestSelectAllFormatsStyles(t *testing.T) {
 func TestSelectBetween(t *testing.T) {
 	vals := genVals(5000, 100, 2)
 	// {10, 5} is an inverted range: it matches nothing, for every kernel
-	// (the generic ones test v-lo <= hi-lo, which would wrap) and format.
+	// (the kernel tests v-lo <= hi-lo, which would wrap) and format.
 	for _, bounds := range [][2]uint64{{10, 30}, {10, 5}} {
 		lo, hi := bounds[0], bounds[1]
 		var want []uint64

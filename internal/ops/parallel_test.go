@@ -428,12 +428,9 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestParallelAutoMatchesSpecialized checks that the auto dispatchers stay
-// byte-identical to the sequential auto path whether a direct kernel runs
-// per partition on a splittable input (the SWAR select on static BP at width
-// 2), the generic kernels do (static BP at width 8, DynBP), or the sequential
-// side picks a direct kernel on an input that cannot split (the run-level sum
-// on RLE).
+// TestParallelAutoMatchesSpecialized checks that the Auto operators stay
+// byte-identical to the sequential path on splittable inputs (static BP at
+// widths 2 and 8, DynBP) and on one that cannot split (RLE).
 func TestParallelAutoMatchesSpecialized(t *testing.T) {
 	mod := func(m uint64) []uint64 {
 		vals := make([]uint64, parTestN)
@@ -490,12 +487,11 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 	}
 }
 
-// TestParallelAutoSpecializedEdgeCases pins the dispatch edges: at every
-// static BP width 1..32, predicate constants beyond the packed field range
-// and range predicates straddling it — plus a width-0 input — must produce
-// the generic reference's column (genericSelect, genericBetween) — same
-// positions, same output descriptor — bit for bit, at every parallelism
-// degree.
+// TestParallelAutoSpecializedEdgeCases pins the edges of the packed field
+// range: at every static BP width 1..32, predicate constants beyond it and
+// range predicates straddling it — plus a width-0 input — must return the
+// element-wise reference's positions in the refined output descriptor
+// (positionDesc), bit for bit at every parallelism degree.
 func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 	type edge struct {
 		name   string
@@ -530,35 +526,39 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 			edge{name: fmt.Sprintf("w%d_between_lo_beyond_width", w), in: packed, out: columns.DynBPDesc, lo: beyond, hi: 2 * beyond, rng: true})
 	}
 	for _, tc := range cases {
-		run := func(par int, generic bool) *columns.Column {
+		run := func(par int) *columns.Column {
 			var got *columns.Column
 			rt := FixedRT(par)
-			switch {
-			case tc.rng && generic:
-				got, err = genericBetween(rt, tc.in, tc.lo, tc.hi, tc.out)
-			case tc.rng:
+			if tc.rng {
 				got, err = rt.SelectBetweenAuto(tc.in, tc.lo, tc.hi, tc.out, 0, false)
-			case generic:
-				got, err = genericSelect(rt, tc.in, tc.op, tc.val, tc.out)
-			default:
+			} else {
 				got, err = rt.SelectAuto(tc.in, tc.op, tc.val, tc.out)
 			}
 			if err != nil {
-				t.Fatalf("%s p=%d generic=%v: %v", tc.name, par, generic, err)
+				t.Fatalf("%s p=%d: %v", tc.name, par, err)
 			}
 			return got
 		}
-		want := run(1, true)
+		var wantPos []uint64
+		for i, v := range decode(t, tc.in) {
+			if tc.rng && tc.lo <= v && v <= tc.hi || !tc.rng && tc.op.Eval(v, tc.val) {
+				wantPos = append(wantPos, uint64(i))
+			}
+		}
+		want := run(1)
+		if !equalU64(decode(t, want), wantPos) || want.Desc() != positionDesc(tc.out, tc.in.N()) {
+			t.Fatalf("%s: %d positions in %v, want %d in %v", tc.name, want.N(), want.Desc(), len(wantPos), positionDesc(tc.out, tc.in.N()))
+		}
 		for _, par := range parLevels {
-			assertSameColumn(t, tc.name, want, run(par, false))
+			assertSameColumn(t, tc.name, want, run(par))
 		}
 	}
 
 	// A truncated static BP column — far fewer packed words than its element
-	// count needs — is typed corruption on both sides of every gate,
-	// dispatched and generic, one morsel and many, never an out-of-range
-	// slice access (which at par > 1 would surface as a recovered ErrPanic).
-	for _, w := range []uint{2, 6, 16} { // SWAR select, then the generic kernels
+	// count needs — is typed corruption at narrow and wide widths, one
+	// morsel and many, never an out-of-range slice access (which at par > 1
+	// would surface as a recovered ErrPanic).
+	for _, w := range []uint{2, 6, 16} {
 		trunc, err := columns.New(columns.StaticBPDesc(w), 100000, 100000, 10, make([]uint64, 10))
 		if err != nil {
 			t.Fatal(err)
@@ -566,12 +566,9 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			rt := FixedRT(par)
 			for name, run := range map[string]func() error{
-				"select":          func() error { _, err := rt.SelectAuto(trunc, bitutil.CmpLt, 1, columns.DynBPDesc); return err },
-				"between":         func() error { _, err := rt.SelectBetweenAuto(trunc, 0, 1, columns.DynBPDesc, 0, false); return err },
-				"sum":             func() error { _, _, err := rt.SumAuto(trunc); return err },
-				"generic select":  func() error { _, err := genericSelect(rt, trunc, bitutil.CmpLt, 1, columns.DynBPDesc); return err },
-				"generic between": func() error { _, err := genericBetween(rt, trunc, 0, 1, columns.DynBPDesc); return err },
-				"streamed sum":    func() error { _, err := genericSum(rt, trunc); return err },
+				"select":  func() error { _, err := rt.SelectAuto(trunc, bitutil.CmpLt, 1, columns.DynBPDesc); return err },
+				"between": func() error { _, err := rt.SelectBetweenAuto(trunc, 0, 1, columns.DynBPDesc, 0, false); return err },
+				"sum":     func() error { _, _, err := rt.SumAuto(trunc); return err },
 			} {
 				if err := run(); !errors.Is(err, qerr.ErrCorruptData) {
 					t.Errorf("truncated static BP w=%d p=%d %s: want ErrCorruptData, got %v", w, par, name, err)

@@ -11,10 +11,10 @@ import (
 // input column and returns the sorted list of matching positions as a column
 // in the requested output format, like SelectAuto. The set must be sorted
 // strictly ascending (the string layer hands over translated dictionary IDs
-// that way); membership is a branch-free galloping binary search for large
-// sets and a linear probe for small ones. An empty set is valid and yields
-// an empty position list through the same writer machinery, so the result
-// bytes stay identical across kernels for a given output descriptor.
+// that way). Membership is the N:1 join's probe with the set as build keys,
+// as in SemiJoin: a direct-address table for dense sets, a hash map
+// otherwise. An empty set is valid and yields an empty position list through
+// the same writer machinery.
 func (rt Runtime) SelectIn(in *columns.Column, set []uint64, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
@@ -22,9 +22,9 @@ func (rt Runtime) SelectIn(in *columns.Column, set []uint64, out columns.FormatD
 	if err := checkSet(set); err != nil {
 		return nil, err
 	}
-	return rt.emitPositions("select in", in, out, scan(in, func(vals []uint64, base uint64, stage [][]uint64) int {
-		return selectInKernel(vals, base, set, stage[0])
-	}))
+	kernel, freeTable := joinKernel(rt.bufs, set)
+	defer freeTable()
+	return rt.emitPositions("select in", in, out, scan(in, kernel))
 }
 
 // checkSet validates the membership set's sort contract.
@@ -35,52 +35,4 @@ func checkSet(set []uint64) error {
 		}
 	}
 	return nil
-}
-
-// linearSetMax is the set size below which a linear probe beats the binary
-// search's branch mispredictions.
-const linearSetMax = 8
-
-// selectInKernel emits the positions of vals whose element is in the sorted
-// set.
-func selectInKernel(vals []uint64, base uint64, set []uint64, stage []uint64) int {
-	k := 0
-	if len(set) == 0 {
-		return 0
-	}
-	if len(set) <= linearSetMax {
-		for i, v := range vals {
-			for _, s := range set {
-				if v == s {
-					stage[k] = base + uint64(i)
-					k++
-					break
-				}
-				if v < s {
-					break
-				}
-			}
-		}
-		return k
-	}
-	lo0, hi0 := set[0], set[len(set)-1]
-	for i, v := range vals {
-		if v < lo0 || v > hi0 {
-			continue
-		}
-		lo, hi := 0, len(set)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if set[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(set) && set[lo] == v {
-			stage[k] = base + uint64(i)
-			k++
-		}
-	}
-	return k
 }

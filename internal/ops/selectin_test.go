@@ -2,7 +2,6 @@ package ops
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"morphstore/internal/bitutil"
@@ -26,17 +25,24 @@ func selectInReference(vals []uint64, set []uint64) []uint64 {
 	return out
 }
 
-// TestSelectInEquivalence checks the membership kernel over every input
-// format x output format x parallelism against both the plain-Go
-// reference and byte-identity with the sequential operator, for set sizes on
-// both sides of the linear-probe cutoff plus the empty set.
+// TestSelectInEquivalence checks the membership probe over every input
+// format x output format x parallelism x kernel path against both the
+// plain-Go reference and byte-identity with the sequential operator, for
+// dense sets (the join's direct-address table, probed by bitutil.ProbeDense)
+// of one to forty keys, a sparse one (its hash map) and the empty set.
 func TestSelectInEquivalence(t *testing.T) {
 	vals := parTestValues(parTestN)
+	tens := make([]uint64, 0, 40)
+	for v := uint64(0); v < 400; v += 10 {
+		tens = append(tens, v)
+	}
 	sets := [][]uint64{
 		{},
 		{131},
 		{3, 77, 250, 444},
 		{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 499},
+		tens,
+		{131, 1 << 40},
 	}
 	inputs := make(map[columns.Kind]*columns.Column)
 	for _, d := range formats.AllDescs() {
@@ -46,38 +52,40 @@ func TestSelectInEquivalence(t *testing.T) {
 		}
 		inputs[d.Kind] = col
 	}
-	for _, inDesc := range formats.AllDescs() {
-		in := inputs[inDesc.Kind]
-		for _, outDesc := range formats.AllDescs() {
-			for si, set := range sets {
-				ctx := inDesc.String() + "->" + outDesc.String()
-				seq, err := FixedRT(1).SelectIn(in, set, outDesc)
-				if err != nil {
-					t.Fatalf("select in %s set=%d: %v", ctx, si, err)
-				}
-				wantPos := selectInReference(vals, set)
-				gotPos, err := formats.Decompress(seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(gotPos) != len(wantPos) {
-					t.Fatalf("select in %s set=%d: %d positions, want %d", ctx, si, len(gotPos), len(wantPos))
-				}
-				for i := range wantPos {
-					if gotPos[i] != wantPos[i] {
-						t.Fatalf("select in %s set=%d: pos[%d]=%d, want %d", ctx, si, i, gotPos[i], wantPos[i])
-					}
-				}
-				for _, par := range parLevels {
-					got, err := FixedRT(par).SelectIn(in, set, outDesc)
+	eachKernelPath(func(path string) {
+		for _, inDesc := range formats.AllDescs() {
+			in := inputs[inDesc.Kind]
+			for _, outDesc := range formats.AllDescs() {
+				for si, set := range sets {
+					ctx := path + ": " + inDesc.String() + "->" + outDesc.String()
+					seq, err := FixedRT(1).SelectIn(in, set, outDesc)
 					if err != nil {
-						t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
+						t.Fatalf("select in %s set=%d: %v", ctx, si, err)
 					}
-					assertSameColumn(t, "select in "+ctx, seq, got)
+					wantPos := selectInReference(vals, set)
+					gotPos, err := formats.Decompress(seq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(gotPos) != len(wantPos) {
+						t.Fatalf("select in %s set=%d: %d positions, want %d", ctx, si, len(gotPos), len(wantPos))
+					}
+					for i := range wantPos {
+						if gotPos[i] != wantPos[i] {
+							t.Fatalf("select in %s set=%d: pos[%d]=%d, want %d", ctx, si, i, gotPos[i], wantPos[i])
+						}
+					}
+					for _, par := range parLevels {
+						got, err := FixedRT(par).SelectIn(in, set, outDesc)
+						if err != nil {
+							t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
+						}
+						assertSameColumn(t, "select in "+ctx, seq, got)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSelectInMatchesSelect checks the cross-kernel identity the string
@@ -121,30 +129,6 @@ func TestSelectInRejectsUnsortedSet(t *testing.T) {
 		}
 		if _, err := FixedRT(2).SelectIn(in, set, columns.UncomprDesc); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("par set %v: err = %v, want ErrInvalidSchema", set, err)
-		}
-	}
-}
-
-func TestSelectInKernelBinarySearch(t *testing.T) {
-	// A set larger than the linear cutoff exercises the binary-search arm.
-	set := make([]uint64, 0, 40)
-	for v := uint64(0); v < 400; v += 10 {
-		set = append(set, v)
-	}
-	vals := parTestValues(4096)
-	want := selectInReference(vals, set)
-	stage := make([]uint64, len(vals))
-	n := selectInKernel(vals, 0, set, stage)
-	got := stage[:n]
-	if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a] < got[b] }) {
-		t.Fatal("kernel output not sorted")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d matches, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pos[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }

@@ -16,46 +16,31 @@ import (
 // sequential fallback.
 
 // pullReader exposes a sorted input to the set kernels as a sequence of block
-// windows: the unread part of the block most recently decompressed, or, for
-// an uncompressed input, of the next blockBuf values of the column itself.
+// windows: the unread part of the chunk its source handed out last.
 type pullReader struct {
-	r    formats.Reader
-	buf  []uint64 // decompression buffer; nil when the values are viewed in place
-	rest []uint64 // viewed values not yet handed out
-	win  []uint64 // unread elements of the current block
-	err  error
+	src source
+	win []uint64 // unread elements of the current chunk
+	err error
 }
 
 // newPullReader opens a pull reader over col; its decompression buffer, if
 // it needs one, is buf (blockBuf elements).
 func newPullReader(col *columns.Column, buf []uint64) (*pullReader, error) {
-	r, err := formats.NewReader(col)
+	src, err := openSource(col, whole(col), buf)
 	if err != nil {
 		return nil, err
 	}
-	if vv, ok := r.(formats.ValueViewer); ok {
-		if vals, viewable := vv.View(); viewable {
-			return &pullReader{rest: vals}, nil
-		}
-	}
-	return &pullReader{r: r, buf: buf}, nil
+	return &pullReader{src: src}, nil
 }
 
-// window returns the unread elements of the current block, moving on to the
-// next block when the last one is used up; it is empty once the input has
+// window returns the unread elements of the current chunk, moving on to the
+// next chunk when the last one is used up; it is empty once the input has
 // ended (or failed: err is set).
 func (p *pullReader) window() []uint64 {
 	if len(p.win) > 0 || p.err != nil {
 		return p.win
 	}
-	if p.buf == nil {
-		k := min(len(p.rest), blockBuf)
-		p.win, p.rest = p.rest[:k], p.rest[k:]
-	} else {
-		var n int
-		n, p.err = p.r.Read(p.buf)
-		p.win = p.buf[:n]
-	}
+	p.win, p.err = p.src.next(blockBuf, false)
 	return p.win
 }
 
