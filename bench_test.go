@@ -24,6 +24,7 @@ import (
 	"morphstore/internal/morph"
 	"morphstore/internal/ops"
 	"morphstore/internal/ssb"
+	"morphstore/internal/stats"
 )
 
 const (
@@ -160,6 +161,10 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 // benchScanN is the row count of the scan and sorted-set benchmarks: the
 // fact table of the repository benchmark's SSB workloads.
 const benchScanN = 1_200_000
+
+// profileN is the length of the profile rows of the kernel ladder: 1 Mi
+// values.
+const profileN = 1 << 20
 
 // reportPerRow reports the benchmark's time per input row.
 func reportPerRow(b *testing.B, rows int) {
@@ -378,7 +383,10 @@ type ladderRow struct {
 //   - gather_bp_wW/dD: the project's gather from static BP at width W, of
 //     the sorted positions of a D % selection, in blockLen-position chunks,
 //     per position;
-//   - gather_words/dD: the same gather from uncompressed words.
+//   - gather_words/dD: the same gather from uncompressed words;
+//   - profile/S: stats.Collect over profileN values of shape S — uniform20
+//     (uniform 20-bit values), sorted (ascending, gaps of 0..15) and lowcard
+//     (7 distinct values, Q1.1's discount domain).
 func kernelLadder() []ladderRow {
 	const blockLen = formats.BufferLen
 	rng := rand.New(rand.NewSource(43))
@@ -449,6 +457,21 @@ func kernelLadder() []ladderRow {
 				bitutil.ProbeDense(keys[off:end], uint64(off), lo, span, tab, stage, stageB)
 			})})
 		}
+	}
+	var sum uint64
+	for _, sh := range []struct {
+		name string
+		next func() uint64
+	}{
+		{"uniform20", func() uint64 { return rng.Uint64() % (1 << 20) }},
+		{"sorted", func() uint64 { sum += rng.Uint64() % 16; return sum }},
+		{"lowcard", func() uint64 { return 1 + rng.Uint64()%7 }},
+	} {
+		vals := make([]uint64, profileN)
+		for i := range vals {
+			vals[i] = sh.next()
+		}
+		rows = append(rows, ladderRow{"profile/" + sh.name, profileN, func() { stats.Collect(vals) }})
 	}
 	disc := gen(func() uint64 { return rng.Uint64() % 11 })
 	qty := gen(func() uint64 { return 1 + rng.Uint64()%50 })

@@ -2,8 +2,9 @@
 // null-suppression (NS) compression format in MorphStore-Go: tight bit
 // packing of 64-bit integers at arbitrary widths and random access into
 // packed words, plus the block kernels the operators run over unpacked values
-// (the range selects, the dense-key probe and the gathers, kernels.go), each
-// in AVX-512 where the CPU has it and as a Go loop elsewhere.
+// (the range selects, the dense-key probe and the gathers, kernels.go) and
+// the two passes of a column profile, each in AVX-512 where the CPU has it
+// and as a Go loop elsewhere.
 //
 // Packing layout: values are stored LSB-first in a contiguous stream of
 // 64-bit words. Value i occupies bit positions [i*bits, (i+1)*bits) of the

@@ -9,7 +9,8 @@ import (
 // Kernel dispatch. The operators' inner loops — the range select over one
 // unpacked block, the two-column range select of a fused conjunction, the
 // dense-key join probe, the unpack of whole 64-value groups, and the
-// project's gathers from static BP and uncompressed words — have two
+// project's gathers from static BP and uncompressed words — and the two
+// passes of a column profile (ProfileScan, OffsetBitHist) have two
 // implementations: AVX-512 assembly (kernels_amd64.s), 8 values per step, and
 // the portable Go loops below. One CPU check, run once when the package
 // initialises (hasAVX512), picks the assembly where the CPU reports
@@ -211,6 +212,91 @@ func gatherWordsGo(dst, words, idx []uint64) int {
 		dst[j] = words[ix]
 	}
 	return -1
+}
+
+// ProfileScan adds to bh the bit length of every value of vals and to dh the
+// bit length of every wrap-around delta vals[i]-vals[i-1] (mod 2^64), where
+// vals[-1] is prev. It returns the least and the greatest value, the number
+// of descents (values below the one before) and of changes (values unlike
+// the one before). vals must not be empty.
+func ProfileScan(vals []uint64, prev uint64, bh, dh *[65]int) (lo, hi uint64, descents, changes int) {
+	lo, hi = vals[0], vals[0]
+	i := 0
+	if vec() && len(vals) >= 8 {
+		i = len(vals) &^ 7
+		var hist [2][8][65]uint64
+		var mm [16]uint64
+		descents, changes = profileVec(vals[:i], prev, &hist, &mm)
+		for j := 0; j < 8; j++ {
+			lo, hi = min(lo, mm[j]), max(hi, mm[8+j])
+		}
+		addLanes(bh, &hist[0])
+		addLanes(dh, &hist[1])
+		prev = vals[i-1]
+	}
+	lo, hi, d, c := profileScanGo(vals[i:], prev, lo, hi, bh, dh)
+	return lo, hi, descents + d, changes + c
+}
+
+// profileScanGo is the portable ProfileScan, lo and hi seeded by the caller.
+// Every counter lives in a local until the end. Each histogram has four
+// copies, one per position mod 4: neighbours mostly fall into the same
+// bucket, and spreading them over copies keeps each increment from waiting on
+// the previous one's store. Descents and changes come from each delta's
+// borrow and non-zeroness without a branch.
+func profileScanGo(vals []uint64, prev, lo, hi uint64, bh, dh *[65]int) (uint64, uint64, int, int) {
+	var bc, dc [4][65]int
+	var descents, changes uint64
+	for i, v := range vals {
+		d, borrow := bits.Sub64(v, prev, 0)
+		bc[i&3][bits.Len64(v)]++
+		dc[i&3][bits.Len64(d)]++
+		descents += borrow
+		changes += (d | -d) >> 63 // 1 iff d != 0
+		lo, hi = min(lo, v), max(hi, v)
+		prev = v
+	}
+	for b := range bh {
+		bh[b] += bc[0][b] + bc[1][b] + bc[2][b] + bc[3][b]
+		dh[b] += dc[0][b] + dc[1][b] + dc[2][b] + dc[3][b]
+	}
+	return lo, hi, int(descents), int(changes)
+}
+
+// OffsetBitHist adds to h the bit length of v-ref (mod 2^64) of every value
+// v of vals: the frame-of-reference histogram against ref.
+func OffsetBitHist(vals []uint64, ref uint64, h *[65]int) {
+	i := 0
+	if vec() && len(vals) >= 8 {
+		i = len(vals) &^ 7
+		var hist [8][65]uint64
+		offsetHistVec(vals[:i], ref, &hist)
+		addLanes(h, &hist)
+	}
+	offsetBitHistGo(vals[i:], ref, h)
+}
+
+// offsetBitHistGo is the portable OffsetBitHist, with four histogram copies
+// as in profileScanGo.
+func offsetBitHistGo(vals []uint64, ref uint64, h *[65]int) {
+	var fc [4][65]int
+	for i, v := range vals {
+		fc[i&3][bits.Len64(v-ref)]++
+	}
+	for b := range h {
+		h[b] += fc[0][b] + fc[1][b] + fc[2][b] + fc[3][b]
+	}
+}
+
+// addLanes adds the 8 per-lane histograms of a vector pass into h.
+func addLanes(h *[65]int, lanes *[8][65]uint64) {
+	for b := range h {
+		var sum uint64
+		for j := range lanes {
+			sum += lanes[j][b]
+		}
+		h[b] += int(sum)
+	}
 }
 
 // offset turns j, the index a Go loop reports in the positions from i on

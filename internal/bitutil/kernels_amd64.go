@@ -5,8 +5,9 @@ package bitutil
 var hasAVX512, avx512Missing = detectAVX512()
 
 // detectAVX512 reads CPUID and XCR0: the kernels need AVX-512 F (the 512-bit
-// integer ops, gathers, compress), DQ (byte-wide mask moves), BW (byte-masked
-// loads) and VBMI (the byte permute of the unpack), POPCNT for the output
+// integer ops, gathers, compress), DQ (byte-wide mask moves, 128-bit lane
+// extracts), BW (byte-masked loads), VBMI (the byte permute of the unpack)
+// and CD (the leading-zero count of the profile), POPCNT for the output
 // cursor, and an OS that saves the opmask and ZMM registers.
 func detectAVX512() (bool, string) {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
@@ -31,6 +32,7 @@ func detectAVX512() (bool, string) {
 	}{
 		{"AVX512F", ebx7&(1<<16) != 0},
 		{"AVX512DQ", ebx7&(1<<17) != 0},
+		{"AVX512CD", ebx7&(1<<28) != 0},
 		{"AVX512BW", ebx7&(1<<30) != 0},
 		{"AVX512VBMI", ecx7&(1<<1) != 0},
 	} {
@@ -96,6 +98,21 @@ func gatherBitsVec(dst, words, idx []uint64, width uint, n uint64) int
 
 //go:noescape
 func gatherWordsVec(dst, words, idx []uint64) int
+
+// profileVec profiles len(vals) values, a multiple of 8, against prev, the
+// value before the first (ProfileScan): it counts each lane's value and delta
+// bit lengths into hist[0][lane] and hist[1][lane], stores each lane's
+// minimum into mm[lane] and maximum into mm[8+lane], and returns the number
+// of descents and changes.
+//
+//go:noescape
+func profileVec(vals []uint64, prev uint64, hist *[2][8][65]uint64, mm *[16]uint64) (descents, changes int)
+
+// offsetHistVec counts the bit length of v-ref of each of len(vals) values, a
+// multiple of 8, into hist[lane].
+//
+//go:noescape
+func offsetHistVec(vals []uint64, ref uint64, hist *[8][65]uint64)
 
 // unpackVec decodes len(dst)/64 whole groups of width (1..56) bits from src,
 // which must hold their width words each.

@@ -7,7 +7,8 @@
 // popcount of the step's mask: the cursor never passes the input index, so a
 // store never passes the input's length. The gathers test a step's positions
 // against the column length first and return before the step's loads if one
-// is out of range.
+// is out of range. The profile kernels count into per-lane histograms in
+// memory, one copy per lane, so no two lanes of a step bump one counter.
 
 // lanes holds 0..7, the step-local index of each lane.
 DATA lanes<>+0(SB)/8, $0
@@ -310,5 +311,131 @@ wordsLoop:
 
 wordsDone:
 	MOVQ AX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// histLanes holds j·65 + 64 for lane j: the index, in a [8][65]uint64 of
+// per-lane histograms, of lane j's bucket 64. A value with n leading zeros
+// has bit length 64-n, so its bucket is this minus n.
+DATA histLanes<>+0(SB)/8, $64
+DATA histLanes<>+8(SB)/8, $129
+DATA histLanes<>+16(SB)/8, $194
+DATA histLanes<>+24(SB)/8, $259
+DATA histLanes<>+32(SB)/8, $324
+DATA histLanes<>+40(SB)/8, $389
+DATA histLanes<>+48(SB)/8, $454
+DATA histLanes<>+56(SB)/8, $519
+GLOBL histLanes<>(SB), RODATA|NOPTR, $64
+
+// BUMP8 increments the 8 histogram counters whose indices the lanes of the
+// ZMM register z hold, in the table at DI, extracting the lanes through the
+// XMM register x (z's low 128 bits) and the scratch XMM register t.
+// Extracting beats storing the vector and reloading its lanes: the reloads
+// would wait on the store.
+#define BUMP8(z, x, t) \
+	VMOVQ x, AX ; \
+	VPEXTRQ $1, x, BX ; \
+	VEXTRACTI64X2 $1, z, t ; \
+	VMOVQ t, DX ; \
+	VPEXTRQ $1, t, R8 ; \
+	INCQ (DI)(AX*8) ; \
+	INCQ (DI)(BX*8) ; \
+	INCQ (DI)(DX*8) ; \
+	INCQ (DI)(R8*8) ; \
+	VEXTRACTI64X2 $2, z, t ; \
+	VMOVQ t, AX ; \
+	VPEXTRQ $1, t, BX ; \
+	VEXTRACTI64X2 $3, z, t ; \
+	VMOVQ t, DX ; \
+	VPEXTRQ $1, t, R8 ; \
+	INCQ (DI)(AX*8) ; \
+	INCQ (DI)(BX*8) ; \
+	INCQ (DI)(DX*8) ; \
+	INCQ (DI)(R8*8)
+
+// func profileVec(vals []uint64, prev uint64, hist *[2][8][65]uint64, mm *[16]uint64) (descents, changes int)
+//
+// A step takes the previous value of each lane from the step before
+// (VALIGNQ: lane 0 gets the last lane of the previous step, lane j>0 lane
+// j-1 of this one) and bumps two per-lane histograms: the bit length of the
+// value in hist[0] and of its delta to the previous value in hist[1]. The
+// running minimum and maximum per lane go to mm[0:8] and mm[8:16].
+TEXT ·profileVec(SB), NOSPLIT, $0-64
+	MOVQ vals_base+0(FP), SI
+	MOVQ vals_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ prev+24(FP), AX
+	VPBROADCASTQ AX, Z1 // the previous step: its last lane is prev
+	MOVQ hist+32(FP), DI
+	VMOVDQU64 histLanes<>(SB), Z10
+	MOVQ $520, AX
+	VPBROADCASTQ AX, Z11
+	VPADDQ Z10, Z11, Z11 // the same in hist[1]
+	VPTERNLOGQ $0xff, Z12, Z12, Z12 // minimum
+	VPXORQ Z13, Z13, Z13            // maximum
+	XORQ R9, R9                     // descents
+	XORQ R10, R10                   // changes
+	TESTQ CX, CX
+	JZ profileDone
+
+profileLoop:
+	VMOVDQU64 (SI), Z0
+	VALIGNQ $7, Z1, Z0, Z2 // previous values
+	VPMINUQ Z0, Z12, Z12
+	VPMAXUQ Z0, Z13, Z13
+	VPCMPUQ $1, Z2, Z0, K1 // v < prev
+	VPCMPUQ $4, Z2, Z0, K2 // v != prev
+	VPSUBQ Z2, Z0, Z3      // the wrap-around delta
+	VPLZCNTQ Z0, Z4
+	VPLZCNTQ Z3, Z5
+	VPSUBQ Z4, Z10, Z4
+	VPSUBQ Z5, Z11, Z5
+	KMOVB K1, AX
+	POPCNTL AX, AX
+	ADDQ AX, R9
+	KMOVB K2, AX
+	POPCNTL AX, AX
+	ADDQ AX, R10
+	BUMP8(Z4, X4, X6)
+	BUMP8(Z5, X5, X7)
+	VMOVDQA64 Z0, Z1
+	ADDQ $64, SI
+	DECQ CX
+	JNZ profileLoop
+
+profileDone:
+	MOVQ mm+40(FP), DI
+	VMOVDQU64 Z12, (DI)
+	VMOVDQU64 Z13, 64(DI)
+	MOVQ R9, descents+48(FP)
+	MOVQ R10, changes+56(FP)
+	VZEROUPPER
+	RET
+
+// func offsetHistVec(vals []uint64, ref uint64, hist *[8][65]uint64)
+//
+// Bumps the per-lane histogram of the bit lengths of v-ref.
+TEXT ·offsetHistVec(SB), NOSPLIT, $0-40
+	MOVQ vals_base+0(FP), SI
+	MOVQ vals_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ ref+24(FP), AX
+	VPBROADCASTQ AX, Z9
+	MOVQ hist+32(FP), DI
+	VMOVDQU64 histLanes<>(SB), Z10
+	TESTQ CX, CX
+	JZ offsetDone
+
+offsetLoop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ Z9, Z0, Z0
+	VPLZCNTQ Z0, Z0
+	VPSUBQ Z0, Z10, Z0
+	BUMP8(Z0, X0, X6)
+	ADDQ $64, SI
+	DECQ CX
+	JNZ offsetLoop
+
+offsetDone:
 	VZEROUPPER
 	RET

@@ -21,3 +21,9 @@ func probeDenseVec(vals []uint64, base, lo, span uint64, tab []uint32, outP, out
 func gatherBitsVec(dst, words, idx []uint64, width uint, n uint64) int { return 0 }
 
 func gatherWordsVec(dst, words, idx []uint64) int { return 0 }
+
+func profileVec(vals []uint64, prev uint64, hist *[2][8][65]uint64, mm *[16]uint64) (descents, changes int) {
+	return 0, 0
+}
+
+func offsetHistVec(vals []uint64, ref uint64, hist *[8][65]uint64) {}

@@ -15,6 +15,7 @@ import (
 	"morphstore/internal/metrics"
 	"morphstore/internal/ops"
 	"morphstore/internal/qerr"
+	"morphstore/internal/stats"
 	"morphstore/internal/vector"
 )
 
@@ -56,6 +57,7 @@ func (s scope) String() string {
 // overrides, then Execute overrides.
 type options struct {
 	keep       bool
+	profile    bool          // a profiling run (profiledColumns); no option sets it
 	par        int           // 0 = engine budget / GOMAXPROCS
 	maxQueries int           // 0 = unlimited
 	admitDepth int           // admission queue bound; 0 = unbounded
@@ -441,11 +443,11 @@ func (pr *Prepared) MemoryEstimate() int {
 }
 
 // record returns the observation record an execution reads, nil for one
-// that keeps every column: it runs the plan as written, which materializes
-// more than the rewritten plan the record describes, so it reserves the
-// upper bound and publishes no record of its own.
-func (pr *Prepared) record(keep bool) *observation {
-	if keep {
+// that runs the plan as written (it keeps or profiles every column), which
+// materializes more than the rewritten plan the record describes, so it
+// reserves the upper bound and publishes no record of its own.
+func (pr *Prepared) record(written bool) *observation {
+	if written {
 		return nil
 	}
 	return pr.obs.Load()
@@ -551,7 +553,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	var est int64
 	if e.adm.budget > 0 {
 		var err error
-		if est, err = pr.memoryEstimate(pr.record(opt.keep)); err != nil {
+		if est, err = pr.memoryEstimate(pr.record(opt.keep || opt.profile)); err != nil {
 			return nil, err
 		}
 	}
@@ -585,8 +587,9 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 		// execution: all operators read one consistent main+delta view, and a
 		// remorph swap completing mid-flight stays invisible. Nil on the
 		// read-only fast path.
-		snap: e.snapshotOrNil(),
-		keep: opt.keep,
+		snap:    e.snapshotOrNil(),
+		keep:    opt.keep,
+		profile: opt.profile,
 	}
 	res := &Result{
 		Cols: make(map[string]*columns.Column, len(pr.p.sinks)),
@@ -597,6 +600,9 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	}
 	if opt.keep {
 		res.Inter = make(map[string]*columns.Column)
+	}
+	if opt.profile {
+		res.profiles = make(map[string]*stats.Profile)
 	}
 	// A context that expired during admission runs no node, but leaves through
 	// the same tail as every other outcome so the (all-unstarted) stats tree is
@@ -618,7 +624,7 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if !opt.keep {
+	if !opt.keep && !opt.profile {
 		pr.obs.Store(pr.observe(es))
 	}
 	return res, nil
@@ -628,6 +634,10 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 // morsel workers draw tokens from the engine budget. Scans do no kernel work
 // (they hand out the stored column), so they run at width 1 and charge
 // nothing.
+//
+// A profiling run profiles the node's outputs here, as the operator returns
+// them: outside the scheduler's mutex, so concurrent workers profile
+// concurrently, and before any release can recycle their words.
 //
 // The node runs under a recover guard: a panic on the operator's own
 // goroutine — the morsel workers have their own guards — is converted into a
@@ -659,18 +669,27 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, n *Node, st *ste
 		return nil, nil
 	case n.op == OpScan:
 		// Scans hand out stored columns — no intermediate bytes to charge.
-		return st.run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc))
+		if produced, err = st.run(es, ops.RT(ctx, nil, nil, 1).WithCollector(nc)); err != nil {
+			return nil, err
+		}
+	default:
+		rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres)
+		if produced, err = st.run(es, rt); err != nil {
+			return nil, fmt.Errorf("core: %v %q: %w", n.op, n.outNames[0], err)
+		}
+		// Charge the materialized intermediates to the query's counter; the
+		// parallel drivers' staging buffers and the stitch's section buffers
+		// charge themselves through the runtime.
+		for _, col := range produced {
+			es.mres.Charge(col.PhysicalBytes())
+		}
 	}
-	rt := ops.RT(ctx, pr.e.budget, es.bufs, par).WithCollector(nc).WithMemReservation(es.mres)
-	produced, err = st.run(es, rt)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v %q: %w", n.op, n.outNames[0], err)
-	}
-	// Charge the materialized intermediates to the query's counter; the
-	// parallel drivers' staging buffers and the stitch's section buffers
-	// charge themselves through the runtime.
-	for _, col := range produced {
-		es.mres.Charge(col.PhysicalBytes())
+	if es.profile {
+		for i, col := range produced {
+			if _, err := profileOf(col); err != nil {
+				return nil, fmt.Errorf("core: profile %q: %w", n.outNames[i], err)
+			}
+		}
 	}
 	return produced, nil
 }
@@ -692,6 +711,9 @@ func (pr *Prepared) account(res *Result, n *Node, produced []*columns.Column, el
 		}
 		if keep {
 			res.Inter[name] = col
+		}
+		if res.profiles != nil {
+			res.profiles[name] = col.Profile()
 		}
 		if pr.sinks[name] {
 			res.Cols[name] = col

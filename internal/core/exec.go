@@ -8,6 +8,7 @@ import (
 	"morphstore/internal/dict"
 	"morphstore/internal/morph"
 	"morphstore/internal/qerr"
+	"morphstore/internal/stats"
 )
 
 // Table is a named collection of equally long columns.
@@ -174,4 +175,6 @@ type Result struct {
 	Inter map[string]*columns.Column
 	// Meas carries the footprint/runtime accounting.
 	Meas Measure
+	// profiles holds every column's profile by name in a profiling run.
+	profiles map[string]*stats.Profile
 }

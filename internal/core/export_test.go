@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"morphstore/internal/metrics"
+	"morphstore/internal/stats"
 )
 
 // This file hands the external tests of the package (package core_test,
@@ -33,3 +34,9 @@ func ShareRecord(pr, from *Prepared) { pr.obs.Store(from.obs.Load()) }
 // CheckSchedules checks the schedules pr derived at Prepare against its plan
 // and qs, the stats tree of one of its executions (schedule_test.go).
 func CheckSchedules(pr *Prepared, qs *metrics.QueryStats) error { return checkSchedules(pr, qs) }
+
+// ProfiledColumns returns the profiles CostBasedAssignment picks from: those
+// of the plan's profiling run, by column name.
+func ProfiledColumns(p *Plan, db *DB) (map[string]*stats.Profile, error) {
+	return profiledColumns(p, db)
+}

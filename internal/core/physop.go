@@ -39,17 +39,19 @@ type physOp func(es *execState, rt ops.Runtime) ([]*columns.Column, error)
 // buffer pool, from which every intermediate's buffers are drawn and to
 // which they return, the snapshot pinning the writable tables' delta states
 // (nil for a read-only engine — scans then hand out the prepare-bound
-// columns), and whether it keeps every column (WithKeep), which runs the
-// plan as written. The scheduler publishes a node's outputs before any
+// columns), and whether it keeps every column (WithKeep) or profiles every
+// column (a profiling run, CostBasedAssignment); both run the plan as
+// written. The scheduler publishes a node's outputs before any
 // dependent is popped, which establishes the happens-before edge for
 // readers.
 type execState struct {
-	outs [][]*columns.Column
-	coll *metrics.Collector
-	mres *ops.MemReservation
-	bufs *bufpool.Lease
-	snap *Snapshot
-	keep bool
+	outs    [][]*columns.Column
+	coll    *metrics.Collector
+	mres    *ops.MemReservation
+	bufs    *bufpool.Lease
+	snap    *Snapshot
+	keep    bool
+	profile bool
 }
 
 // in resolves a bound input reference against the execution state.

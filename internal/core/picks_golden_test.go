@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -12,15 +13,26 @@ import (
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
 	"morphstore/internal/ssb"
+	"morphstore/internal/stats"
 )
 
 var updatePicks = flag.Bool("update-picks", false, "rewrite testdata/costbased_picks.golden")
 
 // TestCostBasedPicksGolden pins every format the cost-based assignment picks
 // for the 13 SSB plans at SF 0.01, seeds 1 and 2 — base columns and
-// intermediates — against a checked-in table. A change to how profiles are
-// gathered (or cached) must not move a single pick.
+// intermediates — against a checked-in table, on both kernel paths of the
+// profile. A change to how profiles are gathered (or cached) must not move a
+// single pick.
 func TestCostBasedPicksGolden(t *testing.T) {
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) { checkPicksGolden(t) })
+	})
+}
+
+// checkPicksGolden picks the formats of the 13 SSB plans over freshly
+// generated data, whose base columns carry no profile yet, and compares them
+// with the golden table (or rewrites it under -update-picks).
+func checkPicksGolden(t *testing.T) {
 	var b strings.Builder
 	for _, seed := range []int64{1, 2} {
 		data, err := ssb.Generate(0.01, seed)
@@ -71,6 +83,51 @@ func TestCostBasedPicksGolden(t *testing.T) {
 	for i := 0; i < len(wl) && i < len(gl); i++ {
 		if wl[i] != gl[i] {
 			t.Fatalf("first differing pick (line %d):\n got  %s\n want %s", i+1, gl[i], wl[i])
+		}
+	}
+}
+
+// TestProfilingRunMatchesCollect checks the profiling run behind
+// CostBasedAssignment against the keep run it replaced: for the 13 SSB plans
+// at SF 0.01, seeds 1 and 2, the profile of every column, taken as its
+// operator produced it, equals stats.Collect over the column a WithKeep(true)
+// execution keeps. The test binary poisons released buffers,
+// so a profile taken after its column's release would differ.
+func TestProfilingRunMatchesCollect(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		data, err := ssb.Generate(0.01, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range ssb.Queries {
+			p, err := ssb.BuildPlan(q, data.Dicts)
+			if err != nil {
+				t.Fatalf("Q%s: %v", q, err)
+			}
+			profs, err := core.ProfiledColumns(p, data.DB)
+			if err != nil {
+				t.Fatalf("seed %d Q%s: %v", seed, q, err)
+			}
+			pr, err := core.NewEngine(data.DB).Prepare(p, core.WithKeep(true))
+			if err != nil {
+				t.Fatalf("seed %d Q%s: %v", seed, q, err)
+			}
+			kept, err := pr.Execute(context.Background())
+			if err != nil {
+				t.Fatalf("seed %d Q%s: %v", seed, q, err)
+			}
+			if len(profs) != len(kept.Inter) {
+				t.Errorf("seed %d Q%s: %d profiles for %d columns", seed, q, len(profs), len(kept.Inter))
+			}
+			for name, col := range kept.Inter {
+				vals, ok := col.Values()
+				if !ok {
+					t.Fatalf("seed %d Q%s: kept column %q is compressed", seed, q, name)
+				}
+				if got, want := profs[name], stats.Collect(vals); got == nil || *got != *want {
+					t.Errorf("seed %d Q%s %s: profiling run %+v, Collect %+v", seed, q, name, *got, *want)
+				}
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/ops"
@@ -196,7 +195,7 @@ func (b *Builder) Scan(table, column string) ColRef {
 // Select emits the positions of in matching `element cmp val`. An undefined
 // cmp fails the build with an ErrInvalidSchema error.
 func (b *Builder) Select(name string, in ColRef, cmp bitutil.CmpKind, val uint64) ColRef {
-	if _, _, _, ok := cmp.Range(val, math.MaxUint64); !ok {
+	if _, _, _, ok := cmp.Range(val); !ok {
 		return b.fail("core: select %q: undefined comparison kind %d: %w", name, cmp, qerr.ErrInvalidSchema)
 	}
 	return b.add(&Node{op: OpSelect, cmp: cmp, val: val, inputs: []ColRef{in}}, name)[0]

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 	"morphstore/internal/ops"
@@ -89,6 +87,6 @@ func rangeTest(s *Node) (lo, span uint64, empty bool) {
 	if s.op == OpBetween {
 		return s.val, s.val2 - s.val, s.val > s.val2
 	}
-	lo, span, empty, _ = s.cmp.Range(s.val, math.MaxUint64)
+	lo, span, empty, _ = s.cmp.Range(s.val)
 	return lo, span, empty
 }

@@ -39,8 +39,8 @@ import (
 // Schedules: a plan is a DAG of functions over columns whose edges are fixed
 // when it is built, so Prepare derives them once, into two immutable
 // schedules every execution shares: the plan as written, which a
-// WithKeep(true) execution runs, and the rewrite pass's transform of it,
-// which every other execution runs (rewrite.go). Per node a schedule holds
+// WithKeep(true) execution and a profiling run execute, and the rewrite
+// pass's transform of it, which every other execution runs (rewrite.go). Per node a schedule holds
 // the operator, the columns it reads, the nodes it reads from and the nodes
 // that read from it. An execution copies only counters out of its schedule:
 // each node's open dependencies and, unless it keeps every column, each
@@ -110,9 +110,10 @@ func (pr *Prepared) runPlan(ctx context.Context, es *execState, res *Result, par
 	ctx, cancelPlan := context.WithCancel(ctx)
 	defer cancelPlan()
 	s := &sched{steps: pr.rewritten, deps: make([]int, len(pr.p.nodes)), cancel: cancelPlan}
-	if es.keep {
+	if es.keep || es.profile {
 		s.steps = pr.written
-	} else {
+	}
+	if !es.keep {
 		s.left = make([]int, len(s.steps))
 	}
 	s.cond = sync.NewCond(&s.mu)

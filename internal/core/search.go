@@ -36,7 +36,9 @@ func Candidates(p *Plan, name string) []columns.FormatDesc {
 
 // keptColumns runs the plan once fully uncompressed and returns every base
 // column and intermediate by name: the stored base columns themselves and
-// the intermediates the run kept.
+// the intermediates the run kept. FootprintSearch compresses their values;
+// the cost-based pick needs only profiles and takes them from a profiling
+// run instead (profiledColumns), which keeps nothing.
 func keptColumns(p *Plan, db *DB) (map[string]*columns.Column, error) {
 	pr, err := NewEngine(db).Prepare(p, WithKeep(true))
 	if err != nil {

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"math"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -31,7 +30,7 @@ func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64,
 	if err := checkCols(in); err != nil {
 		return nil, err
 	}
-	lo, span, empty, ok := op.Range(val, math.MaxUint64)
+	lo, span, empty, ok := op.Range(val)
 	if !ok {
 		return nil, qerr.Tag(fmt.Errorf("ops: select: undefined comparison kind %d", op), qerr.ErrInvalidSchema)
 	}

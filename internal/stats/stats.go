@@ -9,6 +9,8 @@ package stats
 
 import (
 	"math/bits"
+
+	"morphstore/internal/bitutil"
 )
 
 // Profile summarizes the data characteristics of one integer sequence.
@@ -34,17 +36,27 @@ type Profile struct {
 }
 
 // Collect computes the profile of vals in one pass (plus a second one for
-// the offsets from the minimum).
+// the offsets from the minimum), through the profile kernels of package
+// bitutil (8 values per step where the CPU has AVX-512, a portable loop
+// elsewhere).
 func Collect(vals []uint64) *Profile {
-	p := scan(vals)
-	addForBitHist(&p.ForBitHist, vals, p.Min)
+	p := &Profile{N: len(vals), Sorted: true}
+	if len(vals) == 0 {
+		return p
+	}
+	lo, hi, descents, changes := bitutil.ProfileScan(vals, vals[0], &p.BitHist, &p.DeltaBitHist)
+	p.DeltaBitHist[0]-- // the first value's delta to itself
+	p.Min, p.Max, p.MaxBits, p.Last = lo, hi, uint(bits.Len64(hi)), vals[len(vals)-1]
+	p.Sorted, p.Runs = descents == 0, 1+changes
+	bitutil.OffsetBitHist(vals, p.Min, &p.ForBitHist)
 	return p
 }
 
 // Append returns the profile of the sequence p describes followed by tail,
-// equal to Collect over the whole sequence, from one pass over tail alone:
-// the histograms add up, the delta across the seam joins DeltaBitHist, the
-// runs that meet at the seam merge, and Sorted also checks the seam. The
+// equal to Collect over the whole sequence, from one pass over tail alone
+// that continues from p.Last: the histograms add up, the delta across the
+// seam joins DeltaBitHist, a tail value equal to the one before it extends
+// that run, and a descent anywhere, the seam included, clears Sorted. The
 // tail's offsets count against p.Min, so ok is false when the tail holds a
 // value below it: every offset of p would shift. p is not modified.
 func (p *Profile) Append(tail []uint64) (q *Profile, ok bool) {
@@ -55,72 +67,18 @@ func (p *Profile) Append(tail []uint64) (q *Profile, ok bool) {
 	if len(tail) == 0 {
 		return &c, true
 	}
-	t := scan(tail)
-	if t.Min < p.Min {
+	lo, hi, descents, changes := bitutil.ProfileScan(tail, p.Last, &c.BitHist, &c.DeltaBitHist)
+	if lo < p.Min {
 		return nil, false
 	}
-	first := tail[0]
-	c.N += t.N
-	c.Max = max(p.Max, t.Max)
+	c.N += len(tail)
+	c.Max = max(p.Max, hi)
 	c.MaxBits = uint(bits.Len64(c.Max))
-	c.Last = t.Last
-	c.Sorted = p.Sorted && t.Sorted && first >= p.Last
-	c.Runs += t.Runs
-	if first == p.Last {
-		c.Runs--
-	}
-	for b := range c.BitHist {
-		c.BitHist[b] += t.BitHist[b]
-		c.DeltaBitHist[b] += t.DeltaBitHist[b]
-	}
-	c.DeltaBitHist[bits.Len64(first-p.Last)]++
-	addForBitHist(&c.ForBitHist, tail, p.Min)
+	c.Last = tail[len(tail)-1]
+	c.Sorted = p.Sorted && descents == 0
+	c.Runs += changes
+	bitutil.OffsetBitHist(tail, p.Min, &c.ForBitHist)
 	return &c, true
-}
-
-// scan profiles vals in one pass, every field but ForBitHist. Every counter
-// lives in a local until the end. Each histogram has four copies, one per
-// position mod 4: neighbours mostly fall into the same bucket, and spreading
-// them over copies keeps each increment from waiting on the previous one's
-// store. Sorted and Runs come from each delta's borrow and non-zeroness
-// without a branch.
-func scan(vals []uint64) *Profile {
-	p := &Profile{N: len(vals), Sorted: true}
-	if len(vals) == 0 {
-		return p
-	}
-	var bh, dh [4][65]int
-	lo, hi, prev := vals[0], vals[0], vals[0]
-	var descents, changes uint64
-	for i, v := range vals {
-		d, borrow := bits.Sub64(v, prev, 0) // wrap-around delta
-		bh[i&3][bits.Len64(v)]++
-		dh[i&3][bits.Len64(d)]++
-		descents |= borrow
-		changes += (d | -d) >> 63 // 1 iff d != 0
-		lo, hi = min(lo, v), max(hi, v)
-		prev = v
-	}
-	p.Min, p.Max, p.MaxBits, p.Last = lo, hi, uint(bits.Len64(hi)), prev
-	p.Sorted, p.Runs = descents == 0, 1+int(changes)
-	for b := range p.BitHist {
-		p.BitHist[b] = bh[0][b] + bh[1][b] + bh[2][b] + bh[3][b]
-		p.DeltaBitHist[b] = dh[0][b] + dh[1][b] + dh[2][b] + dh[3][b]
-	}
-	p.DeltaBitHist[0]-- // the first value's delta to itself
-	return p
-}
-
-// addForBitHist adds to h the bit widths of the offsets v-ref of vals, with
-// four histogram copies as in scan.
-func addForBitHist(h *[65]int, vals []uint64, ref uint64) {
-	var fh [4][65]int
-	for i, v := range vals {
-		fh[i&3][bits.Len64(v-ref)]++
-	}
-	for b := range h {
-		h[b] += fh[0][b] + fh[1][b] + fh[2][b] + fh[3][b]
-	}
 }
 
 // AvgRunLength returns the mean run length (N/Runs); 0 for empty input.

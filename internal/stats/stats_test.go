@@ -285,3 +285,69 @@ func BenchmarkCollect(b *testing.B) {
 		Collect(vals)
 	}
 }
+
+// fuzzValues decodes three bytes per value into values that reach both ends
+// of the word: a tag byte picks a small value x, 2^64-1-x, x<<48 or
+// x<<56|x, where x is the next two bytes. Neighbours of different tags give
+// wide and wrap-around deltas. A length that is a multiple of 8 gets one
+// more value, so the vector path always leaves a tail to the portable loop.
+func fuzzValues(data []byte, extra uint64) []uint64 {
+	vals := make([]uint64, 0, len(data)/3+1)
+	for i := 0; i+2 < len(data); i += 3 {
+		x := uint64(data[i+1])<<8 | uint64(data[i+2])
+		switch data[i] % 4 {
+		case 0:
+			vals = append(vals, x)
+		case 1:
+			vals = append(vals, math.MaxUint64-x)
+		case 2:
+			vals = append(vals, x<<48)
+		default:
+			vals = append(vals, x<<56|x)
+		}
+	}
+	if len(vals)%8 == 0 {
+		vals = append(vals, extra)
+	}
+	return vals
+}
+
+// FuzzCollect checks the profile kernel's two paths against each other
+// through referenceCollect, which both must equal: Collect of the whole
+// sequence, and Append of a tail cut at a fuzzed point to the head's profile
+// wherever the tail keeps the head's minimum.
+func FuzzCollect(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 7, 9, 17, 63, 65, 130} {
+		data := make([]byte, 3*n)
+		rng.Read(data)
+		f.Add(data, uint(rng.Intn(n+1)), rng.Uint64())
+	}
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 0, 0, 0}, uint(3), uint64(math.MaxUint64))
+	f.Add(make([]byte, 3*16), uint(8), uint64(0))
+	// The last value the vector path sees is the minimum, then the maximum.
+	var down, up []byte
+	for x := byte(1); x <= 8; x++ {
+		down, up = append(down, 0, 0, 9-x), append(up, 0, 0, x)
+	}
+	f.Add(append(down, 0, 0, 9), uint(0), uint64(0))
+	f.Add(append(up, 0, 0, 0), uint(9), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint, extra uint64) {
+		vals := fuzzValues(data, extra)
+		k := int(cut % uint(len(vals)+1))
+		want := referenceCollect(vals)
+		eachKernelPath(func(path string) {
+			if got := Collect(vals); *got != *want {
+				t.Fatalf("%s: Collect(%v) = %+v, want %+v", path, vals, *got, *want)
+			}
+			hp := Collect(vals[:k])
+			app, ok := hp.Append(vals[k:])
+			if !ok {
+				return
+			}
+			if *app != *want {
+				t.Fatalf("%s: Append at %d of %v = %+v, want %+v", path, k, vals, *app, *want)
+			}
+		})
+	})
+}
