@@ -380,6 +380,11 @@ type ladderRow struct {
 //     [1, 3], ~27 %);
 //   - select_and: the fused conjunction of that test and Q1.1's quantity test
 //     (1..50 for [1, 24]);
+//   - pack_wW: static BP encode at width W as the static BP writer runs it
+//     on an operator's output stage: the width scan (MaxBits) and then the
+//     pack of each block, read from one cache-resident blockLen-value stage
+//     and written to the column's words;
+//   - maxbits: the width scan alone, over the same kind of stage;
 //   - gather_bp_wW/dD: the project's gather from static BP at width W, of
 //     the sorted positions of a D % selection, in blockLen-position chunks,
 //     per position;
@@ -475,13 +480,35 @@ func kernelLadder() []ladderRow {
 	}
 	disc := gen(func() uint64 { return rng.Uint64() % 11 })
 	qty := gen(func() uint64 { return 1 + rng.Uint64()%50 })
-	return append(rows,
+	rows = append(rows,
 		ladderRow{"select_range", benchScanN, blocks(func(off, end int) {
 			bitutil.SelectRange(disc[off:end], uint64(off), 1, 2, stage)
 		})},
 		ladderRow{"select_and", benchScanN, blocks(func(off, end int) {
 			bitutil.SelectRangeAnd(disc[off:end], qty[off:end], uint64(off), 1, 2, 1, 23, stage)
 		})})
+	stageOf := func(mask uint64) []uint64 {
+		vals := make([]uint64, blockLen)
+		for i := range vals {
+			vals[i] = rng.Uint64() & mask
+		}
+		return vals
+	}
+	for _, w := range widths {
+		w, vals := w, stageOf(bitutil.Mask(w))
+		words := make([]uint64, bitutil.PackedWords(benchScanN, w))
+		rows = append(rows, ladderRow{fmt.Sprintf("pack_w%d", w), benchScanN, blocks(func(off, end int) {
+			if bitutil.MaxBits(vals[:end-off]) > w {
+				panic("pack_w: value wider than the width")
+			}
+			bitutil.Pack(words[off*int(w)/64:], vals[:end-off], w)
+		})})
+	}
+	scanned := stageOf(bitutil.Mask(63))
+	rows = append(rows, ladderRow{"maxbits", benchScanN, blocks(func(off, end int) {
+		bitutil.MaxBits(scanned[:end-off])
+	})})
+	return rows
 }
 
 // BenchmarkParallelCalc measures the morsel-parallel element-wise multiply

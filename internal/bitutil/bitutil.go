@@ -1,10 +1,12 @@
 // Package bitutil provides the bit-level kernels underlying every
 // null-suppression (NS) compression format in MorphStore-Go: tight bit
-// packing of 64-bit integers at arbitrary widths and random access into
-// packed words, plus the block kernels the operators run over unpacked values
-// (the range selects, the dense-key probe and the gathers, kernels.go) and
-// the two passes of a column profile, each in AVX-512 where the CPU has it
-// and as a Go loop elsewhere.
+// packing of 64-bit integers at arbitrary widths, the width scan that picks
+// the width (MaxBits) and random access into packed words, plus the block
+// kernels the operators run over unpacked values (the range selects, the
+// dense-key probe and the gathers, kernels.go) and the two passes of a
+// column profile. The unpack, the pack, the width scan and the block and
+// profile kernels run in AVX-512 where the CPU has it and as Go loops
+// elsewhere.
 //
 // Packing layout: values are stored LSB-first in a contiguous stream of
 // 64-bit words. Value i occupies bit positions [i*bits, (i+1)*bits) of the
@@ -29,7 +31,12 @@ func Mask(b uint) uint64 {
 // empty or all-zero slice is 0.
 func MaxBits(vals []uint64) uint {
 	var acc uint64
-	for _, v := range vals {
+	i := 0
+	if vec() && len(vals) >= 8 {
+		i = len(vals) &^ 7
+		acc = orVec(vals[:i])
+	}
+	for _, v := range vals[i:] {
 		acc |= v
 	}
 	return uint(bits.Len64(acc))
@@ -49,8 +56,8 @@ func PackedWords(n int, width uint) int {
 
 // Pack packs all values of src at the given width into dst, LSB-first.
 // dst must have at least PackedWords(len(src), width) entries and is not
-// zeroed beyond the words written. Values wider than width are truncated to
-// their low width bits. width must be in [0, 64].
+// written beyond them. Values wider than width are truncated to their low
+// width bits. width must be in [0, 64].
 func Pack(dst []uint64, src []uint64, width uint) {
 	if width == 0 {
 		return
@@ -59,22 +66,28 @@ func Pack(dst []uint64, src []uint64, width uint) {
 		copy(dst, src)
 		return
 	}
-	// Unrolled per-width kernels handle whole groups of 64 values.
+	// The vector kernel or the unrolled per-width kernels handle whole groups
+	// of 64 values.
+	i, w := 0, 0
+	if width >= minVecPackWidth && width <= maxVecUnpackWidth && vec() {
+		packVec(dst, src, width)
+		i = len(src) &^ 63
+		w = i / 64 * int(width)
+	}
 	if f := pack64[width]; f != nil {
-		i, w := 0, 0
 		for ; i+64 <= len(src); i, w = i+64, w+int(width) {
 			f(src[i:i+64], dst[w:])
 		}
-		src = src[i:]
-		dst = dst[w:]
-		if len(src) == 0 {
-			return
-		}
+	}
+	src = src[i:]
+	dst = dst[w:]
+	if len(src) == 0 {
+		return
 	}
 	m := Mask(width)
 	var acc uint64
 	var used uint
-	w := 0
+	w = 0
 	for _, v := range src {
 		v &= m
 		acc |= v << used

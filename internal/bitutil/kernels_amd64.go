@@ -61,6 +61,50 @@ var unpackCtl = func() (ctl [maxVecUnpackWidth + 1][16]uint64) {
 	return ctl
 }()
 
+// packCtl holds, per width minVecPackWidth..maxVecUnpackWidth, the control
+// of the vector pack, the inverse of unpackCtl: a step shifts value j left by
+// j·width mod 8, so its bytes line up with bytes ⌊j·width/8⌋ … +7 of the
+// step's width output bytes, and builds each output byte as the OR of the
+// bytes of the lanes that share it. Lane j supplies output byte k from its
+// byte k-⌊j·width/8⌋; the i-th lane (in lane order) sharing byte k does so
+// through permute i, which the byte mask keep[i] enables at byte k. A byte
+// holds pieces of four values at widths 2 and 3, of three at width 5, of one
+// at multiples of 8 and of two at every other width; at width 1 it holds
+// eight, more than the kernel has permutes for.
+var packCtl = func() (ctl [maxVecUnpackWidth + 1]packControl) {
+	for w := minVecPackWidth; w <= maxVecUnpackWidth; w++ {
+		c := &ctl[w]
+		for j := 0; j < 8; j++ {
+			c.shift[j] = uint64(j * w % 8)
+		}
+		for k := 0; k < w; k++ {
+			i := 0
+			for j := 0; j < 8; j++ {
+				if j*w >= 8*k+8 || j*w+w <= 8*k {
+					continue // value j has no bit in byte k
+				}
+				first := j * w / 8
+				c.perm[i][k/8] |= uint64(8*j+k-first) << (8 * (k % 8))
+				c.keep[i] |= 1 << k
+				i++
+			}
+			c.perms = max(c.perms, i)
+		}
+	}
+	return ctl
+}()
+
+// packControl is one width's pack control (packCtl): the per-lane shifts,
+// the byte permutes and their byte masks, and how many permutes the width
+// needs, 1..4; the unused permutes have an empty mask. packAVX512 reads the
+// fields at their byte offsets: shift 0, perm 64, keep 320, perms 352.
+type packControl struct {
+	shift [8]uint64
+	perm  [4][8]uint64
+	keep  [4]uint64
+	perms int
+}
+
 // cpuid executes CPUID for the leaf and sub-leaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -73,6 +117,18 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func unpackAVX512(dst, src *uint64, steps int, width uint, ctl *[16]uint64)
+
+// packAVX512 packs steps·8 values at the given width (minVecPackWidth..56)
+// from src to dst, 8 values per step; a step writes exactly width bytes,
+// through a store masked to them.
+//
+//go:noescape
+func packAVX512(dst, src *uint64, steps int, width uint, ctl *packControl)
+
+// orVec returns the OR of len(vals) values, a multiple of 8.
+//
+//go:noescape
+func orVec(vals []uint64) uint64
 
 // The range selects and the probe below process len(vals) values, a multiple
 // of 8; every output holds at least as many, and tab has span+1 slots.
@@ -123,4 +179,15 @@ func unpackVec(dst, src []uint64, width uint) {
 	}
 	src = src[:g*int(width)]
 	unpackAVX512(&dst[0], &src[0], g*8, width, &unpackCtl[width])
+}
+
+// packVec packs len(src)/64 whole groups at width (minVecPackWidth..56) into
+// dst, which must hold their width words each.
+func packVec(dst, src []uint64, width uint) {
+	g := len(src) / 64
+	if g == 0 {
+		return
+	}
+	dst = dst[:g*int(width)]
+	packAVX512(&dst[0], &src[0], g*8, width, &packCtl[width])
 }

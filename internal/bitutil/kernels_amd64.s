@@ -78,6 +78,132 @@ unpackDone:
 	VZEROUPPER
 	RET
 
+// func packAVX512(dst, src *uint64, steps int, width uint, ctl *packControl)
+//
+// The inverse of unpackAVX512. A step loads 8 values, masks each to width
+// bits, shifts value j left by j·width mod 8 (VPSLLVQ), builds the width
+// output bytes with the width's byte permutes (each zero-masked to the bytes
+// it supplies) ORed together, and stores them through a byte mask of the low
+// width bytes, so no byte past the step's output is written. The permutes'
+// number picks one of three loops: one (widths that are multiples of 8), two
+// (most widths) or up to four (widths 2, 3 and 5).
+TEXT ·packAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ steps+16(FP), BX
+	MOVQ width+24(FP), CX
+	MOVQ ctl+32(FP), AX
+	VMOVDQU64 (AX), Z10    // shifts
+	VMOVDQU64 64(AX), Z11  // permute 0
+	VMOVDQU64 128(AX), Z12 // permute 1
+	VMOVDQU64 192(AX), Z13 // permute 2
+	VMOVDQU64 256(AX), Z14 // permute 3
+	KMOVQ 320(AX), K1      // their byte masks
+	KMOVQ 328(AX), K2
+	KMOVQ 336(AX), K3
+	KMOVQ 344(AX), K4
+	MOVQ 352(AX), R8       // the number of permutes
+	MOVQ $1, DX
+	SHLQ CX, DX
+	DECQ DX
+	KMOVQ DX, K7           // the store mask: the low width bytes
+	VPBROADCASTQ DX, Z15   // the value mask: the low width bits
+	TESTQ BX, BX
+	JZ packDone
+	CMPQ R8, $1
+	JEQ pack1Loop
+	CMPQ R8, $2
+	JEQ pack2Loop
+
+pack4Loop:
+	VPANDQ (SI), Z15, Z0
+	VPSLLVQ Z10, Z0, Z0
+	VPERMB.Z Z0, Z11, K1, Z1
+	VPERMB.Z Z0, Z12, K2, Z2
+	VPERMB.Z Z0, Z13, K3, Z3
+	VPERMB.Z Z0, Z14, K4, Z4
+	VPTERNLOGQ $0xfe, Z4, Z3, Z2 // Z2 | Z3 | Z4
+	VPORQ Z2, Z1, Z1
+	VMOVDQU8 Z1, K7, (DI)
+	ADDQ $64, SI
+	ADDQ CX, DI
+	DECQ BX
+	JNZ pack4Loop
+	JMP packDone
+
+pack2Loop:
+	VPANDQ (SI), Z15, Z0
+	VPSLLVQ Z10, Z0, Z0
+	VPERMB.Z Z0, Z11, K1, Z1
+	VPERMB.Z Z0, Z12, K2, Z2
+	VPORQ Z2, Z1, Z1
+	VMOVDQU8 Z1, K7, (DI)
+	ADDQ $64, SI
+	ADDQ CX, DI
+	DECQ BX
+	JNZ pack2Loop
+	JMP packDone
+
+pack1Loop:
+	VPANDQ (SI), Z15, Z0
+	VPERMB Z0, Z11, Z1 // byte-aligned: no shift, no byte shared
+	VMOVDQU8 Z1, K7, (DI)
+	ADDQ $64, SI
+	ADDQ CX, DI
+	DECQ BX
+	JNZ pack1Loop
+
+packDone:
+	VZEROUPPER
+	RET
+
+// func orVec(vals []uint64) uint64
+//
+// Four accumulators take 32 values per iteration, so the loads, not the ORs'
+// latency, bound the loop; single 8-value steps finish, and the lanes fold
+// into one word at the end.
+TEXT ·orVec(SB), NOSPLIT, $0-32
+	MOVQ vals_base+0(FP), SI
+	MOVQ vals_len+8(FP), CX
+	SHRQ $3, CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+or4Loop:
+	CMPQ CX, $4
+	JB or1Loop
+	VPORQ (SI), Z0, Z0
+	VPORQ 64(SI), Z1, Z1
+	VPORQ 128(SI), Z2, Z2
+	VPORQ 192(SI), Z3, Z3
+	ADDQ $256, SI
+	SUBQ $4, CX
+	JMP or4Loop
+
+or1Loop:
+	TESTQ CX, CX
+	JZ orFold
+	VPORQ (SI), Z0, Z0
+	ADDQ $64, SI
+	DECQ CX
+	JMP or1Loop
+
+orFold:
+	VPTERNLOGQ $0xfe, Z3, Z2, Z1 // Z1 | Z2 | Z3
+	VPORQ Z1, Z0, Z0
+	VEXTRACTI64X4 $1, Z0, Y1
+	VPORQ Y1, Y0, Y0
+	VEXTRACTI64X2 $1, Y0, X1
+	VPORQ X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPORQ X1, X0, X0
+	VMOVQ X0, AX
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func selectRangeVec(vals []uint64, base, lo, span uint64, out []uint64) int
 TEXT ·selectRangeVec(SB), NOSPLIT, $0-80
 	MOVQ vals_base+0(FP), SI

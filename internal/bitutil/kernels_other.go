@@ -8,6 +8,10 @@ const hasAVX512, avx512Missing = false, "amd64"
 
 func unpackVec(dst, src []uint64, width uint) {}
 
+func packVec(dst, src []uint64, width uint) {}
+
+func orVec(vals []uint64) uint64 { return 0 }
+
 func selectRangeVec(vals []uint64, base, lo, span uint64, out []uint64) int { return 0 }
 
 func selectRangeAndVec(va, vb []uint64, base, loA, spanA, loB, spanB uint64, out []uint64) int {

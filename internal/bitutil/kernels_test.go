@@ -3,22 +3,135 @@ package bitutil
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
 // TestKernelPath reports which kernel path this host runs; CI runs it with -v
 // so the log shows whether the AVX-512 half of FuzzKernels ran. It then pins
-// the gathers' position check at every width: 19 positions (two 8-position
-// steps and a tail of 3) with one out-of-range position in each place in
-// turn, or none, over a column whose last field ends its last word and over
-// one whose last word has room left, on both paths against the element-wise
-// reference.
+// the edges of the kernels on both paths: the gathers' position check, the
+// pack's truncation and output bound, the width scan's lanes and tail, and
+// the profile kernels' length threshold.
 func TestKernelPath(t *testing.T) {
 	if ok, missing := AVX512(); ok {
 		t.Log("kernel path: AVX-512")
 	} else {
 		t.Logf("kernel path: portable (the CPU lacks %s)", missing)
 	}
+	t.Run("gather", testGatherPaths)
+	t.Run("pack", testPackPaths)
+	t.Run("maxbits", testMaxBitsPaths)
+	t.Run("profile threshold", testProfileThreshold)
+}
+
+// eachPath runs f on the portable path and, where the CPU has it, on the
+// AVX-512 path, naming the path.
+func eachPath(f func(path string)) {
+	defer forcePortable.Store(false)
+	for _, path := range []string{"portable", "avx512"} {
+		if path == "avx512" && !hasAVX512 {
+			return
+		}
+		forcePortable.Store(path == "portable")
+		f(path)
+	}
+}
+
+// testPackPaths pins Pack at every width over lengths with a partial last
+// group, and over whole groups, where the vector pack's last store ends the
+// output: full 64-bit inputs, truncated to the width, must pack to the
+// bit-by-bit reference on both paths (so the two paths' words are equal),
+// leave the sentinel words past PackedWords alone, and unpack back to the
+// truncated inputs.
+func testPackPaths(t *testing.T) {
+	seed := uint64(9)
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{0, 1, 7, 9, 63, 64, 65, 127, 130, 513, 1000, 2047, 2048, 2100} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = splitmix(&seed)
+			}
+			pw := PackedWords(n, width)
+			want := make([]uint64, pw)
+			packReference(want, vals, width)
+			eachPath(func(path string) {
+				ctx := fmt.Sprintf("%s: width %d, %d values", path, width, n)
+				words := outBuf(pw)
+				Pack(words[:pw], vals, width)
+				for i, v := range words[pw:] {
+					if v != sentinel {
+						t.Fatalf("%s: wrote %#x at word %d, past the packed words %d", ctx, v, pw+i, pw)
+					}
+				}
+				if !slices.Equal(words[:pw], want) {
+					t.Fatalf("%s: packed words differ from the reference", ctx)
+				}
+				got := make([]uint64, n)
+				Unpack(got, words[:pw], width)
+				for i, v := range got {
+					if v != vals[i]&Mask(width) {
+						t.Fatalf("%s: round trip: value %d = %#x, want %#x", ctx, i, v, vals[i]&Mask(width))
+					}
+				}
+			})
+		}
+	}
+}
+
+// testMaxBitsPaths pins MaxBits on both paths at every length 0..70: all
+// zeros, and one set bit, of a varying bit number, at every position in
+// turn, so in every lane of every 8-value step and in the tail.
+func testMaxBitsPaths(t *testing.T) {
+	eachPath(func(path string) {
+		for n := 0; n <= 70; n++ {
+			vals := make([]uint64, n)
+			if got := MaxBits(vals); got != 0 {
+				t.Fatalf("%s: %d zeros: max bits %d, want 0", path, n, got)
+			}
+			for p := range vals {
+				b := uint(p*29) % 64
+				vals[p] = 1 << b
+				if got := MaxBits(vals); got != b+1 {
+					t.Fatalf("%s: %d values, bit %d set at %d: max bits %d, want %d", path, n, b, p, got, b+1)
+				}
+				vals[p] = 0
+			}
+		}
+	})
+}
+
+// testProfileThreshold pins ProfileScan and OffsetBitHist on both sides of
+// minVecProfile, where the AVX-512 path starts handing them to the vector
+// kernels, against the Go loops run directly.
+func testProfileThreshold(t *testing.T) {
+	seed := uint64(11)
+	for _, n := range []int{8, minVecProfile - 1, minVecProfile, minVecProfile + 9} {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = splitmix(&seed) >> (splitmix(&seed) % 64)
+		}
+		var wantB, wantD, wantF [65]int
+		lo, hi, d, c := profileScanGo(vals, 3, vals[0], vals[0], &wantB, &wantD)
+		offsetBitHistGo(vals, lo, &wantF)
+		eachPath(func(path string) {
+			var gotB, gotD, gotF [65]int
+			glo, ghi, gd, gc := ProfileScan(vals, 3, &gotB, &gotD)
+			OffsetBitHist(vals, glo, &gotF)
+			if glo != lo || ghi != hi || gd != d || gc != c || gotB != wantB || gotD != wantD || gotF != wantF {
+				t.Fatalf("%s: %d values: profile (%d, %d, %d, %d) and histograms differ from the Go loops' (%d, %d, %d, %d)",
+					path, n, glo, ghi, gd, gc, lo, hi, d, c)
+			}
+		})
+	}
+}
+
+// testGatherPaths pins the gathers' position check at every width: 19
+// positions (two 8-position steps and a tail of 3) with one out-of-range
+// position in each place in turn, or none, over a column whose last field
+// ends its last word and over one whose last word has room left, on both
+// paths against the element-wise reference.
+func testGatherPaths(t *testing.T) {
 	seed := uint64(5)
 	for width := uint(0); width <= 64; width++ {
 		for _, n := range []int{192, 200} {
@@ -150,6 +263,7 @@ type kernelCase struct {
 	base               uint64
 	otherLo, otherSpan uint64
 	gather             gatherCase
+	wide               []uint64 // vals, with bits above width set in some cases
 }
 
 // newKernelCase decodes the fuzz arguments. mode picks the range test's
@@ -209,6 +323,12 @@ func newKernelCase(seed uint64, width uint8, n uint16, lo, span uint64, mode uin
 		}
 	}
 	c.gather = newGatherCase(&seed, c.width, c.vals)
+	c.wide = append([]uint64(nil), c.vals...)
+	if splitmix(&seed)%2 == 0 {
+		for i := range c.wide {
+			c.wide[i] |= splitmix(&seed) &^ m // Pack truncates these
+		}
+	}
 	return c
 }
 
@@ -261,17 +381,22 @@ func outBuf(n int) []uint64 {
 
 // kernelRun is every kernel's output over one case on the current path.
 type kernelRun struct {
+	packBuf            []uint64 // PackedWords(n, width) words, then sentinels
 	unpackBuf, group   []uint64
 	selBuf, andBuf     []uint64
 	posBuf, bidxBuf    []uint64
 	selK, andK, probeK int
+	maxBits            uint
 }
 
 func runKernels(c kernelCase) kernelRun {
 	var r kernelRun
 	n := len(c.vals)
-	packed := make([]uint64, PackedWords(n, c.width))
-	Pack(packed, c.vals, c.width)
+	pw := PackedWords(n, c.width)
+	r.packBuf = outBuf(pw)
+	packed := r.packBuf[:pw]
+	Pack(packed, c.wide, c.width)
+	r.maxBits = MaxBits(c.wide)
 	r.unpackBuf = outBuf(n)
 	Unpack(r.unpackBuf[:n], packed, c.width)
 	for g := 0; g < n/64; g++ {
@@ -302,6 +427,16 @@ func (want kernelRun) compare(t *testing.T, ctx string, got kernelRun, n int) {
 			}
 		}
 	}
+	pw := len(want.packBuf) - 16
+	same("pack", got.packBuf[:pw], want.packBuf[:pw])
+	for i, v := range got.packBuf[pw:] {
+		if v != sentinel {
+			t.Fatalf("%s: pack: wrote %#x at word %d, past the packed words %d", ctx, v, pw+i, pw)
+		}
+	}
+	if got.maxBits != want.maxBits {
+		t.Fatalf("%s: max bits %d, want %d", ctx, got.maxBits, want.maxBits)
+	}
 	same("unpack", got.unpackBuf[:n], want.unpackBuf[:n])
 	same("unpack group", got.group, want.group)
 	same("select range", got.selBuf[:got.selK], want.selBuf[:want.selK])
@@ -324,6 +459,13 @@ func (want kernelRun) compare(t *testing.T, ctx string, got kernelRun, n int) {
 func (c kernelCase) reference() kernelRun {
 	var r kernelRun
 	n := len(c.vals)
+	r.packBuf = outBuf(PackedWords(n, c.width))
+	packReference(r.packBuf[:len(r.packBuf)-16], c.vals, c.width)
+	var or uint64
+	for _, v := range c.wide {
+		or |= v
+	}
+	r.maxBits = uint(bits.Len64(or))
 	r.unpackBuf = append(append([]uint64(nil), c.vals...), outBuf(0)...)
 	r.group = append([]uint64(nil), c.vals[:n&^63]...)
 	r.selBuf, r.andBuf, r.posBuf, r.bidxBuf = outBuf(n), outBuf(n), outBuf(n), outBuf(n)
@@ -344,8 +486,23 @@ func (c kernelCase) reference() kernelRun {
 	return r
 }
 
+// packReference packs vals into words bit by bit: bit b of value i lands at
+// bit i·width+b of the stream, and bits of a value above width are dropped.
+func packReference(words, vals []uint64, width uint) {
+	clear(words)
+	for i, v := range vals {
+		for b := uint(0); b < width; b++ {
+			if pos := uint(i)*width + b; v>>b&1 == 1 {
+				words[pos/64] |= 1 << (pos % 64)
+			}
+		}
+	}
+}
+
 // FuzzKernels is the contract of the AVX-512 kernels: over widths 0..64,
-// lengths 0..2100 (every tail of 0..7 values past the last 8-value step),
+// lengths 0..2100 (every tail of 0..7 values past the last 8-value step, and
+// of 0..63 past the last whole group the pack encodes), values wider than
+// the width (the pack truncates them; the width scan sees them),
 // the range edges (span 0 and MaxUint64, lo above every value, a wrapping
 // v-lo), probe tables with absent keys and build index 0, and gathers of
 // sorted, unsorted and repeated positions (newGatherCase), the portable

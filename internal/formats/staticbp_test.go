@@ -93,6 +93,67 @@ func TestStaticBPWidenMatchesPack(t *testing.T) {
 	}
 }
 
+// TestAutoWidthWriterKernelPaths round-trips the auto-width writer on both
+// kernel paths through widenings that repack vector-packed groups: the width
+// grows inside one Write, whose widest value is its last, and again across
+// Writes while a partial group is staged, ending at a width (57) the vector
+// pack leaves to the unrolled kernels. Both paths must produce the same
+// words, and the column must decode to the input.
+func TestAutoWidthWriterKernelPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	ramp := func(n int, width uint) []uint64 {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & bitutil.Mask(width-1)
+		}
+		vals[n-1] = bitutil.Mask(width) // the widest value comes last
+		return vals
+	}
+	chunks := [][]uint64{
+		ramp(200, 5),  // 3 groups packed at 5 bits, 8 values staged
+		ramp(300, 13), // widens to 13 with 8 staged: repacks 3 groups
+		ramp(1, 40),   // widens to 40 with 52 staged: repacks 7 groups
+		ramp(2100, 40),
+		ramp(1, 57), // widens to 57, past the vector pack's widths
+	}
+	var vals []uint64
+	for _, c := range chunks {
+		vals = append(vals, c...)
+	}
+	var words [][]uint64
+	eachKernelPath(func(path string) {
+		w, err := NewWriter(columns.StaticBPDesc(0), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range chunks {
+			if err := w.Write(c); err != nil {
+				t.Fatalf("%s: write %d: %v", path, i, err)
+			}
+		}
+		col, err := w.Close()
+		if err != nil {
+			t.Fatalf("%s: close: %v", path, err)
+		}
+		if col.Desc() != columns.StaticBPDesc(57) || col.N() != len(vals) {
+			t.Fatalf("%s: got %v with %d elements, want %v with %d", path, col.Desc(), col.N(), columns.StaticBPDesc(57), len(vals))
+		}
+		got, err := Decompress(col)
+		if err != nil {
+			t.Fatalf("%s: decompress: %v", path, err)
+		}
+		for i, v := range got {
+			if v != vals[i] {
+				t.Fatalf("%s: value %d decodes to %#x, want %#x", path, i, v, vals[i])
+			}
+		}
+		words = append(words, slices.Clone(col.MainWords()))
+	})
+	if !slices.Equal(words[0], words[1]) {
+		t.Fatal("the kernel paths packed different words")
+	}
+}
+
 // writeChunks feeds vals to a new writer of desc in chunks of the given size
 // and returns the closed column.
 func writeChunks(t *testing.T, name string, desc columns.FormatDesc, vals []uint64, chunk int) *columns.Column {

@@ -318,7 +318,10 @@ func fuzzValues(data []byte, extra uint64) []uint64 {
 // wherever the tail keeps the head's minimum.
 func FuzzCollect(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 7, 9, 17, 63, 65, 130} {
+	// 511 and 513 values (fuzzValues extends 512) sit on the two sides of
+	// bitutil's minVecProfile, 512, below which the profile kernels run
+	// their Go loops on every path.
+	for _, n := range []int{1, 7, 9, 17, 63, 65, 130, 511, 512} {
 		data := make([]byte, 3*n)
 		rng.Read(data)
 		f.Add(data, uint(rng.Intn(n+1)), rng.Uint64())
