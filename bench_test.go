@@ -17,6 +17,7 @@ import (
 	_ "unsafe" // for go:linkname
 
 	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
 	"morphstore/internal/datagen"
@@ -154,6 +155,68 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkGroup measures the grouping per key shape and operator, in
+// ns/row: GroupFirst over benchMicroN keys, and GroupNext refining the
+// grouping of one such column by another. The dense shape is 8 codes (the
+// GROUP BY of the ingest_query_mix workload), which the grouping assigns
+// through its direct-address table; the sparse shape shifts the same codes
+// left by 40 bits, past the table's cap, onto the hash table. The runtime
+// draws from a lease and each iteration gives its outputs back, as an
+// execution does.
+func BenchmarkGroup(b *testing.B) {
+	codes := func(seed int64) []uint64 {
+		vals := datagen.Generate(datagen.C1, benchMicroN, seed)
+		for i := range vals {
+			vals[i] %= 8
+		}
+		return vals
+	}
+	first, second := codes(42), codes(43)
+	lease := bufpool.New().Lease()
+	defer lease.Close()
+	rt := ops.RT(context.Background(), nil, lease, 1)
+	for _, shape := range []struct {
+		name  string
+		shift uint
+	}{{"dense", 0}, {"sparse", 40}} {
+		shifted := func(vals []uint64) *columns.Column {
+			out := make([]uint64, len(vals))
+			for i, v := range vals {
+				out[i] = v << shape.shift
+			}
+			return columns.FromValues(out)
+		}
+		keys, next := shifted(first), shifted(second)
+		prev, _, err := ops.FixedRT(1).GroupFirst(keys, columns.UncomprDesc, columns.UncomprDesc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []struct {
+			name string
+			run  func() (gids, extents *columns.Column, err error)
+		}{
+			{"first", func() (*columns.Column, *columns.Column, error) {
+				return rt.GroupFirst(keys, columns.StaticBPDesc(0), columns.UncomprDesc)
+			}},
+			{"next", func() (*columns.Column, *columns.Column, error) {
+				return rt.GroupNext(prev, next, columns.StaticBPDesc(0), columns.UncomprDesc)
+			}},
+		} {
+			b.Run(shape.name+"/"+op.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					gids, extents, err := op.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = lease.Put(gids.Words())    // issued by the lease
+					_ = lease.Put(extents.Words()) // issued by the lease
+				}
+				reportPerRow(b, benchMicroN)
+			})
 		}
 	}
 }

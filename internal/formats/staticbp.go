@@ -105,6 +105,7 @@ type staticBPWriter struct {
 	sizeHint int
 	bufs     *bufpool.Lease
 	words    []uint64 // packed output: whole groups so far
+	repack   []uint64 // widen's 64-value buffer, from the lease, held until Close
 	group    [64]uint64
 	inGroup  int
 	n        int
@@ -163,13 +164,14 @@ func (w *staticBPWriter) widen(m uint) {
 	w.words = w.words[:need] // every group is repacked below, so no stale word stays
 	if groups > 0 {
 		// A local array would escape through the unpack dispatch: the
-		// writer's lease lends the repack buffer instead.
-		vals := w.bufs.Get(64)
-		for g := groups - 1; g >= 0; g-- {
-			bitutil.UnpackGroup((*[64]uint64)(vals), w.words, g, w.bits)
-			bitutil.Pack(w.words[g*int(m):], vals, m)
+		// writer's lease lends the repack buffer instead, once per writer.
+		if w.repack == nil {
+			w.repack = w.bufs.Get(64)
 		}
-		_ = w.bufs.Put(vals) // issued by bufs just above
+		for g := groups - 1; g >= 0; g-- {
+			bitutil.UnpackGroup((*[64]uint64)(w.repack), w.words, g, w.bits)
+			bitutil.Pack(w.words[g*int(m):], w.repack, m)
+		}
 	}
 	w.bits = m
 }
@@ -179,6 +181,10 @@ func (w *staticBPWriter) Close() (*columns.Column, error) {
 		return nil, fmt.Errorf("formats: writer already closed")
 	}
 	w.closed = true
+	if w.repack != nil {
+		_ = w.bufs.Put(w.repack) // issued by bufs in widen
+		w.repack = nil
+	}
 	// The final partial group packs at its exact length.
 	w.pack(w.group[:w.inGroup])
 	if want := bitutil.PackedWords(w.n, w.bits); len(w.words) != want {

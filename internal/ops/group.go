@@ -3,6 +3,8 @@ package ops
 import (
 	"fmt"
 
+	"morphstore/internal/bitutil"
+	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
 )
@@ -10,19 +12,91 @@ import (
 // This file implements the grouping operators. Grouping is order-dependent —
 // group ids are assigned in order of first key occurrence — so it does not
 // fit the emit/map/reduce drivers: it runs as one pass over the whole input
-// at every parallelism, one hash table with group ids streamed straight into
-// the output writer (groupWhole), recorded as a sequential fallback.
+// at every parallelism, with group ids streamed straight into the output
+// writer (groupWhole), recorded as a sequential fallback. Ids come from a
+// direct-address table while the keys are narrow (denseIDs), from a hash
+// table once a block outgrows it.
 
-// groupBuild accumulates the grouping state: a hash table from key to group
-// id plus, per id, the position of its first occurrence (the extents).
+// denseIDs is the direct-address form of the grouping's hash tables:
+// tab[g<<kb | k] holds one plus the id of previous gid g and key k (g is 0
+// for GroupFirst), 0 for a pair not seen yet. It is laid out for the widest
+// block so far, gb bits of gid and kb of key, and serves while its 2^(gb+kb)
+// slots stay within the join's directSpanCap; its words come from the lease
+// (u32Table).
+type denseIDs struct {
+	bufs   *bufpool.Lease
+	tab    []uint32
+	words  []uint64 // the lease buffer under tab
+	gb, kb uint
+}
+
+// fit lays the table out for a block of gid width gb and key width kb,
+// moving the ids handed out so far, and reports false when the layout would
+// exceed directSpanCap slots.
+func (d *denseIDs) fit(gb, kb uint) bool {
+	gb, kb = max(gb, d.gb), max(kb, d.kb)
+	if d.tab != nil && gb == d.gb && kb == d.kb {
+		return true
+	}
+	if gb+kb >= 64 || uint64(1)<<(gb+kb) > directSpanCap {
+		return false
+	}
+	tab, words := u32Table(d.bufs, 1<<(gb+kb))
+	d.each(func(g, k uint64, id uint32) { tab[g<<kb|k] = id + 1 })
+	d.release()
+	d.tab, d.words, d.gb, d.kb = tab, words, gb, kb
+	return true
+}
+
+// each calls f with every (gid, key) pair the table holds and its id.
+func (d *denseIDs) each(f func(g, k uint64, id uint32)) {
+	for i, id := range d.tab {
+		if id != 0 {
+			f(uint64(i)>>d.kb, uint64(i)&(1<<d.kb-1), id-1)
+		}
+	}
+}
+
+// release gives the table back to the lease.
+func (d *denseIDs) release() {
+	if d.words != nil {
+		_ = d.bufs.Put(d.words) // issued by u32Table
+	}
+	d.tab, d.words = nil, nil
+}
+
+// groupBuild accumulates the grouping state: group ids by key — dense until
+// a block's keys outgrow the table, then in ht (GroupFirst) or pairs
+// (GroupNext) — plus, per id, the position of its first occurrence (the
+// extents).
 type groupBuild struct {
+	dense    denseIDs
 	ht       *u64Map
+	pairs    *pairMap
 	firstPos []uint64
 }
 
-// add hashes one chunk of keys, whose first element has position base, into
-// the build and writes every row's group id to gids.
+// add assigns ids to one chunk of keys, whose first element has position
+// base, and writes every row's group id to gids.
 func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
+	if b.ht == nil && !b.dense.fit(0, bitutil.MaxBits(vals)) {
+		b.ht = newU64Map(b.dense.bufs, max(1024, len(b.firstPos)))
+		b.dense.each(func(_, k uint64, id uint32) { b.ht.put(k, uint64(id)) })
+		b.dense.release()
+	}
+	if b.ht == nil {
+		tab := b.dense.tab
+		for j, v := range vals {
+			id := tab[v]
+			if id == 0 {
+				b.firstPos = append(b.firstPos, base+uint64(j))
+				id = uint32(len(b.firstPos))
+				tab[v] = id
+			}
+			gids[j] = uint64(id - 1)
+		}
+		return
+	}
 	for j, v := range vals {
 		gid, inserted := b.ht.getOrPut(v, uint64(len(b.firstPos)))
 		if inserted {
@@ -32,15 +106,28 @@ func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
 	}
 }
 
-// pairBuild is the two-key (previous gid, key) form of groupBuild backing
-// the GroupNext refinement.
-type pairBuild struct {
-	ht       *pairMap
-	firstPos []uint64
-}
-
-// add is groupBuild.add over aligned chunks of previous gids and keys.
-func (b *pairBuild) add(gs, ks []uint64, base uint64, gids []uint64) {
+// addPairs is add over aligned chunks of previous gids and keys, the
+// GroupNext refinement.
+func (b *groupBuild) addPairs(gs, ks []uint64, base uint64, gids []uint64) {
+	if b.pairs == nil && !b.dense.fit(bitutil.MaxBits(gs), bitutil.MaxBits(ks)) {
+		b.pairs = newPairMap(b.dense.bufs, max(1024, len(b.firstPos)))
+		b.dense.each(func(g, k uint64, id uint32) { b.pairs.getOrPutMixed(g*hashMul, g, k, uint64(id)) })
+		b.dense.release()
+	}
+	if b.pairs == nil {
+		tab, kb := b.dense.tab, b.dense.kb
+		for j, k := range ks {
+			i := gs[j]<<kb | k
+			id := tab[i]
+			if id == 0 {
+				b.firstPos = append(b.firstPos, base+uint64(j))
+				id = uint32(len(b.firstPos))
+				tab[i] = id
+			}
+			gids[j] = uint64(id - 1)
+		}
+		return
+	}
 	// The parent gid arrives in runs (refinement keeps prior group order), so
 	// its hash mix is hoisted out of the per-row probe and recomputed only
 	// when the run changes; the zero initialization is consistent because
@@ -50,11 +137,22 @@ func (b *pairBuild) add(gs, ks []uint64, base uint64, gids []uint64) {
 		if g != lastG {
 			lastG, lastMix = g, g*hashMul
 		}
-		gid, inserted := b.ht.getOrPutMixed(lastMix, g, ks[j], uint64(len(b.firstPos)))
+		gid, inserted := b.pairs.getOrPutMixed(lastMix, g, ks[j], uint64(len(b.firstPos)))
 		if inserted {
 			b.firstPos = append(b.firstPos, base+uint64(j))
 		}
 		gids[j] = gid
+	}
+}
+
+// release gives the build's tables back to the lease.
+func (b *groupBuild) release() {
+	b.dense.release()
+	if b.ht != nil {
+		b.ht.release()
+	}
+	if b.pairs != nil {
+		b.pairs.release()
 	}
 }
 
@@ -73,8 +171,8 @@ func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.F
 		return nil, nil, err
 	}
 	rt.coll.SeqFallback()
-	b := groupBuild{ht: newU64Map(rt.bufs, 1024)}
-	defer b.ht.release()
+	b := groupBuild{dense: denseIDs{bufs: rt.bufs}}
+	defer b.release()
 	return rt.groupWhole(keys, nil, outGids, outExtents,
 		func(vals, _ []uint64, base uint64, gids []uint64) { b.add(vals, base, gids) }, &b.firstPos)
 }
@@ -95,9 +193,9 @@ func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents 
 		return nil, nil, fmt.Errorf("ops: group: gid column has %d elements, keys %d", prevGids.N(), keys.N())
 	}
 	rt.coll.SeqFallback()
-	b := pairBuild{ht: newPairMap(rt.bufs, 1024)}
-	defer b.ht.release()
-	return rt.groupWhole(prevGids, keys, outGids, outExtents, b.add, &b.firstPos)
+	b := groupBuild{dense: denseIDs{bufs: rt.bufs}}
+	defer b.release()
+	return rt.groupWhole(prevGids, keys, outGids, outExtents, b.addPairs, &b.firstPos)
 }
 
 // groupWhole groups keys alone (b nil), or previous gids and keys in

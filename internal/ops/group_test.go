@@ -1,0 +1,125 @@
+package ops
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"testing"
+
+	"morphstore/internal/bufpool"
+	"morphstore/internal/columns"
+)
+
+// refGroup is the map-based reference of GroupFirst (prev nil) and GroupNext:
+// ids in order of first occurrence of each (previous gid, key) pair, and the
+// position of each id's first occurrence.
+func refGroup(prev, keys []uint64) (gids, extents []uint64) {
+	type pair struct{ g, k uint64 }
+	ids := make(map[pair]uint64)
+	for i, k := range keys {
+		p := pair{k: k}
+		if prev != nil {
+			p.g = prev[i]
+		}
+		id, ok := ids[p]
+		if !ok {
+			id = uint64(len(extents))
+			ids[p] = id
+			extents = append(extents, uint64(i))
+		}
+		gids = append(gids, id)
+	}
+	return gids, extents
+}
+
+// fuzzGroupKeys builds n keys from raw, read as a cycle of size-byte
+// little-endian values (all zero when raw is shorter than size). Every third
+// key in [at, end) is shifted left by shift, so a block there is wider than
+// the ones around it while the unshifted keys repeat pairs seen before.
+func fuzzGroupKeys(raw []byte, size, n, at, end int, shift uint8) []uint64 {
+	keys := make([]uint64, n)
+	vals := len(raw) / size
+	for i := range keys {
+		if vals > 0 {
+			var w [8]byte
+			copy(w[:], raw[size*(i%vals):size*(i%vals+1)])
+			keys[i] = binary.LittleEndian.Uint64(w[:])
+		}
+		if i >= at && i < end && i%3 == 2 {
+			keys[i] <<= shift % 64
+		}
+	}
+	return keys
+}
+
+// FuzzGroup checks GroupFirst and GroupNext on both kernel paths against the
+// reference. The keys are shifted wide in a window, so the dense table
+// widens, is re-laid out, keeps its layout for a narrower block, or gives way
+// to the hash table at a block boundary or inside a block, after ids were
+// handed out. The previous gids of GroupNext are the single bytes of raw,
+// shifted wide from prevAt on. The gids are written auto-width, and the
+// lease must get back everything but the outputs.
+func FuzzGroup(f *testing.F) {
+	const (
+		capMax = directSpanCap - 1 // the widest key the dense table holds
+		b      = blockBuf
+	)
+	le := func(v uint16) []byte { return binary.LittleEndian.AppendUint16(nil, v) }
+	three := []byte{3, 0, 5, 0, 6, 0, 1, 0} // keys 3 5 6 1 and gids 3 0 5 0 6 0 1 0: 3 bits each
+	// raw, n, at, span, shift, prevAt, prevShift
+	f.Add([]byte{}, uint16(5000), uint16(0), uint16(0), uint8(0), uint16(0), uint8(0))                           // all-zero keys: width 0
+	f.Add(append(le(3), le(capMax)...), uint16(b+1), uint16(0), uint16(0), uint8(0), uint16(0), uint8(0))        // keys at the slot cap
+	f.Add(append(le(3), le(capMax)...), uint16(3*b), uint16(b), uint16(b), uint8(1), uint16(0), uint8(0))        // one bit over, in the second block
+	f.Add([]byte{1, 0, 7, 0, 3, 0, 2, 0}, uint16(3*b), uint16(b+5), uint16(3*b), uint8(60), uint16(0), uint8(0)) // narrow block, then wide: the switch
+	f.Add(three, uint16(3*b), uint16(b), uint16(2*b), uint8(5), uint16(2*b), uint8(4))                           // key widens, then the gids: 15 bits
+	f.Add(three, uint16(3*b), uint16(b), uint16(2*b), uint8(5), uint16(2*b), uint8(6))                           // ... to 17: past the cap
+	f.Add(three, uint16(3*b), uint16(0), uint16(b), uint8(5), uint16(0), uint8(0))                               // wide block, then narrow ones
+	f.Add([]byte{255, 0, 4, 0}, uint16(3*b), uint16(b), uint16(b), uint8(1), uint16(0), uint8(0))                // GroupNext at the cap, then one bit over
+	for _, n := range []uint16{0, 1, b - 1, b, b + 1} {
+		f.Add([]byte{9, 0, 2, 0, 9, 1}, n, uint16(b-1), uint16(b), uint8(3), uint16(b), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, n, at, span uint16, shift uint8, prevAt uint16, prevShift uint8) {
+		if len(raw) > 256 || int(n) > 3*b+1 {
+			return
+		}
+		keys := fuzzGroupKeys(raw, 2, int(n), int(at), int(at)+int(span), shift)
+		prev := fuzzGroupKeys(raw, 1, int(n), int(prevAt), int(n), prevShift)
+		wantFirstG, wantFirstE := refGroup(nil, keys)
+		wantNextG, wantNextE := refGroup(prev, keys)
+		eachKernelPath(func(path string) {
+			for _, next := range []bool{false, true} {
+				label := fmt.Sprintf("%s/next=%v", path, next)
+				bufs := bufpool.New().Lease()
+				rt := RT(context.Background(), nil, bufs, 1)
+				var gids, extents *columns.Column
+				var err error
+				wantG, wantE := wantFirstG, wantFirstE
+				if next {
+					gids, extents, err = rt.GroupNext(columns.FromValues(prev), columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
+					wantG, wantE = wantNextG, wantNextE
+				} else {
+					gids, extents, err = rt.GroupFirst(columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := decode(t, gids); !slices.Equal(got, wantG) {
+					t.Fatalf("%s: gids differ from the reference (%d vs %d values)", label, len(got), len(wantG))
+				}
+				if got := decode(t, extents); !slices.Equal(got, wantE) {
+					t.Fatalf("%s: extents = %v, want %v", label, got, wantE)
+				}
+				for _, c := range []*columns.Column{gids, extents} {
+					if err := bufs.Put(c.Words()); err != nil {
+						t.Fatalf("%s: output words: %v", label, err)
+					}
+				}
+				if out := bufs.Out(); out != 0 {
+					t.Fatalf("%s: %d bytes still out of the lease", label, out)
+				}
+				bufs.Close()
+			}
+		})
+	})
+}

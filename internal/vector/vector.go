@@ -3,7 +3,7 @@
 // detects AVX-512 once, at start-up, and its kernels run their vector path
 // wherever the CPU has it. So core.WithStyle, ops.SelectBetweenAuto and
 // ops.JoinN1 ignore a Style; the package goes once bench/ stops naming it
-// (ROADMAP item 1(c)).
+// (ROADMAP item 1(d)).
 package vector
 
 // Style is the ignored processing-style argument.
