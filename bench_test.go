@@ -446,7 +446,9 @@ type ladderRow struct {
 //   - pack_wW: static BP encode at width W as the static BP writer runs it
 //     on an operator's output stage: the width scan (MaxBits) and then the
 //     pack of each block, read from one cache-resident blockLen-value stage
-//     and written to the column's words;
+//     and written to the column's words, at the unpack's widths and at
+//     width 1 (the DELTA+BP blocks of dense position lists) and 60 (past the
+//     vector pack), which both run the Go loops;
 //   - maxbits: the width scan alone, over the same kind of stage;
 //   - gather_bp_wW/dD: the project's gather from static BP at width W, of
 //     the sorted positions of a D % selection, in blockLen-position chunks,
@@ -557,7 +559,7 @@ func kernelLadder() []ladderRow {
 		}
 		return vals
 	}
-	for _, w := range widths {
+	for _, w := range append([]uint{1}, append(widths, 60)...) {
 		w, vals := w, stageOf(bitutil.Mask(w))
 		words := make([]uint64, bitutil.PackedWords(benchScanN, w))
 		rows = append(rows, ladderRow{fmt.Sprintf("pack_w%d", w), benchScanN, blocks(func(off, end int) {

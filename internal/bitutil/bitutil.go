@@ -6,15 +6,15 @@
 // dense-key probe and the gathers, kernels.go) and the two passes of a
 // column profile. The unpack, the pack, the width scan and the block and
 // profile kernels run in AVX-512 where the CPU has it and as Go loops
-// elsewhere.
+// elsewhere: two implementations of each. The pack and the unpack leave to
+// the Go loops what the assembly does not cover (widths past 56, the pack at
+// width 1, and the last partial 64-value group).
 //
 // Packing layout: values are stored LSB-first in a contiguous stream of
 // 64-bit words. Value i occupies bit positions [i*bits, (i+1)*bits) of the
 // stream; fields may straddle word boundaries. A convenient consequence is
 // that 64 values of width b occupy exactly b words.
 package bitutil
-
-//go:generate go run ./gen
 
 import "math/bits"
 
@@ -66,28 +66,21 @@ func Pack(dst []uint64, src []uint64, width uint) {
 		copy(dst, src)
 		return
 	}
-	// The vector kernel or the unrolled per-width kernels handle whole groups
-	// of 64 values.
-	i, w := 0, 0
-	if width >= minVecPackWidth && width <= maxVecUnpackWidth && vec() {
+	// Whole groups of 64 values go to the vector kernel, or at width 1 to
+	// pack1; the accumulator loop packs the rest.
+	i := 0
+	if width == 1 {
+		i = pack1(dst, src)
+	} else if width <= maxVecUnpackWidth && vec() {
 		packVec(dst, src, width)
 		i = len(src) &^ 63
-		w = i / 64 * int(width)
-	}
-	if f := pack64[width]; f != nil {
-		for ; i+64 <= len(src); i, w = i+64, w+int(width) {
-			f(src[i:i+64], dst[w:])
-		}
 	}
 	src = src[i:]
-	dst = dst[w:]
-	if len(src) == 0 {
-		return
-	}
+	dst = dst[i/64*int(width):]
 	m := Mask(width)
 	var acc uint64
 	var used uint
-	w = 0
+	w := 0
 	for _, v := range src {
 		v &= m
 		acc |= v << used
@@ -108,6 +101,23 @@ func Pack(dst []uint64, src []uint64, width uint) {
 	}
 }
 
+// pack1 packs the whole 64-value groups of src at width 1, one word each, and
+// returns how many values it packed. It ORs 8 fields per step, where the
+// accumulator loop takes a dependent shift and OR per value: width 1 is
+// every DELTA+BP block of a dense position list.
+func pack1(dst, src []uint64) int {
+	n := len(src) &^ 63
+	for i := 0; i < n; i += 64 {
+		var acc uint64
+		for l := 0; l < 64; l += 8 {
+			s := src[i+l:][:8]
+			acc |= (s[0]&1 | s[1]&1<<1 | s[2]&1<<2 | s[3]&1<<3 | s[4]&1<<4 | s[5]&1<<5 | s[6]&1<<6 | s[7]&1<<7) << l
+		}
+		dst[i/64] = acc
+	}
+	return n
+}
+
 // Unpack unpacks len(dst) values of the given width from src into dst.
 // src must contain at least PackedWords(len(dst), width) words.
 func Unpack(dst []uint64, src []uint64, width uint) {
@@ -121,21 +131,12 @@ func Unpack(dst []uint64, src []uint64, width uint) {
 		copy(dst, src)
 		return
 	}
-	// The vector kernel or the unrolled per-width kernels handle whole groups
-	// of 64 values.
-	i, w := 0, 0
+	// The vector kernel decodes whole groups of 64 values; the Go loops
+	// decode the rest.
 	if width <= maxVecUnpackWidth && vec() {
 		unpackVec(dst, src, width)
-		i = len(dst) &^ 63
-		w = i / 64 * int(width)
-	}
-	for ; i+64 <= len(dst); i, w = i+64, w+int(width) {
-		unpack64(src[w:], dst[i:i+64], width)
-	}
-	dst = dst[i:]
-	src = src[w:]
-	if len(dst) == 0 {
-		return
+		i := len(dst) &^ 63
+		dst, src = dst[i:], src[i/64*int(width):]
 	}
 	if 64%width == 0 {
 		unpackAligned(dst, src, width)
@@ -143,7 +144,7 @@ func Unpack(dst []uint64, src []uint64, width uint) {
 	}
 	m := Mask(width)
 	var bitpos uint
-	w = 0
+	w := 0
 	for i := range dst {
 		v := src[w] >> bitpos
 		if rem := 64 - bitpos; rem < width {
@@ -186,18 +187,11 @@ func unpackAligned(dst []uint64, src []uint64, width uint) {
 // packed word stream into dst. Groups are the natural decode unit of the
 // packing layout (64 values of width w occupy exactly w words), which makes
 // group-cached access to sorted position sequences nearly sequential-speed.
-// The stream must contain all 64 values of the group.
+// The stream must contain all 64 values of the group. It is a direct call of
+// Unpack, so dst does not escape: the portable gather's group cache stays on
+// its stack.
 func UnpackGroup(dst *[64]uint64, words []uint64, g int, width uint) {
-	switch {
-	case width == 0:
-		*dst = [64]uint64{}
-	case width == 64:
-		copy(dst[:], words[g*64:])
-	case width <= maxVecUnpackWidth && vec():
-		unpackVec(dst[:], words[g*int(width):], width)
-	default:
-		unpack64(words[g*int(width):], dst[:], width)
-	}
+	Unpack(dst[:], words[g*int(width):], width)
 }
 
 // Get returns the i-th value of width bits from the packed word stream.

@@ -29,27 +29,6 @@ func TestUnpackGroup(t *testing.T) {
 	}
 }
 
-// TestPackUnpackKernelsMatchGeneric pins the generated kernels against the
-// value-at-a-time Get on group-aligned data: 128 fields fill exactly 2·width
-// words, so reading every field back checks every bit of the layout.
-func TestPackUnpackKernelsMatchGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for width := uint(1); width <= 63; width++ {
-		src := make([]uint64, 128)
-		for i := range src {
-			src[i] = rng.Uint64() & Mask(width)
-		}
-		// Kernel path (whole groups).
-		fast := make([]uint64, PackedWords(len(src), width))
-		Pack(fast, src, width)
-		for i, v := range src {
-			if g := Get(fast, i, width); g != v {
-				t.Fatalf("width %d: field %d = %x, want %x", width, i, g, v)
-			}
-		}
-	}
-}
-
 func BenchmarkUnpackGroup(b *testing.B) {
 	n := 1 << 16
 	src := make([]uint64, n)

@@ -130,7 +130,8 @@ func testProfileThreshold(t *testing.T) {
 // positions (two 8-position steps and a tail of 3) with one out-of-range
 // position in each place in turn, or none, over a column whose last field
 // ends its last word and over one whose last word has room left, on both
-// paths against the element-wise reference.
+// paths against the element-wise reference; then that GatherBits allocates
+// nothing on either path.
 func testGatherPaths(t *testing.T) {
 	seed := uint64(5)
 	for width := uint(0); width <= 64; width++ {
@@ -154,6 +155,24 @@ func testGatherPaths(t *testing.T) {
 				c.check(t, fmt.Sprintf("width %d, n %d, out of range at %d", width, n, bad))
 			}
 		}
+	}
+	// GatherBits allocates nothing on either path: the portable gather's
+	// group cache stays on its stack only while UnpackGroup is a direct call
+	// that escape analysis sees through. The positions are a dense sorted
+	// run with a tail past the last 8-position step, so the portable loop
+	// runs on both paths and decodes whole groups on the portable one.
+	pos := make([]uint64, 190)
+	for j := range pos {
+		pos[j] = uint64(j)
+	}
+	dst := make([]uint64, len(pos))
+	for width := uint(0); width <= 64; width++ {
+		words := make([]uint64, PackedWords(192, width))
+		eachPath(func(path string) {
+			if a := testing.AllocsPerRun(5, func() { GatherBits(dst, words, pos, width, 192) }); a != 0 {
+				t.Fatalf("%s: width %d: GatherBits allocates %v times per call, want 0", path, width, a)
+			}
+		})
 	}
 }
 

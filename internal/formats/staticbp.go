@@ -105,7 +105,6 @@ type staticBPWriter struct {
 	sizeHint int
 	bufs     *bufpool.Lease
 	words    []uint64 // packed output: whole groups so far
-	repack   []uint64 // widen's 64-value buffer, from the lease, held until Close
 	group    [64]uint64
 	inGroup  int
 	n        int
@@ -120,8 +119,8 @@ func (w *staticBPWriter) pack(vals []uint64) {
 	bitutil.Pack(w.words[off:], vals, w.bits)
 }
 
-// Write packs whole groups straight from the input through the unrolled
-// kernels and stages only what does not fill a group.
+// Write packs whole groups straight from the input through bitutil.Pack and
+// stages only what does not fill a group.
 func (w *staticBPWriter) Write(vals []uint64) error {
 	if b := bitutil.MaxBits(vals); b > w.bits {
 		if !w.auto {
@@ -162,16 +161,11 @@ func (w *staticBPWriter) widen(m uint) {
 		w.words = words
 	}
 	w.words = w.words[:need] // every group is repacked below, so no stale word stays
-	if groups > 0 {
-		// A local array would escape through the unpack dispatch: the
-		// writer's lease lends the repack buffer instead, once per writer.
-		if w.repack == nil {
-			w.repack = w.bufs.Get(64)
-		}
-		for g := groups - 1; g >= 0; g-- {
-			bitutil.UnpackGroup((*[64]uint64)(w.repack), w.words, g, w.bits)
-			bitutil.Pack(w.words[g*int(m):], w.repack, m)
-		}
+	// group stays on the stack: UnpackGroup is a direct call of Unpack.
+	var group [64]uint64
+	for g := groups - 1; g >= 0; g-- {
+		bitutil.UnpackGroup(&group, w.words, g, w.bits)
+		bitutil.Pack(w.words[g*int(m):], group[:], m)
 	}
 	w.bits = m
 }
@@ -181,10 +175,6 @@ func (w *staticBPWriter) Close() (*columns.Column, error) {
 		return nil, fmt.Errorf("formats: writer already closed")
 	}
 	w.closed = true
-	if w.repack != nil {
-		_ = w.bufs.Put(w.repack) // issued by bufs in widen
-		w.repack = nil
-	}
 	// The final partial group packs at its exact length.
 	w.pack(w.group[:w.inGroup])
 	if want := bitutil.PackedWords(w.n, w.bits); len(w.words) != want {

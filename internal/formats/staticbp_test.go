@@ -97,8 +97,8 @@ func TestStaticBPWidenMatchesPack(t *testing.T) {
 // kernel paths through widenings that repack vector-packed groups: the width
 // grows inside one Write, whose widest value is its last, and again across
 // Writes while a partial group is staged, ending at a width (57) the vector
-// pack leaves to the unrolled kernels. Both paths must produce the same
-// words, and the column must decode to the input.
+// pack leaves to the Go loop. Both paths must produce the same words, and
+// the column must decode to the input.
 func TestAutoWidthWriterKernelPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ramp := func(n int, width uint) []uint64 {

@@ -144,6 +144,7 @@ type pairMap struct {
 	vals   []uint64
 	used   []uint64 // occupancy, one bit per slot
 	mask   uint64
+	shift  uint
 	size   int
 	bufs   *bufpool.Lease
 }
@@ -162,6 +163,7 @@ func (m *pairMap) alloc(cap int) {
 	m.vals = m.bufs.Get(cap)
 	m.used = occupancy(m.bufs, cap)
 	m.mask = uint64(cap - 1)
+	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
 	m.size = 0
 }
 
@@ -180,6 +182,11 @@ func pairHash(a, b uint64) uint64 {
 	return h
 }
 
+// slot is the home slot of a pair hash: its top bits, as in u64Map.slot. The
+// low bits of a product depend only on the low bits of its factors, so
+// pairs that differ only above the mask would share one probe chain.
+func (m *pairMap) slot(h uint64) uint64 { return h >> m.shift }
+
 // getOrPutMixed returns the existing value for (a, b), or inserts def and
 // returns it with inserted = true. The caller passes the first key's hash
 // contribution mixA = a*hashMul: the grouping loop processes runs of equal
@@ -190,7 +197,7 @@ func (m *pairMap) getOrPutMixed(mixA, a, b, def uint64) (v uint64, inserted bool
 	if m.size*2 >= len(m.k1) {
 		m.grow()
 	}
-	i := ((mixA ^ b) * hashMul) & m.mask
+	i := m.slot((mixA ^ b) * hashMul)
 	for isUsed(m.used, i) {
 		if m.k1[i] == a && m.k2[i] == b {
 			return m.vals[i], false
@@ -209,7 +216,7 @@ func (m *pairMap) grow() {
 	for i := range old.k1 {
 		if isUsed(old.used, uint64(i)) {
 			// re-insert
-			j := pairHash(old.k1[i], old.k2[i]) & m.mask
+			j := m.slot(pairHash(old.k1[i], old.k2[i]))
 			for isUsed(m.used, j) {
 				j = (j + 1) & m.mask
 			}

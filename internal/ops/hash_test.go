@@ -56,3 +56,23 @@ func TestPairMap(t *testing.T) {
 		}
 	}
 }
+
+// TestPairMapHighBits inserts pairs that differ only in bits above any
+// table's mask. The slot comes from the hash's top bits, so they spread over
+// the table: no entry sits 64 or more slots past its home slot. From the low
+// bits they would all share slot 0 and one probe chain.
+func TestPairMapHighBits(t *testing.T) {
+	m := newPairMap(nil, 4)
+	for i := uint64(0); i < 4096; i++ {
+		m.getOrPutMixed(0, 0, i<<40, i)
+	}
+	for j := range m.k1 {
+		if !isUsed(m.used, uint64(j)) {
+			continue
+		}
+		home := m.slot(pairHash(m.k1[j], m.k2[j]))
+		if d := (uint64(j) - home) & m.mask; d >= 64 {
+			t.Fatalf("pair (%d, %#x) sits %d slots past its home slot %d", m.k1[j], m.k2[j], d, home)
+		}
+	}
+}

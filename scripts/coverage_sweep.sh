@@ -5,9 +5,8 @@
 # coverage instrumentation of the whole module into a temporary directory,
 # runs the four benchmark workloads at seeds 1 and 2, end to end and traced,
 # then every example and `msbench -repeats 1`, merges the counters with
-# `go tool covdata` and prints every function none of those runs entered
-# (the generated pack/unpack kernels in packed_gen.go excepted), one
-# `file:line: name` per line. docs/COVERAGE_SWEEP.md records the decision
+# `go tool covdata` and prints every function none of those runs entered,
+# one `file:line: name` per line. docs/COVERAGE_SWEEP.md records the decision
 # for each printed function.
 #
 # Usage: scripts/coverage_sweep.sh [--scale full|smoke]
@@ -76,4 +75,4 @@ done
 "$bin/msbench" -repeats 1 >/dev/null 2>&1 || true
 
 go tool covdata func -i="$cov" |
-	awk '$NF == "0.0%" && $1 !~ /packed_gen\.go:/ { sub(/^morphstore\//, "", $1); print $1, $2 }'
+	awk '$NF == "0.0%" { sub(/^morphstore\//, "", $1); print $1, $2 }'
