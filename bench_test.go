@@ -436,7 +436,8 @@ type ladderRow struct {
 // each run over benchScanN values in blockLen-value blocks, the engine's
 // block buffer:
 //
-//   - unpack_wW: static BP decode at width W;
+//   - unpack_wW: static BP decode at width W, and at width 60 (past the
+//     vector unpack, so the Go loop on both paths);
 //   - probe_dense/spanS_hitH: the dense-key join probe over a table of S+1
 //     slots, H % of them (and of the uniform probe keys) hits;
 //   - select_range: the range test at Q1.1's discount selectivity (0..10 for
@@ -447,8 +448,9 @@ type ladderRow struct {
 //     on an operator's output stage: the width scan (MaxBits) and then the
 //     pack of each block, read from one cache-resident blockLen-value stage
 //     and written to the column's words, at the unpack's widths and at
-//     width 1 (the DELTA+BP blocks of dense position lists) and 60 (past the
-//     vector pack), which both run the Go loops;
+//     width 1 (the DELTA+BP blocks of dense position lists, which pack1
+//     packs on both paths) and 60 (past the vector pack and the unaligned
+//     steps, so the accumulator loop on both paths);
 //   - maxbits: the width scan alone, over the same kind of stage;
 //   - gather_bp_wW/dD: the project's gather from static BP at width W, of
 //     the sorted positions of a D % selection, in blockLen-position chunks,
@@ -572,6 +574,12 @@ func kernelLadder() []ladderRow {
 	scanned := stageOf(bitutil.Mask(63))
 	rows = append(rows, ladderRow{"maxbits", benchScanN, blocks(func(off, end int) {
 		bitutil.MaxBits(scanned[:end-off])
+	})})
+	// Drawn last, so the other rows keep their inputs.
+	words60 := make([]uint64, bitutil.PackedWords(benchScanN, 60))
+	bitutil.Pack(words60, gen(rng.Uint64), 60)
+	rows = append(rows, ladderRow{"unpack_w60", benchScanN, blocks(func(off, end int) {
+		bitutil.Unpack(stage[:end-off], words60[off*60/64:], 60)
 	})})
 	return rows
 }

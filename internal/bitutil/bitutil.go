@@ -5,10 +5,13 @@
 // kernels the operators run over unpacked values (the range selects, the
 // dense-key probe and the gathers, kernels.go) and the two passes of a
 // column profile. The unpack, the pack, the width scan and the block and
-// profile kernels run in AVX-512 where the CPU has it and as Go loops
-// elsewhere: two implementations of each. The pack and the unpack leave to
-// the Go loops what the assembly does not cover (widths past 56, the pack at
-// width 1, and the last partial 64-value group).
+// profile kernels run in AVX-512 where the CPU has it and as Go elsewhere:
+// two implementations of each. The Go pack and unpack take 8-value steps
+// through unaligned loads and stores on amd64 and arm64 (stepLayout) and
+// leave plain loops the rest: widths past 56, the last few values, and
+// every other architecture. On the AVX-512 path the assembly takes the whole
+// 64-value groups at widths up to 56 and the Go code the rest, except that
+// pack1 packs width 1 on both paths.
 //
 // Packing layout: values are stored LSB-first in a contiguous stream of
 // 64-bit words. Value i occupies bit positions [i*bits, (i+1)*bits) of the
@@ -16,7 +19,11 @@
 // that 64 values of width b occupy exactly b words.
 package bitutil
 
-import "math/bits"
+import (
+	"math/bits"
+	"runtime"
+	"unsafe"
+)
 
 // Mask returns a mask with the low b bits set. b must be in [0, 64].
 func Mask(b uint) uint64 {
@@ -66,22 +73,29 @@ func Pack(dst []uint64, src []uint64, width uint) {
 		copy(dst, src)
 		return
 	}
-	// Whole groups of 64 values go to the vector kernel, or at width 1 to
-	// pack1; the accumulator loop packs the rest.
+	dst = dst[:PackedWords(len(src), width)]
+	// Whole groups of 64 values go to pack1 at width 1 or to the vector
+	// kernel; then 8-value steps to the unaligned stores, and the
+	// accumulator loop packs the rest.
 	i := 0
-	if width == 1 {
+	if width < minVecPackWidth {
 		i = pack1(dst, src)
 	} else if width <= maxVecUnpackWidth && vec() {
 		packVec(dst, src, width)
 		i = len(src) &^ 63
 	}
-	src = src[i:]
-	dst = dst[i/64*int(width):]
+	if unalignedLE && width <= maxUnalignedWidth && i < len(src) {
+		i += packUnaligned(dst[i/64*int(width):], src[i:], width)
+	}
 	m := Mask(width)
+	bit := i * int(width)
+	w := bit / 64
+	used := uint(bit % 64)
 	var acc uint64
-	var used uint
-	w := 0
-	for _, v := range src {
+	if used > 0 {
+		acc = dst[w] & Mask(used)
+	}
+	for _, v := range src[i:] {
 		v &= m
 		acc |= v << used
 		used += width
@@ -122,65 +136,169 @@ func pack1(dst, src []uint64) int {
 // src must contain at least PackedWords(len(dst), width) words.
 func Unpack(dst []uint64, src []uint64, width uint) {
 	if width == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
 	if width == 64 {
 		copy(dst, src)
 		return
 	}
-	// The vector kernel decodes whole groups of 64 values; the Go loops
-	// decode the rest.
+	// The vector kernel decodes whole groups of 64 values, the unaligned
+	// loads 8-value steps, and Get the rest.
+	i := 0
 	if width <= maxVecUnpackWidth && vec() {
 		unpackVec(dst, src, width)
-		i := len(dst) &^ 63
-		dst, src = dst[i:], src[i/64*int(width):]
+		i = len(dst) &^ 63
 	}
-	if 64%width == 0 {
-		unpackAligned(dst, src, width)
-		return
+	if unalignedLE && width <= maxUnalignedWidth && i < len(dst) {
+		i += unpackUnaligned(dst[i:], src[i/64*int(width):], width)
 	}
-	m := Mask(width)
-	var bitpos uint
-	w := 0
-	for i := range dst {
-		v := src[w] >> bitpos
-		if rem := 64 - bitpos; rem < width {
-			v |= src[w+1] << rem
-		}
-		dst[i] = v & m
-		bitpos += width
-		if bitpos >= 64 {
-			bitpos -= 64
-			w++
-		}
+	for ; i < len(dst); i++ {
+		dst[i] = Get(src, i, width)
 	}
 }
 
-// unpackAligned handles widths that divide 64: fields never straddle words,
-// which permits a branch-free inner loop over whole words.
-func unpackAligned(dst []uint64, src []uint64, width uint) {
+// The portable pack and unpack of widths up to maxUnalignedWidth run in
+// 8-value steps, where every field's bit offset is the same in every step:
+// 8 values of width w take exactly w bytes. Field k of a step starts in its
+// byte k·w/8, at bit k·w%8 ≤ 7 of it, so one unaligned 8-byte load or store
+// there holds the whole field, and up to width pairWidth the pair of fields
+// 2j and 2j+1. The step's byte offsets and multipliers come from a table per
+// width, so a step has no bounds check and no data-dependent branch. That
+// needs a little-endian byte order, in which byte b of the word stream holds
+// its bits 8b..8b+7, and cheap unaligned access; elsewhere the Go loops of
+// Pack and Unpack run alone.
+const (
+	unalignedLE       = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64"
+	maxUnalignedWidth = 56
+	pairWidth         = 28
+)
+
+// stepLayout is one width's 8-value step. Field k is loaded or stored at
+// byte off[k] of the step: its own first byte, or up to pairWidth its
+// pair's, so that off[2j+1] = off[2j]. It sits at bit b = k·w-8·off[k] of
+// that 8-byte word, and b+w ≤ 64.
+type stepLayout struct {
+	off   [8]uintptr
+	lift  [8]uint64 // 1<<(64-b-w): a multiply moves the field to the top bits
+	place [8]uint64 // 1<<b: a multiply moves a value to the field
+	drop  [8]uint   // 8·(off[k]-off[k-1]): the bits the pack's window passes
+}
+
+var stepLayouts = func() (t [maxUnalignedWidth + 1]stepLayout) {
+	for w := uint(1); w <= maxUnalignedWidth; w++ {
+		l := &t[w]
+		for k := uint(0); k < 8; k++ {
+			first := k
+			if w <= pairWidth {
+				first = k &^ 1
+			}
+			l.off[k] = uintptr(first * w / 8)
+			b := k*w - 8*uint(l.off[k])
+			l.lift[k] = 1 << (64 - b - w)
+			l.place[k] = 1 << b
+			if k > 0 {
+				l.drop[k] = 8 * uint(l.off[k]-l.off[k-1])
+			}
+		}
+	}
+	return t
+}()
+
+// unalignedSteps returns how many leading 8-value steps of width w fit in
+// the first n values and, loads or stores included, in the first size
+// bytes: step j's last access ends at byte j·w+off[7]+8.
+func unalignedSteps(n, size int, width uint) int {
+	end := size - int(stepLayouts[width].off[7]) - 8
+	if end < 0 {
+		return 0
+	}
+	return min(n/8, end/int(width)+1)
+}
+
+// unpackUnaligned decodes the leading 8-value steps of dst from src whose
+// loads stay inside src, and returns how many values it decoded. Field k is
+// its load times lift[k], shifted right by 64-w.
+func unpackUnaligned(dst, src []uint64, width uint) int {
+	n := 8 * unalignedSteps(len(dst), 8*len(src), width)
+	l := &stepLayouts[width]
+	r := (64 - width) & 63
+	p := unsafe.Pointer(unsafe.SliceData(src))
+	load := func(k int) uint64 { return *(*uint64)(unsafe.Add(p, l.off[k])) }
+	if width <= pairWidth {
+		for i := 0; i < n; i += 8 {
+			d := dst[i : i+8 : i+8]
+			x := load(0)
+			d[0], d[1] = x*l.lift[0]>>r, x*l.lift[1]>>r
+			x = load(2)
+			d[2], d[3] = x*l.lift[2]>>r, x*l.lift[3]>>r
+			x = load(4)
+			d[4], d[5] = x*l.lift[4]>>r, x*l.lift[5]>>r
+			x = load(6)
+			d[6], d[7] = x*l.lift[6]>>r, x*l.lift[7]>>r
+			p = unsafe.Add(p, width)
+		}
+		return n
+	}
+	for i := 0; i < n; i += 8 {
+		d := dst[i : i+8 : i+8]
+		d[0] = load(0) * l.lift[0] >> r
+		d[1] = load(1) * l.lift[1] >> r
+		d[2] = load(2) * l.lift[2] >> r
+		d[3] = load(3) * l.lift[3] >> r
+		d[4] = load(4) * l.lift[4] >> r
+		d[5] = load(5) * l.lift[5] >> r
+		d[6] = load(6) * l.lift[6] >> r
+		d[7] = load(7) * l.lift[7] >> r
+		p = unsafe.Add(p, width)
+	}
+	return n
+}
+
+// packUnaligned packs the leading 8-value steps of src into dst whose
+// stores stay inside dst, and returns how many values it packed. A step's
+// fields end exactly at its last byte, so it starts from nothing: acc holds
+// the step's bits from byte off[k] on, and is stored there whole after
+// field k (or its pair) is added. The bytes a store writes past its fields
+// are zeros, and the next store rewrites them.
+func packUnaligned(dst, src []uint64, width uint) int {
+	n := 8 * unalignedSteps(len(src), 8*len(dst), width)
+	l := &stepLayouts[width]
 	m := Mask(width)
-	per := int(64 / width)
-	i := 0
-	n := len(dst)
-	for w := 0; i+per <= n; w++ {
-		v := src[w]
-		for l := 0; l < per; l++ {
-			dst[i+l] = v & m
-			v >>= width
-		}
-		i += per
+	p := unsafe.Pointer(unsafe.SliceData(dst))
+	var v *[8]uint64
+	// field moves value k to its place in the store at off[k]; put stores
+	// fields there, with what acc held from off[k-1] on.
+	field := func(k int) uint64 { return v[k] & m * l.place[k] }
+	put := func(acc, fields uint64, k int) uint64 {
+		acc = acc>>(l.drop[k]&63) | fields
+		*(*uint64)(unsafe.Add(p, l.off[k])) = acc
+		return acc
 	}
-	if i < n {
-		v := src[(i*int(width))/64]
-		for ; i < n; i++ {
-			dst[i] = v & m
-			v >>= width
+	if width <= pairWidth {
+		for i := 0; i < n; i += 8 {
+			v = (*[8]uint64)(src[i:])
+			acc := put(0, field(0)|field(1), 0)
+			acc = put(acc, field(2)|field(3), 2)
+			acc = put(acc, field(4)|field(5), 4)
+			put(acc, field(6)|field(7), 6)
+			p = unsafe.Add(p, width)
 		}
+		return n
 	}
+	for i := 0; i < n; i += 8 {
+		v = (*[8]uint64)(src[i:])
+		acc := put(0, field(0), 0)
+		acc = put(acc, field(1), 1)
+		acc = put(acc, field(2), 2)
+		acc = put(acc, field(3), 3)
+		acc = put(acc, field(4), 4)
+		acc = put(acc, field(5), 5)
+		acc = put(acc, field(6), 6)
+		put(acc, field(7), 7)
+		p = unsafe.Add(p, width)
+	}
+	return n
 }
 
 // UnpackGroup decodes the g-th group of 64 consecutive values from the

@@ -12,13 +12,14 @@ import (
 // the width scan (MaxBits), and the project's gathers from static BP and
 // uncompressed words — and the two passes of a column profile (ProfileScan,
 // OffsetBitHist) have two implementations: AVX-512 assembly
-// (kernels_amd64.s), 8 values per step, and portable Go loops (below and in
-// bitutil.go). One CPU check, run once when the package initialises
-// (hasAVX512), picks the assembly where the CPU reports AVX-512 F, BW, DQ,
-// VBMI and CD and the OS saves ZMM state; every other amd64 host and every
-// other architecture (kernels_other.go) runs the Go loops. Both paths return
-// the same count and the same output rows, so which one ran is never
-// observable in a result.
+// (kernels_amd64.s), 8 values per step, and portable Go (below and in
+// bitutil.go, where the pack and the unpack take 8-value steps through
+// unaligned loads and stores on amd64 and arm64). One CPU check, run once
+// when the package initialises (hasAVX512), picks the assembly where the CPU
+// reports AVX-512 F, BW, DQ, VBMI and CD and the OS saves ZMM state; every
+// other amd64 host and every other architecture (kernels_other.go) runs the
+// Go. Both paths return the same count and the same output rows, so which
+// one ran is never observable in a result.
 //
 // The assembly handles the whole 8-value steps of its input and the Go loop
 // finishes the tail, starting at the assembly's output cursor. The assembly
@@ -26,7 +27,7 @@ import (
 // input index, so no store passes len(vals), which every wrapper bounds the
 // outputs to. The unpack (widths 1..56) and the pack (2..56) take whole
 // 64-value groups and leave the last partial group, and every other width,
-// to the same Go loops the portable path runs; both move exactly width
+// to the same Go code the portable path runs; both move exactly width
 // bytes per step through byte-masked loads and stores, so neither touches a
 // byte past PackedWords. The gathers' assembly stops before the first step
 // holding an out-of-range position, having loaded nothing for it; the Go

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -21,6 +22,7 @@ func TestKernelPath(t *testing.T) {
 	}
 	t.Run("gather", testGatherPaths)
 	t.Run("pack", testPackPaths)
+	t.Run("unaligned steps", testUnalignedSteps)
 	t.Run("maxbits", testMaxBitsPaths)
 	t.Run("profile threshold", testProfileThreshold)
 }
@@ -72,6 +74,64 @@ func testPackPaths(t *testing.T) {
 				for i, v := range got {
 					if v != vals[i]&Mask(width) {
 						t.Fatalf("%s: round trip: value %d = %#x, want %#x", ctx, i, v, vals[i]&Mask(width))
+					}
+				}
+			})
+		}
+	}
+}
+
+// testUnalignedSteps pins the portable pack's and unpack's 8-value steps
+// at every width they take and at every length up to three groups, over
+// words sized exactly PackedWords (so an access past them straddles the
+// allocation, which -race's pointer checks report): no bounds check guards
+// their loads and stores, so the last load must end inside src and the last
+// store inside dst, and the steps must leave only a short tail to the Go
+// loops. Pack and Unpack over the same words must match the reference on
+// both paths.
+func testUnalignedSteps(t *testing.T) {
+	if !unalignedLE {
+		t.Skipf("no unaligned steps on %s", runtime.GOARCH)
+	}
+	seed := uint64(13)
+	for width := uint(1); width <= maxUnalignedWidth; width++ {
+		w := int(width)
+		for n := 0; n <= 192; n++ {
+			ctx := fmt.Sprintf("width %d, %d values", width, n)
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = splitmix(&seed)
+			}
+			pw := PackedWords(n, width)
+			want := make([]uint64, pw)
+			packReference(want, vals, width)
+			words := make([]uint64, pw)
+			k := packUnaligned(words, vals, width)
+			if k%8 != 0 || k > n || n-k > 24+64/w {
+				t.Fatalf("%s: the pack's steps took %d values", ctx, k)
+			}
+			// Step j's last load or store ends at byte j·w+off[7]+8.
+			last := func(k int) int { return (k/8-1)*w + int(stepLayouts[width].off[7]) + 8 }
+			if k > 0 && last(k) > 8*pw {
+				t.Fatalf("%s: the pack's last store ends at byte %d of %d", ctx, last(k), 8*pw)
+			}
+			got := make([]uint64, n)
+			k = unpackUnaligned(got, want, width)
+			if k%8 != 0 || k > n || n-k > 24+64/w {
+				t.Fatalf("%s: the unpack's steps took %d values", ctx, k)
+			}
+			if k > 0 && last(k) > 8*pw {
+				t.Fatalf("%s: the unpack's last load ends at byte %d of %d", ctx, last(k), 8*pw)
+			}
+			eachPath(func(path string) {
+				Pack(words, vals, width)
+				if !slices.Equal(words, want) {
+					t.Fatalf("%s: %s: packed words differ from the reference", path, ctx)
+				}
+				Unpack(got, words, width)
+				for i, v := range got {
+					if v != vals[i]&Mask(width) {
+						t.Fatalf("%s: %s: value %d = %#x, want %#x", path, ctx, i, v, vals[i]&Mask(width))
 					}
 				}
 			})
