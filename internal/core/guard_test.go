@@ -211,11 +211,14 @@ func TestEntryGuard(t *testing.T) {
 
 // TestOneOffFaultsReleaseAdmission arms every fault point in turn and runs
 // each of the twelve one-off operator calls under it, on inputs large enough
-// to split at par 2: whatever fires — an error, or one escalated to a panic
-// on the caller's goroutine — the call comes back typed and leaves no
-// admission registration and no worker token behind, so Close drains at
+// to split at par 2, and one read of a writable table with an appended row:
+// whatever fires — an error, or one escalated to a panic on the caller's
+// goroutine — the call comes back typed and leaves no admission
+// registration, worker token or reserved byte behind, so Close drains at
 // once. A panic between the entry guard and the deferred release used to
-// leave the call registered, and Close then hung forever.
+// leave the call registered, and Close then hung forever. The read merges
+// the table's main with its tail (formats.AppendTail), so concat-fixup fails
+// it.
 func TestOneOffFaultsReleaseAdmission(t *testing.T) {
 	n := 4*formats.MinMorsel + 71
 	a, b, gids, evens, thirds := make([]uint64, n), make([]uint64, n), make([]uint64, n), []uint64{}, []uint64{}
@@ -284,15 +287,40 @@ func TestOneOffFaultsReleaseAdmission(t *testing.T) {
 			return err
 		},
 	}
+	sb := NewBuilder()
+	sb.Result(sb.SumWhole("total", sb.Scan("t", "v")))
+	dirtyPlan, err := sb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = append(calls, func(ctx context.Context, e *Engine) error { // the dirty read
+		pr, err := e.Prepare(dirtyPlan, WithUniformFormat(columns.DynBPDesc))
+		if err != nil {
+			return err
+		}
+		_, err = pr.Execute(ctx)
+		return err
+	})
 	injected := fmt.Errorf("injected: %w", formats.ErrCorrupt)
 	for _, p := range faultpoint.Points() {
 		t.Run(p.Name(), func(t *testing.T) {
 			defer faultpoint.DisarmAll()
-			e := NewEngine(nil, WithParallelism(2))
+			db := NewDB()
+			if err := db.AddTable("t", map[string][]uint64{"v": a}); err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(db, WithParallelism(2))
+			if err := e.Append(context.Background(), "t", map[string][]uint64{"v": {7}}); err != nil {
+				t.Fatal(err)
+			}
 			p.Arm(func() error { return injected })
 			for i, call := range calls {
-				if err := call(context.Background(), e); err != nil && !chaosTyped(err) {
+				err := call(context.Background(), e)
+				if err != nil && !chaosTyped(err) {
 					t.Fatalf("call %d: untyped error %v", i, err)
+				}
+				if i == len(calls)-1 && p == faultpoint.ConcatFixup && !errors.Is(err, qerr.ErrCorruptData) {
+					t.Fatalf("dirty read under concat-fixup: %v, want the injected fault", err)
 				}
 			}
 			p.Disarm()
@@ -301,6 +329,9 @@ func TestOneOffFaultsReleaseAdmission(t *testing.T) {
 			}
 			if n := e.budget.InUse(); n != 0 {
 				t.Fatalf("%d worker tokens leaked", n)
+			}
+			if n := e.adm.counters().reserved; n != 0 {
+				t.Fatalf("%d bytes still reserved after the fault", n)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()

@@ -33,9 +33,6 @@ var (
 	MorselClaim = newPoint("morsel-claim")
 	// KernelBody fires inside the per-morsel kernel invocation.
 	KernelBody = newPoint("kernel-body")
-	// StitchSeam fires in each section worker of the parallel compressed
-	// stitch, before the section is compressed.
-	StitchSeam = newPoint("stitch-seam")
 	// ConcatFixup fires at the head of ConcatCompressed, before the
 	// per-format seam fixups splice the parts.
 	ConcatFixup = newPoint("concat-fixup")
@@ -69,7 +66,7 @@ var (
 	IngestBatch = newPoint("ingest-batch")
 )
 
-var points = []*Point{MorselClaim, KernelBody, StitchSeam, ConcatFixup, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
+var points = []*Point{MorselClaim, KernelBody, ConcatFixup, AdmissionEnqueue, CloseDrain, AppendLog, DeltaMerge, RemorphSwap, DictPersist, DictLookupMiss, IngestBatch}
 
 func newPoint(name string) *Point { return &Point{name: name} }
 

@@ -53,7 +53,7 @@ func TestPointsAndDisarmAll(t *testing.T) {
 		names[p.Name()] = true
 		p.Arm(func() error { return errors.New("x") })
 	}
-	for _, want := range []string{"morsel-claim", "kernel-body", "stitch-seam",
+	for _, want := range []string{"morsel-claim", "kernel-body",
 		"concat-fixup", "admission-enqueue", "close-drain"} {
 		if !names[want] {
 			t.Fatalf("missing point %q", want)

@@ -173,7 +173,7 @@ func (t *transform) skip(words []uint64, n int) (int, error) {
 func blockedFormat(t *transform) format {
 	section := func(col *columns.Column, start, count int) Reader { return newBlockedReader(t, col, start, count) }
 	return format{Codec: t, partitionAlign: BlockLen, section: section,
-		concatAlign: BlockLen, concat: t.concat, blocked: t}
+		concat: t.concat, blocked: t}
 }
 
 func (t *transform) NewReader(col *columns.Column) Reader {
@@ -187,12 +187,12 @@ func (t *transform) NewWriter(_ columns.FormatDesc, sizeHint int, bufs *bufpool.
 // concat copies whole blocks verbatim wherever a seam falls on a block
 // boundary of the output stream; a misaligned seam re-blocks the following
 // part (see blockedWriter.appendColumn).
-func (t *transform) concat(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func (t *transform) concat(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	capWords := 0
 	for _, p := range parts {
 		capWords += len(p.Words())
 	}
-	w := newBlockedWriter(t, capWords, bufs)
+	w := newBlockedWriter(t, capWords, nil)
 	for _, p := range parts {
 		if err := w.appendColumn(p); err != nil {
 			return nil, err

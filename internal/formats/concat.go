@@ -4,22 +4,18 @@ import (
 	"fmt"
 
 	"morphstore/internal/bitutil"
-	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
 )
 
-// This file implements the output half of MorphStore-Go's compressed
-// stitching: concatenating several compressed columns of one format into a
-// single column that is byte-identical to compressing the concatenated
-// element streams monolithically. It lets the morsel-parallel operator
-// drivers compress block-aligned sections of their output stream on worker
-// goroutines, each with its own Writer, and then stitch the partial columns
-// by block-granular copies instead of re-encoding the whole output through
-// one sequential writer.
+// This file implements the concatenation of compressed columns: several
+// columns of one format become a single column byte-identical to compressing
+// their element streams back to back in one pass. AppendTail uses it to
+// extend a compressed main by a compressed tail (the delta merge and the
+// remorph fold) without decoding the main.
 //
-// Every format concatenates by plain copies as long as each seam falls on its
-// concat alignment in the logical stream; the remaining fixups are:
+// Every format concatenates by plain copies as long as each seam falls on a
+// block boundary in the logical stream; the remaining fixups are:
 //
 //	Uncompressed  plain word copy, any seam.
 //	StaticBP      packed bit-stream append; word-copy at 64-element seams,
@@ -34,14 +30,8 @@ import (
 //	RLE           run lists appended with an adjacent-run merge at each seam,
 //	              which restores the canonical maximal-run encoding.
 
-// ConcatAlign returns the element alignment at which a seam between two
-// concatenated parts of this format is a pure block copy (no re-encoding),
-// or 0 for an unknown kind. RLE concatenates at any seam (runs merge, they
-// never re-encode), so its alignment is 1 like the uncompressed format's.
-func ConcatAlign(kind columns.Kind) int { return lookup(kind).concatAlign }
-
 // CanConcat reports whether ConcatCompressed supports the format.
-func CanConcat(kind columns.Kind) bool { return ConcatAlign(kind) > 0 }
+func CanConcat(kind columns.Kind) bool { return lookup(kind).concat != nil }
 
 // ConcatCompressed concatenates parts — all columns in desc's format — into
 // one column holding their element streams back to back, byte-identical to
@@ -56,12 +46,6 @@ func CanConcat(kind columns.Kind) bool { return ConcatAlign(kind) > 0 }
 // width whenever every part was itself compressed at its tight (derived)
 // width.
 func ConcatCompressed(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
-	return ConcatFrom(nil, desc, parts)
-}
-
-// ConcatFrom is ConcatCompressed drawing the output's buffers from bufs; a
-// nil bufs allocates them.
-func ConcatFrom(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	if err := faultpoint.ConcatFixup.Hit(); err != nil {
 		return nil, err
 	}
@@ -77,15 +61,15 @@ func ConcatFrom(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.C
 	if concat == nil {
 		return nil, fmt.Errorf("formats: no codec for kind %v", desc.Kind)
 	}
-	return concat(bufs, desc, parts)
+	return concat(desc, parts)
 }
 
-func concatUncompr(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatUncompr(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total := 0
 	for _, p := range parts {
 		total += p.N()
 	}
-	words := bufs.Get(total)[:0]
+	words := make([]uint64, 0, total)
 	for _, p := range parts {
 		words = append(words, p.Words()...)
 	}
@@ -118,7 +102,7 @@ func appendPackedBits(dst []uint64, bitPos uint64, src []uint64, nbits uint64) {
 	}
 }
 
-func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatStaticBP(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	bits := uint(desc.Bits)
 	total := 0
 	for _, p := range parts {
@@ -139,13 +123,8 @@ func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*colum
 		return columns.New(columns.FormatDesc{Kind: columns.StaticBP}, total, total, 0, nil)
 	}
 	// The parts are ORed into the words, so they start cleared.
-	words := bufs.Get(bitutil.PackedWords(total, bits))
-	clear(words)
+	words := make([]uint64, bitutil.PackedWords(total, bits))
 	var vbuf, tmp []uint64 // width-repack scratch, taken on demand
-	defer func() {
-		_ = bufs.Put(vbuf) // scratch issued by bufs below
-		_ = bufs.Put(tmp)
-	}()
 	bitPos := uint64(0)
 	for _, p := range parts {
 		n := p.N()
@@ -164,8 +143,8 @@ func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*colum
 			// read and the scratch pack stay word-aligned.
 			const repackChunk = 4 * 1024
 			if vbuf == nil {
-				vbuf = bufs.Get(repackChunk)
-				tmp = bufs.Get(bitutil.PackedWords(repackChunk, 64))
+				vbuf = make([]uint64, repackChunk)
+				tmp = make([]uint64, bitutil.PackedWords(repackChunk, 64))
 			}
 			pw := p.MainWords()
 			for off := 0; off < n; off += repackChunk {
@@ -183,13 +162,13 @@ func concatStaticBP(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*colum
 		total, total, len(words), words)
 }
 
-func concatRLE(bufs *bufpool.Lease, _ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
+func concatRLE(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
 	total, capWords := 0, 0
 	for _, p := range parts {
 		total += p.N()
 		capWords += len(p.MainWords())
 	}
-	words := bufs.Get(capWords)[:0]
+	words := make([]uint64, 0, capWords)
 	for _, p := range parts {
 		pw := p.MainWords()
 		// The concatenation reuses the parts' run words verbatim, so their

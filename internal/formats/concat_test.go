@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 )
 
@@ -102,7 +103,7 @@ func concatCase(t *testing.T, ctx string, desc columns.FormatDesc, vals []uint64
 	assertColsEqual(t, ctx+"/independent", whole, got)
 
 	// Mode 2 — sectioned parts: each segment streamed through a Writer of
-	// its own, sized to the segment, the parallel stitch's configuration.
+	// its own, sized to the segment.
 	sect := make([]*columns.Column, 0, len(cuts)-1)
 	for i := 1; i < len(cuts); i++ {
 		start := cuts[i-1]
@@ -147,8 +148,8 @@ func TestConcatCompressedMatchesMonolithic(t *testing.T) {
 			for trial := 0; trial < 6; trial++ {
 				parts := 1 + rng.Intn(5)
 				align := 1
-				if trial%2 == 0 {
-					align = ConcatAlign(desc.Kind)
+				if trial%2 == 0 { // seams on block boundaries: the copy path
+					align = max(1, lookup(desc.Kind).partitionAlign)
 				}
 				cuts := randomCuts(rng, n, parts, align)
 				ctx := desc.String() + "/n=" + itoa(n) + "/trial=" + itoa(trial)
@@ -238,12 +239,29 @@ func TestConcatCompressedRejectsMismatches(t *testing.T) {
 // of the fast path: when every seam falls on a block boundary, the stitch is
 // a constant number of buffer allocations plus block-granular copies — no
 // per-block or per-element work — regardless of how much data flows through.
+// Beside every format at its default width, the inputs include a position
+// list at the preset static BP width a position output is packed at (bits of
+// n-1), so every part has the target width.
 func TestConcatCompressedAllocsFullBlocks(t *testing.T) {
 	const allocBound = 8 // result buffer + column + fixed per-format scratch
+	const n = 16*BlockLen + 437
+	positions := make([]uint64, n)
+	for i := range positions {
+		positions[i] = uint64(i)
+	}
+	type input struct {
+		desc columns.FormatDesc
+		vals []uint64
+	}
+	var inputs []input
 	for _, desc := range AllDescs() {
-		// Part sizes are multiples of every format's concat alignment, so
-		// all seams are aligned; the tail part carries the ragged end.
-		vals := concatTestValues(16*BlockLen+437, 3)
+		inputs = append(inputs, input{desc, concatTestValues(n, 3)})
+	}
+	inputs = append(inputs, input{columns.StaticBPDesc(bitutil.EffectiveBits(n - 1)), positions})
+	for _, in := range inputs {
+		desc, vals := in.desc, in.vals
+		// Part sizes are multiples of every format's block length, so all
+		// seams are aligned; the tail part carries the ragged end.
 		cuts := []int{0, 4 * BlockLen, 10 * BlockLen, 16 * BlockLen, len(vals)}
 		parts := make([]*columns.Column, 0, len(cuts)-1)
 		for i := 1; i < len(cuts); i++ {

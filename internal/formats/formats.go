@@ -104,10 +104,8 @@ type format struct {
 	// one such section.
 	partitionAlign int
 	section        func(col *columns.Column, start, count int) Reader
-	// concatAlign is the element alignment at which a seam between two
-	// concatenated parts is a pure copy; concat stitches parts at any seam.
-	concatAlign int
-	concat      func(bufs *bufpool.Lease, desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
+	// concat splices parts of the format at any seam (ConcatCompressed).
+	concat func(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
 	// access opens random read access (nil: the format has none, §4.2).
 	access func(col *columns.Column) (RandomAccessor, error)
 	// blocked is the transform of a blocked-codec format, nil otherwise.
@@ -121,15 +119,15 @@ var registry [columns.NumKinds]format
 func init() {
 	registry = [columns.NumKinds]format{
 		columns.Uncompressed: {Codec: uncomprCodec{}, partitionAlign: 1, section: uncomprSection,
-			concatAlign: 1, concat: concatUncompr, access: uncomprAccess},
+			concat: concatUncompr, access: uncomprAccess},
 		columns.StaticBP: {Codec: staticBPCodec{}, partitionAlign: 64, section: staticBPSection,
-			concatAlign: 64, concat: concatStaticBP, access: staticBPAccess},
+			concat: concatStaticBP, access: staticBPAccess},
 		columns.DynBP:   blockedFormat(dynBP),
 		columns.DeltaBP: blockedFormat(deltaBP),
 		columns.ForBP:   blockedFormat(forBP),
 		// A run boundary is only discoverable by scanning every preceding run,
 		// so RLE cannot be sliced; runs merge at any seam without re-encoding.
-		columns.RLE: {Codec: rleCodec{}, concatAlign: 1, concat: concatRLE},
+		columns.RLE: {Codec: rleCodec{}, concat: concatRLE},
 	}
 }
 

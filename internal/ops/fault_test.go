@@ -44,15 +44,14 @@ func assertBudgetIdle(t *testing.T, b *Budget, mode string) {
 // recover and fault-point plumbing is pinned without repeating the table per
 // operator.
 var driverShapes = []struct {
-	name     string
-	stitches bool // the driver finishes through the compressed stitch
-	run      func(rt Runtime, col *columns.Column) error
+	name string
+	run  func(rt Runtime, col *columns.Column) error
 }{
-	{"emit", true, func(rt Runtime, col *columns.Column) error {
+	{"emit", func(rt Runtime, col *columns.Column) error {
 		_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc)
 		return err
 	}},
-	{"emit2", true, func(rt Runtime, col *columns.Column) error {
+	{"emit2", func(rt Runtime, col *columns.Column) error {
 		build := make([]uint64, 1000) // every probe value joins
 		for i := range build {
 			build[i] = uint64(i)
@@ -60,11 +59,11 @@ var driverShapes = []struct {
 		_, _, err := rt.JoinN1(col, columns.FromValues(build), columns.DeltaBPDesc, columns.DynBPDesc, 0)
 		return err
 	}},
-	{"map", true, func(rt Runtime, col *columns.Column) error {
+	{"map", func(rt Runtime, col *columns.Column) error {
 		_, err := rt.CalcBinary(CalcAdd, col, col, columns.DynBPDesc)
 		return err
 	}},
-	{"reduce", false, func(rt Runtime, col *columns.Column) error {
+	{"reduce", func(rt Runtime, col *columns.Column) error {
 		_, _, err := rt.SumAuto(col)
 		return err
 	}},
@@ -163,22 +162,6 @@ func TestBudgetIdleAfterFailureModes(t *testing.T) {
 				})
 				assertBudgetIdle(t, b, m.name)
 			})
-		}
-	}
-	// The stitch seams are shared by the emit and map drivers.
-	for _, fp := range []*faultpoint.Point{faultpoint.StitchSeam, faultpoint.ConcatFixup} {
-		for _, shape := range driverShapes {
-			if !shape.stitches {
-				continue
-			}
-			b := NewBudget(4)
-			fp.Arm(func() error { return injected })
-			err := runOnBudget(context.Background(), b, 4, shape.run, col)
-			fp.Disarm()
-			if !errors.Is(err, qerr.ErrCorruptData) {
-				t.Fatalf("%s: stitch fault not typed: %v", shape.name, err)
-			}
-			assertBudgetIdle(t, b, shape.name+" stitch fault")
 		}
 	}
 }
@@ -315,7 +298,7 @@ func TestRunPartsStopsSiblingsAfterFailure(t *testing.T) {
 	})
 	ran := 0
 	rt := FixedRT(1) // one worker: deterministic claim order
-	err := rt.runTasks(100, func(_, _ int) error { ran++; return nil })
+	err := rt.runParts(make([]formats.Partition, 100), func(_, _ int, _ formats.Partition) error { ran++; return nil })
 	if err == nil {
 		t.Fatal("injected failure did not surface")
 	}

@@ -15,36 +15,45 @@ import (
 // at every parallelism, with group ids streamed straight into the output
 // writer (groupWhole), recorded as a sequential fallback. Ids come from a
 // direct-address table while the keys are narrow (denseIDs), from a hash
-// table once a block outgrows it.
+// table from the first row that outgrows it.
 
 // denseIDs is the direct-address form of the grouping's hash tables:
-// tab[g<<kb | k] holds one plus the id of previous gid g and key k (g is 0
-// for GroupFirst), 0 for a pair not seen yet. It is laid out for the widest
-// block so far, gb bits of gid and kb of key, and serves while its 2^(gb+kb)
-// slots stay within the join's directSpanCap; its words come from the lease
-// (u32Table).
+// tab[g<<kb | k-lo] holds one plus the id of previous gid g and key k (g is
+// 0 for GroupFirst), 0 for a pair not seen yet. Keys index from the base lo,
+// the smallest key seen so far, as the join's table does (keyRange). The
+// table holds gb bits of gid and kb of key offset and serves while its
+// 2^(gb+kb) slots stay within the join's directSpanCap; its words come from
+// the lease (u32Table).
 type denseIDs struct {
 	bufs   *bufpool.Lease
 	tab    []uint32
 	words  []uint64 // the lease buffer under tab
+	lo     uint64
 	gb, kb uint
 }
 
-// fit lays the table out for a block of gid width gb and key width kb,
-// moving the ids handed out so far, and reports false when the layout would
-// exceed directSpanCap slots.
-func (d *denseIDs) fit(gb, kb uint) bool {
-	gb, kb = max(gb, d.gb), max(kb, d.kb)
-	if d.tab != nil && gb == d.gb && kb == d.kb {
-		return true
+// fit lays the table out for the pairs it holds and the rows of previous
+// gids gs (nil for GroupFirst) and keys ks, moving the ids handed out so
+// far, and reports false when the layout would exceed directSpanCap slots or
+// its last slot's key would overflow. A row with a wider gid, or a key below
+// the base or past the last slot, takes a new layout.
+func (d *denseIDs) fit(gs, ks []uint64) bool {
+	var gb uint
+	if gs != nil {
+		gb = bitutil.MaxBits(gs)
 	}
-	if gb+kb >= 64 || uint64(1)<<(gb+kb) > directSpanCap {
+	lo, hi := keyRange(ks)
+	if d.tab != nil {
+		gb, lo, hi = max(gb, d.gb), min(lo, d.lo), max(hi, d.lo+(1<<d.kb-1))
+	}
+	kb := bitutil.EffectiveBits(hi - lo)
+	if gb+kb >= 64 || uint64(1)<<(gb+kb) > directSpanCap || lo+(1<<kb-1) < lo {
 		return false
 	}
 	tab, words := u32Table(d.bufs, 1<<(gb+kb))
-	d.each(func(g, k uint64, id uint32) { tab[g<<kb|k] = id + 1 })
+	d.each(func(g, k uint64, id uint32) { tab[g<<kb|(k-lo)] = id + 1 })
 	d.release()
-	d.tab, d.words, d.gb, d.kb = tab, words, gb, kb
+	d.tab, d.words, d.lo, d.gb, d.kb = tab, words, lo, gb, kb
 	return true
 }
 
@@ -52,7 +61,7 @@ func (d *denseIDs) fit(gb, kb uint) bool {
 func (d *denseIDs) each(f func(g, k uint64, id uint32)) {
 	for i, id := range d.tab {
 		if id != 0 {
-			f(uint64(i)>>d.kb, uint64(i)&(1<<d.kb-1), id-1)
+			f(uint64(i)>>d.kb, d.lo+uint64(i)&(1<<d.kb-1), id-1)
 		}
 	}
 }
@@ -66,7 +75,7 @@ func (d *denseIDs) release() {
 }
 
 // groupBuild accumulates the grouping state: group ids by key — dense until
-// a block's keys outgrow the table, then in ht (GroupFirst) or pairs
+// a row's key outgrows the table, then in ht (GroupFirst) or pairs
 // (GroupNext) — plus, per id, the position of its first occurrence (the
 // extents).
 type groupBuild struct {
@@ -77,28 +86,34 @@ type groupBuild struct {
 }
 
 // add assigns ids to one chunk of keys, whose first element has position
-// base, and writes every row's group id to gids.
+// base, and writes every row's group id to gids. The dense table is laid
+// out again at the first row outside it, for the rest of the chunk.
 func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
-	if b.ht == nil && !b.dense.fit(0, bitutil.MaxBits(vals)) {
-		b.ht = newU64Map(b.dense.bufs, max(1024, len(b.firstPos)))
-		b.dense.each(func(_, k uint64, id uint32) { b.ht.put(k, uint64(id)) })
-		b.dense.release()
-	}
-	if b.ht == nil {
-		tab := b.dense.tab
-		for j, v := range vals {
-			id := tab[v]
+	j := 0
+	for fits := b.dense.tab != nil; b.ht == nil && j < len(vals); fits = false {
+		if !fits && !b.dense.fit(nil, vals[j:]) {
+			b.ht = newU64Map(b.dense.bufs, max(1024, len(b.firstPos)))
+			b.dense.each(func(_, k uint64, id uint32) { b.ht.put(k, uint64(id)) })
+			b.dense.release()
+			break
+		}
+		tab, lo := b.dense.tab, b.dense.lo
+		for ; j < len(vals); j++ {
+			r := vals[j] - lo
+			if r >= uint64(len(tab)) {
+				break
+			}
+			id := tab[r]
 			if id == 0 {
 				b.firstPos = append(b.firstPos, base+uint64(j))
 				id = uint32(len(b.firstPos))
-				tab[v] = id
+				tab[r] = id
 			}
 			gids[j] = uint64(id - 1)
 		}
-		return
 	}
-	for j, v := range vals {
-		gid, inserted := b.ht.getOrPut(v, uint64(len(b.firstPos)))
+	for ; j < len(vals); j++ {
+		gid, inserted := b.ht.getOrPut(vals[j], uint64(len(b.firstPos)))
 		if inserted {
 			b.firstPos = append(b.firstPos, base+uint64(j))
 		}
@@ -109,15 +124,22 @@ func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
 // addPairs is add over aligned chunks of previous gids and keys, the
 // GroupNext refinement.
 func (b *groupBuild) addPairs(gs, ks []uint64, base uint64, gids []uint64) {
-	if b.pairs == nil && !b.dense.fit(bitutil.MaxBits(gs), bitutil.MaxBits(ks)) {
-		b.pairs = newPairMap(b.dense.bufs, max(1024, len(b.firstPos)))
-		b.dense.each(func(g, k uint64, id uint32) { b.pairs.getOrPutMixed(g*hashMul, g, k, uint64(id)) })
-		b.dense.release()
-	}
-	if b.pairs == nil {
-		tab, kb := b.dense.tab, b.dense.kb
-		for j, k := range ks {
-			i := gs[j]<<kb | k
+	j := 0
+	for fits := b.dense.tab != nil; b.pairs == nil && j < len(ks); fits = false {
+		if !fits && !b.dense.fit(gs[j:], ks[j:]) {
+			b.pairs = newPairMap(b.dense.bufs, max(1024, len(b.firstPos)))
+			b.dense.each(func(g, k uint64, id uint32) { b.pairs.getOrPutMixed(g*hashMul, g, k, uint64(id)) })
+			b.dense.release()
+			break
+		}
+		tab, lo, kb := b.dense.tab, b.dense.lo, b.dense.kb&63
+		gEnd, rEnd := uint64(1)<<b.dense.gb, uint64(1)<<kb
+		for ; j < len(ks); j++ {
+			g, r := gs[j], ks[j]-lo
+			if g >= gEnd || r >= rEnd {
+				break
+			}
+			i := g<<kb | r
 			id := tab[i]
 			if id == 0 {
 				b.firstPos = append(b.firstPos, base+uint64(j))
@@ -126,18 +148,17 @@ func (b *groupBuild) addPairs(gs, ks []uint64, base uint64, gids []uint64) {
 			}
 			gids[j] = uint64(id - 1)
 		}
-		return
 	}
 	// The parent gid arrives in runs (refinement keeps prior group order), so
 	// its hash mix is hoisted out of the per-row probe and recomputed only
 	// when the run changes; the zero initialization is consistent because
 	// 0*hashMul == 0.
 	var lastG, lastMix uint64
-	for j, g := range gs {
-		if g != lastG {
+	for ; j < len(gs); j++ {
+		if g := gs[j]; g != lastG {
 			lastG, lastMix = g, g*hashMul
 		}
-		gid, inserted := b.pairs.getOrPutMixed(lastMix, g, ks[j], uint64(len(b.firstPos)))
+		gid, inserted := b.pairs.getOrPutMixed(lastMix, lastG, ks[j], uint64(len(b.firstPos)))
 		if inserted {
 			b.firstPos = append(b.firstPos, base+uint64(j))
 		}

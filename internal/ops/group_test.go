@@ -53,11 +53,38 @@ func fuzzGroupKeys(raw []byte, size, n, at, end int, shift uint8) []uint64 {
 	return keys
 }
 
+// TestGroupNextKeyBase: GroupNext over 7-bit gids and year keys 1992–1998
+// (an SSB GROUP BY d_year after a 7-bit grouping) indexes the dense table by
+// key − 1992, 2^10 slots. Keys indexed from 0 need 2^18, past directSpanCap,
+// and fell over to the pair map.
+func TestGroupNextKeyBase(t *testing.T) {
+	const n = 4 * blockBuf
+	gs, ks := make([]uint64, n), make([]uint64, n)
+	for i := range gs {
+		gs[i], ks[i] = uint64(i*37%128), 1998-uint64(i*5%7)
+	}
+	bufs := bufpool.New().Lease()
+	defer bufs.Close()
+	b := groupBuild{dense: denseIDs{bufs: bufs}}
+	defer b.release()
+	gids := make([]uint64, n)
+	for at := 0; at < n; at += blockBuf {
+		b.addPairs(gs[at:at+blockBuf], ks[at:at+blockBuf], uint64(at), gids[at:at+blockBuf])
+	}
+	if b.pairs != nil {
+		t.Fatalf("7-bit gids and keys 1992-1998 fell over to the pair map (gb=%d kb=%d)", b.dense.gb, b.dense.kb)
+	}
+	wantG, wantE := refGroup(gs, ks)
+	if !slices.Equal(gids, wantG) || !slices.Equal(b.firstPos, wantE) {
+		t.Fatal("gids or extents differ from the reference")
+	}
+}
+
 // FuzzGroup checks GroupFirst and GroupNext on both kernel paths against the
 // reference. The keys are shifted wide in a window, so the dense table
-// widens, is re-laid out, keeps its layout for a narrower block, or gives way
-// to the hash table at a block boundary or inside a block, after ids were
-// handed out. The previous gids of GroupNext are the single bytes of raw,
+// widens, is re-laid out, keeps its layout for a narrower block, moves its
+// key base down for a block below it, or gives way to the hash table at a
+// block boundary or inside a block, after ids were handed out. The previous gids of GroupNext are the single bytes of raw,
 // shifted wide from prevAt on. The gids are written auto-width, and the
 // lease must get back everything but the outputs.
 func FuzzGroup(f *testing.F) {
@@ -76,6 +103,11 @@ func FuzzGroup(f *testing.F) {
 	f.Add(three, uint16(3*b), uint16(b), uint16(2*b), uint8(5), uint16(2*b), uint8(6))                           // ... to 17: past the cap
 	f.Add(three, uint16(3*b), uint16(0), uint16(b), uint8(5), uint16(0), uint8(0))                               // wide block, then narrow ones
 	f.Add([]byte{255, 0, 4, 0}, uint16(3*b), uint16(b), uint16(b), uint8(1), uint16(0), uint8(0))                // GroupNext at the cap, then one bit over
+	years := append(append(append(le(1992), le(1995)...), le(1998)...), le(1993)...)
+	f.Add(years, uint16(3*b), uint16(0), uint16(0), uint8(0), uint16(0), uint8(0)) // keys 1992-1998: a key base above 0
+	below := append(append(le(1000), le(1001)...), le(5)...)
+	f.Add(below, uint16(3*b), uint16(0), uint16(b), uint8(8), uint16(0), uint8(0))                                             // first block's keys from 1000, later ones from 5: below the base
+	f.Add(append(append(le(1000), le(1001)...), le(519)...), uint16(3*b), uint16(0), uint16(b), uint8(7), uint16(0), uint8(0)) // keys 1000-66432 fit the cap, from 519 they do not
 	for _, n := range []uint16{0, 1, b - 1, b, b + 1} {
 		f.Add([]byte{9, 0, 2, 0, 9, 1}, n, uint16(b-1), uint16(b), uint8(3), uint16(b), uint8(2))
 	}

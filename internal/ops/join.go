@@ -34,15 +34,24 @@ func denseKeys(build []uint64) (lo, span uint64, ok bool) {
 	if n == 0 || n >= math.MaxUint32 {
 		return 0, 0, false
 	}
-	lo, hi := build[0], build[0]
-	for _, k := range build[1:] {
-		lo, hi = min(lo, k), max(hi, k)
-	}
+	lo, hi := keyRange(build)
 	span = hi - lo
 	if span == math.MaxUint64 {
 		return 0, 0, false
 	}
 	return lo, span, span < directSpanCap || span < directSlotsPerKey*n
+}
+
+// keyRange returns the smallest and the largest of keys, (0, 0) for none.
+func keyRange(keys []uint64) (lo, hi uint64) {
+	if len(keys) == 0 {
+		return 0, 0
+	}
+	lo, hi = keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
 }
 
 // The join table is built per execution from the build keys. Its arrays come

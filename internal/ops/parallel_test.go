@@ -578,10 +578,11 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestStitchCompressedMatchesSerialWriter checks the parallel compressed
-// stitch in isolation: for every output format and parallelism degree, the
-// sectioned compress-and-concatenate path must produce the bytes of a single
-// sequential writer consuming the same chunks.
+// TestStitchCompressedMatchesSerialWriter checks the compressed stitch in
+// isolation: for every output format and parallelism degree it produces the
+// bytes of a single sequential writer consuming the same chunks, and a
+// stitch at par 4 allocates no more than one at par 1 (one writer, no
+// sections to splice).
 func TestStitchCompressedMatchesSerialWriter(t *testing.T) {
 	vals := parTestValues(parTestN)
 	// Ragged chunks mimicking skewed per-morsel outputs, including empties.
@@ -619,46 +620,15 @@ func TestStitchCompressedMatchesSerialWriter(t *testing.T) {
 			t.Fatalf("%v: %v", desc, err)
 		}
 		assertSameColumn(t, "stitch pos "+desc.String(), want, got)
-	}
-}
-
-// TestStitchZeroAllocConcat extends the cross-product with the allocation
-// contract of the stitch's serial tail: once the per-worker sections exist,
-// splicing them at full-block boundaries costs a constant number of
-// allocations (the result buffer and column), never per-block work.
-func TestStitchZeroAllocConcat(t *testing.T) {
-	// A position-list shaped stream: every value < parTestN, so the preset
-	// static BP position width holds every section at one shared width.
-	vals := make([]uint64, parTestN)
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	for _, desc := range formats.AllDescs() {
-		d := positionDesc(desc, parTestN) // as the parallel drivers request it
-		ranges := formats.SplitRange(parTestN, 4, formats.ConcatAlign(d.Kind))
-		if ranges == nil {
-			t.Fatalf("%v: range did not split", d)
+		allocs := func(par int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := StitchCompressed(desc, parTestN, posChunks, par); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		parts := make([]*columns.Column, len(ranges))
-		for i, pt := range ranges {
-			w, err := formats.NewWriter(d, pt.Count) // as the stitch's section workers do
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Write(vals[pt.Start : pt.Start+pt.Count]); err != nil {
-				t.Fatal(err)
-			}
-			if parts[i], err = w.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := formats.ConcatCompressed(parts[0].Desc(), parts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 8 {
-			t.Errorf("%v: aligned concat did %.0f allocations, want <= 8", d, allocs)
+		if a1, a4 := allocs(1), allocs(4); a4 > a1 {
+			t.Errorf("%v: stitch at par 4 did %.0f allocations, %.0f at par 1", desc, a4, a1)
 		}
 	}
 }

@@ -317,14 +317,3 @@ func (rt Runtime) runParts(parts []formats.Partition, fn func(worker, i int, pt 
 	}
 	return nil
 }
-
-// runTasks is the task-index form of runParts for work lists that are not
-// column partitions (the stitch's bit-width chunks): tasks 0..n-1 are claimed
-// in index order from the atomic work-queue cursor under the same budget and
-// cancellation rules. It wraps runParts over placeholder partitions: task
-// lists are small, a few entries per worker.
-func (rt Runtime) runTasks(n int, fn func(worker, i int) error) error {
-	return rt.runParts(make([]formats.Partition, n), func(w, i int, _ formats.Partition) error {
-		return fn(w, i)
-	})
-}

@@ -25,7 +25,7 @@ func TestBudgetBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- RT(context.Background(), b, nil, 4).runTasks(64, func(_, _ int) error {
+			errs <- RT(context.Background(), b, nil, 4).runParts(make([]formats.Partition, 64), func(_, _ int, _ formats.Partition) error {
 				n := inFlight.Add(1)
 				for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
 				}
