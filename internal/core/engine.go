@@ -678,8 +678,8 @@ func (pr *Prepared) runNode(ctx context.Context, es *execState, n *Node, st *ste
 			return nil, fmt.Errorf("core: %v %q: %w", n.op, n.outNames[0], err)
 		}
 		// Charge the materialized intermediates to the query's counter; the
-		// parallel drivers' staging buffers and the stitch's section buffers
-		// charge themselves through the runtime.
+		// parallel drivers' staging buffers charge themselves through the
+		// runtime.
 		for _, col := range produced {
 			es.mres.Charge(col.PhysicalBytes())
 		}

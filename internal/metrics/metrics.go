@@ -90,8 +90,7 @@ type NodeStats struct {
 	// workers; under parallelism it exceeds the share of Wall spent in the
 	// morsel loops.
 	Kernel time.Duration `json:"kernel_ns"`
-	// Morsels counts the morsels/tasks claimed from the operator's work
-	// queues (kernel morsels and stitch/merge tasks alike).
+	// Morsels counts the morsels claimed from the operator's work queues.
 	Morsels int64 `json:"morsels"`
 	// Workers is the widest worker-goroutine count the operator ran with.
 	Workers int `json:"workers"`
@@ -110,7 +109,7 @@ type NodeStats struct {
 // out by NodeCollector.Shards indexed by worker id, so recording needs no
 // synchronization; the padding keeps two workers' slots off one cache line.
 type Shard struct {
-	// Morsels counts the morsels/tasks this worker completed.
+	// Morsels counts the morsels this worker completed.
 	Morsels int64
 	// KernelNS is the summed in-morsel time in nanoseconds.
 	KernelNS int64

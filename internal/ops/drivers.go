@@ -206,9 +206,9 @@ type mapKernel func(a, b, dst []uint64) error
 // mapCols is the one-value-per-element driver over input a, or over a and b
 // in lockstep. Output offsets are known a priori, so the workers write into
 // disjoint ranges of one shared destination, charged to the query's memory
-// counter, which the parallel compressed stitch recompresses section-wise
-// and which is then given back and released; an unsplit input streams chunk
-// by chunk into the output writer instead.
+// counter, which the compressed stitch then compresses and which is given
+// back and released; an unsplit input streams chunk by chunk into the output
+// writer instead.
 func (rt Runtime) mapCols(name string, a, b *columns.Column, out columns.FormatDesc, kernel mapKernel) (*columns.Column, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err

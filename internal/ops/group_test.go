@@ -55,8 +55,8 @@ func fuzzGroupKeys(raw []byte, size, n, at, end int, shift uint8) []uint64 {
 
 // TestGroupNextKeyBase: GroupNext over 7-bit gids and year keys 1992–1998
 // (an SSB GROUP BY d_year after a 7-bit grouping) indexes the dense table by
-// key − 1992, 2^10 slots. Keys indexed from 0 need 2^18, past directSpanCap,
-// and fell over to the pair map.
+// key − 1992, 2^10 slots; keys indexed from 0 would need 2^18, past
+// directSpanCap, and move to the pair map.
 func TestGroupNextKeyBase(t *testing.T) {
 	const n = 4 * blockBuf
 	gs, ks := make([]uint64, n), make([]uint64, n)

@@ -190,9 +190,9 @@ func (rt Runtime) WithMemReservation(r *MemReservation) Runtime {
 }
 
 // ChargeMem books bytes of intermediate-buffer allocation to the query's
-// charge counter; a no-op without one. Charge sites are
-// per-section/per-column, never per-element, so the accounting stays off the
-// kernel hot path.
+// charge counter; a no-op without one. Charge sites are per-morsel or
+// per-column, never per-element, so the accounting stays off the kernel hot
+// path.
 func (rt Runtime) ChargeMem(bytes int) { rt.mres.Charge(bytes) }
 
 // releaseMem returns staged bytes charged by ChargeMem.
@@ -223,8 +223,8 @@ func (rt Runtime) Err() error {
 	return rt.ctx.Err()
 }
 
-// workers bounds the worker-goroutine count for a task list.
-func (rt Runtime) workers(tasks int) int { return max(1, min(rt.Par(), tasks)) }
+// workers bounds the worker-goroutine count for a list of morsels.
+func (rt Runtime) workers(morsels int) int { return max(1, min(rt.Par(), morsels)) }
 
 // guarded runs fn for morsel i and converts a panic — in the kernel, in a
 // stitch seam, or injected through a fault point — into a typed
@@ -312,7 +312,7 @@ func (rt Runtime) runParts(parts []formats.Partition, fn func(worker, i int, pt 
 		}
 	}
 	if int(completed.Load()) < len(parts) {
-		// Only cancellation leaves tasks unclaimed without an error.
+		// Only cancellation leaves morsels unclaimed without an error.
 		return rt.Err()
 	}
 	return nil
