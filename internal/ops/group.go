@@ -38,10 +38,7 @@ type denseIDs struct {
 // its last slot's key would overflow. A row with a wider gid, or a key below
 // the base or past the last slot, takes a new layout.
 func (d *denseIDs) fit(gs, ks []uint64) bool {
-	var gb uint
-	if gs != nil {
-		gb = bitutil.MaxBits(gs)
-	}
+	gb := bitutil.MaxBits(gs) // 0 for GroupFirst's nil gs
 	lo, hi := keyRange(ks)
 	if d.tab != nil {
 		gb, lo, hi = max(gb, d.gb), min(lo, d.lo), max(hi, d.lo+(1<<d.kb-1))
