@@ -14,14 +14,14 @@
 //
 // Reads go through State.Column, which merges main and delta into a single
 // ordinary column. With no deletions every format appends the tail in the
-// main's own format (formats.AppendTail): the tail is compressed alone and
-// concatenated behind the main's copied (not decoded) blocks, static BP
-// groups or runs. The merged column equals the main's format applied to main
-// and tail in one pass, so a dirty table stays compressed. Only a state with
-// deletions compacts into an uncompressed column. Merged views are cached per
-// State, so concurrent queries at one epoch share them. A State with an empty
-// delta hands out the main column itself: the writable path then costs one
-// nil check per scan.
+// main's own format (formats.AppendTail): a writer of that format copies the
+// main's blocks, static BP groups or runs (it does not decode them) and
+// encodes the tail once behind them. The merged column equals the main's
+// format applied to main and tail in one pass, so a dirty table stays
+// compressed. Only a state with deletions compacts into an uncompressed
+// column. Merged views are cached per State, so concurrent queries at one
+// epoch share them. A State with an empty delta hands out the main column
+// itself: the writable path then costs one nil check per scan.
 //
 // A background remorph (driven by the engine) folds the delta back into the
 // main: BeginRebuild pins the current State, the caller builds each new main
@@ -136,9 +136,10 @@ type mergeCache struct {
 }
 
 // merge builds the merged main+delta view of one column. With no deletions
-// the tail is appended in the main's format (formats.AppendTail), which copies
-// the compressed main words instead of decoding them; a state with deletions
-// compacts into a fresh uncompressed column.
+// the tail is appended in the main's format (formats.AppendTail): the main's
+// compressed words are copied, not decoded, and the tail is encoded once
+// behind them. A state with deletions compacts into a fresh uncompressed
+// column.
 func (s *State) merge(name string, main *columns.Column) (*columns.Column, error) {
 	if len(s.deleted) == 0 {
 		c, err := formats.AppendTail(main, s.tail[name])

@@ -33,8 +33,8 @@ var (
 	MorselClaim = newPoint("morsel-claim")
 	// KernelBody fires inside the per-morsel kernel invocation.
 	KernelBody = newPoint("kernel-body")
-	// ConcatFixup fires at the head of ConcatCompressed, before the
-	// per-format seam fixups splice the parts.
+	// ConcatFixup fires at the head of ConcatCompressed and AppendTail,
+	// before the format's writer takes the first column whole.
 	ConcatFixup = newPoint("concat-fixup")
 	// AdmissionEnqueue fires when a query is about to park in the engine's
 	// bounded admission queue (after the fast-path grant was unavailable,

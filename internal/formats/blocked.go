@@ -168,12 +168,10 @@ func (t *transform) skip(words []uint64, n int) (int, error) {
 }
 
 // blockedFormat is the registry row of a blocked format: the transform is
-// its codec, and every blocked format slices and concatenates at block
-// granularity.
+// its codec, and every blocked format slices at block granularity.
 func blockedFormat(t *transform) format {
 	section := func(col *columns.Column, start, count int) Reader { return newBlockedReader(t, col, start, count) }
-	return format{Codec: t, partitionAlign: BlockLen, section: section,
-		concat: t.concat, blocked: t}
+	return format{Codec: t, partitionAlign: BlockLen, section: section, blocked: t}
 }
 
 func (t *transform) NewReader(col *columns.Column) Reader {
@@ -182,23 +180,6 @@ func (t *transform) NewReader(col *columns.Column) Reader {
 
 func (t *transform) NewWriter(_ columns.FormatDesc, sizeHint int, bufs *bufpool.Lease) Writer {
 	return newBlockedWriter(t, sizeHint/t.hintDiv, bufs)
-}
-
-// concat copies whole blocks verbatim wherever a seam falls on a block
-// boundary of the output stream; a misaligned seam re-blocks the following
-// part (see blockedWriter.appendColumn).
-func (t *transform) concat(_ columns.FormatDesc, parts []*columns.Column) (*columns.Column, error) {
-	capWords := 0
-	for _, p := range parts {
-		capWords += len(p.Words())
-	}
-	w := newBlockedWriter(t, capWords, nil)
-	for _, p := range parts {
-		if err := w.appendColumn(p); err != nil {
-			return nil, err
-		}
-	}
-	return w.Close()
 }
 
 // blockedReader decodes the element range [elem, end) of a column: the whole
@@ -325,7 +306,7 @@ type blockedWriter struct {
 	words   []uint64
 	pending []uint64 // fewer than BlockLen carried elements
 	scratch []uint64 // transform output of the block being encoded
-	buf     []uint64 // read buffer of appendColumn's re-blocking path, allocated on demand
+	buf     []uint64 // read buffer of appendColumn's streaming path, allocated on demand
 	prev    uint64   // element preceding the next block (0 at the stream head)
 	n       int
 	closed  bool
@@ -372,49 +353,39 @@ func (w *blockedWriter) Write(vals []uint64) error {
 // are copied verbatim, headers untouched — for a chained transform after
 // rebasing the first block when it was encoded behind a different element
 // (independently compressed parts start behind 0); deeper blocks reference
-// elements inside p. With elements pending, every block boundary of p shifts,
-// so its elements re-block through the decoder.
+// elements inside p. p's remainder stays pending. With elements pending,
+// every block boundary of p shifts, so p streams through its reader into
+// Write.
 func (w *blockedWriter) appendColumn(p *columns.Column) error {
 	if len(w.pending) > 0 {
-		if w.buf == nil {
-			w.buf = w.bufs.Get(BufferLen)
-		}
-		r := newBlockedReader(w.t, p, 0, p.N())
-		for {
-			k, err := r.Read(w.buf)
-			if err != nil || k == 0 {
-				return err
-			}
-			if err := w.Write(w.buf[:k]); err != nil {
-				return err
-			}
-		}
+		return writeColumn(w, p, w.bufs, &w.buf)
 	}
 	if err := w.t.validate(p); err != nil {
 		return err
 	}
 	if pw, blocks := p.MainWords(), p.MainElems()/BlockLen; blocks > 0 {
 		from := 0
-		if w.t.chained {
-			blk := w.pending[:BlockLen] // nothing is pending, so its space is free
+		blk := w.pending[:BlockLen] // nothing is pending, so its space is free
+		if w.t.chained && (len(pw) == 0 || pw[0] != w.prev) {
 			var err error
-			if len(pw) == 0 || pw[0] != w.prev {
-				if from, err = w.t.decodeBlock(pw, 0, blk); err != nil {
-					return blockContext(err, 0, p.N())
-				}
-				w.emit(blk)
+			if from, err = w.t.decodeBlock(pw, 0, blk); err != nil {
+				return blockContext(err, 0, p.N())
 			}
-			// The next block continues behind p's last main element.
-			last, err := w.t.skip(pw, blocks-1)
-			if err == nil {
-				_, err = w.t.decodeBlock(pw, last, blk)
-			}
-			if err != nil {
-				return blockContext(err, (blocks-1)*BlockLen, p.N())
-			}
-			w.prev = blk[BlockLen-1]
+			w.emit(blk)
 		}
-		w.words = w.bufs.Append(w.words, pw[from:]...)
+		// The last block is decoded for where it ends, so no word behind p's
+		// blocks is copied, and for its last element, which the next block
+		// continues behind.
+		last, err := w.t.skip(pw, blocks-1)
+		end := 0
+		if err == nil {
+			end, err = w.t.decodeBlock(pw, last, blk)
+		}
+		if err != nil {
+			return blockContext(err, (blocks-1)*BlockLen, p.N())
+		}
+		w.prev = blk[BlockLen-1]
+		w.words = w.bufs.Append(w.words, pw[from:end]...)
 		w.n += p.MainElems()
 	}
 	return w.Write(p.Remainder())

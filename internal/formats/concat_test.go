@@ -236,12 +236,14 @@ func TestConcatCompressedRejectsMismatches(t *testing.T) {
 }
 
 // TestConcatCompressedAllocsFullBlocks asserts the zero-allocation property
-// of the fast path: when every seam falls on a block boundary, the stitch is
-// a constant number of buffer allocations plus block-granular copies — no
-// per-block or per-element work — regardless of how much data flows through.
-// Beside every format at its default width, the inputs include a position
-// list at the preset static BP width a position output is packed at (bits of
-// n-1), so every part has the target width.
+// of the fast path: when every seam falls on a block boundary, the
+// concatenation is a constant number of buffer allocations plus
+// block-granular copies — no per-block or per-element work — regardless of
+// how much data flows through. Beside every format at its default width, the
+// inputs include a position list at the preset static BP width a position
+// output is packed at (bits of n-1), so every part has the target width. A
+// second group appends a tail to a main of every format (AppendTail) under
+// the same bound, which holds only if the tail is encoded once.
 func TestConcatCompressedAllocsFullBlocks(t *testing.T) {
 	const allocBound = 8 // result buffer + column + fixed per-format scratch
 	const n = 16*BlockLen + 437
@@ -284,9 +286,40 @@ func TestConcatCompressedAllocsFullBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%v: block-aligned concat of %d parts: %.0f allocations", desc, len(parts), allocs)
 		if allocs > allocBound {
 			t.Errorf("%v: block-aligned concat did %.0f allocations, want <= %d",
 				desc, allocs, allocBound)
+		}
+	}
+
+	// AppendTail encodes the tail once, behind the main's copied words: the
+	// main ends off every group and block boundary, and the tail climbs in
+	// steps 128 times as wide, so its width differs from the main's in every
+	// format (static BP widens the main's groups).
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]uint64, 128*BlockLen+300+4096)
+	for i := 1; i < len(vals); i++ {
+		step := 8
+		if i >= 128*BlockLen+300 {
+			step = 1024
+		}
+		vals[i] = vals[i-1] + uint64(rng.Intn(step))
+	}
+	split := 128*BlockLen + 300
+	for _, desc := range AllDescs() {
+		main, err := Compress(vals[:split], desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := AppendTail(main, vals[split:]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: AppendTail of %d values to %d: %.0f allocations", desc, len(vals)-split, split, allocs)
+		if allocs > allocBound {
+			t.Errorf("%v: AppendTail did %.0f allocations, want <= %d", desc, allocs, allocBound)
 		}
 	}
 }
@@ -326,5 +359,15 @@ func FuzzConcatCompressed(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertColsEqual(t, desc.String(), whole, got)
+
+		main, err := Compress(vals[:cuts[1]], desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = AppendTail(main, vals[cuts[1]:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertColsEqual(t, desc.String()+"/append", whole, got)
 	})
 }

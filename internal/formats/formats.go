@@ -18,8 +18,10 @@
 // paper's buffer layer (Fig. 4) are a sequential Reader that decompresses
 // into a caller-supplied cache-resident block, and a Writer that accepts
 // uncompressed elements and compresses them block-wise. Compress and
-// Decompress are those two run over a whole slice. Readers and writers are
-// what the on-the-fly de/re-compression operators in internal/ops wrap
+// Decompress are those two run over a whole slice, and ConcatCompressed and
+// AppendTail are the writer fed whole columns, whose words it copies where
+// they start on one of its group or block boundaries. Readers and writers
+// are what the on-the-fly de/re-compression operators in internal/ops wrap
 // around their format-oblivious kernels.
 //
 // The physical layouts are private to this package. Code elsewhere that works
@@ -104,31 +106,23 @@ type format struct {
 	// one such section.
 	partitionAlign int
 	section        func(col *columns.Column, start, count int) Reader
-	// concat splices parts of the format at any seam (ConcatCompressed).
-	concat func(desc columns.FormatDesc, parts []*columns.Column) (*columns.Column, error)
 	// access opens random read access (nil: the format has none, §4.2).
 	access func(col *columns.Column) (RandomAccessor, error)
 	// blocked is the transform of a blocked-codec format, nil otherwise.
 	blocked *transform
 }
 
-var registry [columns.NumKinds]format
-
-// The table is filled at init time because its function values reach back
-// into the registry (concatenation reads parts through NewReader).
-func init() {
-	registry = [columns.NumKinds]format{
-		columns.Uncompressed: {Codec: uncomprCodec{}, partitionAlign: 1, section: uncomprSection,
-			concat: concatUncompr, access: uncomprAccess},
-		columns.StaticBP: {Codec: staticBPCodec{}, partitionAlign: 64, section: staticBPSection,
-			concat: concatStaticBP, access: staticBPAccess},
-		columns.DynBP:   blockedFormat(dynBP),
-		columns.DeltaBP: blockedFormat(deltaBP),
-		columns.ForBP:   blockedFormat(forBP),
-		// A run boundary is only discoverable by scanning every preceding run,
-		// so RLE cannot be sliced; runs merge at any seam without re-encoding.
-		columns.RLE: {Codec: rleCodec{}, concat: concatRLE},
-	}
+var registry = [columns.NumKinds]format{
+	columns.Uncompressed: {Codec: uncomprCodec{}, partitionAlign: 1, section: uncomprSection,
+		access: uncomprAccess},
+	columns.StaticBP: {Codec: staticBPCodec{}, partitionAlign: 64, section: staticBPSection,
+		access: staticBPAccess},
+	columns.DynBP:   blockedFormat(dynBP),
+	columns.DeltaBP: blockedFormat(deltaBP),
+	columns.ForBP:   blockedFormat(forBP),
+	// A run boundary is only discoverable by scanning every preceding run,
+	// so RLE cannot be sliced.
+	columns.RLE: {Codec: rleCodec{}},
 }
 
 // lookup returns the registry row of a kind; an unknown kind gets the zero
@@ -220,25 +214,6 @@ func NewWriterFrom(bufs *bufpool.Lease, desc columns.FormatDesc, sizeHint int) (
 		return nil, err
 	}
 	return c.NewWriter(desc, sizeHint, bufs), nil
-}
-
-// AppendTail returns col extended by tail, in col's format, without decoding
-// col's compressed main part: the tail is compressed on its own and the two
-// are concatenated (ConcatCompressed), which copies col's whole blocks,
-// static BP groups or runs. A static BP column stays at auto width, so a tail
-// value wider than col's width widens the result. When col is as a writer at
-// auto width leaves it, the result is byte-identical to compressing col's
-// elements followed by tail in one pass.
-func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, error) {
-	desc := col.Desc()
-	if desc.Kind == columns.StaticBP {
-		desc = columns.StaticBPDesc(0)
-	}
-	t, err := Compress(tail, desc)
-	if err != nil {
-		return nil, err
-	}
-	return ConcatCompressed(desc, []*columns.Column{col, t})
 }
 
 // PaperDescs returns the five formats implemented by the paper's MorphStore

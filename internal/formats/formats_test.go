@@ -563,4 +563,29 @@ func TestAppendTailMatchesCompress(t *testing.T) {
 			t.Errorf("%v: AppendTail on a corrupt main returned %v, want ErrCorrupt", c.desc, err)
 		}
 	}
+	// A word behind a blocked main's last block is never decoded, so it is
+	// not copied either: the next block would start on it.
+	vals := data["small_uniform"]
+	for _, desc := range []columns.FormatDesc{columns.DynBPDesc, columns.DeltaBPDesc, columns.ForBPDesc} {
+		main, err := Compress(vals[:2*BlockLen+7], desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := append(append(append([]uint64(nil), main.MainWords()...), 3075), main.Remainder()...)
+		col, err := columns.New(desc, main.N(), main.MainElems(), len(main.MainWords())+1, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendTail(col, vals[main.N():])
+		if err != nil {
+			t.Fatalf("%v: AppendTail on a main with a word behind its blocks: %v", desc, err)
+		}
+		want, err := Compress(vals, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got, want) {
+			t.Errorf("%v: AppendTail on a main with a word behind its blocks: %v, want %v", desc, got, want)
+		}
+	}
 }

@@ -120,6 +120,34 @@ func (w *rleWriter) Write(vals []uint64) error {
 	return nil
 }
 
+// appendColumn appends every element of p, an RLE column, by copying its
+// runs: the first merges into the open run when their values agree, which
+// keeps the runs maximal, and the last becomes the open run.
+func (w *rleWriter) appendColumn(p *columns.Column) error {
+	pw := p.MainWords()
+	// The runs are copied verbatim, so their lengths are validated here: a
+	// corrupt run total would become an undetectable lie about the result's
+	// element count.
+	if err := rleCheck(pw, p.N()); err != nil {
+		return err
+	}
+	w.n += p.N()
+	if w.curLen > 0 && len(pw) > 0 && pw[0] == w.cur {
+		w.curLen += pw[1]
+		pw = pw[2:]
+	}
+	if len(pw) == 0 {
+		return nil
+	}
+	if w.curLen > 0 {
+		w.words = w.bufs.Append(w.words, w.cur, w.curLen)
+	}
+	last := len(pw) - 2
+	w.words = w.bufs.Append(w.words, pw[:last]...)
+	w.cur, w.curLen = pw[last], pw[last+1]
+	return nil
+}
+
 func (w *rleWriter) Close() (*columns.Column, error) {
 	if w.closed {
 		return nil, fmt.Errorf("formats: writer already closed")

@@ -107,6 +107,7 @@ type staticBPWriter struct {
 	words    []uint64 // packed output: whole groups so far
 	group    [64]uint64
 	inGroup  int
+	buf      []uint64 // read buffer of appendColumn's streaming path, allocated on demand
 	n        int
 	closed   bool
 }
@@ -170,11 +171,40 @@ func (w *staticBPWriter) widen(m uint) {
 	w.bits = m
 }
 
+// appendColumn appends every element of p, a static BP column. On a group
+// boundary at p's width — an auto-width writer widens to it first — p's
+// whole groups are copied and its partial last group becomes the open group;
+// otherwise p streams through its reader into Write.
+func (w *staticBPWriter) appendColumn(p *columns.Column) error {
+	pw, pb, err := staticBPWords(p)
+	if err != nil {
+		return err
+	}
+	if pb > w.bits {
+		if !w.auto {
+			return fmt.Errorf("formats: concat: static BP width %d cannot hold %d-bit part", w.bits, pb)
+		}
+		w.widen(pb)
+	}
+	if w.inGroup > 0 || pb != w.bits {
+		return writeColumn(w, p, w.bufs, &w.buf)
+	}
+	whole := p.N() &^ 63
+	off := whole / 64 * int(pb)
+	w.words = w.bufs.Append(w.words, pw[:off]...)
+	w.inGroup = p.N() - whole
+	bitutil.Unpack(w.group[:w.inGroup], pw[off:], pb)
+	w.n += p.N()
+	return nil
+}
+
 func (w *staticBPWriter) Close() (*columns.Column, error) {
 	if w.closed {
 		return nil, fmt.Errorf("formats: writer already closed")
 	}
 	w.closed = true
+	_ = w.bufs.Put(w.buf) // the writer's own buffer, issued by bufs
+	w.buf = nil
 	// The final partial group packs at its exact length.
 	w.pack(w.group[:w.inGroup])
 	if want := bitutil.PackedWords(w.n, w.bits); len(w.words) != want {

@@ -106,12 +106,12 @@ func Decompress(col *Column) ([]uint64, error) { return formats.Decompress(col) 
 
 // ConcatCompressed concatenates columns of one format into a single column
 // holding their element streams back to back, byte-identical to compressing
-// the concatenated streams monolithically — but built from block-granular
-// copies of the parts' compressed blocks, with only per-seam fixups (DeltaBP
-// first-block rebase, RLE adjacent-run merge, bit-stream shifts for
-// misaligned static BP seams). It is the splice primitive behind the
-// parallel operators' compressed stitch, exported for partition-at-rest use
-// cases (assembling shard results without a decompression round trip).
+// the concatenated streams monolithically. One writer of the format takes
+// the parts whole: a part that starts on one of the writer's group or block
+// boundaries at its width is copied, not decoded (a DeltaBP part's first
+// block rebased, an RLE part's first run merged), and any other part is
+// re-encoded through the writer. It serves partition-at-rest use cases:
+// assembling shard results without a decompression round trip.
 func ConcatCompressed(desc FormatDesc, parts []*Column) (*Column, error) {
 	return formats.ConcatCompressed(desc, parts)
 }
