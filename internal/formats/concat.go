@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 
+	"morphstore/internal/bitutil"
 	"morphstore/internal/bufpool"
 	"morphstore/internal/columns"
 	"morphstore/internal/faultpoint"
@@ -76,23 +77,27 @@ func ConcatCompressed(desc columns.FormatDesc, parts []*columns.Column) (*column
 // AppendTail returns col extended by tail, in col's format, without decoding
 // col's compressed main part: col is copied into a writer of its format
 // (whole blocks, static BP groups or runs) and the tail is written behind it,
-// so the tail is encoded once. A static BP column stays at auto width, so a
-// tail value wider than col's width widens the result. When col is as a
-// writer at auto width leaves it, the result is byte-identical to compressing
-// col's elements followed by tail in one pass.
+// so the tail is encoded once. A static BP column stays at auto width: a tail
+// value wider than col's width widens the result. When col is as a writer at
+// auto width leaves it, the result is byte-identical to compressing col's
+// elements followed by tail in one pass.
 func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, error) {
 	if err := faultpoint.ConcatFixup.Hit(); err != nil {
 		return nil, err
 	}
 	desc := col.Desc()
 	if desc.Kind == columns.StaticBP {
-		desc = columns.StaticBPDesc(0)
+		// The writer starts at the final width, so col's groups are copied or
+		// repacked once and the tail packs at that width. A width past 64
+		// fails col's own check.
+		desc.Bits = max(min(desc.Bits, 64), uint8(bitutil.MaxBits(tail)))
 	}
-	// The tail is reserved at the main's words per element, plus one block
-	// for a blocked writer's uncompressed remainder.
+	// The tail is reserved at twice col's words per element, plus one block
+	// for a blocked writer's uncompressed remainder: a tail that outgrows its
+	// reservation copies col's words a second time.
 	words := len(col.Words())
 	if col.N() > 0 {
-		words += words*len(tail)/col.N() + BlockLen
+		words += 2*words*len(tail)/col.N() + BlockLen
 	}
 	w, err := concatWriter(desc, col.N()+len(tail), words)
 	if err != nil {
