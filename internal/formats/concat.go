@@ -18,8 +18,8 @@ import (
 //
 //	Uncompressed  written from the part's value view.
 //	StaticBP      whole groups copied when the writer is on a group boundary
-//	              at the part's width (an auto-width writer widens to it);
-//	              the partial last group stays open.
+//	              at the part's width; the partial last group stays open.
+//	              The writer starts at the widest part's width.
 //	blocked       (DynBP, DeltaBP, ForBP) whole blocks copied, headers
 //	              untouched, when nothing is pending; a DELTA part's first
 //	              block is rebased when its stored base is not the element

@@ -171,20 +171,17 @@ func (w *staticBPWriter) widen(m uint) {
 	w.bits = m
 }
 
-// appendColumn appends every element of p, a static BP column. On a group
-// boundary at p's width — an auto-width writer widens to it first — p's
-// whole groups are copied and its partial last group becomes the open group;
-// otherwise p streams through its reader into Write.
+// appendColumn appends every element of p, a static BP column no wider than
+// the writer (its callers open it at the final width). On a group boundary
+// at p's width, p's whole groups are copied and its partial last group
+// becomes the open group; otherwise p streams through its reader into Write.
 func (w *staticBPWriter) appendColumn(p *columns.Column) error {
 	pw, pb, err := staticBPWords(p)
 	if err != nil {
 		return err
 	}
 	if pb > w.bits {
-		if !w.auto {
-			return fmt.Errorf("formats: concat: static BP width %d cannot hold %d-bit part", w.bits, pb)
-		}
-		w.widen(pb)
+		return fmt.Errorf("formats: concat: static BP width %d cannot hold %d-bit part", w.bits, pb)
 	}
 	if w.inGroup > 0 || pb != w.bits {
 		return writeColumn(w, p, w.bufs, &w.buf)
