@@ -92,12 +92,16 @@ func AppendTail(col *columns.Column, tail []uint64) (*columns.Column, error) {
 		// fails col's own check.
 		desc.Bits = max(min(desc.Bits, 64), uint8(bitutil.MaxBits(tail)))
 	}
-	// The tail is reserved at twice col's words per element, plus one block
-	// for a blocked writer's uncompressed remainder: a tail that outgrows its
-	// reservation copies col's words a second time.
+	// The buffer has room for the tail at its largest, so col's words are
+	// copied once whatever the tail holds. A blocked writer stores col's
+	// remainder and the tail as raw words or as blocks of at most 64 bits per
+	// element plus a header each; RLE stores at most one run per tail element.
 	words := len(col.Words())
-	if col.N() > 0 {
-		words += 2*words*len(tail)/col.N() + BlockLen
+	switch t := lookup(desc.Kind).blocked; {
+	case t != nil:
+		words += len(tail) + t.hdrWords*(len(tail)/BlockLen+1)
+	case desc.Kind == columns.RLE:
+		words += 2 * len(tail)
 	}
 	w, err := concatWriter(desc, col.N()+len(tail), words)
 	if err != nil {

@@ -307,19 +307,34 @@ func TestConcatCompressedAllocsFullBlocks(t *testing.T) {
 		vals[i] = vals[i-1] + uint64(rng.Intn(step))
 	}
 	split := 128*BlockLen + 300
+	// A tail of random 64-bit values is the costliest to store in every
+	// format; its buffer is reserved up front like any other tail's, so it
+	// takes no allocation more than the climbing tail.
+	wide := make([]uint64, len(vals)-split)
+	for i := range wide {
+		wide[i] = rng.Uint64()
+	}
 	for _, desc := range AllDescs() {
 		main, err := Compress(vals[:split], desc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := AppendTail(main, vals[split:]); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%v: AppendTail of %d values to %d: %.0f allocations", desc, len(vals)-split, split, allocs)
-		if allocs > allocBound {
-			t.Errorf("%v: AppendTail did %.0f allocations, want <= %d", desc, allocs, allocBound)
+		var counts [2]float64
+		for i, tail := range [][]uint64{vals[split:], wide} {
+			counts[i] = testing.AllocsPerRun(10, func() {
+				if _, err := AppendTail(main, tail); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%v: AppendTail of %d values to %d: %.0f allocations (random 64-bit tail: %.0f)",
+			desc, len(wide), split, counts[0], counts[1])
+		if counts[0] > allocBound {
+			t.Errorf("%v: AppendTail did %.0f allocations, want <= %d", desc, counts[0], allocBound)
+		}
+		if counts[1] != counts[0] {
+			t.Errorf("%v: AppendTail of a random 64-bit tail did %.0f allocations, want %.0f as for the climbing tail",
+				desc, counts[1], counts[0])
 		}
 	}
 }
