@@ -782,39 +782,53 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 }
 
 // BenchmarkAblationMorph compares direct morphing against the generic
-// block-streaming path and against a full decompress-recompress detour.
+// block-streaming path and against a full decompress-recompress detour, from
+// DynBP to auto-width static BP, per input: c1 (Table 1's C1, 6 bits
+// throughout) and sorted (0, 1, …, n-1, whose width rises block by block).
+// The direct morph reads the width from the block headers and packs at it;
+// the generic one streams into an auto-width writer, which on sorted input
+// repacks everything written so far at every wider block
+// (staticBPWriter.widen, ROADMAP item 4).
 func BenchmarkAblationMorph(b *testing.B) {
-	vals := datagen.Generate(datagen.C1, benchMicroN, 42)
-	col, err := formats.Compress(vals, columns.DynBPDesc)
-	if err != nil {
-		b.Fatal(err)
+	sorted := make([]uint64, benchMicroN)
+	for i := range sorted {
+		sorted[i] = uint64(i)
 	}
-	b.Run("direct", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := morph.Morph(col, columns.StaticBPDesc(0)); err != nil {
-				b.Fatal(err)
-			}
+	for _, in := range []struct {
+		name string
+		vals []uint64
+	}{{"c1", datagen.Generate(datagen.C1, benchMicroN, 42)}, {"sorted", sorted}} {
+		col, err := formats.Compress(in.vals, columns.DynBPDesc)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("generic_blockwise", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := morph.Generic(col, columns.StaticBPDesc(0)); err != nil {
-				b.Fatal(err)
+		b.Run(in.name+"/direct", func(b *testing.B) {
+			b.SetBytes(int64(len(in.vals) * 8))
+			for i := 0; i < b.N; i++ {
+				if _, err := morph.Morph(col, columns.StaticBPDesc(0)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("full_materialize", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			dec, err := formats.Decompress(col)
-			if err != nil {
-				b.Fatal(err)
+		})
+		b.Run(in.name+"/generic_blockwise", func(b *testing.B) {
+			b.SetBytes(int64(len(in.vals) * 8))
+			for i := 0; i < b.N; i++ {
+				if _, err := morph.Generic(col, columns.StaticBPDesc(0)); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, err := formats.Compress(dec, columns.StaticBPDesc(0)); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(in.name+"/full_materialize", func(b *testing.B) {
+			b.SetBytes(int64(len(in.vals) * 8))
+			for i := 0; i < b.N; i++ {
+				dec, err := formats.Decompress(col)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := formats.Compress(dec, columns.StaticBPDesc(0)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -14,10 +14,10 @@ import (
 // fit the emit/map/reduce drivers: it runs as one pass over the whole input
 // at every parallelism, with group ids streamed straight into the output
 // writer (groupWhole), recorded as a sequential fallback. Ids come from a
-// direct-address table while the keys are narrow (denseIDs), from a hash
-// table from the first row that outgrows it.
+// direct-address table while the keys are narrow (denseIDs), from the hash
+// table (pairMap) from the first row that outgrows it.
 
-// denseIDs is the direct-address form of the grouping's hash tables:
+// denseIDs is the direct-address form of the grouping's hash table:
 // tab[g<<kb | k-lo] holds one plus the id of previous gid g and key k (g is
 // 0 for GroupFirst), 0 for a pair not seen yet. Keys index from the base lo,
 // the smallest key seen so far, as the join's table does (keyRange). The
@@ -71,15 +71,22 @@ func (d *denseIDs) release() {
 	d.tab, d.words = nil, nil
 }
 
-// groupBuild accumulates the grouping state: group ids by key — dense until
-// a row's key outgrows the table, then in ht (GroupFirst) or pairs
-// (GroupNext) — plus, per id, the position of its first occurrence (the
-// extents).
+// groupBuild accumulates the grouping state: group ids by (previous gid,
+// key) — dense until a row's pair outgrows the table, then in pairs, keyed on
+// (0, key) for GroupFirst — plus, per id, the position of its first
+// occurrence (the extents).
 type groupBuild struct {
 	dense    denseIDs
-	ht       *u64Map
 	pairs    *pairMap
 	firstPos []uint64
+}
+
+// spill moves the ids handed out so far from the dense table into the hash
+// table, which from then on assigns them; gs is nil for GroupFirst.
+func (b *groupBuild) spill(gs []uint64) {
+	b.pairs = newPairMap(b.dense.bufs, max(1024, len(b.firstPos)), gs != nil)
+	b.dense.each(func(g, k uint64, id uint32) { b.pairs.put(g, k, uint64(id)) })
+	b.dense.release()
 }
 
 // add assigns ids to one chunk of keys, whose first element has position
@@ -87,11 +94,9 @@ type groupBuild struct {
 // out again at the first row outside it, for the rest of the chunk.
 func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
 	j := 0
-	for fits := b.dense.tab != nil; b.ht == nil && j < len(vals); fits = false {
+	for fits := b.dense.tab != nil; b.pairs == nil && j < len(vals); fits = false {
 		if !fits && !b.dense.fit(nil, vals[j:]) {
-			b.ht = newU64Map(b.dense.bufs, max(1024, len(b.firstPos)))
-			b.dense.each(func(_, k uint64, id uint32) { b.ht.put(k, uint64(id)) })
-			b.dense.release()
+			b.spill(nil)
 			break
 		}
 		tab, lo := b.dense.tab, b.dense.lo
@@ -109,13 +114,7 @@ func (b *groupBuild) add(vals []uint64, base uint64, gids []uint64) {
 			gids[j] = uint64(id - 1)
 		}
 	}
-	for ; j < len(vals); j++ {
-		gid, inserted := b.ht.getOrPut(vals[j], uint64(len(b.firstPos)))
-		if inserted {
-			b.firstPos = append(b.firstPos, base+uint64(j))
-		}
-		gids[j] = gid
-	}
+	b.addHashed(nil, vals[j:], base+uint64(j), gids[j:])
 }
 
 // addPairs is add over aligned chunks of previous gids and keys, the
@@ -124,9 +123,7 @@ func (b *groupBuild) addPairs(gs, ks []uint64, base uint64, gids []uint64) {
 	j := 0
 	for fits := b.dense.tab != nil; b.pairs == nil && j < len(ks); fits = false {
 		if !fits && !b.dense.fit(gs[j:], ks[j:]) {
-			b.pairs = newPairMap(b.dense.bufs, max(1024, len(b.firstPos)))
-			b.dense.each(func(g, k uint64, id uint32) { b.pairs.getOrPutMixed(g*hashMul, g, k, uint64(id)) })
-			b.dense.release()
+			b.spill(gs)
 			break
 		}
 		tab, lo, kb := b.dense.tab, b.dense.lo, b.dense.kb&63
@@ -146,29 +143,39 @@ func (b *groupBuild) addPairs(gs, ks []uint64, base uint64, gids []uint64) {
 			gids[j] = uint64(id - 1)
 		}
 	}
+	b.addHashed(gs[j:], ks[j:], base+uint64(j), gids[j:])
+}
+
+// addHashed assigns the ids of the rows the dense table left through the
+// hash table; gs is nil for GroupFirst, whose previous gid is 0 throughout.
+// A row probes with find, which inlines, so only a new pair costs a call.
+func (b *groupBuild) addHashed(gs, ks []uint64, base uint64, gids []uint64) {
 	// The parent gid arrives in runs (refinement keeps prior group order), so
 	// its hash mix is hoisted out of the per-row probe and recomputed only
 	// when the run changes; the zero initialization is consistent because
 	// 0*hashMul == 0.
 	var lastG, lastMix uint64
-	for ; j < len(gs); j++ {
-		if g := gs[j]; g != lastG {
-			lastG, lastMix = g, g*hashMul
+	m, firstPos := b.pairs, b.firstPos // not reloaded through b on every row
+	for j := 0; j < len(ks); j++ {
+		if gs != nil {
+			if g := gs[j]; g != lastG {
+				lastG, lastMix = g, g*hashMul
+			}
 		}
-		gid, inserted := b.pairs.getOrPutMixed(lastMix, lastG, ks[j], uint64(len(b.firstPos)))
-		if inserted {
-			b.firstPos = append(b.firstPos, base+uint64(j))
+		if i, found := m.find(lastMix, lastG, ks[j]); found {
+			gids[j] = m.vals[i]
+		} else {
+			gids[j] = uint64(len(firstPos))
+			m.insert(i, lastG, ks[j], gids[j])
+			firstPos = append(firstPos, base+uint64(j))
 		}
-		gids[j] = gid
 	}
+	b.firstPos = firstPos
 }
 
 // release gives the build's tables back to the lease.
 func (b *groupBuild) release() {
 	b.dense.release()
-	if b.ht != nil {
-		b.ht.release()
-	}
 	if b.pairs != nil {
 		b.pairs.release()
 	}

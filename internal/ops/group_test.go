@@ -84,9 +84,9 @@ func TestGroupNextKeyBase(t *testing.T) {
 // reference. The keys are shifted wide in a window, so the dense table
 // widens, is re-laid out, keeps its layout for a narrower block, moves its
 // key base down for a block below it, or gives way to the hash table at a
-// block boundary or inside a block, after ids were handed out. The previous gids of GroupNext are the single bytes of raw,
-// shifted wide from prevAt on. The gids are written auto-width, and the
-// lease must get back everything but the outputs.
+// block boundary or inside a block, after ids were handed out. The previous
+// gids of GroupNext are the single bytes of raw, shifted wide from prevAt on
+// (checkGroup).
 func FuzzGroup(f *testing.F) {
 	const (
 		capMax = directSpanCap - 1 // the widest key the dense table holds
@@ -117,41 +117,74 @@ func FuzzGroup(f *testing.F) {
 		}
 		keys := fuzzGroupKeys(raw, 2, int(n), int(at), int(at)+int(span), shift)
 		prev := fuzzGroupKeys(raw, 1, int(n), int(prevAt), int(n), prevShift)
-		wantFirstG, wantFirstE := refGroup(nil, keys)
-		wantNextG, wantNextE := refGroup(prev, keys)
-		eachKernelPath(func(path string) {
-			for _, next := range []bool{false, true} {
-				label := fmt.Sprintf("%s/next=%v", path, next)
-				bufs := bufpool.New().Lease()
-				rt := RT(context.Background(), nil, bufs, 1)
-				var gids, extents *columns.Column
-				var err error
-				wantG, wantE := wantFirstG, wantFirstE
-				if next {
-					gids, extents, err = rt.GroupNext(columns.FromValues(prev), columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
-					wantG, wantE = wantNextG, wantNextE
-				} else {
-					gids, extents, err = rt.GroupFirst(columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got := decode(t, gids); !slices.Equal(got, wantG) {
-					t.Fatalf("%s: gids differ from the reference (%d vs %d values)", label, len(got), len(wantG))
-				}
-				if got := decode(t, extents); !slices.Equal(got, wantE) {
-					t.Fatalf("%s: extents = %v, want %v", label, got, wantE)
-				}
-				for _, c := range []*columns.Column{gids, extents} {
-					if err := bufs.Put(c.Words()); err != nil {
-						t.Fatalf("%s: output words: %v", label, err)
-					}
-				}
-				if out := bufs.Out(); out != 0 {
-					t.Fatalf("%s: %d bytes still out of the lease", label, out)
-				}
-				bufs.Close()
+		checkGroup(t, prev, keys)
+	})
+}
+
+// TestGroupHashGrowth: FuzzGroup's raw yields at most 128 distinct keys, so
+// its hash table never grows. Here a dense first block of 100 keys gives way
+// to 4,000 distinct keys 2^20 apart, which GroupFirst and GroupNext (over
+// previous gids 0–2) assign through the hash table: past 1,024 entries it
+// grows from 2,048 slots three times. A last block repeats keys of both
+// kinds, looked up after the growth.
+func TestGroupHashGrowth(t *testing.T) {
+	const wide = 4000
+	var keys, prev []uint64
+	for i := 0; i < blockBuf+wide+blockBuf; i++ {
+		var k uint64
+		switch {
+		case i < blockBuf:
+			k = uint64(i % 100)
+		case i < blockBuf+wide:
+			k = uint64(i-blockBuf+1) << 20
+		default:
+			k = uint64(i%100) << (20 * (i % 2))
+		}
+		keys, prev = append(keys, k), append(prev, uint64(i%3))
+	}
+	checkGroup(t, prev, keys)
+}
+
+// checkGroup runs GroupFirst over keys and GroupNext over prev and keys on
+// both kernel paths and compares them with the reference. The gids are
+// written auto-width, and the lease must get back everything but the
+// outputs.
+func checkGroup(t *testing.T, prev, keys []uint64) {
+	t.Helper()
+	wantFirstG, wantFirstE := refGroup(nil, keys)
+	wantNextG, wantNextE := refGroup(prev, keys)
+	eachKernelPath(func(path string) {
+		for _, next := range []bool{false, true} {
+			label := fmt.Sprintf("%s/next=%v", path, next)
+			bufs := bufpool.New().Lease()
+			rt := RT(context.Background(), nil, bufs, 1)
+			var gids, extents *columns.Column
+			var err error
+			wantG, wantE := wantFirstG, wantFirstE
+			if next {
+				gids, extents, err = rt.GroupNext(columns.FromValues(prev), columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
+				wantG, wantE = wantNextG, wantNextE
+			} else {
+				gids, extents, err = rt.GroupFirst(columns.FromValues(keys), columns.StaticBPDesc(0), columns.UncomprDesc)
 			}
-		})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := decode(t, gids); !slices.Equal(got, wantG) {
+				t.Fatalf("%s: gids differ from the reference (%d vs %d values)", label, len(got), len(wantG))
+			}
+			if got := decode(t, extents); !slices.Equal(got, wantE) {
+				t.Fatalf("%s: extents = %v, want %v", label, got, wantE)
+			}
+			for _, c := range []*columns.Column{gids, extents} {
+				if err := bufs.Put(c.Words()); err != nil {
+					t.Fatalf("%s: output words: %v", label, err)
+				}
+			}
+			if out := bufs.Out(); out != 0 {
+				t.Fatalf("%s: %d bytes still out of the lease", label, out)
+			}
+			bufs.Close()
+		}
 	})
 }

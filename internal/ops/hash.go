@@ -6,19 +6,23 @@ import (
 	"morphstore/internal/bufpool"
 )
 
-// u64Map is a minimal open-addressing hash map from uint64 keys to uint64
-// values, tuned for the join/group operators: linear probing, power-of-two
-// capacity, multiply-shift hashing. The zero key is handled via an explicit
-// occupancy bitmap, avoiding sentinel restrictions on the key domain. Its
-// arrays come from a lease; release gives them back.
-type u64Map struct {
-	keys  []uint64
-	vals  []uint64
-	used  []uint64 // occupancy, one bit per slot
-	mask  uint64
-	shift uint
-	size  int
-	bufs  *bufpool.Lease
+// pairMap is the operators' one hash table: a minimal open-addressing map
+// from a pair of uint64 keys to a uint64 value, with linear probing,
+// power-of-two capacity and multiply-shift hashing. The grouping refinement
+// keys it on (previous group id, key); the join and GroupFirst use it for
+// single keys, which are pairs with first key 0. A table built for single
+// keys keeps no first-key array, so it costs 16 bytes per slot. The zero key
+// is handled via an explicit occupancy bitmap, avoiding sentinel
+// restrictions on the key domain. Its arrays come from a lease; release
+// gives them back.
+type pairMap struct {
+	k1, k2 []uint64 // k1 is nil in a single-key table
+	vals   []uint64
+	used   []uint64 // occupancy, one bit per slot
+	mask   uint64
+	shift  uint
+	size   int
+	bufs   *bufpool.Lease
 }
 
 const hashMul = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
@@ -46,119 +50,21 @@ func isUsed(used []uint64, i uint64) bool { return used[i>>6]>>(i&63)&1 != 0 }
 // markUsed sets slot i occupied.
 func markUsed(used []uint64, i uint64) { used[i>>6] |= 1 << (i & 63) }
 
-// newU64Map creates a map sized for about n entries, its arrays from bufs.
-func newU64Map(bufs *bufpool.Lease, n int) *u64Map {
-	m := &u64Map{bufs: bufs}
-	m.alloc(tableCap(n))
-	return m
-}
-
-// alloc gives the map empty arrays of cap slots.
-func (m *u64Map) alloc(cap int) {
-	m.keys = m.bufs.Get(cap)
-	m.vals = m.bufs.Get(cap)
-	m.used = occupancy(m.bufs, cap)
-	m.mask = uint64(cap - 1)
-	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
-	m.size = 0
-}
-
-// release gives the map's arrays back to its lease; the map is unusable
-// afterwards.
-func (m *u64Map) release() {
-	for _, b := range [][]uint64{m.keys, m.vals, m.used} {
-		_ = m.bufs.Put(b) // issued by alloc
-	}
-	m.keys, m.vals, m.used = nil, nil, nil
-}
-
-func (m *u64Map) slot(k uint64) uint64 {
-	return (k * hashMul) >> m.shift
-}
-
-// put inserts or overwrites the value for key k.
-func (m *u64Map) put(k, v uint64) {
-	if m.size*2 >= len(m.keys) {
-		m.grow()
-	}
-	i := m.slot(k)
-	for isUsed(m.used, i) {
-		if m.keys[i] == k {
-			m.vals[i] = v
-			return
-		}
-		i = (i + 1) & m.mask
-	}
-	m.keys[i], m.vals[i] = k, v
-	markUsed(m.used, i)
-	m.size++
-}
-
-// getOrPut returns the existing value for k, or inserts def and returns it
-// with inserted=true.
-func (m *u64Map) getOrPut(k, def uint64) (v uint64, inserted bool) {
-	if m.size*2 >= len(m.keys) {
-		m.grow()
-	}
-	i := m.slot(k)
-	for isUsed(m.used, i) {
-		if m.keys[i] == k {
-			return m.vals[i], false
-		}
-		i = (i + 1) & m.mask
-	}
-	m.keys[i], m.vals[i] = k, def
-	markUsed(m.used, i)
-	m.size++
-	return def, true
-}
-
-// get looks up k.
-func (m *u64Map) get(k uint64) (uint64, bool) {
-	i := m.slot(k)
-	for isUsed(m.used, i) {
-		if m.keys[i] == k {
-			return m.vals[i], true
-		}
-		i = (i + 1) & m.mask
-	}
-	return 0, false
-}
-
-func (m *u64Map) grow() {
-	old := *m
-	m.alloc(len(old.keys) * 2)
-	for i := range old.keys {
-		if isUsed(old.used, uint64(i)) {
-			m.put(old.keys[i], old.vals[i])
-		}
-	}
-	old.release()
-}
-
-// pairMap maps a pair of uint64 keys to a uint64 value; it backs the
-// iterative group-by refinement (group id, next key) -> new group id. Its
-// arrays come from a lease like u64Map's.
-type pairMap struct {
-	k1, k2 []uint64
-	vals   []uint64
-	used   []uint64 // occupancy, one bit per slot
-	mask   uint64
-	shift  uint
-	size   int
-	bufs   *bufpool.Lease
-}
-
 // newPairMap creates a map sized for about n entries, its arrays from bufs.
-func newPairMap(bufs *bufpool.Lease, n int) *pairMap {
+// Unless pairs is set, every first key must be 0 and the map keeps none.
+func newPairMap(bufs *bufpool.Lease, n int, pairs bool) *pairMap {
 	m := &pairMap{bufs: bufs}
-	m.alloc(tableCap(n))
+	m.alloc(tableCap(n), pairs)
 	return m
 }
 
-// alloc gives the map empty arrays of cap slots.
-func (m *pairMap) alloc(cap int) {
-	m.k1 = m.bufs.Get(cap)
+// alloc gives the map empty arrays of cap slots, a first-key array only if
+// pairs is set.
+func (m *pairMap) alloc(cap int, pairs bool) {
+	m.k1 = nil
+	if pairs {
+		m.k1 = m.bufs.Get(cap)
+	}
 	m.k2 = m.bufs.Get(cap)
 	m.vals = m.bufs.Get(cap)
 	m.used = occupancy(m.bufs, cap)
@@ -171,58 +77,72 @@ func (m *pairMap) alloc(cap int) {
 // afterwards.
 func (m *pairMap) release() {
 	for _, b := range [][]uint64{m.k1, m.k2, m.vals, m.used} {
-		_ = m.bufs.Put(b) // issued by alloc
+		_ = m.bufs.Put(b) // issued by alloc, or nil
 	}
 	m.k1, m.k2, m.vals, m.used = nil, nil, nil, nil
 }
 
-func pairHash(a, b uint64) uint64 {
-	h := a*hashMul ^ b
-	h *= hashMul
-	return h
-}
-
-// slot is the home slot of a pair hash: its top bits, as in u64Map.slot. The
-// low bits of a product depend only on the low bits of its factors, so
-// pairs that differ only above the mask would share one probe chain.
-func (m *pairMap) slot(h uint64) uint64 { return h >> m.shift }
-
-// getOrPutMixed returns the existing value for (a, b), or inserts def and
-// returns it with inserted = true. The caller passes the first key's hash
-// contribution mixA = a*hashMul: the grouping loop processes runs of equal
-// first keys, so hoisting the multiply out of the per-row call is a small but
-// measurable win; pairHash(a, b) == (mixA ^ b) * hashMul keeps the slots
-// identical to grow's.
-func (m *pairMap) getOrPutMixed(mixA, a, b, def uint64) (v uint64, inserted bool) {
-	if m.size*2 >= len(m.k1) {
-		m.grow()
-	}
-	i := m.slot((mixA ^ b) * hashMul)
-	for isUsed(m.used, i) {
-		if m.k1[i] == a && m.k2[i] == b {
-			return m.vals[i], false
+// find returns the slot of (a, b) with found = true, or the free slot where
+// it would go. The caller passes the first key's hash contribution mixA =
+// a*hashMul; the home slot is the top bits of (mixA ^ b)*hashMul. The low
+// bits of a product depend only on the low bits of its factors, so keys that
+// differ only above the mask would share one probe chain. A single key b
+// (a = 0) hashes to b*hashMul.
+func (m *pairMap) find(mixA, a, b uint64) (uint64, bool) {
+	i := (mixA ^ b) * hashMul >> m.shift
+	for m.used[i>>6]>>(i&63)&1 != 0 { // isUsed, spelled out so get inlines
+		if m.k2[i] == b && (m.k1 == nil || m.k1[i] == a) {
+			return i, true
 		}
 		i = (i + 1) & m.mask
 	}
-	m.k1[i], m.k2[i], m.vals[i] = a, b, def
-	markUsed(m.used, i)
-	m.size++
-	return def, true
+	return i, false
 }
 
+// insert stores (a, b) -> v, which find placed at the free slot i; a table
+// half full doubles first, and (a, b) is placed again.
+func (m *pairMap) insert(i, a, b, v uint64) {
+	if m.size*2 >= len(m.vals) {
+		m.grow()
+		i, _ = m.find(a*hashMul, a, b)
+	}
+	if m.k1 != nil {
+		m.k1[i] = a
+	}
+	m.k2[i], m.vals[i] = b, v
+	markUsed(m.used, i)
+	m.size++
+}
+
+// put inserts or overwrites the value for (a, b): the last put wins.
+func (m *pairMap) put(a, b, v uint64) {
+	if i, found := m.find(a*hashMul, a, b); found {
+		m.vals[i] = v
+	} else {
+		m.insert(i, a, b, v)
+	}
+}
+
+// get looks up (a, b); the value is undefined unless found. It loads the
+// value either way: a branch on found would cost get its inlining into the
+// join's probe loop.
+func (m *pairMap) get(a, b uint64) (v uint64, found bool) {
+	i, found := m.find(a*hashMul, a, b)
+	return m.vals[i], found
+}
+
+// grow doubles the table, re-inserting the entries in slot order.
 func (m *pairMap) grow() {
 	old := *m
-	m.alloc(len(old.k1) * 2)
-	for i := range old.k1 {
+	m.alloc(len(old.vals)*2, old.k1 != nil)
+	for i := range old.vals {
 		if isUsed(old.used, uint64(i)) {
-			// re-insert
-			j := m.slot(pairHash(old.k1[i], old.k2[i]))
-			for isUsed(m.used, j) {
-				j = (j + 1) & m.mask
+			var a uint64
+			if old.k1 != nil {
+				a = old.k1[i]
 			}
-			m.k1[j], m.k2[j], m.vals[j] = old.k1[i], old.k2[i], old.vals[i]
-			markUsed(m.used, j)
-			m.size++
+			j, _ := m.find(a*hashMul, a, old.k2[i])
+			m.insert(j, a, old.k2[i], old.vals[i])
 		}
 	}
 	old.release()

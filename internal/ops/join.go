@@ -20,7 +20,7 @@ const (
 	// for 2 556 keys).
 	directSpanCap = 1 << 16
 	// directSlotsPerKey admits a wider span while the 4-byte-per-slot table
-	// stays below the 34 bytes per key the hash map spends at its fullest.
+	// stays below the 34 bytes per key the hash table spends at its fullest.
 	directSlotsPerKey = 8
 )
 
@@ -91,16 +91,18 @@ func directJoinKernel(bufs *bufpool.Lease, build []uint64, lo, span uint64) (chu
 	}, func() { _ = bufs.Put(words) } // issued by u32Table
 }
 
-// hashJoinKernel is the sparse-key fallback of directJoinKernel.
+// hashJoinKernel is the sparse-key fallback of directJoinKernel: a
+// single-key pairMap of (0, key) -> build index, the last index of a key
+// winning.
 func hashJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
-	ht := newU64Map(bufs, len(build))
+	ht := newPairMap(bufs, len(build), false)
 	for i, k := range build {
-		ht.put(k, uint64(i))
+		ht.put(0, k, uint64(i))
 	}
 	return func(vals []uint64, base uint64, stage [][]uint64) int {
 		stageP, stageB, k := stage[0], stage[1], 0
 		for i, v := range vals {
-			if b, ok := ht.get(v); ok {
+			if b, ok := ht.get(0, v); ok {
 				stageP[k] = base + uint64(i)
 				stageB[k] = b
 				k++
@@ -118,7 +120,7 @@ func hashJoinKernel(bufs *bufpool.Lease, build []uint64) (chunkKernel, func()) {
 // the last occurrence wins. The probe side streams through the usual
 // de/re-compression wrapper; the build side is decompressed once into a
 // lookup table that all workers probe read-only — a direct-address array
-// indexed by key - min when the keys are dense (denseKeys), a hash map
+// indexed by key - min when the keys are dense (denseKeys), a hash table
 // otherwise. The choice depends only on the build column's element count and
 // key range, and the output is the same bytes either way. The style argument
 // is ignored: the processing style is the CPU's, detected once in package
