@@ -187,8 +187,8 @@ type EngineStats struct {
 	// DeltaDeleted is the current total pending (unfolded) deletion count
 	// over all writable tables.
 	DeltaDeleted int
-	// DeltaBytes is the current total delta footprint (tail backing,
-	// deletion sets, journals) in bytes.
+	// DeltaBytes is the current total delta footprint (tail backing and
+	// deletion sets) in bytes.
 	DeltaBytes int64
 }
 

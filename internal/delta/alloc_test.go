@@ -59,3 +59,44 @@ func TestLiveValuesAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendAllocation pins that an append stores its rows once, in the
+// tail: one ingest mix remorph period (eight 8,000-row appends of three
+// columns onto a fresh table) allocates at most 5× the appended bytes. What
+// remains is the tail's growth, which reallocates on most batches (9.4× when
+// each batch was also encoded into a mutation journal).
+func TestAppendAllocation(t *testing.T) {
+	const batches, rows = 8, 8000
+	cols := []string{"a", "b", "c"}
+	main := make(map[string]*columns.Column, len(cols))
+	for _, cn := range cols {
+		main[cn] = columns.FromValues(seq(0, 1000))
+	}
+	tab, err := NewTable("t", main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([]map[string][]uint64, batches)
+	for b := range input {
+		input[b] = make(map[string][]uint64, len(cols))
+		for i, cn := range cols {
+			input[b][cn] = seq(b*rows+i, rows)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, batch := range input {
+		if _, _, err := tab.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if s := tab.State(); s.TailRows() != batches*rows {
+		t.Fatalf("tail holds %d rows, want %d", s.TailRows(), batches*rows)
+	}
+	got, appended := after.TotalAlloc-before.TotalAlloc, uint64(8*batches*rows*len(cols))
+	t.Logf("allocated %d B for %d B of appended values (%.2f×)", got, appended, float64(got)/float64(appended))
+	if float64(got) > 5*float64(appended) {
+		t.Fatalf("Append allocated %d B, more than 5× the %d B appended", got, appended)
+	}
+}

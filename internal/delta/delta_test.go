@@ -3,7 +3,6 @@ package delta
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"morphstore/internal/columns"
@@ -311,63 +310,9 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestJournalReplay checks the journal reproduces the delta: random
-// mutations, then Replay onto the same main yields the same live values.
-func TestJournalReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := seq(0, 200)
-	main := map[string]*columns.Column{
-		"a": compress(t, base, columns.ForBPDesc),
-		"b": columns.FromValues(seq(1000, 200)),
-	}
-	tab, err := NewTable("t", main)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if rng.Intn(3) < 2 {
-			n := 1 + rng.Intn(20)
-			if _, _, err := tab.Append(map[string][]uint64{
-				"a": seq(rng.Intn(1<<20), n), "b": seq(rng.Intn(1<<20), n),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			live := tab.State().Rows()
-			pos := []uint64{uint64(rng.Intn(live)), uint64(rng.Intn(live))}
-			if _, _, err := tab.Delete(pos); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	replayed, err := Replay("t", main, tab.Journal())
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	s, rs := tab.State(), replayed.State()
-	if s.Rows() != rs.Rows() || s.TailRows() != rs.TailRows() || s.DeletedRows() != rs.DeletedRows() {
-		t.Fatalf("replayed shape %d/%d/%d, want %d/%d/%d",
-			rs.Rows(), rs.TailRows(), rs.DeletedRows(), s.Rows(), s.TailRows(), s.DeletedRows())
-	}
-	for _, cn := range tab.Columns() {
-		want, err := s.LiveValues(cn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rs.LiveValues(cn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq(got, want) {
-			t.Fatalf("replayed column %q differs", cn)
-		}
-	}
-}
-
 // TestCompleteRebuildRemap is the swap-protocol test: mutations that arrive
 // between BeginRebuild and CompleteRebuild survive the swap, with deletions
-// remapped onto the new row numbering, and the rewritten journal still
-// replays onto the new main.
+// remapped onto the new row numbering.
 func TestCompleteRebuildRemap(t *testing.T) {
 	m := &model{}
 	m.append(seq(0, 600))
@@ -443,19 +388,6 @@ func TestCompleteRebuildRemap(t *testing.T) {
 		t.Fatal("post-swap merged view differs from model")
 	}
 
-	// The rewritten journal must replay the surviving delta onto the new main.
-	replayed, err := Replay("t", map[string]*columns.Column{"v": compress(t, vals, columns.RLEDesc)}, tab.Journal())
-	if err != nil {
-		t.Fatalf("Replay after swap: %v", err)
-	}
-	rv, err := replayed.State().LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(rv, m.vals) {
-		t.Fatal("journal replay after swap differs from model")
-	}
-
 	// Another rebuild folds the surviving delta too.
 	s1, ok := tab.BeginRebuild()
 	if !ok {
@@ -472,7 +404,7 @@ func TestCompleteRebuildRemap(t *testing.T) {
 	if _, ok := tab.BeginRebuild(); ok {
 		t.Fatal("BeginRebuild must refuse with an empty delta")
 	}
-	if s := tab.State(); s.TailRows() != 0 || s.DeletedRows() != 0 || len(tab.Journal()) != 0 {
+	if s := tab.State(); s.TailRows() != 0 || s.DeletedRows() != 0 {
 		t.Fatal("second fold left delta state behind")
 	}
 }
@@ -652,18 +584,5 @@ func TestCompleteRebuildValueRemap(t *testing.T) {
 	want := append([]uint64{1, 2, 0, 1, 2, 2}, 1, 3, 100) // remapped main (incl. folded tail) + remapped surviving tail
 	if !eq(got, want) {
 		t.Fatalf("live values = %v, want %v", got, want)
-	}
-
-	// The rewritten journal replays the remapped tail onto the new main.
-	replayed, err := Replay("t", map[string]*columns.Column{"v": columns.FromValues(newMain)}, tab.Journal())
-	if err != nil {
-		t.Fatalf("Replay after swap: %v", err)
-	}
-	rv, err := replayed.State().LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(rv, want) {
-		t.Fatalf("replayed live values = %v, want %v", rv, want)
 	}
 }

@@ -8,9 +8,8 @@
 // positions. Mutations (Append, Delete) are serialized per table and publish
 // a new immutable State through an atomic pointer; readers load a State once
 // (a snapshot) and see a frozen main+delta view forever after, regardless of
-// concurrent mutations or remorph swaps. Every mutation is also journaled in
-// a checksummed wire format (log.go) so a table's delta can be replayed onto
-// its main.
+// concurrent mutations or remorph swaps. The tail and the deletion set are
+// the only copy of the delta: nothing journals a table's rows.
 //
 // Reads go through State.Column, which merges main and delta into a single
 // ordinary column. With no deletions every format appends the tail in the

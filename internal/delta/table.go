@@ -12,7 +12,7 @@ import (
 )
 
 // Table is one writable table: an immutable compressed main plus the mutable
-// delta (append-only column tails, deletion set, journal). Mutations are
+// delta (append-only column tails, deletion set). Mutations are
 // serialized by the table mutex and publish new immutable States through an
 // atomic pointer; State loads are lock-free, so readers never contend with
 // writers. At most one remorph rebuild runs at a time (BeginRebuild /
@@ -22,10 +22,9 @@ type Table struct {
 	name string
 	cols []string // sorted column names
 
-	mu      sync.Mutex
-	cur     atomic.Pointer[State]
-	tails   map[string][]uint64 // append-only backing arrays
-	journal []byte              // wire-format mutation log since the last swap
+	mu    sync.Mutex
+	cur   atomic.Pointer[State]
+	tails map[string][]uint64 // append-only backing arrays
 
 	rebuild sync.Mutex // serializes remorph rebuilds
 }
@@ -128,7 +127,6 @@ func (t *Table) Append(rows map[string][]uint64) (*State, int, error) {
 	if err := faultpoint.AppendLog.Hit(); err != nil {
 		return nil, 0, fmt.Errorf("delta: append log %q: %w", t.name, err)
 	}
-	t.journal = encodeAppend(t.journal, t.cols, rows, n)
 	for _, cn := range t.cols {
 		t.tails[cn] = append(t.tails[cn], rows[cn]...)
 	}
@@ -161,24 +159,14 @@ func (t *Table) Delete(positions []uint64) (*State, int, error) {
 	if err := faultpoint.AppendLog.Hit(); err != nil {
 		return nil, 0, fmt.Errorf("delta: append log %q: %w", t.name, err)
 	}
-	t.journal = encodeDelete(t.journal, abs)
 	nd := mergeSorted(s.deleted, abs)
 	ns := newState(s.epoch+1, s.main, s.mainRows, s.tail, s.tailRows, nd)
 	t.cur.Store(ns)
 	return ns, len(abs), nil
 }
 
-// Journal returns a copy of the table's mutation log since the last remorph
-// swap: the wire-format records that, replayed onto the current main with
-// Replay, reproduce the current delta.
-func (t *Table) Journal() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]byte(nil), t.journal...)
-}
-
-// DeltaBytes returns the table's current delta footprint: tail backing,
-// deletion set, and journal bytes.
+// DeltaBytes returns the table's current delta footprint: tail backing and
+// deletion set.
 func (t *Table) DeltaBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -187,7 +175,7 @@ func (t *Table) DeltaBytes() int64 {
 		b += int64(len(t.tails[cn])) * 8
 	}
 	s := t.cur.Load()
-	return b + int64(len(s.deleted))*8 + int64(len(t.journal))
+	return b + int64(len(s.deleted))*8
 }
 
 // BeginRebuild claims the table's single rebuild slot and pins the state the
@@ -225,7 +213,7 @@ type SwapResult struct {
 // column with exactly s0.Rows() rows (the live rows of s0, in order).
 // Mutations that arrived during the rebuild survive the swap — tail rows past
 // s0 become the new delta tail and deletions not folded are remapped onto the
-// new row numbering — and the journal is rewritten to the surviving delta.
+// new row numbering.
 // In-flight readers keep the states they pinned; only new State loads see the
 // swap. The caller still holds the rebuild slot and must EndRebuild after.
 func (t *Table) CompleteRebuild(s0 *State, main map[string]*columns.Column) (SwapResult, error) {
@@ -294,20 +282,6 @@ func (t *Table) CompleteRebuildRemap(s0 *State, main map[string]*columns.Column,
 			nd = append(nd, uint64(newMainRows)+(d-total0))
 		}
 	}
-	// Rewrite the journal to the surviving delta: one append record for the
-	// remaining tail, one delete record for the remapped set.
-	var j []byte
-	if newTailRows > 0 {
-		rows := make(map[string][]uint64, len(t.cols))
-		for _, cn := range t.cols {
-			rows[cn] = t.tails[cn]
-		}
-		j = encodeAppend(j, t.cols, rows, newTailRows)
-	}
-	if len(nd) > 0 {
-		j = encodeDelete(j, nd)
-	}
-	t.journal = j
 	ns := newState(s1.epoch+1, mcopy, newMainRows, t.tailViews(newTailRows), newTailRows, nd)
 	if onSwap != nil {
 		onSwap()

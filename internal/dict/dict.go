@@ -11,11 +11,11 @@
 // under the engine's coherence locks — after it, IDs are in lexicographic
 // order and prefix predicates become contiguous ID ranges.
 //
-// Every mutation is journaled with the same FNV-checksummed record framing
-// as the delta journal (see internal/delta/log.go), so a dictionary persists
-// and replays alongside its table's delta journal with the same corruption
-// taxonomy: Replay never panics and classifies every structural defect as
-// qerr.ErrCorruptData (FuzzDictJournal drives this contract).
+// Every mutation is journaled in internal/wal's FNV-checksummed record
+// framing, and Replay rebuilds a dictionary from that journal: Replay never
+// panics and classifies every structural defect as qerr.ErrCorruptData
+// (FuzzDictJournal drives this contract). It is the engine's only journal;
+// a table's rows live once, in its main and delta tail.
 package dict
 
 import (

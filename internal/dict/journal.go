@@ -8,18 +8,16 @@ import (
 	"morphstore/internal/wal"
 )
 
-// This file implements the dictionary journal wire codec on the record
-// framing the delta journal uses too (internal/wal), so a dictionary persists
-// alongside its table's journal under one corruption taxonomy: every record
-// is length-prefixed and FNV-1a checksummed, the decoder never panics, never
-// allocates proportionally to an unvalidated length, and classifies every
-// structural defect as qerr.ErrCorruptData (FuzzDictJournal drives this).
+// This file implements the dictionary journal wire codec on internal/wal's
+// record framing: every record is length-prefixed and FNV-1a checksummed,
+// the decoder never panics, never allocates proportionally to an unvalidated
+// length, and classifies every structural defect as qerr.ErrCorruptData
+// (FuzzDictJournal drives this).
 //
 // Add payload: u32 count, then count strings as u16 length + bytes. IDs are
 // implicit: the i-th string of the journal (across records) has ID i, the
 // same first-occurrence order Add assigns. A sorted rebuild rewrites the
-// whole journal to one record in the new ID order, mirroring the delta
-// journal rewrite at remorph swap.
+// whole journal to one record in the new ID order.
 const (
 	recAdd = 1
 

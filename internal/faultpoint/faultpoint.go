@@ -44,8 +44,8 @@ var (
 	// accepting new work and before the drain wait begins.
 	CloseDrain = newPoint("close-drain")
 	// AppendLog fires in a writable table's mutation path (Append/Delete),
-	// after validation and before the journal record and delta state are
-	// written — a failing hit leaves the table unchanged.
+	// after validation and before the new delta state is written — a failing
+	// hit leaves the table unchanged.
 	AppendLog = newPoint("append-log")
 	// DeltaMerge fires when a snapshot materializes the merged main+delta
 	// view of one column (the first read of that column at that epoch).

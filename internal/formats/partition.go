@@ -100,7 +100,7 @@ func SplitColumnsAlignedMorsels(a, b *columns.Column, p int) []Partition {
 // MinMorsel elements except the tail; nil when the range is too small to
 // split or p <= 1. It is the partitioning primitive behind SplitColumn,
 // exported for callers partitioning a logical stream that is not (yet) a
-// column — notably the parallel compressed stitch over operator output.
+// column, such as the benchmark's per-layer harness over a value slice.
 func SplitRange(n, p, align int) []Partition {
 	if align == 0 || p <= 1 || n < 2*MinMorsel {
 		return nil

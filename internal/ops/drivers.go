@@ -18,12 +18,14 @@ import (
 //   - reduce: a fixed-width partial folded over the input (sum, grouped sum).
 //
 // Each driver checks cancellation, splits the streamed input into contiguous
-// block-aligned morsels (formats.SplitColumnMorsels), lets worker goroutines
-// claim them from the work queue (runParts), and stitches the per-morsel
-// outputs in morsel order through the parallel compressed stitch. Morsels are
-// processed with their global element offset as the position base, so
-// position lists stay globally sorted and the stitched column holds exactly
-// the bytes one writer consuming the whole stream would produce.
+// block-aligned morsels (formats.SplitColumnMorsels) and lets worker
+// goroutines claim them from the work queue (runParts). emit stitches the
+// per-morsel outputs in morsel order through one writer per output stream,
+// mapCols has the workers fill one shared buffer that one writer then
+// encodes, and reduce merges the workers' partials. Morsels are processed
+// with their global element offset as the position base, so position lists
+// stay globally sorted and the stitched column holds exactly the bytes one
+// writer consuming the whole stream would produce.
 //
 // When the input does not split — one worker, a format that cannot be sliced
 // (RLE), or too few elements — the driver runs the same kernel once over

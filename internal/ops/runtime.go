@@ -227,7 +227,7 @@ func (rt Runtime) Err() error {
 func (rt Runtime) workers(morsels int) int { return max(1, min(rt.Par(), morsels)) }
 
 // guarded runs fn for morsel i and converts a panic — in the kernel, in a
-// stitch seam, or injected through a fault point — into a typed
+// morsel's staging writer, or injected through a fault point — into a typed
 // *qerr.QueryError carrying the panic value, the morsel index and the stack.
 // The recover boundary sits per morsel rather than per worker so the worker
 // loop keeps running its bookkeeping (completion count, token release) on the

@@ -1,9 +1,8 @@
-// Package wal is the record framing shared by the engine's journals (the
-// delta mutation log and the dictionary journal): a journal is a
-// concatenation of length-prefixed, checksummed records, so truncation and
-// bit flips are detected deterministically. The typed payloads live with
-// their owners (internal/delta, internal/dict); this package knows only the
-// frame.
+// Package wal is the record framing of the engine's journals — today only
+// the dictionary journal: a journal is a concatenation of length-prefixed,
+// checksummed records, so truncation and bit flips are detected
+// deterministically. The typed payloads live with their owner
+// (internal/dict); this package knows only the frame.
 //
 // Record layout (little-endian):
 //
