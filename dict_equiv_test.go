@@ -51,9 +51,9 @@ func idSelectPlan(t *testing.T, id uint64, hit bool) *ms.Plan {
 
 // TestDictIngestEquivalence is the string-layer equivalence proof: a table
 // grown through CSV ingest, JSON-lines ingest, direct AppendStrings batches,
-// and remorph folds (which renumber the dictionary into sorted order) must
-// answer string-equality queries byte-identically to a read-only reference
-// engine holding the same rows as a pre-translated uint64 ID column queried
+// and remorph folds (which keep every dictionary ID) must answer
+// string-equality queries byte-identically to a read-only reference engine
+// holding the same rows as a pre-translated uint64 ID column queried
 // with a plain integer select — across four formats, parallelism 1 and 4
 // and both kernel paths.
 func TestDictIngestEquivalence(t *testing.T) {
@@ -67,8 +67,8 @@ func TestDictIngestEquivalence(t *testing.T) {
 	strsAll := make([]string, total)
 	valsAll := make([]uint64, total)
 	// The model dictionary pre-translates in first-occurrence order; the
-	// engine's internal numbering diverges after a sorted rebuild, which must
-	// not be observable in query results.
+	// engine's own numbering need not match it, and that must not be
+	// observable in query results.
 	modelID := make(map[string]uint64)
 	sidAll := make([]uint64, total)
 	for i := range strsAll {

@@ -227,15 +227,15 @@ func (c *compiler) compile(n *Node) (physOp, error) {
 		table, column := in.node.table, in.node.column
 		kind, sval, svals := n.strKind, n.strVal, n.strVals
 		// The predicate is translated to ID space now, against the dictionary
-		// snapshot at prepare time; executions whose pinned snapshot carries a
-		// different dictionary (new strings appended, or a sorted rebuild
-		// renumbered the IDs) re-translate against theirs — a few map lookups,
-		// so a prepared plan stays valid across ingest and remorph.
+		// snapshot at prepare time; executions whose pinned snapshot holds a
+		// different number of strings re-translate against theirs — IDs never
+		// change, so only strings appended since can differ, and a prepared
+		// plan stays valid across ingest and remorph.
 		prepSnap := dd.Snap()
 		prep := translateStrPred(prepSnap, kind, sval, svals)
 		return func(es *execState, rt ops.Runtime) ([]*columns.Column, error) {
 			pred := prep
-			if ds := es.snap.Dict(table, column); ds != nil && (ds.Gen() != prepSnap.Gen() || ds.Len() != prepSnap.Len()) {
+			if ds := es.snap.Dict(table, column); ds != nil && ds.Len() != prepSnap.Len() {
 				pred = translateStrPred(ds, kind, sval, svals)
 			}
 			switch pred.mode {

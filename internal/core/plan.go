@@ -221,9 +221,9 @@ func (b *Builder) SelectStrIn(name string, in ColRef, vals ...string) ColRef {
 }
 
 // SelectStrPrefix emits the positions of in whose string starts with prefix,
-// under the same dictionary-translation contract as SelectStrEq. On a
-// sorted dictionary (after a remorph sorted-rebuild) the prefix becomes one
-// contiguous ID range executed by the range-select kernel.
+// under the same dictionary-translation contract as SelectStrEq. When the
+// matching strings' IDs are contiguous the prefix runs as one range select,
+// otherwise as a membership select over the matching IDs.
 func (b *Builder) SelectStrPrefix(name string, in ColRef, prefix string) ColRef {
 	return b.add(&Node{op: OpSelectStr, strKind: StrPrefix, strVal: prefix, inputs: []ColRef{in}}, name)[0]
 }

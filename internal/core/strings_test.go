@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"morphstore/internal/columns"
+	"morphstore/internal/dict"
 	"morphstore/internal/formats"
 	"morphstore/internal/qerr"
 )
@@ -76,8 +77,8 @@ func stringSelectPlan(t *testing.T, val string) *Plan {
 
 // TestStringSelectEndToEnd drives a string-equality predicate through the
 // compressed parallel pipeline: prepare once, then keep executing across
-// appends of new strings and a remorph that renumbers the dictionary into
-// sorted order — every execution must match a plain reference model.
+// appends of new strings and a remorph — every execution must match a plain
+// reference model, and the remorph keeps every dictionary ID.
 func TestStringSelectEndToEnd(t *testing.T) {
 	names := []string{"cherry", "apple", "banana", "apple", "date", "cherry", "apple"}
 	vals := []uint64{10, 11, 12, 13, 14, 15, 16}
@@ -138,8 +139,7 @@ func TestStringSelectEndToEnd(t *testing.T) {
 	vals = append(vals, 17, 18, 19)
 	check("after append")
 
-	// Remorph renumbers the dictionary into sorted order; the prepared plan
-	// must re-translate because the generation changed.
+	// Remorph folds the delta and keeps the first-occurrence IDs.
 	if err := e.Remorph(ctx, "t"); err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +148,12 @@ func TestStringSelectEndToEnd(t *testing.T) {
 	if ds == nil {
 		t.Fatal("Snapshot.Dict returned nil after remorph")
 	}
-	if !ds.Sorted() {
-		t.Fatal("remorph did not sort the dictionary")
+	if id, ok := ds.ID("apple"); !ok || id != 1 {
+		t.Fatalf("ID(apple) = %d,%v, want its first-occurrence ID 1", id, ok)
 	}
-	if id, ok := ds.ID("apple"); !ok || id != 0 {
-		t.Fatalf("sorted ID(apple) = %d,%v, want 0", id, ok)
-	}
-	check("after sorted remorph")
+	check("after remorph")
 
-	// Appends after the renumbering still line up.
+	// Appends after the remorph still line up.
 	if err := e.AppendStrings(ctx, "t",
 		map[string][]uint64{"v": {20}},
 		map[string][]string{"s": {"apple"}}); err != nil {
@@ -181,8 +178,7 @@ func TestStringSelectEndToEnd(t *testing.T) {
 }
 
 // TestStringSelectInAndPrefix checks the IN and prefix predicate builders
-// end to end, on both unsorted (first-occurrence) and sorted (post-remorph)
-// dictionaries.
+// end to end, on a fresh engine and on one that ran a remorph.
 func TestStringSelectInAndPrefix(t *testing.T) {
 	names := []string{"cherry", "apple", "apricot", "banana", "avocado", "cherry"}
 	vals := []uint64{1, 2, 3, 4, 5, 6}
@@ -240,11 +236,11 @@ func TestStringSelectInAndPrefix(t *testing.T) {
 			}
 			got := resultValues(t, res, "vals")
 			if len(got) != len(want[name]) {
-				t.Fatalf("sorted=%v %s: rows = %v, want %v", remorph, name, got, want[name])
+				t.Fatalf("remorph=%v %s: rows = %v, want %v", remorph, name, got, want[name])
 			}
 			for i := range want[name] {
 				if got[i] != want[name][i] {
-					t.Fatalf("sorted=%v %s: rows = %v, want %v", remorph, name, got, want[name])
+					t.Fatalf("remorph=%v %s: rows = %v, want %v", remorph, name, got, want[name])
 				}
 			}
 		}
@@ -380,7 +376,7 @@ func TestAppendRejectsRawIDsForStringColumn(t *testing.T) {
 
 // TestSnapshotDictCoherence pins a snapshot and checks its dictionary can
 // translate every ID its rows carry, both before and after concurrent
-// appends and a renumbering remorph.
+// appends and a remorph.
 func TestSnapshotDictCoherence(t *testing.T) {
 	db := NewDB()
 	if err := db.AddStringColumn("t", "s", []string{"m", "k", "z"}); err != nil {
@@ -403,7 +399,7 @@ func TestSnapshotDictCoherence(t *testing.T) {
 	if err := e.Remorph(ctx, "t"); err != nil {
 		t.Fatal(err)
 	}
-	// The pinned snapshot still resolves its own (pre-rebuild) IDs.
+	// The pinned snapshot still resolves its own IDs.
 	ds := pinned.Dict("t", "s")
 	if ds == nil {
 		t.Fatal("pinned Snapshot.Dict is nil")
@@ -413,13 +409,13 @@ func TestSnapshotDictCoherence(t *testing.T) {
 			t.Fatalf("pinned String(%d) = %q,%v want %q", id, got, ok, want)
 		}
 	}
-	// A fresh snapshot sees the sorted dictionary with the appended string.
+	// A fresh snapshot sees the appended string at its first-occurrence ID.
 	cur := e.Snapshot().Dict("t", "s")
 	if cur == nil || cur.Len() != 4 {
 		t.Fatalf("current dict snap = %+v", cur)
 	}
-	if id, ok := cur.ID("q"); !ok || id != 2 { // sorted: k m q z
-		t.Fatalf("sorted ID(q) = %d,%v, want 2", id, ok)
+	if id, ok := cur.ID("q"); !ok || id != 3 { // m k z q
+		t.Fatalf("ID(q) = %d,%v, want 3", id, ok)
 	}
 	if e.Snapshot().Dict("t", "nope") != nil || e.Snapshot().Dict("nope", "s") != nil {
 		t.Fatal("Snapshot.Dict resolved an unknown column")
@@ -429,17 +425,74 @@ func TestSnapshotDictCoherence(t *testing.T) {
 	if p := translateStrPred(cur, StrIn, "", []string{"k", "m"}); p.mode != strPredRange || p.lo != 0 || p.hi != 1 {
 		t.Fatalf("contiguous IN = %+v", p)
 	}
-	if p := translateStrPred(cur, StrIn, "", []string{"k", "z"}); p.mode != strPredSet || len(p.set) != 2 {
+	if p := translateStrPred(cur, StrIn, "", []string{"m", "z"}); p.mode != strPredSet || len(p.set) != 2 {
 		t.Fatalf("sparse IN = %+v", p)
 	}
 	if p := translateStrPred(cur, StrIn, "", []string{"nope"}); p.mode != strPredSet || len(p.set) != 0 {
 		t.Fatalf("empty IN = %+v", p)
 	}
-	if p := translateStrPred(cur, StrEq, "q", nil); p.mode != strPredEq || p.id != 2 {
+	if p := translateStrPred(cur, StrEq, "q", nil); p.mode != strPredEq || p.id != 3 {
 		t.Fatalf("eq = %+v", p)
 	}
 	if p := translateStrPred(cur, StrPrefix, "", nil); p.mode != strPredRange || p.lo != 0 || p.hi != 3 {
 		t.Fatalf("empty prefix = %+v", p)
+	}
+}
+
+// TestDictJournalAppendOnlyAcrossRemorph pins that dictionary IDs never
+// change: a remorph of a table whose strings arrived out of lexicographic
+// order leaves the stored IDs and the dictionary journal as they were, so a
+// journal taken before it is a byte prefix of one taken after the next
+// append, and replaying the later journal gives every string the ID the live
+// snapshot gives it.
+func TestDictJournalAppendOnlyAcrossRemorph(t *testing.T) {
+	db := NewDB()
+	if err := db.AddStringColumn("t", "s", []string{"pear", "fig", "pear", "apple"}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, WithParallelism(2))
+	defer e.Close(context.Background())
+	ctx := context.Background()
+	if err := e.AppendStrings(ctx, "t", nil, map[string][]string{"s": {"banana", "fig", "aardvark"}}); err != nil {
+		t.Fatal(err)
+	}
+	d := db.Dict("t", "s")
+	before := d.Journal()
+	ids, err := e.wtabs["t"].dt.State().LiveValues("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Remorph(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	folded, err := e.wtabs["t"].dt.State().LiveValues("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(folded) != fmt.Sprint(ids) {
+		t.Fatalf("remorph rewrote the stored IDs: %v, was %v", folded, ids)
+	}
+	if err := e.AppendStrings(ctx, "t", nil, map[string][]string{"s": {"cherry", "apple"}}); err != nil {
+		t.Fatal(err)
+	}
+	after := d.Journal()
+	if len(after) <= len(before) || string(after[:len(before)]) != string(before) {
+		t.Fatalf("the journal before the remorph (%d bytes) is not a prefix of the one after (%d bytes)",
+			len(before), len(after))
+	}
+	rd, err := dict.Replay(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := e.Snapshot().Dict("t", "s")
+	if rd.Snap().Len() != live.Len() {
+		t.Fatalf("replay holds %d strings, the live snapshot %d", rd.Snap().Len(), live.Len())
+	}
+	for id := uint64(0); id < uint64(live.Len()); id++ {
+		str, _ := live.String(id)
+		if got, ok := rd.Snap().ID(str); !ok || got != id {
+			t.Fatalf("replayed ID(%q) = %d,%v, live %d", str, got, ok, id)
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // OpSelectStr node's strings are resolved against a dictionary snapshot into
 // the cheapest equivalent integer predicate, which the existing select
 // kernels then execute over the compressed ID column — a single-ID equality
-// for `=` (and degenerate IN/prefix), a contiguous ID range for a prefix on
-// a sorted dictionary (or an accidentally contiguous IN set), and a sorted
-// membership set otherwise. Strings not in the dictionary simply drop out:
-// no row can carry their ID.
+// for `=` (and degenerate IN/prefix), a contiguous ID range for an IN or
+// prefix set whose IDs happen to be contiguous, and a sorted membership set
+// otherwise. Strings not in the dictionary simply drop out: no row can carry
+// their ID.
 
 // strPredMode is the integer shape a translated string predicate executes
 // as.
@@ -30,8 +30,8 @@ const (
 )
 
 // strPred is one translated predicate, valid for the snapshot it was
-// translated against (and for any snapshot with the same generation and
-// length — appends and renumbering both change one of the two).
+// translated against and for any snapshot of the same dictionary with the
+// same length (IDs never change; only appends make a snapshot differ).
 type strPred struct {
 	mode   strPredMode
 	id     uint64   // strPredEq
@@ -49,9 +49,6 @@ func translateStrPred(s *dict.Snap, kind StrPredKind, val string, vals []string)
 		}
 		return strPred{mode: strPredSet}
 	case StrPrefix:
-		if lo, hi, ok := s.PrefixRange(val); ok {
-			return strPred{mode: strPredRange, lo: lo, hi: hi}
-		}
 		return collapseIDSet(s.PrefixIDs(val))
 	default: // StrIn
 		ids := make([]uint64, 0, len(vals))

@@ -24,7 +24,9 @@ import (
 // one at admission), and Remorph — called directly or by the background
 // worker WithRemorph starts — folds a table's delta into a compressed main
 // chosen by the cost model, atomically swapped in while in-flight queries
-// finish on the states they pinned.
+// finish on the states they pinned. A string column's dictionary IDs never
+// change, so the fold treats its ID column like any other column and never
+// touches the dictionary.
 
 // WithRemorph starts the engine's background remorph worker: every interval
 // it scans the writable tables and rebuilds any whose delta (tail rows plus
@@ -51,8 +53,7 @@ func WithRemorph(threshold float64, interval time.Duration) Option {
 type Snapshot struct {
 	states map[string]*delta.State
 	// dicts pins, per writable table, the dictionary snapshot of each
-	// dictionary-encoded column. Pinned after the table's state (and with
-	// renumbering excluded by the engine's writable-set lock), each dict
+	// dictionary-encoded column. Pinned after the table's state, each dict
 	// snapshot covers every ID its state contains.
 	dicts map[string]map[string]*dict.Snap
 }
@@ -85,7 +86,8 @@ func (s *Snapshot) Rows(table string) (n int, ok bool) {
 
 // Dict returns the pinned dictionary snapshot of a dictionary-encoded
 // column, or nil when the table is not writable at this snapshot (callers
-// then read the live dictionary, which is equivalent for read-only tables).
+// then read the live dictionary: IDs never change, so it translates every
+// ID the snapshot's rows carry).
 // Use it to translate a query's result IDs back to strings consistently
 // with the rows the same snapshot serves.
 func (s *Snapshot) Dict(table, column string) *dict.Snap {
@@ -118,12 +120,6 @@ type writableTable struct {
 
 	mu   sync.Mutex
 	resv []tailResv
-
-	// ingestMu makes each AppendStrings batch's dictionary translation and
-	// row append atomic with respect to a sorted-rebuild renumbering: the
-	// remorph completion takes it, so no batch can append IDs of the old
-	// numbering after the swap rewrote the tail.
-	ingestMu sync.Mutex
 }
 
 // tailResv is one append batch's byte reservation at the admission gate.
@@ -168,9 +164,8 @@ func (e *Engine) snapshotOrNil() *Snapshot {
 		m[n] = wt.dt.State()
 	}
 	// Dictionary snapshots are pinned after every table state: appends run
-	// dict.Add before delta.Append, so a dict snapshot read later is a
-	// superset of the IDs its state contains; renumbering swaps publish both
-	// sides under e.wmu, which this holds.
+	// dict.Add before delta.Append and IDs never change, so a dict snapshot
+	// read later is a superset of the IDs its state contains.
 	var dicts map[string]map[string]*dict.Snap
 	for n, wt := range e.wtabs {
 		if len(wt.dicts) == 0 {
@@ -253,9 +248,9 @@ func (e *Engine) Append(ctx context.Context, table string, rows map[string][]uin
 // slices (ErrInvalidSchema otherwise; the rows are not appended, though novel
 // strings of a failed batch may remain in the dictionary — harmless, they
 // simply match no row). This is the supported append path for tables with
-// string columns: it keeps translation atomic with the row append, so a
-// concurrent remorph sorted-rebuild can never renumber IDs out from under a
-// batch.
+// string columns. Dictionary IDs never change, so a batch needs no lock
+// between its translation and its append: every ID it appends was published
+// before the rows that carry it.
 func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[string][]uint64, strs map[string][]string) (err error) {
 	defer e.opGuard("append", &err)
 	ctx, done, err := e.begin(ctx)
@@ -288,13 +283,10 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 		nrows = len(vals)
 		break
 	}
-	// Reserve before taking ingestMu: the reservation may wait in the
-	// admission queue and must not hold up a remorph swap while it does.
 	bytes := int64(nrows) * 8 * int64(len(nums)+len(strs))
 	if _, err := e.adm.admit(ctx, bytes, false); err != nil {
 		return err
 	}
-	wt.ingestMu.Lock()
 	rows := make(map[string][]uint64, len(nums)+len(strs))
 	for cn, vals := range nums {
 		rows[cn] = vals
@@ -302,7 +294,6 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 	for cn, vals := range strs {
 		ids, derr := wt.dicts[cn].Add(vals)
 		if derr != nil {
-			wt.ingestMu.Unlock()
 			e.adm.release(bytes, false)
 			return derr
 		}
@@ -312,7 +303,6 @@ func (e *Engine) AppendStrings(ctx context.Context, table string, nums map[strin
 		rows[cn] = ids
 	}
 	st, n, err := wt.dt.Append(rows)
-	wt.ingestMu.Unlock()
 	if err != nil || n == 0 {
 		e.adm.release(bytes, false)
 		return err
@@ -411,27 +401,12 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 			e.counters.remorphFailed.Add(1)
 		}
 	}()
-	// Dictionary columns piggyback a sorted rebuild on the fold: the live ID
-	// values are renumbered into lexicographic order (so prefix predicates
-	// become contiguous ID ranges) before compression, and the renumbered
-	// dictionaries publish atomically with the swap below. Each rebuild is
-	// pinned against a dictionary snapshot taken after s0, which therefore
-	// covers every ID s0 contains.
-	var rebuilds map[string]*dict.Rebuild
-	for cn, d := range wt.dicts {
-		if r := d.BeginSorted(); r != nil {
-			if rebuilds == nil {
-				rebuilds = make(map[string]*dict.Rebuild)
-			}
-			rebuilds[cn] = r
-		}
-	}
 	newMain := make(map[string]*columns.Column, len(wt.dt.Columns()))
 	for _, cn := range wt.dt.Columns() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		col, read, err := wt.foldColumn(s0, cn, rebuilds[cn])
+		col, read, err := wt.foldColumn(s0, cn)
 		if err != nil {
 			return err
 		}
@@ -442,28 +417,7 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 	if err := hitGuarded(faultpoint.RemorphSwap); err != nil {
 		return err
 	}
-	var res delta.SwapResult
-	if len(rebuilds) == 0 {
-		res, err = wt.dt.CompleteRebuild(s0, newMain)
-	} else {
-		// A renumbering swap publishes state and dictionaries atomically:
-		// ingestMu excludes in-flight translate+append batches, e.wmu excludes
-		// snapshot pinning, and the onSwap callback runs under the delta
-		// table's mutex right before the new state is stored.
-		remaps := make(map[string][]uint64, len(rebuilds))
-		for cn, r := range rebuilds {
-			remaps[cn] = r.RemapTable()
-		}
-		wt.ingestMu.Lock()
-		e.wmu.Lock()
-		res, err = wt.dt.CompleteRebuildRemap(s0, newMain, remaps, func() {
-			for cn, r := range rebuilds {
-				wt.dicts[cn].CompleteSorted(r)
-			}
-		})
-		e.wmu.Unlock()
-		wt.ingestMu.Unlock()
-	}
+	res, err := wt.dt.CompleteRebuild(s0, newMain)
 	if err != nil {
 		return err
 	}
@@ -479,14 +433,14 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 
 // foldColumn builds column cn's new main from the pinned state s0, stores
 // its profile on it and returns it with the number of values the fold read.
-// A fold with no deletions and no renumbering extends the profile stored on
-// s0's main by the tail alone; when the pick from the extended profile keeps
-// the main's format, the new main is s0's merged column, which equals
-// compressing the live values in that format in one pass (and which the
-// queries reading s0 have usually built already). Every other fold decodes
+// A fold with no deletions extends the profile stored on s0's main by the
+// tail alone; when the pick from the extended profile keeps the main's
+// format, the new main is s0's merged column, which equals compressing the
+// live values in that format in one pass (and which the queries reading s0
+// have usually built already). Every other fold decodes
 // the live values, profiles them and compresses them.
-func (wt *writableTable) foldColumn(s0 *delta.State, cn string, r *dict.Rebuild) (*columns.Column, int, error) {
-	if main := s0.Main(cn); s0.DeletedRows() == 0 && r == nil && main.Profile() != nil {
+func (wt *writableTable) foldColumn(s0 *delta.State, cn string) (*columns.Column, int, error) {
+	if main := s0.Main(cn); s0.DeletedRows() == 0 && main.Profile() != nil {
 		tail := s0.Tail(cn)
 		if prof, ok := main.Profile().Append(tail); ok && pickFormat(prof).Kind == main.Desc().Kind {
 			col, err := s0.Column(cn)
@@ -500,9 +454,6 @@ func (wt *writableTable) foldColumn(s0 *delta.State, cn string, r *dict.Rebuild)
 	vals, err := s0.LiveValues(cn)
 	if err != nil {
 		return nil, 0, err
-	}
-	if r != nil {
-		r.RemapAll(vals)
 	}
 	prof := stats.Collect(vals)
 	col, err := formats.Compress(vals, pickFormat(prof))

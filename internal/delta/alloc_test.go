@@ -62,9 +62,10 @@ func TestLiveValuesAllocation(t *testing.T) {
 
 // TestAppendAllocation pins that an append stores its rows once, in the
 // tail: one ingest mix remorph period (eight 8,000-row appends of three
-// columns onto a fresh table) allocates at most 5× the appended bytes. What
-// remains is the tail's growth, which reallocates on most batches (9.4× when
-// each batch was also encoded into a mutation journal).
+// columns onto a fresh table) allocates at most 2.5× the appended bytes. What
+// remains is the tail's geometric growth (4.02× when the tail was sized to
+// each batch and reallocated on 7 of the 8, 9.4× when each batch was also
+// encoded into a mutation journal).
 func TestAppendAllocation(t *testing.T) {
 	const batches, rows = 8, 8000
 	cols := []string{"a", "b", "c"}
@@ -96,7 +97,7 @@ func TestAppendAllocation(t *testing.T) {
 	}
 	got, appended := after.TotalAlloc-before.TotalAlloc, uint64(8*batches*rows*len(cols))
 	t.Logf("allocated %d B for %d B of appended values (%.2f×)", got, appended, float64(got)/float64(appended))
-	if float64(got) > 5*float64(appended) {
-		t.Fatalf("Append allocated %d B, more than 5× the %d B appended", got, appended)
+	if float64(got) > 2.5*float64(appended) {
+		t.Fatalf("Append allocated %d B, more than 2.5× the %d B appended", got, appended)
 	}
 }

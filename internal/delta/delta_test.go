@@ -514,75 +514,3 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		t.Fatal("merged view differs from live values after concurrent storm")
 	}
 }
-
-// TestCompleteRebuildValueRemap checks the dictionary-renumbering arm of the
-// swap: surviving tail values are rewritten through the per-column remap
-// table (values beyond its length pass through unchanged), and the onSwap
-// callback fires under the table lock before the new state publishes.
-func TestCompleteRebuildValueRemap(t *testing.T) {
-	// Main holds dictionary IDs 0..2 in first-occurrence order.
-	base := []uint64{2, 0, 1, 2, 0}
-	tab, err := NewTable("t", map[string]*columns.Column{"v": columns.FromValues(base)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A pre-rebuild append gives BeginRebuild a delta to fold.
-	if _, _, err := tab.Append(map[string][]uint64{"v": {0}}); err != nil {
-		t.Fatal(err)
-	}
-	s0, ok := tab.BeginRebuild()
-	if !ok {
-		t.Fatal("BeginRebuild refused")
-	}
-	// Tail arriving during the rebuild: IDs 1 and 2 predate the remap, 3 and
-	// 100 were assigned after it was computed and must pass through.
-	if _, _, err := tab.Append(map[string][]uint64{"v": {1, 2, 3, 100}}); err != nil {
-		t.Fatal(err)
-	}
-	// Delete one during-rebuild tail row; only survivors are remapped.
-	if _, _, err := tab.Delete([]uint64{uint64(len(base)) + 1}); err != nil { // kills tail value 1
-		t.Fatal(err)
-	}
-
-	// Sorted renumbering of 3 IDs: old 0->2, 1->0, 2->1.
-	remap := []uint64{2, 0, 1}
-	pinned, err := s0.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMain := make([]uint64, len(pinned))
-	for i, v := range pinned {
-		newMain[i] = remap[v]
-	}
-
-	oldState := tab.State()
-	swaps := 0
-	res, err := tab.CompleteRebuildRemap(s0,
-		map[string]*columns.Column{"v": columns.FromValues(newMain)},
-		map[string][]uint64{"v": remap},
-		func() {
-			swaps++
-			if tab.State() != oldState {
-				t.Error("onSwap ran after the new state published")
-			}
-		})
-	tab.EndRebuild()
-	if err != nil {
-		t.Fatalf("CompleteRebuildRemap: %v", err)
-	}
-	if swaps != 1 {
-		t.Fatalf("onSwap fired %d times, want 1", swaps)
-	}
-	if res.FoldedTail != 1 || res.FoldedDeletes != 0 {
-		t.Fatalf("folded %d tail / %d deletes, want 1 / 0", res.FoldedTail, res.FoldedDeletes)
-	}
-
-	got, err := tab.State().LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]uint64{1, 2, 0, 1, 2, 2}, 1, 3, 100) // remapped main (incl. folded tail) + remapped surviving tail
-	if !eq(got, want) {
-		t.Fatalf("live values = %v, want %v", got, want)
-	}
-}

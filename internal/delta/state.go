@@ -108,8 +108,8 @@ func (s *State) Column(name string) (*columns.Column, error) {
 // LiveValues returns the column's live values at this state in row order:
 // main then tail, with deleted positions dropped. The slice is freshly
 // allocated; callers own it. It decodes the whole main, so the remorph fold
-// calls it only when it recompresses a column: with deletions, a renumbered
-// dictionary column, a changed format, or a main that carries no profile.
+// calls it only when it recompresses a column: with deletions, a changed
+// format, or a main that carries no profile.
 func (s *State) LiveValues(name string) ([]uint64, error) {
 	main, ok := s.main[name]
 	if !ok {

@@ -128,7 +128,16 @@ func (t *Table) Append(rows map[string][]uint64) (*State, int, error) {
 		return nil, 0, fmt.Errorf("delta: append log %q: %w", t.name, err)
 	}
 	for _, cn := range t.cols {
-		t.tails[cn] = append(t.tails[cn], rows[cn]...)
+		tl := t.tails[cn]
+		if cap(tl)-len(tl) < n {
+			// Double the backing: append grows a large slice by about a
+			// quarter, so batches of thousands of rows would reallocate
+			// the tail on almost every append.
+			grown := make([]uint64, len(tl), len(tl)+max(n, len(tl)))
+			copy(grown, tl)
+			tl = grown
+		}
+		t.tails[cn] = append(tl, rows[cn]...)
 	}
 	ns := newState(s.epoch+1, s.main, s.mainRows, t.tailViews(s.tailRows+n), s.tailRows+n, s.deleted)
 	t.cur.Store(ns)
@@ -217,19 +226,6 @@ type SwapResult struct {
 // In-flight readers keep the states they pinned; only new State loads see the
 // swap. The caller still holds the rebuild slot and must EndRebuild after.
 func (t *Table) CompleteRebuild(s0 *State, main map[string]*columns.Column) (SwapResult, error) {
-	return t.CompleteRebuildRemap(s0, main, nil, nil)
-}
-
-// CompleteRebuildRemap is CompleteRebuild for rebuilds that also renumbered
-// values (a dictionary sorted-rebuild): remaps holds, per renumbered column,
-// remap[oldValue] = newValue — surviving tail values below the remap length
-// are rewritten to the new numbering (values at or beyond it were assigned
-// after the renumbering was pinned and keep their meaning). onSwap, if
-// non-nil, runs under the table mutex immediately before the new state is
-// published, so the caller can publish the renumbered side tables (the
-// dictionaries) atomically with the swap as seen by anyone who serializes
-// state+side-table reads against this call.
-func (t *Table) CompleteRebuildRemap(s0 *State, main map[string]*columns.Column, remaps map[string][]uint64, onSwap func()) (SwapResult, error) {
 	newMainRows := s0.Rows()
 	mcopy := make(map[string]*columns.Column, len(t.cols))
 	for _, cn := range t.cols {
@@ -248,18 +244,9 @@ func (t *Table) CompleteRebuildRemap(s0 *State, main map[string]*columns.Column,
 	s1 := t.cur.Load()
 	total0 := uint64(s0.mainRows + s0.tailRows)
 	// Keep only the tail rows appended after s0, on fresh backing so the
-	// folded prefix can be collected; renumbered columns rewrite the
-	// surviving values into the new numbering as they are copied.
+	// folded prefix can be collected.
 	for _, cn := range t.cols {
-		surv := append([]uint64(nil), t.tails[cn][s0.tailRows:s1.tailRows]...)
-		if remap := remaps[cn]; remap != nil {
-			for i, v := range surv {
-				if v < uint64(len(remap)) {
-					surv[i] = remap[v]
-				}
-			}
-		}
-		t.tails[cn] = surv
+		t.tails[cn] = append([]uint64(nil), t.tails[cn][s0.tailRows:s1.tailRows]...)
 	}
 	newTailRows := s1.tailRows - s0.tailRows
 	// Remap the deletions that arrived during the rebuild: s1's set is a
@@ -283,9 +270,6 @@ func (t *Table) CompleteRebuildRemap(s0 *State, main map[string]*columns.Column,
 		}
 	}
 	ns := newState(s1.epoch+1, mcopy, newMainRows, t.tailViews(newTailRows), newTailRows, nd)
-	if onSwap != nil {
-		onSwap()
-	}
 	t.cur.Store(ns)
 	return SwapResult{State: ns, FoldedTail: s0.tailRows, FoldedDeletes: len(s0.deleted)}, nil
 }

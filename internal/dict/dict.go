@@ -3,13 +3,10 @@
 // becomes a dictionary plus a plain uint64 ID column that the existing
 // formats compress and the existing morsel-parallel operators execute.
 //
-// IDs are assigned in first-occurrence order, so appends never renumber
-// existing rows; a snapshot taken at any moment stays valid forever for the
-// rows written under it. Renumbering happens only through the explicit
-// sorted-rebuild protocol (BeginSorted/CompleteSorted) the engine drives
-// during remorph, which rewrites the ID column and the dictionary together
-// under the engine's coherence locks — after it, IDs are in lexicographic
-// order and prefix predicates become contiguous ID ranges.
+// IDs are assigned in first-occurrence order and never change: nothing
+// renumbers a dictionary, so a snapshot taken at any moment stays valid
+// forever for the rows written under it, and a later snapshot only adds
+// strings at the end.
 //
 // Every mutation is journaled in internal/wal's FNV-checksummed record
 // framing, and Replay rebuilds a dictionary from that journal: Replay never
@@ -20,7 +17,6 @@ package dict
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,27 +28,16 @@ import (
 // Snap is an immutable dictionary snapshot: a bidirectional string↔ID
 // mapping frozen at one publish. Readers translate predicates and results
 // against a Snap without locks; a Snap taken after a table state was read is
-// always a superset of the IDs that state contains.
+// always a superset of the IDs that state contains, and two snapshots of one
+// dictionary with the same Len are the same mapping.
 type Snap struct {
-	strs   []string
-	ids    map[string]uint64
-	gen    uint64
-	sorted bool
+	strs []string
+	ids  map[string]uint64
 }
 
 // Len returns the number of distinct strings in the snapshot. IDs are dense:
 // every ID in [0, Len()) is valid.
 func (s *Snap) Len() int { return len(s.strs) }
-
-// Gen returns the snapshot's renumbering generation. Appending new strings
-// keeps the generation (existing IDs are unchanged, so a translation cached
-// at (gen, len) stays valid); only a sorted rebuild, which renumbers, bumps
-// it.
-func (s *Snap) Gen() uint64 { return s.gen }
-
-// Sorted reports whether the snapshot's strings are in ascending
-// lexicographic ID order, making prefix predicates contiguous ID ranges.
-func (s *Snap) Sorted() bool { return s.sorted }
 
 // ID returns the ID of str and whether it is in the dictionary.
 func (s *Snap) ID(str string) (uint64, bool) {
@@ -82,39 +67,9 @@ func (s *Snap) Strings(ids []uint64) ([]string, error) {
 	return out, nil
 }
 
-// PrefixRange returns the inclusive ID range [lo, hi] of the strings with
-// the given prefix. It requires a sorted snapshot (the run is contiguous
-// only then); ok is false on an unsorted snapshot or when no string matches.
-func (s *Snap) PrefixRange(prefix string) (lo, hi uint64, ok bool) {
-	if !s.sorted {
-		return 0, 0, false
-	}
-	first := sort.Search(len(s.strs), func(i int) bool { return s.strs[i] >= prefix })
-	// Strings sort before all their extensions, so the prefixed run starts at
-	// first and the predicate below is monotone across the sorted order.
-	end := sort.Search(len(s.strs), func(i int) bool {
-		return s.strs[i] > prefix && !strings.HasPrefix(s.strs[i], prefix)
-	})
-	if first >= end {
-		return 0, 0, false
-	}
-	return uint64(first), uint64(end - 1), true
-}
-
-// PrefixIDs returns the ascending IDs of every string with the given prefix,
-// on any snapshot (a linear scan when unsorted).
+// PrefixIDs returns the ascending IDs of every string with the given
+// prefix.
 func (s *Snap) PrefixIDs(prefix string) []uint64 {
-	if s.sorted {
-		lo, hi, ok := s.PrefixRange(prefix)
-		if !ok {
-			return nil
-		}
-		out := make([]uint64, 0, hi-lo+1)
-		for id := lo; id <= hi; id++ {
-			out = append(out, id)
-		}
-		return out
-	}
 	var out []uint64
 	for id, str := range s.strs {
 		if strings.HasPrefix(str, prefix) {
@@ -145,10 +100,10 @@ type Dict struct {
 	journal []byte
 }
 
-// New returns an empty dictionary. An empty dictionary is vacuously sorted.
+// New returns an empty dictionary.
 func New() *Dict {
 	d := &Dict{}
-	d.cur.Store(&Snap{ids: map[string]uint64{}, sorted: true})
+	d.cur.Store(&Snap{ids: map[string]uint64{}})
 	return d
 }
 
@@ -214,109 +169,18 @@ func (d *Dict) publish(s *Snap, fresh []string) {
 	for str, id := range s.ids {
 		ids[str] = id
 	}
-	sorted := s.sorted
-	last := ""
-	havePrev := len(s.strs) > 0
-	if havePrev {
-		last = s.strs[len(s.strs)-1]
-	}
 	for i, str := range fresh {
 		ids[str] = uint64(len(s.strs) + i)
-		if havePrev && str <= last {
-			sorted = false
-		}
-		last, havePrev = str, true
 	}
-	ns := &Snap{strs: d.strs[:len(d.strs):len(d.strs)], ids: ids, gen: s.gen, sorted: sorted}
-	d.cur.Store(ns)
+	d.cur.Store(&Snap{strs: d.strs[:len(d.strs):len(d.strs)], ids: ids})
 }
 
 // Journal returns the dictionary's journal: replaying it with Replay
 // reproduces the dictionary's current snapshot. The returned slice aliases
-// the live journal and must not be modified; it is only appended to.
+// the live journal and must not be modified; it is only appended to, so a
+// journal taken earlier is a byte prefix of every later one.
 func (d *Dict) Journal() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.journal[:len(d.journal):len(d.journal)]
-}
-
-// Rebuild is an in-progress sorted renumbering pinned against one snapshot.
-// The engine computes it off-line during remorph (RemapAll rewrites the ID
-// column being rebuilt), then publishes it with CompleteSorted under the
-// same locks that swap the rebuilt column in.
-type Rebuild struct {
-	base  *Snap
-	strs  []string // base's strings in sorted order
-	remap []uint64 // remap[oldID] = newID, len == base.Len()
-}
-
-// BeginSorted pins the current snapshot and computes its sorted
-// renumbering. It returns nil when the snapshot is already sorted (nothing
-// to do). Concurrent Adds remain allowed; strings added after the pin keep
-// their IDs through CompleteSorted (they renumber on the next rebuild).
-func (d *Dict) BeginSorted() *Rebuild {
-	base := d.cur.Load()
-	if base.sorted {
-		return nil
-	}
-	order := make([]int, len(base.strs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return base.strs[order[a]] < base.strs[order[b]] })
-	strs := make([]string, len(order))
-	remap := make([]uint64, len(order))
-	for newID, oldID := range order {
-		strs[newID] = base.strs[oldID]
-		remap[oldID] = uint64(newID)
-	}
-	return &Rebuild{base: base, strs: strs, remap: remap}
-}
-
-// RemapTable returns the renumbering table itself: remap[oldID] = newID for
-// every ID of the pinned snapshot. The delta store applies it to tail rows
-// that survive the swap.
-func (r *Rebuild) RemapTable() []uint64 { return r.remap }
-
-// RemapAll rewrites a value slice in place from old IDs to post-rebuild IDs.
-// IDs at or beyond the pinned snapshot (strings added after BeginSorted) are
-// unchanged.
-func (r *Rebuild) RemapAll(vals []uint64) {
-	for i, v := range vals {
-		if v < uint64(len(r.remap)) {
-			vals[i] = r.remap[v]
-		}
-	}
-}
-
-// CompleteSorted publishes the renumbering: the pinned strings in sorted
-// order, followed by any strings added since BeginSorted at their unchanged
-// IDs. The journal is rewritten to a single record in the new order and the
-// generation is bumped (cached translations invalidate). The caller must
-// hold whatever locks make the renumbered ID column and this publish atomic
-// to readers — the engine calls this from the delta store's swap callback.
-func (d *Dict) CompleteSorted(r *Rebuild) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.cur.Load()
-	n0 := len(r.base.strs)
-	strs := make([]string, 0, len(s.strs))
-	strs = append(strs, r.strs...)
-	strs = append(strs, s.strs[n0:]...)
-	ids := make(map[string]uint64, len(strs))
-	for id, str := range strs {
-		ids[str] = uint64(id)
-	}
-	d.strs = strs
-	d.journal = nil
-	if len(strs) > 0 {
-		d.journal = encodeAdd(nil, strs)
-	}
-	ns := &Snap{
-		strs:   d.strs[:len(d.strs):len(d.strs)],
-		ids:    ids,
-		gen:    s.gen + 1,
-		sorted: len(s.strs) == n0, // concurrent adds land unsorted at the end
-	}
-	d.cur.Store(ns)
 }

@@ -27,9 +27,6 @@ func TestDictAddAssignsFirstOccurrenceIDs(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	if s.Sorted() {
-		t.Fatal("unsorted additions reported sorted")
-	}
 	if id, ok := s.ID("banana"); !ok || id != 2 {
 		t.Fatalf("ID(banana) = %d,%v", id, ok)
 	}
@@ -72,27 +69,10 @@ func TestDictSnapshotsAreImmutable(t *testing.T) {
 	if d.Snap().Len() != 4 {
 		t.Fatalf("current snapshot has %d strings", d.Snap().Len())
 	}
-	if d.Snap().Gen() != s1.Gen() {
-		t.Fatal("append bumped the generation")
-	}
-}
-
-func TestDictSortedMaintenance(t *testing.T) {
-	d := New()
-	if !d.Snap().Sorted() {
-		t.Fatal("empty dict not sorted")
-	}
-	if _, err := d.Add([]string{"apple", "banana"}); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Snap().Sorted() {
-		t.Fatal("ascending appends lost sortedness")
-	}
-	if _, err := d.Add([]string{"cherry", "aardvark"}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Snap().Sorted() {
-		t.Fatal("out-of-order append kept sortedness")
+	for id, want := range []string{"a", "b"} {
+		if got, ok := d.Snap().String(uint64(id)); !ok || got != want {
+			t.Fatalf("append changed ID %d: %q,%v want %q", id, got, ok, want)
+		}
 	}
 }
 
@@ -102,93 +82,27 @@ func TestDictPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := d.Snap()
-	lo, hi, ok := s.PrefixRange("ap")
-	if !ok || lo != 0 || hi != 2 {
-		t.Fatalf("PrefixRange(ap) = %d,%d,%v", lo, hi, ok)
+	if ids := s.PrefixIDs("ap"); !reflect.DeepEqual(ids, []uint64{0, 1, 2}) {
+		t.Fatalf("PrefixIDs(ap) = %v", ids)
 	}
-	if _, _, ok := s.PrefixRange("zz"); ok {
-		t.Fatal("absent prefix matched")
+	if ids := s.PrefixIDs("zz"); len(ids) != 0 {
+		t.Fatalf("absent prefix matched %v", ids)
 	}
-	if lo, hi, ok := s.PrefixRange(""); !ok || lo != 0 || hi != 4 {
-		t.Fatalf("PrefixRange(empty) = %d,%d,%v", lo, hi, ok)
+	if ids := s.PrefixIDs(""); !reflect.DeepEqual(ids, []uint64{0, 1, 2, 3, 4}) {
+		t.Fatalf("PrefixIDs(empty) = %v", ids)
 	}
 	if ids := s.PrefixIDs("ba"); !reflect.DeepEqual(ids, []uint64{3, 4}) {
 		t.Fatalf("PrefixIDs(ba) = %v", ids)
 	}
 
-	// Unsorted dictionary: PrefixRange declines, PrefixIDs scans.
+	// Strings out of lexicographic order: the matching IDs need not be
+	// contiguous.
 	d2 := New()
 	if _, err := d2.Add([]string{"beta", "alpha", "beak"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := d2.Snap().PrefixRange("be"); ok {
-		t.Fatal("PrefixRange on unsorted snapshot")
-	}
 	if ids := d2.Snap().PrefixIDs("be"); !reflect.DeepEqual(ids, []uint64{0, 2}) {
 		t.Fatalf("PrefixIDs(be) = %v", ids)
-	}
-}
-
-func TestDictSortedRebuild(t *testing.T) {
-	d := New()
-	if _, err := d.Add([]string{"cherry", "apple", "banana"}); err != nil {
-		t.Fatal(err)
-	}
-	r := d.BeginSorted()
-	if r == nil {
-		t.Fatal("BeginSorted returned nil on unsorted dict")
-	}
-	// cherry=0 apple=1 banana=2 → apple=0 banana=1 cherry=2.
-	vals := []uint64{0, 1, 2, 0}
-	r.RemapAll(vals)
-	if !reflect.DeepEqual(vals, []uint64{2, 0, 1, 2}) {
-		t.Fatalf("RemapAll = %v", vals)
-	}
-	if len(r.RemapTable()) != 3 {
-		t.Fatalf("RemapTable len = %d", len(r.RemapTable()))
-	}
-	// Strings added between Begin and Complete keep their IDs.
-	if _, err := d.Add([]string{"aaa"}); err != nil {
-		t.Fatal(err)
-	}
-	gen0 := d.Snap().Gen()
-	d.CompleteSorted(r)
-	s := d.Snap()
-	if s.Gen() != gen0+1 {
-		t.Fatalf("gen = %d, want %d", s.Gen(), gen0+1)
-	}
-	if s.Sorted() {
-		t.Fatal("snapshot with late adds reported sorted")
-	}
-	for want, str := range []string{"apple", "banana", "cherry", "aaa"} {
-		if id, ok := s.ID(str); !ok || id != uint64(want) {
-			t.Fatalf("ID(%s) = %d,%v want %d", str, id, ok, want)
-		}
-	}
-	late := []uint64{3}
-	if r.RemapAll(late); late[0] != 3 {
-		t.Fatal("late ID remapped")
-	}
-
-	// A second rebuild sorts the stragglers; no further adds → sorted.
-	r2 := d.BeginSorted()
-	if r2 == nil {
-		t.Fatal("second BeginSorted nil")
-	}
-	d.CompleteSorted(r2)
-	if s := d.Snap(); !s.Sorted() || s.Len() != 4 {
-		t.Fatalf("after second rebuild: sorted=%v len=%d", s.Sorted(), s.Len())
-	}
-	if d.BeginSorted() != nil {
-		t.Fatal("BeginSorted on sorted dict not nil")
-	}
-	// Journal of the rebuilt dict replays to the same mapping.
-	rd, err := Replay(d.Journal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rd.Snap().strs, d.Snap().strs) {
-		t.Fatalf("replayed strings %v != %v", rd.Snap().strs, d.Snap().strs)
 	}
 }
 

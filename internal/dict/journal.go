@@ -16,8 +16,8 @@ import (
 //
 // Add payload: u32 count, then count strings as u16 length + bytes. IDs are
 // implicit: the i-th string of the journal (across records) has ID i, the
-// same first-occurrence order Add assigns. A sorted rebuild rewrites the
-// whole journal to one record in the new ID order.
+// same first-occurrence order Add assigns. The journal is append-only:
+// records are never rewritten, since IDs never change.
 const (
 	recAdd = 1
 

@@ -22,8 +22,7 @@ import (
 
 // Dict is a per-column string dictionary: an append-only string→ID
 // translator behind an atomic snapshot. IDs are assigned in
-// first-occurrence order; the background remorph renumbers them into sorted
-// order, making prefix predicates contiguous ID ranges.
+// first-occurrence order and never change, so the journal is append-only.
 type Dict = dict.Dict
 
 // DictSnap is an immutable dictionary snapshot: use Snapshot.Dict to pin
