@@ -117,8 +117,8 @@ func WithMemoryBudget(bytes int64) Option { return core.WithMemoryBudget(bytes) 
 // whose delta (tail rows plus pending deletions) has reached threshold times
 // the main row count (threshold <= 0 folds any non-empty delta). A rebuild
 // re-picks each column's compression format with the cost model off the hot
-// path — a delete-free delta that keeps the format is folded by appending
-// it, anything else by recompressing the live rows — and atomically swaps
+// path — the merged main+delta column, which keeps the main's format, is the
+// new main, morphed only when the pick changes the format — and atomically swaps
 // the new main in; running queries finish on their pinned snapshots. Engine.Close stops
 // the worker and drains an in-flight rebuild. Without this option the delta
 // only folds on explicit Engine.Remorph calls. Applies to NewEngine.

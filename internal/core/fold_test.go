@@ -15,6 +15,7 @@ import (
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/costmodel"
+	"morphstore/internal/delta"
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
@@ -64,16 +65,33 @@ func rebuildRef(t *testing.T, vals []uint64) (*columns.Column, *stats.Profile) {
 	return col, prof
 }
 
+// stateValues decodes the merged view of column cn at state st: its live
+// values in row order.
+func stateValues(t *testing.T, st *delta.State, cn string) []uint64 {
+	t.Helper()
+	col, err := st.Column(cn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := formats.Decompress(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
 // foldAndCheck folds table tab, pinned at its current state, and checks every
 // column's new main against a full rebuild of the state's live values:
 // equal Desc, N and words, and a stored profile equal to the one Collect
-// takes of those values. The columns named in appended must take the append
-// path (the new main is the pinned state's merged column); every other
-// column must be rebuilt. The remorph span must report the
-// values the fold read (the tail on the append path, the live rows
-// otherwise) and the rows of the new mains. With read set, a snapshot reads
-// every merged column before the fold, as a query would.
-func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool, appended ...string) {
+// takes of those values. The new main must be the pinned state's merged
+// column exactly when the pick keeps the main's kind. The columns named in
+// extended must take their profile from the main's, extended by the tail;
+// every other column's profile is collected from the live rows. The remorph
+// span must report the values the fold read (the tail when the profile is
+// extended, the live rows otherwise) and the rows of the new mains. With
+// read set, a snapshot reads every merged column before the fold, as a query
+// would.
+func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool, extended ...string) {
 	t.Helper()
 	wt := e.wtabs[tab]
 	s0 := wt.dt.State()
@@ -87,11 +105,7 @@ func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool
 	}
 	live := make(map[string][]uint64)
 	for _, cn := range wt.dt.Columns() {
-		vals, err := s0.LiveValues(cn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live[cn] = vals
+		live[cn] = stateValues(t, s0, cn)
 	}
 	if err := e.Remorph(context.Background(), tab); err != nil {
 		t.Fatal(err)
@@ -112,10 +126,11 @@ func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool
 		if err != nil {
 			t.Fatal(err)
 		}
-		if onAppend := slices.Contains(appended, cn); onAppend != (got == merged) {
+		if kept := want.Desc().Kind == s0.Main(cn).Desc().Kind; kept != (got == merged) {
 			t.Fatalf("%s.%s (%v): new main is the pinned merged column: %v, want %v",
-				tab, cn, got.Desc(), got == merged, onAppend)
-		} else if onAppend {
+				tab, cn, got.Desc(), got == merged, kept)
+		}
+		if slices.Contains(extended, cn) {
 			wantIn += int64(s0.TailRows())
 		} else {
 			wantIn += int64(s0.Rows())
@@ -130,8 +145,8 @@ func foldAndCheck(t *testing.T, e *Engine, tr *foldTracer, tab string, read bool
 
 // foldEngine returns an engine with a tracer over one table "t" whose
 // column "v" holds base, and makes the table writable by a first fold of a
-// one-row delta: that fold has no profile to extend and rebuilds, so the
-// main the later folds extend is the pick over base.
+// one-row delta: that fold has no profile to extend and collects one, so
+// the main the later folds extend is the pick over base.
 func foldEngine(t *testing.T, base []uint64) (*Engine, *foldTracer) {
 	t.Helper()
 	db := NewDB()
@@ -241,8 +256,9 @@ func TestFoldAppendEquivalence(t *testing.T) {
 	}
 }
 
-// TestFoldFallbackEquivalence covers the folds that do not, or not only,
-// append: each must still produce a full rebuild's main.
+// TestFoldFallbackEquivalence covers the folds that collect their profile
+// from the live rows or morph the merged column: each must still produce a
+// full rebuild's main.
 func TestFoldFallbackEquivalence(t *testing.T) {
 	ctx := context.Background()
 	seqFrom := func(lo uint64, n int, width int) []uint64 {
@@ -282,8 +298,10 @@ func TestFoldFallbackEquivalence(t *testing.T) {
 		if k := mainKind(); k != columns.Uncompressed {
 			t.Fatalf("the main is %v, want %v", k, columns.Uncompressed)
 		}
+		// The fold extends the main's profile by the tail and morphs the
+		// merged column.
 		appendV(t, e, seqFrom(0, 1<<18, 4))
-		foldAndCheck(t, e, tr, "t", true)
+		foldAndCheck(t, e, tr, "t", true, "v")
 		if k := mainKind(); k != columns.DynBP {
 			t.Fatalf("the fold made the main %v, want %v", k, columns.DynBP)
 		}
@@ -295,7 +313,7 @@ func TestFoldFallbackEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		foldAndCheck(t, e, tr, "t", true)
-		// The next delete-free fold extends the profile the rebuild took.
+		// The next delete-free fold extends the profile the first one collected.
 		appendV(t, e, seqFrom(0, 300, 13))
 		foldAndCheck(t, e, tr, "t", false, "v")
 	})
@@ -381,7 +399,7 @@ func TestFoldAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first fold rebuilds and records the profiles the next one extends.
+	// The first fold collects the profiles the next one extends.
 	appendBoth(dbp[n-1])
 	if err := e.Remorph(ctx, "t"); err != nil {
 		t.Fatal(err)

@@ -178,14 +178,24 @@ func TestStringSelectEndToEnd(t *testing.T) {
 }
 
 // TestStringSelectInAndPrefix checks the IN and prefix predicate builders
-// end to end, on a fresh engine and on one that ran a remorph.
+// end to end: on a fresh engine; on one whose static BP ID column has an
+// appended row and a pending deletion, so the predicates read the compressed
+// merged view; and on one that folded those writes by a remorph.
 func TestStringSelectInAndPrefix(t *testing.T) {
 	names := []string{"cherry", "apple", "apricot", "banana", "avocado", "cherry"}
 	vals := []uint64{1, 2, 3, 4, 5, 6}
-	mk := func() *DB {
+	mk := func(packed bool) *DB {
 		db := NewDB()
 		if err := db.AddStringColumn("t", "s", names); err != nil {
 			t.Fatal(err)
+		}
+		if packed {
+			ids, _ := db.Tables["t"].Cols["s"].Values()
+			col, err := formats.Compress(ids, columns.StaticBPDesc(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Tables["t"].Cols["s"] = col
 		}
 		db.Tables["t"].Cols["v"] = columns.FromValues(vals)
 		return db
@@ -212,17 +222,45 @@ func TestStringSelectInAndPrefix(t *testing.T) {
 			return b.SelectStrPrefix("pos", s, "zz")
 		}),
 	}
-	want := map[string][]uint64{
+	fresh := map[string][]uint64{
 		"in":          {1, 4, 6},
 		"prefix":      {2, 3, 5},
 		"prefix-miss": nil,
 	}
-	for _, remorph := range []bool{false, true} {
-		e := NewEngine(mk(), WithParallelism(2))
+	// After appending ("almond", 7) and deleting row 0 ("cherry", 1).
+	written := map[string][]uint64{
+		"in":          {4, 6},
+		"prefix":      {2, 3, 5, 7},
+		"prefix-miss": nil,
+	}
+	for _, arm := range []string{"fresh", "dirty", "remorphed"} {
+		e := NewEngine(mk(arm != "fresh"), WithParallelism(2))
 		ctx := context.Background()
-		if remorph {
+		want := fresh
+		if arm != "fresh" {
+			want = written
+			if err := e.AppendStrings(ctx, "t", map[string][]uint64{"v": {7}},
+				map[string][]string{"s": {"almond"}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete(ctx, "t", []uint64{0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if arm == "remorphed" {
 			if err := e.Remorph(ctx, "t"); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if arm != "fresh" {
+			st := e.wtabs["t"].dt.State()
+			if pending := st.TailRows() + st.DeletedRows(); (arm == "dirty") != (pending > 0) {
+				t.Fatalf("%s: %d tail rows and %d deletions pending", arm, st.TailRows(), st.DeletedRows())
+			}
+			if col, err := st.Column("s"); err != nil {
+				t.Fatal(err)
+			} else if arm == "dirty" && col.Desc().Kind != columns.StaticBP {
+				t.Fatalf("dirty: the merged ID column is %v, want static BP", col.Desc())
 			}
 		}
 		for name, p := range plans {
@@ -234,14 +272,8 @@ func TestStringSelectInAndPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got := resultValues(t, res, "vals")
-			if len(got) != len(want[name]) {
-				t.Fatalf("remorph=%v %s: rows = %v, want %v", remorph, name, got, want[name])
-			}
-			for i := range want[name] {
-				if got[i] != want[name][i] {
-					t.Fatalf("remorph=%v %s: rows = %v, want %v", remorph, name, got, want[name])
-				}
+			if got := resultValues(t, res, "vals"); fmt.Sprint(got) != fmt.Sprint(want[name]) {
+				t.Fatalf("%s %s: rows = %v, want %v", arm, name, got, want[name])
 			}
 		}
 		if err := e.Close(ctx); err != nil {
@@ -458,17 +490,11 @@ func TestDictJournalAppendOnlyAcrossRemorph(t *testing.T) {
 	}
 	d := db.Dict("t", "s")
 	before := d.Journal()
-	ids, err := e.wtabs["t"].dt.State().LiveValues("s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := stateValues(t, e.wtabs["t"].dt.State(), "s")
 	if err := e.Remorph(ctx, "t"); err != nil {
 		t.Fatal(err)
 	}
-	folded, err := e.wtabs["t"].dt.State().LiveValues("s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	folded := stateValues(t, e.wtabs["t"].dt.State(), "s")
 	if fmt.Sprint(folded) != fmt.Sprint(ids) {
 		t.Fatalf("remorph rewrote the stored IDs: %v, was %v", folded, ids)
 	}

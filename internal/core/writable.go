@@ -14,6 +14,7 @@ import (
 	"morphstore/internal/faultpoint"
 	"morphstore/internal/formats"
 	"morphstore/internal/metrics"
+	"morphstore/internal/morph"
 	"morphstore/internal/qerr"
 	"morphstore/internal/stats"
 )
@@ -33,8 +34,8 @@ import (
 // pending deletions) has reached threshold times the main row count
 // (threshold <= 0 means any non-empty delta). Each rebuild re-picks every
 // column's format with the cost model off the hot path, builds the new main
-// (the merged main+delta column when nothing is deleted and the format
-// stays, the recompressed live rows otherwise), and atomically swaps it in;
+// (the merged main+delta column, already in the main's format, or its morph
+// when the pick changes the format), and atomically swaps it in;
 // queries already running finish on their pinned snapshots. The worker
 // registers its rebuilds with the admission layer, so Engine.Close drains
 // them like queries. Applies to NewEngine.
@@ -433,35 +434,36 @@ func (e *Engine) remorphTable(ctx context.Context, wt *writableTable) (err error
 
 // foldColumn builds column cn's new main from the pinned state s0, stores
 // its profile on it and returns it with the number of values the fold read.
-// A fold with no deletions extends the profile stored on s0's main by the
-// tail alone; when the pick from the extended profile keeps the main's
-// format, the new main is s0's merged column, which equals compressing the
-// live values in that format in one pass (and which the queries reading s0
-// have usually built already). Every other fold decodes
-// the live values, profiles them and compresses them.
+// The new main starts from s0's merged column, which is already in the
+// main's format (and which the queries reading s0 have usually built). Its
+// profile is the one stored on s0's main extended by the tail when nothing
+// is deleted, and otherwise collected from the merged column, decoding it
+// once. When the cost model's pick keeps the merged column's kind, it is the
+// new main; otherwise its morph into the pick is.
 func (wt *writableTable) foldColumn(s0 *delta.State, cn string) (*columns.Column, int, error) {
-	if main := s0.Main(cn); s0.DeletedRows() == 0 && main.Profile() != nil {
-		tail := s0.Tail(cn)
-		if prof, ok := main.Profile().Append(tail); ok && pickFormat(prof).Kind == main.Desc().Kind {
-			col, err := s0.Column(cn)
-			if err != nil {
-				return nil, 0, err
-			}
-			col.SetProfile(prof)
-			return col, len(tail), nil
-		}
-	}
-	vals, err := s0.LiveValues(cn)
+	col, err := s0.Column(cn)
 	if err != nil {
 		return nil, 0, err
 	}
-	prof := stats.Collect(vals)
-	col, err := formats.Compress(vals, pickFormat(prof))
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
+	tail, read := s0.Tail(cn), 0
+	var prof *stats.Profile
+	if main := s0.Main(cn); s0.DeletedRows() == 0 && main.Profile() != nil {
+		prof, _ = main.Profile().Append(tail) // nil for a tail below the main's minimum
+		read = len(tail)
+	}
+	if prof == nil {
+		if prof, err = profileOf(col); err != nil {
+			return nil, 0, err
+		}
+		read = col.N()
+	}
+	if pick := pickFormat(prof); pick.Kind != col.Desc().Kind {
+		if col, err = morph.Morph(col, pick); err != nil {
+			return nil, 0, fmt.Errorf("core: remorph %q.%q: %w", wt.dt.Name(), cn, err)
+		}
 	}
 	col.SetProfile(prof)
-	return col, len(vals), nil
+	return col, read, nil
 }
 
 // pickFormat is the fold's format pick: the smallest of the paper's formats

@@ -9,12 +9,14 @@ import (
 	"morphstore/internal/columns"
 )
 
-// TestLiveValuesAllocation pins that the remorph fold decodes a compressed
-// main once, straight into its output: LiveValues over a 1 Mi-row static BP
-// or DynBP main with a tail, with and without pending deletions, allocates at
-// most 1.05× the live rows' bytes (2.00× when it decoded the main into a
-// slice of its own and copied that with the tail into a second one).
-func TestLiveValuesAllocation(t *testing.T) {
+// TestMergeAllocation pins what building a merged view allocates over a
+// 1 Mi-row static BP or DynBP main with a 4,096-row tail: with no deletions
+// at most 1.05× the merged column's words (the main's words are copied, not
+// decoded), with 1,000 pending deletions at most 1.05× the live rows' bytes
+// plus the merged column's words (the main decoded once, straight into the
+// slice the deletions are compacted out of, and the live rows compressed
+// once).
+func TestMergeAllocation(t *testing.T) {
 	const n, tailRows, deletions = 1 << 20, 4096, 1000
 	rng := rand.New(rand.NewSource(37))
 	base := make([]uint64, n)
@@ -42,18 +44,23 @@ func TestLiveValuesAllocation(t *testing.T) {
 				s := tab.State()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				vals, err := s.LiveValues("v")
+				col, err := s.Column("v")
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(vals) != s.Rows() {
-					t.Fatalf("LiveValues returned %d values, want the %d live rows", len(vals), s.Rows())
+				if col.N() != s.Rows() || col.Desc().Kind != d.Kind {
+					t.Fatalf("merged view holds %d rows in %v, want the %d live rows in %v", col.N(), col.Desc(), s.Rows(), d)
 				}
-				got, live := after.TotalAlloc-before.TotalAlloc, uint64(8*s.Rows())
-				t.Logf("allocated %d B for %d B of live values (%.2f×)", got, live, float64(got)/float64(live))
-				if float64(got) > 1.05*float64(live) {
-					t.Fatalf("LiveValues allocated %d B, more than 1.05× the %d B of live values", got, live)
+				got, out, live := after.TotalAlloc-before.TotalAlloc, uint64(8*len(col.Words())), uint64(8*s.Rows())
+				budget := out
+				if del > 0 {
+					budget += live
+				}
+				t.Logf("allocated %d B for %d B of merged words and %d B of live values (%.3f× the budget of %d B)",
+					got, out, live, float64(got)/float64(budget), budget)
+				if float64(got) > 1.05*float64(budget) {
+					t.Fatalf("the merge allocated %d B, more than 1.05× its budget of %d B", got, budget)
 				}
 			})
 		}

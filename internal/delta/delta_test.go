@@ -30,6 +30,17 @@ func decompress(t *testing.T, col *columns.Column) []uint64 {
 	return vals
 }
 
+// stateValues decodes the merged view of column cn at state s: its live
+// values in row order.
+func stateValues(t *testing.T, s *State, cn string) []uint64 {
+	t.Helper()
+	col, err := s.Column(cn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decompress(t, col)
+}
+
 func seq(lo, n int) []uint64 {
 	vals := make([]uint64, n)
 	for i := range vals {
@@ -70,10 +81,11 @@ func (m *model) delete(positions []uint64) {
 	m.vals = out
 }
 
-// checkMerge appends tail to a table whose main is base compressed in d and
-// checks the merged view: it keeps the main's format and is byte-identical to
-// compressing base and tail in one pass.
-func checkMerge(t *testing.T, d columns.FormatDesc, base, tail []uint64) {
+// checkMerge appends tail to a table whose main is base compressed in d,
+// deletes the rows at the absolute positions del and checks the merged view:
+// it keeps the main's kind and is byte-identical to compressing the live rows
+// in one pass in that kind at auto width.
+func checkMerge(t *testing.T, d columns.FormatDesc, base, tail, del []uint64) {
 	t.Helper()
 	tab, err := NewTable("t", map[string]*columns.Column{"v": compress(t, base, d)})
 	if err != nil {
@@ -82,26 +94,40 @@ func checkMerge(t *testing.T, d columns.FormatDesc, base, tail []uint64) {
 	if _, _, err := tab.Append(map[string][]uint64{"v": tail}); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := tab.Delete(del); err != nil {
+		t.Fatal(err)
+	}
 	col, err := tab.State().Column("v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := compress(t, append(append([]uint64(nil), base...), tail...), d)
+	m := &model{}
+	m.append(base)
+	m.append(tail)
+	m.delete(del)
+	auto := d
+	auto.Bits = 0
+	want := compress(t, m.vals, auto)
+	if col.Desc().Kind != d.Kind {
+		t.Fatalf("merged column is %v, want the main's kind %v", col.Desc(), d)
+	}
 	if col.Desc() != want.Desc() || col.N() != want.N() || col.MainElems() != want.MainElems() ||
 		len(col.MainWords()) != len(want.MainWords()) || !eq(col.Words(), want.Words()) {
-		t.Fatalf("merged column %v differs from Compress(main+tail) %v", col, want)
+		t.Fatalf("merged column %v differs from Compress(live rows) %v", col, want)
 	}
 }
 
 // TestMergePerFormat checks the merged main+delta view for every format: the
-// tail is appended in the main's format, byte-identical to compressing main
-// and tail in one pass, never materialized uncompressed. Byte identity pins
-// the static BP width (a wider tail widens the main) and the RLE runs (a tail
-// continuing the main's last run extends it).
+// live rows stay in the main's format, byte-identical to compressing them in
+// one pass, never materialized uncompressed. Byte identity pins the static
+// BP width (a wider tail widens the main; deletions re-derive it) and the
+// RLE runs (a tail continuing the main's last run extends it). A delete-free
+// state appends the tail; deletions in the main, the tail, both, of every
+// main row and behind an empty main recompress the live rows.
 func TestMergePerFormat(t *testing.T) {
 	type mergeCase struct {
-		name       string
-		base, tail []uint64
+		name            string
+		base, tail, del []uint64
 	}
 	wide := func(n int, v uint64) []uint64 {
 		vals := make([]uint64, n)
@@ -120,30 +146,42 @@ func TestMergePerFormat(t *testing.T) {
 		return out
 	}
 	common := []mergeCase{
-		{"within-block", seq(0, 1300), seq(1300, 77)},  // 1300 = 2 full 512-blocks + 276 remainder
-		{"across-block", seq(0, 1300), seq(1300, 700)}, // completes the remainder into a block
-		{"one-value", seq(0, 1300), seq(1300, 1)},
+		{"within-block", seq(0, 1300), seq(1300, 77), nil},  // 1300 = 2 full 512-blocks + 276 remainder
+		{"across-block", seq(0, 1300), seq(1300, 700), nil}, // completes the remainder into a block
+		{"one-value", seq(0, 1300), seq(1300, 1), nil},
+		{"deleted-main", seq(0, 1300), seq(1300, 77), []uint64{0, 511, 512, 1299}},
+		{"deleted-tail", seq(0, 1300), seq(1300, 700), []uint64{1300, 1500, 1999}},
+		{"deleted-both", runs(7, 1, 9), seq(1300, 700), []uint64{3, 49, 50, 150, 848}},
+		{"deleted-every-main-row", seq(0, 1300), seq(1300, 77), seq(0, 1300)},
+		{"deleted-empty-main", nil, seq(5, 700), []uint64{0, 5, 699}},
 	}
 	extra := map[columns.Kind][]mergeCase{
 		columns.StaticBP: {
-			{"wider-tail", seq(0, 1000), wide(100, 1<<40)},
-			{"group-aligned-main", seq(0, 1024), seq(1024, 70)},
-			{"zero-width-main", make([]uint64, 130), seq(0, 5)},
-			{"zero-width-both", make([]uint64, 130), make([]uint64, 9)},
-			{"width-64-main", wide(100, ^uint64(0)), seq(0, 200)},
-			{"empty-main", nil, seq(5, 70)},
+			{"wider-tail", seq(0, 1000), wide(100, 1<<40), nil},
+			{"group-aligned-main", seq(0, 1024), seq(1024, 70), nil},
+			{"zero-width-main", make([]uint64, 130), seq(0, 5), nil},
+			{"zero-width-both", make([]uint64, 130), make([]uint64, 9), nil},
+			{"width-64-main", wide(100, ^uint64(0)), seq(0, 200), nil},
+			{"empty-main", nil, seq(5, 70), nil},
+			{"deleted-widest-rows", wide(100, 1<<40), seq(0, 200), seq(0, 100)},
 		},
 		columns.RLE: {
-			{"extends-last-run", runs(1, 2, 3), runs(3, 4)},
+			{"extends-last-run", runs(1, 2, 3), runs(3, 4), nil},
+			{"deleted-run-boundary", runs(1, 2, 3), runs(3, 4), []uint64{49, 50, 149, 150}},
 		},
 	}
 	for _, d := range formats.AllDescs() {
 		t.Run(d.String(), func(t *testing.T) {
 			for _, c := range append(common, extra[d.Kind]...) {
-				t.Run(c.name, func(t *testing.T) { checkMerge(t, d, c.base, c.tail) })
+				t.Run(c.name, func(t *testing.T) { checkMerge(t, d, c.base, c.tail, c.del) })
 			}
 		})
 	}
+	// A static BP main at a fixed width: the deletion merge packs the live
+	// rows at their own width.
+	t.Run("static_bp(20)/deleted-main", func(t *testing.T) {
+		checkMerge(t, columns.StaticBPDesc(20), seq(0, 1300), seq(1300, 77), []uint64{3, 1000})
+	})
 }
 
 // TestEmptyDeltaIsMainColumn checks the empty-delta fast path: the state
@@ -222,13 +260,6 @@ func TestDeleteSemantics(t *testing.T) {
 	if got := decompress(t, col); !eq(got, m.vals) {
 		t.Fatalf("merged values differ from model after deletes")
 	}
-	lv, err := s.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(lv, m.vals) {
-		t.Fatalf("LiveValues differ from model")
-	}
 }
 
 // TestValidation checks the typed schema errors of NewTable, Append, and the
@@ -283,10 +314,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := tab.State()
-	pv, err := pinned.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pv := stateValues(t, pinned, "v")
 	last := pinned.Epoch()
 	for i := 0; i < 5; i++ {
 		if _, _, err := tab.Append(map[string][]uint64{"v": seq(100*i, 3)}); err != nil {
@@ -301,11 +329,7 @@ func TestSnapshotImmutable(t *testing.T) {
 			last = e
 		}
 	}
-	now, err := pinned.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(now, pv) {
+	if now := stateValues(t, pinned, "v"); !eq(now, pv) {
 		t.Fatal("pinned state changed under mutations")
 	}
 }
@@ -350,10 +374,7 @@ func TestCompleteRebuildRemap(t *testing.T) {
 	}
 	m.delete(during)
 
-	vals, err := s0.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := stateValues(t, s0, "v")
 	if !eq(vals, s0Live) {
 		t.Fatal("pinned rebuild state drifted")
 	}
@@ -373,18 +394,7 @@ func TestCompleteRebuildRemap(t *testing.T) {
 	if s.TailRows() != 30 {
 		t.Fatalf("surviving tail %d rows, want 30", s.TailRows())
 	}
-	got, err := s.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(got, m.vals) {
-		t.Fatal("post-swap live values differ from model")
-	}
-	col, err := s.Column("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gm := decompress(t, col); !eq(gm, m.vals) {
+	if gm := stateValues(t, s, "v"); !eq(gm, m.vals) {
 		t.Fatal("post-swap merged view differs from model")
 	}
 
@@ -393,10 +403,7 @@ func TestCompleteRebuildRemap(t *testing.T) {
 	if !ok {
 		t.Fatal("BeginRebuild refused after swap with surviving delta")
 	}
-	vals1, err := s1.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals1 := stateValues(t, s1, "v")
 	if _, err := tab.CompleteRebuild(s1, map[string]*columns.Column{"v": columns.FromValues(vals1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -483,9 +490,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			if !ok {
 				continue
 			}
-			vals, err := s0.LiveValues("v")
+			col, err := s0.Column("v")
 			if err == nil {
-				_, err = tab.CompleteRebuild(s0, map[string]*columns.Column{"v": columns.FromValues(vals)})
+				_, err = tab.CompleteRebuild(s0, map[string]*columns.Column{"v": col})
 			}
 			tab.EndRebuild()
 			if err != nil {
@@ -500,17 +507,15 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Final invariant: the merged view matches the live values exactly.
+	// Final invariant: the merged view holds every live row in the main's
+	// format.
 	s := tab.State()
-	want, err := s.LiveValues("v")
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, err := s.Column("v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decompress(t, col); !eq(got, want) {
-		t.Fatal("merged view differs from live values after concurrent storm")
+	if got := decompress(t, col); len(got) != s.Rows() || col.Desc().Kind != s.Main("v").Desc().Kind {
+		t.Fatalf("merged view after the concurrent storm: %d rows in %v, want %d in the main's %v",
+			len(got), col.Desc(), s.Rows(), s.Main("v").Desc())
 	}
 }

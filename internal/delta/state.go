@@ -12,25 +12,25 @@
 // the only copy of the delta: nothing journals a table's rows.
 //
 // Reads go through State.Column, which merges main and delta into a single
-// ordinary column. With no deletions every format appends the tail in the
-// main's own format (formats.AppendTail): a writer of that format copies the
-// main's blocks, static BP groups or runs (it does not decode them) and
-// encodes the tail once behind them. The merged column equals the main's
-// format applied to main and tail in one pass, so a dirty table stays
-// compressed. Only a state with deletions compacts into an uncompressed
-// column. Merged views are cached per State, so concurrent queries at one
-// epoch share them. A State with an empty delta hands out the main column
-// itself: the writable path then costs one nil check per scan.
+// ordinary column in the main's format, so a dirty table stays compressed.
+// With no deletions every format appends the tail (formats.AppendTail): a
+// writer of that format copies the main's blocks, static BP groups or runs
+// (it does not decode them) and encodes the tail once behind them. With
+// deletions the live rows are decoded once and compressed in the main's
+// kind (a static BP main at auto width). Either way the merged column equals
+// the main's format applied to the live rows in one pass. Merged views are
+// cached per State, so concurrent queries at one epoch share them. A State
+// with an empty delta hands out the main column itself: the writable path
+// then costs one nil check per scan.
 //
 // A background remorph (driven by the engine) folds the delta back into the
 // main: BeginRebuild pins the current State, the caller builds each new main
 // column off the hot path, and CompleteRebuild atomically swaps the new main
 // in — remapping the tail rows and deletions that arrived during the rebuild
-// — while in-flight readers finish on the State they pinned. A fold with no
-// deletions that keeps a column's format takes the merged column itself as
-// the new main (State.Column; State.Main and State.Tail give the caller the
-// main whose profile it extends and the tail it extends it by); any other
-// fold recompresses State.LiveValues.
+// — while in-flight readers finish on the State they pinned. The engine's
+// fold takes the merged column (State.Column) as the new main, or its morph
+// when the cost model picks another kind; State.Main and State.Tail give it
+// the main whose profile it extends and the tail it extends it by.
 package delta
 
 import (
@@ -78,9 +78,10 @@ func (s *State) TailRows() int { return s.tailRows }
 func (s *State) DeletedRows() int { return len(s.deleted) }
 
 // Column returns the merged main+delta view of one column as an ordinary
-// column. With an empty delta it is the stored main column itself (no copy,
-// no allocation); otherwise the merged view is built on first access at this
-// state and cached, so concurrent readers at one epoch share it.
+// column in the main's format (merge). With an empty delta it is the stored
+// main column itself (no copy, no allocation); otherwise the merged view is
+// built on first access at this state and cached, so concurrent readers at
+// one epoch share it.
 func (s *State) Column(name string) (*columns.Column, error) {
 	main, ok := s.main[name]
 	if !ok {
@@ -105,19 +106,6 @@ func (s *State) Column(name string) (*columns.Column, error) {
 	return c, nil
 }
 
-// LiveValues returns the column's live values at this state in row order:
-// main then tail, with deleted positions dropped. The slice is freshly
-// allocated; callers own it. It decodes the whole main, so the remorph fold
-// calls it only when it recompresses a column: with deletions, a changed
-// format, or a main that carries no profile.
-func (s *State) LiveValues(name string) ([]uint64, error) {
-	main, ok := s.main[name]
-	if !ok {
-		return nil, fmt.Errorf("delta: unknown column %q", name)
-	}
-	return s.liveValues(name, main)
-}
-
 // Main returns the stored main column of name at this state (nil for an
 // unknown column): the column the last remorph swapped in, without the delta.
 func (s *State) Main(name string) *columns.Column { return s.main[name] }
@@ -134,11 +122,13 @@ type mergeCache struct {
 	cols map[string]*columns.Column
 }
 
-// merge builds the merged main+delta view of one column. With no deletions
-// the tail is appended in the main's format (formats.AppendTail): the main's
-// compressed words are copied, not decoded, and the tail is encoded once
-// behind them. A state with deletions compacts into a fresh uncompressed
-// column.
+// merge builds the merged main+delta view of one column in the main's
+// format. With no deletions the tail is appended (formats.AppendTail): the
+// main's compressed words are copied, not decoded, and the tail is encoded
+// once behind them. With deletions the main is decoded straight into one
+// slice, the tail copied behind it, the deleted positions compacted out in
+// place, and the live rows compressed in the main's kind at auto width, as
+// one pass over them would compress them.
 func (s *State) merge(name string, main *columns.Column) (*columns.Column, error) {
 	if len(s.deleted) == 0 {
 		c, err := formats.AppendTail(main, s.tail[name])
@@ -147,17 +137,6 @@ func (s *State) merge(name string, main *columns.Column) (*columns.Column, error
 		}
 		return c, nil
 	}
-	vals, err := s.liveValues(name, main)
-	if err != nil {
-		return nil, err
-	}
-	return columns.FromValues(vals), nil
-}
-
-// liveValues gathers the column's live values into one fresh slice: the main
-// decoded (or copied) straight into it, the tail copied behind, and any
-// deleted positions compacted out in place.
-func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) {
 	all := make([]uint64, s.mainRows+s.tailRows)
 	if base, ok := main.Values(); ok {
 		copy(all, base)
@@ -165,9 +144,6 @@ func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) 
 		return nil, fmt.Errorf("delta: %q: %w", name, err)
 	}
 	copy(all[s.mainRows:], s.tail[name])
-	if len(s.deleted) == 0 {
-		return all, nil
-	}
 	live, di := all[:0], 0
 	for i, v := range all {
 		if di < len(s.deleted) && s.deleted[di] == uint64(i) {
@@ -176,7 +152,13 @@ func (s *State) liveValues(name string, main *columns.Column) ([]uint64, error) 
 		}
 		live = append(live, v)
 	}
-	return live, nil
+	desc := main.Desc()
+	desc.Bits = 0
+	c, err := formats.Compress(live, desc)
+	if err != nil {
+		return nil, fmt.Errorf("delta: %q: %w", name, err)
+	}
+	return c, nil
 }
 
 // liveToAbs maps a live row number to its absolute position under the sorted

@@ -82,7 +82,28 @@ func fuzzSeedValues() [][]uint64 {
 	for i := range runs {
 		runs[i] = uint64(i / 97)
 	}
-	return [][]uint64{sorted, runs, {7}, {}}
+	// Small seeds (≤ 64 values) next to the whole-column ones: a mutation of
+	// a one-block or one-group column reaches a decoder's header and length
+	// checks in a few bytes.
+	smallSorted := make([]uint64, 40)
+	for i := range smallSorted {
+		smallSorted[i] = uint64(3 * i)
+	}
+	smallRuns := make([]uint64, 60)
+	for i := range smallRuns {
+		smallRuns[i] = uint64(i / 20)
+	}
+	outlier := make([]uint64, 33)
+	for i := range outlier {
+		outlier[i] = uint64(i % 5)
+	}
+	outlier[17] = 1 << 40
+	// One whole block and no remainder: a blocked main that ends the buffer.
+	block := make([]uint64, BlockLen)
+	for i := range block {
+		block[i] = uint64(i * i)
+	}
+	return [][]uint64{sorted, runs, {7}, {}, smallSorted, smallRuns, outlier, {1 << 63, 0}, block}
 }
 
 func FuzzDecompress(f *testing.F) {
